@@ -13,7 +13,6 @@ Usage::
     python -m repro.bench --profile prof/ fig5a         # sampled cProfile + flamegraph stacks
     python -m repro.bench --save-bench BENCH_ci.json fig5a   # performance snapshot
     python -m repro.bench --baseline BENCH_old.json fig5a    # regression check
-    python -m repro.bench --audit fig5a           # plan-accuracy calibration
     python -m repro.bench --obs out/ --explain fig5a    # explain.jsonl provenance
     python -m repro.bench --calibration fig5a     # predicted-vs-actual MARE
     python -m repro.bench history benchmarks/     # snapshot trajectory report
@@ -68,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="figure ids to run (default: all); see --list",
     )
     parser.add_argument("--list", action="store_true", help="list figure ids and exit")
-    parser.add_argument("--json", metavar="PATH", help="dump raw series (and audit) as JSON")
+    parser.add_argument("--json", metavar="PATH", help="dump raw series as JSON")
     parser.add_argument("--svg", metavar="DIR", help="render SVG charts into DIR")
     parser.add_argument(
         "--obs", metavar="DIR",
@@ -101,10 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--baseline", metavar="PATH",
         help="compare this run against a saved snapshot; exit 1 on regression",
-    )
-    parser.add_argument(
-        "--audit", action="store_true",
-        help="also run the plan-accuracy audit (explain-vs-execute calibration)",
     )
     parser.add_argument(
         "--explain", action="store_true",
@@ -224,7 +219,6 @@ def main(argv=None) -> int:
         or opts.obs_report
         or opts.query_log is not None
         or snapshotting
-        or opts.audit
         or opts.watch is not None
         or opts.profile is not None
         or opts.explain
@@ -317,7 +311,6 @@ def main(argv=None) -> int:
     serving_report = None
     shard_report = None
     cumulative = obs.metrics if obs is not None else None
-    audit_summary = None
     faults_ctx = (
         nullcontext() if opts.faults is None else activate_faults(opts.faults)
     )
@@ -432,20 +425,6 @@ def main(argv=None) -> int:
             print()
             if opts.json is not None:
                 dump["crash_drill"] = crash_report.as_dict()
-        if opts.audit:
-            from repro.obs.audit import render_summary, run_quick_audit
-
-            audit_summary, audit_records = run_quick_audit(
-                obs=obs, keep_plans=opts.json is not None
-            )
-            print("# plan-accuracy audit\n")
-            print(render_summary(audit_summary))
-            print()
-            if opts.json is not None:
-                dump["audit"] = {
-                    "summary": audit_summary,
-                    "records": [r.as_dict() for r in audit_records],
-                }
     if watch_stop is not None:
         watch_stop.set()
         watch_thread.join(timeout=5.0)
@@ -473,7 +452,8 @@ def main(argv=None) -> int:
         snapshot = build_snapshot(
             scale=bench_scale(),
             figures=figure_summaries,
-            audit=audit_summary,
+            # the snapshot's predicted-vs-actual block: one source, the ledger
+            calibration=ledger.summary() if ledger is not None else None,
             chaos=chaos_report.as_dict() if chaos_report is not None else None,
             overload=(
                 serving_report.as_dict() if serving_report is not None else None

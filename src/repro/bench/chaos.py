@@ -33,31 +33,13 @@ import numpy as np
 from repro.bench.harness import scaled
 from repro.core.cbcs import RUNG_STALE, RUNG_UNAVAILABLE, CBCS
 from repro.data.generator import independent
-from repro.skyline.sfs import sfs_skyline
+from repro.skyline.reference import constrained_reference, same_multiset
 from repro.storage.faults import FaultInjector, FaultyDiskTable, get_profile
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
 
 #: Rungs whose answers may legitimately differ from the reference.
 _STALE_RUNGS = (RUNG_STALE, RUNG_UNAVAILABLE)
-
-
-def _reference_skyline(data: np.ndarray, constraints) -> np.ndarray:
-    """The ground-truth constrained skyline, computed without the engine."""
-    region = data[constraints.satisfied_mask(data)]
-    if len(region) == 0:
-        return region
-    return region[sfs_skyline(region)]
-
-
-def _same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
-    if a.shape != b.shape:
-        return False
-    if len(a) == 0:
-        return True
-    a_sorted = a[np.lexsort(a.T[::-1])]
-    b_sorted = b[np.lexsort(b.T[::-1])]
-    return bool(np.array_equal(a_sorted, b_sorted))
 
 
 @dataclass
@@ -204,8 +186,8 @@ def run_chaos_soak(
         if outcome.degraded in _STALE_RUNGS:
             report.stale_serves += 1
             continue
-        reference = _reference_skyline(data, constraints)
-        if _same_multiset(np.asarray(outcome.skyline), reference):
+        reference = constrained_reference(data, constraints)
+        if same_multiset(np.asarray(outcome.skyline), reference):
             report.exact_answers += 1
         else:
             report.incorrect_answers += 1

@@ -28,13 +28,13 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.bench.chaos import _same_multiset
 from repro.core.cbcs import RUNG_STALE, RUNG_UNAVAILABLE
 from repro.core.cache import SkylineCache
 from repro.core.cache_backend import DiskCacheBackend
 from repro.core.dynamic import DynamicCBCS
 from repro.data.generator import independent
 from repro.ioutil import atomic_write_json
+from repro.skyline.reference import same_multiset
 from repro.storage.durability import DurabilityManager
 from repro.storage.faults import (
     FaultInjector,
@@ -237,7 +237,7 @@ def _check_queries(result: ScenarioResult, engine, reference, queries) -> None:
         if outcome.degraded in _STALE_RUNGS:
             result.stale_serves += 1
             continue
-        if not _same_multiset(
+        if not same_multiset(
             np.asarray(outcome.skyline), np.asarray(ref.skyline)
         ):
             result.mismatches += 1

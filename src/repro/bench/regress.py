@@ -19,7 +19,7 @@ while a genuine 2x blow-up in points read does:
 
 Usage::
 
-    python -m repro.bench --save-bench BENCH_ci.json fig5a fig9a
+    python -m repro.bench --save-bench BENCH_ci.json --calibration fig5a
     python -m repro.bench --baseline benchmarks/BENCH_baseline_quick.json fig5a
     python -m repro.bench.regress BENCH_old.json BENCH_new.json
     python -m repro.bench.regress BENCH_old.json BENCH_new.json --json report.json
@@ -168,14 +168,20 @@ def git_rev() -> Optional[str]:
 def build_snapshot(
     scale: str,
     figures: Dict[str, dict],
-    audit: Optional[dict] = None,
+    calibration: Optional[dict] = None,
     rev: Optional[str] = None,
     run_id: Optional[str] = None,
     chaos: Optional[dict] = None,
     overload: Optional[dict] = None,
     shard_sweep: Optional[dict] = None,
 ) -> dict:
-    """Assemble the schema-versioned snapshot dict for one bench run."""
+    """Assemble the schema-versioned snapshot dict for one bench run.
+
+    ``calibration`` is the run's predicted-vs-actual block, a
+    :meth:`~repro.obs.calibration.CalibrationLedger.summary`.  Older
+    snapshots carry an ``audit`` key in its place; the compare reads
+    neither, so they still load and compare without complaint.
+    """
     rev = git_rev() if rev is None else rev
     created_at = time.strftime("%Y-%m-%dT%H:%M:%S", time.gmtime())
     if run_id is None:
@@ -190,8 +196,8 @@ def build_snapshot(
         "git_rev": rev,
         "figures": figures,
     }
-    if audit is not None:
-        snapshot["audit"] = audit
+    if calibration is not None:
+        snapshot["calibration"] = calibration
     if chaos is not None:
         snapshot["chaos"] = chaos
     if overload is not None:

@@ -41,7 +41,6 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.bench.chaos import _reference_skyline, _same_multiset
 from repro.bench.harness import scaled
 from repro.core.cbcs import CBCS, RUNG_STALE, RUNG_UNAVAILABLE
 from repro.data.generator import independent
@@ -53,6 +52,7 @@ from repro.service import (
     QueryService,
     RequestRejected,
 )
+from repro.skyline.reference import constrained_reference, same_multiset
 from repro.storage.faults import FaultInjector, FaultyDiskTable, get_profile
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
@@ -421,8 +421,8 @@ def run_overload_soak(
             if result.degraded in _STALE_RUNGS or result.stale:
                 report.stale_serves += 1
                 continue
-            reference = _reference_skyline(data, constraints)
-            if not _same_multiset(np.asarray(result.skyline), reference):
+            reference = constrained_reference(data, constraints)
+            if not same_multiset(np.asarray(result.skyline), reference):
                 report.incorrect_answers += 1
                 report.errors.append(
                     f"request {i}: non-stale answer differs from reference "

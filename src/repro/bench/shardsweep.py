@@ -34,12 +34,12 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.bench.chaos import _reference_skyline, _same_multiset
 from repro.bench.harness import scaled
 from repro.core.cbcs import CBCS
 from repro.core.sharded import ShardedCBCS
 from repro.core.strategies import MaxOverlap, MaxOverlapSP
 from repro.data.generator import independent
+from repro.skyline.reference import constrained_reference, same_multiset
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
@@ -339,8 +339,8 @@ def _run_cell(
             if outcome.stale:
                 report.stale_serves += 1
                 continue
-            reference = _reference_skyline(data, constraints)
-            if not _same_multiset(np.asarray(outcome.skyline), reference):
+            reference = constrained_reference(data, constraints)
+            if not same_multiset(np.asarray(outcome.skyline), reference):
                 report.answer_mismatches += 1
                 report.errors.append(
                     f"{qlabel}: non-stale answer differs from reference "
@@ -348,7 +348,7 @@ def _run_cell(
                 )
             continue
         reference = references[i]
-        if not _same_multiset(
+        if not same_multiset(
             np.asarray(outcome.skyline), np.asarray(reference.skyline)
         ):
             report.answer_mismatches += 1

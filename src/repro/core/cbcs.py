@@ -20,16 +20,22 @@ The engine is split into three layers (see ``docs/architecture.md``):
   + circuit breaker, :class:`~repro.storage.backend.InstrumentedBackend`
   for per-call counters) over the base :class:`~repro.storage.table.DiskTable`.
 
-``CBCS`` itself keeps the stateful glue: the cache (search, verification,
-insertion), the degradation ladder, and the per-query accounting.  Every
-query returns a :class:`~repro.stats.QueryOutcome` with the Figure-10 stage
-breakdown.
+``CBCS`` itself keeps the stateful glue, and states the paper's sequence
+exactly once, in :meth:`CBCS._answer`: search, verify, select, plan (a miss
+is the degenerate plan), fetch the plan's boxes, merge with the reusable
+points, skyline, cache.  The degradation ladder is a table of rungs walked
+by one loop in :meth:`CBCS._serve`, each rung one more pass of that same
+body.  :func:`ingress` is the per-query preamble and
+epilogue every engine shares (id, profiler, root span, outcome record, and
+-- after the fact -- the EXPLAIN record).  Every query returns a
+:class:`~repro.stats.QueryOutcome` with the Figure-10 stage breakdown.
 """
 
 from __future__ import annotations
 
 from contextlib import nullcontext
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Callable, List, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,7 +43,7 @@ from repro.core.ampr import ApproximateMPR
 from repro.core.cache import SkylineCache
 from repro.core.cases import CASE_EXACT
 from repro.core.executor import Executor
-from repro.core.planner import CASE_MISS, Planner, QueryPlan
+from repro.core.planner import CASE_MISS, PlannedQuery, Planner, QueryPlan
 from repro.core.strategies import CacheSearchStrategy, MaxOverlapSP
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS, bind, current_query_id
@@ -50,6 +56,7 @@ from repro.storage.table import DiskTable
 
 __all__ = [
     "CBCS",
+    "ingress",
     "CASE_MISS",
     "QueryPlan",
     "RUNG_AMPR",
@@ -66,6 +73,71 @@ RUNG_AMPR = "ampr"
 RUNG_BOUNDING = "bounding"
 RUNG_STALE = "stale"
 RUNG_UNAVAILABLE = "unavailable"
+
+
+class Rung(NamedTuple):
+    """One fetching rung of the degradation ladder.
+
+    ``label`` is stamped on the outcome (None: the configured, undegraded
+    plan); ``region`` overrides the region computer; ``use_cache=False``
+    plans against no candidates at all.
+    """
+
+    label: Optional[str]
+    region: Optional[object] = None
+    use_cache: bool = True
+
+
+@dataclass
+class Attempt:
+    """One pass of the query body, as the EXPLAIN record will describe it.
+
+    Created per rung by :meth:`CBCS._serve` and filled in by
+    :meth:`CBCS._answer` as it goes, so a pass that dies mid-fetch still
+    shows what it planned.  Lives for one ``query()`` call; outcomes never
+    reference it.
+    """
+
+    #: plans built so far for this query (1 unless the ladder was walked)
+    number: int
+    rung: Rung
+    #: cache size the plan was built against (before this query's insert)
+    cache_items: int
+    #: items cache verification healed away before the plan was built
+    rejected: List = field(default_factory=list)
+    planned: Optional[PlannedQuery] = None
+    #: per-box ``RangeResult``s of the completed fetch, in plan order
+    parts: tuple = ()
+
+
+def ingress(engine, constraints: Constraints, query_id, deadline, span, **attrs):
+    """Run one query through ``engine`` -- the preamble and epilogue every
+    engine's ``query()`` shares.
+
+    Checks dimensionality, normalises the deadline, mints a correlation id
+    (only with observability on), arms the profiler sample, binds the id,
+    opens the root ``span`` around ``engine._serve`` and records the
+    outcome.  With an :class:`~repro.obs.explain.ExplainRecorder`
+    installed, ``engine._explain`` then builds the query's one EXPLAIN
+    record from what ``_serve`` handed back; without one nothing
+    explain-related is computed.
+    """
+    if constraints.ndim != engine.table.ndim:
+        raise ValueError("constraints dimensionality does not match the table")
+    deadline = Deadline.normalize(deadline)
+    obs = engine.obs
+    if query_id is None and obs.enabled:
+        query_id = obs.correlation.new_id()
+    profiler = obs.profiler
+    sample = profiler.maybe(query_id) if profiler is not None else nullcontext(False)
+    with bind(query_id), sample:
+        with obs.tracer.span(span, **attrs) as qspan:
+            outcome, evidence = engine._serve(constraints, qspan, deadline)
+        outcome.query_id = query_id
+        obs.record_outcome(outcome)
+        if obs.explainer is not None:
+            obs.explainer.record(engine._explain(outcome, evidence))
+    return outcome
 
 
 class CBCS:
@@ -121,12 +193,23 @@ class CBCS:
         self.cache_results = cache_results
         self.obs = NULL_OBS if obs is None else obs
         self.resilience = resolve_resilience(resilience)
+        self._verify = self.resilience is not None and self.resilience.verify_cache
         self._fallback_region = (
             ApproximateMPR(k=1)
             if self.resilience is not None
             and not isinstance(self.region, ApproximateMPR)
             else None
         )
+        #: The degradation ladder's fetching rungs, walked in order by
+        #: :meth:`_serve` -- every answer from them is still exact.
+        #: ``ampr`` re-plans with a 1-NN aMPR (fewer, larger range queries
+        #: mean fewer fault opportunities; absent when the engine already
+        #: runs an aMPR); ``bounding`` is a single range query over the
+        #: whole constraint region plus a from-scratch skyline.
+        self._ladder = [Rung(None)]
+        if self._fallback_region is not None:
+            self._ladder.append(Rung(RUNG_AMPR, region=self._fallback_region))
+        self._ladder.append(Rung(RUNG_BOUNDING, use_cache=False))
         if obs is not None:
             self.cache.bind_metrics(obs.metrics)
             self.strategy.bind_obs(obs)
@@ -197,176 +280,177 @@ class CBCS:
         resilience the deadline is only checked at ingress (there is no
         retry/fetch machinery to charge it from).
         """
-        if constraints.ndim != self.table.ndim:
-            raise ValueError("constraints dimensionality does not match the table")
-        deadline = Deadline.normalize(deadline)
-        if deadline is not None and self.resilience is None:
-            deadline.check("ingress")
-        obs = self.obs
-        if query_id is None and obs.enabled:
-            query_id = obs.correlation.new_id()
-        profiler = obs.profiler
-        sample = (
-            profiler.maybe(query_id) if profiler is not None else nullcontext(False)
+        return ingress(
+            self,
+            constraints,
+            query_id,
+            deadline,
+            "cbcs.query",
+            strategy=self.strategy.name,
         )
-        # Decision provenance (EXPLAIN ANALYZE): one builder per query when
-        # an ExplainRecorder is installed, one record emitted per query.
-        explainer = getattr(obs, "explainer", None)
-        xb = explainer.builder(self) if explainer is not None else None
-        with bind(query_id), sample:
-            with obs.tracer.span("cbcs.query", strategy=self.strategy.name) as qspan:
-                if self.resilience is None:
-                    outcome = self._answer(constraints, qspan, xb=xb)
-                else:
-                    outcome = self._answer_resilient(
-                        constraints, qspan, deadline=deadline, xb=xb
-                    )
-            outcome.query_id = query_id
-            obs.record_outcome(outcome)
-            if xb is not None:
-                explainer.record(xb.finish(outcome))
-        return outcome
 
-    def _answer_resilient(
-        self, constraints: Constraints, qspan, deadline=None, xb=None
-    ) -> QueryOutcome:
-        """Normal plan with retries; on give-up, walk the degradation ladder.
+    def _serve(self, constraints: Constraints, qspan, deadline):
+        """Walk the rung table until one pass of the body succeeds.
 
-        A mid-flight :class:`DeadlineExceeded` short-circuits the ladder:
-        cheaper rungs still cost fetches the budget cannot pay for, so the
-        query jumps straight to the stale-serve rung.  With nothing cached
-        the exception propagates -- the serving layer's cue to emit a typed
-        ``deadline_exceeded`` outcome.
+        Returns the outcome plus the final :class:`Attempt` (what EXPLAIN
+        describes).  Without resilience only the configured rung runs and
+        storage errors propagate.  With it, each rung is one more pass of
+        :meth:`_answer` under a fresh retry budget; the outcome carries the
+        retries of every rung tried.
+
+        A per-request ``deadline`` gates the descent: a fetching rung is
+        only attempted while budget remains, and a rung interrupted by
+        :class:`DeadlineExceeded` ends the walk (cheaper rungs still cost
+        fetches the budget cannot pay for).  After the last rung:
+        ``stale`` serves the best-overlap cached skyline, flagged; with the
+        deadline spent and nothing cached the typed exception propagates
+        -- the serving layer's cue to emit ``deadline_exceeded``;
+        otherwise ``unavailable`` is the empty, flagged last resort.
         """
-        state = self.resilience.new_state(deadline=deadline)
-        try:
-            outcome = self._answer(constraints, qspan, retry_state=state, xb=xb)
-        except DeadlineExceeded:
-            self.obs.metrics.inc("query_deadline_exceeded_total", method=self.name)
-            stale = self._serve_stale(constraints, qspan)
-            if stale is None:
-                raise
-            outcome = stale
-        except DEGRADABLE as cause:
-            self.obs.metrics.inc("degradation_entered_total", method=self.name)
-            outcome = self._answer_degraded(
-                constraints, qspan, state, cause, deadline=deadline, xb=xb
+        if self.resilience is None:
+            if deadline is not None:
+                deadline.check("ingress")
+            attempt = Attempt(1, self._ladder[0], len(self.cache))
+            return self._answer(constraints, qspan, attempt), attempt
+
+        metrics = self.obs.metrics
+        retries = 0
+        for number, rung in enumerate(self._ladder, 1):
+            if number > 1 and deadline is not None and deadline.expired:
+                break
+            attempt = Attempt(number, rung, len(self.cache))
+            state = self.resilience.new_state(deadline=deadline)
+            try:
+                outcome = self._answer(constraints, qspan, attempt, state)
+            except DeadlineExceeded:
+                break
+            except DEGRADABLE:
+                if number == 1:
+                    metrics.inc("degradation_entered_total", method=self.name)
+                continue
+            finally:
+                retries += state.retries
+            if rung.label is not None:
+                outcome.degraded = rung.label
+                qspan.set(degraded=rung.label)
+            outcome.retries = retries
+            return outcome, attempt
+
+        if deadline is not None and deadline.expired:
+            metrics.inc("query_deadline_exceeded_total", method=self.name)
+        outcome = self._serve_stale(constraints, qspan)
+        if outcome is None:
+            if deadline is not None:
+                # Out of time and nothing cached: surface the typed outcome
+                # rather than inventing an empty "unavailable" answer.
+                deadline.check("degradation ladder")
+            qspan.set(degraded=RUNG_UNAVAILABLE)
+            outcome = QueryOutcome(
+                skyline=np.empty((0, constraints.ndim)),
+                method=self.name,
+                case=None,
+                stable=None,
+                cache_hit=False,
+                degraded=RUNG_UNAVAILABLE,
+                stale=True,
             )
-        outcome.retries = state.retries
-        return outcome
-
-    def _record_fetch_timings(self, watch: Stopwatch, io, fetch) -> None:
-        """Fill the two fetch-latency fields of the stage breakdown.
-
-        ``io_ms_total`` is always the aggregate simulated I/O the query
-        charged (retries included, straight from the table's counters).
-        ``fetch_io_ms`` -- the Figure-10 "fetching" stage -- equals that
-        aggregate when the fetch ran serially, and the executor's overlap-
-        aware makespan when boxes actually ran on multiple lanes, so the
-        stage breakdown keeps summing to the effective response time.
-        """
-        watch.timings.io_ms_total = io.simulated_io_ms
-        watch.timings.fetch_io_ms = (
-            fetch.effective_io_ms if fetch.workers > 1 else io.simulated_io_ms
-        )
+        outcome.retries = retries
+        return outcome, attempt
 
     def _answer(
-        self,
-        constraints: Constraints,
-        qspan,
-        retry_state=None,
-        region_override=None,
-        xb=None,
+        self, constraints: Constraints, qspan, attempt: Attempt, retry_state=None
     ) -> QueryOutcome:
-        """The query body, run inside the ``cbcs.query`` span."""
+        """The query body -- the paper's Section 6, written once.
+
+        Search the cache and pick one item (or none); plan; fetch the
+        plan's boxes; merge them with the reusable cached points (none on
+        a miss); take the skyline; cache it.  A miss is just the plan that
+        reuses nothing, an exact match the plan that fetches nothing, and
+        ``attempt.rung`` only varies the planning: the ``ampr`` rung swaps
+        the region computer, the ``bounding`` rung plans against no
+        candidates -- which *is* the miss plan.
+
+        With cache verification on, the chosen item is invariant-checked
+        (and healed out of the cache if corrupt) *before* CBCS prunes with
+        it; the strategy then re-picks among the rest.
+        """
         obs = self.obs
+        rung = attempt.rung
         watch = Stopwatch(tracer=obs.tracer, profiler=obs.profiler)
         io_before = self.table.stats.snapshot()
-        verify = self.resilience is not None and self.resilience.verify_cache
 
+        candidates, item = (), None
         with watch.stage("processing"):
-            with obs.tracer.span("cache.search"):
-                candidates = self.cache.candidates(constraints)
-            if xb is not None:
-                xb.begin(constraints, candidates, cache_items=len(self.cache))
-            item = self.planner.select(constraints, candidates)
-            while verify and item is not None and not self.cache.verify_and_heal(item):
-                if xb is not None:
-                    xb.reject(constraints, item, "failed-verification")
-                candidates = [c for c in candidates if c is not item]
+            if rung.use_cache:
+                with obs.tracer.span("cache.search"):
+                    candidates = self.cache.candidates(constraints)
                 item = self.planner.select(constraints, candidates)
-        obs.metrics.inc(
-            "cache_lookups_total",
-            strategy=self.strategy.name,
-            outcome="hit" if item is not None else "miss",
-        )
-
-        if item is None:
-            qspan.set(case=CASE_MISS, cache_hit=False)
-            return self._query_miss(
-                constraints, watch, io_before, retry_state, xb=xb
-            )
-
-        with watch.stage("processing"):
+                while (
+                    self._verify
+                    and item is not None
+                    and not self.cache.verify_and_heal(item)
+                ):
+                    attempt.rejected.append(item)
+                    candidates = [c for c in candidates if c is not item]
+                    item = self.planner.select(constraints, candidates)
+                obs.metrics.inc(
+                    "cache_lookups_total",
+                    strategy=self.strategy.name,
+                    outcome="hit" if item is not None else "miss",
+                )
             with obs.tracer.span("case.classify") as cspan:
-                planned = self.planner.plan(
-                    constraints,
-                    candidates,
-                    item=item,
-                    region_override=region_override,
-                    explain=xb is not None,
+                planned = attempt.planned = self.planner.plan(
+                    constraints, candidates, item=item, region_override=rung.region
                 )
-                cspan.set(case=planned.case, item_id=item.item_id)
-                planned.plan.query_id = current_query_id()
-            if xb is not None:
-                xb.set_plan(planned)
-            if planned.case == CASE_EXACT:
-                self.cache.touch(item, case=CASE_EXACT)
-                qspan.set(case=CASE_EXACT, cache_hit=True)
-                return QueryOutcome(
-                    skyline=item.skyline.copy(),
-                    method=self.name,
-                    timings=watch.timings,
-                    case=CASE_EXACT,
-                    stable=True,
-                    cache_hit=True,
-                )
-        mpr = planned.mpr
+                plan = planned.plan
+                cspan.set(case=plan.case, item_id=plan.item_id)
+                plan.query_id = current_query_id()
+        qspan.set(case=plan.case, cache_hit=plan.cache_hit, stable=plan.stable)
+
+        if plan.case == CASE_EXACT:
+            self.cache.touch(item, case=CASE_EXACT)
+            return QueryOutcome(
+                skyline=item.skyline.copy(),
+                method=self.name,
+                timings=watch.timings,
+                case=CASE_EXACT,
+                stable=True,
+                cache_hit=True,
+            )
 
         with watch.stage("fetch_wall"):
-            fetch = self.executor.fetch(
-                self.backend, planned.plan.boxes, retry_state
-            )
-        if xb is not None:
-            xb.set_fetch(fetch)
+            fetch = self.executor.fetch(self.backend, plan.boxes, retry_state)
+        attempt.parts = fetch.parts
         fetched = fetch.result
 
         with watch.stage("skyline"):
             with obs.tracer.span("skyline.merge") as mspan:
-                if len(fetched) == 0:
+                reusable = planned.reusable
+                if reusable is not None and len(fetched) == 0:
                     # Nothing new: the surviving cached points are already a
                     # skyline among themselves (Definition 1), and by Theorem 6
                     # they are complete -- e.g. case b's "just filter" shortcut.
-                    skyline = mpr.surviving
+                    skyline = reusable
                 else:
                     pool = (
-                        np.vstack([mpr.surviving, fetched.points])
-                        if len(mpr.surviving)
+                        np.vstack([reusable, fetched.points])
+                        if reusable is not None and len(reusable)
                         else fetched.points
                     )
                     skyline = pool[self.skyline_algorithm(pool)]
                 if obs.enabled:
                     mspan.set(
-                        cached=len(mpr.surviving),
+                        cached=plan.reusable_points,
                         fetched=len(fetched),
                         skyline=len(skyline),
                     )
 
-        self.cache.touch(item, case=planned.case)
+        if item is not None:
+            self.cache.touch(item, case=plan.case)
         if self.cache_results:
             inserted = self.cache.insert(constraints, skyline)
             if (
-                verify
+                self._verify
                 and inserted is not None
                 and retry_state is not None
                 and retry_state.retries
@@ -375,16 +459,77 @@ class CBCS:
                 # so a slipped-through corruption cannot poison later queries.
                 self.cache.verify_and_heal(inserted)
         io = self.table.stats.delta_since(io_before)
-        self._record_fetch_timings(watch, io, fetch)
-        qspan.set(case=planned.case, cache_hit=True, stable=mpr.stable)
+        # ``io_ms_total`` is always the aggregate simulated I/O the query
+        # charged (retries included, straight from the table's counters).
+        # ``fetch_io_ms`` -- the Figure-10 "fetching" stage -- equals that
+        # aggregate when the fetch ran serially, and the executor's overlap-
+        # aware makespan when boxes actually ran on multiple lanes, so the
+        # stage breakdown keeps summing to the effective response time.
+        watch.timings.io_ms_total = io.simulated_io_ms
+        watch.timings.fetch_io_ms = (
+            fetch.effective_io_ms if fetch.workers > 1 else io.simulated_io_ms
+        )
         return QueryOutcome(
             skyline=skyline,
             method=self.name,
             timings=watch.timings,
             io=io,
-            case=planned.case,
-            stable=mpr.stable,
-            cache_hit=True,
+            case=plan.case,
+            stable=plan.stable,
+            cache_hit=plan.cache_hit,
+        )
+
+    def _serve_stale(self, constraints: Constraints, qspan) -> Optional[QueryOutcome]:
+        """The stale-serve rung: best-overlap cached skyline filtered to the
+        query region, flagged ``stale=True`` (may miss points whose
+        dominators fell outside the cached region); None when nothing
+        cached overlaps (or every candidate fails verification)."""
+        with self.obs.tracer.span("cbcs.stale_serve"):
+            candidates = self.cache.candidates(constraints, record=False)
+            while candidates:
+                best = max(
+                    candidates,
+                    key=lambda c: c.constraints.overlap_volume(constraints),
+                )
+                if not self._verify or self.cache.verify_and_heal(best):
+                    points = best.skyline[constraints.satisfied_mask(best.skyline)]
+                    qspan.set(degraded=RUNG_STALE, item_id=best.item_id)
+                    return QueryOutcome(
+                        skyline=points.copy(),
+                        method=self.name,
+                        case=None,
+                        stable=None,
+                        cache_hit=True,
+                        degraded=RUNG_STALE,
+                        stale=True,
+                    )
+                candidates = [c for c in candidates if c is not best]
+        return None
+
+    def _explain(self, outcome: QueryOutcome, attempt: Attempt) -> dict:
+        """This query's EXPLAIN record, built after the fact from the final
+        attempt (only called with an ``ExplainRecorder`` installed)."""
+        from repro.obs.explain import explain_record, plan_sections
+
+        sections = {}
+        # planning itself can fail a pass (healing a corrupt item writes to
+        # the cache backend); such a record is just the outcome head
+        if attempt.planned is not None:
+            sections = plan_sections(
+                self.planner,
+                self.table,
+                attempt.cache_items,
+                not attempt.rung.use_cache,
+                attempt.rejected,
+                attempt.planned,
+                attempt.parts,
+            )
+        return explain_record(
+            outcome,
+            self.name,
+            attempt.number,
+            strategy=self.strategy.name,
+            **sections,
         )
 
     def explain(self, constraints: Constraints) -> QueryPlan:
@@ -404,9 +549,9 @@ class CBCS:
         if constraints.ndim != self.table.ndim:
             raise ValueError("constraints dimensionality does not match the table")
         candidates = self.cache.candidates(constraints, record=False)
-        return self.planner.plan(
-            constraints, candidates, record=False, explain=True
-        ).plan
+        return self.planner.annotate(
+            self.planner.plan(constraints, candidates, record=False)
+        )
 
     # ------------------------------------------------------------------
     # Cache management helpers
@@ -420,156 +565,3 @@ class CBCS:
         for constraints in queries:
             self.query(constraints)
         return len(self.cache)
-
-    def _query_miss(
-        self,
-        constraints: Constraints,
-        watch: Stopwatch,
-        io_before,
-        retry_state=None,
-        xb=None,
-    ) -> QueryOutcome:
-        """Cache miss: compute naively (range query + skyline algorithm)."""
-        boxes = [constraints.region()]
-        if xb is not None:
-            xb.set_miss(constraints, boxes)
-        with watch.stage("fetch_wall"):
-            fetch = self.executor.fetch(self.backend, boxes, retry_state)
-        if xb is not None:
-            xb.set_fetch(fetch)
-        result = fetch.result
-        with watch.stage("skyline"):
-            skyline = result.points[self.skyline_algorithm(result.points)]
-        if self.cache_results:
-            self.cache.insert(constraints, skyline)
-        io = self.table.stats.delta_since(io_before)
-        self._record_fetch_timings(watch, io, fetch)
-        return QueryOutcome(
-            skyline=skyline,
-            method=self.name,
-            timings=watch.timings,
-            io=io,
-            case=CASE_MISS,
-            stable=None,
-            cache_hit=False,
-        )
-
-    # ------------------------------------------------------------------
-    # Degradation ladder
-    # ------------------------------------------------------------------
-    def _answer_degraded(
-        self, constraints: Constraints, qspan, state, cause, deadline=None, xb=None
-    ) -> QueryOutcome:
-        """Walk the ladder after the normal plan gave up (``cause``).
-
-        Rungs, in order -- each still labeled in ``QueryOutcome.degraded``:
-
-        1. ``ampr``: re-plan with a 1-NN aMPR (fewer, larger range queries
-           mean fewer fault opportunities); skipped when the engine already
-           runs an aMPR.  The answer is still exact.
-        2. ``bounding``: a single range query over the whole constraint
-           region plus a from-scratch skyline -- one fetch, still exact.
-        3. ``stale``: serve the best-overlap cached skyline filtered to the
-           query region, flagged ``stale=True`` (may miss points whose
-           dominators fell outside the cached region).
-        4. ``unavailable``: the empty last resort when storage is down and
-           nothing cached overlaps.
-
-        A per-request ``deadline`` gates the descent: each fetching rung is
-        only attempted while budget remains, and a rung interrupted by
-        :class:`DeadlineExceeded` falls straight through to the stale-serve
-        rung (no further fetching).  If the deadline is spent and nothing
-        is cached, the exception propagates as the typed outcome.
-        """
-        obs = self.obs
-
-        deadline_hit = False
-        if self._fallback_region is not None and not (
-            deadline is not None and deadline.expired
-        ):
-            rung_state = self.resilience.new_state(deadline=deadline)
-            try:
-                outcome = self._answer(
-                    constraints,
-                    qspan,
-                    retry_state=rung_state,
-                    region_override=self._fallback_region,
-                    xb=xb,
-                )
-                outcome.degraded = RUNG_AMPR
-                qspan.set(degraded=RUNG_AMPR)
-                state.retries += rung_state.retries
-                return outcome
-            except DeadlineExceeded:
-                state.retries += rung_state.retries
-                deadline_hit = True
-            except DEGRADABLE:
-                state.retries += rung_state.retries
-
-        if not deadline_hit and not (deadline is not None and deadline.expired):
-            rung_state = self.resilience.new_state(deadline=deadline)
-            try:
-                watch = Stopwatch(tracer=obs.tracer, profiler=obs.profiler)
-                io_before = self.table.stats.snapshot()
-                outcome = self._query_miss(
-                    constraints, watch, io_before, rung_state, xb=xb
-                )
-                outcome.degraded = RUNG_BOUNDING
-                qspan.set(degraded=RUNG_BOUNDING)
-                state.retries += rung_state.retries
-                return outcome
-            except DeadlineExceeded:
-                state.retries += rung_state.retries
-                deadline_hit = True
-            except DEGRADABLE:
-                state.retries += rung_state.retries
-
-        if deadline_hit or (deadline is not None and deadline.expired):
-            self.obs.metrics.inc("query_deadline_exceeded_total", method=self.name)
-
-        stale = self._serve_stale(constraints, qspan)
-        if stale is not None:
-            return stale
-
-        if deadline is not None and deadline.expired:
-            # Out of time and nothing cached: surface the typed outcome
-            # rather than inventing an empty "unavailable" answer.
-            deadline.check("degradation ladder")
-
-        qspan.set(degraded=RUNG_UNAVAILABLE)
-        return QueryOutcome(
-            skyline=np.empty((0, constraints.ndim)),
-            method=self.name,
-            case=None,
-            stable=None,
-            cache_hit=False,
-            degraded=RUNG_UNAVAILABLE,
-            stale=True,
-        )
-
-    def _serve_stale(self, constraints: Constraints, qspan) -> Optional[QueryOutcome]:
-        """The stale-serve rung: best-overlap cached skyline filtered to the
-        query region, flagged ``stale=True``; None when nothing cached
-        overlaps (or every candidate fails verification)."""
-        verify = self.resilience.verify_cache
-        with self.obs.tracer.span("cbcs.stale_serve"):
-            candidates = self.cache.candidates(constraints, record=False)
-            while candidates:
-                best = max(
-                    candidates,
-                    key=lambda c: c.constraints.overlap_volume(constraints),
-                )
-                if not verify or self.cache.verify_and_heal(best):
-                    points = best.skyline[constraints.satisfied_mask(best.skyline)]
-                    qspan.set(degraded=RUNG_STALE, item_id=best.item_id)
-                    return QueryOutcome(
-                        skyline=points.copy(),
-                        method=self.name,
-                        case=None,
-                        stable=None,
-                        cache_hit=True,
-                        degraded=RUNG_STALE,
-                        stale=True,
-                    )
-                candidates = [c for c in candidates if c is not best]
-        return None

@@ -26,6 +26,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -100,12 +101,9 @@ class Executor:
         degradation ladder sees the same error at any worker count.
         """
         boxes = list(boxes)
-        if len(boxes) > 1 and self.workers > 1:
-            parts = self._fetch_parallel(backend, boxes, retry_state)
-        else:
-            parts = [
-                self._range_query(backend, box, retry_state) for box in boxes
-            ]
+        parts = self.map_ordered(
+            [partial(self._range_query, backend, box, retry_state) for box in boxes]
+        )
         io_each = [p.io_ms for p in parts]
         io_total = float(sum(io_each))
         effective = (
@@ -140,32 +138,6 @@ class Executor:
             return backend.range_query(box, retry_state=retry_state)
         return backend.range_query(box)
 
-    def _fetch_parallel(
-        self, backend, boxes: List[Box], retry_state
-    ) -> List[RangeResult]:
-        pool = self._ensure_pool()
-        # contextvars do not flow into pool threads on their own: re-bind
-        # the caller's query id in each lane so worker-side spans (range
-        # queries, retries, backend errors) stay joinable with the query.
-        query_id = current_query_id()
-
-        def lane(box: Box) -> RangeResult:
-            with bind(query_id):
-                return self._range_query(backend, box, retry_state)
-
-        futures = [pool.submit(lane, box) for box in boxes]
-        parts: List[RangeResult] = []
-        first_error: Optional[BaseException] = None
-        for future in futures:  # gather in box order, not completion order
-            try:
-                parts.append(future.result())
-            except BaseException as exc:  # noqa: BLE001 - re-raised below
-                if first_error is None:
-                    first_error = exc
-        if first_error is not None:
-            raise first_error
-        return parts
-
     def _merge(self, backend, parts: List[RangeResult]) -> RangeResult:
         """Concatenate per-box results in box order.
 
@@ -192,21 +164,25 @@ class Executor:
         )
 
     # ------------------------------------------------------------------
-    # Generic ordered fan-out (shard execution)
+    # Ordered fan-out (plan boxes and shard execution)
     # ------------------------------------------------------------------
     def map_ordered(self, tasks: Sequence) -> list:
         """Run zero-arg callables on the pool, gathering in submission order.
 
-        The shard fan-out analogue of :meth:`fetch`: results come back in
-        task order regardless of completion order, so a sharded merge is
+        The one ordered fan-out behind both a plan's boxes (:meth:`fetch`)
+        and the sharded engine's per-shard queries: results come back in
+        task order regardless of completion order, so the merge is
         deterministic at any worker count.  Serial (calling thread, no
         pool) when ``workers == 1`` or there is a single task.  The first
-        failing task *in submission order* raises, as with boxes.
+        failing task *in submission order* raises.
         """
         tasks = list(tasks)
         if len(tasks) <= 1 or self.workers == 1:
             return [task() for task in tasks]
         pool = self._ensure_pool()
+        # contextvars do not flow into pool threads on their own: re-bind
+        # the caller's query id in each lane so worker-side spans (range
+        # queries, retries, backend errors) stay joinable with the query.
         query_id = current_query_id()
 
         def lane(task):

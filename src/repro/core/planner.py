@@ -11,7 +11,9 @@ intermediate products the executor needs to actually run it.
 Both :meth:`repro.core.cbcs.CBCS.explain` and the execution path call the
 same :meth:`Planner.plan`, so explain/execute agreement holds by
 construction: there is exactly one piece of code that decides what a query
-will do.
+will do -- a miss is just the degenerate plan (the whole region, nothing
+reused), and the degradation ladder's bounding rung is the same plan built
+against no candidates.
 
 The planner performs zero I/O.  Its only inputs are the query constraints,
 the candidate cache items (the caller does the cache search, because the
@@ -22,7 +24,7 @@ I/O-free per-dimension selectivity estimator.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.cases import CASE_EXACT, classify_change
 from repro.geometry.box import Box
@@ -46,9 +48,9 @@ class QueryPlan:
 
     Produced by :meth:`Planner.plan` (surfaced as :meth:`CBCS.explain`)
     without touching the disk or mutating the cache -- the EXPLAIN of this
-    engine.  ``estimated_points`` uses the table's per-dimension selectivity
-    estimates for each planned range query, so it is an upper-bound style
-    estimate, not an exact count.
+    engine.  ``estimated_points`` and ``candidates_scored`` are read only by
+    ``explain()`` and EXPLAIN records, so only :meth:`Planner.annotate`
+    computes them; the execution path never pays for the estimator.
     """
 
     case: str
@@ -58,14 +60,15 @@ class QueryPlan:
     item_id: Optional[int]
     reusable_points: int
     range_queries: int
-    estimated_points: int
     boxes: List[Box] = field(default_factory=list)
+    #: sum of the table's per-dimension selectivity estimates over the
+    #: planned range queries -- an upper-bound style estimate, not a count
+    estimated_points: int = 0
     #: correlation id of the query this plan was produced for; stamped by
     #: the engine during execution (``explain`` plans keep the default None)
     query_id: Optional[str] = None
     #: per-candidate scoring table (one dict per cache item considered,
-    #: with overlap/case/score and a rejection reason); filled only when
-    #: the plan was built with ``explain=True`` -- see
+    #: with overlap/case/score and a rejection reason) -- see
     #: :meth:`Planner.candidate_table`
     candidates_scored: List[dict] = field(default_factory=list)
 
@@ -73,8 +76,7 @@ class QueryPlan:
         """JSON-serializable rendering of the plan.
 
         Infinite box bounds become ``None`` so the result round-trips
-        through strict JSON; used by the plan-accuracy audit
-        (:mod:`repro.obs.audit`) and the bench ``--json`` dump.
+        through strict JSON.
         """
         record = {
             "case": self.case,
@@ -110,20 +112,28 @@ class QueryPlan:
 class PlannedQuery:
     """A :class:`QueryPlan` plus the working state the executor needs.
 
-    ``plan`` is the serializable EXPLAIN record; ``item`` is the selected
-    cache item (None on a miss) and ``mpr`` the computed missing-points
-    region (None on a miss or an exact hit, where there is nothing to
-    fetch).  ``mpr.boxes == plan.boxes`` whenever ``mpr`` is set.
+    ``plan`` is the serializable EXPLAIN record; ``candidates`` are the
+    cache items it was planned against, ``item`` the selected one (None on
+    a miss) and ``mpr`` the computed missing-points region (None on a miss
+    or an exact hit, where there is nothing to fetch).
+    ``mpr.boxes == plan.boxes`` whenever ``mpr`` is set.
     """
 
     plan: QueryPlan
     constraints: Constraints
+    candidates: Sequence = ()
     item: Optional[object] = None
     mpr: Optional[object] = None
 
     @property
     def case(self) -> str:
         return self.plan.case
+
+    @property
+    def reusable(self):
+        """Cached skyline points that carry over into the answer: the
+        MPR's survivors on a hit, None on a miss (nothing is reused)."""
+        return None if self.mpr is None else self.mpr.surviving
 
 
 class Planner:
@@ -207,27 +217,31 @@ class Planner:
         item=None,
         region_override=None,
         record: bool = True,
-        explain: bool = False,
     ) -> PlannedQuery:
         """Plan one query against the given (already verified) candidates.
+
+        The only builder of plans: a miss (nothing selectable -- including
+        the ladder's cache-bypassing bounding rung, which passes no
+        candidates) is the single range query over the whole region with
+        nothing reused; an exact match fetches nothing; every other hit
+        fetches the missing-points region.
 
         ``item`` lets the caller pass a pre-selected (and cache-verified)
         item so selection is not repeated; with the default None the
         strategy picks from ``candidates``.  ``region_override`` substitutes
         the degradation ladder's aMPR re-plan for the configured region
         computer.  ``record=False`` keeps a dry-run plan out of the
-        selection counters; ``explain=True`` additionally fills the plan's
-        :attr:`QueryPlan.candidates_scored` provenance table.
+        selection counters.
         """
         if item is None:
             item = self.select(constraints, candidates, record=record)
-        scored = (
-            self.candidate_table(constraints, candidates, chosen=item)
-            if explain
-            else []
+        mpr = None
+        case = (
+            CASE_MISS
+            if item is None
+            else classify_change(item.constraints, constraints)
         )
         if item is None:
-            region = constraints.region()
             plan = QueryPlan(
                 case=CASE_MISS,
                 cache_hit=False,
@@ -236,14 +250,9 @@ class Planner:
                 item_id=None,
                 reusable_points=0,
                 range_queries=1,
-                estimated_points=self.estimate_box(region),
-                boxes=[region],
-                candidates_scored=scored,
+                boxes=[constraints.region()],
             )
-            return PlannedQuery(plan=plan, constraints=constraints)
-
-        case = classify_change(item.constraints, constraints)
-        if case == CASE_EXACT:
+        elif case == CASE_EXACT:
             plan = QueryPlan(
                 case=CASE_EXACT,
                 cache_hit=True,
@@ -252,27 +261,43 @@ class Planner:
                 item_id=item.item_id,
                 reusable_points=item.skyline_size,
                 range_queries=0,
-                estimated_points=0,
-                candidates_scored=scored,
             )
-            return PlannedQuery(plan=plan, constraints=constraints, item=item)
+        else:
+            mpr = self.compute_region(
+                item, candidates, constraints, region_override=region_override
+            )
+            plan = QueryPlan(
+                case=case,
+                cache_hit=True,
+                stable=mpr.stable,
+                candidates=len(candidates),
+                item_id=item.item_id,
+                reusable_points=len(mpr.surviving),
+                range_queries=len(mpr.boxes),
+                boxes=list(mpr.boxes),
+            )
+        return PlannedQuery(
+            plan=plan,
+            constraints=constraints,
+            candidates=candidates,
+            item=item,
+            mpr=mpr,
+        )
 
-        mpr = self.compute_region(
-            item, candidates, constraints, region_override=region_override
+    def annotate(self, planned: PlannedQuery) -> QueryPlan:
+        """Fill the plan's explain-only fields; returns the plan.
+
+        ``estimated_points`` (selectivity estimator) and
+        ``candidates_scored`` (strategy scoring table) are pure and
+        I/O-free but not free: only ``explain()`` and EXPLAIN records call
+        this, never the execution path.
+        """
+        plan = planned.plan
+        plan.estimated_points = sum(self.estimate_box(box) for box in plan.boxes)
+        plan.candidates_scored = self.candidate_table(
+            planned.constraints, planned.candidates, chosen=planned.item
         )
-        plan = QueryPlan(
-            case=case,
-            cache_hit=True,
-            stable=mpr.stable,
-            candidates=len(candidates),
-            item_id=item.item_id,
-            reusable_points=len(mpr.surviving),
-            range_queries=len(mpr.boxes),
-            estimated_points=sum(self.estimate_box(b) for b in mpr.boxes),
-            boxes=list(mpr.boxes),
-            candidates_scored=scored,
-        )
-        return PlannedQuery(plan=plan, constraints=constraints, item=item, mpr=mpr)
+        return plan
 
     def estimate_box(self, box: Box) -> int:
         """Most-selective-dimension estimate of a box's row count."""

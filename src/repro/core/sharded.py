@@ -31,14 +31,14 @@ steps, each reusing a layer built earlier:
    worker-pool makespan when the fan-out actually overlapped.
 
 Observability is fleet-level by design: shard engines run with ``obs=None``
-and the fleet records exactly one outcome and one EXPLAIN record (with a
-``shard_pruning`` section) per query, so per-method metric reconciliation
-(``queries_total`` vs ``points_read_total``) keeps holding.
+and the fleet goes through the same :func:`repro.core.cbcs.ingress` as an
+unsharded engine, recording exactly one outcome and one EXPLAIN record
+(with a ``shard_pruning`` section) per query, so per-method metric
+reconciliation (``queries_total`` vs ``points_read_total``) keeps holding.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
@@ -50,6 +50,7 @@ from repro.core.cbcs import (
     RUNG_BOUNDING,
     RUNG_STALE,
     RUNG_UNAVAILABLE,
+    ingress,
 )
 from repro.core.dynamic import DynamicCBCS
 from repro.core.executor import Executor, effective_latency_ms
@@ -59,8 +60,7 @@ from repro.core.shardplan import (
     prune_shards,
 )
 from repro.geometry.constraints import Constraints
-from repro.obs import NULL_OBS, bind
-from repro.resilience.deadline import Deadline
+from repro.obs import NULL_OBS
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, Stopwatch
 from repro.storage.pager import IOStats
@@ -98,15 +98,22 @@ class ShardedOutcome(QueryOutcome):
     shard_decisions: List[ShardDecision] = field(default_factory=list)
     per_shard: List[dict] = field(default_factory=list)
 
-    def as_record(self) -> dict:
-        record = super().as_record()
-        record["sharding"] = {
+    def pruning_record(self) -> dict:
+        """The pruning pass's verdicts and counts, JSON-ready (shared by
+        the outcome record and the EXPLAIN record)."""
+        return {
             "shards_total": self.shards_total,
             "shards_pruned": self.shards_pruned,
             "shards_scanned": self.shards_scanned,
             "merge_candidates": self.merge_candidates,
             "pruning_cached": self.pruning_cached,
             "decisions": [d.as_dict() for d in self.shard_decisions],
+        }
+
+    def as_record(self) -> dict:
+        record = super().as_record()
+        record["sharding"] = {
+            **self.pruning_record(),
             "per_shard": [dict(p) for p in self.per_shard],
         }
         return record
@@ -222,30 +229,18 @@ class ShardedCBCS:
         degradation semantics are preserved per shard and visible at the
         fleet level.
         """
-        if constraints.ndim != self.table.ndim:
-            raise ValueError("constraints dimensionality does not match the table")
-        deadline = Deadline.normalize(deadline)
-        obs = self.obs
-        if query_id is None and obs.enabled:
-            query_id = obs.correlation.new_id()
-        profiler = obs.profiler
-        sample = (
-            profiler.maybe(query_id) if profiler is not None else nullcontext(False)
+        return ingress(
+            self,
+            constraints,
+            query_id,
+            deadline,
+            "sharded.query",
+            shards=self.table.n_shards,
         )
-        with bind(query_id), sample:
-            with obs.tracer.span(
-                "sharded.query", shards=self.table.n_shards
-            ) as qspan:
-                outcome = self._answer(constraints, qspan, deadline=deadline)
-            outcome.query_id = query_id
-            obs.record_outcome(outcome)
-            self._record_shard_metrics(outcome)
-            self._record_explain(constraints, outcome)
-        return outcome
 
-    def _answer(
-        self, constraints: Constraints, qspan, deadline=None
-    ) -> ShardedOutcome:
+    def _serve(self, constraints: Constraints, qspan, deadline):
+        """Prune, fan out, merge and account (see :meth:`query`); the
+        fleet's EXPLAIN record needs only the outcome and the region."""
         obs = self.obs
         watch = Stopwatch(tracer=obs.tracer, profiler=obs.profiler)
 
@@ -354,15 +349,14 @@ class ShardedCBCS:
                 degraded=degraded,
                 stale=outcome.stale,
             )
-        return outcome
+            self._record_shard_metrics(outcome)
+        return outcome, constraints
 
     # ------------------------------------------------------------------
     # Observability
     # ------------------------------------------------------------------
     def _record_shard_metrics(self, outcome: ShardedOutcome) -> None:
         obs = self.obs
-        if not obs.enabled:
-            return
         obs.metrics.inc(
             "pruning_cache_lookups_total",
             outcome="hit" if outcome.pruning_cached else "miss",
@@ -374,52 +368,40 @@ class ShardedCBCS:
             obs.metrics.inc("shards_scanned_total", amount=outcome.shards_scanned)
         obs.metrics.observe("merge_candidates", outcome.merge_candidates)
 
-    def _record_explain(
-        self, constraints: Constraints, outcome: ShardedOutcome
-    ) -> None:
-        """Emit one fleet-level EXPLAIN record with the shard decisions.
+    def _explain(self, outcome: ShardedOutcome, constraints: Constraints) -> dict:
+        """The fleet-level EXPLAIN record: the shared outcome head plus the
+        shard decisions.
 
         ``predicted_surviving`` is the planner's claim (shards classified
         surviving); ``actual_surviving`` counts scanned shards that really
         contributed at least one point -- the pair feeds the
         ``calibration_shard_*`` MARE.
         """
-        explainer = getattr(self.obs, "explainer", None)
-        if explainer is None:
-            return
-        actual = sum(1 for p in outcome.per_shard if p["skyline_size"] > 0)
-        explainer.record(
-            {
-                "query_id": outcome.query_id,
-                "method": self.name,
-                "case": outcome.case,
-                "cache_hit": outcome.cache_hit,
-                "stable": outcome.stable,
-                "degraded": outcome.degraded,
-                "attempts": outcome.retries + 1,
-                "constraints": {
-                    "lo": [float(v) for v in constraints.lo],
-                    "hi": [float(v) for v in constraints.hi],
-                },
-                "shard_pruning": {
-                    "decisions": [d.as_dict() for d in outcome.shard_decisions],
-                    "shards_total": outcome.shards_total,
-                    "shards_pruned": outcome.shards_pruned,
-                    "shards_scanned": outcome.shards_scanned,
-                    "merge_candidates": outcome.merge_candidates,
-                    "pruning_cached": outcome.pruning_cached,
-                    "predicted_surviving": outcome.shards_scanned,
-                    "actual_surviving": actual,
-                },
-                "actual": {
-                    "points": outcome.points_read,
-                    "pages": outcome.io.pages_read,
-                    "seeks": outcome.io.seeks,
-                    "io_ms": outcome.io.simulated_io_ms,
-                    "skyline_size": outcome.skyline_size,
-                    "total_ms": outcome.total_ms,
-                },
-            }
+        from repro.obs.explain import explain_record
+
+        return explain_record(
+            outcome,
+            self.name,
+            outcome.retries + 1,
+            constraints={
+                "lo": [float(v) for v in constraints.lo],
+                "hi": [float(v) for v in constraints.hi],
+            },
+            shard_pruning={
+                **outcome.pruning_record(),
+                "predicted_surviving": outcome.shards_scanned,
+                "actual_surviving": sum(
+                    1 for p in outcome.per_shard if p["skyline_size"] > 0
+                ),
+            },
+            actual={
+                "points": outcome.points_read,
+                "pages": outcome.io.pages_read,
+                "seeks": outcome.io.seeks,
+                "io_ms": outcome.io.simulated_io_ms,
+                "skyline_size": outcome.skyline_size,
+                "total_ms": outcome.total_ms,
+            },
         )
 
     # ------------------------------------------------------------------

@@ -1,13 +1,11 @@
 """Continuous cost-model calibration from explain records.
 
-The plan-accuracy auditor (:mod:`repro.obs.audit`) is a *point check*: one
-synthetic workload, one MARE number.  The :class:`CalibrationLedger` turns
-calibration into a continuous signal: every explain record produced during
-a real run (see :mod:`repro.obs.explain`) contributes its query-level
-predicted-vs-actual totals, and the ledger aggregates the mean absolute
-relative error per stage -- ``points`` (selectivity estimator), ``pages``
-and ``io_ms`` (disk cost model) -- overall, per overlap case, and per cache
-search strategy.
+The :class:`CalibrationLedger` is the repo's one predicted-vs-actual
+audit: every explain record produced during a real run (see
+:mod:`repro.obs.explain`) contributes its query-level predicted-vs-actual
+totals, and the ledger aggregates the mean absolute relative error per
+stage -- ``points`` (selectivity estimator), ``pages`` and ``io_ms`` (disk
+cost model) -- overall, per overlap case, and per cache search strategy.
 
 The denominator is ``max(|actual|, 1)`` so exact hits (predicted 0, actual
 0) contribute a clean zero error and empty boxes never divide by zero:
@@ -15,9 +13,10 @@ every reported MARE is finite by construction.
 
 Outputs: registry gauges (``calibration_mare{stage=...}`` plus per-case and
 per-strategy variants), a ``calibration.json`` artifact under ``--obs``,
-and a section in the obs report.  The ROADMAP's vectorization work gates on
-these gauges: an optimisation that silently breaks the estimator shows up
-as a MARE jump before it shows up as a wrong plan.
+the ``calibration`` block of a ``BENCH_*.json`` snapshot, and a section in
+the obs report.  The ROADMAP's vectorization work gates on these gauges: an
+optimisation that silently breaks the estimator shows up as a MARE jump
+before it shows up as a wrong plan.
 """
 
 from __future__ import annotations

@@ -14,17 +14,25 @@ records the decision itself:
   joined against the *actual* executed values stamped on each
   :class:`~repro.storage.table.RangeResult`.
 
-One record is emitted per :meth:`CBCS.query` call, stamped with the query's
+One record is emitted per ``query()`` call, stamped with the query's
 correlation id, so ``explain.jsonl`` joins 1:1 with ``queries.jsonl`` and
-the trace.  For degraded queries the record reflects the final attempted
-plan plus the rung that actually served (``degraded`` field); boxes whose
-fetch never completed keep ``"actual": null``.
+the trace.  The record is built *once, after the query body ran*, by pure
+functions of values the body already holds -- the candidates it planned
+against, the items cache verification rejected, the
+:class:`~repro.core.planner.PlannedQuery`, the per-box
+:class:`~repro.storage.table.RangeResult` parts of the fetch, and the
+outcome -- so the engine carries no explain state while it runs.  For
+degraded queries the record reflects the final attempted plan plus the rung
+that actually served (``degraded`` field) and ``attempts`` counts the plans
+built; boxes whose fetch never completed keep ``"actual": null``.  A plan
+from the ladder's cache-bypassing ``bounding`` rung has no candidates and
+``no_candidates_reason: "cache-bypassed"``.
 
 Wiring: the bench CLI (``--explain``) sets an :class:`ExplainRecorder` on
-``Observability.explainer``; :meth:`CBCS.query` builds one
-:class:`ExplainBuilder` per query from it and feeds the planning/execution
-milestones.  With observability off (or no recorder installed) nothing is
-built and answers are bit-identical.
+``Observability.explainer``; the engines' shared ingress
+(:func:`repro.core.cbcs.ingress`) then emits one record per query.  With
+observability off (or no recorder installed) nothing is built and answers
+are bit-identical.
 
 CLI::
 
@@ -46,19 +54,26 @@ from repro.obs.schema import check_versions, stamp
 #: before planning (failed ``verify_and_heal``).
 REJECT_FAILED_VERIFICATION = "failed-verification"
 
-#: ``no_candidates_reason`` values for miss-case records.
+#: ``no_candidates_reason`` values for records without a candidate table.
 REASON_EMPTY_CACHE = "empty-cache"
 REASON_NO_OVERLAP = "no-overlapping-candidates"
+REASON_CACHE_BYPASSED = "cache-bypassed"
 
 _COST_KEYS = ("points", "pages", "seeks", "io_ms")
 
-
-def _zero_cost() -> dict:
-    return {"points": 0, "pages": 0, "seeks": 0, "io_ms": 0.0}
+_PLAN_KEYS = (
+    "case",
+    "cache_hit",
+    "stable",
+    "item_id",
+    "reusable_points",
+    "range_queries",
+    "estimated_points",
+)
 
 
 def _sum_costs(costs) -> dict:
-    total = _zero_cost()
+    total = {"points": 0, "pages": 0, "seeks": 0, "io_ms": 0.0}
     for cost in costs:
         for key in _COST_KEYS:
             total[key] += cost.get(key, 0)
@@ -66,145 +81,94 @@ def _sum_costs(costs) -> dict:
     return total
 
 
-class ExplainBuilder:
-    """Accumulates one query's decision provenance as the engine runs it.
+def _actual_cost(part) -> dict:
+    """What one executed range query charged (a ``RangeResult``)."""
+    return {
+        "points": int(part.rows_fetched),
+        "pages": int(part.pages_read),
+        "seeks": int(part.seeks),
+        "io_ms": round(float(part.io_ms), 6),
+    }
 
-    The engine calls, in order: :meth:`begin` (per planning attempt, so a
-    degraded re-plan resets the working state), :meth:`reject` for each
-    candidate dropped by cache verification, :meth:`set_plan` (or
-    :meth:`set_miss` on the naive path), :meth:`set_fetch` once the boxes
-    executed, and finally :meth:`finish` with the outcome.  Everything here
-    is pure bookkeeping plus I/O-free estimator/cost-model math -- the
-    builder never touches the disk or the cache.
+
+def explain_record(outcome, method, attempts, strategy=None, **sections) -> dict:
+    """One query's EXPLAIN record: the outcome head every engine shares,
+    followed by the engine's own ``sections`` (:func:`plan_sections` for
+    an unsharded engine, the shard-pruning block for the fleet)."""
+    record = {"query_id": outcome.query_id, "method": method}
+    if strategy is not None:
+        record["strategy"] = strategy
+    record.update(
+        case=outcome.case,
+        cache_hit=bool(outcome.cache_hit),
+        stable=outcome.stable,
+        degraded=outcome.degraded,
+        attempts=attempts,
+        **sections,
+    )
+    return stamp(record)
+
+
+def plan_sections(
+    planner, table, cache_items, bypassed, rejected, planned, parts
+) -> dict:
+    """The decision + predicted-vs-actual sections of one planned query.
+
+    ``planned`` is the final attempt's plan, ``rejected`` the cache items
+    verification removed before it was built, ``parts`` the per-box fetch
+    results in plan order (empty when the fetch never completed, so every
+    box keeps ``"actual": null``).  ``cache_items`` is the cache size the
+    plan was built against; ``bypassed`` marks the bounding rung, which
+    never consulted it.  I/O-free estimator and cost-model math only.
     """
-
-    def __init__(self, planner, cost_model, heap_pages, method, strategy):
-        self.planner = planner
-        self.cost_model = cost_model
-        self.heap_pages = heap_pages
-        self.method = method
-        self.strategy = strategy
-        self.attempts = 0
-        self.cache_items = 0
-        self.candidate_rows: List[dict] = []
-        self.rejected_rows: List[dict] = []
-        self.plan_summary: Optional[dict] = None
-        self.box_rows: List[dict] = []
-
-    # ------------------------------------------------------------------
-    # Milestones fed by the engine
-    # ------------------------------------------------------------------
-    def begin(self, constraints, candidates, cache_items: int) -> None:
-        """Start one planning attempt (resets any prior attempt's state)."""
-        self.attempts += 1
-        self.cache_items = int(cache_items)
-        self.candidate_rows = []
-        self.rejected_rows = []
-        self.plan_summary = None
-        self.box_rows = []
-
-    def reject(self, constraints, item, reason: str) -> None:
-        """Record a candidate removed before planning (e.g. failed verify)."""
-        self.rejected_rows.append(
-            self.planner.candidate_row(
-                constraints, item, selected=False, rejection=reason
-            )
+    plan = planner.annotate(planned)
+    model = table.cost_model
+    heap_pages = None if model.clustered else table.n_pages
+    candidates = [dict(row) for row in plan.candidates_scored] + [
+        planner.candidate_row(
+            planned.constraints, item, rejection=REJECT_FAILED_VERIFICATION
         )
-
-    def set_plan(self, planned) -> None:
-        """Record the chosen plan (built with ``explain=True``)."""
-        plan = planned.plan
-        self.plan_summary = {
-            "case": plan.case,
-            "cache_hit": plan.cache_hit,
-            "stable": plan.stable,
-            "item_id": plan.item_id,
-            "reusable_points": plan.reusable_points,
-            "range_queries": plan.range_queries,
-            "estimated_points": plan.estimated_points,
-        }
-        self.candidate_rows = [dict(row) for row in plan.candidates_scored]
-        self.box_rows = [self._forecast_row(box) for box in plan.boxes]
-
-    def set_miss(self, constraints, boxes) -> None:
-        """Record the naive miss plan (single bounding range query)."""
-        boxes = list(boxes)
-        estimated = sum(self.planner.estimate_box(box) for box in boxes)
-        self.plan_summary = {
-            "case": "miss",
-            "cache_hit": False,
-            "stable": None,
-            "item_id": None,
-            "reusable_points": 0,
-            "range_queries": len(boxes),
-            "estimated_points": int(estimated),
-        }
-        self.box_rows = [self._forecast_row(box) for box in boxes]
-
-    def set_fetch(self, fetch) -> None:
-        """Join per-box actuals from an executed fetch (plan order)."""
-        parts = getattr(fetch, "parts", ())
-        if len(parts) != len(self.box_rows):
-            return
-        for row, part in zip(self.box_rows, parts):
-            row["actual"] = {
-                "points": int(part.rows_fetched),
-                "pages": int(part.pages_read),
-                "seeks": int(part.seeks),
-                "io_ms": round(float(part.io_ms), 6),
-            }
-
-    def finish(self, outcome) -> dict:
-        """Assemble the final provenance record for one finished query."""
-        candidates = self.candidate_rows + self.rejected_rows
-        reason = None
-        if not candidates:
-            reason = (
-                REASON_EMPTY_CACHE
-                if self.cache_items == 0
-                else REASON_NO_OVERLAP
-            )
-        executed = [row["actual"] for row in self.box_rows if row["actual"]]
-        fully_executed = len(executed) == len(self.box_rows)
-        record = {
-            "query_id": getattr(outcome, "query_id", None),
-            "method": self.method,
-            "strategy": self.strategy,
-            "case": outcome.case,
-            "cache_hit": bool(outcome.cache_hit),
-            "stable": outcome.stable,
-            "degraded": outcome.degraded,
-            "attempts": self.attempts,
-            "cache_items": self.cache_items,
-            "no_candidates_reason": reason,
-            "candidates": candidates,
-            "plan": self.plan_summary,
-            "boxes": self.box_rows,
-            "predicted": _sum_costs(
-                row["predicted"] for row in self.box_rows
-            ),
-            "actual": _sum_costs(executed) if fully_executed else None,
-        }
-        return stamp(record)
-
-    # ------------------------------------------------------------------
-    def _forecast_row(self, box) -> dict:
-        rows = self.planner.estimate_box(box)
-        forecast = self.cost_model.predict_fetch(
-            rows, heap_pages=self.heap_pages
-        )
-        return {
+        for item in rejected
+    ]
+    reason = None
+    if bypassed:
+        reason = REASON_CACHE_BYPASSED
+    elif not candidates:
+        reason = REASON_EMPTY_CACHE if cache_items == 0 else REASON_NO_OVERLAP
+    # per-box actuals join in plan order; a fetch that never completed
+    # (degraded rung) leaves every box unexecuted
+    executed = len(parts) == len(plan.boxes)
+    actuals = (
+        [_actual_cost(part) for part in parts]
+        if executed
+        else [None] * len(plan.boxes)
+    )
+    boxes = [
+        {
             "box": box.to_dict(),
-            "predicted": forecast.as_dict(),
-            "actual": None,
+            "predicted": model.predict_fetch(
+                planner.estimate_box(box), heap_pages=heap_pages
+            ).as_dict(),
+            "actual": actual,
         }
+        for box, actual in zip(plan.boxes, actuals)
+    ]
+    return {
+        "cache_items": int(cache_items),
+        "no_candidates_reason": reason,
+        "candidates": candidates,
+        "plan": {key: getattr(plan, key) for key in _PLAN_KEYS},
+        "boxes": boxes,
+        "predicted": _sum_costs(row["predicted"] for row in boxes),
+        "actual": _sum_costs(row["actual"] for row in boxes) if executed else None,
+    }
 
 
 class ExplainRecorder:
-    """Per-engine factory for builders plus the record fan-out.
+    """The record fan-out behind ``Observability.explainer``.
 
-    Install on ``Observability.explainer``; every :meth:`CBCS.query` then
-    emits exactly one record here.  Records go to an optional JSONL sink
+    Install on ``Observability.explainer``; every ``query()`` then emits
+    exactly one record here.  Records go to an optional JSONL sink
     (``explain.jsonl``), an optional
     :class:`~repro.obs.calibration.CalibrationLedger`, and an in-memory
     ring buffer (``keep`` most recent) for tests and interactive use.
@@ -215,19 +179,6 @@ class ExplainRecorder:
         self.ledger = ledger
         self.records_emitted = 0
         self._keep: Optional[deque] = deque(maxlen=keep) if keep else None
-
-    def builder(self, engine) -> ExplainBuilder:
-        """Build the per-query provenance accumulator for ``engine``."""
-        table = engine.table
-        model = table.cost_model
-        heap_pages = None if model.clustered else table.n_pages
-        return ExplainBuilder(
-            planner=engine.planner,
-            cost_model=model,
-            heap_pages=heap_pages,
-            method=engine.name,
-            strategy=engine.strategy.name,
-        )
 
     def record(self, record: dict) -> None:
         self.records_emitted += 1

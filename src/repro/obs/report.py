@@ -204,45 +204,6 @@ def render_report(metrics) -> str:
             )
         )
 
-    plan_cases = _series(snap, "counters", "plan_case_predictions_total")
-    if plan_cases:
-        rows = []
-        for counter, label in (
-            ("plan_case_predictions_total", "case"),
-            ("plan_range_query_predictions_total", "range queries"),
-        ):
-            by_outcome = {"correct": 0.0, "wrong": 0.0}
-            for labels, rec in _series(snap, "counters", counter):
-                by_outcome[labels.get("outcome", "wrong")] = rec["value"]
-            total = by_outcome["correct"] + by_outcome["wrong"]
-            accuracy = by_outcome["correct"] / total if total else float("nan")
-            rows.append(
-                [
-                    label,
-                    int(by_outcome["correct"]),
-                    int(by_outcome["wrong"]),
-                    f"{accuracy:.1%}",
-                ]
-            )
-        for labels, rec in _series(snap, "histograms", "plan_points_rel_error"):
-            if rec.get("count"):
-                rows.append(
-                    [
-                        "points rel error",
-                        int(rec["count"]),
-                        "-",
-                        f"mean {rec.get('mean', float('nan')):.3f} "
-                        f"p95 {rec.get('p95', float('nan')):.3f}",
-                    ]
-                )
-        sections.append(
-            format_table(
-                ["prediction", "correct", "wrong", "accuracy"],
-                rows,
-                title="Plan accuracy (explain vs execute)",
-            )
-        )
-
     cache_rows = []
     for name in (
         "cache_insertions_total",

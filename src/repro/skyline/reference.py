@@ -1,12 +1,17 @@
 """Brute-force skyline, the executable form of Definition 1.
 
 Quadratic in the input size; used as the test oracle that every other
-algorithm (BNL, SFS, BBS, CBCS) must agree with.
+algorithm (BNL, SFS, BBS, CBCS) must agree with.  Also home of the two
+helpers every soak driver bit-checks answers with:
+:func:`constrained_reference` (the engine-free ground truth for one
+query) and :func:`same_multiset`.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from repro.skyline.sfs import sfs_skyline
 
 
 def brute_force_skyline(points: np.ndarray) -> np.ndarray:
@@ -33,13 +38,24 @@ def is_skyline(points: np.ndarray, candidate: np.ndarray) -> bool:
     ``points`` (as multisets of coordinates)."""
     points = np.asarray(points, dtype=float)
     candidate = np.asarray(candidate, dtype=float)
-    expected = points[brute_force_skyline(points)]
-    if len(expected) != len(candidate):
+    return same_multiset(points[brute_force_skyline(points)], candidate)
+
+
+def same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
+    """True if ``a`` and ``b`` hold the same rows, order aside."""
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
         return False
-    return _same_multiset(expected, candidate)
-
-
-def _same_multiset(a: np.ndarray, b: np.ndarray) -> bool:
+    if len(a) == 0:
+        return True
     a_sorted = a[np.lexsort(a.T[::-1])]
     b_sorted = b[np.lexsort(b.T[::-1])]
     return bool(np.array_equal(a_sorted, b_sorted))
+
+
+def constrained_reference(data: np.ndarray, constraints) -> np.ndarray:
+    """The ground-truth constrained skyline, computed without the engine."""
+    region = data[constraints.satisfied_mask(data)]
+    if len(region) == 0:
+        return region
+    return region[sfs_skyline(region)]

@@ -104,17 +104,26 @@ class TestCli:
         bad.write_text("{}")
         assert main(["--baseline", str(bad), "fig11a"]) == 2
 
-    def test_audit_flag_reports_and_dumps(self, capsys, tmp_path):
+    def test_calibration_lands_in_the_snapshot_and_audit_flag_is_gone(
+        self, capsys, tmp_path
+    ):
         import json
 
-        out_json = tmp_path / "out.json"
-        assert main(["--audit", "--json", str(out_json), "fig11a"]) == 0
+        path = tmp_path / "BENCH_cal.json"
+        assert main(["--save-bench", str(path), "--calibration", "fig11a"]) == 0
         out = capsys.readouterr().out
-        assert "plan-accuracy audit" in out
-        assert "case accuracy" in out
-        dump = json.loads(out_json.read_text())
-        assert dump["audit"]["summary"]["case_accuracy"] == 1.0
-        assert dump["audit"]["records"][0]["plan"] is not None
+        assert "# calibration" in out
+        snapshot = json.loads(path.read_text())
+        assert "audit" not in snapshot
+        block = snapshot["calibration"]
+        assert block["queries"] > 0 and block["skipped"] == 0
+        assert set(block["overall"]) == {"points", "pages", "io_ms"}
+        # without a ledger the snapshot simply has no such block
+        plain = tmp_path / "BENCH_plain.json"
+        assert main(["--save-bench", str(plain), "fig11a"]) == 0
+        assert "calibration" not in json.loads(plain.read_text())
+        # the second auditor's flag was retired with its module
+        assert main(["--audit", "fig11a"]) == 2
 
 
 class TestShardSweepCli:

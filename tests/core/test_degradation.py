@@ -1,7 +1,6 @@
 """Tests for resilient CBCS: retries, the degradation ladder, and the
 never-raise / never-silently-wrong contract under storage faults."""
 
-import numpy as np
 import pytest
 
 from repro.core.ampr import ExactMPR
@@ -9,28 +8,17 @@ from repro.core.cbcs import CBCS
 from repro.data.generator import independent
 from repro.geometry.constraints import Constraints
 from repro.obs import MetricsRegistry, Observability, Tracer
-from repro.resilience import CircuitBreaker, Resilience, RetryPolicy
-from repro.skyline.sfs import sfs_skyline
+from repro.obs.explain import ExplainRecorder
+from repro.resilience import CircuitBreaker, DeadlineExceeded, Resilience, RetryPolicy
+from repro.resilience.deadline import Deadline
+from repro.skyline.reference import constrained_reference as reference
+from repro.skyline.reference import same_multiset
 from repro.storage.faults import (
     FaultInjector,
     FaultProfile,
     FaultyDiskTable,
 )
 from repro.storage.table import DiskTable
-
-
-def reference(data, constraints):
-    region = data[constraints.satisfied_mask(data)]
-    return region[sfs_skyline(region)] if len(region) else region
-
-
-def same_multiset(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    if len(a) == 0:
-        return True
-    return np.array_equal(a[np.lexsort(a.T[::-1])], b[np.lexsort(b.T[::-1])])
 
 
 @pytest.fixture
@@ -77,67 +65,143 @@ class TestRetriesOnTransientFaults:
             engine.query(Constraints([0.1, 0.1], [0.8, 0.8]))
 
 
+#: One failed fetch + one retry exhausts a rung; each 10 ms backoff is
+#: charged to the request deadline (no jitter, so the walk is exact).
+TWO_TRIES = RetryPolicy(
+    max_attempts=2, base_delay_ms=10.0, jitter=0.0, deadline_ms=10_000.0
+)
+
+WIDE = Constraints([0.0, 0.0], [0.9, 0.9])
+NARROW = Constraints([0.05, 0.05], [0.6, 0.6])
+
+
 class TestDegradationLadder:
-    def outage_engine(self, data, **kwargs):
-        engine, injector = make_engine(data, "none", **kwargs)
-        injector.force_outage(10_000)
-        return engine, injector
+    """One walk over the rung table, fed every way a query can end."""
+
+    def walk(
+        self,
+        data,
+        rung,
+        region=None,
+        warm=True,
+        outage=10_000,
+        budget_ms=None,
+        attempts=2,
+        retries=2,
+    ):
+        """Run NARROW with storage failing ``outage`` times and check the
+        ending ``rung``: flags, the answer, retries accumulated over every
+        rung tried, and exactly one explain record telling the same story."""
+        obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
+        recorder = obs.explainer = ExplainRecorder(keep=4)
+        injector = FaultInjector("none", seed=0)
+        engine = CBCS(
+            FaultyDiskTable(DiskTable(data), injector),
+            region_computer=region,
+            resilience=Resilience(policy=TWO_TRIES),
+            obs=obs,
+        )
+        if warm:
+            warmed = engine.query(WIDE)
+        injector.force_outage(outage)
+        deadline = None
+        if budget_ms is not None:
+            # a frozen clock: only simulated charges move this deadline
+            deadline = Deadline(budget_ms, clock=lambda: 0.0)
+        before = recorder.records_emitted
+
+        if rung is DeadlineExceeded:
+            with pytest.raises(DeadlineExceeded):
+                engine.query(NARROW, deadline=deadline)
+            assert recorder.records_emitted == before  # no outcome, no record
+            return
+        outcome = engine.query(NARROW, deadline=deadline)
+
+        assert outcome.degraded == rung
+        assert outcome.retries == retries
+        assert outcome.stale == (rung in ("stale", "unavailable"))
+        if not outcome.stale:
+            assert same_multiset(outcome.skyline, reference(data, NARROW))
+        elif rung == "stale":
+            # Served points are the cached skyline filtered to the region.
+            assert NARROW.satisfied_mask(outcome.skyline).all()
+            served = {tuple(p) for p in outcome.skyline}
+            assert served <= {tuple(p) for p in warmed.skyline}
+        else:
+            assert outcome.skyline.shape == (0, 2)
+        expired = obs.metrics.counter_value(
+            "query_deadline_exceeded_total", method=engine.name
+        )
+        assert expired == (1 if budget_ms is not None else 0)
+
+        assert recorder.records_emitted == before + 1
+        record = recorder.records[-1]
+        assert record["query_id"] == outcome.query_id
+        assert record["degraded"] == rung
+        assert record["attempts"] == attempts
+        executed = rung in (None, "ampr", "bounding")
+        assert (record["actual"] is not None) == executed
+        assert all((b["actual"] is not None) == executed for b in record["boxes"])
 
     def test_total_outage_empty_cache_serves_unavailable(self, data):
-        engine, _ = self.outage_engine(data)
-        outcome = engine.query(Constraints([0.1, 0.1], [0.8, 0.8]))
-        assert outcome.degraded == "unavailable"
-        assert outcome.stale
-        assert outcome.skyline_size == 0
+        self.walk(data, "unavailable", warm=False)
 
     def test_outage_with_cache_serves_stale_subset(self, data):
-        engine, injector = self.outage_engine(data)
-        injector.clear_outage()
-        wide = Constraints([0.0, 0.0], [0.9, 0.9])
-        warm = engine.query(wide)
-        injector.force_outage(10_000)
-        narrow = Constraints([0.05, 0.05], [0.6, 0.6])
-        outcome = engine.query(narrow)
-        assert outcome.degraded == "stale"
-        assert outcome.stale
-        # Served points are the cached skyline filtered to the query region.
-        assert narrow.satisfied_mask(outcome.skyline).all()
-        served = {tuple(p) for p in outcome.skyline}
-        assert served <= {tuple(p) for p in warm.skyline}
+        self.walk(data, "stale")
 
     def test_ampr_rung_used_for_exact_mpr_engine(self, data):
-        # Transient faults on every MPR box fetch, exhausted retries, then
-        # the aMPR re-plan answers (still exactly) on the fallback rung.
-        policy = RetryPolicy(max_attempts=2, deadline_ms=10_000.0)
-        engine, injector = make_engine(
-            data,
-            "none",
-            region_computer=ExactMPR(),
-            resilience=Resilience(policy=policy),
-        )
-        wide = Constraints([0.0, 0.0], [0.9, 0.9])
-        engine.query(wide)
-        injector.force_outage(2)  # fails both attempts of the exact plan
-        narrow = Constraints([0.05, 0.05], [0.6, 0.6])
-        outcome = engine.query(narrow)
-        assert outcome.degraded == "ampr"
-        assert not outcome.stale
-        assert same_multiset(outcome.skyline, reference(data, narrow))
+        # Both tries of the exact plan fail; the aMPR re-plan answers
+        # (still exactly) on the fallback rung.
+        self.walk(data, "ampr", region=ExactMPR(), outage=2, retries=1)
 
     def test_bounding_rung_still_exact(self, data):
         # aMPR engine has no fallback region: retries exhausted -> bounding.
-        policy = RetryPolicy(max_attempts=2, deadline_ms=10_000.0)
-        engine, injector = make_engine(
-            data, "none", resilience=Resilience(policy=policy)
+        self.walk(data, "bounding", outage=2, retries=1)
+
+    @pytest.mark.parametrize(
+        "rung, kwargs",
+        [
+            # the configured plan just works
+            (None, dict(outage=0, attempts=1, retries=0)),
+            # the full ladder, one exhausted retry budget per failed rung
+            ("bounding", dict(region=ExactMPR(), outage=4, attempts=3)),
+            # the second backoff spends the deadline *inside* the aMPR
+            # rung: no bounding attempt, straight to the stale terminal
+            ("stale", dict(region=ExactMPR(), budget_ms=15.0)),
+            # ... and with a cold cache, to the typed outcome
+            (DeadlineExceeded, dict(region=ExactMPR(), budget_ms=15.0, warm=False)),
+        ],
+    )
+    def test_every_other_way_down_the_ladder(self, data, rung, kwargs):
+        self.walk(data, rung, **kwargs)
+
+    def test_bounding_record_does_not_carry_the_failed_attempts_candidates(
+        self, data
+    ):
+        """Regression: the bounding rung used to reuse the failed attempt's
+        explain state -- ``attempts: 1`` after two plans, ``plan.item_id:
+        null`` next to a candidate table with one row ``selected``."""
+        obs = Observability()
+        recorder = obs.explainer = ExplainRecorder(keep=8)
+        injector = FaultInjector("none", seed=0)
+        engine = CBCS(
+            FaultyDiskTable(DiskTable(data), injector), resilience=True, obs=obs
         )
-        wide = Constraints([0.0, 0.0], [0.9, 0.9])
-        engine.query(wide)
-        injector.force_outage(2)
-        narrow = Constraints([0.05, 0.05], [0.6, 0.6])
-        outcome = engine.query(narrow)
+        plans = []
+        plan = engine.planner.plan
+        engine.planner.plan = lambda *a, **k: plans.append(1) or plan(*a, **k)
+        engine.query(WIDE)  # one warm query: the normal plan has a candidate
+        del plans[:]
+        injector.force_outage(4)  # the default policy's whole retry budget
+        outcome = engine.query(NARROW)
         assert outcome.degraded == "bounding"
-        assert not outcome.stale
-        assert same_multiset(outcome.skyline, reference(data, narrow))
+        record = recorder.records[-1]
+        assert record["attempts"] == len(plans) == 2
+        assert record["plan"]["item_id"] is None
+        assert not any(row["selected"] for row in record["candidates"])
+        assert record["candidates"] == []
+        assert record["no_candidates_reason"] == "cache-bypassed"
+        assert record["cache_items"] == 1
 
     def test_breaker_open_skips_storage_and_degrades(self, data):
         breaker = CircuitBreaker(failure_threshold=1, cooldown_calls=1000)

@@ -10,10 +10,10 @@ on a stale/unavailable degradation rung -- never silently wrong.
 import numpy as np
 import pytest
 
-from repro.bench.chaos import _same_multiset
 from repro.core.cbcs import RUNG_STALE, RUNG_UNAVAILABLE
 from repro.core.dynamic import DynamicCBCS
 from repro.data.generator import generate
+from repro.skyline.reference import same_multiset
 from repro.storage.faults import FaultInjector, FaultyDiskTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
@@ -71,7 +71,7 @@ def test_interleaved_updates_exact_or_flagged_under_default_faults(seed):
             if outcome.degraded in _STALE_RUNGS:
                 flagged += 1  # legitimately non-exact, and says so
                 continue
-            assert _same_multiset(
+            assert same_multiset(
                 np.asarray(outcome.skyline), np.asarray(ref.skyline)
             ), f"silently wrong answer under faults (seed={seed})"
     assert checked > 5
@@ -97,7 +97,7 @@ def test_interleaved_updates_without_faults_are_bit_exact():
             outcome = engine.query(payload)
             ref = reference.query(payload)
             assert outcome.degraded is None
-            assert _same_multiset(
+            assert same_multiset(
                 np.asarray(outcome.skyline), np.asarray(ref.skyline)
             )
 

@@ -4,48 +4,95 @@
 selection, and region computation as ``query`` -- so on any workload with a
 deterministic strategy, the predicted case and range-query count must match
 the execution exactly, for hits, misses, and the exact-match case alike.
-This is the invariant the plan-accuracy audit (``repro.obs.audit``)
-monitors; here it is pinned as a test on a seeded workload.
+``explain()`` and ``query()`` share ``Planner.plan()``, so this holds by
+construction; it is pinned here by calling one right before the other and
+comparing the case, the range-query count and the boxes themselves (the
+executed boxes are read off the query's EXPLAIN record).
 """
 
-import numpy as np
 import pytest
 
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cbcs import CBCS
 from repro.data.generator import generate
+from repro.geometry.constraints import Constraints
+from repro.obs import Observability
+from repro.obs.explain import ExplainRecorder
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
+
+
+def recording_engine(data, **kwargs):
+    obs = Observability()
+    obs.explainer = ExplainRecorder(keep=1)
+    return CBCS(DiskTable(data), obs=obs, **kwargs), obs.explainer
+
+
+def assert_plan_matches_execution(engine, recorder, constraints):
+    """explain() then query(): same case, same range queries, same boxes."""
+    plan = engine.explain(constraints)
+    outcome = engine.query(constraints)
+    [record] = recorder.records
+    assert plan.case == outcome.case == record["case"], (
+        f"explain predicted case {plan.case!r}, query executed "
+        f"{outcome.case!r} for {constraints}"
+    )
+    assert plan.range_queries == outcome.range_queries, (
+        f"case {plan.case}: explain planned {plan.range_queries} range "
+        f"queries, query issued {outcome.range_queries}"
+    )
+    assert plan.cache_hit == outcome.cache_hit
+    planned = plan.to_dict()
+    assert [row["box"] for row in record["boxes"]] == planned["boxes"]
+    assert all(row["actual"] is not None for row in record["boxes"])
+    # the record's plan summary and scoring table are the explain() plan's
+    assert record["plan"] == {key: planned[key] for key in record["plan"]}
+    assert record["candidates"] == planned.get("candidates_scored", [])
+    return outcome
 
 
 @pytest.mark.parametrize("region", [ApproximateMPR(k=1), ExactMPR()])
 def test_plan_matches_execution_across_workload(region):
     data = generate("independent", 3000, 3, seed=11)
-    engine = CBCS(DiskTable(data), region_computer=region)
+    engine, recorder = recording_engine(data, region_computer=region)
     gen = WorkloadGenerator(data, seed=12)
     queries = gen.exploratory_stream(30)
     # verbatim repeats of already-cached queries force exact matches
     queries = queries + queries[:4]
 
-    seen_cases = set()
-    for constraints in queries:
-        plan = engine.explain(constraints)
-        outcome = engine.query(constraints)
-        assert plan.case == outcome.case, (
-            f"explain predicted case {plan.case!r}, query executed "
-            f"{outcome.case!r} for {constraints}"
-        )
-        assert plan.range_queries == outcome.range_queries, (
-            f"case {plan.case}: explain planned {plan.range_queries} range "
-            f"queries, query issued {outcome.range_queries}"
-        )
-        assert plan.cache_hit == outcome.cache_hit
-        seen_cases.add(outcome.case)
-
+    seen_cases = {
+        assert_plan_matches_execution(engine, recorder, constraints).case
+        for constraints in queries
+    }
     # the workload must actually exercise all three top-level shapes
     assert "miss" in seen_cases
     assert "exact" in seen_cases
     assert seen_cases - {"miss", "exact"}, "no cache-hit refinement executed"
+
+
+BASE = Constraints([0.2, 0.2], [0.8, 0.8])
+
+
+@pytest.mark.parametrize(
+    "case, refined",
+    [
+        ("exact", BASE),
+        ("case_a", Constraints([0.1, 0.2], [0.8, 0.8])),  # lower decreased
+        ("case_b", Constraints([0.2, 0.2], [0.8, 0.7])),  # upper decreased
+        ("case_c", Constraints([0.2, 0.2], [0.9, 0.8])),  # upper increased
+        ("case_d", Constraints([0.3, 0.2], [0.8, 0.8])),  # lower increased
+        ("general_stable", Constraints([0.2, 0.2], [0.7, 0.9])),
+        ("general_unstable", Constraints([0.3, 0.1], [0.9, 0.8])),
+    ],
+)
+@pytest.mark.parametrize("region", [ApproximateMPR(k=1), ExactMPR()])
+def test_every_overlap_case_is_predicted(region, case, refined):
+    data = generate("independent", 1500, 2, seed=3)
+    engine, recorder = recording_engine(data, region_computer=region)
+    miss = assert_plan_matches_execution(engine, recorder, BASE)
+    assert miss.case == "miss"
+    outcome = assert_plan_matches_execution(engine, recorder, refined)
+    assert outcome.case == case
 
 
 def test_exact_match_predicts_zero_io():

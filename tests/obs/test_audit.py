@@ -1,89 +1,107 @@
-"""Tests for the plan-accuracy auditor (explain-vs-execute calibration)."""
+"""The predicted-vs-actual audit: one source, the calibration ledger.
 
-import json
+``repro.obs.audit`` (a second auditor that re-ran a synthetic workload) is
+gone; what it reported now comes from the :class:`CalibrationLedger` fed by
+the EXPLAIN records of the queries a run actually executed.  These tests
+keep the invariants it guarded: explain() predicts execution exactly on a
+mixed workload, the points error is finite, and the numbers reach the
+registry, the obs report and the ``BENCH_*.json`` snapshot.
+"""
+
 import math
+from pathlib import Path
 
+from repro.bench.regress import (
+    build_snapshot,
+    compare_snapshots,
+    load_snapshot,
+    save_snapshot,
+)
 from repro.core.cbcs import CBCS
 from repro.data.generator import generate
 from repro.obs import Observability
-from repro.obs.audit import (
-    PlanAccuracyAuditor,
-    main,
-    render_summary,
-    run_quick_audit,
-)
+from repro.obs.calibration import CalibrationLedger
+from repro.obs.explain import ExplainRecorder
 from repro.obs.report import render_report
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
 
+BASELINE = (
+    Path(__file__).resolve().parents[2] / "benchmarks" / "BENCH_baseline_quick.json"
+)
+
+
+def audited_run(n_points=2000, ndim=3, n_queries=40, repeats=5, seed=3):
+    """Explain-then-query a seeded exploratory stream (+ verbatim repeats,
+    so misses, hits and exact matches all occur) with a ledger attached."""
+    data = generate("independent", n_points, ndim, seed=seed)
+    obs = Observability()
+    ledger = CalibrationLedger()
+    obs.explainer = ExplainRecorder(ledger=ledger)
+    engine = CBCS(DiskTable(data), obs=obs)
+    queries = WorkloadGenerator(data, seed=seed + 1).exploratory_stream(n_queries)
+    pairs = [
+        (engine.explain(c), engine.query(c)) for c in queries + queries[:repeats]
+    ]
+    return obs, ledger, pairs
+
 
 class TestAuditor:
     def test_quick_workload_is_perfectly_predicted(self):
-        summary, records = run_quick_audit(
-            n_points=2000, ndim=3, n_queries=40, seed=3
-        )
-        assert summary["queries"] == len(records) == 45  # 40 + 5 repeats
-        assert summary["case_accuracy"] == 1.0
-        assert summary["range_query_accuracy"] == 1.0
-        assert math.isfinite(summary["points_mare"])
+        _, ledger, pairs = audited_run()
+        assert ledger.queries == len(pairs) == 45  # 40 + 5 repeats
+        assert ledger.skipped == 0
+        for plan, outcome in pairs:
+            assert plan.case == outcome.case
+            assert plan.range_queries == outcome.range_queries
+        assert math.isfinite(ledger.mare("points"))
         # exact repeats guarantee all three top-level outcomes appear
-        cases = {r.actual_case for r in records}
+        cases = {outcome.case for _, outcome in pairs}
         assert "miss" in cases
         assert "exact" in cases
         assert cases - {"miss", "exact"}, "no cache-hit refinement was audited"
 
     def test_metrics_flow_into_registry_and_report(self):
-        obs = Observability()
-        summary, _ = run_quick_audit(n_points=1000, n_queries=15, obs=obs)
+        obs, ledger, pairs = audited_run(n_points=1000, n_queries=15)
+        ledger.export_gauges(obs.metrics)
         m = obs.metrics
-        assert (
-            m.counter_value("plan_case_predictions_total", outcome="correct")
-            == summary["queries"]
+        assert m.gauge_value("calibration_queries") == len(pairs)
+        assert m.gauge_value("calibration_mare", stage="points") == ledger.mare(
+            "points"
         )
-        assert m.counter_value("plan_case_predictions_total", outcome="wrong") == 0
-        hist = m.histogram("plan_points_rel_error")
-        assert hist is not None and hist.count == summary["queries"]
         text = render_report(m)
-        assert "Plan accuracy (explain vs execute)" in text
-        assert "100.0%" in text
-
-    def test_keep_plans_serializes_boxes(self):
-        _, records = run_quick_audit(n_points=1000, n_queries=10, keep_plans=True)
-        assert all("case" in r.plan for r in records)
-        miss = next(r for r in records if r.actual_case == "miss")
-        assert len(miss.plan["boxes"]) == 1
-        json.dumps([r.as_dict() for r in records], allow_nan=False)
+        assert "Cost-model calibration (predicted vs actual)" in text
+        # the retired second audit left no series behind
+        assert "Plan accuracy" not in text
+        assert m.counter_total("plan_case_predictions_total") == 0
 
     def test_auditor_over_explicit_engine(self):
-        data = generate("independent", 1500, 3, seed=9)
-        engine = CBCS(DiskTable(data))
-        gen = WorkloadGenerator(data, seed=10)
-        auditor = PlanAccuracyAuditor(engine)
-        auditor.run(gen.exploratory_stream(12))
-        summary = auditor.summary()
-        assert summary["case_accuracy"] == 1.0
-        assert summary["by_case"]
-
-    def test_empty_summary(self):
-        data = generate("independent", 100, 2, seed=0)
-        auditor = PlanAccuracyAuditor(CBCS(DiskTable(data)))
-        assert auditor.summary() == {"queries": 0}
-        assert render_summary(auditor.summary()) == "(no queries audited)"
+        _, ledger, pairs = audited_run(n_points=1500, n_queries=12, seed=9)
+        summary = ledger.summary()
+        assert summary["queries"] == len(pairs)
+        assert set(summary["per_case"]) == {o.case for _, o in pairs}
+        assert set(summary["per_strategy"]) == {"MaxOverlapSP"}
 
 
-class TestAuditCli:
-    def test_prints_calibration_and_writes_json(self, tmp_path, capsys):
-        out = tmp_path / "audit.json"
-        code = main(
-            ["--points", "800", "--queries", "10", "--json", str(out), "--strict"]
+class TestSnapshotBlock:
+    def test_snapshot_carries_the_ledger_summary(self, tmp_path):
+        _, ledger, _ = audited_run(n_points=800, n_queries=8)
+        snapshot = build_snapshot(
+            scale="quick", figures={}, calibration=ledger.summary(), rev="test"
         )
-        assert code == 0
-        text = capsys.readouterr().out
-        assert "Plan accuracy" in text
-        assert "100.0%" in text
-        payload = json.loads(out.read_text())
-        assert payload["summary"]["case_accuracy"] == 1.0
-        assert payload["records"][0]["plan"]["boxes"]
+        assert "audit" not in snapshot
+        path = save_snapshot(snapshot, tmp_path / "BENCH_x.json")
+        assert load_snapshot(path)["calibration"] == ledger.summary()
 
-    def test_usage_error(self):
-        assert main(["--bogus"]) == 2
+    def test_baseline_with_legacy_audit_key_compares_warning_free(self):
+        baseline = load_snapshot(BASELINE)
+        assert "audit" in baseline  # written before the auditor was retired
+        current = build_snapshot(
+            scale=baseline["scale"],
+            figures=baseline["figures"],
+            calibration=CalibrationLedger().summary(),
+            rev="test",
+        )
+        report = compare_snapshots(baseline, current)
+        assert report.warnings == []
+        assert not report.has_regressions
