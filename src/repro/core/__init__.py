@@ -12,8 +12,8 @@ Modules:
   disjoint range queries (Definition 5, Algorithm 1, Theorems 6-7);
 - :mod:`~repro.core.ampr` -- the approximate MPR that prunes with only the
   k cached skyline points nearest the query (Section 5.3);
-- :mod:`~repro.core.cache` -- the in-memory skyline cache indexed by an
-  R*-tree over result MBRs, with LRU/LCU replacement (Sections 6, 6.2);
+- :mod:`~repro.core.cache` -- the in-memory skyline cache with a flat
+  table of result MBRs and LRU/LCU replacement (Sections 6, 6.2);
 - :mod:`~repro.core.strategies` -- the seven cache search strategies of
   Section 6.1;
 - :mod:`~repro.core.planner` -- the pure planning layer (selection, case

@@ -2,12 +2,16 @@
 
 Each cache item is the paper's 3-tuple ``<Sky(S,C), MBR, C>``: the result of
 an earlier query, the minimum bounding rectangle of that result, and the
-constraints that produced it.  The cache is "organized by an R*-tree
-indexing the MBR of each cached skyline"; a lookup for new constraints
-``C'`` returns every item whose MBR intersects ``R_C'``.
+constraints that produced it.  A lookup for new constraints ``C'`` returns
+every item whose MBR intersects ``R_C'``.  The paper organizes the cache "by
+an R*-tree indexing the MBR of each cached skyline"; here the MBRs are rows
+of a flat bounds table and the lookup is one broadcast overlap test, which
+is faster than the tree at every cache size measured (DESIGN.md section 5,
+item 10) and returns candidates in a documented order: ascending
+``item_id``.
 
-Cache replacement (Section 6.2) is "supported by insertion and use counters
-on the R* tree": this module implements LRU (least recently used) and LCU
+Cache replacement (Section 6.2) is supported by insertion and use counters
+on the items: this module implements LRU (least recently used) and LCU
 (least commonly used) eviction over a configurable capacity.
 """
 
@@ -16,6 +20,7 @@ from __future__ import annotations
 import itertools
 import threading
 import zlib
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Literal, Optional
@@ -23,7 +28,6 @@ from typing import Dict, List, Literal, Optional
 import numpy as np
 
 from repro.geometry.constraints import Constraints
-from repro.index.rtree import RTree
 from repro.ioutil import atomic_savez
 from repro.obs.correlate import current_query_id
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -82,14 +86,55 @@ class CacheItem:
         )
 
 
+class _BoundsTable:
+    """The live items' MBRs as rows of two ``(n, d)`` arrays.  Item ids only
+    grow, so appending keeps the rows in ascending ``item_id``: a row is found
+    by bisecting the id list, and :meth:`overlapping` answers in that order."""
+
+    def __init__(self, ndim: int):
+        self.ndim = ndim
+        self.ids: List[int] = []
+        self.lo = np.empty((0, ndim))
+        self.hi = np.empty((0, ndim))
+
+    def _row(self, item_id: int) -> Optional[int]:
+        i = bisect_left(self.ids, item_id)
+        return i if i < len(self.ids) and self.ids[i] == item_id else None
+
+    def put(self, item_id: int, lo: np.ndarray, hi: np.ndarray) -> None:
+        """Overwrite ``item_id``'s row, or append one for a new id."""
+        i = self._row(item_id)
+        if i is None:
+            self.ids.append(item_id)
+            self.lo = np.concatenate([self.lo, lo[None]])
+            self.hi = np.concatenate([self.hi, hi[None]])
+        else:
+            self.lo[i] = lo
+            self.hi[i] = hi
+
+    def delete(self, item_id: int) -> bool:
+        """Shift-delete ``item_id``'s row; False when it has none."""
+        i = self._row(item_id)
+        if i is None:
+            return False
+        del self.ids[i]
+        self.lo = np.delete(self.lo, i, axis=0)
+        self.hi = np.delete(self.hi, i, axis=0)
+        return True
+
+    def overlapping(self, lo: np.ndarray, hi: np.ndarray) -> List[int]:
+        """Ids of the rows whose MBR intersects ``[lo, hi]``, ascending."""
+        mask = (self.lo <= hi).all(axis=1) & (self.hi >= lo).all(axis=1)
+        return [self.ids[i] for i in np.flatnonzero(mask).tolist()]
+
+
 class SkylineCache:
-    """An in-memory cache of constrained skylines with an R*-tree MBR index."""
+    """An in-memory cache of constrained skylines with a flat MBR table."""
 
     def __init__(
         self,
         capacity: Optional[int] = None,
         policy: ReplacementPolicy = "lru",
-        rtree_max_entries: int = 16,
         metrics: Optional[MetricsRegistry] = None,
         backend=None,
         quarantine_log_cap: int = 64,
@@ -121,14 +166,14 @@ class SkylineCache:
             raise ValueError("quarantine_log_cap must be positive")
         self.capacity = capacity
         self.policy: ReplacementPolicy = policy
-        self._rtree_max_entries = rtree_max_entries
-        # Reentrant: verify_and_heal -> quarantine -> _rebuild_index all
-        # nest under one acquisition.  Shared by every engine/service worker
-        # querying through this cache concurrently.
+        # Reentrant: verify_and_heal -> quarantine and replace_skyline ->
+        # remove/insert nest under one acquisition.  Shared by every
+        # engine/service worker querying through this cache concurrently.
         self._lock = threading.RLock()
         self._items: dict[int, CacheItem] = {}
         self._by_constraints: dict[tuple, int] = {}
-        self._index: Optional[RTree] = None
+        #: None until the first insert fixes the dimensionality
+        self._bounds: Optional[_BoundsTable] = None
         self._clock = itertools.count(1)
         self._id_counter = itertools.count(1)
         self.hits = 0
@@ -164,9 +209,21 @@ class SkylineCache:
         Empty skylines are not cached: they have no MBR to index and no
         points to prune with.  Re-inserting identical constraints refreshes
         the existing item: if the newly computed skyline differs (the data
-        changed, or the stored copy rotted), the stored skyline and MBR are
-        replaced and the R*-tree entry reindexed, so re-answered queries can
-        never resurrect a stale entry.
+        changed, or the stored copy rotted), the stored skyline, MBR and
+        bounds-table row are replaced, so re-answered queries can never
+        resurrect a stale entry.  Raises ``ValueError``, leaving the cache
+        unchanged, when the dimensionality differs from the cached items'.
+        """
+        return self._put(constraints, skyline)
+
+    def _put(self, constraints, skyline, stamps=None) -> Optional[CacheItem]:
+        """:meth:`insert`, or with ``stamps`` the restore of a persisted item.
+
+        ``stamps`` are an item's saved ``(inserted_at, last_used,
+        use_count)`` (snapshot load and WAL replay).  They are in place
+        before the capacity check, so replacement sees the saved recency
+        order, and the clock ends past them, so whatever is inserted or
+        touched next is newer than anything restored.
         """
         skyline = np.asarray(skyline, dtype=float)
         if len(skyline) == 0:
@@ -175,6 +232,7 @@ class SkylineCache:
             raise ValueError("skyline must be a (k, d) array matching constraints")
 
         with self._lock:
+            self._check_ndim(constraints)
             existing_id = self._by_constraints.get(constraints.key())
             if existing_id is not None:
                 item = self._items[existing_id]
@@ -184,6 +242,7 @@ class SkylineCache:
                     self.metrics.inc("cache_refreshes_total")
                     self.backend.record_put(item)
                 self.touch(item)
+                self._apply_stamps(item, stamps)
                 return item
 
             item = CacheItem(
@@ -195,19 +254,33 @@ class SkylineCache:
                 inserted_at=next(self._clock),
             )
             item.last_used = item.inserted_at
-            if self._index is None:
-                self._index = RTree(
-                    constraints.ndim, max_entries=self._rtree_max_entries
-                )
+            self._apply_stamps(item, stamps)
+            if self._bounds is None:
+                self._bounds = _BoundsTable(constraints.ndim)
             self._items[item.item_id] = item
             self._by_constraints[constraints.key()] = item.item_id
-            self._index.insert(item.mbr_lo, item.mbr_hi, item.item_id)
+            self._bounds.put(item.item_id, item.mbr_lo, item.mbr_hi)
             self.insertions += 1
             self.metrics.inc("cache_insertions_total")
             self.backend.record_put(item)
             self._evict_if_needed()
             self.metrics.set_gauge("cache_items", len(self._items))
             return item
+
+    def _apply_stamps(self, item: CacheItem, stamps) -> None:
+        if stamps is None:
+            return
+        item.inserted_at, item.last_used, item.use_count = map(int, stamps)
+        self._clock = itertools.count(
+            max(next(self._clock), item.inserted_at + 1, item.last_used + 1)
+        )
+
+    def _check_ndim(self, constraints: Constraints) -> None:
+        if self._bounds is not None and constraints.ndim != self._bounds.ndim:
+            raise ValueError(
+                f"constraints are {constraints.ndim}-dimensional, "
+                f"the cache holds {self._bounds.ndim}-dimensional items"
+            )
 
     def remove(self, item: CacheItem) -> None:
         """Drop one item (used by dynamic-data maintenance, Section 6.2)."""
@@ -244,23 +317,18 @@ class SkylineCache:
                 item.case_uses[case] = item.case_uses.get(case, 0) + 1
 
     def _reindex(self, item: CacheItem, skyline: np.ndarray) -> None:
-        """Swap ``item``'s skyline/MBR in place and refresh its index entry."""
-        removed = self._index.delete(item.mbr_lo, item.mbr_hi, item.item_id)
+        """Swap ``item``'s skyline/MBR in place and overwrite its table row."""
         item.skyline = skyline.copy()
         item.mbr_lo = skyline.min(axis=0)
         item.mbr_hi = skyline.max(axis=0)
-        if removed:
-            self._index.insert(item.mbr_lo, item.mbr_hi, item.item_id)
-        else:
-            # Index entry not where the item's MBR said: heal by rebuild.
-            self._rebuild_index()
+        self._bounds.put(item.item_id, item.mbr_lo, item.mbr_hi)
 
     def clear(self) -> None:
         """Drop every item."""
         with self._lock:
             self._items.clear()
             self._by_constraints.clear()
-            self._index = None
+            self._bounds = None
             self.backend.record_clear()
         self.metrics.set_gauge("cache_items", 0)
 
@@ -270,16 +338,22 @@ class SkylineCache:
     def candidates(self, query: Constraints, record: bool = True) -> List[CacheItem]:
         """Return all items whose skyline MBR intersects ``R_C'``.
 
-        This is the paper's cache search: "we perform a search on the
-        R*-tree fetching all cache items where R_C' intersects MBR != empty"
-        (Section 6).  Hit/miss counters are updated unless ``record`` is
-        False (used by dry-run paths such as :meth:`repro.core.cbcs.CBCS.explain`).
+        This is the paper's cache search, "fetching all cache items where
+        R_C' intersects MBR != empty" (Section 6), as one broadcast overlap
+        test over the bounds table.  Items come back in ascending
+        ``item_id`` -- insertion order -- on every path, so strategy ties
+        break the same way however the cache contents were built.  Hit/miss
+        counters are updated unless ``record`` is False (used by dry-run
+        paths such as :meth:`repro.core.cbcs.CBCS.explain`).  Raises
+        ``ValueError`` when ``query``'s dimensionality differs from the
+        cached items'.
         """
         with self._lock:
-            if self._index is None or len(self._items) == 0:
+            self._check_ndim(query)
+            if self._bounds is None:
                 items: List[CacheItem] = []
             else:
-                ids = self._index.search(query.lo, query.hi)
+                ids = self._bounds.overlapping(query.lo, query.hi)
                 items = [self._items[i] for i in ids]
         if record:
             if items:
@@ -310,7 +384,7 @@ class SkylineCache:
           item's constraints;
         - ``non-finite``: NaN/inf coordinates (bit rot);
         - ``mbr-mismatch``: stored MBR differs from the skyline's true
-          bounding box (would mis-route R*-tree lookups);
+          bounding box (would mis-route cache lookups);
         - ``out-of-constraints``: a point outside the item's own region;
         - ``dominated``: a sampled point dominated by another cached point
           (skyline-minimality spot check on ``sample`` evenly spaced rows).
@@ -349,22 +423,15 @@ class SkylineCache:
     def quarantine(self, item: CacheItem, reason: str = "invariant-violation") -> None:
         """Evict a corrupt item, counting it separately from replacement.
 
-        Unlike :meth:`_remove`, quarantine tolerates an index that is out of
-        sync with the item (a corrupt MBR cannot locate its own R*-tree
-        entry): the index is rebuilt from the surviving items instead.
+        The bounds-table row is found by ``item_id``, so an item whose
+        stored MBR rotted is still removed cleanly.
         """
         with self._lock:
             if item.item_id not in self._items:
                 return
             del self._items[item.item_id]
             self._by_constraints.pop(item.constraints.key(), None)
-            removed = (
-                self._index.delete(item.mbr_lo, item.mbr_hi, item.item_id)
-                if self._index is not None
-                else False
-            )
-            if not removed:
-                self._rebuild_index()
+            self._bounds.delete(item.item_id)
             self.quarantined += 1
             if len(self.quarantine_log) == self.quarantine_log.maxlen:
                 # Ring buffer full: the append below evicts the oldest
@@ -391,16 +458,6 @@ class SkylineCache:
                 return True
             self.quarantine(item, reason=problems[0])
             return False
-
-    def _rebuild_index(self) -> None:
-        """Reconstruct the R*-tree from the live items (self-healing)."""
-        self._index = None
-        for item in self._items.values():
-            if self._index is None:
-                self._index = RTree(
-                    item.constraints.ndim, max_entries=self._rtree_max_entries
-                )
-            self._index.insert(item.mbr_lo, item.mbr_hi, item.item_id)
 
     def stats(self) -> dict:
         """Summary of the cache's bookkeeping counters.
@@ -518,16 +575,15 @@ class SkylineCache:
                 archive[f"meta_{i}"],
             )
 
-    def load_into(self, path) -> int:
-        """Merge a saved archive's items into this cache; returns #loaded.
-
-        Used by the persistent backend's warm restart; raises
-        :class:`CorruptCacheError` on any integrity failure *before*
-        mutating the cache.
-        """
+    @classmethod
+    def _read_archive(cls, path):
+        """Return ``(capacity, policy, [(constraints, skyline, meta), ...])``
+        from a saved archive, or raise :class:`CorruptCacheError`."""
         try:
             with np.load(path, allow_pickle=False) as archive:
-                loaded = list(self._validated_archive_items(archive, path))
+                entries = list(cls._validated_archive_items(archive, path))
+                capacity = int(archive["capacity"])
+                policy = str(archive["policy"])
         except Exception as exc:
             # A flipped byte in the zip container can surface almost any
             # stdlib exception type (BadZipFile, zlib.error, EOFError,
@@ -537,13 +593,22 @@ class SkylineCache:
             raise CorruptCacheError(
                 f"cache archive {path} is unreadable: {exc}"
             ) from exc
-        for constraints, sky, meta in loaded:
-            item = self.insert(constraints, sky)
-            inserted_at, last_used, use_count = meta
-            item.inserted_at = int(inserted_at)
-            item.last_used = int(last_used)
-            item.use_count = int(use_count)
-        return len(loaded)
+        return (None if capacity < 0 else capacity), policy, entries
+
+    def load_into(self, path) -> int:
+        """Merge a saved archive's items into this cache; returns #loaded.
+
+        Items keep their saved use counters and recency stamps.  Used by
+        :meth:`load` and the persistent backend's warm restart; raises
+        :class:`CorruptCacheError` on any integrity failure *before*
+        mutating the cache.
+        """
+        return self._restore_entries(self._read_archive(path)[2])
+
+    def _restore_entries(self, entries) -> int:
+        for constraints, sky, meta in entries:
+            self._put(constraints, sky, meta)
+        return len(entries)
 
     @classmethod
     def load(cls, path) -> "SkylineCache":
@@ -554,30 +619,12 @@ class SkylineCache:
         checksum.  Archives written before checksums existed (no
         ``checksum`` key) are accepted after the structural checks.
         """
+        capacity, policy, entries = cls._read_archive(path)
         try:
-            with np.load(path, allow_pickle=False) as archive:
-                capacity = int(archive["capacity"])
-                cache = cls(
-                    capacity=None if capacity < 0 else capacity,
-                    policy=str(archive["policy"]),
-                )
-                for constraints, sky, meta in cls._validated_archive_items(
-                    archive, path
-                ):
-                    item = cache.insert(constraints, sky)
-                    inserted_at, last_used, use_count = meta
-                    item.inserted_at = int(inserted_at)
-                    item.last_used = int(last_used)
-                    item.use_count = int(use_count)
-        except Exception as exc:
-            # A flipped byte in the zip container can surface almost any
-            # stdlib exception type (BadZipFile, zlib.error, EOFError,
-            # NotImplementedError, ...); any parse failure IS corruption.
-            if isinstance(exc, CorruptCacheError):
-                raise
-            raise CorruptCacheError(
-                f"cache archive {path} is unreadable: {exc}"
-            ) from exc
+            cache = cls(capacity=capacity, policy=policy)
+        except ValueError as exc:  # a pre-checksum archive with a rotted header
+            raise CorruptCacheError(f"cache archive {path}: {exc}") from exc
+        cache._restore_entries(entries)
         return cache
 
     # ------------------------------------------------------------------
@@ -598,7 +645,6 @@ class SkylineCache:
     def _remove(self, item: CacheItem) -> None:
         del self._items[item.item_id]
         del self._by_constraints[item.constraints.key()]
-        removed = self._index.delete(item.mbr_lo, item.mbr_hi, item.item_id)
-        if not removed:
+        if not self._bounds.delete(item.item_id):
             raise RuntimeError("cache index out of sync with item store")
         self.backend.record_del(item)

@@ -2,8 +2,8 @@
 
 The cache API (insert / candidates / quarantine / ...) is unchanged; a
 backend only decides what happens to mutations *besides* the in-memory
-R*-tree.  Mirroring PartitionCache's ``cache_handler`` hierarchy (one
-abstract contract, many swappable backends):
+items and bounds table.  Mirroring PartitionCache's ``cache_handler``
+hierarchy (one abstract contract, many swappable backends):
 
 - :class:`MemoryCacheBackend` -- the default; every hook is a no-op, so a
   cache built with it is bit-identical to the historic backend-less cache.
@@ -207,15 +207,11 @@ class DiskCacheBackend:
             payload = record.payload
             op = payload.get("op")
             if op == "put":
-                item = self.cache.insert(
+                self.cache._put(
                     Constraints(payload["lo"], payload["hi"]),
                     _decode_array(payload["sky"]),
+                    payload.get("meta"),
                 )
-                if item is not None and "meta" in payload:
-                    inserted_at, last_used, use_count = payload["meta"]
-                    item.inserted_at = int(inserted_at)
-                    item.last_used = int(last_used)
-                    item.use_count = int(use_count)
             elif op == "del":
                 existing = self.cache.exact_match(
                     Constraints(payload["lo"], payload["hi"])

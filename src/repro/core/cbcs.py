@@ -5,7 +5,9 @@ fetching all cache items where R_C' intersects MBR != empty.  If none exist,
 Sky(S, C') is computed naively.  If more than one cache item is returned, we
 select the most efficient based on a cache search strategy.  We then compute
 the MPR.  Finally we fetch the points in the MPR, merge them with the cached
-Sky(S, C), and compute Sky(S, C')."
+Sky(S, C), and compute Sky(S, C')."  (The search here is an overlap test
+over a flat table of the cached MBRs, not an R*-tree: same candidate set,
+see :mod:`repro.core.cache`.)
 
 The engine is split into three layers (see ``docs/architecture.md``):
 

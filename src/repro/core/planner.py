@@ -17,7 +17,7 @@ against no candidates.
 
 The planner performs zero I/O.  Its only inputs are the query constraints,
 the candidate cache items (the caller does the cache search, because the
-R*-tree lookup is stateful -- hit/miss counters, verification), and an
+cache lookup is stateful -- hit/miss counters, verification), and an
 I/O-free per-dimension selectivity estimator.
 """
 

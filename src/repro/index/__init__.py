@@ -3,10 +3,8 @@
 - :class:`~repro.index.btree.BPlusTree` -- an order-configurable B+-tree with
   array-backed leaves, standing in for the per-dimension PostgreSQL B-tree
   indexes of the paper's experimental setup (Section 7).
-- :class:`~repro.index.rtree.RTree` -- an R-tree with STR bulk loading and
-  R*-style insertion/deletion (see :mod:`repro.index.rstar`), used both as the
-  dataset index of the BBS algorithm [19] and as the cache's MBR index
-  (paper Section 6).
+- :class:`~repro.index.rtree.RTree` -- a static R-tree packed by STR bulk
+  loading, the dataset index of the BBS [19] and nearest-neighbour baselines.
 """
 
 from repro.index.btree import BPlusTree

@@ -1,26 +1,23 @@
-"""An R-tree over points or rectangles, with STR bulk loading.
+"""A static R-tree over points or rectangles, packed by STR bulk loading.
 
-Two of the paper's components sit on R-trees:
-
-- the dataset index used by BBS [19], the I/O-optimal constrained-skyline
-  algorithm the paper compares against (built here with Sort-Tile-Recursive
-  bulk loading, the standard way to pack a static R-tree), and
-- the in-memory cache of Section 6, "organized by an R*-tree indexing the
-  MBR of each cached skyline" (dynamic inserts/deletes, using the R*
-  heuristics from :mod:`repro.index.rstar`).
+This is the dataset index under the two R-tree baselines the paper compares
+against: BBS [19], the I/O-optimal constrained-skyline algorithm, and the
+nearest-neighbour method.  It is built once with Sort-Tile-Recursive bulk
+loading, the standard way to pack a static R-tree, and never updated.  (The
+cache of Section 6 does not use it: its MBR lookup is the flat bounds table
+in :mod:`repro.core.cache`.)
 
 Leaf entries carry a rectangle (``lo``/``hi``; equal for points) and an
-opaque payload (a row id for dataset trees, a cache item for the cache
-index).  Nodes track their level (leaves are level 0) so that R* forced
-reinsertion and deletion-condensation can re-insert entries at the correct
-height.  Node accesses during searches and structured traversals are counted
-in :attr:`RTree.nodes_accessed`; BBS charges one page read per node it pops.
+opaque payload (a row id for dataset trees).  Nodes track their level
+(leaves are level 0).  Node accesses during searches and structured
+traversals are counted in :attr:`RTree.nodes_accessed`; BBS charges one page
+read per node it pops.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence
 
 import numpy as np
 
@@ -66,30 +63,12 @@ class RNode:
             self.hi = np.max([c.hi for c in self.children], axis=0)
 
 
-def _mbr_area(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.prod(np.maximum(hi - lo, 0.0)))
-
-
-def _mbr_margin(lo: np.ndarray, hi: np.ndarray) -> float:
-    return float(np.sum(np.maximum(hi - lo, 0.0)))
-
-
-def _union(lo1, hi1, lo2, hi2) -> Tuple[np.ndarray, np.ndarray]:
-    return np.minimum(lo1, lo2), np.maximum(hi1, hi2)
-
-
 def _intersects(lo1, hi1, lo2, hi2) -> bool:
     return bool(np.all(lo1 <= hi2) and np.all(lo2 <= hi1))
 
 
-def _overlap_area(lo1, hi1, lo2, hi2) -> float:
-    lo = np.maximum(lo1, lo2)
-    hi = np.minimum(hi1, hi2)
-    return float(np.prod(np.maximum(hi - lo, 0.0)))
-
-
 class RTree:
-    """A dynamic R-tree with R* insertion heuristics and STR bulk loading."""
+    """A static R-tree built by STR bulk loading (range and NN search)."""
 
     def __init__(self, ndim: int, max_entries: int = 64, min_entries: Optional[int] = None):
         if ndim < 1:
@@ -295,40 +274,6 @@ class RTree:
             yield node
             if not node.is_leaf:
                 stack.extend(node.children)
-
-    # ------------------------------------------------------------------
-    # Updates (R* heuristics live in repro.index.rstar)
-    # ------------------------------------------------------------------
-    def insert(self, lo: Sequence[float], hi: Sequence[float], payload) -> None:
-        """Insert an entry using R* ChooseSubtree / split / reinsertion."""
-        from repro.index import rstar
-
-        lo = np.asarray(lo, dtype=float).copy()
-        hi = np.asarray(hi, dtype=float).copy()
-        if lo.shape != (self.ndim,) or hi.shape != (self.ndim,):
-            raise ValueError(f"entry must be {self.ndim}-dimensional")
-        rstar.insert(self, lo, hi, payload, target_level=0, reinserted_levels=set())
-        self._size += 1
-
-    def insert_point(self, point: Sequence[float], payload) -> None:
-        """Insert a point entry (degenerate rectangle)."""
-        self.insert(point, point, payload)
-
-    def delete(self, lo: Sequence[float], hi: Sequence[float], payload) -> bool:
-        """Delete the entry with exactly this rectangle and payload.
-
-        Underfull nodes are condensed: they are removed from their parent and
-        their surviving entries re-inserted at the correct level.  Returns
-        True if the entry was found.
-        """
-        from repro.index import rstar
-
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        if rstar.delete(self, lo, hi, payload):
-            self._size -= 1
-            return True
-        return False
 
     # ------------------------------------------------------------------
     # Invariants (for tests)

@@ -23,7 +23,7 @@ The package splits by stage:
   them, plus :class:`ServiceReport`.
 
 Thread-safety contract: the engine's shared state is individually locked
-(cache R*-tree and items, table stats, fault injector, retry budget,
+(cache items and bounds table, table stats, fault injector, retry budget,
 breaker), so concurrent queries are safe and every *answer* is correct.
 Per-query I/O attribution (``QueryOutcome.io``) is taken from deltas of the
 table's global counters and may therefore include a concurrent neighbour's

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import SkylineCache
 from repro.geometry.constraints import Constraints
@@ -52,6 +54,23 @@ class TestInsertAndLookup:
         cache = SkylineCache()
         with pytest.raises(ValueError):
             cache.insert(Constraints([0, 0], [1, 1]), np.zeros((2, 3)))
+
+    def test_wrong_dimensionality_insert_leaves_cache_unchanged(self):
+        cache = SkylineCache()
+        a = cache.insert(*make_item_args(0.2))
+        with pytest.raises(ValueError):
+            cache.insert(Constraints([0, 0, 0], [1, 1, 1]), np.full((2, 3), 0.5))
+        assert list(cache) == [a]
+        assert cache.exact_match(Constraints([0, 0, 0], [1, 1, 1])) is None
+        b = cache.insert(*make_item_args(0.6))  # later inserts still work
+        assert cache.candidates(Constraints([0, 0], [1, 1])) == [a, b]
+
+    def test_wrong_dimensionality_lookup_raises(self):
+        cache = SkylineCache()
+        cache.insert(*make_item_args(0.2))
+        with pytest.raises(ValueError):
+            cache.candidates(Constraints([0.0], [1.0]))
+        assert (cache.hits, cache.misses) == (0, 0)
 
     def test_exact_match(self):
         cache = SkylineCache()
@@ -149,3 +168,56 @@ class TestReplacement:
             if np.all(it.mbr_lo <= probe.hi) and np.all(it.mbr_hi >= probe.lo)
         ]
         assert set(cache.candidates(probe)) == set(expected)
+
+
+CACHE_OPS = ("insert", "insert", "refresh", "remove", "replace", "quarantine")
+
+
+class TestCandidateOrder:
+    """``candidates`` is the brute-force MBR-overlap filter over the live
+    items, in ascending ``item_id``, whatever sequence of mutations built
+    the cache."""
+
+    @given(
+        d=st.sampled_from([2, 4]),
+        capacity=st.sampled_from([None, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(CACHE_OPS), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_in_item_id_order(self, d, capacity, seed, ops):
+        rng = np.random.default_rng(seed)
+        cache = SkylineCache(capacity=capacity)
+
+        def random_result():
+            lo = rng.uniform(0.0, 0.7, size=d)
+            hi = lo + rng.uniform(0.05, 0.3, size=d)
+            return Constraints(lo, hi), rng.uniform(lo, hi, size=(3, d))
+
+        for op in ops:
+            live = list(cache)
+            if op == "insert" or not live:
+                cache.insert(*random_result())
+            else:
+                item = live[int(rng.integers(len(live)))]
+                moved = rng.uniform(item.constraints.lo, item.constraints.hi, size=(2, d))
+                if op == "refresh":  # identical constraints, new skyline
+                    cache.insert(Constraints(item.constraints.lo, item.constraints.hi), moved)
+                elif op == "replace":
+                    cache.replace_skyline(item, moved)
+                elif op == "remove":
+                    cache.remove(item)
+                else:
+                    cache.quarantine(item)
+
+            query, _ = random_result()
+            expected = [
+                it
+                for it in sorted(cache, key=lambda it: it.item_id)
+                if np.all(it.mbr_lo <= query.hi) and np.all(it.mbr_hi >= query.lo)
+            ]
+            found = cache.candidates(query, record=False)
+            assert [it.item_id for it in found] == [it.item_id for it in expected]
+            assert all(f is e for f, e in zip(found, expected))
+            everything = cache.candidates(Constraints([0.0] * d, [1.0] * d), record=False)
+            assert [it.item_id for it in everything] == sorted(it.item_id for it in cache)

@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.cache import CorruptCacheError, SkylineCache
 from repro.core.cache_backend import DiskCacheBackend, MemoryCacheBackend
+from repro.core.strategies import default_strategy_suite
 from repro.geometry.constraints import Constraints
 from repro.obs.metrics import MetricsRegistry
 
@@ -145,6 +146,28 @@ class TestDiskWarmRestart:
         assert restored.use_count == use_count
         warm.close()
 
+    def test_crash_reopen_of_full_cache_keeps_capacity_items(self, tmp_path):
+        """The WAL ends with put x4 + the del of the evicted one: replaying
+        the fourth put must evict that same item, not the put itself."""
+        cache = SkylineCache(
+            capacity=3,
+            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None),
+        )
+        early = cache.insert(_box(0.0, 0.2), _skyline(40))
+        for _ in range(10):  # journaled stamps run ahead of a replay's clock
+            cache.touch(early)
+        cache.remove(early)
+        _fill(cache, n=4)
+        assert cache.evictions == 1
+        cache.backend.wal.close()  # crash: no final checkpoint
+        warm = SkylineCache(
+            capacity=3,
+            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None),
+        )
+        assert len(warm) == 3
+        assert _state(warm) == _state(cache)
+        warm.close()
+
     def test_auto_checkpoint_bounds_wal(self, tmp_path):
         metrics = MetricsRegistry()
         cache = SkylineCache(
@@ -162,6 +185,94 @@ class TestDiskWarmRestart:
             DiskCacheBackend(tmp_path, checkpoint_every=0)
         with pytest.raises(ValueError):
             DiskCacheBackend(tmp_path, on_corrupt="shrug")
+
+
+class TestRestoredClock:
+    def test_insert_after_load_evicts_the_saved_lru_item(self, tmp_path):
+        cache = SkylineCache(capacity=5)
+        items = _fill(cache, n=5)
+        for _ in range(10):  # saved stamps far past a fresh cache's clock
+            for item in items:
+                cache.touch(item)
+        oldest = min(items, key=lambda it: it.last_used)
+        newest_stamp = max(it.last_used for it in items)
+        path = tmp_path / "cache.npz"
+        cache.save(path)
+
+        restored = SkylineCache.load(path)
+        assert sorted(it.last_used for it in restored) == sorted(
+            it.last_used for it in items
+        )
+        fresh = restored.insert(_box(0.7, 0.9), _skyline(50))
+        assert fresh.last_used > newest_stamp
+        assert restored.exact_match(fresh.constraints) is fresh
+        assert restored.exact_match(oldest.constraints) is None
+        assert len(restored) == 5
+
+    def test_load_into_smaller_cache_keeps_the_most_recent(self, tmp_path):
+        cache = SkylineCache()
+        items = _fill(cache, n=5)
+        for item in items * 3:  # saved stamps far past a fresh cache's clock
+            cache.touch(item)
+        path = tmp_path / "cache.npz"
+        cache.save(path)
+
+        small = SkylineCache(capacity=2)
+        small.load_into(path)
+        kept = {it.constraints.key() for it in small}
+        assert kept == {items[3].constraints.key(), items[4].constraints.key()}
+
+
+class TestPlanDeterminism:
+    """Same cache contents => same candidate order and the same strategy
+    picks, however the contents came to be (built cold, ``save``/``load``,
+    snapshot + WAL-tail warm restart)."""
+
+    def test_cold_loaded_and_reopened_caches_plan_alike(self, tmp_path):
+        rng = np.random.default_rng(3)
+        d = 3
+
+        def random_box():
+            lo = rng.uniform(0.0, 0.6, size=d)
+            return Constraints(lo, lo + rng.uniform(0.1, 0.4, size=d))
+
+        backend_dir = tmp_path / "backend"
+        cold = SkylineCache(
+            backend=DiskCacheBackend(backend_dir, fsync=False, checkpoint_every=None)
+        )
+        items = []
+        for i in range(60):
+            box = random_box()
+            items.append(cold.insert(box, rng.uniform(box.lo, box.hi, size=(4, d))))
+            if i == 30:
+                cold.checkpoint()  # the rest is restored from the WAL tail
+            if i % 7 == 3:
+                cold.remove(items[int(rng.integers(len(items) - 1))])
+        path = tmp_path / "cache.npz"
+        cold.save(path)
+        cold.backend.wal.close()
+
+        loaded = SkylineCache.load(path)
+        reopened = SkylineCache(
+            backend=DiskCacheBackend(backend_dir, fsync=False, checkpoint_every=None)
+        )
+        assert reopened.backend.restored_from == "snapshot+wal"
+        caches = [cold, loaded, reopened]
+        suites = [default_strategy_suite(seed=0) for _ in caches]
+        for _ in range(50):
+            query = random_box()
+            found = [cache.candidates(query, record=False) for cache in caches]
+            keys = [[it.constraints.key() for it in items_] for items_ in found]
+            assert keys[0] == keys[1] == keys[2]
+            if not keys[0]:
+                continue
+            for strategies in zip(*suites):
+                picks = [
+                    strategy.select(query, items_).constraints.key()
+                    for strategy, items_ in zip(strategies, found)
+                ]
+                assert picks[0] == picks[1] == picks[2], strategies[0].name
+        reopened.close()
 
 
 class TestCorruptSnapshot:

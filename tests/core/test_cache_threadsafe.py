@@ -3,7 +3,7 @@
 The cache is shared by every concurrent query path (executor workers,
 :class:`repro.service.QueryService` threads), so insert/lookup/evict/
 verify_and_heal must interleave from many threads without losing entries,
-racing quarantines, or desyncing the R*-tree index.
+racing quarantines, or desyncing the MBR bounds table.
 """
 
 import threading
@@ -51,7 +51,7 @@ def run_threads(worker):
 
 
 def assert_index_consistent(cache):
-    """Every stored item is findable through the R*-tree, and nothing else."""
+    """Every stored item is findable through ``candidates``, and nothing else."""
     found = cache.candidates(EVERYTHING, record=False)
     assert len(found) == len(cache)
     assert {id(i) for i in found} == {id(i) for i in cache}

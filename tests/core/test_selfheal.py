@@ -70,7 +70,7 @@ class TestQuarantine:
         cache = SkylineCache()
         item = make_item(cache, 0.2)
         keeper = make_item(cache, 0.6)
-        # Corrupt the MBR so the R*-tree delete cannot find the entry.
+        # A rotted MBR must not stop the item's row from being found (by id).
         item.mbr_lo = item.mbr_lo + 5.0
         item.mbr_hi = item.mbr_hi + 5.0
         cache.quarantine(item, reason="mbr-mismatch")

@@ -1,4 +1,4 @@
-"""Tests for :mod:`repro.index.rtree` and :mod:`repro.index.rstar`."""
+"""Tests for :mod:`repro.index.rtree`."""
 
 import numpy as np
 import pytest
@@ -74,123 +74,6 @@ class TestBulkLoad:
         assert set(tree.search(lo, hi)) == brute_search(pts, lo, hi)
 
 
-class TestInsert:
-    def test_incremental_inserts_match_brute_force(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(0, 1, size=(400, 2))
-        tree = RTree(2, max_entries=8)
-        for i, p in enumerate(pts):
-            tree.insert_point(p, i)
-        tree.check_invariants()
-        assert len(tree) == 400
-        lo, hi = np.array([0.2, 0.3]), np.array([0.7, 0.9])
-        assert set(tree.search(lo, hi)) == brute_search(pts, lo, hi)
-
-    def test_insert_rectangles(self):
-        rng = np.random.default_rng(6)
-        lows = rng.uniform(0, 0.8, size=(150, 3))
-        highs = lows + rng.uniform(0, 0.2, size=(150, 3))
-        tree = RTree(3, max_entries=8)
-        for i in range(150):
-            tree.insert(lows[i], highs[i], i)
-        tree.check_invariants()
-        lo, hi = np.zeros(3), np.full(3, 0.5)
-        expected = {
-            i
-            for i in range(150)
-            if np.all(lows[i] <= hi) and np.all(highs[i] >= lo)
-        }
-        assert set(tree.search(lo, hi)) == expected
-
-    def test_insert_into_bulk_loaded(self):
-        rng = np.random.default_rng(7)
-        pts = rng.uniform(0, 1, size=(200, 2))
-        tree = RTree.bulk_load_points(pts, max_entries=8)
-        tree.insert_point([0.5, 0.5], 999)
-        tree.check_invariants()
-        assert 999 in tree.search([0.4, 0.4], [0.6, 0.6])
-
-    def test_dimension_validation(self):
-        tree = RTree(2)
-        with pytest.raises(ValueError):
-            tree.insert_point([1.0, 2.0, 3.0], 0)
-
-    def test_duplicate_points_allowed(self):
-        tree = RTree(2, max_entries=4)
-        for i in range(50):
-            tree.insert_point([0.5, 0.5], i)
-        tree.check_invariants()
-        assert sorted(tree.search([0.5, 0.5], [0.5, 0.5])) == list(range(50))
-
-    @given(arrays(np.float64, (60, 2), elements=st.floats(0, 1)))
-    @settings(max_examples=25, deadline=None)
-    def test_insert_property(self, pts):
-        tree = RTree(2, max_entries=4)
-        for i, p in enumerate(pts):
-            tree.insert_point(p, i)
-        tree.check_invariants()
-        lo, hi = np.array([0.1, 0.1]), np.array([0.9, 0.6])
-        assert set(tree.search(lo, hi)) == brute_search(pts, lo, hi)
-
-
-class TestDelete:
-    def test_delete_existing(self):
-        rng = np.random.default_rng(8)
-        pts = rng.uniform(0, 1, size=(100, 2))
-        tree = RTree.bulk_load_points(pts, max_entries=8)
-        assert tree.delete(pts[10], pts[10], 10)
-        tree.check_invariants()
-        assert len(tree) == 99
-        assert 10 not in tree.search(pts[10], pts[10])
-
-    def test_delete_missing_returns_false(self):
-        tree = RTree.bulk_load_points(np.array([[0.1, 0.1]]))
-        assert not tree.delete([0.9, 0.9], [0.9, 0.9], 5)
-        assert not tree.delete([0.1, 0.1], [0.1, 0.1], 5)  # wrong payload
-
-    def test_delete_all(self):
-        rng = np.random.default_rng(9)
-        pts = rng.uniform(0, 1, size=(120, 2))
-        tree = RTree.bulk_load_points(pts, max_entries=8)
-        order = rng.permutation(120)
-        for i in order:
-            assert tree.delete(pts[i], pts[i], int(i))
-        tree.check_invariants()
-        assert len(tree) == 0
-        assert tree.search([0, 0], [1, 1]) == []
-
-    def test_delete_then_search_consistent(self):
-        rng = np.random.default_rng(10)
-        pts = rng.uniform(0, 1, size=(200, 3))
-        tree = RTree.bulk_load_points(pts, max_entries=8)
-        removed = set(rng.choice(200, size=80, replace=False).tolist())
-        for i in removed:
-            assert tree.delete(pts[i], pts[i], int(i))
-        tree.check_invariants()
-        lo, hi = np.zeros(3), np.ones(3)
-        assert set(tree.search(lo, hi)) == set(range(200)) - removed
-
-    def test_interleaved_insert_delete(self):
-        rng = np.random.default_rng(12)
-        tree = RTree(2, max_entries=4)
-        live = {}
-        next_id = 0
-        for step in range(600):
-            if live and rng.random() < 0.4:
-                key = rng.choice(list(live.keys()))
-                p = live.pop(key)
-                assert tree.delete(p, p, key)
-            else:
-                p = rng.uniform(0, 1, size=2)
-                tree.insert_point(p, next_id)
-                live[next_id] = p
-                next_id += 1
-        tree.check_invariants()
-        assert len(tree) == len(live)
-        got = set(tree.search([0, 0], [1, 1]))
-        assert got == set(live.keys())
-
-
 class TestNearest:
     def brute_knn(self, points, query, k):
         dist = np.sum((points - query) ** 2, axis=1)
@@ -253,42 +136,3 @@ class TestStats:
         tree.search([0.0, 0.0], [1.0, 1.0])
         full = tree.nodes_accessed
         assert 0 < small < full
-
-
-class TestRStarInternals:
-    def test_forced_reinsertion_branch_executes(self, monkeypatch):
-        """R*'s defining heuristic must actually run under ordinary inserts."""
-        from repro.index import rstar
-
-        calls = {"n": 0}
-        original = rstar._force_reinsert
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(rstar, "_force_reinsert", counting)
-        rng = np.random.default_rng(99)
-        tree = RTree(2, max_entries=8)
-        for i, p in enumerate(rng.uniform(0, 1, size=(200, 2))):
-            tree.insert_point(p, i)
-        tree.check_invariants()
-        assert calls["n"] > 0
-
-    def test_split_branch_executes(self, monkeypatch):
-        from repro.index import rstar
-
-        calls = {"n": 0}
-        original = rstar._split
-
-        def counting(*args, **kwargs):
-            calls["n"] += 1
-            return original(*args, **kwargs)
-
-        monkeypatch.setattr(rstar, "_split", counting)
-        rng = np.random.default_rng(98)
-        tree = RTree(2, max_entries=8)
-        for i, p in enumerate(rng.uniform(0, 1, size=(300, 2))):
-            tree.insert_point(p, i)
-        tree.check_invariants()
-        assert calls["n"] > 0
