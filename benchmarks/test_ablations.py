@@ -1,8 +1,6 @@
 """Ablation benchmarks for design choices the paper leaves open.
 
 - cache replacement (Section 6.2): capped caches must stay usable;
-- multi-item processing (Section 6.3): a second item can only reduce the
-  region fetched;
 - the unstable-case invalidation approximation: coarser covers mean fewer
   range queries but more points to read.
 """
@@ -10,7 +8,6 @@
 from repro.bench.ablations import (
     ablation_cost_strategy,
     ablation_invalidation,
-    ablation_multi_item,
     ablation_page_cache,
     ablation_replacement,
     ablation_skyline_algorithm,
@@ -28,16 +25,6 @@ def test_replacement(figure_runner):
     assert s["LCU, cap 8"]["evictions"] > 0
     # Even under pressure the cache keeps a substantial hit rate.
     assert s["LRU, cap 8"]["hit_rate"] > 0.5
-
-
-def test_multi_item(figure_runner):
-    report = figure_runner(ablation_multi_item)
-    s = report.series
-
-    single = s["single item (aMPR 1NN)"]["mean_points_read"]
-    multi2 = s["multi item (2 x 1NN)"]["mean_points_read"]
-    # A second item can only remove territory from the MPR.
-    assert multi2 <= single * 1.05
 
 
 def test_page_cache(figure_runner):

@@ -7,8 +7,10 @@ and 9); the aMPR caps that by pruning with only the k cached skyline points
 nearest the query.  This script sweeps k and prints the trade-off the
 paper evaluates in Section 7.3.2, plus the exact-MPR reference.
 
-Run:  python examples/ampr_tuning.py
+Run:  python examples/ampr_tuning.py [n [pairs]]
 """
+
+import sys
 
 import numpy as np
 
@@ -28,14 +30,17 @@ def measure(computer, pairs, data):
     return float(np.mean(boxes)), float(np.mean(reads))
 
 
-def main():
-    ndim, n = 5, 20_000
-    print(f"{n:,} independent points, |D|={ndim}; 30 cache/query pairs per row\n")
+def main(n=20_000, n_pairs=30):
+    ndim = 5
+    print(
+        f"{n:,} independent points, |D|={ndim}; "
+        f"{n_pairs} cache/query pairs per row\n"
+    )
     data = generate("independent", n, ndim, seed=5)
     gen = WorkloadGenerator(data, seed=9)
 
     pairs = []
-    while len(pairs) < 30:
+    while len(pairs) < n_pairs:
         old = gen.initial_query()
         new = gen.refine(old)
         inside = data[old.satisfied_mask(data)]
@@ -63,4 +68,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*(int(arg) for arg in sys.argv[1:3]))

@@ -25,7 +25,6 @@ from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import CacheItem, SkylineCache
 from repro.core.cbcs import CBCS
 from repro.core.dynamic import DynamicCBCS
-from repro.core.multi import MultiItemMPR
 from repro.core.mpr import MPRResult, compute_mpr
 from repro.core.strategies import (
     CostBased,
@@ -73,7 +72,6 @@ __all__ = [
     "MPRResult",
     "MaxOverlap",
     "MaxOverlapSP",
-    "MultiItemMPR",
     "NNMethod",
     "OptimumDistance",
     "Prioritized1D",

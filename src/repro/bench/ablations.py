@@ -1,13 +1,11 @@
 """Ablation experiments for design choices beyond the paper's figures.
 
-The paper defers cache replacement (Section 6.2) and multi-item processing
-(Section 6.3) to future work, and its aMPR approximates only the
-dominance-pruning loop.  This module measures those choices in isolation:
+The paper defers cache replacement (Section 6.2) to future work, and its
+aMPR approximates only the dominance-pruning loop.  This module measures
+those choices in isolation:
 
 - ``ablation_replacement``: LRU vs LCU vs an unbounded cache under
   capacity pressure on the interactive workload;
-- ``ablation_multi_item``: single-item aMPR vs the multi-item extension on
-  a workload of queries that straddle previously cached regions;
 - ``ablation_invalidation``: how the unstable-case invalidation-anchor
   budget trades range queries against points read.
 """
@@ -24,7 +22,6 @@ from repro.bench.experiments import FigureReport
 from repro.core.ampr import ApproximateMPR
 from repro.core.cache import SkylineCache
 from repro.core.mpr import compute_mpr
-from repro.core.multi import MultiItemMPR
 from repro.data.generator import generate
 from repro.geometry.box import union_mask
 from repro.skyline.sfs import sfs_skyline
@@ -235,47 +232,6 @@ def ablation_replacement(seed: int = 0) -> FigureReport:
     return FigureReport(
         figure="ablation-replacement",
         title="LRU vs LCU vs unbounded cache",
-        text=text,
-        series=series,
-    )
-
-
-def ablation_multi_item(seed: int = 0) -> FigureReport:
-    """Single- vs multi-item region computation (Section 6.3)."""
-    n = scaled(20_000, 100_000, 500_000)
-    data = generate("independent", n, 3, seed=seed)
-    gen = WorkloadGenerator(data, seed=seed + 2)
-    # Warm queries tile the space; probe queries straddle several of them.
-    warm = gen.independent_queries(scaled(40, 120, 300))
-    probes = gen.independent_queries(scaled(25, 60, 120))
-
-    rows = []
-    series: Dict[str, Dict[str, float]] = {}
-    for label, region in [
-        ("single item (aMPR 1NN)", ApproximateMPR(1)),
-        ("multi item (2 x 1NN)", MultiItemMPR(k=1, max_items=2)),
-        ("multi item (3 x 3NN)", MultiItemMPR(k=3, max_items=3)),
-    ]:
-        engine = make_cbcs(data, region=region)
-        engine.warm(warm)
-        result = run_queries(engine, probes)
-        series[label] = {
-            "mean_ms": result.mean_total_ms(),
-            "mean_points_read": result.mean_points_read(),
-            "mean_range_queries": result.mean_range_queries(),
-        }
-        rows.append(
-            [label, result.mean_total_ms(), result.mean_points_read(),
-             result.mean_range_queries()]
-        )
-    text = format_table(
-        ["region computer", "mean ms", "mean points read", "mean range queries"],
-        rows,
-        title=f"Multi-item cache exploitation (|S|={n}, |D|=3, independent)",
-    )
-    return FigureReport(
-        figure="ablation-multi-item",
-        title="Single-item vs multi-item MPR",
         text=text,
         series=series,
     )

@@ -801,7 +801,6 @@ ALL_EXPERIMENTS = {
 ALL_EXPERIMENTS.update(
     {
         "ablation-replacement": _lazy_ablation("ablation_replacement"),
-        "ablation-multi-item": _lazy_ablation("ablation_multi_item"),
         "ablation-invalidation": _lazy_ablation("ablation_invalidation"),
         "ablation-skyline-algorithm": _lazy_ablation("ablation_skyline_algorithm"),
         "ablation-page-cache": _lazy_ablation("ablation_page_cache"),

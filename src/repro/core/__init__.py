@@ -23,9 +23,8 @@ Modules:
   against a storage backend, optionally overlapped on a worker pool;
 - :mod:`~repro.core.cbcs` -- the CBCS query engine tying it all together.
 
-Extensions beyond the paper's evaluation (flagged as future work there):
+Extension beyond the paper's evaluation (flagged as future work there):
 
-- :mod:`~repro.core.multi` -- multi-item cache exploitation (Section 6.3);
 - :mod:`~repro.core.dynamic` -- dynamic data with continuous per-item
   skyline maintenance (Section 6.2).
 """
@@ -48,7 +47,6 @@ from repro.core.dynamic import DynamicCBCS
 from repro.core.executor import Executor, FetchOutcome
 from repro.core.planner import PlannedQuery, Planner, QueryPlan
 from repro.core.mpr import MPRResult, compute_mpr
-from repro.core.multi import MultiItemMPR
 from repro.core.stability import guaranteed_stable, is_stable_for
 from repro.core.strategies import (
     CostBased,
@@ -84,7 +82,6 @@ __all__ = [
     "MPRResult",
     "MaxOverlap",
     "MaxOverlapSP",
-    "MultiItemMPR",
     "OptimumDistance",
     "Prioritized1D",
     "PrioritizedND",

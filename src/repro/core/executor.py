@@ -1,13 +1,14 @@
 """The execution layer: runs a plan's range queries against a backend.
 
 The :class:`Executor` is the only component that talks to the
-:class:`~repro.storage.backend.StorageBackend` during a query.  It takes
-the planner's disjoint boxes and issues one ``range_query`` per box --
-serially with the default ``workers=1`` (bit-identical to the historic
-``fetch_boxes`` path), or concurrently on a bounded thread pool when
-``workers > 1``.  Results are gathered *in box order* regardless of
-completion order, so the concatenated point set -- and therefore the
-skyline computed from it -- is byte-identical at any worker count.
+:class:`~repro.storage.backend.StorageBackend` during a query, and
+:meth:`Executor.fetch` is the only place per-box results are gathered: it
+takes the planner's disjoint boxes and issues one ``range_query`` per box
+-- serially on the calling thread with the default ``workers=1``, or
+concurrently on a bounded thread pool when ``workers > 1``.  Results are
+gathered *in box order* regardless of completion order, so the
+concatenated point set -- and therefore the skyline computed from it -- is
+byte-identical at any worker count.
 
 Simulated-time accounting under parallelism: every
 :class:`~repro.storage.table.RangeResult` carries the ``io_ms`` its call
@@ -143,8 +144,8 @@ class Executor:
 
         Points and rowids are concatenated independently so a fault-
         truncated box (points shorter than rowids) keeps its mismatched
-        signature for downstream validation, exactly as the single-threaded
-        ``fetch_boxes`` aggregation did.
+        signature for downstream validation.  Boxes are disjoint, so the
+        union needs no deduplication.
         """
         if len(parts) == 1:
             return parts[0]

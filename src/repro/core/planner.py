@@ -4,7 +4,10 @@
 decided *without touching the disk*: which cached skyline to reuse (via the
 configured :class:`~repro.core.strategies.CacheSearchStrategy`), which
 overlap case the query falls into (Section 5's cases a-d), and which
-disjoint range queries cover the missing-points region (exact MPR or aMPR).
+disjoint range queries cover the missing-points region (exact MPR or aMPR)
+-- always against that *one* item, as in the paper's Section 6: every region
+computer has the single interface ``compute(old, skyline, new)`` (combining
+several items was built, measured and removed; DESIGN.md section 5 item 11).
 It emits a :class:`QueryPlan` -- the engine's EXPLAIN record -- plus the
 intermediate products the executor needs to actually run it.
 
@@ -264,7 +267,7 @@ class Planner:
             )
         else:
             mpr = self.compute_region(
-                item, candidates, constraints, region_override=region_override
+                item, constraints, region_override=region_override
             )
             plan = QueryPlan(
                 case=case,
@@ -306,23 +309,7 @@ class Planner:
             for i, iv in enumerate(box.intervals)
         )
 
-    def compute_region(self, item, candidates, constraints, region_override=None):
-        """Compute the missing-points region for the chosen item.
-
-        Region computers exposing ``compute_multi`` (the Section 6.3
-        multi-item extension, :class:`repro.core.multi.MultiItemMPR`)
-        receive the strategy's pick first plus the remaining candidates
-        ranked by overlap volume; single-item computers get the pick alone.
-        """
+    def compute_region(self, item, constraints, region_override=None):
+        """Compute the missing-points region of the query against ``item``."""
         region = self.region if region_override is None else region_override
-        if hasattr(region, "compute_multi") and len(candidates) > 1:
-            others = sorted(
-                (c for c in candidates if c is not item),
-                key=lambda c: c.constraints.overlap_volume(constraints),
-                reverse=True,
-            )
-            ranked = [(item.constraints, item.skyline)] + [
-                (c.constraints, c.skyline) for c in others
-            ]
-            return region.compute_multi(ranked, constraints)
         return region.compute(item.constraints, item.skyline, constraints)

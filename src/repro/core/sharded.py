@@ -30,6 +30,12 @@ steps, each reusing a layer built earlier:
    breakdown sums per-shard work, with the fetch stage taking the
    worker-pool makespan when the fan-out actually overlapped.
 
+Writes (``dynamic=True``) are routed the same way rows were partitioned:
+``insert_points`` returns one ``(shard_id, rowid)`` id per input row, in
+input order -- row ids are shard-local, so only the pair names a row -- and
+``delete_points`` takes those ids back, one argument like the unsharded
+engine's.
+
 Observability is fleet-level by design: shard engines run with ``obs=None``
 and the fleet goes through the same :func:`repro.core.cbcs.ingress` as an
 unsharded engine, recording exactly one outcome and one EXPLAIN record
@@ -40,7 +46,7 @@ reconciliation (``queries_total`` vs ``points_read_total``) keeps holding.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -122,16 +128,13 @@ class ShardedOutcome(QueryOutcome):
 class ShardedCBCS:
     """The fleet CBCS engine over a :class:`ShardedTable`.
 
-    Every shard gets a *full* engine of its own -- cache, planner,
-    ``build_backend`` stack, resilience -- so per-shard cache backends
-    (memory/disk/warm-restart) and per-shard circuit breakers come for
-    free.  The factories are called once per shard at construction:
+    Every shard gets a *full* engine of its own -- a fresh in-memory cache,
+    planner, ``build_backend`` stack, resilience -- so per-shard circuit
+    breakers come for free:
 
-    - ``cache_factory(shard_id)`` -> the shard's ``SkylineCache`` (None:
-      fresh in-memory caches);
-    - ``strategy_factory()`` / ``region_factory()`` -> per-shard strategy /
-      region computer (None: engine defaults; fresh instances per shard so
-      no state is shared across threads);
+    - ``strategy_factory()``, called once per shard at construction -> the
+      shard's strategy (None: the engine default; a fresh instance per
+      shard so no state is shared across threads);
     - ``shard_table_wrapper(shard_id, table)`` -> the table the shard's
       engine actually queries (e.g. a ``FaultyDiskTable`` around one shard
       to fault it specifically);
@@ -140,34 +143,30 @@ class ShardedCBCS:
 
     ``dynamic=True`` builds :class:`~repro.core.dynamic.DynamicCBCS`
     shard engines and enables :meth:`insert_points` / :meth:`delete_points`
-    with pruning-set invalidation tied to actual MBR growth.
+    (which exchange ``(shard_id, rowid)`` ids) with pruning-set invalidation
+    tied to actual MBR growth.
     """
 
     def __init__(
         self,
         table: ShardedTable,
-        cache_factory: Optional[Callable[[int], object]] = None,
         strategy_factory: Optional[Callable[[], object]] = None,
-        region_factory: Optional[Callable[[], object]] = None,
         skyline_algorithm: Callable[[np.ndarray], np.ndarray] = sfs_skyline,
         cache_results: bool = True,
         obs=None,
         resilience=None,
         workers: int = 1,
-        pruning_cache_capacity: int = 256,
         dynamic: bool = False,
         shard_table_wrapper=None,
-        engine_kwargs: Optional[dict] = None,
     ):
         self.table = table
         self.obs = NULL_OBS if obs is None else obs
         self.skyline_algorithm = skyline_algorithm
         self.workers = int(workers)
         self.dynamic = bool(dynamic)
-        self.pruning_cache = PruningSetCache(capacity=pruning_cache_capacity)
+        self.pruning_cache = PruningSetCache()
         self.executor = Executor(workers=self.workers, obs=obs)
         engine_cls = DynamicCBCS if dynamic else CBCS
-        extra = dict(engine_kwargs or {})
         self.engines: List = []
         for shard in table:
             shard_table = shard.table
@@ -176,21 +175,14 @@ class ShardedCBCS:
             self.engines.append(
                 engine_cls(
                     shard_table,
-                    cache=cache_factory(shard.shard_id)
-                    if cache_factory is not None
-                    else None,
                     strategy=strategy_factory()
                     if strategy_factory is not None
-                    else None,
-                    region_computer=region_factory()
-                    if region_factory is not None
                     else None,
                     skyline_algorithm=skyline_algorithm,
                     cache_results=cache_results,
                     obs=None,  # fleet-level observability only (see module doc)
                     resilience=resilience,
                     workers=1,  # parallelism lives at the shard fan-out
-                    **extra,
                 )
             )
 
@@ -413,8 +405,12 @@ class ShardedCBCS:
                 f"{operation} requires dynamic=True (DynamicCBCS shard engines)"
             )
 
-    def insert_points(self, rows) -> List[int]:
+    def insert_points(self, rows) -> List[Tuple[int, int]]:
         """Route new rows to their shards and maintain caches + summaries.
+
+        Returns one ``(shard_id, rowid)`` id per input row, in input order
+        (row ids are shard-local, so the pair is what names a row); the
+        same ids are what :meth:`delete_points` accepts.
 
         Each shard's :class:`DynamicCBCS` does its own continuous cache
         maintenance; the fleet drops its cached pruning sets **only when a
@@ -425,27 +421,39 @@ class ShardedCBCS:
         self._require_dynamic("insert_points")
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         by_shard: dict = {}
-        for row in rows:
-            by_shard.setdefault(self.table.route(row), []).append(row)
-        rowids: List[int] = []
+        for position, row in enumerate(rows):
+            by_shard.setdefault(self.table.route(row), []).append(position)
+        ids: List = [None] * len(rows)
         invalidate = False
-        for sid, shard_rows in sorted(by_shard.items()):
-            block = np.asarray(shard_rows)
-            rowids.extend(self.engines[sid].insert_points(block))
+        for sid, positions in sorted(by_shard.items()):
+            block = rows[positions]
+            rowids = self.engines[sid].insert_points(block)
+            for position, rowid in zip(positions, rowids):
+                ids[position] = (sid, int(rowid))
             if self.table.record_append(sid, block):
                 invalidate = True
         if invalidate:
             self.pruning_cache.invalidate()
-        return rowids
+        return ids
 
-    def delete_points(self, shard_id: int, rowids: Sequence[int]) -> int:
-        """Delete shard-local rows; conservatively drops cached pruning sets
-        (a delete can empty a shard or shrink its true extent, and the kept
-        superset MBR cannot prove a ``dominated`` witness still exists)."""
+    def delete_points(self, ids: Sequence[Tuple[int, int]]) -> int:
+        """Delete rows by the ``(shard_id, rowid)`` ids :meth:`insert_points`
+        returns; conservatively drops cached pruning sets (a delete can
+        empty a shard or shrink its true extent, and the kept superset MBR
+        cannot prove a ``dominated`` witness still exists)."""
         self._require_dynamic("delete_points")
-        deleted = self.engines[shard_id].delete_points(rowids)
-        self.table.record_delete(shard_id)
+        by_shard: dict = {}
+        for sid, rowid in ids:
+            if not 0 <= sid < self.n_shards:
+                raise IndexError(f"shard id {sid} out of range")
+            by_shard.setdefault(int(sid), []).append(int(rowid))
+        # Dropped before any shard is touched: a bad row id on a later shard
+        # must not leave pruning sets that predate an earlier shard's deletes.
         self.pruning_cache.invalidate()
+        deleted = 0
+        for sid, rowids in sorted(by_shard.items()):
+            deleted += self.engines[sid].delete_points(rowids)
+            self.table.record_delete(sid)
         return deleted
 
     def warm(self, queries) -> int:

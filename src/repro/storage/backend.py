@@ -18,6 +18,10 @@ instrumentation sits *outside* resilience (so a retried call shows up as
 one logical backend operation).  :meth:`repro.core.cbcs.CBCS.__init__`
 builds exactly this stack from its ``resilience``/``obs`` flags.
 
+``range_query`` is the protocol's only read entry point.  Gathering a
+plan's boxes into one result is :meth:`repro.core.executor.Executor.fetch`'s
+job and nobody else's, so a layer added to the stack wraps one method.
+
 ``retry_state`` threading: the executor passes the query's shared
 :class:`~repro.resilience.retry.RetryState` as a keyword argument;
 :class:`ResilientBackend` consumes it (per-box retry against one per-query
@@ -26,7 +30,7 @@ budget) and the layers below it never see the kwarg.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Protocol, runtime_checkable
+from typing import Optional, Protocol, runtime_checkable
 
 from repro.geometry.box import Box
 from repro.obs import NULL_OBS
@@ -49,8 +53,6 @@ class StorageBackend(Protocol):
     def ndim(self) -> int: ...
 
     def range_query(self, box: Box) -> RangeResult: ...
-
-    def fetch_boxes(self, boxes: Iterable[Box]) -> RangeResult: ...
 
     def estimate_count(self, dim: int, lo: float, hi: float) -> int: ...
 
@@ -126,33 +128,6 @@ class ResilientBackend(BackendDecorator):
             lambda: self.inner.range_query(box), retry_state, "fetch"
         )
 
-    def fetch_boxes(
-        self, boxes: Iterable[Box], *, retry_state: Optional[RetryState] = None
-    ) -> RangeResult:
-        # Each decomposed box is its own protected operation, exactly like
-        # the executor's per-box path.
-        from dataclasses import replace
-
-        import numpy as np
-
-        parts = [
-            self.range_query(box, retry_state=retry_state) for box in boxes
-        ]
-        if not parts:
-            return unwrap(self.inner)._empty_result()
-        if len(parts) == 1:
-            return parts[0]
-        points = [p.points for p in parts if len(p.points)]
-        rowids = [p.rowids for p in parts if len(p.rowids)]
-        empty = unwrap(self.inner)._empty_result()
-        return replace(
-            empty,
-            points=np.concatenate(points) if points else empty.points,
-            rowids=np.concatenate(rowids) if rowids else empty.rowids,
-            rows_fetched=sum(p.rows_fetched for p in parts),
-            io_ms=sum(p.io_ms for p in parts),
-        )
-
 
 class InstrumentedBackend(BackendDecorator):
     """Per-call observability on top of any backend.
@@ -183,13 +158,6 @@ class InstrumentedBackend(BackendDecorator):
             raise
         m.inc("backend_range_queries_total", outcome="ok")
         return result
-
-    def fetch_boxes(
-        self, boxes: Iterable[Box], *, retry_state: Optional[RetryState] = None
-    ) -> RangeResult:
-        if retry_state is not None:
-            return self.inner.fetch_boxes(boxes, retry_state=retry_state)
-        return self.inner.fetch_boxes(boxes)
 
 
 def build_backend(table, resilience=None, obs=None):

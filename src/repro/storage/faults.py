@@ -31,8 +31,6 @@ import threading
 from dataclasses import dataclass, replace
 from typing import List, Optional, Union
 
-import numpy as np
-
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 from repro.storage.table import DiskTable, RangeResult
 
@@ -312,11 +310,10 @@ class FaultyDiskTable:
     """A :class:`DiskTable` wrapper that injects faults on the read path.
 
     Everything not overridden delegates to the wrapped table (metadata,
-    persistence, updates, stats); ``range_query``/``fetch_boxes``/
-    ``full_scan`` consult the injector first.  ``fetch_boxes`` is re-routed
-    through this wrapper's ``range_query`` so every decomposed MPR box is an
-    independent fault opportunity, exactly like separate SQL range queries
-    against a flaky disk.
+    persistence, updates, stats); ``range_query`` and ``full_scan`` consult
+    the injector first.  The executor issues one ``range_query`` per
+    decomposed MPR box, so every box is an independent fault opportunity,
+    exactly like separate SQL range queries against a flaky disk.
     """
 
     def __init__(self, inner: DiskTable, injector: FaultInjector):
@@ -359,45 +356,6 @@ class FaultyDiskTable:
             points[row, col] = float("nan")
             result = replace(result, points=points)
         return result
-
-    def fetch_boxes(self, boxes) -> RangeResult:
-        all_points = []
-        all_rows = []
-        fetched = 0
-        io_total = 0.0
-        for box in boxes:
-            result = self.range_query(box)
-            fetched += result.rows_fetched
-            io_total += result.io_ms
-            # Concatenate points and rowids independently: a truncated box
-            # (len(points) < len(rowids)) keeps its detectable length
-            # mismatch in the aggregate instead of silently losing rows.
-            if len(result.points):
-                all_points.append(result.points)
-            if len(result.rowids):
-                all_rows.append(result.rowids)
-        if not all_rows and not all_points:
-            empty = self.inner._empty_result()
-            return RangeResult(
-                points=empty.points,
-                rowids=empty.rowids,
-                rows_fetched=fetched,
-                io_ms=io_total,
-            )
-        return RangeResult(
-            points=(
-                np.concatenate(all_points)
-                if all_points
-                else self.inner._empty_result().points
-            ),
-            rowids=(
-                np.concatenate(all_rows)
-                if all_rows
-                else self.inner._empty_result().rowids
-            ),
-            rows_fetched=fetched,
-            io_ms=io_total,
-        )
 
     def full_scan(self) -> RangeResult:
         kind = self.injector.draw("full_scan")

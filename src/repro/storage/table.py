@@ -37,7 +37,7 @@ import math
 import threading
 import zlib
 from dataclasses import dataclass, replace
-from typing import Iterable, List, Literal, Optional, Sequence
+from typing import List, Literal, Optional, Sequence
 
 import numpy as np
 
@@ -337,52 +337,6 @@ class DiskTable:
             rows_fetched=rows_fetched,
         )
 
-    def fetch_boxes(self, boxes: Iterable[Box]) -> RangeResult:
-        """Execute one range query per box and concatenate the results.
-
-        Boxes produced by the MPR decomposition are disjoint, so the union
-        needs no deduplication.
-        """
-        if self.obs.enabled:
-            boxes = list(boxes)
-            with self.obs.tracer.span("table.fetch_boxes", boxes=len(boxes)) as span:
-                result = self._fetch_boxes(boxes)
-                span.set(rows=len(result), rows_fetched=result.rows_fetched)
-            return result
-        return self._fetch_boxes(boxes)
-
-    def _fetch_boxes(self, boxes: Iterable[Box]) -> RangeResult:
-        all_points: List[np.ndarray] = []
-        all_rows: List[np.ndarray] = []
-        fetched = 0
-        io_total = 0.0
-        pages_total = 0
-        seeks_total = 0
-        for box in boxes:
-            result = self.range_query(box)
-            fetched += result.rows_fetched
-            io_total += result.io_ms
-            pages_total += result.pages_read
-            seeks_total += result.seeks
-            if len(result):
-                all_points.append(result.points)
-                all_rows.append(result.rowids)
-        if not all_rows:
-            return replace(
-                self._empty_result(),
-                io_ms=io_total,
-                pages_read=pages_total,
-                seeks=seeks_total,
-            )
-        return RangeResult(
-            points=np.concatenate(all_points),
-            rowids=np.concatenate(all_rows),
-            rows_fetched=fetched,
-            io_ms=io_total,
-            pages_read=pages_total,
-            seeks=seeks_total,
-        )
-
     def full_scan(self) -> RangeResult:
         """Sequentially scan the whole table."""
         if self.obs.enabled:
@@ -454,77 +408,77 @@ class DiskTable:
     def load(cls, path) -> "DiskTable":
         """Load a table saved with :meth:`save`, validating its integrity.
 
-        Raises :class:`CorruptTableError` when the archive is missing
-        required keys, carries a malformed heap or tombstone bitmap,
-        contains non-finite rows, or fails its stored checksum.  Archives
-        written before checksums existed (no ``checksum`` key) are accepted
-        after the structural checks.
+        Raises :class:`CorruptTableError` -- and nothing else -- when the
+        archive is unreadable, is missing required keys, carries a malformed
+        heap or tombstone bitmap, contains non-finite rows, or fails its
+        stored checksum.  Archives written before checksums existed (no
+        ``checksum`` key) are accepted after the structural checks.
         """
-        with np.load(path, allow_pickle=False) as archive:
-            missing = _REQUIRED_ARCHIVE_KEYS - set(archive.files)
-            if missing:
-                raise CorruptTableError(
-                    f"table archive {path} is missing required keys: "
-                    f"{sorted(missing)}"
-                )
-            data = np.asarray(archive["data"])
-            alive = np.asarray(archive["alive"])
-            if data.ndim != 2:
-                raise CorruptTableError(
-                    f"table archive {path}: data must be 2-D, got {data.ndim}-D"
-                )
-            if not np.issubdtype(data.dtype, np.number):
-                raise CorruptTableError(
-                    f"table archive {path}: data has non-numeric dtype {data.dtype}"
-                )
-            if alive.ndim != 1 or len(alive) != len(data):
-                raise CorruptTableError(
-                    f"table archive {path}: alive bitmap length {alive.shape} "
-                    f"does not match {len(data)} heap rows"
-                )
-            if alive.dtype != np.bool_:
-                raise CorruptTableError(
-                    f"table archive {path}: alive bitmap has dtype "
-                    f"{alive.dtype}, expected bool"
-                )
-            if data.size and not np.isfinite(data).all():
-                live_bad = bool(np.any(~np.isfinite(data[alive])))
-                where = "live rows" if live_bad else "tombstoned rows"
-                raise CorruptTableError(
-                    f"table archive {path}: non-finite values in {where}"
-                )
-            if "checksum" in archive.files:
-                stored = int(archive["checksum"])
-                actual = _archive_checksum(data, alive)
-                if stored != actual:
+        try:
+            with np.load(path, allow_pickle=False) as archive:
+                missing = _REQUIRED_ARCHIVE_KEYS - set(archive.files)
+                if missing:
                     raise CorruptTableError(
-                        f"table archive {path}: checksum mismatch "
-                        f"(stored {stored:#010x}, computed {actual:#010x})"
+                        f"table archive {path} is missing required keys: "
+                        f"{sorted(missing)}"
                     )
-            cost = np.asarray(archive["cost_model"], dtype=float)
-            if cost.shape != (4,):
-                raise CorruptTableError(
-                    f"table archive {path}: cost_model must hold 4 values, "
-                    f"got shape {cost.shape}"
+                data = np.asarray(archive["data"])
+                alive = np.asarray(archive["alive"])
+                if data.ndim != 2:
+                    raise CorruptTableError(
+                        f"table archive {path}: data must be 2-D, got {data.ndim}-D"
+                    )
+                if not np.issubdtype(data.dtype, np.number):
+                    raise CorruptTableError(
+                        f"table archive {path}: data has non-numeric dtype {data.dtype}"
+                    )
+                if alive.ndim != 1 or len(alive) != len(data):
+                    raise CorruptTableError(
+                        f"table archive {path}: alive bitmap length {alive.shape} "
+                        f"does not match {len(data)} heap rows"
+                    )
+                if alive.dtype != np.bool_:
+                    raise CorruptTableError(
+                        f"table archive {path}: alive bitmap has dtype "
+                        f"{alive.dtype}, expected bool"
+                    )
+                if data.size and not np.isfinite(data).all():
+                    live_bad = bool(np.any(~np.isfinite(data[alive])))
+                    where = "live rows" if live_bad else "tombstoned rows"
+                    raise CorruptTableError(
+                        f"table archive {path}: non-finite values in {where}"
+                    )
+                if "checksum" in archive.files:
+                    stored = int(archive["checksum"])
+                    actual = _archive_checksum(data, alive)
+                    if stored != actual:
+                        raise CorruptTableError(
+                            f"table archive {path}: checksum mismatch "
+                            f"(stored {stored:#010x}, computed {actual:#010x})"
+                        )
+                cost = np.asarray(archive["cost_model"], dtype=float)
+                if cost.shape != (4,):
+                    raise CorruptTableError(
+                        f"table archive {path}: cost_model must hold 4 values, "
+                        f"got shape {cost.shape}"
+                    )
+                plan = str(archive["plan"])
+                if plan not in ("best_index", "bitmap", "seqscan"):
+                    raise CorruptTableError(
+                        f"table archive {path}: unknown plan kind {plan!r}"
+                    )
+                model = DiskCostModel(
+                    seek_ms=float(cost[0]),
+                    page_read_ms=float(cost[1]),
+                    page_size=int(cost[2]),
+                    clustered=bool(cost[3]),
                 )
-            plan = str(archive["plan"])
-            if plan not in ("best_index", "bitmap", "seqscan"):
-                raise CorruptTableError(
-                    f"table archive {path}: unknown plan kind {plan!r}"
+                buffer_pages = int(archive["buffer_pages"])
+                columns = (
+                    tuple(str(c) for c in archive["columns"])
+                    if bool(archive["has_columns"])
+                    else None
                 )
-            model = DiskCostModel(
-                seek_ms=float(cost[0]),
-                page_read_ms=float(cost[1]),
-                page_size=int(cost[2]),
-                clustered=bool(cost[3]),
-            )
-            buffer_pages = int(archive["buffer_pages"])
-            columns = (
-                tuple(str(c) for c in archive["columns"])
-                if bool(archive["has_columns"])
-                else None
-            )
-            try:
                 table = cls(
                     data,
                     cost_model=model,
@@ -533,11 +487,16 @@ class DiskTable:
                     buffer_pages=buffer_pages or None,
                     columns=columns,
                 )
-            except ValueError as exc:
-                raise CorruptTableError(
-                    f"table archive {path} failed validation: {exc}"
-                ) from exc
-            table._alive = alive.copy()
+                table._alive = alive.copy()
+        except CorruptTableError:
+            raise
+        except Exception as exc:
+            # A flipped byte in the zip container can surface almost any
+            # stdlib exception type (BadZipFile, zlib.error, ValueError,
+            # NotImplementedError, ...); any parse failure IS corruption.
+            raise CorruptTableError(
+                f"table archive {path} is unreadable: {exc}"
+            ) from exc
         return table
 
     # ------------------------------------------------------------------

@@ -22,9 +22,9 @@ class TestRegistry:
             "fig5a", "fig5b", "fig5c", "fig6", "fig7", "fig8",
             "fig9a", "fig9b", "fig10", "fig11a", "fig11b",
             "fig12a", "fig12b", "warmstart", "serving", "sharding",
-            "ablation-replacement", "ablation-multi-item",
-            "ablation-invalidation", "ablation-skyline-algorithm",
-            "ablation-page-cache", "ablation-cost-strategy",
+            "ablation-replacement", "ablation-invalidation",
+            "ablation-skyline-algorithm", "ablation-page-cache",
+            "ablation-cost-strategy",
         }
         assert expected == set(ALL_EXPERIMENTS)
 

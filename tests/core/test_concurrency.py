@@ -89,7 +89,7 @@ class TestExecutorMerging:
             outcome = parallel.fetch(table, QUADRANTS)
         finally:
             parallel.close()
-        expected = reference.fetch_boxes(QUADRANTS)
+        expected = Executor(workers=1).fetch(reference, QUADRANTS).result
         assert outcome.result.points.tobytes() == expected.points.tobytes()
         assert np.array_equal(outcome.result.rowids, expected.rowids)
         assert table.stats.range_queries == reference.stats.range_queries

@@ -209,7 +209,8 @@ class TestApproximateMPR:
         )
 
     def test_fewer_boxes_than_exact_in_higher_dims(self):
-        data = generate("independent", 400, 5, seed=9)
+        # 120 rows: exact 2 048 boxes vs aMPR 36 (400 rows: 27 372, 14 s)
+        data = generate("independent", 120, 5, seed=9)
         old = Constraints([0.1] * 5, [0.9] * 5)
         new = Constraints([0.15] * 5, [0.95] * 5)
         old_sky = constrained_skyline_oracle(data, old)

@@ -11,16 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.ampr import ApproximateMPR
-from repro.core.cbcs import CBCS
-from repro.core.dynamic import DynamicCBCS
 from repro.core.mpr import _coarsen_dominators, compute_mpr
-from repro.core.multi import MultiItemMPR
 from repro.data.generator import generate
 from repro.geometry.box import pairwise_disjoint, union_mask
 from repro.geometry.constraints import Constraints
 from repro.skyline.sfs import sfs_skyline
-from repro.storage.table import DiskTable
-from repro.workload.generator import WorkloadGenerator
 
 from tests.core.conftest import (
     assert_same_point_set,
@@ -103,45 +98,3 @@ class TestCoarsening:
         anchors = _coarsen_dominators(pts, 5)
         for p in pts:
             assert any(np.all(a <= p + 1e-12) for a in anchors)
-
-
-class TestCombinedExtensions:
-    def test_dynamic_engine_with_multi_item_region(self):
-        """Dynamic maintenance and multi-item regions compose correctly."""
-        rng = np.random.default_rng(5)
-        data = generate("independent", 900, 2, seed=9)
-        engine = DynamicCBCS(
-            DiskTable(data),
-            region_computer=MultiItemMPR(k=2, max_items=2),
-        )
-        gen = WorkloadGenerator(data, seed=10)
-        for step, c in enumerate(gen.exploratory_stream(20)):
-            if step % 4 == 1:
-                engine.insert_points(rng.uniform(0, 1, size=(2, 2)))
-            if step % 5 == 2 and engine.table.live_count > 10:
-                alive = np.flatnonzero(engine.table._alive)
-                engine.delete_points(alive[:1])
-            out = engine.query(c)
-            current = engine.table.data_view()[engine.table._alive]
-            assert_same_point_set(
-                out.skyline,
-                constrained_skyline_oracle(current, c),
-                context=f"step={step}",
-            )
-
-    def test_capped_cache_with_multi_item(self):
-        from repro.core.cache import SkylineCache
-
-        data = generate("independent", 800, 2, seed=11)
-        engine = CBCS(
-            DiskTable(data),
-            cache=SkylineCache(capacity=3, policy="lcu"),
-            region_computer=MultiItemMPR(k=1, max_items=3),
-        )
-        gen = WorkloadGenerator(data, seed=12)
-        for c in gen.exploratory_stream(25):
-            out = engine.query(c)
-            assert_same_point_set(
-                out.skyline, constrained_skyline_oracle(data, c)
-            )
-        assert len(engine.cache) <= 3

@@ -240,13 +240,58 @@ class TestDynamicSharded:
     def test_delete_invalidates_conservatively(self):
         data = make_data(n=300)
         engine = ShardedCBCS(ShardedTable(data, 4), dynamic=True)
-        rowids = engine.insert_points(np.array([[0.5, 0.5, 0.5]]))
+        ids = engine.insert_points(np.array([[0.5, 0.5, 0.5]]))
         engine.query(stream(data)[0])
         assert len(engine.pruning_cache) == 1
-        sid = engine.table.route([0.5, 0.5, 0.5])
-        deleted = engine.delete_points(sid, rowids)
+        deleted = engine.delete_points(ids)
         assert deleted == 1
         assert len(engine.pruning_cache) == 0
+        engine.close()
+
+    def test_write_ids_round_trip_in_input_order(self):
+        """``insert_points`` names each input row by ``(shard, rowid)``, in
+        input order, and ``delete_points`` takes those same ids back."""
+        data = make_data(n=400)
+        engine = ShardedCBCS(ShardedTable(data, 4), dynamic=True)
+        # Near the origin: all three enter the unconstrained skyline.
+        new_rows = np.array(
+            [[0.99, 0.001, 0.001], [0.001, 0.002, 0.002], [0.98, 0.002, 0.0005]]
+        )
+        assert [engine.table.route(row) for row in new_rows] == [3, 0, 3]
+        ids = engine.insert_points(new_rows)
+        assert [sid for sid, _ in ids] == [3, 0, 3]
+        assert len(set(ids)) == 3
+        for (sid, rowid), row in zip(ids, new_rows):
+            np.testing.assert_array_equal(engine.engines[sid].table.row(rowid), row)
+
+        everything = Constraints([0.0, 0.0, 0.0], [1.0, 1.0, 1.0])
+        full = np.vstack([data, new_rows])
+        assert_same_point_set(
+            engine.query(everything).skyline,
+            constrained_skyline_oracle(full, everything),
+        )
+        assert engine.delete_points(ids[1:2]) == 1
+        remaining = np.vstack([data, new_rows[[0, 2]]])
+        assert_same_point_set(
+            engine.query(everything).skyline,
+            constrained_skyline_oracle(remaining, everything),
+        )
+        with pytest.raises(KeyError):  # the second row, and only it, is gone
+            engine.engines[0].table.row(ids[1][1])
+        assert engine.delete_points([ids[0], ids[2]]) == 2
+        assert_same_point_set(
+            engine.query(everything).skyline,
+            constrained_skyline_oracle(data, everything),
+        )
+        engine.close()
+
+    def test_delete_rejects_unknown_shard_before_touching_any(self):
+        data = make_data(n=300)
+        engine = ShardedCBCS(ShardedTable(data, 4), dynamic=True)
+        ids = engine.insert_points(np.array([[0.5, 0.5, 0.5]]))
+        with pytest.raises(IndexError):
+            engine.delete_points(ids + [(4, 0)])
+        assert engine.delete_points(ids) == 1  # still there: nothing applied
         engine.close()
 
     def test_dynamic_required_for_mutations(self):
@@ -254,5 +299,5 @@ class TestDynamicSharded:
         with pytest.raises(TypeError):
             engine.insert_points(np.array([[0.5, 0.5, 0.5]]))
         with pytest.raises(TypeError):
-            engine.delete_points(0, [0])
+            engine.delete_points([(0, 0)])
         engine.close()

@@ -18,10 +18,9 @@ from hypothesis.stateful import (
 )
 from hypothesis import strategies as st
 
-from repro.core.ampr import ApproximateMPR
+from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import SkylineCache
 from repro.core.dynamic import DynamicCBCS
-from repro.core.multi import MultiItemMPR
 from repro.geometry.constraints import Constraints
 from repro.skyline.reference import brute_force_skyline
 from repro.storage.table import DiskTable
@@ -41,7 +40,7 @@ class EngineMachine(RuleBasedStateMachine):
 
     @initialize(
         seed=st.integers(0, 1000),
-        region_kind=st.sampled_from(["ampr1", "ampr3", "multi"]),
+        region_kind=st.sampled_from(["ampr1", "ampr3", "exact"]),
         capacity=st.sampled_from([None, 4]),
     )
     def setup(self, seed, region_kind, capacity):
@@ -50,7 +49,7 @@ class EngineMachine(RuleBasedStateMachine):
         regions = {
             "ampr1": ApproximateMPR(1),
             "ampr3": ApproximateMPR(3),
-            "multi": MultiItemMPR(k=1, max_items=2),
+            "exact": ExactMPR(),
         }
         self.engine = DynamicCBCS(
             DiskTable(data),

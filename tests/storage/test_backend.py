@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.executor import Executor
 from repro.data.generator import independent
 from repro.geometry.box import Box
 from repro.geometry.constraints import Constraints
@@ -31,6 +32,10 @@ def table(data):
 
 
 BOX = Constraints([0.1, 0.1], [0.8, 0.8]).region()
+HALVES = [
+    Constraints([0.0, 0.0], [0.5, 1.0]).region(),
+    Constraints([0.5, 0.0], [1.0, 1.0]).region(),
+]
 
 
 class TestProtocol:
@@ -53,6 +58,49 @@ class TestProtocol:
     def test_unwrap_reaches_the_base_table(self, table):
         stack = InstrumentedBackend(ResilientBackend(table, Resilience()))
         assert unwrap(stack) is table
+
+
+def _bare(table):
+    return table
+
+
+def _fault_wrapped(table):
+    return FaultyDiskTable(table, FaultInjector("none", seed=0))
+
+
+def _resilient(table):
+    return build_backend(_fault_wrapped(table), resilience=Resilience())
+
+
+def _instrumented(table):
+    obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
+    return build_backend(_fault_wrapped(table), resilience=Resilience(), obs=obs)
+
+
+class TestOneGatherer:
+    """``Executor.fetch`` is the only place per-box results are merged: on
+    every stack the merged record carries all four per-box actuals."""
+
+    @pytest.mark.parametrize(
+        "stack", [_bare, _fault_wrapped, _resilient, _instrumented]
+    )
+    def test_merged_result_sums_every_counter(self, table, stack):
+        before = table.stats.snapshot()
+        outcome = Executor(workers=1).fetch(stack(table), HALVES)
+        delta = table.stats.delta_since(before)
+        merged, parts = outcome.result, outcome.parts
+        assert len(parts) == len(HALVES) == delta.range_queries
+        assert merged.rows_fetched == sum(p.rows_fetched for p in parts)
+        assert merged.rows_fetched == delta.points_read > 0
+        assert merged.io_ms == pytest.approx(sum(p.io_ms for p in parts))
+        assert merged.io_ms == pytest.approx(delta.simulated_io_ms)
+        assert merged.pages_read == sum(p.pages_read for p in parts)
+        assert merged.pages_read == delta.pages_read > 0
+        assert merged.seeks == sum(p.seeks for p in parts)
+        assert merged.seeks == delta.seeks > 0
+        assert np.array_equal(
+            merged.rowids, np.concatenate([p.rowids for p in parts])
+        )
 
 
 class TestBuildBackend:
@@ -156,14 +204,11 @@ class TestBreakerIntegration:
             backend.range_query(BOX)
         assert injector.calls == calls_before  # rejected before any I/O
 
-    def test_fetch_boxes_is_per_box_protected(self, data):
+    def test_executor_fetch_is_per_box_protected(self, data):
         backend, injector, breaker = self.make_stack(data, threshold=5)
-        halves = [
-            Constraints([0.0, 0.0], [0.5, 1.0]).region(),
-            Constraints([0.5, 0.0], [1.0, 1.0]).region(),
-        ]
-        result = backend.fetch_boxes(halves)
-        raw = DiskTable(data).fetch_boxes(halves)
+        result = Executor(workers=1).fetch(backend, HALVES).result
+        raw = Executor(workers=1).fetch(DiskTable(data), HALVES).result
+        assert injector.calls == len(HALVES)  # one guarded operation per box
         assert np.array_equal(
             np.sort(result.rowids), np.sort(raw.rowids)
         )

@@ -115,3 +115,47 @@ class TestCorruptionDetected:
 
     def test_corrupt_error_is_value_error(self):
         assert issubclass(CorruptTableError, ValueError)
+
+
+class TestDamagedArchiveSweep:
+    """Mirror of the cache's sweep (``TestChecksumRoundTrip``): a damaged
+    ``table.npz`` either raises the typed :class:`CorruptTableError` (never a
+    raw zipfile/zlib/numpy error) or -- when the damage lands in an ignorable
+    zip header field -- still loads the exact rows and tombstones.  What must
+    never happen is silently loading a *different* table."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        table = DiskTable(independent(24, 2, seed=1), columns=("a", "b"))
+        table.delete(np.array([3, 7]))
+        path = tmp_path / "table.npz"
+        table.save(path)
+        return path, path.read_bytes(), table
+
+    @staticmethod
+    def loads_identical_or_raises(path, table) -> bool:
+        """True when the load raised :class:`CorruptTableError`."""
+        try:
+            loaded = DiskTable.load(path)
+        except CorruptTableError:
+            return True
+        assert loaded._data.tobytes() == table._data.tobytes()
+        assert loaded._alive.tobytes() == table._alive.tobytes()
+        return False
+
+    def test_every_single_byte_flip(self, damaged):
+        path, blob, table = damaged
+        detected = 0
+        for offset in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            detected += self.loads_identical_or_raises(path, table)
+        # The majority of flips hit CRC-protected members or zip structure.
+        assert detected > len(blob) // 2
+
+    def test_every_truncation(self, damaged):
+        path, blob, table = damaged
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            assert self.loads_identical_or_raises(path, table), length

@@ -47,6 +47,18 @@ class TestLogApplyRecover:
         with pytest.raises(CorruptTableError):
             manager.recover()
 
+    def test_recover_over_damaged_checkpoint_raises_the_typed_error(
+        self, tmp_path
+    ):
+        manager = DurabilityManager(tmp_path, fsync=False)
+        manager.ensure_checkpoint(_table())
+        manager.close()
+        blob = bytearray(manager.table_path.read_bytes())
+        blob[0] ^= 0xFF  # the first member's zip signature: never ignorable
+        manager.table_path.write_bytes(bytes(blob))
+        with pytest.raises(CorruptTableError):
+            DurabilityManager(tmp_path, fsync=False).recover()
+
     def test_insert_replay_is_idempotent_over_newer_snapshot(self, tmp_path):
         """A crash between snapshot replace and meta replace leaves the WAL
         holding batches the snapshot already contains; ``start`` skips them."""

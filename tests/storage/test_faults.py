@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.executor import Executor
 from repro.data.generator import independent
 from repro.geometry.box import Box
 from repro.storage.faults import (
@@ -129,13 +130,13 @@ class TestFaultyDiskTable:
         result = wrapped.range_query(full_box(2))
         assert len(result.points) < len(result.rowids)
 
-    def test_truncation_survives_fetch_boxes_aggregation(self):
+    def test_truncation_survives_executor_merge(self):
         wrapped = self.faulty(FaultProfile(truncate=1.0))
         halves = [
             Box.closed([0.0, 0.0], [0.5, 1.0]),
             Box.closed([0.5, 0.0], [1.0, 1.0]),
         ]
-        result = wrapped.fetch_boxes(halves)
+        result = Executor(workers=1).fetch(wrapped, halves).result
         assert len(result.points) != len(result.rowids)
 
     def test_corruption_injects_nan(self):

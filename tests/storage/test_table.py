@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.executor import Executor
 from repro.geometry.box import Box
 from repro.geometry.interval import Interval
 from repro.storage.costmodel import DiskCostModel
@@ -179,7 +180,7 @@ class TestAccounting:
         assert delta.seeks >= 1
         assert delta.simulated_io_ms > 0
 
-    def test_fetch_boxes_accumulates(self, table):
+    def test_executor_fetch_accumulates(self, table):
         t, data = table
         boxes = [
             Box.closed([0.0, 0.0, 0.0], [0.3, 1.0, 1.0]),
@@ -192,7 +193,7 @@ class TestAccounting:
             ),
         ]
         before = t.stats.snapshot()
-        result = t.fetch_boxes(boxes)
+        result = Executor(workers=1).fetch(t, boxes).result
         delta = t.stats.delta_since(before)
         assert delta.range_queries == 2
         # disjoint boxes: no duplicate rowids in the union
@@ -200,9 +201,9 @@ class TestAccounting:
         expected = np.flatnonzero(data[:, 0] <= 0.6)
         assert sorted(result.rowids) == sorted(expected)
 
-    def test_fetch_boxes_empty(self, table):
+    def test_executor_fetch_of_no_boxes_is_empty(self, table):
         t, _ = table
-        result = t.fetch_boxes([])
+        result = Executor(workers=1).fetch(t, []).result
         assert len(result) == 0
 
     def test_full_scan(self, table):
