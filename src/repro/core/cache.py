@@ -28,6 +28,7 @@ from typing import Dict, List, Literal, Optional
 import numpy as np
 
 from repro.geometry.constraints import Constraints
+from repro.geometry.dominance import dominated_mask
 from repro.ioutil import atomic_savez
 from repro.obs.correlate import current_query_id
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -412,12 +413,8 @@ class SkylineCache:
             if len(sky) <= sample
             else np.linspace(0, len(sky) - 1, sample).astype(int)
         )
-        for i in probe:
-            le = np.all(sky <= sky[i], axis=1)
-            lt = np.any(sky < sky[i], axis=1)
-            if np.any(le & lt):
-                problems.append("dominated")
-                break
+        if dominated_mask(sky[probe], sky).any():
+            problems.append("dominated")
         return problems
 
     def quarantine(self, item: CacheItem, reason: str = "invariant-violation") -> None:

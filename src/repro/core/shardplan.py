@@ -42,6 +42,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.geometry.constraints import Constraints
+from repro.geometry.dominance import dominates
 from repro.storage.sharding import ShardSummary
 
 DECISION_DISJOINT = "disjoint"
@@ -131,14 +132,12 @@ def prune_shards(
         # corner(j): the most optimistic point shard j could place in C.
         corner = np.maximum(s.mbr_lo, lo)
         verdict: Optional[ShardDecision] = None
-        for dom in dominators:
-            if dom.shard_id == s.shard_id:
-                continue
-            if np.all(dom.mbr_hi <= corner) and np.any(dom.mbr_hi < corner):
+        for other in dominators:
+            if other.shard_id != s.shard_id and dominates(other.mbr_hi, corner):
                 verdict = ShardDecision(
                     s.shard_id,
                     DECISION_DOMINATED,
-                    f"dominated-by-shard{dom.shard_id}",
+                    f"dominated-by-shard{other.shard_id}",
                 )
                 break
         decisions[s.shard_id] = verdict or ShardDecision(

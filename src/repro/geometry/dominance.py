@@ -25,6 +25,12 @@ import numpy as np
 from repro.geometry.box import Box
 from repro.geometry.constraints import Constraints
 
+#: Largest ``rows x dominators`` table :func:`dominated_mask` materializes at
+#: once: two boolean tables plus two comparison temporaries of this many
+#: bytes, 1 MiB in all.  Larger inputs are processed in row chunks; measured
+#: flat from 64 Ki cells up, so the smaller footprint is free.
+_MAX_CELLS = 1 << 18
+
 
 def dominates(s: Sequence[float], t: Sequence[float]) -> bool:
     """Return True if point ``s`` dominates point ``t``."""
@@ -46,17 +52,37 @@ def dominated_mask(points: np.ndarray, dominators: np.ndarray) -> np.ndarray:
     """Return a mask of rows of ``points`` dominated by any row of ``dominators``.
 
     ``points`` is ``(n, d)`` and ``dominators`` is ``(m, d)``; the result has
-    length ``n``.  Runs one vectorized pass per dominator, i.e. ``O(m)``
-    numpy operations of size ``n`` -- appropriate when ``m`` (e.g. a cached
-    skyline) is much smaller than ``n`` (candidate points).
+    length ``n``.  This is the one dominance kernel of the library: SFS, the
+    D&C / BSkyTree merges, cache verification and skyline maintenance all
+    call it.  It builds the ``(n, m)`` "``<=`` in every dimension" and
+    "``<`` in some dimension" tables one dimension at a time -- ``2 d``
+    broadcast comparisons, no reduction over the short length-``d`` axis and
+    no Python loop over dominators -- a chunk of rows at a time, so each
+    boolean temporary holds at most ``max(_MAX_CELLS, m)`` cells.
     """
     points = np.asarray(points, dtype=float)
     dominators = np.asarray(dominators, dtype=float)
-    out = np.zeros(len(points), dtype=bool)
-    for dom in dominators:
-        le = np.all(points >= dom, axis=1)
-        lt = np.any(points > dom, axis=1)
-        out |= le & lt
+    n, m = len(points), len(dominators)
+    out = np.zeros(n, dtype=bool)
+    if n == 0 or m == 0:
+        return out
+    if points.shape[1:] != dominators.shape[1:]:
+        raise ValueError(
+            f"points {points.shape} and dominators {dominators.shape} differ in width"
+        )
+    columns = np.ascontiguousarray(dominators.T)  # each comparison streams a row
+    rows = max(1, _MAX_CELLS // m)
+    for start in range(0, n, rows):
+        block = points[start : start + rows]
+        value = block[:, :1]
+        le = columns[0] <= value
+        lt = columns[0] < value
+        for i in range(1, block.shape[1]):
+            value = block[:, i : i + 1]
+            le &= columns[i] <= value
+            lt |= columns[i] < value
+        le &= lt
+        out[start : start + rows] = le.any(axis=1)
     return out
 
 

@@ -32,6 +32,7 @@ from typing import Dict, List
 
 import numpy as np
 
+from repro.geometry.dominance import dominated_mask
 from repro.skyline.bnl import bnl_skyline
 
 _BASE_CASE = 64
@@ -88,7 +89,9 @@ def _recurse(points: np.ndarray, indices: np.ndarray) -> np.ndarray:
                 continue
             if other & ~code:
                 continue  # not a subset: cannot dominate anything in `code`
-            survivors = _filter_against(points, survivors, other_sky)
+            survivors = survivors[
+                ~dominated_mask(points[survivors], points[other_sky])
+            ]
             if len(survivors) == 0:
                 break
         result.append(survivors)
@@ -118,18 +121,3 @@ def _select_pivot(subset: np.ndarray) -> int:
         if score > best_score:
             best_pos, best_score = int(pos), score
     return best_pos
-
-
-def _filter_against(
-    points: np.ndarray, candidates: np.ndarray, dominators: np.ndarray
-) -> np.ndarray:
-    cand = points[candidates]
-    keep = np.ones(len(candidates), dtype=bool)
-    for d_idx in dominators:
-        d_row = points[d_idx]
-        le = np.all(d_row <= cand, axis=1)
-        lt = np.any(d_row < cand, axis=1)
-        keep &= ~(le & lt)
-        if not keep.any():
-            break
-    return candidates[keep]

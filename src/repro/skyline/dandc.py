@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.geometry.dominance import dominated_mask
 from repro.skyline.bnl import bnl_skyline
 
 _BASE_CASE = 64
@@ -56,25 +57,6 @@ def _dandc(points: np.ndarray, indices: np.ndarray, dim: int) -> np.ndarray:
         high = indices[~low_mask]
         sky_low = _dandc(points, low, (d + 1) % ndim)
         sky_high = _dandc(points, high, (d + 1) % ndim)
-        return np.concatenate(
-            [sky_low, _filter_dominated(points, sky_high, sky_low)]
-        )
+        survivors = ~dominated_mask(points[sky_high], points[sky_low])
+        return np.concatenate([sky_low, sky_high[survivors]])
     return indices  # all coordinates identical: mutual non-dominance
-
-
-def _filter_dominated(
-    points: np.ndarray, candidates: np.ndarray, dominators: np.ndarray
-) -> np.ndarray:
-    """Drop candidate rows dominated by any dominator row."""
-    if len(candidates) == 0 or len(dominators) == 0:
-        return candidates
-    cand = points[candidates]
-    keep = np.ones(len(candidates), dtype=bool)
-    for d_idx in dominators:
-        d_row = points[d_idx]
-        le = np.all(d_row <= cand, axis=1)
-        lt = np.any(d_row < cand, axis=1)
-        keep &= ~(le & lt)
-        if not keep.any():
-            break
-    return candidates[keep]

@@ -5,13 +5,15 @@ algorithm (BNL, SFS, BBS, CBCS) must agree with.  Also home of the two
 helpers every soak driver bit-checks answers with:
 :func:`constrained_reference` (the engine-free ground truth for one
 query) and :func:`same_multiset`.
+
+This module keeps its own dominance loop and imports nothing from
+``repro.skyline.sfs`` or ``repro.geometry.dominance``: an oracle that shared
+the kernel under test would inherit its bugs.
 """
 
 from __future__ import annotations
 
 import numpy as np
-
-from repro.skyline.sfs import sfs_skyline
 
 
 def brute_force_skyline(points: np.ndarray) -> np.ndarray:
@@ -58,4 +60,4 @@ def constrained_reference(data: np.ndarray, constraints) -> np.ndarray:
     region = data[constraints.satisfied_mask(data)]
     if len(region) == 0:
         return region
-    return region[sfs_skyline(region)]
+    return region[brute_force_skyline(region)]

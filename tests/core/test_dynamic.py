@@ -154,6 +154,57 @@ class TestCacheMaintenance:
         with pytest.raises(ValueError):
             DynamicCBCS(DiskTable(np.zeros((1, 2))), on_delete="ignore")
 
+    def test_batch_maintenance_keeps_item_ids_and_row_order(self):
+        """Maintenance walks rows x items in a fixed order, so the ids the
+        cache hands out, the row order inside each skyline and both I/O
+        counts are part of the contract (pinned from the scalar-kernel
+        engine); every skyline is also checked against the oracle."""
+        data = np.array(
+            [[1, 9], [2, 7], [4, 4], [7, 2], [9, 1],
+             [5, 5], [6, 6], [3, 8], [8, 3], [5, 9]],
+            dtype=float,
+        )  # fmt: skip
+        engine = DynamicCBCS(DiskTable(data))
+        engine.query(Constraints([0, 0], [10, 10]))
+        engine.query(Constraints([3, 3], [10, 10]))
+
+        def cached():
+            for item in engine.cache:
+                assert_same_point_set(
+                    item.skyline,
+                    constrained_skyline_oracle(
+                        live_data(engine.table), item.constraints
+                    ),
+                )
+            return [
+                (item.item_id, item.constraints.lo[0], item.skyline.tolist())
+                for item in engine.cache
+            ]
+
+        assert cached() == [
+            (1, 0.0, [[1, 9], [2, 7], [4, 4], [7, 2], [9, 1]]),
+            (2, 3.0, [[4, 4], [3, 8], [8, 3]]),
+        ]
+        # enters both skylines (evicting (4, 4)), dominated in both, enters
+        # the wide one only, and an exact duplicate of the first row
+        new_ids = engine.insert_points(
+            np.array([[3.5, 3.5], [6, 6], [0.5, 9.5], [3.5, 3.5]])
+        )
+        assert list(new_ids) == [10, 11, 12, 13]
+        assert cached() == [
+            (6, 3.0, [[3, 8], [8, 3], [3.5, 3.5], [3.5, 3.5]]),
+            (7, 0.0, [[1, 9], [2, 7], [7, 2], [9, 1],
+                      [3.5, 3.5], [0.5, 9.5], [3.5, 3.5]]),
+        ]  # fmt: skip
+        # both duplicates, a dominated row and a skyline row of the wide item
+        assert engine.delete_points([10, 6, 0, 13]) == 4
+        assert cached() == [
+            (8, 3.0, [[3, 8], [4, 4], [8, 3]]),
+            (9, 0.0, [[0.5, 9.5], [2, 7], [4, 4], [7, 2], [9, 1]]),
+        ]
+        assert engine.table.stats.range_queries == 5
+        assert engine.table.stats.points_read == 28
+
 
 class TestInterleavedEquivalence:
     """The load-bearing property: queries stay exact through churn."""

@@ -1,10 +1,12 @@
 """Tests for :mod:`repro.geometry.dominance`."""
 
 import numpy as np
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.geometry import dominance
 from repro.geometry.constraints import Constraints
 from repro.geometry.dominance import (
     dominance_region,
@@ -68,8 +70,66 @@ class TestVectorized:
 
     def test_dominated_mask_empty_dominators(self):
         pts = np.ones((5, 2))
-        mask = dominated_mask(pts, np.empty((0, 2)))
-        assert not mask.any()
+        for empty in (np.empty((0, 2)), np.empty(0), []):
+            mask = dominated_mask(pts, empty)
+            assert mask.shape == (5,) and mask.dtype == bool and not mask.any()
+
+    def test_dominated_mask_empty_points(self):
+        for empty in (np.empty((0, 2)), np.empty(0), []):
+            mask = dominated_mask(empty, np.ones((5, 2)))
+            assert mask.shape == (0,) and mask.dtype == bool
+
+    def test_dominated_mask_rejects_mismatched_widths(self):
+        with pytest.raises(ValueError):
+            dominated_mask(np.ones((5, 2)), np.zeros((3, 3)))
+
+
+def per_dominator_loop(points, dominators):
+    """The loop :func:`dominated_mask` replaced, kept as its reference."""
+    out = np.zeros(len(points), dtype=bool)
+    for dom in dominators:
+        le = np.all(points >= dom, axis=1)
+        lt = np.any(points > dom, axis=1)
+        out |= le & lt
+    return out
+
+
+class TestDominatedMaskKernel:
+    @pytest.mark.parametrize("ndim", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 70), (70, 1), (33, 47), (400, 90)])
+    def test_matches_per_dominator_loop(self, n, m, ndim):
+        rng = np.random.default_rng(1000 * n + 10 * m + ndim)
+        # a coarse grid, so ties, duplicates and dominance are all common
+        pts = rng.integers(0, 4, size=(n, ndim)).astype(float)
+        doms = rng.integers(0, 4, size=(m, ndim)).astype(float)
+        np.testing.assert_array_equal(
+            dominated_mask(pts, doms), per_dominator_loop(pts, doms)
+        )
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_edge(self, offset):
+        """``n`` one short of, at and one past a whole number of row chunks."""
+        m = 1024
+        rows = dominance._MAX_CELLS // m
+        rng = np.random.default_rng(offset + 1)
+        pts = rng.random((2 * rows + offset, 3))
+        doms = rng.random((m, 3)) + 0.5
+        expected = per_dominator_loop(pts, doms)
+        assert 0 < expected.sum() < len(pts)
+        np.testing.assert_array_equal(dominated_mask(pts, doms), expected)
+
+    def test_more_dominators_than_cells(self, monkeypatch):
+        """A dominator set wider than the cell budget still gets one row."""
+        monkeypatch.setattr(dominance, "_MAX_CELLS", 16)
+        rng = np.random.default_rng(3)
+        pts, doms = rng.random((9, 2)), rng.random((40, 2))
+        np.testing.assert_array_equal(
+            dominated_mask(pts, doms), per_dominator_loop(pts, doms)
+        )
+
+    def test_self_comparison_keeps_duplicates(self):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
+        assert list(dominated_mask(pts, pts)) == [False, False, True, False]
 
 
 class TestDominanceRegion:

@@ -1,5 +1,8 @@
 """Cross-checks of the in-memory skyline algorithms (BNL, SFS, oracle)."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.data.generator import generate
+from repro.skyline import reference, sfs
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.bskytree import bskytree_skyline
 from repro.skyline.dandc import dandc_skyline
@@ -48,6 +52,17 @@ class TestOracle:
         assert is_skyline(pts, pts[[0, 1, 2]])
         assert not is_skyline(pts, pts[[0, 1]])
         assert not is_skyline(pts, pts[[0, 1, 3]])
+
+    def test_oracle_module_imports_numpy_only(self):
+        """The soak oracle must share no code with what it is the oracle for
+        (``repro.skyline.sfs``, ``repro.geometry.dominance``)."""
+        imported = set()
+        for node in ast.walk(ast.parse(inspect.getsource(reference))):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom):
+                imported.add(node.module)
+        assert imported == {"__future__", "numpy"}
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=["bnl", "sfs", "dandc", "bskytree"])
@@ -135,3 +150,97 @@ class TestSfsSpecifics:
             le = np.all(pts <= s, axis=1)
             lt = np.any(pts < s, axis=1)
             assert not np.any(le & lt)
+
+
+def block_edges(count=6):
+    """The input sizes at which the first ``count`` blocks end."""
+    edges, end, size = [], 0, sfs._FIRST_BLOCK
+    for _ in range(count):
+        end += size
+        edges.append(end)
+        size = min(2 * size, sfs._MAX_BLOCK)
+    return edges
+
+
+class TestSfsAcrossBlocks:
+    """Block SFS against the Definition-1 oracle on inputs that span blocks."""
+
+    LONG = 2 * sfs._MAX_BLOCK + 500  # longer than the largest block
+
+    @staticmethod
+    def check(pts):
+        np.testing.assert_array_equal(sfs_skyline(pts), brute_force_skyline(pts))
+
+    @pytest.mark.parametrize("ndim", [1, 2, 4, 6])
+    @pytest.mark.parametrize("n", [700, 3000])
+    def test_duplicate_heavy_grid(self, ndim, n):
+        rng = np.random.default_rng(100 * ndim + n)
+        self.check(rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, ndim)))
+
+    @pytest.mark.parametrize("ndim", [2, 4])
+    def test_absorbed_sum_ties(self, ndim):
+        """1e16 absorbs the small coordinates: whole runs of equal sums, so
+        only the lexicographic tie-break keeps dominators first."""
+        rng = np.random.default_rng(ndim)
+        pts = rng.integers(0, 4, size=(1500, ndim)).astype(float)
+        pts[:, 0] += 1e16
+        assert len(np.unique(pts.sum(axis=1))) < len(np.unique(pts, axis=0))
+        self.check(pts)
+
+    def test_all_identical_rows(self):
+        pts = np.tile([0.5, 0.25, 0.75], (self.LONG, 1))
+        assert len(sfs_skyline(pts)) == self.LONG
+
+    def test_total_order_chain(self):
+        chain = np.arange(self.LONG, dtype=float)
+        pts = np.column_stack([chain, chain, chain])
+        rng = np.random.default_rng(0)
+        shuffled = rng.permutation(self.LONG)
+        assert list(sfs_skyline(pts)) == [0]
+        assert list(sfs_skyline(pts[shuffled])) == [int(np.argmin(shuffled))]
+
+    def test_antichain(self):
+        ramp = np.arange(self.LONG, dtype=float)
+        pts = np.column_stack([ramp, self.LONG - ramp])
+        np.testing.assert_array_equal(sfs_skyline(pts), np.arange(self.LONG))
+
+    @pytest.mark.parametrize("edge", block_edges())
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_block_edge(self, edge, offset):
+        pts = generate("anticorrelated", edge + offset, 3, seed=edge)
+        self.check(pts)
+
+    def test_dominator_in_an_earlier_block_than_its_victim(self):
+        """A victim whose only dominator was confirmed blocks earlier."""
+        n = block_edges()[2] + 10
+        ramp = np.arange(1, n, dtype=float)
+        pts = np.vstack([np.column_stack([ramp, n - ramp]), [[1.0, n + 5.0]]])
+        # the last row is dominated by row 0 only: (1, n - 1)
+        assert n - 1 not in sfs_skyline(pts)
+        self.check(pts)
+
+
+class TestSfsRejectsUnsortableInput:
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    def test_nan_coordinate_sum(self):
+        """Regression: row 0 dominates row 1, but its ``inf - inf`` sum is
+        NaN and sorted last, so both rows used to be returned."""
+        pts = np.array([[np.inf, -np.inf], [np.inf, 5.0]])
+        assert list(brute_force_skyline(pts)) == [0]
+        with pytest.raises(ValueError, match="NaN"):
+            sfs_skyline(pts)
+
+    def test_nan_coordinate(self):
+        with pytest.raises(ValueError, match="NaN"):
+            sfs_skyline(np.array([[0.5, np.nan], [0.1, 0.2]]))
+
+    def test_one_sided_infinities_still_sort(self):
+        pts = np.array([[np.inf, 1.0], [np.inf, 2.0], [5.0, 3.0], [-np.inf, 9.0]])
+        np.testing.assert_array_equal(sfs_skyline(pts), brute_force_skyline(pts))
+
+    @pytest.mark.parametrize(
+        "pts", [np.array([0.5, 0.25, 0.75]), np.zeros((2, 3, 4))]
+    )
+    def test_not_two_dimensional(self, pts):
+        with pytest.raises(ValueError, match=r"\(n, d\)"):
+            sfs_skyline(pts)
