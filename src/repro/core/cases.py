@@ -31,8 +31,9 @@ from typing import List, Tuple
 
 import numpy as np
 
+from repro.core.mpr import _corner_union_tiling, _subtract_corners
 from repro.core.stability import guaranteed_stable
-from repro.geometry.box import Box
+from repro.geometry.box import Box, BoxSet
 from repro.geometry.constraints import Constraints, delta_region
 from repro.skyline.sfs import sfs_skyline
 
@@ -85,6 +86,19 @@ def classify_dimension_changes(old: Constraints, new: Constraints) -> List[str]:
         elif new.hi[dim] > old.hi[dim]:
             labels.append(CASE_C)
     return labels
+
+
+def bound_change_counts(
+    old_lo: np.ndarray, old_hi: np.ndarray, new: Constraints
+) -> np.ndarray:
+    """:func:`classify_dimension_changes` for every old region
+    ``[old_lo[r], old_hi[r]]`` of two ``(n, d)`` bounds arrays at once: the
+    ``(n, 4)`` counts of bounds that changed as case a, b, c and d."""
+    changes = np.stack(
+        [new.lo < old_lo, new.hi < old_hi, new.hi > old_hi, new.lo > old_lo],
+        axis=1,
+    )
+    return changes.sum(axis=2)
 
 
 @dataclass
@@ -151,9 +165,10 @@ def solve_case_c(
     skyline points (they all still satisfy ``new`` and can prune the
     expansion, unlike in case a).
     """
-    boxes = delta_region(old, new)
-    boxes = _subtract_dominance(boxes, skyline)
-    return CaseSolution(fetch_boxes=boxes, reusable=skyline)
+    skyline = np.asarray(skyline, dtype=float)
+    boxes = BoxSet.of(delta_region(old, new), ndim=new.ndim)
+    boxes = _subtract_corners(boxes, skyline)
+    return CaseSolution(fetch_boxes=boxes.boxes(), reusable=skyline)
 
 
 def solve_case_d(
@@ -173,36 +188,9 @@ def solve_case_d(
     surviving = skyline[surviving_mask]
     removed = skyline[~surviving_mask]
 
-    invalid: List[Box] = []
-    remaining = [new.region()]
-    for t in removed:
-        corner = Box.corner_at_least(t)
-        next_remaining: List[Box] = []
-        for piece in remaining:
-            hit = piece.intersect(corner)
-            if not hit.is_empty():
-                invalid.append(hit)
-            next_remaining.extend(piece.subtract_corner(t))
-        remaining = next_remaining
-    invalid = _subtract_dominance(invalid, surviving)
-    return CaseSolution(fetch_boxes=invalid, reusable=surviving)
-
-
-def _subtract_dominance(boxes: List[Box], points: np.ndarray) -> List[Box]:
-    """Remove the (closed) dominance region of every point from each box."""
-    pieces = [b for b in boxes if not b.is_empty()]
-    for u in np.asarray(points, dtype=float):
-        corner = Box.corner_at_least(u)
-        next_pieces: List[Box] = []
-        for piece in pieces:
-            if piece.overlaps(corner):
-                next_pieces.extend(piece.subtract_corner(u))
-            else:
-                next_pieces.append(piece)
-        pieces = next_pieces
-        if not pieces:
-            break
-    return pieces
+    invalid = _corner_union_tiling(BoxSet.of([new.region()]), removed, None)
+    invalid = _subtract_corners(invalid, surviving)
+    return CaseSolution(fetch_boxes=invalid.boxes(), reusable=surviving)
 
 
 CASE_SOLVERS = {

@@ -31,7 +31,7 @@ from typing import List, Optional
 import numpy as np
 
 from repro.core.stability import guaranteed_stable
-from repro.geometry.box import Box, merge_aligned_boxes, union_mask
+from repro.geometry.box import Box, BoxSet
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
 
@@ -150,12 +150,26 @@ def _compute_mpr(
     merge_boxes: bool,
     obs,
 ) -> MPRResult:
-    """The Algorithm-1 body behind :func:`compute_mpr` (see its docstring)."""
+    """The Algorithm-1 body behind :func:`compute_mpr` (see its docstring).
+
+    The region is a :class:`~repro.geometry.box.BoxSet` from the end of
+    step 1 to the ``surviving`` filter -- every step on it is a whole-set
+    array operation -- and becomes ``List[Box]`` once, in the returned
+    result.  Step 1 itself is one box minus one box and stays on
+    :meth:`Box.subtract_box`, which is faster than the set form at ``n = 1``
+    (DESIGN.md section 5, item 13).
+    """
     if old.ndim != new.ndim:
         raise ValueError("constraint dimensionality mismatch")
     skyline = np.asarray(skyline, dtype=float)
     if skyline.ndim != 2 or skyline.shape[1] != old.ndim:
         raise ValueError("skyline must be a (k, d) array matching the constraints")
+    if prune_with is not None:
+        prune_with = np.asarray(prune_with, dtype=float)
+        if prune_with.ndim != 2 or prune_with.shape[1] != old.ndim:
+            raise ValueError(
+                "prune_with must be a (k, d) array matching the constraints"
+            )
 
     surviving_mask = (
         new.satisfied_mask(skyline) if len(skyline) else np.zeros(0, dtype=bool)
@@ -170,7 +184,7 @@ def _compute_mpr(
         return MPRResult(boxes=[new.region()], surviving=surviving, stable=True)
 
     # Step 1 -- new territory: R_C' minus the overlap with the old region.
-    pieces = new.region().subtract_box(old.region())
+    pieces = BoxSet.of(new.region().subtract_box(old.region()), ndim=new.ndim)
 
     # Step 2 -- invalidation (unstable case): parts of the overlap dominated
     # by expelled skyline points.  Syntactically stable items cannot have
@@ -179,9 +193,9 @@ def _compute_mpr(
     with obs.tracer.span("stability.check") as sspan:
         stable = guaranteed_stable(old, new) or len(removed) == 0
         sspan.set(stable=stable, expelled=len(removed))
-    invalid: List[Box] = []
+    invalid = BoxSet.of([], ndim=new.ndim)
     if not stable:
-        overlap = new.region().intersect(old.region())
+        overlap = BoxSet.of([new.region().intersect(old.region())])
         anchors = removed
         if (
             max_invalidation_anchors is not None
@@ -194,29 +208,33 @@ def _compute_mpr(
 
     # Step 3 -- subtract the dominance regions of (a subset of) the
     # surviving cached skyline points.
-    pruners = surviving if prune_with is None else np.asarray(prune_with, dtype=float)
+    pruners = surviving if prune_with is None else prune_with
     pieces = _subtract_corners(pieces, pruners)
     invalid = _subtract_corners(invalid, pruners)
 
-    boxes = pieces + invalid
-    if merge_boxes and len(boxes) > 1:
-        boxes = merge_aligned_boxes(boxes)
-    if len(surviving) and boxes:
+    fetch = unmerged = BoxSet.concat([pieces, invalid])
+    if merge_boxes and len(fetch) > 1:
+        fetch = fetch.merged()
+    if len(surviving) and len(fetch):
         # Conservative boxes may cover surviving points; drop those from the
         # reuse set -- they (and their duplicates) arrive via the fetch.
-        surviving = surviving[~union_mask(boxes, surviving)]
+        surviving = surviving[~fetch.union_mask(surviving)]
 
+    boxes = fetch.boxes()
     return MPRResult(
         boxes=boxes,
         surviving=surviving,
         stable=stable,
-        invalidated_boxes=invalid,
+        # the tail of ``boxes`` unless merging rearranged them
+        invalidated_boxes=(
+            boxes[len(pieces) :] if fetch is unmerged else invalid.boxes()
+        ),
     )
 
 
 def _invalidated_regions(
-    overlap: Box, removed: np.ndarray, budget: Optional[int], obs=NULL_OBS
-) -> List[Box]:
+    overlap: BoxSet, removed: np.ndarray, budget: Optional[int], obs=NULL_OBS
+) -> BoxSet:
     """Disjoint boxes covering ``overlap`` intersected with the union of the
     expelled points' dominance regions (conservatively, under a budget).
 
@@ -230,8 +248,9 @@ def _invalidated_regions(
     2. *collapse*: a single corner region at the componentwise minimum of
        every expelled point.
     """
-    if overlap.is_empty() or len(removed) == 0:
-        return []
+    overlap = overlap.nonempty()
+    if not len(overlap) or len(removed) == 0:
+        return BoxSet.of([], ndim=overlap.ndim)
     anchors = removed
     for attempt in range(3):
         result = _corner_union_tiling(overlap, anchors, budget)
@@ -245,31 +264,26 @@ def _invalidated_regions(
             anchors = removed.min(axis=0).reshape(1, -1)
     # The single-anchor tiling is one intersection; it cannot exceed any
     # positive budget, but guard anyway.
-    hit = overlap.intersect(Box.corner_at_least(removed.min(axis=0)))
-    return [] if hit.is_empty() else [hit]
+    return overlap.split_corner(removed.min(axis=0))[0]
 
 
 def _corner_union_tiling(
-    overlap: Box, anchors: np.ndarray, budget: Optional[int]
-) -> Optional[List[Box]]:
+    overlap: BoxSet, anchors: np.ndarray, budget: Optional[int]
+) -> Optional[BoxSet]:
     """Tile ``overlap`` intersected with the union of the anchors' corner
     regions into disjoint boxes; None if the piece count exceeds ``budget``."""
-    invalid: List[Box] = []
-    remaining = [overlap]
+    invalid = [BoxSet.of([], ndim=overlap.ndim)]
+    n_invalid = 0
+    remaining = overlap
     for t in anchors:
-        if budget is not None and len(remaining) + len(invalid) > budget:
+        if budget is not None and len(remaining) + n_invalid > budget:
             return None
-        corner = Box.corner_at_least(t)
-        next_remaining: List[Box] = []
-        for piece in remaining:
-            hit = piece.intersect(corner)
-            if not hit.is_empty():
-                invalid.append(hit)
-            next_remaining.extend(piece.subtract_corner(t))
-        remaining = next_remaining
-        if not remaining:
+        hit, remaining = remaining.split_corner(t)
+        invalid.append(hit)
+        n_invalid += len(hit)
+        if not len(remaining):
             break
-    return invalid
+    return BoxSet.concat(invalid)
 
 
 def _coarsen_dominators(points: np.ndarray, groups: int) -> np.ndarray:
@@ -284,26 +298,19 @@ def _coarsen_dominators(points: np.ndarray, groups: int) -> np.ndarray:
     return np.array([chunk.min(axis=0) for chunk in chunks])
 
 
-def _subtract_corners(boxes: List[Box], points: np.ndarray) -> List[Box]:
-    """Subtract the closed corner region of every point from every box.
+def _subtract_corners(boxes: BoxSet, points: np.ndarray) -> BoxSet:
+    """Subtract the closed corner region of every point from every box
+    (``boxes`` holds no empty row and neither does the result).
 
     Points are processed in ascending coordinate-sum order: points nearer
     the origin have larger dominance regions, so processing them first
     shrinks the piece set early (the same intuition the paper borrows from
     sort-based skyline algorithms for the aMPR).
     """
-    pieces = [b for b in boxes if not b.is_empty()]
-    if not pieces or len(points) == 0:
-        return pieces
+    if not len(boxes) or len(points) == 0:
+        return boxes
     for u in points[np.argsort(points.sum(axis=1), kind="stable")]:
-        corner = Box.corner_at_least(u)
-        next_pieces: List[Box] = []
-        for piece in pieces:
-            if piece.overlaps(corner):
-                next_pieces.extend(piece.subtract_corner(u))
-            else:
-                next_pieces.append(piece)
-        pieces = next_pieces
-        if not pieces:
+        boxes = boxes.subtract_corner(u)
+        if not len(boxes):
             break
-    return pieces
+    return boxes

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.constraints import Constraints
+from repro.geometry.constraints import Constraints, overlaps_rows
 
 
 def guaranteed_stable(old: Constraints, new: Constraints) -> bool:
@@ -29,9 +29,16 @@ def guaranteed_stable(old: Constraints, new: Constraints) -> bool:
     """
     if old.ndim != new.ndim:
         raise ValueError("constraint dimensionality mismatch")
-    if bool(np.all(new.lo <= old.lo)):
-        return True
-    return not old.overlaps(new)
+    return bool(guaranteed_stable_rows(old.lo[None], old.hi[None], new)[0])
+
+
+def guaranteed_stable_rows(
+    old_lo: np.ndarray, old_hi: np.ndarray, new: Constraints
+) -> np.ndarray:
+    """Theorem 1 for every old region ``[old_lo[r], old_hi[r]]`` of two
+    ``(n, d)`` bounds arrays relative to ``new`` (the cache search
+    strategies score all their candidates with one call)."""
+    return (new.lo <= old_lo).all(axis=1) | ~overlaps_rows(old_lo, old_hi, new)
 
 
 def removed_mask(skyline: np.ndarray, new: Constraints) -> np.ndarray:

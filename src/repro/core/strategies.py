@@ -26,7 +26,7 @@ returns one item.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,11 +39,10 @@ from repro.core.cases import (
     CASE_EXACT,
     GENERAL_STABLE,
     GENERAL_UNSTABLE,
-    classify_change,
-    classify_dimension_changes,
+    bound_change_counts,
 )
-from repro.core.stability import guaranteed_stable
-from repro.geometry.constraints import Constraints
+from repro.core.stability import guaranteed_stable_rows
+from repro.geometry.constraints import Constraints, overlap_volumes, overlaps_rows
 from repro.obs import NULL_OBS
 
 Rng = Union[int, np.random.Generator, None]
@@ -57,6 +56,14 @@ class CacheSearchStrategy:
     counts the pick in ``strategy_selections_total{strategy=...}``.
     Observability defaults to the shared no-op; the CBCS engine rebinds it
     via :meth:`bind_obs` when instrumented.
+
+    A scoring strategy implements ``_scores``: the ranking keys of *all*
+    candidates at once, computed by broadcasting over the ``(n, d)`` arrays
+    of their constraint bounds.  ``_select`` picks the first lexicographic
+    maximum in candidate order (the cache lists candidates by ascending
+    ``item_id``, so that is the tie-break), and ``score`` is the one-row
+    case of the same computation.  No key is ever NaN: an argmax would
+    promote one.
     """
 
     name = "abstract"
@@ -101,21 +108,28 @@ class CacheSearchStrategy:
     def score(self, query: Constraints, item: CacheItem):
         """Inspection-only ranking score of one candidate (no side effects).
 
-        Returns whatever ``_score`` ranks by (a float or a tuple), or None
-        for strategies whose selection is not a per-item static score
-        (``Random``).  The explain layer records this next to each
-        candidate so rejections are explainable: the selected item's score
-        weakly dominates every rejected one's.
+        Returns what ``_scores`` ranks by (a float, or a tuple when there
+        are several keys), or None for strategies whose selection is not a
+        per-item static score (``Random``).  The explain layer records this
+        next to each candidate so rejections are explainable: the selected
+        item's score weakly dominates every rejected one's.
         """
         try:
-            return self._score(query, item)
+            keys = self._scores(query, *_constraint_bounds([item]))
         except NotImplementedError:
             return None
+        parts = tuple(key.item() for key in keys)
+        return parts[0] if len(parts) == 1 else parts
 
     def _select(self, query: Constraints, items: Sequence[CacheItem]) -> CacheItem:
-        return max(items, key=lambda item: self._score(query, item))
+        return items[_first_maximum(self._scores(query, *_constraint_bounds(items)))]
 
-    def _score(self, query: Constraints, item: CacheItem):
+    def _scores(
+        self, query: Constraints, lo: np.ndarray, hi: np.ndarray
+    ) -> Tuple[np.ndarray, ...]:
+        """Ranking keys (most significant first, higher is better), one
+        ``(n,)`` array each, of the candidates whose constraints are the
+        rows of ``lo`` / ``hi``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -144,8 +158,8 @@ class MaxOverlap(CacheSearchStrategy):
 
     name = "MaxOverlap"
 
-    def _score(self, query: Constraints, item: CacheItem):
-        return item.constraints.overlap_volume(query)
+    def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
+        return (overlap_volumes(lo, hi, query),)
 
 
 class MaxOverlapSP(CacheSearchStrategy):
@@ -154,9 +168,9 @@ class MaxOverlapSP(CacheSearchStrategy):
 
     name = "MaxOverlapSP"
 
-    def _score(self, query: Constraints, item: CacheItem):
-        stable = guaranteed_stable(item.constraints, query)
-        return (1 if stable else 0, item.constraints.overlap_volume(query))
+    def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
+        stable = guaranteed_stable_rows(lo, hi, query)
+        return (stable.astype(int), overlap_volumes(lo, hi, query))
 
 
 class Prioritized1D(CacheSearchStrategy):
@@ -179,12 +193,22 @@ class Prioritized1D(CacheSearchStrategy):
         GENERAL_UNSTABLE: 1,
     }
 
-    def _score(self, query: Constraints, item: CacheItem):
-        case = classify_change(item.constraints, query)
-        return (
-            self._PRIORITY.get(case, 0),
-            item.constraints.overlap_volume(query),
+    def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
+        # classify_change, for every candidate at once
+        counts = bound_change_counts(lo, hi, query)
+        changed = counts.sum(axis=1)
+        rank = self._PRIORITY
+        single = counts @ [rank[CASE_A], rank[CASE_B], rank[CASE_C], rank[CASE_D]]
+        general = np.where(
+            counts[:, 3] == 0, rank[GENERAL_STABLE], rank[GENERAL_UNSTABLE]
         )
+        priority = np.where(
+            changed == 0,
+            rank[CASE_EXACT],
+            np.where(changed == 1, single, general),
+        )
+        priority[~overlaps_rows(lo, hi, query)] = 0  # disjoint: no priority
+        return (priority, overlap_volumes(lo, hi, query))
 
 
 class PrioritizedND(CacheSearchStrategy):
@@ -217,10 +241,11 @@ class PrioritizedND(CacheSearchStrategy):
         """The paper's deliberately mis-weighted variant, PrioritizednD (Bad)."""
         return cls(10, 50, 30, 0)
 
-    def _score(self, query: Constraints, item: CacheItem):
-        labels = classify_dimension_changes(item.constraints, query)
-        penalty = sum(self.penalties[label] for label in labels)
-        return (-penalty, item.constraints.overlap_volume(query))
+    def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
+        penalty = bound_change_counts(lo, hi, query) @ [
+            self.penalties[case] for case in (CASE_A, CASE_B, CASE_C, CASE_D)
+        ]
+        return (0.0 - penalty, overlap_volumes(lo, hi, query))
 
 
 class OptimumDistance(CacheSearchStrategy):
@@ -228,9 +253,12 @@ class OptimumDistance(CacheSearchStrategy):
 
     name = "OptimumDistance"
 
-    def _score(self, query: Constraints, item: CacheItem):
-        dist = float(np.linalg.norm(item.constraints.lo - query.lo))
-        return -dist
+    def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
+        # a dimension unbounded below on both sides is at distance 0, not
+        # inf - inf
+        gap = np.zeros(lo.shape)
+        np.subtract(lo, query.lo, out=gap, where=lo != query.lo)
+        return (-np.sqrt((gap * gap).sum(axis=1)),)
 
 
 class CostBased(CacheSearchStrategy):
@@ -261,13 +289,10 @@ class CostBased(CacheSearchStrategy):
         self.max_candidates = max_candidates
 
     def _select(self, query: Constraints, items: Sequence[CacheItem]) -> CacheItem:
-        shortlist = sorted(
-            items,
-            key=lambda it: it.constraints.overlap_volume(query),
-            reverse=True,
-        )[: self.max_candidates]
-        best, best_cost = shortlist[0], float("inf")
-        for item in shortlist:
+        overlap = overlap_volumes(*_constraint_bounds(items), query)
+        shortlist = np.argsort(-overlap, kind="stable")[: self.max_candidates]
+        best, best_cost = items[shortlist[0]], float("inf")
+        for item in (items[i] for i in shortlist):
             cost = self._estimated_cost(query, item)
             if cost < best_cost:
                 best, best_cost = item, cost
@@ -290,6 +315,29 @@ class CostBased(CacheSearchStrategy):
             if rows:
                 cost += model.seek_ms + rows * per_point_ms
         return cost
+
+
+def _constraint_bounds(items: Sequence[CacheItem]) -> Tuple[np.ndarray, np.ndarray]:
+    """The candidates' constraint bounds as two ``(n, d)`` arrays."""
+    shape = (len(items), -1)
+    return (
+        np.concatenate([item.constraints.lo for item in items]).reshape(shape),
+        np.concatenate([item.constraints.hi for item in items]).reshape(shape),
+    )
+
+
+def _first_maximum(keys: Sequence[np.ndarray]) -> int:
+    """Index of the first row holding the lexicographic maximum of ``keys``
+    (what ``max`` over per-row key tuples returns)."""
+    rows = None
+    for key in keys[:-1]:
+        if rows is not None:
+            key = key[rows]
+        top = np.flatnonzero(key == key.max())
+        rows = top if rows is None else rows[top]
+    if rows is None:
+        return int(keys[-1].argmax())
+    return int(rows[keys[-1][rows].argmax()])
 
 
 def default_strategy_suite(seed: Rng = 0) -> List[CacheSearchStrategy]:

@@ -5,11 +5,18 @@ per dimension.  Boxes are the working currency of the paper's MPR algorithm
 (Section 5.2): the queried constraint region starts as a single box and is
 repeatedly split by axis-orthogonal hyperplanes into disjoint pieces, each of
 which is ultimately issued as a range query.
+
+:class:`Box` is the immutable one-box value type plans, the executor and the
+table are written in.  The splitting itself runs on :class:`BoxSet`, the same
+boxes as four ``(n, d)`` arrays, whose operations treat a whole set in a fixed
+number of broadcast array operations and reproduce the per-:class:`Box`
+methods row by row (DESIGN.md section 5, item 13).
 """
 
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -238,22 +245,376 @@ class Box:
         return f"Box({inside})"
 
 
+#: Largest broadcast table a :class:`BoxSet` operation materializes at once,
+#: in cells; larger ones are built a block of rows at a time (the bound
+#: :func:`repro.geometry.dominance.dominated_mask` uses, for the same reason).
+_MAX_CELLS = 1 << 18
+
+_Bounds = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _row_blocks(n: int, cells_per_row: int) -> Iterator[slice]:
+    """Slices covering ``range(n)``, each at most ``_MAX_CELLS`` cells."""
+    rows = max(1, _MAX_CELLS // max(cells_per_row, 1))
+    for start in range(0, n, rows):
+        yield slice(start, start + rows)
+
+
+def _empty_dims(lo, hi, lo_open, hi_open) -> np.ndarray:
+    """Elementwise :meth:`Interval.is_empty`."""
+    return (lo > hi) | ((lo == hi) & (lo_open | hi_open | np.isinf(lo)))
+
+
+def _meet(a: _Bounds, b: _Bounds) -> _Bounds:
+    """Elementwise :meth:`Interval.intersect` of two broadcastable
+    ``(lo, hi, lo_open, hi_open)`` quadruples: the tighter bound wins and
+    keeps its flag, equal bounds are open if either is."""
+    a_lo, a_hi, a_lo_open, a_hi_open = a
+    b_lo, b_hi, b_lo_open, b_hi_open = b
+    return (
+        np.maximum(a_lo, b_lo),
+        np.minimum(a_hi, b_hi),
+        (a_lo_open & (a_lo >= b_lo)) | (b_lo_open & (b_lo >= a_lo)),
+        (a_hi_open & (a_hi <= b_hi)) | (b_hi_open & (b_hi <= a_hi)),
+    )
+
+
+@lru_cache(maxsize=None)
+def _stair_masks(ndim: int, sides: int):
+    """The constant ``(piece, side, dim)`` patterns of :func:`_staircase`."""
+    piece, dim = np.indices((ndim, ndim))
+    before = (dim < piece)[:, None, :]
+    at = tuple(
+        (dim == piece)[:, None, :] & (np.arange(sides) == side)[:, None]
+        for side in range(sides)
+    )
+    first = np.zeros((ndim, sides), dtype=bool)
+    first[0, 0] = True
+    return before, at, first
+
+
+def _staircase(
+    row: _Bounds,
+    inner: _Bounds,
+    outers: Sequence[_Bounds],
+    split: Optional[np.ndarray] = None,
+) -> "BoxSet":
+    """Cut every row into the staircase of pieces that both box subtractions
+    produce, in one ``(n, d, sides, d)`` broadcast.
+
+    Piece ``(i, side)`` of a row is the row with its dimensions ``< i``
+    narrowed to ``inner`` and its dimension ``i`` to ``outers[side]`` (all
+    ``(n, d)`` bounds): for each dimension in turn the part outside the
+    subtrahend, inside it in every earlier dimension.  A row whose ``split``
+    entry is False passes through whole.  Empty pieces (and empty rows) are
+    dropped; the rest come row-major, then by ``i``, then by ``side`` -- the
+    order of the per-:class:`Box` loops.
+    """
+    ndim = row[0].shape[1]
+    before, at, first = _stair_masks(ndim, len(outers))
+    if split is not None:
+        cut = split[:, None, None, None]
+        before, at = before & cut, [here & cut for here in at]
+    pieces = []
+    for f in range(4):
+        piece = row[f][:, None, None, :]
+        for here, outer in zip(at, outers):
+            piece = np.where(here, outer[f][:, None, None, :], piece)
+        pieces.append(np.where(before, inner[f][:, None, None, :], piece))
+    keep = ~_empty_dims(*pieces).any(axis=3)
+    if split is not None:
+        keep &= split[:, None, None] | first
+    kept = np.flatnonzero(keep)
+    return BoxSet(*(piece.reshape(-1, ndim).take(kept, axis=0) for piece in pieces))
+
+
+class BoxSet:
+    """``n`` boxes of one dimensionality as four ``(n, d)`` arrays.
+
+    The structure-of-arrays twin of ``List[Box]``: ``lo`` / ``hi`` hold the
+    bounds, ``lo_open`` / ``hi_open`` the face flags, row ``r`` is the box
+    ``Box(Interval(lo[r, j], hi[r, j], lo_open[r, j], hi_open[r, j]) for j)``.
+    Every operation treats the whole set in a fixed number of broadcast
+    array operations and returns a new set whose rows are, in order and
+    flag for flag, what the per-:class:`Box` method would have produced row
+    by row (``tests/geometry/test_box.py`` holds the two against each
+    other).  Operations that split rows drop the empty pieces, as the
+    :class:`Box` methods do.  :class:`Box` stays the one-box value type the
+    rest of the system is written in; :meth:`boxes` is the way back.
+    """
+
+    __slots__ = ("lo", "hi", "lo_open", "hi_open")
+
+    def __init__(
+        self,
+        lo: np.ndarray,
+        hi: np.ndarray,
+        lo_open: np.ndarray,
+        hi_open: np.ndarray,
+    ):
+        self.lo = lo
+        self.hi = hi
+        self.lo_open = lo_open
+        self.hi_open = hi_open
+
+    # ------------------------------------------------------------------
+    # Constructors and the way back
+    # ------------------------------------------------------------------
+    @staticmethod
+    def of(boxes: Iterable[Box], ndim: Optional[int] = None) -> "BoxSet":
+        """Return the set holding ``boxes``, in order.
+
+        Raises ``ValueError`` unless every box has the same dimensionality
+        (``ndim`` when given, which also shapes an empty set).
+        """
+        rows = [box.intervals for box in boxes]
+        if ndim is None:
+            ndim = len(rows[0]) if rows else 0
+        if any(len(row) != ndim for row in rows):
+            raise ValueError(f"a BoxSet holds boxes of one dimensionality ({ndim})")
+        shape = (len(rows), ndim)
+        return BoxSet(
+            np.array([[iv.lo for iv in row] for row in rows], float).reshape(shape),
+            np.array([[iv.hi for iv in row] for row in rows], float).reshape(shape),
+            np.array([[iv.lo_open for iv in row] for row in rows], bool).reshape(shape),
+            np.array([[iv.hi_open for iv in row] for row in rows], bool).reshape(shape),
+        )
+
+    @staticmethod
+    def concat(sets: Sequence["BoxSet"]) -> "BoxSet":
+        """Return the rows of ``sets`` (at least one), one set after the other."""
+        if len({s.ndim for s in sets}) != 1:
+            raise ValueError("a BoxSet holds boxes of one dimensionality")
+        sets = [s for s in sets if len(s)] or sets[:1]
+        if len(sets) == 1:
+            return sets[0]
+        return BoxSet(*map(np.concatenate, zip(*(s._bounds() for s in sets))))
+
+    def boxes(self) -> List[Box]:
+        """Materialize the rows as :class:`Box` objects, in order."""
+        return [
+            Box(map(Interval, *row))
+            for row in zip(
+                self.lo.tolist(),
+                self.hi.tolist(),
+                self.lo_open.tolist(),
+                self.hi_open.tolist(),
+            )
+        ]
+
+    # ------------------------------------------------------------------
+    # Basic queries
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self.lo)
+
+    @property
+    def ndim(self) -> int:
+        return self.lo.shape[1]
+
+    def _bounds(self, rows=slice(None)) -> _Bounds:
+        return self.lo[rows], self.hi[rows], self.lo_open[rows], self.hi_open[rows]
+
+    def is_empty(self) -> np.ndarray:
+        """Return the ``(n,)`` mask of rows containing no point."""
+        return _empty_dims(*self._bounds()).any(axis=1)
+
+    def nonempty(self) -> "BoxSet":
+        """Return the set without its empty rows."""
+        empty = self.is_empty()
+        if not empty.any():
+            return self
+        return BoxSet(*(a[~empty] for a in self._bounds()))
+
+    def mask(self, points: np.ndarray) -> np.ndarray:
+        """Return the ``(n, m)`` table of which rows of ``points`` lie in
+        which box, honouring the open/closed flag of every face."""
+        points = self._check_points(points)
+        out = np.empty((len(self), len(points)), dtype=bool)
+        for rows in _row_blocks(len(self), points.size):
+            out[rows] = self._mask_block(rows, points)
+        return out
+
+    def union_mask(self, points: np.ndarray) -> np.ndarray:
+        """Return the ``(m,)`` mask of rows of ``points`` covered by any box."""
+        points = self._check_points(points)
+        covered = np.zeros(len(points), dtype=bool)
+        for rows in _row_blocks(len(self), points.size):
+            covered |= self._mask_block(rows, points).any(axis=0)
+        return covered
+
+    def _check_points(self, points: np.ndarray) -> np.ndarray:
+        points = np.asarray(points, dtype=float)
+        if points.ndim != 2 or points.shape[1] != self.ndim:
+            raise ValueError(
+                f"expected points of shape (m, {self.ndim}), got {points.shape}"
+            )
+        return points
+
+    def _mask_block(self, rows: slice, points: np.ndarray) -> np.ndarray:
+        # (rows, d, m): the points, not the short dimension axis, innermost
+        lo, hi, lo_open, hi_open = (a[:, :, None] for a in self._bounds(rows))
+        columns = points.T
+        inside = np.where(lo_open, columns > lo, columns >= lo)
+        inside &= np.where(hi_open, columns < hi, columns <= hi)
+        return inside.all(axis=1)
+
+    # ------------------------------------------------------------------
+    # Set algebra
+    # ------------------------------------------------------------------
+    def _corner(self, point: Sequence[float]) -> np.ndarray:
+        u = np.asarray(point, dtype=float)
+        if u.shape != (self.ndim,):
+            raise ValueError("point dimensionality mismatch")
+        return u
+
+    def _at_or_above(self, u: np.ndarray) -> _Bounds:
+        """Every row clipped to ``[u, inf)``, per dimension."""
+        lo, hi, lo_open, hi_open = self._bounds()
+        return np.maximum(lo, u), hi, lo_open & (lo >= u), hi_open | (hi == math.inf)
+
+    def _below(self, u: np.ndarray) -> _Bounds:
+        """Every row clipped to ``(-inf, u)``, per dimension."""
+        lo, hi, lo_open, hi_open = self._bounds()
+        return lo, np.minimum(hi, u), lo_open | (lo == -math.inf), hi_open | (hi >= u)
+
+    def split_corner(self, point: Sequence[float]) -> Tuple["BoxSet", "BoxSet"]:
+        """Cut every row along the planes of ``DR(point)``, the closed upper
+        corner ``{p | p >= point}``; return ``(inside, outside)``.
+
+        ``inside`` holds :meth:`Box.intersect` with the corner region of the
+        rows that meet it, ``outside`` :meth:`Box.subtract_corner` of every
+        row: piece ``i`` is the row clipped to ``[u, inf)`` in the dimensions
+        ``< i`` and to ``(-inf, u)`` in dimension ``i``, empty pieces
+        dropped, the rest piece-major, dimension-minor.
+        """
+        u = self._corner(point)
+        above = self._at_or_above(u)
+        meets = ~_empty_dims(*above).any(axis=1)
+        inside = BoxSet(*above) if meets.all() else BoxSet(*(a[meets] for a in above))
+        return inside, _staircase(self._bounds(), above, [self._below(u)])
+
+    def subtract_corner(self, point: Sequence[float]) -> "BoxSet":
+        """Return disjoint boxes covering every row minus ``DR(point)``,
+        cutting only the rows that meet it.
+
+        The ``outside`` of :meth:`split_corner`, except that a row which does
+        not meet the corner region passes through whole instead of being cut
+        along the corner's planes (the pruning step of the MPR wants
+        untouched range queries to stay large); empty rows are dropped.
+        """
+        u = self._corner(point)
+        above = self._at_or_above(u)
+        meets = ~_empty_dims(*above).any(axis=1)
+        return _staircase(self._bounds(), above, [self._below(u)], meets)
+
+    def subtract_box(self, other: Box) -> "BoxSet":
+        """Return disjoint boxes covering every row minus ``other``.
+
+        :meth:`Box.subtract_box` for the whole set: per dimension ``i`` a
+        slab below and a slab above the row's intersection with ``other``
+        (its *cut*), narrowed to the cut in the dimensions ``< i``.  A row
+        ``other`` misses passes through whole; empty rows and slabs are
+        dropped; the order is row-major, then dimension, then below before
+        above.
+        """
+        if other.ndim != self.ndim:
+            raise ValueError(
+                f"dimensionality mismatch: {self.ndim} vs {other.ndim}"
+            )
+        row = self._bounds()
+        cut = c_lo, c_hi, c_lo_open, c_hi_open = _meet(
+            row, BoxSet.of([other])._bounds()
+        )
+        below = _meet(row, (-math.inf, c_lo, True, ~c_lo_open))
+        above = _meet(row, (c_hi, math.inf, ~c_hi_open, True))
+        hit = ~_empty_dims(*cut).any(axis=1)
+        return _staircase(row, cut, [below, above], hit)
+
+    def merged(self) -> "BoxSet":
+        """Greedily merge rows that tile a larger box, to a fixpoint.
+
+        Two boxes merge along dimension ``i`` when every other dimension's
+        interval is identical (flags included) and their ``i``-intervals
+        abut exactly -- they share the boundary coordinate with exactly one
+        side closed, so the union is again one interval with no gap and no
+        double-covered point.  Each round merges the first mergeable pair
+        ``(i, j)``, ``i < j``, in row order into row ``i`` and drops row
+        ``j``, so the result is the list a restart-after-every-merge scan
+        over ``List[Box]`` produces; the pairwise table is computed once and
+        only row and column ``i`` are recomputed per merge.
+
+        Merging never changes the covered point set; it only reduces the
+        number of range queries a decomposition issues (less random
+        access), which is the aMPR's goal of "fewer, but larger, disjoint
+        range queries".
+        """
+        pool = self.nonempty()
+        n, ndim = pool.lo.shape
+        if n < 2:
+            return pool
+        # One float table ``[lo, lo_open, hi, hi_closed]`` of shape
+        # ``(4, d, n)``: an interval equals another when all four entries
+        # do, and ends where another starts, one face closed, when its
+        # ``(hi, hi_closed)`` equals the other's ``(lo, lo_open)`` -- two
+        # comparisons instead of seven, with the rows (not the short
+        # dimension axis) innermost.
+        table = np.array(
+            [pool.lo.T, pool.lo_open.T, pool.hi.T, ~pool.hi_open.T], dtype=float
+        )
+        later = np.arange(n)
+        mergeable = later > later[:, None]  # pairs (i, j), i < j, only
+        for rows in _row_blocks(n, n * ndim):
+            mergeable[rows] &= _tiles(table[:, :, rows, None], table[:, :, None], True)
+        alive = np.ones(n, dtype=bool)
+        while True:
+            i, j = divmod(int(mergeable.argmax()), n)
+            if not mergeable[i, j]:
+                break
+            k = int((table[:, :, i] != table[:, :, j]).any(axis=0).argmax())
+            part = slice(0, 2) if table[0, k, j] < table[0, k, i] else slice(2, 4)
+            table[part, k, i] = table[part, k, j]
+            alive[j] = False
+            mergeable[j, :] = False
+            mergeable[:, j] = False
+            with_i = _tiles(table[:, :, i, None], table, later > i) & alive
+            mergeable[i, i + 1 :] = with_i[i + 1 :]
+            mergeable[:i, i] = with_i[:i]
+        if alive.all():
+            return pool
+        lo, lo_open, hi, hi_closed = table[:, :, alive]
+        return BoxSet(lo.T, hi.T, lo_open.T != 0, hi_closed.T == 0)
+
+
+def _tiles(x: np.ndarray, y: np.ndarray, x_first_on_tie) -> np.ndarray:
+    """Whether the boxes ``x`` and ``y`` tile one box, for broadcastable
+    ``[lo, lo_open, hi, hi_closed]`` tables of shape ``(4, d, ...)``
+    (:meth:`BoxSet.merged`): identical intervals in all dimensions but one,
+    where the interval with the lower ``lo`` (``x`` on a tie where
+    ``x_first_on_tie``) ends exactly where the other starts, one of the two
+    faces closed."""
+    same = (x == y).all(axis=0)
+    x_first = (x[0] < y[0]) | (x_first_on_tie & (x[0] == y[0]))
+    abut = np.where(
+        x_first, (x[2:] == y[:2]).all(axis=0), (y[2:] == x[:2]).all(axis=0)
+    )
+    return (same | abut).all(axis=0) & (
+        np.count_nonzero(same, axis=0) == len(same) - 1
+    )
+
+
 def decompose_difference(base: Box, removals: Iterable[Box]) -> List[Box]:
     """Return disjoint boxes covering ``base`` minus the union of ``removals``.
 
-    Repeatedly applies :meth:`Box.subtract_box`, keeping the pieces disjoint
-    throughout.  Used for computing the invalidated overlap regions in the
-    unstable MPR case.
+    Repeatedly applies :meth:`BoxSet.subtract_box`, keeping the pieces
+    disjoint throughout.
     """
-    pieces = [base] if not base.is_empty() else []
+    pieces = BoxSet.of([base]).nonempty()
     for removal in removals:
-        next_pieces: List[Box] = []
-        for piece in pieces:
-            next_pieces.extend(piece.subtract_box(removal))
-        pieces = next_pieces
-        if not pieces:
+        pieces = pieces.subtract_box(removal)
+        if not len(pieces):
             break
-    return pieces
+    return pieces.boxes()
 
 
 def total_volume(boxes: Iterable[Box]) -> float:
@@ -264,70 +625,23 @@ def total_volume(boxes: Iterable[Box]) -> float:
 def union_mask(boxes: Sequence[Box], points: np.ndarray) -> np.ndarray:
     """Return a boolean mask of rows of ``points`` covered by any box."""
     points = np.asarray(points, dtype=float)
-    covered = np.zeros(len(points), dtype=bool)
-    for box in boxes:
-        covered |= box.mask(points)
-    return covered
+    return BoxSet.of(boxes, ndim=points.shape[-1]).union_mask(points)
 
 
 def merge_aligned_boxes(boxes: Sequence[Box]) -> List[Box]:
-    """Greedily merge disjoint boxes that tile a larger box.
-
-    Two boxes merge along dimension ``i`` when every other dimension's
-    interval is identical (including open/closed flags) and their
-    ``i``-intervals abut exactly -- they share the boundary coordinate with
-    exactly one side closed, so the union is again a single interval with no
-    gap and no double-covered point.  Repeats to a fixpoint.
-
-    Merging never changes the covered point set; it only reduces the number
-    of range queries a decomposition issues (less random access), which is
-    the aMPR's goal of "fewer, but larger, disjoint range queries".
-    """
-    pool: List[Box] = [b for b in boxes if not b.is_empty()]
-    merged = True
-    while merged and len(pool) > 1:
-        merged = False
-        for i in range(len(pool)):
-            if merged:
-                break
-            for j in range(i + 1, len(pool)):
-                union = _try_merge(pool[i], pool[j])
-                if union is not None:
-                    pool[i] = union
-                    pool.pop(j)
-                    merged = True
-                    break
-    return pool
+    """Greedily merge disjoint boxes that tile a larger box
+    (:meth:`BoxSet.merged` over a list)."""
+    return BoxSet.of(boxes).merged().boxes()
 
 
-def _try_merge(a: Box, b: Box) -> Optional[Box]:
-    """Return the union box if ``a`` and ``b`` tile one, else None."""
-    if a.ndim != b.ndim:
-        return None
-    diff_dim = -1
-    for i, (ia, ib) in enumerate(zip(a.intervals, b.intervals)):
-        if ia == ib:
-            continue
-        if diff_dim >= 0:
-            return None  # differ in more than one dimension
-        diff_dim = i
-    if diff_dim < 0:
-        return None  # identical boxes (should not occur in disjoint sets)
-    ia, ib = a.intervals[diff_dim], b.intervals[diff_dim]
-    if ia.lo > ib.lo:
-        ia, ib = ib, ia
-    if ia.hi != ib.lo or ia.hi_open == ib.lo_open:
-        return None  # gap, overlap, or the shared coordinate covered 0/2 times
-    joined = Interval(ia.lo, ib.hi, lo_open=ia.lo_open, hi_open=ib.hi_open)
-    ivs = list(a.intervals)
-    ivs[diff_dim] = joined
-    return Box(ivs)
-
-
-def pairwise_disjoint(boxes: Sequence[Box], samples: Optional[np.ndarray] = None) -> bool:
+def pairwise_disjoint(boxes: Sequence[Box]) -> bool:
     """Return True if no two boxes overlap (exact interval test)."""
-    for i in range(len(boxes)):
-        for j in range(i + 1, len(boxes)):
-            if boxes[i].overlaps(boxes[j]):
-                return False
+    bounds = BoxSet.of(boxes)._bounds()
+    n, ndim = bounds[0].shape
+    for rows in _row_blocks(n, n * ndim):
+        meet = _meet(tuple(a[rows, None, :] for a in bounds), bounds)
+        overlap = ~_empty_dims(*meet).any(axis=2)
+        overlap &= np.arange(n) > np.arange(n)[rows, None]  # each pair once
+        if overlap.any():
+            return False
     return True

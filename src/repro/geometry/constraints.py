@@ -86,11 +86,7 @@ class Constraints:
 
     def overlap_volume(self, other: "Constraints") -> float:
         """Return the volume of the intersection of the two regions."""
-        lo = np.maximum(self.lo, other.lo)
-        hi = np.minimum(self.hi, other.hi)
-        if np.any(lo > hi):
-            return 0.0
-        return float(np.prod(hi - lo))
+        return float(overlap_volumes(self.lo[None], self.hi[None], other)[0])
 
     def widths(self) -> np.ndarray:
         """Return per-dimension extents ``hi - lo``."""
@@ -126,6 +122,27 @@ class Constraints:
             f"[{a:g}, {b:g}]" for a, b in zip(self.lo, self.hi)
         )
         return f"Constraints({dims})"
+
+
+def overlaps_rows(lo: np.ndarray, hi: np.ndarray, other: Constraints) -> np.ndarray:
+    """:meth:`Constraints.overlaps` for every region ``[lo[r], hi[r]]`` of two
+    ``(n, d)`` bounds arrays against ``other``."""
+    return (lo <= other.hi).all(axis=1) & (other.lo <= hi).all(axis=1)
+
+
+def overlap_volumes(lo: np.ndarray, hi: np.ndarray, other: Constraints) -> np.ndarray:
+    """:meth:`Constraints.overlap_volume` for every region ``[lo[r], hi[r]]``
+    of two ``(n, d)`` bounds arrays against ``other``.
+
+    An intersection with a zero-width dimension has volume 0 whatever its
+    other extents (not ``0 * inf``), so no volume is ever NaN.
+    """
+    top = np.minimum(hi, other.hi)
+    bottom = np.maximum(lo, other.lo)
+    solid = (top > bottom).all(axis=1)
+    width = np.zeros(top.shape)
+    np.subtract(top, bottom, out=width, where=solid[:, None])
+    return np.prod(width, axis=1)
 
 
 def overlap_region(old: Constraints, new: Constraints) -> Box:

@@ -115,6 +115,18 @@ class TestCompleteness:
                 Constraints([0, 0], [1, 1]),
             )
 
+    @pytest.mark.parametrize("pruners", [np.array([0.6, 0.6]), np.zeros((1, 3))])
+    def test_prune_with_must_be_k_by_d(self, pruners):
+        """A single point passed as shape ``(d,)`` is a caller error, reported
+        like a mis-shaped skyline (it used to surface as numpy's AxisError)."""
+        with pytest.raises(ValueError, match="prune_with"):
+            compute_mpr(
+                Constraints([0.0, 0.0], [1.0, 1.0]),
+                np.array([[0.6, 0.6]]),
+                Constraints([0.0, 0.0], [1.5, 1.5]),
+                prune_with=pruners,
+            )
+
 
 class TestStructure:
     @pytest.mark.parametrize("seed", range(8))

@@ -1,10 +1,16 @@
 """Tests for the seven cache search strategies (Section 6.1)."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.cache import CacheItem, SkylineCache
+from repro.core.cases import classify_change, classify_dimension_changes
 from repro.core.strategies import (
+    CostBased,
     MaxOverlap,
     MaxOverlapSP,
     OptimumDistance,
@@ -153,3 +159,155 @@ class TestIntegrationWithCache:
             candidates, key=lambda it: it.constraints.overlap_volume(QUERY)
         )
         assert chosen is best
+
+
+# ----------------------------------------------------------------------
+# the one-broadcast scorers against the per-item formulas they replaced
+# ----------------------------------------------------------------------
+def old_overlap_volume(a, b):
+    lo, hi = np.maximum(a.lo, b.lo), np.minimum(a.hi, b.hi)
+    return 0.0 if np.any(lo > hi) else float(np.prod(hi - lo))
+
+
+def old_stable(old, new):
+    return bool(np.all(new.lo <= old.lo)) or not old.overlaps(new)
+
+
+def old_score(strategy, query, it):
+    """What ``strategy.score(query, it)`` returned before the scorers were
+    vectorised: one candidate at a time, from the scalar helpers."""
+    c = it.constraints
+    volume = old_overlap_volume(c, query)
+    if isinstance(strategy, MaxOverlapSP):
+        return (1 if old_stable(c, query) else 0, volume)
+    if isinstance(strategy, MaxOverlap):
+        return volume
+    if isinstance(strategy, Prioritized1D):
+        return (strategy._PRIORITY.get(classify_change(c, query), 0), volume)
+    if isinstance(strategy, PrioritizedND):
+        labels = classify_dimension_changes(c, query)
+        return (-sum(strategy.penalties[label] for label in labels), volume)
+    if isinstance(strategy, OptimumDistance):
+        return -float(np.linalg.norm(c.lo - query.lo))
+    return None  # Random
+
+
+#: five values per bound: equal volumes, penalties and distances are common
+GRID = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def grid_constraints(ndim, unbounded=False):
+    lows = GRID + [-math.inf] if unbounded else GRID
+    highs = GRID + [math.inf] if unbounded else GRID
+    side = st.tuples(st.sampled_from(lows), st.sampled_from(highs)).map(
+        lambda pair: pair if pair[0] <= pair[1] else pair[::-1]
+    )
+    return st.lists(side, min_size=ndim, max_size=ndim).map(
+        lambda sides: Constraints([lo for lo, _ in sides], [hi for _, hi in sides])
+    )
+
+
+@st.composite
+def query_and_candidates(draw, unbounded=False):
+    ndim = draw(st.integers(1, 4))
+    query = draw(grid_constraints(ndim, unbounded))
+    drawn = draw(st.lists(grid_constraints(ndim, unbounded), min_size=1, max_size=8))
+    drawn += draw(st.lists(st.sampled_from(drawn + [query]), max_size=3))  # ties
+    cands = []
+    for i, c in enumerate(drawn):
+        cands.append(
+            CacheItem(
+                constraints=c,
+                skyline=np.empty((0, ndim)),
+                mbr_lo=c.lo,
+                mbr_hi=c.hi,
+                item_id=i,
+                inserted_at=i,
+            )
+        )
+    return query, cands
+
+
+def flat(score):
+    return score if isinstance(score, tuple) else (score,)
+
+
+SCORERS = [s for s in default_strategy_suite() if not isinstance(s, RandomStrategy)]
+
+
+class TestVectorisedPick:
+    @pytest.mark.parametrize("strategy", SCORERS, ids=lambda s: s.name)
+    @given(query_and_candidates())
+    @settings(max_examples=60, deadline=None)
+    def test_pick_and_scores_match_the_per_item_formulas(self, strategy, drawn):
+        query, cands = drawn
+        for it in cands:
+            got, want = strategy.score(query, it), old_score(strategy, query, it)
+            assert type(got) is type(want)
+            if isinstance(strategy, OptimumDistance):
+                # sqrt(sum of squares) in place of BLAS dot: last-digit freedom
+                assert got == pytest.approx(want, rel=1e-14, abs=0.0)
+            else:
+                assert got == want
+        # the first maximum in candidate order (ascending item_id) wins ties
+        best = max(cands, key=lambda it: strategy.score(query, it))
+        assert strategy.select(query, cands) is best
+
+    @pytest.mark.parametrize("strategy", SCORERS, ids=lambda s: s.name)
+    @given(query_and_candidates(unbounded=True))
+    @settings(max_examples=60, deadline=None)
+    def test_no_score_is_nan_under_unbounded_constraints(self, strategy, drawn):
+        query, cands = drawn
+        scores = [strategy.score(query, it) for it in cands]
+        assert not any(math.isnan(part) for score in scores for part in flat(score))
+        best = max(cands, key=lambda it: strategy.score(query, it))
+        assert strategy.select(query, cands) is best
+
+    def test_random_has_no_score(self):
+        assert RandomStrategy(seed=0).score(QUERY, item([0.0, 0.0], [1.0, 1.0])) is None
+
+    def test_cost_based_shortlist_keeps_candidate_order_on_ties(self):
+        """The shortlist is the most-overlapping few, ties in candidate order
+        (``sorted(..., reverse=True)`` is stable)."""
+        seen = []
+
+        class Region:
+            def compute(self, old, skyline, new):
+                seen.append(old)
+                raise LookupError  # stop at the first costed candidate
+
+        twins = [item([0.3, 0.3], [0.7, 0.7], i) for i in range(3)]
+        small = item([0.6, 0.6], [0.9, 0.9], 9)
+        strategy = CostBased(table=None, region=Region(), max_candidates=2)
+        with pytest.raises(LookupError):
+            strategy.select(QUERY, [small] + twins)
+        assert seen == [twins[0].constraints]
+
+
+class TestUnboundedConstraints:
+    """``Constraints`` accepts infinite bounds; scores must stay comparable."""
+
+    C1 = ([-math.inf, 0.9], [math.inf, 1.0])
+    C2 = ([-math.inf, 0.0], [math.inf, 1.0])
+    UNBOUNDED_QUERY = Constraints([-math.inf, 0.0], [math.inf, 0.99])
+
+    @pytest.mark.parametrize("flip", [False, True])
+    def test_optimum_distance_ignores_a_shared_infinite_corner(self, flip):
+        far, exact = item(*self.C1, 1), item(*self.C2, 2)
+        strategy = OptimumDistance()
+        assert strategy.score(self.UNBOUNDED_QUERY, far) == pytest.approx(-0.9)
+        assert strategy.score(self.UNBOUNDED_QUERY, exact) == 0.0
+        cands = [exact, far] if flip else [far, exact]
+        assert strategy.select(self.UNBOUNDED_QUERY, cands) is exact
+
+    def test_differing_infinite_corners_are_infinitely_far(self):
+        bounded = item([0.0, 0.0], [1.0, 1.0])
+        assert OptimumDistance().score(self.UNBOUNDED_QUERY, bounded) == -math.inf
+
+    def test_zero_width_overlap_has_volume_zero(self):
+        line = Constraints([0.5, -math.inf], [0.5, math.inf])
+        slab = Constraints([0.0, -math.inf], [1.0, math.inf])
+        assert slab.overlap_volume(slab) == math.inf
+        assert line.overlap_volume(slab) == 0.0
+        assert MaxOverlap().score(slab, item(line.lo, line.hi)) == 0.0
+        assert MaxOverlapSP().score(slab, item(line.lo, line.hi)) == (1, 0.0)

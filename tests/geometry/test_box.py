@@ -1,5 +1,6 @@
 """Unit and property tests for :mod:`repro.geometry.box`."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 
 from repro.geometry.box import (
     Box,
+    BoxSet,
     decompose_difference,
     merge_aligned_boxes,
     pairwise_disjoint,
@@ -290,3 +292,257 @@ class TestDecomposeDifference:
         in_pieces = union_mask(pieces, pts)
         expected = base.mask(pts) & ~union_mask(removals, pts)
         np.testing.assert_array_equal(in_pieces, expected)
+
+
+# ----------------------------------------------------------------------
+# BoxSet: the whole-set kernel against the one-box reference
+# ----------------------------------------------------------------------
+#: few distinct coordinates, so faces, corners and duplicates coincide often
+GRID = [-2.0, -1.0, 0.0, 0.5, 1.0, 2.0]
+
+
+def grid_intervals():
+    """Intervals over GRID and +-inf: open and closed faces mixed, bounds not
+    ordered (so some are empty)."""
+    return st.builds(
+        Interval,
+        st.sampled_from([-math.inf] + GRID),
+        st.sampled_from(GRID + [math.inf]),
+        st.booleans(),
+        st.booleans(),
+    )
+
+
+def grid_boxes(ndim):
+    return st.builds(Box, st.lists(grid_intervals(), min_size=ndim, max_size=ndim))
+
+
+@st.composite
+def box_lists(draw, max_size=6):
+    """``(ndim, boxes)`` with d in 1..5, duplicates and empty rows included."""
+    ndim = draw(st.integers(1, 5))
+    boxes = draw(st.lists(grid_boxes(ndim), max_size=max_size))
+    repeats = draw(st.lists(st.sampled_from(boxes), max_size=2)) if boxes else []
+    return ndim, boxes + repeats
+
+
+@st.composite
+def box_lists_with_corner(draw):
+    ndim, boxes = draw(box_lists())
+    corner = draw(st.lists(st.sampled_from(GRID), min_size=ndim, max_size=ndim))
+    return ndim, boxes, corner
+
+
+def greedy_restart_merge(boxes):
+    """The list-of-``Box`` loop :meth:`BoxSet.merged` replaced: merge the first
+    mergeable pair in list order, restart the scan, until nothing merges."""
+
+    def try_merge(a, b):
+        differing = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
+        if len(differing) != 1:
+            return None
+        (dim,) = differing
+        first, second = a.intervals[dim], b.intervals[dim]
+        if first.lo > second.lo:
+            first, second = second, first
+        if first.hi != second.lo or first.hi_open == second.lo_open:
+            return None
+        joined = Interval(first.lo, second.hi, first.lo_open, second.hi_open)
+        return Box(joined if i == dim else iv for i, iv in enumerate(a))
+
+    pool = [box for box in boxes if not box.is_empty()]
+    merged = True
+    while merged:
+        merged = False
+        for i, j in itertools.combinations(range(len(pool)), 2):
+            union = try_merge(pool[i], pool[j])
+            if union is not None:
+                pool[i] = union
+                del pool[j]
+                merged = True
+                break
+    return pool
+
+
+class TestBoxSetAgainstBox:
+    """Every set operation returns, in order and flag for flag (``Box.__eq__``
+    compares the four fields of every interval), what the per-box method
+    returns row by row."""
+
+    @given(box_lists())
+    def test_roundtrip_keeps_rows_and_python_types(self, drawn):
+        ndim, boxes = drawn
+        rows = BoxSet.of(boxes, ndim=ndim)
+        assert len(rows) == len(boxes) and rows.ndim == ndim
+        assert rows.boxes() == boxes
+        for box in rows.boxes():
+            for iv in box:  # json.dumps rejects numpy booleans
+                assert type(iv.lo) is float and type(iv.lo_open) is bool
+
+    @given(box_lists_with_corner())
+    def test_split_corner(self, drawn):
+        ndim, boxes, corner = drawn
+        region = Box.corner_at_least(corner)
+        inside, outside = BoxSet.of(boxes, ndim=ndim).split_corner(corner)
+        hits = [b.intersect(region) for b in boxes]
+        assert inside.boxes() == [hit for hit in hits if not hit.is_empty()]
+        assert outside.boxes() == [p for b in boxes for p in b.subtract_corner(corner)]
+
+    @given(box_lists_with_corner())
+    def test_subtract_corner_cuts_only_rows_that_meet_the_corner(self, drawn):
+        ndim, boxes, corner = drawn
+        region = Box.corner_at_least(corner)
+        got = BoxSet.of(boxes, ndim=ndim).subtract_corner(corner)
+        assert got.boxes() == [
+            p
+            for b in boxes
+            if not b.is_empty()
+            for p in (b.subtract_corner(corner) if b.overlaps(region) else [b])
+        ]
+
+    @given(box_lists().flatmap(lambda d: st.tuples(st.just(d), grid_boxes(d[0]))))
+    def test_subtract_box(self, drawn):
+        (ndim, boxes), other = drawn
+        got = BoxSet.of(boxes, ndim=ndim).subtract_box(other)
+        assert got.boxes() == [p for b in boxes for p in b.subtract_box(other)]
+
+    @given(box_lists(), st.data())
+    def test_emptiness_and_mask(self, drawn, data):
+        ndim, boxes = drawn
+        # points on the grid (exactly on faces) and between its values
+        pts = data.draw(
+            arrays(
+                np.float64,
+                (9, ndim),
+                elements=st.sampled_from(GRID + [-1.5, 0.25, 1.5]),
+            )
+        )
+        rows = BoxSet.of(boxes, ndim=ndim)
+        assert rows.is_empty().tolist() == [b.is_empty() for b in boxes]
+        assert rows.nonempty().boxes() == [b for b in boxes if not b.is_empty()]
+        np.testing.assert_array_equal(
+            rows.mask(pts), np.array([b.mask(pts) for b in boxes]).reshape(-1, 9)
+        )
+        covered = np.zeros(9, dtype=bool)
+        for box in boxes:
+            covered |= box.mask(pts)
+        np.testing.assert_array_equal(rows.union_mask(pts), covered)
+        np.testing.assert_array_equal(union_mask(boxes, pts), covered)
+
+    @given(box_lists())
+    def test_pairwise_disjoint(self, drawn):
+        _, boxes = drawn
+        assert pairwise_disjoint(boxes) == (
+            not any(a.overlaps(b) for a, b in itertools.combinations(boxes, 2))
+        )
+
+    def test_masks_run_in_row_blocks(self):
+        """More cells than one block holds: same answer, block by block."""
+        rng = np.random.default_rng(3)
+        lo = rng.random((300, 3))
+        boxes = [Box.closed(a, a + 0.2) for a in lo]
+        pts = rng.random((400, 3))
+        rows = BoxSet.of(boxes)
+        expected = np.array([b.mask(pts) for b in boxes])
+        np.testing.assert_array_equal(rows.mask(pts), expected)
+        np.testing.assert_array_equal(rows.union_mask(pts), expected.any(axis=0))
+
+    def test_mixed_dimensionality_raises(self):
+        mixed = [Box.closed([0.0], [1.0]), Box.closed([0.0, 0.0], [1.0, 1.0])]
+        with pytest.raises(ValueError):
+            BoxSet.of(mixed)
+        with pytest.raises(ValueError):
+            merge_aligned_boxes(mixed)
+        with pytest.raises(ValueError):
+            BoxSet.of(mixed[:1]).subtract_box(mixed[1])
+        with pytest.raises(ValueError):
+            BoxSet.of(mixed[:1]).subtract_corner([0.0, 0.0])
+        with pytest.raises(ValueError):
+            BoxSet.concat([BoxSet.of(mixed[:1]), BoxSet.of(mixed[1:])])
+
+
+class TestMergedAgainstGreedyRestart:
+    """``BoxSet.merged`` returns the *same list* as the restart loop: which
+    pair merges first decides the shape of the result."""
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda d: st.tuples(
+                grid_boxes(d).filter(lambda box: not box.is_empty()),
+                st.lists(
+                    st.lists(st.sampled_from(GRID), min_size=d, max_size=d),
+                    max_size=3,
+                ),
+                st.lists(
+                    st.tuples(st.integers(0, d - 1), st.sampled_from(GRID)),
+                    min_size=1,
+                    max_size=3,
+                ),
+            )
+        ),
+        st.randoms(use_true_random=False),
+    )
+    @settings(max_examples=150)
+    def test_shattered_corner_tilings(self, drawn, random):
+        """Tilings made by repeated ``subtract_corner``, then cut along a few
+        more planes so that several merges chain and compete."""
+        base, corners, cuts = drawn
+        pieces = [base]
+        for corner in corners:
+            pieces = [p for b in pieces for p in b.subtract_corner(corner)]
+        for dim, at in cuts:
+            below = Interval(-math.inf, at, lo_open=True, hi_open=True)
+            above = Interval(at, math.inf, lo_open=False, hi_open=True)
+            pieces = [
+                half
+                for b in pieces
+                for half in (b.replace(dim, below), b.replace(dim, above))
+                if not half.is_empty()
+            ]
+        random.shuffle(pieces)
+        assert merge_aligned_boxes(pieces) == greedy_restart_merge(pieces)
+
+    @given(box_lists(max_size=8))
+    def test_arbitrary_sets(self, drawn):
+        _, boxes = drawn
+        assert merge_aligned_boxes(boxes) == greedy_restart_merge(boxes)
+
+    def test_l_shape_merges_by_list_order(self):
+        corner = Box([Interval(0.0, 1.0, hi_open=True)] * 2)
+        right = Box([Interval.closed(1.0, 2.0), Interval(0.0, 1.0, hi_open=True)])
+        above = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(1.0, 2.0)])
+        results = set()
+        for order in itertools.permutations([corner, right, above]):
+            merged = merge_aligned_boxes(order)
+            assert merged == greedy_restart_merge(order)
+            results.add(tuple(merged))
+        assert len(results) > 1  # the order decided
+
+    def test_point_interval_tie_follows_list_order(self):
+        """``[1, 1]`` and ``(1, 2]`` share their lower bound: the restart loop
+        treats the earlier box as the lower one, so only one order merges."""
+        point = Box([Interval.closed(1.0, 1.0)])
+        rest = Box([Interval(1.0, 2.0, lo_open=True)])
+        assert merge_aligned_boxes([point, rest]) == [Box.closed([1.0], [2.0])]
+        for order in ([point, rest], [rest, point]):
+            assert merge_aligned_boxes(order) == greedy_restart_merge(order)
+
+    def test_shuffled_chain_longer_than_64(self):
+        chain = [
+            Box([Interval(float(i), i + 1.0, hi_open=True), Interval.closed(0.0, 1.0)])
+            for i in range(90)
+        ]
+        np.random.default_rng(0).shuffle(chain)
+        merged = merge_aligned_boxes(chain)
+        assert merged == greedy_restart_merge(chain)
+        assert merged == [
+            Box([Interval(0.0, 90.0, hi_open=True), Interval.closed(0.0, 1.0)])
+        ]
+
+    def test_chain_spanning_several_row_blocks(self):
+        """600 boxes: the pairwise table is built a block of rows at a time."""
+        chain = [
+            Box([Interval(float(i), i + 1.0, hi_open=True), Interval.closed(0.0, 1.0)])
+            for i in range(600)
+        ]
+        assert merge_aligned_boxes(chain) == greedy_restart_merge(chain)
