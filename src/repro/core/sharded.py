@@ -417,23 +417,30 @@ class ShardedCBCS:
         shard MBR actually grew** -- an insert inside the current MBR cannot
         change any disjoint/dominated classification, so those cached
         decisions stay valid and are kept.
+
+        The whole batch is validated before any shard is touched, so a
+        malformed row cannot leave an earlier shard's rows inserted with no
+        id returned for them.
         """
         self._require_dynamic("insert_points")
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
+        if rows.shape[1] != self.table.ndim:
+            raise ValueError("inserted rows must match the table's dimensionality")
+        if rows.size and not np.isfinite(rows).all():
+            raise ValueError("inserted rows must be finite")
         by_shard: dict = {}
         for position, row in enumerate(rows):
             by_shard.setdefault(self.table.route(row), []).append(position)
         ids: List = [None] * len(rows)
-        invalidate = False
         for sid, positions in sorted(by_shard.items()):
             block = rows[positions]
             rowids = self.engines[sid].insert_points(block)
             for position, rowid in zip(positions, rowids):
                 ids[position] = (sid, int(rowid))
+            # Dropped shard by shard: a failure on a later shard (a WAL
+            # write, say) must not keep pruning sets older than this MBR.
             if self.table.record_append(sid, block):
-                invalidate = True
-        if invalidate:
-            self.pruning_cache.invalidate()
+                self.pruning_cache.invalidate()
         return ids
 
     def delete_points(self, ids: Sequence[Tuple[int, int]]) -> int:

@@ -5,8 +5,9 @@ dimension indexed by a standard B-tree" (Section 7).  This subpackage
 reproduces that substrate in-process:
 
 - :class:`~repro.storage.table.DiskTable` -- a heap file of points split into
-  fixed-size pages, with one :class:`~repro.index.btree.BPlusTree` per
-  dimension and a simple range-query planner;
+  fixed-size pages, each dimension indexed by its sorted column (the
+  ordered ``(key, row id)`` sequence a B-tree's leaves hold), and a simple
+  range-query planner;
 - :class:`~repro.storage.costmodel.DiskCostModel` -- charges simulated
   latency for seeks and page reads so that experiments expose the paper's
   dominant cost (random access to fetch points) without real spinning rust;

@@ -206,7 +206,9 @@ class DurabilityManager:
 
         Raises :class:`~repro.storage.table.CorruptTableError` when the
         checkpoint is corrupt or absent -- unlike the cache, the table is
-        the source of truth and cannot be cold-started from nothing.
+        the source of truth and cannot be cold-started from nothing -- or
+        when a logged record cannot apply to it (a missing insert batch, a
+        delete of a row outside the heap, an unknown op), naming the LSN.
         """
         if not self.table_path.exists():
             raise CorruptTableError(
@@ -234,7 +236,14 @@ class DurabilityManager:
             elif op == "delete":
                 # Tombstoning is idempotent: rows already dead (a crash
                 # *after* apply, checkpoint behind) just stay dead.
-                table.delete(np.asarray(payload["rowids"], dtype=np.int64))
+                try:
+                    table.delete(np.asarray(payload["rowids"], dtype=np.int64))
+                except IndexError as exc:
+                    raise CorruptTableError(
+                        f"WAL record lsn={record.lsn} deletes row ids "
+                        f"{payload['rowids']} but the table holds "
+                        f"{table.n} rows"
+                    ) from exc
             else:
                 raise CorruptTableError(
                     f"WAL record lsn={record.lsn} has unknown op {op!r}"

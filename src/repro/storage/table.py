@@ -1,25 +1,27 @@
 """A simulated disk-resident table of multidimensional points.
 
 :class:`DiskTable` reproduces the storage substrate of the paper's
-experiments: a heap file of points with one B-tree index per dimension
-(PostgreSQL-style).  Multidimensional range queries are planned like a DBMS
-would; two plan models select how heap I/O is charged:
+experiments: a heap file of points with one index per dimension
+(PostgreSQL-style; each index is the column in key order, what the leaves of
+the paper's B-trees hold -- DESIGN.md section 5, item 14).  Multidimensional
+range queries are planned like a DBMS would; two plan models select how heap
+I/O is charged:
 
 - ``bitmap`` (default): models PostgreSQL's BitmapAnd over the per-dimension
-  B-trees -- row-id sets are intersected inside the (memory-resident)
+  indexes -- row-id sets are intersected inside the (memory-resident)
   indexes and only the exactly-matching heap rows are fetched, so
   ``points_read`` equals the true result size.  This matches the paper's
   reported points-read numbers (Figure 8) and its observation that empty
   queries never reach the disk.
 - ``best_index``: a plain single-index scan -- candidate row ids come from
-  the most selective dimension's B-tree alone and every candidate row is
+  the most selective dimension's index alone and every candidate row is
   fetched and then filtered, so ``points_read`` includes the plan's false
   positives.
 
 Both plans *execute* the same way in-process (most-selective index slice +
-vectorized filter; selectivity estimated in O(log n) from the sorted column,
-standing in for an index histogram); they differ only in what disk activity
-is charged.
+vectorized filter; selectivity counted in O(log n) on the same sorted keys
+the slice is cut from, standing in for an index histogram); they differ
+only in what disk activity is charged.
 
 Empty range queries are answered from the index alone with *no* disk seek --
 the behaviour the paper observes for PostgreSQL: "the remaining queries were
@@ -42,7 +44,6 @@ from typing import List, Literal, Optional, Sequence
 import numpy as np
 
 from repro.geometry.box import Box
-from repro.index.btree import BPlusTree
 from repro.ioutil import atomic_savez
 from repro.obs import NULL_OBS
 from repro.storage.costmodel import DiskCostModel
@@ -63,7 +64,6 @@ _REQUIRED_ARCHIVE_KEYS = frozenset(
         "columns",
         "has_columns",
         "plan",
-        "leaf_capacity",
         "buffer_pages",
         "cost_model",
     }
@@ -102,15 +102,62 @@ class RangeResult:
         return len(self.rowids)
 
 
+class _SortedColumn:
+    """One dimension's index: ``keys``, the column's values ascending,
+    beside ``rows``, the heap row holding each (equal keys in ascending row
+    id).  :meth:`range_rows` and :meth:`DiskTable.estimate_count` bisect the
+    same ``keys``, so a count and a scan cannot disagree.  Writers replace
+    each array by one reference assignment under the table lock; a reader
+    that takes only ``keys`` needs no lock."""
+
+    def __init__(self, column: np.ndarray):
+        order = np.argsort(column, kind="stable")
+        self.keys = column[order]
+        self.rows = order.astype(np.int64, copy=False)
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def range_rows(
+        self,
+        lo: float = -np.inf,
+        hi: float = np.inf,
+        lo_open: bool = False,
+        hi_open: bool = False,
+    ) -> np.ndarray:
+        """Row ids whose key lies in the interval, in key order (bounds as
+        in :class:`repro.geometry.interval.Interval`)."""
+        start = self.keys.searchsorted(lo, "right" if lo_open else "left")
+        stop = self.keys.searchsorted(hi, "left" if hi_open else "right")
+        return self.rows[start:stop]
+
+    def insert(self, column: np.ndarray, rowids: np.ndarray) -> None:
+        """Merge the keys of new rows (``rowids`` ascending, above every id
+        present).  The batch is sorted first: ``np.insert`` keeps values
+        bound for one gap in the order given."""
+        order = np.argsort(column, kind="stable")
+        column = column[order]
+        at = self.keys.searchsorted(column, "right")
+        self.keys = np.insert(self.keys, at, column)
+        self.rows = np.insert(self.rows, at, rowids[order])
+
+    def keep(self, alive: np.ndarray) -> int:
+        """Drop the entries of rows not ``alive``; returns how many."""
+        kept = alive[self.rows]
+        if not kept.all():
+            self.keys = self.keys[kept]
+            self.rows = self.rows[kept]
+        return len(kept) - len(self.rows)
+
+
 class DiskTable:
-    """A read-mostly table of ``(n, d)`` float points with per-dim B-trees."""
+    """A read-mostly table of ``(n, d)`` float points with per-dim indexes."""
 
     def __init__(
         self,
         data: np.ndarray,
         cost_model: Optional[DiskCostModel] = None,
         plan: PlanKind = "bitmap",
-        leaf_capacity: int = 256,
         buffer_pages: Optional[int] = None,
         columns: Optional[Sequence[str]] = None,
         obs=None,
@@ -137,9 +184,7 @@ class DiskTable:
         # IOStats read-modify-writes stay exact under a parallel executor.
         self._lock = threading.RLock()
         self.obs = NULL_OBS if obs is None else obs
-        self._leaf_capacity = leaf_capacity
         self._alive = np.ones(len(data), dtype=bool)
-        self._vacuumable = np.ones(len(data), dtype=bool)  # index entries present
         self.buffer = BufferPool(buffer_pages) if buffer_pages else None
         if columns is not None:
             columns = tuple(columns)
@@ -150,20 +195,9 @@ class DiskTable:
         self.columns: Optional[tuple] = columns
 
         n, d = data.shape
-        rowids = np.arange(n, dtype=np.int64)
-        self._sorted_vals: List[np.ndarray] = []
-        self._indexes: List[BPlusTree] = []
-        for i in range(d):
-            column = data[:, i]
-            order = np.argsort(column, kind="stable")
-            sorted_col = column[order]
-            self._sorted_vals.append(sorted_col)
-            self._indexes.append(
-                BPlusTree.bulk_load(
-                    sorted_col, rowids[order], leaf_capacity=leaf_capacity,
-                    presorted=True,
-                )
-            )
+        self._indexes: List[_SortedColumn] = [
+            _SortedColumn(data[:, i]) for i in range(d)
+        ]
         if n:
             self.domain_lo = data.min(axis=0)
             self.domain_hi = data.max(axis=0)
@@ -192,8 +226,8 @@ class DiskTable:
     def n_pages(self) -> int:
         return math.ceil(self.n / self.cost_model.page_size)
 
-    def index(self, dim: int) -> BPlusTree:
-        """Return the B-tree index on dimension ``dim``."""
+    def index(self, dim: int) -> _SortedColumn:
+        """Return the index on dimension ``dim``."""
         return self._indexes[dim]
 
     def constraints(self, **ranges) -> "Constraints":
@@ -237,10 +271,13 @@ class DiskTable:
     # Selectivity estimation (histogram stand-in; O(log n), no I/O)
     # ------------------------------------------------------------------
     def estimate_count(self, dim: int, lo: float, hi: float) -> int:
-        """Estimate how many rows fall in ``[lo, hi]`` on one dimension."""
-        vals = self._sorted_vals[dim]
-        left = int(np.searchsorted(vals, lo, side="left"))
-        right = int(np.searchsorted(vals, hi, side="right"))
+        """Count the index entries in ``[lo, hi]`` on one dimension: always
+        ``len(self.index(dim).range_rows(lo, hi))``, an estimate of the live
+        rows because rows deleted but not yet vacuumed are counted.  Needs
+        no table lock."""
+        keys = self._indexes[dim].keys
+        left = int(keys.searchsorted(lo, "left"))
+        right = int(keys.searchsorted(hi, "right"))
         return max(0, right - left)
 
     # ------------------------------------------------------------------
@@ -368,8 +405,9 @@ class DiskTable:
     def save(self, path, crashpoint=None) -> None:
         """Save the table (rows, tombstones, schema, cost model) to ``.npz``.
 
-        Indexes are rebuilt on load; vacuumed-away index entries therefore
-        reappear as vacuumable tombstones, with identical query behaviour.
+        Indexes are not stored (:meth:`load` re-sorts each column), so
+        vacuumed-away index entries reappear as tombstones, with identical
+        query behaviour.
         A CRC32 checksum over the heap payload and tombstone bitmap is
         stored and verified by :meth:`load`.
 
@@ -390,7 +428,6 @@ class DiskTable:
             columns=np.array(self.columns or (), dtype="U64"),
             has_columns=np.array(self.columns is not None),
             plan=np.array(self.plan),
-            leaf_capacity=np.array(self._leaf_capacity),
             buffer_pages=np.array(
                 self.buffer.capacity if self.buffer is not None else 0
             ),
@@ -412,7 +449,8 @@ class DiskTable:
         archive is unreadable, is missing required keys, carries a malformed
         heap or tombstone bitmap, contains non-finite rows, or fails its
         stored checksum.  Archives written before checksums existed (no
-        ``checksum`` key) are accepted after the structural checks.
+        ``checksum`` key) are accepted after the structural checks, and
+        unknown keys (older archives carry a B+-tree leaf size) are ignored.
         """
         try:
             with np.load(path, allow_pickle=False) as archive:
@@ -483,7 +521,6 @@ class DiskTable:
                     data,
                     cost_model=model,
                     plan=plan,
-                    leaf_capacity=int(archive["leaf_capacity"]),
                     buffer_pages=buffer_pages or None,
                     columns=columns,
                 )
@@ -503,8 +540,8 @@ class DiskTable:
     # Updates (Section 6.2 dynamic-data support)
     # ------------------------------------------------------------------
     def append(self, rows: np.ndarray) -> np.ndarray:
-        """Append rows to the heap and maintain every index; returns the new
-        row ids.  Writes are charged one page per touched heap page."""
+        """Append rows to the heap and merge them into every index; returns
+        the new row ids.  Writes are charged one page per touched heap page."""
         rows = np.atleast_2d(np.asarray(rows, dtype=float))
         if rows.shape[1] != self.ndim:
             raise ValueError("appended rows must match the table's dimensionality")
@@ -517,17 +554,8 @@ class DiskTable:
             self._alive = np.concatenate(
                 [self._alive, np.ones(len(rows), dtype=bool)]
             )
-            self._vacuumable = np.concatenate(
-                [self._vacuumable, np.ones(len(rows), dtype=bool)]
-            )
-            for i in range(self.ndim):
-                column = rows[:, i]
-                for value, rowid in zip(column, new_ids):
-                    self._indexes[i].insert(float(value), int(rowid))
-                positions = np.searchsorted(self._sorted_vals[i], column)
-                self._sorted_vals[i] = np.insert(
-                    self._sorted_vals[i], positions, column
-                )
+            for i, index in enumerate(self._indexes):
+                index.insert(rows[:, i], new_ids)
             self.domain_lo = np.minimum(self.domain_lo, rows.min(axis=0))
             self.domain_hi = np.maximum(self.domain_hi, rows.max(axis=0))
             n_pages = math.ceil(len(rows) / self.cost_model.page_size)
@@ -554,21 +582,16 @@ class DiskTable:
         selectivity estimates stop seeing the dead rows.  Returns the number
         of rows vacuumed.
         """
+        removed = 0
         with self._lock:
-            dead = np.flatnonzero(~self._alive & self._vacuumable)
-            if len(dead) == 0:
-                return 0
-            for i in range(self.ndim):
-                column = self._data[:, i]
-                for rowid in dead:
-                    self._indexes[i].delete(float(column[rowid]), int(rowid))
-                alive_vals = column[self._alive]
-                self._sorted_vals[i] = np.sort(alive_vals)
-            self._vacuumable[dead] = False
-        return len(dead)
+            for index in self._indexes:  # each holds, and drops, the same rows
+                removed = index.keep(self._alive)
+        return removed
 
     def row(self, rowid: int) -> np.ndarray:
         """Return one live row's values (no I/O charge; test/maintenance aid)."""
+        if not 0 <= rowid < self.n:
+            raise IndexError(f"row id {rowid} out of range")
         if not self._alive[rowid]:
             raise KeyError(f"row {rowid} is deleted")
         return self._data[rowid].copy()

@@ -59,6 +59,10 @@ class TestTableUpdates:
         table.delete([1])
         with pytest.raises(KeyError):
             table.row(1)
+        # a negative id is out of range, not the last row counted backwards
+        for rowid in (-1, 2):
+            with pytest.raises(IndexError):
+                table.row(rowid)
 
     def test_full_scan_skips_dead_rows(self):
         data = generate("independent", 100, 2, seed=3)

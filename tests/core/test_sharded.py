@@ -294,6 +294,77 @@ class TestDynamicSharded:
         assert engine.delete_points(ids) == 1  # still there: nothing applied
         engine.close()
 
+    @staticmethod
+    def _half_empty_fleet():
+        """Four range shards on dim 0 whose rows all have dim 1 >= 0.5, and
+        a query below that -- every shard ``mbr-disjoint``, verdict cached."""
+        data = make_data(n=400)
+        data[:, 1] = 0.5 + data[:, 1] / 2
+        engine = ShardedCBCS(
+            ShardedTable(data, 4, mode="range", key_dim=0), dynamic=True
+        )
+        constraints = Constraints([0.0, 0.0, 0.0], [1.0, 0.4, 1.0])
+        assert engine.query(constraints).skyline_size == 0
+        assert len(engine.pruning_cache) == 1
+        return engine, constraints
+
+    @staticmethod
+    def _reference(engine, constraints):
+        live = [
+            e.table.data_view()[e.table._alive] for e in engine.engines
+        ]
+        return constrained_skyline_oracle(np.vstack(live), constraints)
+
+    def test_rejected_insert_batch_touches_no_shard(self):
+        """A non-finite row bound for shard 3 must fail the batch before
+        shard 0 takes its row: otherwise shard 0 grows, the caller gets no
+        id for the row, and the cached pruning set outlives the MBR."""
+        engine, constraints = self._half_empty_fleet()
+        sizes = [e.table.n for e in engine.engines]
+        batch = np.array([[0.01, 0.1, 0.5], [0.99, np.nan, 0.5]])
+        with pytest.raises(ValueError, match="finite"):
+            engine.insert_points(batch)
+        assert [e.table.n for e in engine.engines] == sizes
+        outcome = engine.query(constraints)
+        assert not outcome.stale
+        assert_same_point_set(
+            outcome.skyline, self._reference(engine, constraints)
+        )
+        engine.close()
+
+    def test_wrong_dimensionality_insert_touches_no_shard(self):
+        """Checked by the fleet itself, before routing reads the key column
+        (which a short row does not even have)."""
+        engine = ShardedCBCS(
+            ShardedTable(make_data(n=200), 4, mode="range", key_dim=2),
+            dynamic=True,
+        )
+        for batch in ([[0.01, 0.1], [0.99, 0.1]], [[0.01, 0.1, 0.5, 0.5]]):
+            with pytest.raises(ValueError, match="dimensionality"):
+                engine.insert_points(np.array(batch))
+        assert [e.table.n for e in engine.engines] == [50] * 4
+        engine.close()
+
+    def test_failure_on_a_later_shard_still_drops_pruning_sets(self):
+        """Shard 0 grows below the cached query, then shard 3's write fails:
+        the pruning set cached before the growth must not survive."""
+        engine, constraints = self._half_empty_fleet()
+
+        def broken_write(rows):
+            raise OSError("wal: no space left on device")
+
+        engine.engines[3].insert_points = broken_write
+        batch = np.array([[0.01, 0.1, 0.5], [0.99, 0.1, 0.5]])
+        with pytest.raises(OSError):
+            engine.insert_points(batch)
+        assert engine.engines[0].table.n == 101
+        outcome = engine.query(constraints)
+        assert_same_point_set(outcome.skyline, batch[:1])
+        assert_same_point_set(
+            outcome.skyline, self._reference(engine, constraints)
+        )
+        engine.close()
+
     def test_dynamic_required_for_mutations(self):
         engine = ShardedCBCS(ShardedTable(make_data(), 2))
         with pytest.raises(TypeError):

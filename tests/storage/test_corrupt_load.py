@@ -41,6 +41,17 @@ class TestRoundTrip:
         table = DiskTable.load(path)
         np.testing.assert_array_equal(table._data, data)
 
+    def test_archive_from_the_btree_era_accepted(self, saved):
+        """Checkpoints written when the indexes were B+-trees carry a
+        ``leaf_capacity`` key; it is ignored, not required and not fatal."""
+        path, data = saved
+        with np.load(path, allow_pickle=False) as archive:
+            assert "leaf_capacity" not in archive.files
+        rewrite(path, lambda p: p.update(leaf_capacity=np.array(256)))
+        table = DiskTable.load(path)
+        np.testing.assert_array_equal(table._data, data)
+        assert len(table.index(0)) == len(data)
+
 
 class TestCorruptionDetected:
     def test_missing_key(self, saved):

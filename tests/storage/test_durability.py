@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.dynamic import DynamicCBCS
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.durability import DurabilityManager
 from repro.storage.faults import FaultInjector, SimulatedCrash
@@ -92,6 +93,40 @@ class TestLogApplyRecover:
         manager.close()
         with pytest.raises(CorruptTableError):
             DurabilityManager(tmp_path, fsync=False, checkpoint_every=None).recover()
+
+    @pytest.mark.parametrize("rowid", [-1, 20])
+    def test_delete_replay_outside_the_heap_is_loud(self, tmp_path, rowid):
+        """A logged delete naming a row the heap never held is a corrupt
+        log, reported with its LSN like a missing batch -- not a bare
+        IndexError out of the table."""
+        table = _table()
+        manager = DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
+        manager.ensure_checkpoint(table)
+        lsn = manager.log_delete([rowid], np.zeros((1, 3)))
+        manager.close()
+        with pytest.raises(CorruptTableError, match=f"lsn={lsn}"):
+            DurabilityManager(tmp_path, fsync=False, checkpoint_every=None).recover()
+
+    @pytest.mark.parametrize("rowid", [-1, 20])
+    def test_invalid_delete_request_never_reaches_the_wal(self, tmp_path, rowid):
+        """``delete_points`` validates ids before logging: ``-1`` must not
+        wrap to the last row, get journalled and then poison every
+        ``recover()`` of the directory."""
+        manager = DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
+        engine = DynamicCBCS(_table(), durability=manager)
+        before = manager.wal.last_lsn
+        with pytest.raises(IndexError):
+            engine.delete_points([rowid])
+        assert manager.wal.last_lsn == before
+        assert engine.table.live_count == 20
+        manager.wal.close()
+
+        recovered = DynamicCBCS.recover(
+            DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
+        )
+        assert recovered.recovery_report.replayed_ops == 0
+        assert recovered.table.live_count == 20
+        recovered.close()
 
     def test_delete_replay_is_idempotent(self, tmp_path):
         table = _table()
