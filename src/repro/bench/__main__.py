@@ -143,12 +143,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--shard-sweep", metavar="N", type=int,
-        help="run an N-query-per-cell bit-identity sweep of the sharded "
-             "engine (seeds x shard counts {1,2,4,8} x strategies: answers "
-             "must match the unsharded engine bit-for-bit and every I/O "
-             "counter must reconcile; with --faults, one shard is faulted "
-             "and per-shard resilience semantics are checked); exits 7 on "
-             "failure.  Without explicit FIGUREs, runs the sweep alone",
+        help="run an N-query-per-cell sweep of one engine over two tables "
+             "(seeds x shard counts {1,2,4,8} x strategies: CBCS over a "
+             "ShardedTable must answer, and read, like CBCS over the plain "
+             "table, byte for byte at one shard; with --faults, one shard "
+             "is faulted and every non-stale answer is checked against the "
+             "reference skyline); exits 7 on failure.  Without explicit "
+             "FIGUREs, runs the sweep alone",
     )
     parser.add_argument(
         "--crash-drill", action="store_true",

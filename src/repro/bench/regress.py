@@ -135,7 +135,7 @@ def summarize_registry(metrics) -> dict:
     # The sharding figure exports the scale-out curve -- total points read
     # and mean wall-clock per shard count -- as gauges; carry them into the
     # snapshot so the gate holds the points-read curve tight (simulated,
-    # deterministic) while treating the fan-out wall-clock generously.
+    # deterministic) while treating the wall-clock generously.
     sharding = {}
     for count in SHARDING_COUNTS:
         points = metrics.gauge_value(f"sharding_points_read_{count}")

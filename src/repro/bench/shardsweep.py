@@ -1,23 +1,26 @@
-"""Bit-identity sweep: the sharded engine must answer like the unsharded one.
+"""Shard sweep: the same engine over two tables must answer alike.
 
-The headline invariant of the sharded refactor (ISSUE PR 10): for every
-seed x shard count x strategy cell, :class:`~repro.core.sharded.ShardedCBCS`
-returns *exactly* the unsharded engine's answer -- same points, same flags,
-same order after canonical sort -- and its I/O accounting reconciles:
+Sharding is a storage layout, so the sweep holds the engine fixed and varies
+the table under it: per (seed, strategy) an unsharded
+``CBCS(DiskTable(data))`` answers a partition-skewed stream, then
+``CBCS(ShardedTable(data, n))`` re-answers it for every shard count.
 
-- fleet ``points_read`` equals the sum of per-shard ``points_read``;
-- ``shards_pruned + shards_scanned == shards_total`` on every query;
-- the merge candidates equal the pooled per-shard skyline sizes;
-- over a clean run, the accumulated per-query I/O equals the shard tables'
-  own counters (nothing reads the disk without being attributed).
+Clean cells -- at every shard count:
 
-With a fault profile, one shard's table is wrapped in a
-:class:`~repro.storage.faults.FaultyDiskTable` and every shard engine runs
-resilient: non-stale fleet answers must still match the reference skyline
-computed directly over the data, stale answers must be flagged
-(``stale=True``), and the faulted shard's degradations must surface in the
-fleet outcome -- per-shard resilience semantics preserved through the
-merge.
+- answers equal as multisets and stale / degraded flags equal;
+- per-query ``points_read`` and overlap ``case`` equal (the default
+  ``bitmap`` plan reads exactly the matching rows, wherever they live);
+- at one shard the skyline bytes and the whole ``IOStats`` equal: the
+  one-shard fleet *is* the plain table;
+- over the cell, the accumulated per-query ``points_read`` equals the shard
+  tables' own counters (nothing reads a disk without being attributed).
+
+Faulted cells (``profile="default"`` etc.): one shard's table is wrapped in
+a :class:`~repro.storage.faults.FaultyDiskTable` and the engine runs
+resilient -- the fleet is one storage dependency with one breaker, and a
+faulted shard fails only the boxes that touch it.  Non-stale answers must
+equal :func:`~repro.skyline.reference.constrained_reference` over the raw
+data, stale ones must be flagged, and no exception may escape.
 
 Run via ``python -m repro.bench --shard-sweep N [--faults PROFILE]`` (exit
 code 7 on failure) or directly::
@@ -29,14 +32,14 @@ code 7 on failure) or directly::
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.bench.harness import scaled
 from repro.core.cbcs import CBCS
-from repro.core.sharded import ShardedCBCS
 from repro.core.strategies import MaxOverlap, MaxOverlapSP
 from repro.data.generator import independent
 from repro.skyline.reference import constrained_reference, same_multiset
@@ -68,14 +71,9 @@ class ShardSweepReport:
     answer_mismatches: int = 0
     flag_mismatches: int = 0
     io_mismatches: int = 0
-    accounting_mismatches: int = 0
     unhandled_exceptions: int = 0
     stale_serves: int = 0
     retries: int = 0
-    shards_pruned: int = 0
-    shards_scanned: int = 0
-    faulted_shard_degradations: int = 0
-    pruning_cache_hits: int = 0
     errors: List[str] = field(default_factory=list)
     points_read_by_shards: Dict[int, int] = field(default_factory=dict)
 
@@ -86,36 +84,15 @@ class ShardSweepReport:
             and self.answer_mismatches == 0
             and self.flag_mismatches == 0
             and self.io_mismatches == 0
-            and self.accounting_mismatches == 0
         )
 
     def as_dict(self) -> dict:
-        return {
-            "seeds": list(self.seeds),
-            "shard_counts": list(self.shard_counts),
-            "strategies": list(self.strategies),
-            "profile": self.profile,
-            "workers": self.workers,
-            "n_queries": self.n_queries,
-            "cells": self.cells,
-            "queries_checked": self.queries_checked,
-            "answer_mismatches": self.answer_mismatches,
-            "flag_mismatches": self.flag_mismatches,
-            "io_mismatches": self.io_mismatches,
-            "accounting_mismatches": self.accounting_mismatches,
-            "unhandled_exceptions": self.unhandled_exceptions,
-            "stale_serves": self.stale_serves,
-            "retries": self.retries,
-            "shards_pruned": self.shards_pruned,
-            "shards_scanned": self.shards_scanned,
-            "faulted_shard_degradations": self.faulted_shard_degradations,
-            "pruning_cache_hits": self.pruning_cache_hits,
-            "points_read_by_shards": {
-                str(k): v for k, v in sorted(self.points_read_by_shards.items())
-            },
-            "errors": list(self.errors),
-            "passed": self.passed,
+        record = asdict(self)
+        record["points_read_by_shards"] = {
+            str(k): v for k, v in sorted(self.points_read_by_shards.items())
         }
+        record["passed"] = self.passed
+        return record
 
     def render_text(self) -> str:
         lines = [
@@ -128,16 +105,12 @@ class ShardSweepReport:
             f"answer mismatches    : {self.answer_mismatches}",
             f"flag mismatches      : {self.flag_mismatches}",
             f"io mismatches        : {self.io_mismatches}",
-            f"accounting mismatches: {self.accounting_mismatches}",
             f"unhandled exceptions : {self.unhandled_exceptions}",
-            f"shards pruned/scanned: {self.shards_pruned}/{self.shards_scanned}",
-            f"pruning cache hits   : {self.pruning_cache_hits}",
         ]
         if self.profile:
             lines.append(
                 f"stale serves         : {self.stale_serves} (all flagged); "
-                f"retries: {self.retries}; faulted-shard degradations: "
-                f"{self.faulted_shard_degradations}"
+                f"retries: {self.retries}"
             )
         for err in self.errors[:20]:
             lines.append(f"error: {err}")
@@ -145,34 +118,6 @@ class ShardSweepReport:
             lines.append(f"... and {len(self.errors) - 20} more errors")
         lines.append("PASS" if self.passed else "FAIL")
         return "\n".join(lines)
-
-
-def _check_accounting(report: ShardSweepReport, outcome, label: str) -> None:
-    """Per-query shard accounting + I/O reconciliation checks."""
-    ok = (
-        outcome.shards_pruned + outcome.shards_scanned == outcome.shards_total
-        and len(outcome.per_shard) == outcome.shards_scanned
-    )
-    if not ok:
-        report.accounting_mismatches += 1
-        report.errors.append(
-            f"{label}: pruned {outcome.shards_pruned} + scanned "
-            f"{outcome.shards_scanned} != total {outcome.shards_total}"
-        )
-    per_shard_points = sum(p["points_read"] for p in outcome.per_shard)
-    if outcome.points_read != per_shard_points:
-        report.io_mismatches += 1
-        report.errors.append(
-            f"{label}: fleet points_read {outcome.points_read} != "
-            f"sum of per-shard {per_shard_points}"
-        )
-    pooled = sum(p["skyline_size"] for p in outcome.per_shard)
-    if outcome.merge_candidates != pooled:
-        report.io_mismatches += 1
-        report.errors.append(
-            f"{label}: merge candidates {outcome.merge_candidates} != "
-            f"pooled per-shard skylines {pooled}"
-        )
 
 
 def run_shard_sweep(
@@ -187,20 +132,11 @@ def run_shard_sweep(
     workers: int = 1,
     obs=None,
 ) -> ShardSweepReport:
-    """Run the bit-identity sweep and return its report.
+    """Run the sweep and return its report (invariants: module doc).
 
-    Clean mode (``profile=None``): each (seed, strategy) runs an unsharded
-    reference engine, then every shard count re-answers the same
-    partition-skewed stream on a range-partitioned fleet; every answer must
-    match bit-for-bit and every counter must reconcile, including the
-    end-of-cell check that accumulated per-query I/O equals the shard
-    tables' own counters.
-
-    Fault mode (``profile="default"`` etc.): shard ``faulted_shard`` is
-    wrapped in a fault-injecting table and engines run resilient; non-stale
-    answers are checked against the reference skyline over the raw data,
-    stale answers must be flagged, and the faulted shard must be the one
-    degrading.
+    ``profile`` switches every cell to fault mode with shard
+    ``faulted_shard`` (modulo the shard count) wrapped in a fault-injecting
+    table; clean mode compares against the unsharded engine instead.
     """
     strategy_names = tuple(strategies or SWEEP_STRATEGIES)
     for name in strategy_names:
@@ -235,80 +171,60 @@ def run_shard_sweep(
                 references = [ref_engine.query(q) for q in queries]
                 ref_engine.close()
             for count in shard_counts:
-                label = f"seed={seed} strategy={strategy_name} shards={count}"
                 report.cells += 1
-                engine = _build_engine(
-                    data,
-                    count,
-                    make_strategy,
-                    profile=profile,
-                    faulted_shard=faulted_shard,
-                    seed=seed,
+                table = ShardedTable(data, count, mode="range", key_dim=0)
+                if profile is not None:
+                    _fault_shard(table[faulted_shard % count], profile, seed)
+                engine = CBCS(
+                    table,
+                    strategy=make_strategy(),
                     workers=workers,
                     obs=obs,
+                    resilience=True if profile is not None else None,
                 )
                 _run_cell(
-                    report, engine, queries, data, references, label,
-                    profile=profile,
-                    faulted_shard=faulted_shard % count,
+                    report,
+                    engine,
+                    queries,
+                    data,
+                    references,
+                    f"seed={seed} strategy={strategy_name} shards={count}",
                 )
-                report.pruning_cache_hits += engine.pruning_cache.hits
                 report.points_read_by_shards[count] = (
                     report.points_read_by_shards.get(count, 0)
-                    + engine.table.stats_total().points_read
+                    + table.stats.points_read
                 )
                 engine.close()
     return report
 
 
-def _build_engine(
-    data,
-    n_shards: int,
-    make_strategy,
-    profile: Optional[str],
-    faulted_shard: int,
-    seed: int,
-    workers: int,
-    obs,
-) -> ShardedCBCS:
-    table = ShardedTable(data, n_shards, mode="range", key_dim=0)
-    wrapper = None
-    resilience = None
-    if profile is not None:
-        from repro.storage.faults import FaultInjector, FaultyDiskTable, get_profile
+def _fault_shard(shard, profile: str, seed: int) -> None:
+    from repro.storage.faults import FaultInjector, FaultyDiskTable, get_profile
 
-        fault_profile = get_profile(profile)
-        target = faulted_shard % n_shards
-
-        def wrapper(shard_id, shard_table):
-            if shard_id != target:
-                return shard_table
-            return FaultyDiskTable(
-                shard_table,
-                FaultInjector(profile=fault_profile, seed=seed),
-            )
-
-        resilience = True
-    return ShardedCBCS(
-        table,
-        strategy_factory=make_strategy,
-        workers=workers,
-        obs=obs,
-        resilience=resilience,
-        shard_table_wrapper=wrapper,
+    shard.table = FaultyDiskTable(
+        shard.table, FaultInjector(profile=get_profile(profile), seed=seed)
     )
+
+
+def _same_io(a, b) -> bool:
+    """Every counter equal; the simulated milliseconds to rounding, because
+    with ``workers > 1`` the order boxes add to it is the scheduler's."""
+    x, y = a.as_dict(), b.as_dict()
+    ms_x, ms_y = x.pop("simulated_io_ms"), y.pop("simulated_io_ms")
+    return x == y and math.isclose(ms_x, ms_y, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _run_cell(
     report: ShardSweepReport,
-    engine: ShardedCBCS,
+    engine: CBCS,
     queries,
     data,
     references,
     label: str,
-    profile: Optional[str],
-    faulted_shard: int,
 ) -> None:
+    """One cell; ``references`` are the unsharded engine's outcomes, or None
+    in fault mode."""
+    n_shards = engine.table.n_shards
     io_accum = 0
     for i, constraints in enumerate(queries):
         qlabel = f"{label} query={i}"
@@ -319,23 +235,9 @@ def _run_cell(
             report.errors.append(f"{qlabel}: {type(exc).__name__}: {exc}")
             continue
         report.queries_checked += 1
-        report.shards_pruned += outcome.shards_pruned
-        report.shards_scanned += outcome.shards_scanned
         report.retries += outcome.retries
-        _check_accounting(report, outcome, qlabel)
         io_accum += outcome.points_read
-        if profile is not None:
-            for entry in outcome.per_shard:
-                if entry["degraded"] is not None:
-                    if entry["shard_id"] == faulted_shard:
-                        report.faulted_shard_degradations += 1
-                    else:
-                        report.flag_mismatches += 1
-                        report.errors.append(
-                            f"{qlabel}: un-faulted shard "
-                            f"{entry['shard_id']} degraded "
-                            f"({entry['degraded']})"
-                        )
+        if references is None:
             if outcome.stale:
                 report.stale_serves += 1
                 continue
@@ -365,10 +267,29 @@ def _run_cell(
                 f"{reference.stale}, degraded {outcome.degraded} vs "
                 f"{reference.degraded})"
             )
-    if profile is None:
-        # End-of-cell reconciliation: everything the queries were charged is
-        # exactly what the shard tables' own counters saw.
-        table_points = engine.table.stats_total().points_read
+        if (outcome.points_read, outcome.case) != (
+            reference.points_read,
+            reference.case,
+        ):
+            report.io_mismatches += 1
+            report.errors.append(
+                f"{qlabel}: read {outcome.points_read} points as "
+                f"{outcome.case}, unsharded {reference.points_read} as "
+                f"{reference.case}"
+            )
+        if n_shards == 1 and not (
+            outcome.skyline.tobytes() == reference.skyline.tobytes()
+            and _same_io(outcome.io, reference.io)
+        ):
+            report.io_mismatches += 1
+            report.errors.append(
+                f"{qlabel}: one shard is not the plain table "
+                f"({outcome.io} vs {reference.io})"
+            )
+    if references is not None:
+        # Everything the queries were charged is exactly what the shard
+        # tables' own counters saw.
+        table_points = engine.table.stats.points_read
         if io_accum != table_points:
             report.io_mismatches += 1
             report.errors.append(

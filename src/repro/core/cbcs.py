@@ -20,17 +20,19 @@ The engine is split into three layers (see ``docs/architecture.md``):
 - a backend stack composed of decorators
   (:class:`~repro.storage.backend.ResilientBackend` for validation + retry
   + circuit breaker, :class:`~repro.storage.backend.InstrumentedBackend`
-  for per-call counters) over the base :class:`~repro.storage.table.DiskTable`.
+  for per-call counters) over the base table -- a
+  :class:`~repro.storage.table.DiskTable`, or a partitioned fleet of them
+  behind the same protocol.
 
 ``CBCS`` itself keeps the stateful glue, and states the paper's sequence
 exactly once, in :meth:`CBCS._answer`: search, verify, select, plan (a miss
 is the degenerate plan), fetch the plan's boxes, merge with the reusable
 points, skyline, cache.  The degradation ladder is a table of rungs walked
 by one loop in :meth:`CBCS._serve`, each rung one more pass of that same
-body.  :func:`ingress` is the per-query preamble and
-epilogue every engine shares (id, profiler, root span, outcome record, and
--- after the fact -- the EXPLAIN record).  Every query returns a
-:class:`~repro.stats.QueryOutcome` with the Figure-10 stage breakdown.
+body.  :meth:`CBCS.query` is the per-query preamble and epilogue (id,
+profiler, root span, outcome record, and -- after the fact -- the EXPLAIN
+record).  Every query returns a :class:`~repro.stats.QueryOutcome` with the
+Figure-10 stage breakdown.
 """
 
 from __future__ import annotations
@@ -58,7 +60,6 @@ from repro.storage.table import DiskTable
 
 __all__ = [
     "CBCS",
-    "ingress",
     "CASE_MISS",
     "QueryPlan",
     "RUNG_AMPR",
@@ -110,36 +111,6 @@ class Attempt:
     planned: Optional[PlannedQuery] = None
     #: per-box ``RangeResult``s of the completed fetch, in plan order
     parts: tuple = ()
-
-
-def ingress(engine, constraints: Constraints, query_id, deadline, span, **attrs):
-    """Run one query through ``engine`` -- the preamble and epilogue every
-    engine's ``query()`` shares.
-
-    Checks dimensionality, normalises the deadline, mints a correlation id
-    (only with observability on), arms the profiler sample, binds the id,
-    opens the root ``span`` around ``engine._serve`` and records the
-    outcome.  With an :class:`~repro.obs.explain.ExplainRecorder`
-    installed, ``engine._explain`` then builds the query's one EXPLAIN
-    record from what ``_serve`` handed back; without one nothing
-    explain-related is computed.
-    """
-    if constraints.ndim != engine.table.ndim:
-        raise ValueError("constraints dimensionality does not match the table")
-    deadline = Deadline.normalize(deadline)
-    obs = engine.obs
-    if query_id is None and obs.enabled:
-        query_id = obs.correlation.new_id()
-    profiler = obs.profiler
-    sample = profiler.maybe(query_id) if profiler is not None else nullcontext(False)
-    with bind(query_id), sample:
-        with obs.tracer.span(span, **attrs) as qspan:
-            outcome, evidence = engine._serve(constraints, qspan, deadline)
-        outcome.query_id = query_id
-        obs.record_outcome(outcome)
-        if obs.explainer is not None:
-            obs.explainer.record(engine._explain(outcome, evidence))
-    return outcome
 
 
 class CBCS:
@@ -282,14 +253,25 @@ class CBCS:
         resilience the deadline is only checked at ingress (there is no
         retry/fetch machinery to charge it from).
         """
-        return ingress(
-            self,
-            constraints,
-            query_id,
-            deadline,
-            "cbcs.query",
-            strategy=self.strategy.name,
+        if constraints.ndim != self.table.ndim:
+            raise ValueError("constraints dimensionality does not match the table")
+        deadline = Deadline.normalize(deadline)
+        obs = self.obs
+        if query_id is None and obs.enabled:
+            query_id = obs.correlation.new_id()
+        profiler = obs.profiler
+        sample = (
+            profiler.maybe(query_id) if profiler is not None else nullcontext(False)
         )
+        with bind(query_id), sample:
+            with obs.tracer.span("cbcs.query", strategy=self.strategy.name) as qspan:
+                outcome, attempt = self._serve(constraints, qspan, deadline)
+            outcome.query_id = query_id
+            obs.record_outcome(outcome)
+            # the EXPLAIN record is built after the fact, and only when asked
+            if obs.explainer is not None:
+                obs.explainer.record(self._explain(outcome, attempt))
+        return outcome
 
     def _serve(self, constraints: Constraints, qspan, deadline):
         """Walk the rung table until one pass of the body succeeds.

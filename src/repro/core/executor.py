@@ -26,15 +26,13 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
-from typing import List, Optional, Sequence
-
-import numpy as np
+from typing import Optional, Sequence
 
 from repro.geometry.box import Box
 from repro.obs import NULL_OBS, bind, current_query_id
-from repro.storage.table import RangeResult
+from repro.storage.table import RangeResult, concat_results
 
 
 def effective_latency_ms(io_ms: Sequence[float], workers: int) -> float:
@@ -113,7 +111,7 @@ class Executor:
             else io_total
         )
         outcome = FetchOutcome(
-            result=self._merge(backend, parts),
+            result=concat_results(parts, backend.ndim),
             io_ms_total=io_total,
             effective_io_ms=effective,
             boxes=len(boxes),
@@ -139,43 +137,16 @@ class Executor:
             return backend.range_query(box, retry_state=retry_state)
         return backend.range_query(box)
 
-    def _merge(self, backend, parts: List[RangeResult]) -> RangeResult:
-        """Concatenate per-box results in box order.
-
-        Points and rowids are concatenated independently so a fault-
-        truncated box (points shorter than rowids) keeps its mismatched
-        signature for downstream validation.  Boxes are disjoint, so the
-        union needs no deduplication.
-        """
-        if len(parts) == 1:
-            return parts[0]
-        empty = backend._empty_result()
-        if not parts:
-            return empty
-        points = [p.points for p in parts if len(p.points)]
-        rowids = [p.rowids for p in parts if len(p.rowids)]
-        return replace(
-            empty,
-            points=np.concatenate(points) if points else empty.points,
-            rowids=np.concatenate(rowids) if rowids else empty.rowids,
-            rows_fetched=sum(p.rows_fetched for p in parts),
-            io_ms=float(sum(p.io_ms for p in parts)),
-            pages_read=sum(p.pages_read for p in parts),
-            seeks=sum(p.seeks for p in parts),
-        )
-
     # ------------------------------------------------------------------
-    # Ordered fan-out (plan boxes and shard execution)
+    # Ordered fan-out
     # ------------------------------------------------------------------
     def map_ordered(self, tasks: Sequence) -> list:
         """Run zero-arg callables on the pool, gathering in submission order.
 
-        The one ordered fan-out behind both a plan's boxes (:meth:`fetch`)
-        and the sharded engine's per-shard queries: results come back in
-        task order regardless of completion order, so the merge is
-        deterministic at any worker count.  Serial (calling thread, no
-        pool) when ``workers == 1`` or there is a single task.  The first
-        failing task *in submission order* raises.
+        Results come back in task order regardless of completion order, so
+        the merge in :meth:`fetch` is deterministic at any worker count.
+        Serial (calling thread, no pool) when ``workers == 1`` or there is
+        a single task.  The first failing task *in submission order* raises.
         """
         tasks = list(tasks)
         if len(tasks) <= 1 or self.workers == 1:

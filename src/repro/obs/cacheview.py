@@ -28,7 +28,7 @@ import numpy as np
 
 from repro.obs.schema import OBS_SCHEMA_VERSION
 
-__all__ = ["CacheView", "FleetCacheView", "view_for", "render_cacheview"]
+__all__ = ["CacheView", "view_for", "render_cacheview"]
 
 
 class CacheView:
@@ -155,127 +155,9 @@ class CacheView:
             metrics.set_gauge("cache_coverage_fraction", coverage)
 
 
-class FleetCacheView:
-    """Aggregated introspection over the per-shard caches of a sharded
-    engine.
-
-    A :class:`~repro.core.sharded.ShardedCBCS` runs one
-    ``SkylineCache`` per shard; this view renders them as one fleet --
-    summed counters, a fleet-wide hit rate (total hits over total
-    lookups, not a mean of rates), union coverage over every cached
-    region, and a per-shard breakdown -- in the same snapshot schema as
-    :class:`CacheView`, so ``cache.json`` rendering and the report
-    pipeline work unchanged.
-    """
-
-    def __init__(self, caches, bounds=None, coverage_samples: int = 4096):
-        self.caches = list(caches)
-        self.bounds = bounds
-        self.coverage_samples = int(coverage_samples)
-
-    def snapshot(self, top: int = 10) -> dict:
-        views = [
-            CacheView(
-                cache,
-                bounds=self.bounds,
-                coverage_samples=self.coverage_samples,
-            )
-            for cache in self.caches
-        ]
-        shard_snaps = [view.snapshot(top=top) for view in views]
-        stats = [cache.stats() for cache in self.caches]
-        hits = sum(s.get("hits", 0) for s in stats)
-        lookups = hits + sum(s.get("misses", 0) for s in stats)
-        all_items = [item for cache in self.caches for item in cache]
-        # Union coverage needs one frame over every shard's regions, so it
-        # is computed on the pooled items, not averaged per shard.
-        union = CacheView(
-            None, bounds=self.bounds, coverage_samples=self.coverage_samples
-        ).coverage_fraction(all_items)
-        merged_top = sorted(
-            (
-                dict(rec, shard=shard_id)
-                for shard_id, snap in enumerate(shard_snaps)
-                for rec in snap["top_items"]
-            ),
-            key=lambda rec: rec["use_count"],
-            reverse=True,
-        )
-        case_totals: Dict[str, int] = {}
-        for snap in shard_snaps:
-            for case, count in (snap.get("case_hit_totals") or {}).items():
-                case_totals[case] = case_totals.get(case, 0) + count
-        return {
-            "schema": OBS_SCHEMA_VERSION,
-            "shards_total": len(self.caches),
-            "items": sum(snap["items"] for snap in shard_snaps),
-            "capacity": None,  # per-shard capacities; see the breakdown
-            "policy": stats[0].get("policy") if stats else None,
-            "total_points": sum(snap["total_points"] for snap in shard_snaps),
-            "total_bytes": sum(snap["total_bytes"] for snap in shard_snaps),
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-            "insertions": sum(s.get("insertions", 0) for s in stats),
-            "evictions": sum(s.get("evictions", 0) for s in stats),
-            "refreshes": sum(s.get("refreshes", 0) for s in stats),
-            "quarantined": sum(s.get("quarantined", 0) for s in stats),
-            "coverage_fraction": union,
-            "case_hit_totals": case_totals,
-            "top_items": merged_top[:top],
-            "quarantine_log": [
-                dict(entry, shard=shard_id)
-                for shard_id, snap in enumerate(shard_snaps)
-                for entry in snap["quarantine_log"]
-            ],
-            "shards": [
-                {
-                    "shard_id": shard_id,
-                    "items": snap["items"],
-                    "capacity": snap["capacity"],
-                    "total_points": snap["total_points"],
-                    "total_bytes": snap["total_bytes"],
-                    "hit_rate": snap["hit_rate"],
-                    "insertions": snap["insertions"],
-                    "evictions": snap["evictions"],
-                    "quarantined": snap["quarantined"],
-                    "coverage_fraction": snap["coverage_fraction"],
-                }
-                for shard_id, snap in enumerate(shard_snaps)
-            ],
-        }
-
-    def export_gauges(self, metrics) -> None:
-        """Fleet totals unlabeled + the same gauges labeled per shard."""
-        snap = self.snapshot(top=0)
-        metrics.set_gauge("cache_bytes", snap["total_bytes"])
-        metrics.set_gauge("cache_points", snap["total_points"])
-        coverage = snap["coverage_fraction"]
-        if coverage == coverage:
-            metrics.set_gauge("cache_coverage_fraction", coverage)
-        for shard in snap["shards"]:
-            label = str(shard["shard_id"])
-            metrics.set_gauge("cache_bytes", shard["total_bytes"], shard=label)
-            metrics.set_gauge("cache_points", shard["total_points"], shard=label)
-            metrics.set_gauge("cache_items", shard["items"], shard=label)
-            coverage = shard["coverage_fraction"]
-            if coverage == coverage:
-                metrics.set_gauge(
-                    "cache_coverage_fraction", coverage, shard=label
-                )
-
-
 def view_for(source, bounds=None, coverage_samples: int = 4096):
-    """The right view for ``source``: an engine (sharded or not) or a cache.
-
-    A sharded engine (anything exposing a callable ``shard_caches``) gets a
-    :class:`FleetCacheView` over its per-shard caches; otherwise the
-    source's ``cache`` attribute -- or the source itself, for a bare
-    ``SkylineCache`` -- gets a plain :class:`CacheView`.
-    """
-    shard_caches = getattr(source, "shard_caches", None)
-    if callable(shard_caches):
-        return FleetCacheView(
-            shard_caches(), bounds=bounds, coverage_samples=coverage_samples
-        )
+    """A :class:`CacheView` of ``source``: an engine's ``cache`` attribute,
+    or the source itself for a bare ``SkylineCache``."""
     cache = getattr(source, "cache", None)
     return CacheView(
         cache if cache is not None else source,
@@ -300,32 +182,7 @@ def render_cacheview(snapshot: dict) -> str:
         f"hit_rate={snapshot.get('hit_rate', 0.0):.1%} "
         f"quarantined={snapshot.get('quarantined', 0)}"
     )
-    if snapshot.get("shards_total"):
-        header = f"shards={snapshot['shards_total']} {header}"
     sections = [f"# cache introspection\n{header}"]
-    shards = snapshot.get("shards") or []
-    if shards:
-        rows = []
-        for shard in shards:
-            cov = shard.get("coverage_fraction")
-            rows.append(
-                [
-                    shard.get("shard_id"),
-                    shard.get("items", 0),
-                    shard.get("total_points", 0),
-                    shard.get("total_bytes", 0),
-                    f"{shard.get('hit_rate', 0.0):.1%}",
-                    f"{cov:.1%}" if cov is not None and cov == cov else "n/a",
-                    shard.get("quarantined", 0),
-                ]
-            )
-        sections.append(
-            format_table(
-                ["shard", "items", "points", "bytes", "hit_rate", "coverage", "quar"],
-                rows,
-                title="Per-shard caches",
-            )
-        )
     case_totals = snapshot.get("case_hit_totals") or {}
     if case_totals:
         rows = [[case, count] for case, count in sorted(case_totals.items())]

@@ -47,15 +47,9 @@ class CalibrationLedger:
 
     def add(self, record: dict) -> bool:
         """Fold one explain record in; returns False when skipped."""
-        folded_shard = self._add_shard(record)
         predicted = record.get("predicted")
         actual = record.get("actual")
         if not isinstance(predicted, dict) or not isinstance(actual, dict):
-            # A fleet-level sharded record carries no per-box cost totals;
-            # its shard-pruning prediction still calibrated above.
-            if folded_shard:
-                self.queries += 1
-                return True
             self.skipped += 1
             return False
         case = str(record.get("case") or "none")
@@ -73,26 +67,6 @@ class CalibrationLedger:
                 bucket[0] += 1
                 bucket[1] += error
         self.queries += 1
-        return True
-
-    def _add_shard(self, record: dict) -> bool:
-        """Fold a sharded record's predicted-vs-actual surviving-shard count.
-
-        The shard-pruning planner predicts how many shards must be scanned
-        (``predicted_surviving``); after execution the engine counts how
-        many actually contributed points (``actual_surviving``).  Their
-        MARE -- same ``max(|actual|, 1)`` denominator as the cost stages --
-        measures how tight the MBR-based pruning is.
-        """
-        shard = record.get("shard_pruning")
-        if not isinstance(shard, dict):
-            return False
-        p = float(shard.get("predicted_surviving", 0) or 0)
-        a = float(shard.get("actual_surviving", 0) or 0)
-        error = abs(p - a) / max(abs(a), 1.0)
-        bucket = self._cells.setdefault(("shard", "", "surviving"), [0, 0.0])
-        bucket[0] += 1
-        bucket[1] += error
         return True
 
     # ------------------------------------------------------------------
@@ -125,17 +99,6 @@ class CalibrationLedger:
             for stage in STAGES
             if self.mare(stage) is not None
         }
-        shard_bucket = self._cells.get(("shard", "", "surviving"))
-        shard = (
-            {
-                "surviving": {
-                    "mare": shard_bucket[1] / shard_bucket[0],
-                    "count": int(shard_bucket[0]),
-                }
-            }
-            if shard_bucket and shard_bucket[0]
-            else {}
-        )
         return stamp(
             {
                 "queries": self.queries,
@@ -144,7 +107,6 @@ class CalibrationLedger:
                 "overall": overall,
                 "per_case": self._group("case"),
                 "per_strategy": self._group("strategy"),
-                "shard": shard,
             }
         )
 
@@ -173,11 +135,6 @@ class CalibrationLedger:
                     strategy=strategy,
                     stage=stage,
                 )
-        shard_mare = self.mare("surviving", dimension="shard")
-        if shard_mare is not None:
-            metrics.set_gauge(
-                "calibration_shard_mare", shard_mare, stage="surviving"
-            )
 
     def save_json(self, path) -> None:
         """Write :meth:`summary` to ``path`` atomically (temp + rename)."""
@@ -213,22 +170,6 @@ def render_calibration(summary: dict) -> str:
                 ["stage", "samples", "MARE"],
                 rows,
                 title="Predicted-vs-actual error (overall)",
-            )
-        )
-    shard = summary.get("shard") or {}
-    if shard.get("surviving"):
-        entry = shard["surviving"]
-        sections.append(
-            format_table(
-                ["stage", "samples", "MARE"],
-                [
-                    [
-                        "surviving shards",
-                        entry.get("count", 0),
-                        f"{entry.get('mare', 0.0):.3f}",
-                    ]
-                ],
-                title="Shard-pruning prediction error",
             )
         )
     for dimension, title in (

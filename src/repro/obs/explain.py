@@ -29,8 +29,8 @@ from the ladder's cache-bypassing ``bounding`` rung has no candidates and
 ``no_candidates_reason: "cache-bypassed"``.
 
 Wiring: the bench CLI (``--explain``) sets an :class:`ExplainRecorder` on
-``Observability.explainer``; the engines' shared ingress
-(:func:`repro.core.cbcs.ingress`) then emits one record per query.  With
+``Observability.explainer``; :meth:`repro.core.cbcs.CBCS.query` then emits
+one record per query.  With
 observability off (or no recorder installed) nothing is built and answers
 are bit-identical.
 
@@ -92,9 +92,9 @@ def _actual_cost(part) -> dict:
 
 
 def explain_record(outcome, method, attempts, strategy=None, **sections) -> dict:
-    """One query's EXPLAIN record: the outcome head every engine shares,
-    followed by the engine's own ``sections`` (:func:`plan_sections` for
-    an unsharded engine, the shard-pruning block for the fleet)."""
+    """One query's EXPLAIN record: the outcome head followed by the
+    ``sections`` of :func:`plan_sections` (none when planning itself
+    failed)."""
     record = {"query_id": outcome.query_id, "method": method}
     if strategy is not None:
         record["strategy"] = strategy
@@ -239,7 +239,6 @@ def render_summary(records: List[dict]) -> str:
     rows = []
     for rec in records:
         plan = rec.get("plan") or {}
-        shard = rec.get("shard_pruning") or {}
         rows.append(
             [
                 rec.get("query_id") or "-",
@@ -248,12 +247,6 @@ def render_summary(records: List[dict]) -> str:
                 str(plan.get("item_id", "-")),
                 len(rec.get("candidates") or ()),
                 len(rec.get("boxes") or ()),
-                (
-                    f"{shard.get('shards_scanned', 0)}/"
-                    f"{shard.get('shards_total', 0)}"
-                    if shard
-                    else "-"
-                ),
                 _fmt_cost(rec.get("predicted")),
                 _fmt_cost(rec.get("actual")),
             ]
@@ -266,7 +259,6 @@ def render_summary(records: List[dict]) -> str:
             "item",
             "cands",
             "boxes",
-            "shards",
             "predicted",
             "actual",
         ],
@@ -292,34 +284,6 @@ def render_record(record: dict) -> str:
         f"range_queries={plan.get('range_queries')} "
         f"est_points={plan.get('estimated_points')}",
     ]
-    shard = record.get("shard_pruning") or {}
-    if shard:
-        lines.append(
-            f"shards: {shard.get('shards_scanned', 0)} scanned / "
-            f"{shard.get('shards_pruned', 0)} pruned of "
-            f"{shard.get('shards_total', 0)} "
-            f"(pruning cached: {shard.get('pruning_cached')}; "
-            f"predicted surviving {shard.get('predicted_surviving')}, "
-            f"actual {shard.get('actual_surviving')}; "
-            f"merge candidates {shard.get('merge_candidates')})"
-        )
-        decisions = shard.get("decisions") or []
-        if decisions:
-            rows = [
-                [
-                    d.get("shard_id"),
-                    d.get("decision") or "-",
-                    d.get("reason") or "-",
-                ]
-                for d in decisions
-            ]
-            lines.append(
-                format_table(
-                    ["shard", "decision", "reason"],
-                    rows,
-                    title="Shard pruning decisions",
-                )
-            )
     candidates = record.get("candidates") or []
     if candidates:
         rows = [
@@ -340,7 +304,7 @@ def render_record(record: dict) -> str:
                 title="Candidates considered",
             )
         )
-    elif not shard:
+    else:
         lines.append(
             f"candidates: none ({record.get('no_candidates_reason')})"
         )

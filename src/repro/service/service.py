@@ -238,25 +238,13 @@ class QueryService:
         obs = getattr(engine, "obs", None)
         self._obs = obs if obs is not None and obs.enabled else None
         resilience = getattr(engine, "resilience", None)
-        # A sharded engine runs one SkylineCache per shard; health and
-        # stats() aggregate across the whole fleet of caches, a single-cache
-        # engine is the one-element special case.
-        shard_caches = getattr(engine, "shard_caches", None)
-        self._sharded = callable(shard_caches)
-        if self._sharded:
-            self._caches = list(shard_caches())
-        else:
-            cache = getattr(engine, "cache", None)
-            self._caches = [cache] if cache is not None else []
-        caches = self._caches
+        cache = self._cache = getattr(engine, "cache", None)
         self.window = RollingWindow(window_s=window_s)
         self.monitor = HealthMonitor(
             self.window,
             slo=slo,
             breaker=getattr(resilience, "breaker", None),
-            quarantined=(
-                (lambda: sum(c.quarantined for c in caches)) if caches else None
-            ),
+            quarantined=(lambda: cache.quarantined) if cache is not None else None,
             metrics=self._obs.metrics if self._obs is not None else None,
             service_stats=self.stats,
         )
@@ -551,44 +539,9 @@ class QueryService:
             "coalesced": counters["coalesced_dedup"]
             + counters["coalesced_subsumed"],
             **counters,
-            "cache": self._cache_stats(),
+            # None when the engine has no cache (Baseline/BBS)
+            "cache": self._cache.stats() if self._cache is not None else None,
         }
-
-    def _cache_stats(self) -> Optional[dict]:
-        """Fleet cache totals (plus per-shard breakdown when sharded).
-
-        ``hit_rate`` is total hits over total lookups across every cache --
-        the number a mean of per-shard rates would misreport under skewed
-        tenant traffic.  None when the engine has no cache (Baseline/BBS).
-        """
-        if not self._caches:
-            return None
-        stats = [cache.stats() for cache in self._caches]
-        hits = sum(s.get("hits", 0) for s in stats)
-        lookups = hits + sum(s.get("misses", 0) for s in stats)
-        fleet = {
-            "caches": len(stats),
-            "items": sum(s.get("items", 0) for s in stats),
-            "hits": hits,
-            "misses": lookups - hits,
-            "hit_rate": (hits / lookups) if lookups else 0.0,
-            "insertions": sum(s.get("insertions", 0) for s in stats),
-            "evictions": sum(s.get("evictions", 0) for s in stats),
-            "quarantined": sum(s.get("quarantined", 0) for s in stats),
-        }
-        if self._sharded:
-            fleet["per_shard"] = [
-                {
-                    "shard_id": shard_id,
-                    "items": s.get("items", 0),
-                    "hit_rate": s.get("hit_rate", 0.0),
-                    "insertions": s.get("insertions", 0),
-                    "evictions": s.get("evictions", 0),
-                    "quarantined": s.get("quarantined", 0),
-                }
-                for shard_id, s in enumerate(stats)
-            ]
-        return fleet
 
     def health(self) -> HealthReport:
         """Judge the current rolling window against the configured SLO."""

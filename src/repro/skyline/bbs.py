@@ -10,8 +10,9 @@ Algorithm: entries (nodes or points) are expanded in ascending *mindist*
 order, where mindist is the coordinate sum of the entry's lower corner
 clipped into the constraint region.  An entry is pruned when its MBR misses
 the constraint region or when its clipped lower corner is strictly dominated
-by an already-found skyline point; because mindist is monotone, a point
-popped undominated is guaranteed final.
+by an already-found skyline point; because mindist is monotone (and ties
+between rounded sums are broken nodes first, then lexicographically), a
+point popped undominated is guaranteed final.
 
 Each popped R-tree node models one page read; the count is returned so the
 caller can charge simulated random-access I/O for it.
@@ -79,7 +80,7 @@ class BBSScan:
 
     def __next__(self) -> np.ndarray:
         while self._heap:
-            _, _, entry, point = heapq.heappop(self._heap)
+            *_, entry, point = heapq.heappop(self._heap)
             if point is not None:
                 if self._corner_dominated(point):
                     continue
@@ -113,9 +114,11 @@ class BBSScan:
     # -- internals ---------------------------------------------------------
     def _push(self, node, point) -> None:
         lo = point if point is not None else node.lo
-        heapq.heappush(
-            self._heap, (self._mindist(lo), next(self._tiebreak), node, point)
-        )
+        # Coordinate sums tie in floating point (1e-38 + 1 == 1): at equal
+        # mindist a node goes before a point and points go in lexicographic
+        # order, so whatever dominates a point is still popped before it.
+        key = (self._mindist(lo), point is not None, tuple(lo.tolist()))
+        heapq.heappush(self._heap, (*key, next(self._tiebreak), node, point))
         self.heap_pushes += 1
 
     def _mindist(self, lo: np.ndarray) -> float:

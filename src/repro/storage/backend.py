@@ -2,11 +2,12 @@
 
 The CBCS engine does all of its I/O through :class:`StorageBackend`, a
 structural protocol satisfied by :class:`~repro.storage.table.DiskTable`,
+:class:`~repro.storage.sharding.ShardedTable`,
 :class:`~repro.storage.faults.FaultyDiskTable`, and the decorators below.
 Cross-cutting storage concerns -- fault tolerance, instrumentation -- are
 composed by *wrapping* rather than branching inside the engine:
 
-    DiskTable                      the simulated disk
+    DiskTable | ShardedTable       the simulated disk (or a fleet of them)
     -> FaultyDiskTable             (optional) deterministic fault injection
     -> ResilientBackend            (optional) validation + retry + breaker
     -> InstrumentedBackend         (optional) spans + counters per call
@@ -36,21 +37,38 @@ from repro.geometry.box import Box
 from repro.obs import NULL_OBS
 from repro.resilience.retry import RetryState
 from repro.resilience.validate import validate_range_result
+from repro.storage.costmodel import DiskCostModel
+from repro.storage.pager import IOStats
 from repro.storage.table import RangeResult
 
 
 @runtime_checkable
 class StorageBackend(Protocol):
-    """What the executor needs from a storage layer.
+    """What the engine calls on its table.
 
     Structural: anything with these members qualifies -- ``DiskTable``,
-    ``FaultyDiskTable``, and the decorators in this module all do.
-    ``estimate_count`` must be free of (simulated) disk I/O, because the
-    planner calls it while planning.
+    ``ShardedTable``, ``FaultyDiskTable`` and the decorators in this module
+    all do (the wrappers by delegation).  The executor issues
+    ``range_query``; the planner calls ``estimate_count`` while planning,
+    so it must be free of (simulated) disk I/O; ``CBCS`` reads ``stats``
+    around every query to attribute its I/O, hands its observability down
+    through ``obs`` / ``bind_obs``, and the cost-based strategy and the
+    EXPLAIN record price boxes with ``cost_model``.
     """
 
     @property
     def ndim(self) -> int: ...
+
+    @property
+    def stats(self) -> IOStats: ...
+
+    @property
+    def cost_model(self) -> DiskCostModel: ...
+
+    @property
+    def obs(self): ...
+
+    def bind_obs(self, obs): ...
 
     def range_query(self, box: Box) -> RangeResult: ...
 

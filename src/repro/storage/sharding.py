@@ -1,47 +1,62 @@
-"""Horizontal partitioning of a dataset into per-shard :class:`DiskTable`\\ s.
+"""A table horizontally partitioned into per-shard :class:`DiskTable`\\ s.
 
-The ROADMAP's "partition-aware sharded CBCS" item: real estate listings are
-naturally partitioned (by city/region -- here by a *partition key*, one of
-the data dimensions), and a constrained skyline query rarely touches every
-partition.  :class:`ShardedTable` owns that partitioning at the storage
-layer:
+Real estate listings are naturally partitioned (by city/region -- here by a
+*partition key*, one of the data dimensions), and a constrained skyline
+query rarely touches every partition.  :class:`ShardedTable` is that layout
+as a **base table**: it satisfies
+:class:`~repro.storage.backend.StorageBackend` and the table write API, so
+``CBCS(ShardedTable(...))`` is the fleet engine and
+``DynamicCBCS(ShardedTable(...))`` the writable one -- how the rows are laid
+out on disks stays below the line the algorithm draws (DESIGN.md section 5,
+item 15).
 
 - rows are split into N shards by **range** (quantile boundaries over the
   key dimension, the city/region analogue), **hash** (CRC32 of the key
   value -- uniform placement), or **explicit** per-row assignments (tests);
 - each shard is an independent :class:`~repro.storage.table.DiskTable`
-  (its own heap, indexes, I/O counters, and simulated disk), to be wrapped
-  in the usual ``build_backend`` stack by the engine layer;
-- alongside every shard the table maintains a :class:`ShardSummary` -- the
-  live MBR plus row count -- which is all the shard-pruning planner
-  (:mod:`repro.core.shardplan`) needs to classify a shard as
-  ``disjoint | dominated | surviving`` for a constraint region without
-  touching the shard's disk.
+  (its own heap, indexes, I/O counters and simulated disk);
+- ``range_query(box)`` tests the box against the shards' MBRs in one
+  broadcast, reads the overlapping non-empty shards in shard order and
+  concatenates -- a plan box that cannot hold rows of a shard never reaches
+  that shard's disk;
+- rows are named by fleet-global ``int64`` ids (``row(i) == data[i]`` for
+  the initial rows, appended rows continue the sequence), the shape
+  :meth:`DiskTable.append` returns.
 
-Summaries are maintained, not recomputed: an append extends the MBR (and
-reports whether it actually grew -- the engine invalidates its cached
-pruning sets exactly then); deletes keep the MBR as a superset, which is
-conservative-safe for pruning (a too-large MBR can only under-prune).
+The shard bounds live in one place: ``mbr_lo`` / ``mbr_hi`` (``(n_shards,
+d)``) and ``counts`` (live rows).  Writers replace each array by reference
+assignment under the fleet lock; readers take no lock.  An append extends
+the MBR; a delete keeps it as a superset (a too-large MBR can only cost a
+read, never a row).
 
-With ``shards=1`` the single shard holds the whole dataset and the sharded
-stack degenerates to the unsharded engine -- the anchor of the bit-identity
-sweep (``repro.bench.shardsweep``).
+With ``n_shards=1`` the single shard holds the whole dataset and every
+answer, row order and I/O counter equals the plain table's -- the anchor of
+``repro.bench.shardsweep``.
 """
 
 from __future__ import annotations
 
+import threading
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, List, Literal, Optional, Sequence
 
 import numpy as np
 
+from repro.geometry.box import Box
+from repro.obs import NULL_OBS
+from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import IOStats
-from repro.storage.table import DiskTable
+from repro.storage.table import (
+    DiskTable,
+    RangeResult,
+    checked_rows,
+    concat_results,
+)
 
 PartitionMode = Literal["range", "hash", "explicit"]
 
-__all__ = ["ShardSummary", "Shard", "ShardedTable", "hash_key"]
+__all__ = ["Shard", "ShardedTable", "hash_key"]
 
 
 def hash_key(value: float, n_shards: int) -> int:
@@ -49,79 +64,50 @@ def hash_key(value: float, n_shards: int) -> int:
 
     Stable across processes and runs (unlike Python's salted ``hash``), so
     a recovered or restarted deployment routes a row to the same shard.
+    Equal keys hash alike: ``-0.0`` is hashed as ``0.0``.
     """
-    payload = np.float64(value).tobytes()
+    payload = np.float64(value + 0.0).tobytes()
     return zlib.crc32(payload) % n_shards
 
 
 @dataclass
-class ShardSummary:
-    """The planner-visible digest of one shard: live MBR + row count.
-
-    ``mbr_lo``/``mbr_hi`` bound every *live* row of the shard (possibly a
-    strict superset after deletes -- never an underset, which is the safety
-    direction pruning needs).  An empty shard has ``count == 0`` and an
-    inverted (+inf/-inf) MBR.
-    """
-
-    shard_id: int
-    mbr_lo: np.ndarray
-    mbr_hi: np.ndarray
-    count: int
-
-    @property
-    def empty(self) -> bool:
-        return self.count == 0
-
-    def extend(self, rows: np.ndarray) -> bool:
-        """Grow the MBR to cover ``rows``; True iff it actually changed."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.size == 0:
-            return False
-        lo = np.minimum(self.mbr_lo, rows.min(axis=0))
-        hi = np.maximum(self.mbr_hi, rows.max(axis=0))
-        changed = bool(
-            self.count == 0
-            or np.any(lo < self.mbr_lo)
-            or np.any(hi > self.mbr_hi)
-        )
-        self.mbr_lo, self.mbr_hi = lo, hi
-        self.count += len(rows)
-        return changed
-
-    def as_dict(self) -> dict:
-        return {
-            "shard_id": self.shard_id,
-            "count": int(self.count),
-            "mbr_lo": [float(v) for v in self.mbr_lo],
-            "mbr_hi": [float(v) for v in self.mbr_hi],
-        }
-
-
-def _summary_of(shard_id: int, rows: np.ndarray, ndim: int) -> ShardSummary:
-    if len(rows) == 0:
-        return ShardSummary(
-            shard_id,
-            np.full(ndim, np.inf),
-            np.full(ndim, -np.inf),
-            0,
-        )
-    return ShardSummary(
-        shard_id, rows.min(axis=0).copy(), rows.max(axis=0).copy(), len(rows)
-    )
-
-
-@dataclass
 class Shard:
-    """One partition: its table plus the planner-facing summary."""
+    """One partition.  ``table`` may be reassigned (e.g. to a
+    :class:`~repro.storage.faults.FaultyDiskTable` around it) to fault one
+    shard; the fleet looks it up on every call."""
 
     shard_id: int
     table: DiskTable
-    summary: ShardSummary
 
-    @property
-    def name(self) -> str:
-        return f"shard{self.shard_id}"
+
+class _FleetColumn:
+    """Dimension ``dim`` of every shard's index, seen as one.  It exists for
+    callers that walk ``table.index(dim)`` (the benchmark's tracer wraps
+    ``range_rows`` on the instance, so :meth:`ShardedTable.index` hands out
+    one stable object per dimension); it holds no copy of the keys."""
+
+    def __init__(self, fleet: "ShardedTable", dim: int):
+        self._fleet = fleet
+        self._dim = dim
+
+    def range_rows(
+        self,
+        lo: float = -np.inf,
+        hi: float = np.inf,
+        lo_open: bool = False,
+        hi_open: bool = False,
+    ) -> np.ndarray:
+        """Global row ids whose key lies in the interval, shard by shard
+        (key order within a shard)."""
+        fleet = self._fleet
+        return np.concatenate(
+            [
+                global_of[
+                    shard.table.index(self._dim).range_rows(lo, hi, lo_open, hi_open)
+                ]
+                for shard, global_of in zip(fleet.shards, fleet._global_of)
+            ]
+        )
 
 
 class ShardedTable:
@@ -131,9 +117,10 @@ class ShardedTable:
     (the city/region partitioning of the paper's real-estate scenario);
     ``"hash"`` buckets the key value by CRC32; ``"explicit"`` takes a
     per-row ``assignments`` array (used by tests to place coordinate
-    duplicates on different shards).  ``table_factory`` builds each shard's
-    table from its rows -- the default plain :class:`DiskTable` -- letting
-    callers thread cost models, plans, or fault wrappers per shard.
+    duplicates on different shards) and accepts no later ``append``.
+    ``table_factory`` builds each shard's table from its rows -- the default
+    plain :class:`DiskTable` -- letting callers thread cost models or plans
+    per shard.
     """
 
     def __init__(
@@ -160,8 +147,11 @@ class ShardedTable:
         self.mode: PartitionMode = mode
         self.key_dim = int(key_dim)
         self.ndim = int(data.shape[1])
-        self._boundaries: Optional[np.ndarray] = None
+        self.obs = NULL_OBS
+        self._lock = threading.Lock()
+        self._boundaries = np.empty(0)
 
+        keys = data[:, self.key_dim]
         if mode == "explicit":
             assigned = np.asarray(assignments, dtype=np.int64)
             if assigned.shape != (len(data),):
@@ -170,33 +160,33 @@ class ShardedTable:
                 assigned.min() < 0 or assigned.max() >= n_shards
             ):
                 raise ValueError("assignment out of shard range")
-        elif mode == "range":
-            keys = data[:, self.key_dim]
-            if len(keys) and n_shards > 1:
+        else:
+            if mode == "range" and len(keys) and n_shards > 1:
                 self._boundaries = np.quantile(
                     keys, np.arange(1, n_shards) / n_shards
                 )
-            else:
-                self._boundaries = np.empty(0)
-            assigned = np.searchsorted(self._boundaries, keys, side="right")
-        else:  # hash
-            assigned = np.fromiter(
-                (hash_key(v, n_shards) for v in data[:, self.key_dim]),
-                dtype=np.int64,
-                count=len(data),
-            )
+            assigned = self._assign(keys)
 
         factory = table_factory or DiskTable
         self.shards: List[Shard] = []
+        #: the directory: global row id -> shard, and per shard the global
+        #: ids of its rows, ascending -- so a row's id inside its shard is
+        #: its position there (by index one way, by bisection the other)
+        self._shard_of = assigned
+        self._global_of: List[np.ndarray] = []
+        self.mbr_lo = np.full((self.n_shards, self.ndim), np.inf)
+        self.mbr_hi = np.full((self.n_shards, self.ndim), -np.inf)
+        self.counts = np.zeros(self.n_shards, dtype=np.int64)
         for sid in range(self.n_shards):
-            rows = data[assigned == sid]
-            self.shards.append(
-                Shard(
-                    shard_id=sid,
-                    table=factory(rows),
-                    summary=_summary_of(sid, rows, self.ndim),
-                )
-            )
+            members = np.flatnonzero(assigned == sid)
+            rows = data[members]
+            self.shards.append(Shard(sid, factory(rows)))
+            self._global_of.append(members)
+            if len(members):
+                self.mbr_lo[sid] = rows.min(axis=0)
+                self.mbr_hi[sid] = rows.max(axis=0)
+                self.counts[sid] = len(members)
+        self._columns = [_FleetColumn(self, dim) for dim in range(self.ndim)]
 
     # ------------------------------------------------------------------
     # Metadata / aggregates
@@ -212,66 +202,156 @@ class ShardedTable:
 
     @property
     def n(self) -> int:
-        return sum(s.table.n for s in self.shards)
+        """Rows ever stored (the next global row id)."""
+        return len(self._shard_of)
 
     @property
     def live_count(self) -> int:
-        return sum(s.table.live_count for s in self.shards)
+        return int(self.counts.sum())
 
     @property
-    def summaries(self) -> List[ShardSummary]:
-        return [s.summary for s in self.shards]
+    def n_pages(self) -> int:
+        return sum(s.table.n_pages for s in self.shards)
 
-    def stats_total(self) -> IOStats:
-        """Aggregate I/O counters over every shard's table (fresh object).
+    @property
+    def cost_model(self) -> DiskCostModel:
+        """The shards' cost model (one ``table_factory`` builds them all)."""
+        return self.shards[0].table.cost_model
 
-        Sums the *base* tables' counters, so a fault-wrapped shard (whose
-        decorator delegates ``stats`` to the inner table) reconciles too.
+    @property
+    def stats(self) -> IOStats:
+        """The shard tables' I/O counters, summed (a fresh object per read).
+
+        ``range_queries`` therefore counts shard reads -- what the disks
+        served -- not the boxes the engine asked for.  A fault-wrapped
+        shard delegates ``stats`` to the table inside it, so it reconciles
+        too.
         """
         total = IOStats()
         for shard in self.shards:
             total.add(shard.table.stats)
         return total
 
+    def bind_obs(self, obs) -> "ShardedTable":
+        """Attach (or detach, with None) observability to every shard."""
+        self.obs = NULL_OBS if obs is None else obs
+        for shard in self.shards:
+            shard.table.bind_obs(obs)
+        return self
+
+    def index(self, dim: int) -> _FleetColumn:
+        """The fleet-wide view of the index on dimension ``dim``."""
+        return self._columns[dim]
+
     def estimate_count(self, dim: int, lo: float, hi: float) -> int:
-        """Fleet-level selectivity estimate: the per-shard sum (no I/O)."""
-        return sum(
-            s.table.estimate_count(dim, lo, hi)
-            for s in self.shards
-            if not s.summary.empty
-        )
+        """Index entries in ``[lo, hi]`` on one dimension, summed over the
+        shards (no I/O): always ``len(self.index(dim).range_rows(lo, hi))``."""
+        return sum(s.table.estimate_count(dim, lo, hi) for s in self.shards)
 
     # ------------------------------------------------------------------
-    # Routing + maintenance
+    # Reads
     # ------------------------------------------------------------------
+    def range_query(self, box: Box) -> RangeResult:
+        """The points inside ``box``, from the shards that can hold any.
+
+        A shard is read iff it has live rows and its MBR meets the closed
+        hull of the box; shards answer in shard order and the result
+        carries global row ids.  A box no shard can meet costs no I/O.
+        """
+        if box.ndim != self.ndim:
+            raise ValueError("box dimensionality does not match the table")
+        touched = np.flatnonzero(
+            (self.mbr_lo <= box.hi()).all(axis=1)
+            & (self.mbr_hi >= box.lo()).all(axis=1)
+            & (self.counts > 0)
+        )
+        parts = []
+        for sid in touched.tolist():
+            part = self.shards[sid].table.range_query(box)
+            parts.append(replace(part, rowids=self._global_of[sid][part.rowids]))
+        return concat_results(parts, self.ndim)
+
+    # ------------------------------------------------------------------
+    # Routing + writes
+    # ------------------------------------------------------------------
+    def _assign(self, keys: np.ndarray) -> np.ndarray:
+        """Shard id per partition-key value (range and hash modes)."""
+        if self.mode == "range":
+            return np.searchsorted(self._boundaries, keys, side="right")
+        if self.mode == "hash":
+            return np.fromiter(
+                (hash_key(v, self.n_shards) for v in keys),
+                dtype=np.int64,
+                count=len(keys),
+            )
+        raise ValueError(
+            "explicit-mode tables have no routing function: "
+            "rows can only be placed at construction"
+        )
+
     def route(self, row: Sequence[float]) -> int:
         """Shard id a new row belongs to (deterministic per mode)."""
-        row = np.asarray(row, dtype=float)
-        key = float(row[self.key_dim])
-        if self.mode == "range":
-            return int(
-                np.searchsorted(self._boundaries, key, side="right")
+        key = np.asarray(row, dtype=float)[self.key_dim : self.key_dim + 1]
+        return int(self._assign(key)[0])
+
+    def append(self, rows: np.ndarray) -> np.ndarray:
+        """Route rows to their shards; returns their global row ids, in
+        input order.  The whole batch is validated -- and an explicit-mode
+        table refuses -- before any shard is touched."""
+        rows = checked_rows(rows, self.ndim)
+        assigned = self._assign(rows[:, self.key_dim])
+        with self._lock:
+            new_ids = np.arange(self.n, self.n + len(rows), dtype=np.int64)
+            lo, hi, counts = self.mbr_lo.copy(), self.mbr_hi.copy(), self.counts.copy()
+            for sid in np.unique(assigned).tolist():
+                members = np.flatnonzero(assigned == sid)
+                block = rows[members]
+                # directory first: a concurrent reader must be able to name
+                # every row the shard can already return
+                self._global_of[sid] = np.concatenate(
+                    [self._global_of[sid], new_ids[members]]
+                )
+                self.shards[sid].table.append(block)
+                lo[sid] = np.minimum(lo[sid], block.min(axis=0))
+                hi[sid] = np.maximum(hi[sid], block.max(axis=0))
+                counts[sid] += len(members)
+            self._shard_of = np.concatenate([self._shard_of, assigned])
+            self.mbr_lo, self.mbr_hi, self.counts = lo, hi, counts
+        return new_ids
+
+    def delete(self, rowids: np.ndarray) -> int:
+        """Mark rows deleted by global id; returns how many died.  An id
+        outside the table fails the batch before any shard is touched."""
+        rowids = np.atleast_1d(np.asarray(rowids, dtype=np.int64))
+        with self._lock:
+            if len(rowids) and (rowids.min() < 0 or rowids.max() >= self.n):
+                raise IndexError("row id out of range")
+            sids = self._shard_of[rowids]
+            counts = self.counts.copy()
+            killed = 0
+            for sid in np.unique(sids).tolist():
+                table = self.shards[sid].table
+                local = self._global_of[sid].searchsorted(rowids[sids == sid])
+                killed += table.delete(local)
+                counts[sid] = table.live_count
+            self.counts = counts
+        return killed
+
+    def row(self, rowid: int) -> np.ndarray:
+        """One live row's values by global id (no I/O charge)."""
+        if not 0 <= rowid < self.n:
+            raise IndexError(f"row id {rowid} out of range")
+        sid = self._shard_of[rowid]
+        try:
+            return self.shards[sid].table.row(
+                int(self._global_of[sid].searchsorted(rowid))
             )
-        if self.mode == "hash":
-            return hash_key(key, self.n_shards)
-        raise ValueError(
-            "explicit-mode tables have no routing function; "
-            "append through append_to(shard_id, rows)"
-        )
+        except KeyError:
+            raise KeyError(f"row {rowid} is deleted") from None
 
-    def record_append(self, shard_id: int, rows: np.ndarray) -> bool:
-        """Fold appended rows into the shard's summary; True iff the MBR
-        grew (the signal that invalidates cached pruning sets)."""
-        return self.shards[shard_id].summary.extend(rows)
-
-    def record_delete(self, shard_id: int) -> None:
-        """Refresh the shard's live count after a delete.
-
-        The MBR is left as a (safe) superset; only the count -- which the
-        planner uses for the empty-shard check -- is re-read.
-        """
-        summary = self.shards[shard_id].summary
-        summary.count = self.shards[shard_id].table.live_count
+    def vacuum(self) -> int:
+        """Vacuum every shard; returns the number of rows vacuumed."""
+        return sum(s.table.vacuum() for s in self.shards)
 
     def __repr__(self) -> str:
         return (

@@ -102,6 +102,41 @@ class RangeResult:
         return len(self.rowids)
 
 
+def concat_results(parts: Sequence[RangeResult], ndim: int) -> RangeResult:
+    """Concatenate range results in the order given, summing their charges.
+
+    The one gatherer: the executor joins a plan's disjoint boxes with it and
+    a sharded table the shards one box touches.  Points and row ids are
+    concatenated independently, so a fault-truncated part (points shorter
+    than row ids) keeps its mismatched signature for
+    :func:`~repro.resilience.validate.validate_range_result`.  The parts are
+    disjoint, so the union needs no deduplication.
+    """
+    if len(parts) == 1:
+        return parts[0]
+    points = [p.points for p in parts if len(p.points)]
+    rowids = [p.rowids for p in parts if len(p.rowids)]
+    return RangeResult(
+        points=np.concatenate(points) if points else np.empty((0, ndim)),
+        rowids=np.concatenate(rowids) if rowids else np.empty(0, dtype=np.int64),
+        rows_fetched=sum(p.rows_fetched for p in parts),
+        io_ms=float(sum(p.io_ms for p in parts)),
+        pages_read=sum(p.pages_read for p in parts),
+        seeks=sum(p.seeks for p in parts),
+    )
+
+
+def checked_rows(rows, ndim: int) -> np.ndarray:
+    """``rows`` as a ``(k, ndim)`` float array, or ``ValueError``: what a
+    base table checks before an append touches anything."""
+    rows = np.atleast_2d(np.asarray(rows, dtype=float))
+    if rows.shape[1] != ndim:
+        raise ValueError("appended rows must match the table's dimensionality")
+    if rows.size and not np.isfinite(rows).all():
+        raise ValueError("appended rows must be finite")
+    return rows
+
+
 class _SortedColumn:
     """One dimension's index: ``keys``, the column's values ascending,
     beside ``rows``, the heap row holding each (equal keys in ascending row
@@ -542,11 +577,7 @@ class DiskTable:
     def append(self, rows: np.ndarray) -> np.ndarray:
         """Append rows to the heap and merge them into every index; returns
         the new row ids.  Writes are charged one page per touched heap page."""
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        if rows.shape[1] != self.ndim:
-            raise ValueError("appended rows must match the table's dimensionality")
-        if rows.size and not np.isfinite(rows).all():
-            raise ValueError("appended rows must be finite")
+        rows = checked_rows(rows, self.ndim)
         with self._lock:
             start = self.n
             new_ids = np.arange(start, start + len(rows), dtype=np.int64)

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.bench.shardsweep import ShardSweepReport, run_shard_sweep
@@ -21,19 +22,36 @@ class TestCleanSweep:
         assert clean_report.cells == 6
         assert clean_report.queries_checked == 6 * 8
         assert clean_report.answer_mismatches == 0
+        assert clean_report.flag_mismatches == 0
         assert clean_report.io_mismatches == 0
-        assert clean_report.accounting_mismatches == 0
-
-    def test_accounting_totals_reconcile(self, clean_report):
-        total = clean_report.shards_pruned + clean_report.shards_scanned
-        # sum over cells of n_queries * n_shards
-        assert total == 8 * 2 * (1 + 2 + 4)
 
     def test_table_io_is_fully_attributed(self, clean_report):
         # The end-of-cell strict check ran without complaint, and the sweep
-        # recorded per-shard-count totals for the trajectory.
+        # recorded per-shard-count totals for the trajectory: under the
+        # bitmap plan every shard count reads the same rows.
         assert set(clean_report.points_read_by_shards) == {1, 2, 4}
-        assert all(v > 0 for v in clean_report.points_read_by_shards.values())
+        assert len(set(clean_report.points_read_by_shards.values())) == 1
+        assert clean_report.points_read_by_shards[1] > 0
+
+    def test_a_table_that_loses_rows_is_caught(self, monkeypatch):
+        """The sweep must fail on the defect it exists for: a fleet whose
+        MBR test skips a shard that holds matching rows."""
+        from repro.storage.sharding import ShardedTable
+
+        honest = ShardedTable.range_query
+
+        def lossy(self, box):
+            self.counts = self.counts * (np.arange(len(self.counts)) != 1)
+            return honest(self, box)
+
+        monkeypatch.setattr(ShardedTable, "range_query", lossy)
+        report = run_shard_sweep(
+            n_queries=8, seeds=(0,), shard_counts=(1, 4),
+            strategies=("max-overlap-sp",), n_points=800,
+        )
+        assert not report.passed
+        assert report.answer_mismatches > 0 and report.io_mismatches > 0
+        assert all("shards=4" in err for err in report.errors)
 
     def test_report_serializes_and_renders(self, clean_report):
         payload = clean_report.as_dict()

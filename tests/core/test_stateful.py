@@ -1,10 +1,22 @@
-"""Stateful property testing of the full engine.
+"""Stateful property testing of the full engine, whatever table it runs on.
 
-Hypothesis drives random interleavings of queries, refinements, inserts,
-deletes, vacuums and cache clears against a :class:`DynamicCBCS` engine;
-after every single action, the invariant is checked: the engine's answer to
-a fresh query equals the brute-force constrained skyline of the current
-live data.  This is the strongest end-to-end guarantee in the test suite.
+Hypothesis draws the storage -- a plain :class:`DiskTable`, or a
+:class:`ShardedTable` of 1, 2 or 4 range or hash shards -- the
+dimensionality, smooth or duplicate-heavy rows, region computer and cache
+capacity, then drives random interleavings of queries (fresh, refined, and
+cornered on a live row), inserts, deletes, vacuums and cache clears against a
+:class:`DynamicCBCS` over it.
+After every query the answer must equal
+:func:`~repro.skyline.reference.constrained_reference` over the live rows --
+a mirror the machine keeps itself from the ids the engine hands back, never
+the table's own tombstones.  This is the strongest end-to-end guarantee in
+the test suite.
+
+The table starts inside ``[1/6, 5/6]^d`` and grows outwards (inserts and
+queries range over ``[0, 1]^d``, both hitting the 1/6 grid often), so rows
+land outside every shard's first bounding box and on its faces: the machine
+fails within its budget when ``ShardedTable.range_query`` tests a face
+strictly, and when ``append`` stops growing the bounds.
 """
 
 import numpy as np
@@ -22,74 +34,100 @@ from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import SkylineCache
 from repro.core.dynamic import DynamicCBCS
 from repro.geometry.constraints import Constraints
-from repro.skyline.reference import brute_force_skyline
+from repro.skyline.reference import constrained_reference, same_multiset
+from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 
-coord = st.floats(min_value=0.0, max_value=1.0)
+GRID = 6
+MAX_NDIM = 3
 
+#: a coordinate: anywhere in [0, 1], or exactly on the duplicate-heavy grid
+coord = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0),
+    st.integers(0, GRID).map(lambda k: k / GRID),
+)
 
-def canonical(points):
-    points = np.asarray(points, dtype=float)
-    if len(points) == 0:
-        return points
-    return points[np.lexsort(points.T[::-1])]
+TABLES = {
+    "disk": DiskTable,
+    **{
+        f"{mode}{n}": (lambda data, n=n, mode=mode: ShardedTable(data, n, mode=mode))
+        for n in (1, 2, 4)
+        for mode in ("range", "hash")
+    },
+}
 
 
 class EngineMachine(RuleBasedStateMachine):
-    NDIM = 2
-
     @initialize(
         seed=st.integers(0, 1000),
+        ndim=st.sampled_from([2, 3]),
+        table_kind=st.sampled_from(sorted(TABLES)),
+        on_grid=st.booleans(),
         region_kind=st.sampled_from(["ampr1", "ampr3", "exact"]),
         capacity=st.sampled_from([None, 4]),
     )
-    def setup(self, seed, region_kind, capacity):
-        rng = np.random.default_rng(seed)
-        data = rng.uniform(0, 1, size=(120, self.NDIM))
+    def setup(self, seed, ndim, table_kind, on_grid, region_kind, capacity):
+        self.ndim = ndim
+        self.on_grid = on_grid
+        data = self._rows(np.random.default_rng(seed), 120, 1 / GRID, 1 - 1 / GRID)
         regions = {
             "ampr1": ApproximateMPR(1),
             "ampr3": ApproximateMPR(3),
             "exact": ExactMPR(),
         }
         self.engine = DynamicCBCS(
-            DiskTable(data),
+            TABLES[table_kind](data),
             cache=SkylineCache(capacity=capacity),
             region_computer=regions[region_kind],
         )
-        self.rng = rng
+        #: the machine's own record of the live rows: row id -> values
+        self.live = dict(enumerate(data))
         self.last_query = None
+
+    def _rows(self, rng, n, lo=0.0, hi=1.0):
+        rows = rng.uniform(lo, hi, size=(n, self.ndim))
+        return np.round(rows * GRID) / GRID if self.on_grid else rows
 
     # ------------------------------------------------------------------
     # Actions
     # ------------------------------------------------------------------
     def _check(self, constraints):
         out = self.engine.query(constraints)
-        live = self.engine.table.data_view()[self.engine.table._alive]
-        inside = live[constraints.satisfied_mask(live)]
-        expected = inside[brute_force_skyline(inside)] if len(inside) else inside
-        got = canonical(out.skyline)
-        exp = canonical(expected)
-        assert got.shape == exp.shape, (
-            f"case={out.case}: got {got.shape[0]}, expected {exp.shape[0]}"
+        expected = constrained_reference(
+            np.array(list(self.live.values())), constraints
         )
-        if len(exp):
-            np.testing.assert_allclose(got, exp)
+        assert same_multiset(out.skyline, expected), (
+            f"case={out.case}: got {len(out.skyline)}, expected {len(expected)}"
+        )
         self.last_query = constraints
 
-    @rule(a=coord, b=coord, c=coord, d=coord)
-    def fresh_query(self, a, b, c, d):
-        lo = [min(a, b), min(c, d)]
-        hi = [max(a, b), max(c, d)]
-        self._check(Constraints(lo, hi))
+    @rule(bounds=st.lists(st.tuples(coord, coord), min_size=MAX_NDIM, max_size=MAX_NDIM))
+    def fresh_query(self, bounds):
+        bounds = bounds[: self.ndim]
+        self._check(
+            Constraints([min(b) for b in bounds], [max(b) for b in bounds])
+        )
+
+    @rule(
+        pick=st.integers(0, 10_000),
+        upper=st.lists(coord, min_size=MAX_NDIM, max_size=MAX_NDIM),
+    )
+    def query_cornered_on_a_row(self, pick, upper):
+        """Lower corner on a live row: it sits on the region's closed faces
+        and must be in the answer."""
+        ids = sorted(self.live)
+        lo = self.live[ids[pick % len(ids)]]
+        self._check(Constraints(lo, np.maximum(lo, upper[: self.ndim])))
 
     @precondition(lambda self: self.last_query is not None)
     @rule(
-        dim=st.integers(0, NDIM - 1),
+        dim=st.integers(0, MAX_NDIM - 1),
         which=st.sampled_from(["lo", "hi"]),
         delta=st.floats(min_value=-0.15, max_value=0.15),
     )
     def refine_last_query(self, dim, which, delta):
         q = self.last_query
+        dim %= self.ndim
         if which == "lo":
             new_lo = float(np.clip(q.lo[dim] + delta, 0.0, q.hi[dim]))
             refined = q.with_bound(dim, lower=new_lo)
@@ -100,15 +138,22 @@ class EngineMachine(RuleBasedStateMachine):
 
     @rule(n=st.integers(1, 3), seed=st.integers(0, 10_000))
     def insert_rows(self, n, seed):
-        rows = np.random.default_rng(seed).uniform(0, 1, size=(n, self.NDIM))
-        self.engine.insert_points(rows)
+        rows = self._rows(np.random.default_rng(seed), n)
+        ids = self.engine.insert_points(rows)
+        assert ids.dtype == np.int64 and not set(ids.tolist()) & set(self.live)
+        self.live.update(zip(ids.tolist(), rows))
+        # read your writes: the tightest region that holds the new rows
+        self._check(Constraints(rows.min(axis=0), rows.max(axis=0)))
 
-    @precondition(lambda self: self.engine.table.live_count > 20)
+    @precondition(lambda self: len(self.live) > 20)
     @rule(seed=st.integers(0, 10_000))
     def delete_rows(self, seed):
-        alive = np.flatnonzero(self.engine.table._alive)
-        pick = np.random.default_rng(seed).choice(alive, size=2, replace=False)
-        self.engine.delete_points(pick)
+        pick = np.random.default_rng(seed).choice(
+            sorted(self.live), size=2, replace=False
+        )
+        assert self.engine.delete_points(pick) == 2
+        for rowid in pick.tolist():
+            del self.live[rowid]
 
     @rule()
     def vacuum(self):
@@ -121,6 +166,12 @@ class EngineMachine(RuleBasedStateMachine):
     # ------------------------------------------------------------------
     # Invariants
     # ------------------------------------------------------------------
+    @invariant()
+    def table_agrees_with_the_mirror(self):
+        if getattr(self, "engine", None) is None:
+            return
+        assert self.engine.table.live_count == len(self.live)
+
     @invariant()
     def cache_respects_capacity(self):
         if getattr(self, "engine", None) is None:
@@ -142,6 +193,6 @@ class EngineMachine(RuleBasedStateMachine):
 
 
 EngineMachine.TestCase.settings = settings(
-    max_examples=25, stateful_step_count=25, deadline=None
+    max_examples=50, stateful_step_count=25, deadline=None
 )
 TestEngineMachine = EngineMachine.TestCase

@@ -159,59 +159,6 @@ class TestEngineIntegration:
         engine.close()
 
 
-class TestFleetCacheView:
-    """Per-shard cache aggregation for the sharded engine."""
-
-    def fleet(self):
-        from repro.obs.cacheview import FleetCacheView
-
-        return FleetCacheView([seeded_cache(2, seed=0), seeded_cache(3, seed=1)])
-
-    def test_snapshot_sums_shards(self):
-        snap = self.fleet().snapshot()
-        assert snap["shards_total"] == 2
-        assert snap["items"] == 5
-        assert snap["capacity"] is None
-        assert len(snap["shards"]) == 2
-        assert [s["shard_id"] for s in snap["shards"]] == [0, 1]
-        assert snap["total_points"] == sum(
-            s["total_points"] for s in snap["shards"]
-        )
-
-    def test_fleet_hit_rate_is_total_over_total(self):
-        a, b = seeded_cache(2), seeded_cache(2, seed=1)
-        # a: 9 hits / 1 miss; b: 0 hits / 10 misses.  A mean of rates says
-        # 45%; the fleet truth is 9/20.
-        for cache, hits, misses in ((a, 9, 1), (b, 0, 10)):
-            cache.hits += hits
-            cache.misses += misses
-        from repro.obs.cacheview import FleetCacheView
-
-        snap = FleetCacheView([a, b]).snapshot()
-        assert snap["hit_rate"] == pytest.approx(9 / 20)
-
-    def test_top_items_tagged_with_shard(self):
-        snap = self.fleet().snapshot()
-        assert all("shard" in item for item in snap["top_items"])
-
-    def test_snapshot_is_json_serializable(self):
-        import json
-
-        json.dumps(self.fleet().snapshot())
-
-    def test_export_gauges_labeled_per_shard(self):
-        metrics = MetricsRegistry()
-        self.fleet().export_gauges(metrics)
-        assert metrics.gauge_value("cache_points") is not None
-        assert metrics.gauge_value("cache_points", shard="0") is not None
-        assert metrics.gauge_value("cache_items", shard="1") is not None
-
-    def test_render_mentions_shards(self):
-        text = render_cacheview(self.fleet().snapshot())
-        assert "shards=2" in text
-        assert "Per-shard caches" in text
-
-
 class TestViewFor:
     def test_plain_cache_gets_cacheview(self):
         from repro.obs.cacheview import view_for
@@ -226,15 +173,3 @@ class TestViewFor:
         view = view_for(engine)
         assert isinstance(view, CacheView)
         assert view.cache is engine.cache
-
-    def test_sharded_engine_gets_fleet_view(self):
-        from repro.core.sharded import ShardedCBCS
-        from repro.obs.cacheview import FleetCacheView, view_for
-        from repro.storage.sharding import ShardedTable
-
-        data = np.random.default_rng(0).uniform(0, 1, (200, 3))
-        engine = ShardedCBCS(ShardedTable(data, 3))
-        view = view_for(engine)
-        assert isinstance(view, FleetCacheView)
-        assert view.snapshot()["shards_total"] == 3
-        engine.close()

@@ -150,56 +150,3 @@ class TestRendering:
         assert "MARE per overlap case" in text
         assert "MARE per strategy" in text
         assert "0.500" in text  # points MARE
-
-
-class TestShardCalibration:
-    """Shard-pruning predicted-vs-actual surviving counts in the ledger."""
-
-    def shard_record(self, predicted, actual):
-        return {
-            "shard_pruning": {
-                "predicted_surviving": predicted,
-                "actual_surviving": actual,
-            }
-        }
-
-    def test_shard_only_record_counts_as_calibrated(self):
-        ledger = CalibrationLedger()
-        assert ledger.add(self.shard_record(4, 2))
-        assert ledger.queries == 1
-        assert ledger.skipped == 0
-
-    def test_shard_mare(self):
-        ledger = CalibrationLedger()
-        ledger.add(self.shard_record(4, 2))  # |4-2|/2 = 1.0
-        ledger.add(self.shard_record(3, 3))  # 0.0
-        assert ledger.mare("surviving", dimension="shard") == pytest.approx(0.5)
-
-    def test_zero_actual_uses_unit_denominator(self):
-        ledger = CalibrationLedger()
-        ledger.add(self.shard_record(2, 0))
-        assert ledger.mare("surviving", dimension="shard") == pytest.approx(2.0)
-
-    def test_summary_and_gauge(self):
-        ledger = CalibrationLedger()
-        ledger.add(self.shard_record(4, 4))
-        summary = ledger.summary()
-        assert summary["shard"]["surviving"]["count"] == 1
-        assert summary["shard"]["surviving"]["mare"] == pytest.approx(0.0)
-        metrics = MetricsRegistry()
-        ledger.export_gauges(metrics)
-        assert metrics.gauge_value(
-            "calibration_shard_mare", stage="surviving"
-        ) == pytest.approx(0.0)
-
-    def test_unsharded_summary_has_empty_shard_section(self):
-        ledger = CalibrationLedger()
-        ledger.add(record({"points": 10}, {"points": 10}))
-        assert ledger.summary()["shard"] == {}
-
-    def test_render_includes_shard_table(self):
-        ledger = CalibrationLedger()
-        ledger.add(self.shard_record(4, 2))
-        text = render_calibration(ledger.summary())
-        assert "Shard-pruning prediction error" in text
-        assert "surviving shards" in text

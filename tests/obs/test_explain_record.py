@@ -216,56 +216,49 @@ class TestCLI:
 
 
 class TestShardedRecords:
-    """Fleet-level explain records from the sharded engine."""
+    """An engine over a sharded table writes the ordinary record --
+    candidates, plan, per-box predicted vs actual; no shard section."""
 
-    def _sharded_records(self):
-        from repro.core.sharded import ShardedCBCS
+    def _sharded_records(self, ledger=None):
         from repro.storage.sharding import ShardedTable
 
-        recorder = ExplainRecorder(keep=8)
+        recorder = ExplainRecorder(keep=8, ledger=ledger)
         obs = Observability()
         obs.explainer = recorder
-        engine = ShardedCBCS(ShardedTable(DATA.copy(), 4), obs=obs)
+        engine = CBCS(ShardedTable(DATA.copy(), 4), obs=obs)
         engine.query(BASE)
-        engine.query(Constraints([2.0] * 3, [3.0] * 3))  # all pruned
+        engine.query(Constraints([2.0] * 3, [3.0] * 3))  # meets no shard
         engine.close()
         return recorder.records
 
-    def test_record_carries_shard_pruning(self):
-        records = self._sharded_records()
-        shard = records[0]["shard_pruning"]
-        assert shard["shards_total"] == 4
-        assert (
-            shard["shards_pruned"] + shard["shards_scanned"] == 4
-        )
-        assert len(shard["decisions"]) == 4
-        assert {d["decision"] for d in shard["decisions"]} <= {
-            "disjoint", "dominated", "surviving",
-        }
-        assert all("reason" in d for d in shard["decisions"])
-        assert shard["predicted_surviving"] == shard["shards_scanned"]
+    def test_fleet_record_is_the_ordinary_record(self):
+        ledger = CalibrationLedger()
+        fleet, _ = self._sharded_records(ledger)
+        recorder = ExplainRecorder(keep=8)
+        make_engine(recorder)[0].query(BASE)
+        (plain,) = recorder.records
+        assert set(fleet) == set(plain) and "shard_pruning" not in fleet
+        assert fleet["method"] == plain["method"]
+        assert fleet["plan"] == plain["plan"]
+        for ours, theirs in zip(fleet["boxes"], plain["boxes"], strict=True):
+            assert ours["box"] == theirs["box"]
+            assert ours["predicted"]["points"] == theirs["predicted"]["points"]
+            assert ours["actual"]["points"] == theirs["actual"]["points"]
+        # ... so fleet queries join the per-box calibration block
+        assert ledger.queries == 2 and ledger.skipped == 0
+        assert "shard" not in ledger.summary()
 
     def test_all_pruned_record(self):
-        records = self._sharded_records()
-        shard = records[1]["shard_pruning"]
-        assert shard["shards_scanned"] == 0
-        assert shard["shards_pruned"] == 4
-        assert shard["actual_surviving"] == 0
-        assert records[1]["actual"]["points"] == 0
+        record = self._sharded_records()[1]
+        assert record["actual"] == {"points": 0, "pages": 0, "seeks": 0, "io_ms": 0.0}
+        assert [box["actual"]["points"] for box in record["boxes"]] == [0]
 
-    def test_render_summary_has_shards_column(self):
+    def test_render_has_no_shard_section(self):
         records = self._sharded_records()
-        text = render_summary(records)
-        assert "shards" in text
-        assert "0/4" in text  # the all-pruned query
-
-    def test_render_record_shows_pruning_table(self):
-        records = self._sharded_records()
+        assert "shards" not in render_summary(records)
         text = render_record(records[0])
-        assert "Shard pruning decisions" in text
-        assert "shards:" in text
-        # sharded fleet records must not claim an empty cache
-        assert "candidates: none" not in text
+        assert "Shard pruning decisions" not in text
+        assert "candidates: none (empty-cache)" in text
 
     def test_records_are_json_serializable(self):
         for record in self._sharded_records():

@@ -179,13 +179,13 @@ class TestLifecycle:
 
 
 class TestShardedEngineService:
-    """QueryService over a ShardedCBCS: fleet cache stats and health."""
+    """QueryService over ``CBCS(ShardedTable)``: the service sees an
+    ordinary engine -- one cache for stats and health."""
 
     def make_sharded(self, data, n_shards=4):
-        from repro.core.sharded import ShardedCBCS
         from repro.storage.sharding import ShardedTable
 
-        return ShardedCBCS(ShardedTable(data, n_shards, mode="range"))
+        return CBCS(ShardedTable(data, n_shards, mode="range"))
 
     def test_answers_correct_through_the_service(self, data):
         engine = self.make_sharded(data)
@@ -197,40 +197,21 @@ class TestShardedEngineService:
             assert same_multiset(outcome.skyline, reference(data, constraints))
         engine.close()
 
-    def test_stats_aggregate_per_shard_caches(self, data):
-        engine = self.make_sharded(data)
-        queries = make_queries(data, n=16)
-        with QueryService(engine, workers=2) as svc:
-            svc.run(queries + queries)  # repeats guarantee some hits
-            cache = svc.stats()["cache"]
-        assert cache is not None
-        assert cache["caches"] == 4
-        assert len(cache["per_shard"]) == 4
-        assert [s["shard_id"] for s in cache["per_shard"]] == [0, 1, 2, 3]
-        total = cache["hits"] + cache["misses"]
-        assert total > 0
-        assert cache["hit_rate"] == pytest.approx(cache["hits"] / total)
-        assert cache["items"] == sum(
-            c.stats()["items"] for c in engine.shard_caches()
-        )
-        engine.close()
+    def test_stats_report_the_engine_cache(self, data):
+        for engine in (self.make_sharded(data), CBCS(DiskTable(data))):
+            queries = make_queries(data, n=16)
+            with QueryService(engine, workers=2) as svc:
+                svc.run(queries + queries)  # repeats guarantee some hits
+                cache = svc.stats()["cache"]
+            assert cache == engine.cache.stats()
+            assert cache["hits"] > 0 and cache["items"] == len(engine.cache)
+            engine.close()
 
-    def test_unsharded_stats_have_no_per_shard_breakdown(self, data):
-        engine = CBCS(DiskTable(data))
+    def test_health_reads_quarantined_from_the_engine_cache(self, data):
+        engine = self.make_sharded(data)
         with QueryService(engine, workers=2) as svc:
             svc.run(make_queries(data, n=4))
-            cache = svc.stats()["cache"]
-        assert cache is not None
-        assert cache["caches"] == 1
-        assert "per_shard" not in cache
-
-    def test_health_quarantined_sums_across_shards(self, data):
-        engine = self.make_sharded(data)
-        caches = engine.shard_caches()
-        with QueryService(engine, workers=2) as svc:
-            svc.run(make_queries(data, n=4))
-            caches[0].quarantined += 2
-            caches[3].quarantined += 1
+            engine.cache.quarantined += 3
             health = svc.health()
         assert health.as_dict()["quarantined"] == 3
         engine.close()

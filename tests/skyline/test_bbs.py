@@ -80,6 +80,18 @@ class TestConstrained:
             < bbs_skyline(tree, wide).nodes_accessed
         )
 
+    def test_dominator_hidden_by_a_rounded_sum_tie(self):
+        """``1e-38 + 1 == 1``: equal mindist must not let the dominated
+        point out first -- as a heap neighbour, or while its dominator is
+        still inside an unexpanded node (found by the property below)."""
+        c = Constraints([0.0, 0.0], [1.0, 1.0])
+        pair = np.array([[1.17549435e-38, 1.0], [0.0, 1.0]])
+        filler = np.column_stack([np.linspace(0.5, 0.9, 7), np.full(7, 1.0)])
+        for pts in (pair, pair[::-1], np.vstack([pair[:1], filler, pair[1:]])):
+            tree = RTree.bulk_load_points(pts, max_entries=4)
+            result = bbs_skyline(tree, c)
+            np.testing.assert_array_equal(result.skyline, [[0.0, 1.0]])
+
     @given(
         pts=arrays(
             np.float64,

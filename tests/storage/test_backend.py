@@ -47,6 +47,23 @@ class TestProtocol:
         for layer in (table, faulty, resilient, instrumented):
             assert isinstance(layer, StorageBackend)
 
+    def test_both_base_tables_satisfy_the_protocol(self, data):
+        """The protocol names what ``CBCS`` reads from its table -- ``stats``
+        on every query, ``obs`` / ``bind_obs``, ``cost_model`` -- not only
+        what the executor calls."""
+        from repro.storage.sharding import ShardedTable
+
+        assert isinstance(DiskTable(data), StorageBackend)
+        assert isinstance(ShardedTable(data, 3), StorageBackend)
+        for member in ("stats", "cost_model", "obs", "bind_obs"):
+            assert member in dir(StorageBackend)
+
+        class ReadsOnly:
+            ndim = 2
+            range_query = estimate_count = None
+
+        assert not isinstance(ReadsOnly(), StorageBackend)
+
     def test_decorators_delegate_attributes(self, table):
         stack = InstrumentedBackend(ResilientBackend(table, Resilience()))
         assert stack.ndim == table.ndim
@@ -80,6 +97,13 @@ def _instrumented(table):
 class TestOneGatherer:
     """``Executor.fetch`` is the only place per-box results are merged: on
     every stack the merged record carries all four per-box actuals."""
+
+    def test_no_boxes_gather_to_an_empty_result(self, table):
+        # built from ``backend.ndim``, not from a private table method
+        backend = build_backend(_fault_wrapped(table), resilience=Resilience())
+        merged = Executor(workers=1).fetch(backend, []).result
+        assert merged.points.shape == (0, 2) and merged.rowids.dtype == np.int64
+        assert (merged.rows_fetched, merged.io_ms, merged.seeks) == (0, 0.0, 0)
 
     @pytest.mark.parametrize(
         "stack", [_bare, _fault_wrapped, _resilient, _instrumented]

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from repro.geometry.box import Box
+from repro.geometry.interval import Interval
 from repro.storage.sharding import ShardedTable, hash_key
 from repro.storage.table import DiskTable
 
@@ -64,7 +66,7 @@ class TestConstruction:
         data = make_data()
         table = ShardedTable(data, 1)
         assert table[0].table.live_count == len(data)
-        assert table.summaries[0].count == len(data)
+        assert table.counts.tolist() == [len(data)]
 
     def test_empty_shards_allowed(self):
         # All keys identical in range mode: every quantile boundary
@@ -84,78 +86,348 @@ class TestConstruction:
 
 
 class TestSummaries:
+    """The shard bounds: ``mbr_lo`` / ``mbr_hi`` / ``counts``."""
+
     def test_mbr_matches_shard_data(self):
         data = make_data()
         table = ShardedTable(data, 4)
         for shard in table:
             view = shard.table.data_view()
-            if not len(view):
-                assert shard.summary.empty
-                continue
-            np.testing.assert_allclose(shard.summary.mbr_lo, view.min(axis=0))
-            np.testing.assert_allclose(shard.summary.mbr_hi, view.max(axis=0))
-            assert shard.summary.count == len(view)
+            sid = shard.shard_id
+            np.testing.assert_allclose(table.mbr_lo[sid], view.min(axis=0))
+            np.testing.assert_allclose(table.mbr_hi[sid], view.max(axis=0))
+            assert table.counts[sid] == len(view)
 
-    def test_record_append_grows_mbr(self):
-        data = make_data()
-        table = ShardedTable(data, 2)
+    def test_empty_shard_has_inverted_mbr(self):
+        data = np.column_stack([np.full(50, 0.5), np.linspace(0, 1, 50)])
+        table = ShardedTable(data, 4, mode="range", key_dim=0)
+        for sid in np.flatnonzero(table.counts == 0):
+            assert np.all(table.mbr_lo[sid] == np.inf)
+            assert np.all(table.mbr_hi[sid] == -np.inf)
+
+    def test_append_outside_grows_mbr(self):
+        table = ShardedTable(make_data(), 2)
+        lo, hi = table.mbr_lo, table.mbr_hi
         outside = np.array([[2.0, 2.0, 2.0]])
-        table[1].table.append(outside)
-        changed = table.record_append(1, outside)
-        assert changed
-        np.testing.assert_allclose(table.summaries[1].mbr_hi, [2.0, 2.0, 2.0])
+        assert table.route(outside[0]) == 1
+        table.append(outside)
+        np.testing.assert_allclose(table.mbr_hi[1], [2.0, 2.0, 2.0])
+        # replaced, not written into: a reader holding the old arrays keeps
+        # a consistent (smaller) view
+        assert table.mbr_hi is not hi and hi[1].max() <= 1.0
+        assert table.mbr_lo is not lo
 
-    def test_record_append_inside_mbr_does_not_change_it(self):
+    def test_append_inside_mbr_does_not_change_it(self):
+        table = ShardedTable(make_data(), 2)
+        lo, hi = table.mbr_lo.copy(), table.mbr_hi.copy()
+        count_before = table.counts[0]
+        inside = ((lo[0] + hi[0]) / 2).reshape(1, -1)
+        assert table.route(inside[0]) == 0
+        table.append(inside)
+        np.testing.assert_array_equal(table.mbr_lo, lo)
+        np.testing.assert_array_equal(table.mbr_hi, hi)
+        assert table.counts[0] == count_before + 1
+
+    def test_delete_refreshes_count_keeps_mbr_superset(self):
+        table = ShardedTable(make_data(), 2)
+        outside = np.array([[2.0, 2.0, 2.0]])
+        rowids = table.append(outside)
+        before = table.mbr_hi.copy()
+        assert table.delete(rowids) == 1
+        assert table.counts.tolist() == [s.table.live_count for s in table]
+        np.testing.assert_array_equal(table.mbr_hi, before)
+
+
+class TestRangeQuery:
+    """``range_query`` = MBR broadcast, overlapping shards in shard order."""
+
+    def test_shard_outside_the_box_is_not_read(self):
         data = make_data()
-        table = ShardedTable(data, 2)
-        summary = table.summaries[0]
-        count_before = summary.count
-        inside = ((summary.mbr_lo + summary.mbr_hi) / 2).reshape(1, -1)
-        table[0].table.append(inside)
-        assert not table.record_append(0, inside)
-        assert table.summaries[0].count == count_before + 1
+        table = ShardedTable(data, 4, mode="range", key_dim=0)
+        cut = float(table.mbr_hi[1, 0])
+        result = table.range_query(Box.closed([0, 0, 0], [cut, 1, 1]))
+        assert [s.table.stats.range_queries for s in table] == [1, 1, 0, 0]
+        assert len(result) == int((data[:, 0] <= cut).sum())
 
-    def test_record_delete_refreshes_count_keeps_mbr_superset(self):
+    def test_box_touching_an_mbr_face_reads_the_shard(self):
+        # closed against closed: the row *on* the face must be found
         data = make_data()
-        table = ShardedTable(data, 2)
-        shard = table[0]
-        before = shard.summary.mbr_hi.copy()
-        extra = ((shard.summary.mbr_lo + shard.summary.mbr_hi) / 2).reshape(1, -1)
-        rowids = shard.table.append(extra)
-        table.record_append(0, extra)
-        shard.table.delete(rowids)
-        table.record_delete(0)
-        assert table.summaries[0].count == shard.table.live_count
-        np.testing.assert_allclose(table.summaries[0].mbr_hi, before)
+        table = ShardedTable(data, 4, mode="range", key_dim=0)
+        edge = float(table.mbr_lo[2, 0])
+        result = table.range_query(Box.closed([0, 0, 0], [edge, 1, 1]))
+        assert table[2].table.stats.range_queries == 1
+        assert edge in result.points[:, 0]
 
-    def test_as_dict_roundtrips_json(self):
-        import json
+    def test_empty_shard_is_not_read(self):
+        data = np.column_stack([np.full(50, 0.5), np.linspace(0, 1, 50)])
+        table = ShardedTable(data, 4, mode="range", key_dim=0)
+        result = table.range_query(Box.universe(2))
+        assert len(result) == 50
+        assert sorted(s.table.stats.range_queries for s in table) == [0, 0, 0, 1]
+
+    def test_no_overlapping_shard_costs_nothing(self):
+        table = ShardedTable(make_data(), 4)
+        result = table.range_query(Box.closed([2, 0, 0], [3, 1, 1]))
+        assert result.points.shape == (0, 3) and result.rowids.dtype == np.int64
+        assert result.rows_fetched == 0
+        assert table.stats == type(table.stats)()
+
+    def test_results_come_in_shard_order_with_global_row_ids(self):
+        data = make_data()
+        table = ShardedTable(data, 4, mode="hash", key_dim=1)
+        box = Box.closed([0.1, 0.1, 0.1], [0.9, 0.6, 0.9])
+        result = table.range_query(box)
+        np.testing.assert_array_equal(data[result.rowids], result.points)
+        shard_of = table._shard_of[result.rowids]
+        assert (np.diff(shard_of) >= 0).all() and len(set(shard_of)) == 4
+        assert result.rows_fetched == len(result)
+        assert result.seeks == table.stats.seeks >= 4
+        assert result.io_ms == pytest.approx(table.stats.simulated_io_ms)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("n_shards", [2, 4, 8])
+    def test_skipping_shards_is_safe(self, n_shards, seed):
+        """No row inside the box lives on a shard the broadcast skipped --
+        mixed open / closed / unbounded faces against a brute-force mask."""
+        rng = np.random.default_rng(seed)
+        data = np.round(rng.uniform(0, 1, size=(300, 3)) * 6) / 6
+        mode = ("range", "hash")[seed % 2]
+        table = ShardedTable(data, n_shards, mode=mode, key_dim=seed % 3)
+        for _ in range(40):
+            a, b = np.round(rng.uniform(0, 1, size=(2, 3)) * 6) / 6
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            hi[rng.random(3) < 0.2] = np.inf
+            box = Box(
+                Interval(l, h, lo_open=bool(lo_o), hi_open=bool(hi_o))
+                for l, h, lo_o, hi_o in zip(
+                    lo, hi, rng.random(3) < 0.3, rng.random(3) < 0.3
+                )
+            )
+            result = table.range_query(box)
+            assert sorted(result.rowids.tolist()) == np.flatnonzero(
+                box.mask(data)
+            ).tolist()
+
+    def test_shard_table_is_looked_up_per_call(self):
+        """``Shard.table`` is a public field: wrapping one shard after the
+        fleet was built must take effect on the next read."""
+        from repro.storage.faults import (
+            FaultInjector,
+            FaultyDiskTable,
+            TransientStorageError,
+        )
 
         table = ShardedTable(make_data(), 2)
-        payload = json.dumps([s.as_dict() for s in table.summaries])
-        assert json.loads(payload)[0]["shard_id"] == 0
+        box = Box.closed([0, 0, 0], [1, 1, 1])
+        assert len(table.range_query(box)) == 400
+        injector = FaultInjector("none", seed=0)
+        table[1].table = FaultyDiskTable(table[1].table, injector)
+        injector.force_outage(1)
+        with pytest.raises(TransientStorageError):
+            table.range_query(box)
+        assert len(table.range_query(box)) == 400
+        # the wrapper delegates ``stats``, so the fleet sum still reconciles
+        assert table.stats.points_read == 400 * 2 + table.counts[0]
+
+    def test_truncated_part_keeps_its_signature(self):
+        """Points and row ids are concatenated independently, so a short
+        read on one shard still fails ``validate_range_result``."""
+        from dataclasses import replace
+
+        from repro.resilience.errors import CorruptResultError
+        from repro.resilience.validate import validate_range_result
+
+        table = ShardedTable(make_data(), 2)
+        inner = table[0].table
+
+        class ShortRead:
+            def __getattr__(self, name):
+                return getattr(inner, name)
+
+            def range_query(self, box):
+                result = inner.range_query(box)
+                return replace(result, points=result.points[:-3])
+
+        table[0].table = ShortRead()
+        result = table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        assert len(result.rowids) == 400 and len(result.points) == 397
+        with pytest.raises(CorruptResultError):
+            validate_range_result(result)
+
+
+class TestIndexView:
+    """``index(dim)``: what ``perfbench/trace.py`` wraps on a fleet."""
+
+    def test_view_is_stable_and_wrappable(self):
+        table = ShardedTable(make_data(), 4)
+        assert table.index(1) is table.index(1)
+        view = table.index(1)
+        calls = []
+        original = view.range_rows
+        view.range_rows = lambda *a, **k: calls.append(a) or original(*a, **k)
+        assert len(table.index(1).range_rows(0.2, 0.4)) > 0 and calls
+        del view.range_rows
+        assert "range_rows" not in vars(view)
+
+    @pytest.mark.parametrize("mode", ["range", "hash"])
+    def test_count_equals_scan_after_writes(self, mode):
+        data = make_data()
+        table = ShardedTable(data, 4, mode=mode)
+        table.delete(table.append(make_data(n=20, seed=9))[::2])
+        table.delete(np.arange(0, 400, 7))
+
+        def check():
+            for dim in range(3):
+                for lo, hi in ((0.2, 0.7), (0.5, 0.5), (0.9, 0.1), (-1.0, 2.0)):
+                    rows = table.index(dim).range_rows(lo, hi)
+                    assert table.estimate_count(dim, lo, hi) == len(rows)
+
+        check()  # dead rows still have index entries: counted and scanned
+        assert table.vacuum() == 10 + 58
+        check()
+
+    def test_rows_are_global_ids_in_shard_order(self):
+        data = make_data()
+        table = ShardedTable(data, 4, mode="hash")
+        rows = table.index(2).range_rows(0.25, 0.75, lo_open=True, hi_open=True)
+        keys = data[rows, 2]
+        assert ((keys > 0.25) & (keys < 0.75)).all()
+        assert len(rows) == int(((data[:, 2] > 0.25) & (data[:, 2] < 0.75)).sum())
+        assert (np.diff(table._shard_of[rows]) >= 0).all()
+
+
+class TestWrites:
+    def test_initial_rows_keep_their_input_position(self):
+        data = make_data()
+        for mode in ("range", "hash"):
+            table = ShardedTable(data, 4, mode=mode)
+            for rowid in (0, 1, 199, 399):
+                np.testing.assert_array_equal(table.row(rowid), data[rowid])
+        with pytest.raises(IndexError):
+            table.row(400)
+        with pytest.raises(IndexError):
+            table.row(-1)
+
+    def test_append_returns_global_ids_in_input_order(self):
+        data = make_data()
+        table = ShardedTable(data, 4)
+        rows = make_data(n=9, seed=4)
+        ids = table.append(rows)
+        assert ids.dtype == np.int64 and ids.tolist() == list(range(400, 409))
+        for rowid, row in zip(ids, rows):
+            np.testing.assert_array_equal(table.row(rowid), row)
+        assert table.n == 409 and table.live_count == 409
+        found = table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        assert sorted(found.rowids.tolist()) == list(range(409))
+
+    def test_delete_and_vacuum_span_shards(self):
+        table = ShardedTable(make_data(), 4)
+        victims = np.array([0, 1, 2, 3, 399])
+        assert len(set(table._shard_of[victims])) > 1
+        assert table.delete(victims) == 5
+        assert table.delete(victims[:2]) == 0  # already dead
+        assert table.live_count == 395
+        with pytest.raises(KeyError, match="row 399 is deleted"):
+            table.row(399)
+        assert table.vacuum() == 5
+        found = table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        assert not set(victims.tolist()) & set(found.rowids.tolist())
+
+    def test_explicit_mode_refuses_append_before_touching_a_shard(self):
+        data = make_data(n=6)
+        table = ShardedTable(
+            data, 2, mode="explicit", assignments=np.array([0, 1] * 3)
+        )
+        for write in (table.append, table.route):
+            with pytest.raises(ValueError, match="only be placed at construction"):
+                write(data[0])
+        assert [s.table.n for s in table] == [3, 3] and table.n == 6
+
+
+class TestConcurrentReadersAndWriter:
+    def test_readers_can_name_every_row_a_shard_returns(self):
+        """Readers take no lock: while a writer appends, every row a shard
+        hands back must already have its global id (directory before rows),
+        and no committed row may be missing once the writer is done."""
+        import sys
+        import threading
+
+        data = make_data(n=200)
+        table = ShardedTable(data, 4, mode="hash")
+        batches = [make_data(n=3, seed=100 + i) for i in range(120)]
+        everything = Box.closed([0, 0, 0], [1, 1, 1])
+        committed = [len(data)]  # rows whose append has returned
+        failures = []
+        done = threading.Event()
+
+        def read():
+            try:
+                while not done.is_set():
+                    floor = committed[0]
+                    result = table.range_query(everything)
+                    ids = result.rowids
+                    assert len(set(ids.tolist())) == len(ids) >= floor
+                    for rowid, point in zip(ids[-5:].tolist(), result.points[-5:]):
+                        expected = (
+                            data[rowid]
+                            if rowid < len(data)
+                            else batches[(rowid - len(data)) // 3][(rowid - len(data)) % 3]
+                        )
+                        np.testing.assert_array_equal(point, expected)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+                raise
+
+        def write():
+            try:
+                for batch in batches:
+                    ids = table.append(batch)
+                    committed[0] = int(ids[-1]) + 1
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+                raise
+            finally:
+                done.set()
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            readers = [threading.Thread(target=read) for _ in range(6)]
+            writer = threading.Thread(target=write)
+            for thread in readers + [writer]:
+                thread.start()
+            writer.join(timeout=30)
+            done.set()
+            for thread in readers:
+                thread.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not writer.is_alive() and not any(t.is_alive() for t in readers)
+        assert not failures, failures
+        final = table.range_query(everything)
+        assert sorted(final.rowids.tolist()) == list(range(200 + 360))
 
 
 class TestAccounting:
     def test_stats_total_sums_shards(self):
-        from repro.geometry.box import Box
-
         data = make_data()
         table = ShardedTable(data, 4)
         for shard in table:
             shard.table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
-        total = table.stats_total()
+        total = table.stats
         assert total.points_read == sum(
             s.table.stats.points_read for s in table
         )
         assert total.points_read == len(data)
+        assert total.range_queries == 4
+        assert table.n_pages == sum(s.table.n_pages for s in table)
 
     def test_estimate_count_sums_shards(self):
         data = make_data()
         table = ShardedTable(data, 4)
-        est = table.estimate_count(0, 0.2, 0.8)
-        flat = DiskTable(data).estimate_count(0, 0.2, 0.8)
-        assert est == pytest.approx(flat, rel=0.25, abs=20)
+        assert table.estimate_count(0, 0.2, 0.8) == DiskTable(data).estimate_count(
+            0, 0.2, 0.8
+        )
 
     def test_route_matches_partitioning(self):
         data = make_data()
@@ -172,3 +444,26 @@ class TestAccounting:
         )
         with pytest.raises(ValueError):
             table.route(data[0])
+
+    def test_bind_obs_reaches_every_shard(self):
+        from repro.obs import MetricsRegistry, Observability, Tracer
+
+        obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
+        table = ShardedTable(make_data(), 4)
+        assert table.bind_obs(obs) is table and table.obs is obs
+        table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        assert obs.metrics.counter_total("table_range_queries_total") == 4
+        table.bind_obs(None)
+        assert all(not s.table.obs.enabled for s in table)
+
+
+class TestHashKey:
+    @pytest.mark.parametrize("n_shards", range(2, 9))
+    def test_signed_zero_routes_with_zero(self, n_shards):
+        """Equal keys, one shard: CRC32 over the raw bytes told them apart."""
+        assert hash_key(-0.0, n_shards) == hash_key(0.0, n_shards)
+        assert hash_key(np.float64(-0.0), n_shards) == hash_key(0, n_shards)
+        data = np.array([[0.0, 1.0], [-0.0, 2.0], [0.5, 3.0]])
+        table = ShardedTable(data, n_shards, mode="hash", key_dim=0)
+        assert table._shard_of[0] == table._shard_of[1]
+        assert table.route([-0.0, 9.0]) == table.route([0.0, 9.0])
