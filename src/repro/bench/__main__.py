@@ -34,7 +34,7 @@ import time
 from contextlib import nullcontext
 
 from repro.bench.experiments import ALL_EXPERIMENTS
-from repro.bench.harness import activate_faults, activate_workers, bench_scale
+from repro.bench.harness import activate_faults, bench_scale
 from repro.obs import activate
 
 
@@ -120,10 +120,9 @@ def build_parser() -> argparse.ArgumentParser:
              "resilience layer enabled",
     )
     parser.add_argument(
-        "--workers", metavar="N", type=int, default=1,
-        help="fetch a plan's disjoint range queries on N concurrent workers "
-             "(default 1 = serial; answers and I/O counters are identical, "
-             "only the effective fetch latency changes)",
+        "--workers", metavar="N", type=int,
+        help="with --overload: how many queries the soak's QueryService "
+             "runs at once (default and minimum 2)",
     )
     parser.add_argument(
         "--chaos", metavar="N", type=int,
@@ -191,7 +190,11 @@ def main(argv=None) -> int:
     if opts.shard_sweep is not None and opts.shard_sweep < 1:
         print("--shard-sweep needs a positive query count")
         return 2
-    if opts.workers < 1:
+    if opts.workers is not None and opts.overload is None:
+        print("--workers sizes the --overload soak's QueryService; "
+              "it needs --overload N")
+        return 2
+    if opts.workers is not None and opts.workers < 1:
         print("--workers needs a positive worker count")
         return 2
     if opts.explain and opts.obs is None:
@@ -315,12 +318,9 @@ def main(argv=None) -> int:
     faults_ctx = (
         nullcontext() if opts.faults is None else activate_faults(opts.faults)
     )
-    workers_ctx = (
-        nullcontext() if opts.workers == 1 else activate_workers(opts.workers)
-    )
     with (
         activate(obs) if obs is not None else nullcontext()
-    ), faults_ctx, workers_ctx:
+    ), faults_ctx:
         for name in names:
             if obs is not None:
                 # Fresh registry per figure: its distillate feeds the
@@ -380,7 +380,6 @@ def main(argv=None) -> int:
                 n_queries=opts.chaos,
                 profile=opts.faults or "default",
                 obs=obs,
-                workers=opts.workers,
             )
             print(chaos_report.render_text())
             print()
@@ -393,7 +392,7 @@ def main(argv=None) -> int:
                 n_requests=opts.overload,
                 profile=opts.faults or "none",
                 obs=obs,
-                workers=max(opts.workers, 2),
+                workers=max(opts.workers or 2, 2),
             )
             print(serving_report.render_text())
             print()
@@ -405,7 +404,6 @@ def main(argv=None) -> int:
             shard_report = run_shard_sweep(
                 n_queries=opts.shard_sweep,
                 profile=opts.faults,
-                workers=opts.workers,
                 obs=obs,
             )
             print(shard_report.render_text())
@@ -414,12 +412,11 @@ def main(argv=None) -> int:
                 dump["shard_sweep"] = shard_report.as_dict()
         if opts.crash_drill or opts.chaos is not None:
             # The crash-recovery drill rides along with every chaos soak:
-            # same fault profile, same worker count, plus armed crashes.
+            # same fault profile, plus armed crashes.
             from repro.bench.crashdrill import run_crash_drill
 
             crash_report = run_crash_drill(
                 profile=opts.faults or "default",
-                workers=opts.workers,
                 out_dir=opts.crash_out,
             )
             print(crash_report.render_text())

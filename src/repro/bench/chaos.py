@@ -138,7 +138,6 @@ def run_chaos_soak(
     obs=None,
     breaker_drill: bool = True,
     min_exact_fraction: float = 0.99,
-    workers: int = 1,
 ) -> ChaosReport:
     """Run the chaos soak and return its :class:`ChaosReport`.
 
@@ -157,7 +156,7 @@ def run_chaos_soak(
     metrics = obs.metrics if obs is not None and obs.enabled else None
     injector = FaultInjector(profile=fault_profile, seed=seed, metrics=metrics)
     table = FaultyDiskTable(DiskTable(data), injector)
-    engine = CBCS(table, obs=obs, resilience=True, workers=workers)
+    engine = CBCS(table, obs=obs, resilience=True)
     breaker = engine.resilience.breaker
 
     gen = WorkloadGenerator(data, seed=seed)

@@ -122,7 +122,6 @@ class ScenarioResult:
 class CrashDrillReport:
     seed: int
     profile: str
-    workers: int
     scenarios: List[ScenarioResult] = field(default_factory=list)
 
     @property
@@ -133,15 +132,13 @@ class CrashDrillReport:
         return {
             "seed": self.seed,
             "profile": self.profile,
-            "workers": self.workers,
             "scenarios": [s.as_dict() for s in self.scenarios],
             "passed": self.passed,
         }
 
     def render_text(self) -> str:
         lines = [
-            f"# crash-recovery drill (seed={self.seed}, "
-            f"profile={self.profile}, workers={self.workers})"
+            f"# crash-recovery drill (seed={self.seed}, profile={self.profile})"
         ]
         for s in self.scenarios:
             status = "ok" if s.passed else "FAIL"
@@ -202,7 +199,6 @@ def _build_engine(
     cache_dir: Path,
     injector: Optional[FaultInjector],
     profile,
-    workers: int,
     fsync: bool,
 ):
     """One durable engine over (possibly fault-injected) storage."""
@@ -223,7 +219,6 @@ def _build_engine(
         cache=cache,
         durability=manager,
         resilience=True if faulty else None,
-        workers=workers,
     )
     return engine
 
@@ -254,7 +249,6 @@ def run_crash_drill(
     ndim: int = 3,
     n_ops: int = 16,
     n_check_queries: int = 10,
-    workers: int = 1,
     fsync: bool = True,
     scenarios=DEFAULT_SCENARIOS,
     out_dir=None,
@@ -268,9 +262,7 @@ def run_crash_drill(
     artifacts); otherwise everything lives in a temp directory.
     """
     fault_profile = get_profile(profile)
-    report = CrashDrillReport(
-        seed=seed, profile=fault_profile.name, workers=workers
-    )
+    report = CrashDrillReport(seed=seed, profile=fault_profile.name)
     root = Path(out_dir) if out_dir is not None else Path(tempfile.mkdtemp())
     root.mkdir(parents=True, exist_ok=True)
     data = independent(n_points, ndim, seed=seed)
@@ -291,7 +283,7 @@ def run_crash_drill(
         injector = FaultInjector(profile=fault_profile, seed=seed)
         try:
             engine = _build_engine(
-                data, dur_dir, cache_dir, injector, fault_profile, workers, fsync
+                data, dur_dir, cache_dir, injector, fault_profile, fsync
             )
             # Arm only after construction: the base checkpoint must exist,
             # or there is nothing to recover onto.
@@ -341,7 +333,6 @@ def run_crash_drill(
                 manager,
                 cache=cache,
                 resilience=True if faulty else None,
-                workers=workers,
                 table_wrapper=(
                     (lambda t: FaultyDiskTable(t, injector)) if faulty else None
                 ),

@@ -615,7 +615,7 @@ def serving_overload(seed: int = 0) -> FigureReport:
     The numbers are exported as ``serving_*`` gauges so the bench snapshot
     carries a serving section (see ``repro.bench.regress``).
     """
-    from repro.bench.harness import active_fault_profile, active_workers
+    from repro.bench.harness import active_fault_profile
     from repro.bench.serving import run_overload_soak
     from repro.obs import current as _current_obs
 
@@ -631,7 +631,6 @@ def serving_overload(seed: int = 0) -> FigureReport:
         profile=active_fault_profile() or "none",
         seed=seed,
         workers=4,
-        engine_workers=active_workers(),
         obs=None,
     )
     metrics = _current_obs().metrics
@@ -728,7 +727,7 @@ def sharding_scaleout(seed: int = 0, ndim: int = 4) -> FigureReport:
         outcomes = [engine.query(constraints) for constraints in queries]
         engine.close()
         points = sum(o.points_read for o in outcomes)
-        io_ms = sum(o.timings.io_ms_total for o in outcomes) / n_queries
+        io_ms = sum(o.timings.fetch_io_ms for o in outcomes) / n_queries
         total_ms = sum(o.total_ms for o in outcomes) / n_queries
         reads = sum(o.range_queries for o in outcomes) / n_queries
         rows.append((count, points, io_ms, total_ms - io_ms, reads))

@@ -90,36 +90,6 @@ def activate_faults(profile: Optional[str], seed: int = 0):
         _fault_state.update(previous)
 
 
-# ----------------------------------------------------------------------
-# Ambient executor parallelism (``python -m repro.bench --workers N``)
-# ----------------------------------------------------------------------
-_exec_state: Dict[str, int] = {"workers": 1}
-
-
-def active_workers() -> int:
-    """The ambient executor worker count (1 = serial, the default)."""
-    return int(_exec_state["workers"])
-
-
-@contextmanager
-def activate_workers(workers: int):
-    """Run the ``with`` body with concurrent range-query execution.
-
-    While active, every :func:`make_cbcs` engine fetches its plan's
-    disjoint range queries on a bounded pool of ``workers`` threads.
-    Answers and I/O counters are unchanged (the executor gathers results
-    in plan order); only the effective fetch latency drops -- see
-    ``StageTimings.fetch_io_ms`` vs ``io_ms_total``.
-    """
-    previous = dict(_exec_state)
-    _exec_state.update(workers=int(workers))
-    try:
-        yield
-    finally:
-        _exec_state.clear()
-        _exec_state.update(previous)
-
-
 @dataclass
 class MethodResult:
     """All query outcomes of one method over one workload."""
@@ -219,7 +189,6 @@ def make_cbcs(
         region_computer=region,
         obs=obs if obs.enabled else None,
         resilience=resilience,
-        workers=active_workers(),
     )
     if obs.enabled:
         obs.last_cache = engine.cache

@@ -281,7 +281,6 @@ def run_overload_soak(
     deadline_multiplier: float = 25.0,
     min_coalesced: int = 1,
     p99_limit_ms: Optional[float] = None,
-    engine_workers: int = 1,
 ) -> ServingReport:
     """Run the open-loop overload soak and return its :class:`ServingReport`.
 
@@ -316,7 +315,7 @@ def run_overload_soak(
         )
         table = FaultyDiskTable(DiskTable(data), injector)
     engine = PacedEngine(
-        CBCS(table, obs=obs, resilience=True, workers=engine_workers),
+        CBCS(table, obs=obs, resilience=True),
         floor_ms=floor_ms,
     )
 

@@ -32,7 +32,6 @@ code 7 on failure) or directly::
 
 from __future__ import annotations
 
-import math
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -64,7 +63,6 @@ class ShardSweepReport:
     shard_counts: Tuple[int, ...]
     strategies: Tuple[str, ...]
     profile: Optional[str]
-    workers: int
     n_queries: int
     cells: int = 0
     queries_checked: int = 0
@@ -99,7 +97,7 @@ class ShardSweepReport:
             f"# shard sweep (seeds={list(self.seeds)}, "
             f"shards={list(self.shard_counts)}, "
             f"strategies={list(self.strategies)}, "
-            f"faults={self.profile or 'none'}, workers={self.workers})",
+            f"faults={self.profile or 'none'})",
             f"cells checked        : {self.cells} "
             f"({self.queries_checked} query comparisons)",
             f"answer mismatches    : {self.answer_mismatches}",
@@ -129,7 +127,6 @@ def run_shard_sweep(
     faulted_shard: int = 0,
     n_points: Optional[int] = None,
     ndim: int = 4,
-    workers: int = 1,
     obs=None,
 ) -> ShardSweepReport:
     """Run the sweep and return its report (invariants: module doc).
@@ -152,7 +149,6 @@ def run_shard_sweep(
         shard_counts=tuple(shard_counts),
         strategies=strategy_names,
         profile=profile,
-        workers=int(workers),
         n_queries=int(n_queries),
     )
 
@@ -178,7 +174,6 @@ def run_shard_sweep(
                 engine = CBCS(
                     table,
                     strategy=make_strategy(),
-                    workers=workers,
                     obs=obs,
                     resilience=True if profile is not None else None,
                 )
@@ -204,14 +199,6 @@ def _fault_shard(shard, profile: str, seed: int) -> None:
     shard.table = FaultyDiskTable(
         shard.table, FaultInjector(profile=get_profile(profile), seed=seed)
     )
-
-
-def _same_io(a, b) -> bool:
-    """Every counter equal; the simulated milliseconds to rounding, because
-    with ``workers > 1`` the order boxes add to it is the scheduler's."""
-    x, y = a.as_dict(), b.as_dict()
-    ms_x, ms_y = x.pop("simulated_io_ms"), y.pop("simulated_io_ms")
-    return x == y and math.isclose(ms_x, ms_y, rel_tol=1e-9, abs_tol=1e-9)
 
 
 def _run_cell(
@@ -279,7 +266,7 @@ def _run_cell(
             )
         if n_shards == 1 and not (
             outcome.skyline.tobytes() == reference.skyline.tobytes()
-            and _same_io(outcome.io, reference.io)
+            and outcome.io == reference.io
         ):
             report.io_mismatches += 1
             report.errors.append(

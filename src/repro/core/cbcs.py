@@ -16,7 +16,7 @@ The engine is split into three layers (see ``docs/architecture.md``):
   I/O, shared verbatim by :meth:`CBCS.explain` and the execution path;
 - an :class:`~repro.core.executor.Executor` that runs a plan's disjoint
   range queries against a :class:`~repro.storage.backend.StorageBackend`,
-  optionally overlapping them on a bounded thread pool (``workers > 1``);
+  in plan order on the calling thread;
 - a backend stack composed of decorators
   (:class:`~repro.storage.backend.ResilientBackend` for validation + retry
   + circuit breaker, :class:`~repro.storage.backend.InstrumentedBackend`
@@ -126,7 +126,6 @@ class CBCS:
         cache_results: bool = True,
         obs=None,
         resilience=None,
-        workers: int = 1,
     ):
         """``region_computer`` defaults to the 1-NN aMPR, the paper's default
         for interactive workloads; pass :class:`~repro.core.ampr.ExactMPR`
@@ -148,12 +147,6 @@ class CBCS:
         serve) instead of raising, and cache items are invariant-verified
         before CBCS prunes with them.  The default ``None`` keeps the
         historic fail-fast behaviour with zero overhead.
-
-        ``workers`` sizes the executor's fetch pool.  The default 1 keeps
-        the historic serial semantics bit-for-bit; ``workers > 1`` overlaps
-        a plan's disjoint range queries on a bounded thread pool -- answers
-        and I/O counters stay identical (results are gathered in plan
-        order), only the effective fetch latency drops.
         """
         self.table = table
         # explicit None checks: an empty SkylineCache is falsy (len 0)
@@ -194,9 +187,8 @@ class CBCS:
                 self.resilience.bind_metrics(obs.metrics)
             if self._fallback_region is not None:
                 self._fallback_region.bind_obs(obs)
-        self.workers = int(workers)
         self.planner = Planner(self.strategy, self.region, self.table.estimate_count)
-        self.executor = Executor(workers=self.workers, obs=obs)
+        self.executor = Executor()
         #: the storage stack all query I/O goes through; ``self.table`` stays
         #: the caller's handle for data maintenance (append/delete/vacuum)
         self.backend = build_backend(self.table, resilience=self.resilience, obs=obs)
@@ -206,9 +198,7 @@ class CBCS:
         return f"CBCS[{self.region.name}]"
 
     def close(self) -> None:
-        """Release the executor's worker pool and flush the cache backend.
-
-        With the default in-memory cache backend both steps are no-ops; a
+        """Flush the cache backend: a no-op for the default in-memory one; a
         persistent backend takes a final checkpoint so the next start is
         warm.
         """
@@ -357,11 +347,18 @@ class CBCS:
         With cache verification on, the chosen item is invariant-checked
         (and healed out of the cache if corrupt) *before* CBCS prunes with
         it; the strategy then re-picks among the rest.
+
+        ``outcome.io`` is the sum of what this pass's own range results
+        were stamped with, so queries running at once on one engine
+        (``QueryService`` workers) never bill each other.  Under resilience
+        an attempt that raised returned no result to carry its charge: what
+        it read (a truncated or corrupt payload that validation rejected)
+        stays on the table's counters alone, like the reads of a rung that
+        failed -- no outcome is billed for it.
         """
         obs = self.obs
         rung = attempt.rung
         watch = Stopwatch(tracer=obs.tracer, profiler=obs.profiler)
-        io_before = self.table.stats.snapshot()
 
         candidates, item = (), None
         with watch.stage("processing"):
@@ -442,17 +439,8 @@ class CBCS:
                 # The fetch path saw faults: re-verify what we just stored
                 # so a slipped-through corruption cannot poison later queries.
                 self.cache.verify_and_heal(inserted)
-        io = self.table.stats.delta_since(io_before)
-        # ``io_ms_total`` is always the aggregate simulated I/O the query
-        # charged (retries included, straight from the table's counters).
-        # ``fetch_io_ms`` -- the Figure-10 "fetching" stage -- equals that
-        # aggregate when the fetch ran serially, and the executor's overlap-
-        # aware makespan when boxes actually ran on multiple lanes, so the
-        # stage breakdown keeps summing to the effective response time.
-        watch.timings.io_ms_total = io.simulated_io_ms
-        watch.timings.fetch_io_ms = (
-            fetch.effective_io_ms if fetch.workers > 1 else io.simulated_io_ms
-        )
+        io = fetched.io_stats()
+        watch.timings.fetch_io_ms = io.simulated_io_ms
         return QueryOutcome(
             skyline=skyline,
             method=self.name,

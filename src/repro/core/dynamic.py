@@ -104,6 +104,9 @@ class DynamicCBCS(CBCS):
     def delete_points(self, rowids) -> int:
         """Delete table rows and maintain every affected cache item."""
         rowids = np.atleast_1d(np.asarray(rowids, dtype=np.int64))
+        # each id once, in the order given: a repeated id is one row, to be
+        # logged, killed and maintained once
+        rowids = rowids[np.sort(np.unique(rowids, return_index=True)[1])]
         # Reading the coordinates first also validates the row ids, so an
         # invalid request fails before anything reaches the WAL.
         coords = [self.table.row(int(r)) for r in rowids]
@@ -126,7 +129,7 @@ class DynamicCBCS(CBCS):
         self.cache.checkpoint()
 
     def close(self) -> None:
-        """Checkpoint durable state, close the WAL, release the executor."""
+        """Checkpoint durable state, close the WAL, flush the cache."""
         if self.durability is not None:
             self.durability.close(self.table)
         super().close()
@@ -138,7 +141,7 @@ class DynamicCBCS(CBCS):
         ``source`` is the durability directory (or a prepared
         :class:`~repro.storage.durability.DurabilityManager`, e.g. one
         carrying the drill's fault injector); remaining ``kwargs`` go to
-        the engine constructor (cache, resilience, workers, ...).
+        the engine constructor (cache, resilience, ...).
         ``table_wrapper`` optionally re-wraps the recovered table (e.g. in
         a :class:`~repro.storage.faults.FaultyDiskTable`) before the
         engine adopts it.

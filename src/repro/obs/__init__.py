@@ -157,9 +157,6 @@ class Observability:
         m.observe("stage_ms", t.fetch_io_ms, method=method, stage="fetch_io")
         m.observe("stage_ms", t.fetch_wall_ms, method=method, stage="fetch_wall")
         m.observe("stage_ms", t.skyline_ms, method=method, stage="skyline")
-        # Aggregate disk work (not a stage: it overlaps fetch_io under a
-        # parallel executor, so it must not enter the stage_ms breakdown).
-        m.observe("query_io_ms_total", t.io_ms_total, method=method)
         # The query id rides as an exemplar (a concrete query to pull up in
         # the trace), never as a label: per-query labels would explode
         # series cardinality.

@@ -59,7 +59,7 @@ class JsonlSink:
 
     Safe for concurrent writers: each record is serialized *outside* the
     lock, then written to the handle as one string under it, so lines from
-    different threads (service workers, parallel executor lanes) can never
+    different threads (``QueryService`` workers) can never
     interleave mid-record.  ``close()`` always releases the handle, even
     when the final flush raises (a full disk must not leak the file
     descriptor or wedge later reopens).

@@ -77,7 +77,7 @@ class CircuitBreaker:
         self._consecutive_failures = 0
         self._rejected_in_open = 0
         self._probe_streak = 0
-        # allow()/record_*() interleave from concurrent executor workers;
+        # allow()/record_*() interleave from concurrent queries;
         # reentrant so _transition's metric mirroring nests safely.
         self._lock = threading.RLock()
         self.metrics = NULL_METRICS if metrics is None else metrics

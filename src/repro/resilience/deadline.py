@@ -36,9 +36,8 @@ class Deadline:
     """A per-request time budget in milliseconds.
 
     ``elapsed_ms`` is real wall-clock time since construction plus any
-    simulated milliseconds charged via :meth:`charge`.  Thread-safe: one
-    deadline may be shared by several executor lanes fetching boxes of the
-    same query concurrently.
+    simulated milliseconds charged via :meth:`charge`.  Thread-safe: the
+    thread that submits a request arms it, a service worker charges it.
     """
 
     __slots__ = ("budget_ms", "_t0", "_charged_ms", "_lock", "_clock")

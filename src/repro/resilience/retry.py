@@ -14,7 +14,6 @@ the chaos soak's fault replay exact.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 from repro.obs.metrics import NULL_METRICS
@@ -72,7 +71,7 @@ class RetryState:
     ``deadline`` (a :class:`~repro.resilience.deadline.Deadline`, optional)
     is the request's end-to-end budget; every simulated backoff delay spent
     here is also charged against it, and the retry loop stops retrying the
-    moment it expires.
+    moment it expires.  One query, one thread, one budget: no lock.
     """
 
     def __init__(self, policy: RetryPolicy, deadline=None):
@@ -81,9 +80,6 @@ class RetryState:
         self.retries = 0
         self.spent_ms = 0.0
         self._token = 0
-        # One retry budget may be drawn on by several executor workers
-        # retrying different boxes of the same query concurrently.
-        self._lock = threading.Lock()
 
     @property
     def remaining_ms(self) -> float:
@@ -91,21 +87,19 @@ class RetryState:
 
     def next_token(self) -> int:
         """A fresh per-operation jitter token within this query."""
-        with self._lock:
-            self._token += 1
-            return self._token
+        self._token += 1
+        return self._token
 
     def try_spend(self, delay_ms: float) -> bool:
-        """Atomically charge one backoff delay to the budget.
+        """Charge one backoff delay to the budget.
 
         Returns False (leaving the budget untouched) when the charge would
         exceed the deadline -- the caller's cue to stop retrying.
         """
-        with self._lock:
-            if self.spent_ms + delay_ms > self.policy.deadline_ms:
-                return False
-            self.spent_ms += delay_ms
-            self.retries += 1
+        if self.spent_ms + delay_ms > self.policy.deadline_ms:
+            return False
+        self.spent_ms += delay_ms
+        self.retries += 1
         if self.deadline is not None:
             self.deadline.charge(delay_ms)
         return True

@@ -28,25 +28,25 @@ class StageTimings:
 
     - ``processing_ms``: main-memory selection/decomposition of range
       queries (cache search, MPR computation) -- Figure 10's first stage;
-    - ``fetch_io_ms``: *effective* simulated disk latency of the fetch
-      stage.  With a serial executor this is the summed latency of every
-      range query; with ``workers > 1`` it is the makespan of the per-range
-      latencies scheduled over the worker lanes (overlapped I/O), which is
-      what actually elapses on the critical path;
+    - ``fetch_io_ms``: the one simulated number -- the disk latency the
+      query's range queries (or scan) were charged by the cost model,
+      ``outcome.io.simulated_io_ms``.  The three others are measured;
     - ``fetch_wall_ms``: CPU time spent executing the fetches in-process;
-    - ``skyline_ms``: the skyline-algorithm stage;
-    - ``io_ms_total``: the *aggregate* simulated I/O charged by every range
-      query (retries included) regardless of overlap.  Equal to
-      ``fetch_io_ms`` when serial; under parallel fetches the two diverge
-      and the Figure-10 breakdown uses the effective number, while this
-      field keeps the total-disk-work accounting reconcilable.
+    - ``skyline_ms``: the skyline-algorithm stage.
+
+    ``io_ms_total`` is a read-only alias of ``fetch_io_ms`` (not a field, so
+    not in :meth:`as_dict`), kept for the repository benchmark, which reads
+    it (``perfbench/measure.py``).
     """
 
     processing_ms: float = 0.0
     fetch_io_ms: float = 0.0
     fetch_wall_ms: float = 0.0
     skyline_ms: float = 0.0
-    io_ms_total: float = 0.0
+
+    @property
+    def io_ms_total(self) -> float:
+        return self.fetch_io_ms
 
     @property
     def total_ms(self) -> float:
@@ -144,8 +144,7 @@ class QueryOutcome:
 #: Valid Stopwatch stage names: exactly the ``*_ms``-suffixed *fields* of
 #: :class:`StageTimings`.  Derived explicitly from ``dataclasses.fields`` so
 #: read-only properties such as ``total_ms`` (which a plain ``hasattr`` check
-#: would accept) are rejected; non-stage accounting fields (``io_ms_total``)
-#: are excluded by the suffix filter.
+#: would accept) are rejected.
 STAGE_NAMES = frozenset(
     f.name[: -len("_ms")]
     for f in fields(StageTimings)

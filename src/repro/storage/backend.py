@@ -50,10 +50,11 @@ class StorageBackend(Protocol):
     ``ShardedTable``, ``FaultyDiskTable`` and the decorators in this module
     all do (the wrappers by delegation).  The executor issues
     ``range_query``; the planner calls ``estimate_count`` while planning,
-    so it must be free of (simulated) disk I/O; ``CBCS`` reads ``stats``
-    around every query to attribute its I/O, hands its observability down
-    through ``obs`` / ``bind_obs``, and the cost-based strategy and the
-    EXPLAIN record price boxes with ``cost_model``.
+    so it must be free of (simulated) disk I/O; ``stats`` is the table's
+    running total (a query is billed from the charges stamped on its own
+    range results, not from a window on it); ``CBCS`` hands its
+    observability down through ``obs`` / ``bind_obs``, and the cost-based
+    strategy and the EXPLAIN record price boxes with ``cost_model``.
     """
 
     @property

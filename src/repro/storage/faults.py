@@ -186,7 +186,7 @@ class FaultInjector:
         #: every crash order fired, for drill reporting/replay audits
         self.crash_trace: List[CrashOrder] = []
         # Guards the PRNG, call counter, trace, and outage budget so
-        # concurrent executor workers draw verdicts without corruption.
+        # concurrent queries draw verdicts without corruption.
         self._lock = threading.RLock()
 
     def bind_metrics(self, metrics: Optional[MetricsRegistry]) -> "FaultInjector":
@@ -339,8 +339,7 @@ class FaultyDiskTable:
         result = self.inner.range_query(box)
         if kind == "latency":
             # The spike is charged to the table's aggregate stats *and* to
-            # this call's io_ms, so the parallel executor's lane schedule
-            # sees the per-box latency it can hide behind other boxes.
+            # this call's io_ms, which is what the query is billed from.
             latency_ms = self.injector.profile.latency_ms
             self.inner.charge_io(latency_ms)
             result = replace(result, io_ms=result.io_ms + latency_ms)

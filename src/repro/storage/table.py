@@ -38,7 +38,7 @@ from __future__ import annotations
 import math
 import threading
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import List, Literal, Optional, Sequence
 
 import numpy as np
@@ -82,13 +82,16 @@ class RangeResult:
     number of heap rows fetched to produce them (candidates incl. false
     positives of the chosen plan).
 
-    ``io_ms`` is the simulated disk latency this one call charged (stamped
-    under the table lock); the concurrent executor schedules per-box
-    ``io_ms`` values onto its worker lanes to derive the effective parallel
-    fetch latency.  ``pages_read`` and ``seeks`` are the physical-I/O
-    counters this one call added to :attr:`DiskTable.stats` -- the
-    per-range-query *actuals* the explain/calibration layer joins against
-    the cost model's :class:`~repro.storage.costmodel.FetchForecast`.
+    The remaining fields are what this one call added to
+    :attr:`DiskTable.stats`, stamped under the table lock: ``io_ms`` the
+    simulated disk latency, ``pages_read`` / ``seeks`` the physical I/O,
+    ``range_queries`` / ``empty_queries`` / ``buffer_hits`` the counters of
+    the same name (``points_read`` is ``rows_fetched``).  They are the only
+    I/O evidence that belongs to one caller: the engine bills a query from
+    the results of its own fetch (:meth:`io_stats`), never from a window on
+    the shared counters, and the explain/calibration layer joins them per
+    box against the cost model's
+    :class:`~repro.storage.costmodel.FetchForecast`.
     """
 
     points: np.ndarray
@@ -97,9 +100,25 @@ class RangeResult:
     io_ms: float = 0.0
     pages_read: int = 0
     seeks: int = 0
+    range_queries: int = 0
+    empty_queries: int = 0
+    buffer_hits: int = 0
 
     def __len__(self) -> int:
         return len(self.rowids)
+
+    def io_stats(self) -> IOStats:
+        """What this result charged, in the shape of the table's counters
+        (a range query never takes the full-scan path)."""
+        return IOStats(
+            range_queries=self.range_queries,
+            empty_queries=self.empty_queries,
+            points_read=self.rows_fetched,
+            pages_read=self.pages_read,
+            seeks=self.seeks,
+            simulated_io_ms=self.io_ms,
+            buffer_hits=self.buffer_hits,
+        )
 
 
 def concat_results(parts: Sequence[RangeResult], ndim: int) -> RangeResult:
@@ -123,6 +142,9 @@ def concat_results(parts: Sequence[RangeResult], ndim: int) -> RangeResult:
         io_ms=float(sum(p.io_ms for p in parts)),
         pages_read=sum(p.pages_read for p in parts),
         seeks=sum(p.seeks for p in parts),
+        range_queries=sum(p.range_queries for p in parts),
+        empty_queries=sum(p.empty_queries for p in parts),
+        buffer_hits=sum(p.buffer_hits for p in parts),
     )
 
 
@@ -215,8 +237,9 @@ class DiskTable:
         self.cost_model = cost_model or DiskCostModel()
         self.plan: PlanKind = plan
         self.stats = IOStats()
-        # One disk head: concurrent range queries serialize on this lock, so
-        # IOStats read-modify-writes stay exact under a parallel executor.
+        # One disk head: concurrent queries (``QueryService`` workers)
+        # serialize on this lock, so IOStats read-modify-writes stay exact
+        # and each result is stamped with what its own call charged.
         self._lock = threading.RLock()
         self.obs = NULL_OBS if obs is None else obs
         self._alive = np.ones(len(data), dtype=bool)
@@ -334,7 +357,7 @@ class DiskTable:
             return self._locked_range_query(box)
         # Instrumented path: one span per range query plus table counters.
         # The span's I/O figures come from the result itself (stamped under
-        # the table lock), so they stay exact under concurrent fetches.
+        # the table lock), so they stay exact under concurrent queries.
         with obs.tracer.span("table.range_query", plan=self.plan) as span:
             result = self._locked_range_query(box)
             span.set(
@@ -352,20 +375,24 @@ class DiskTable:
         return result
 
     def _locked_range_query(self, box: Box) -> RangeResult:
-        """Run one range query under the table lock, stamping its I/O cost."""
+        """Run one range query under the table lock, stamping on the result
+        every counter the call moved."""
+        stats = self.stats
         with self._lock:
-            io_before = self.stats.simulated_io_ms
-            pages_before = self.stats.pages_read
-            seeks_before = self.stats.seeks
-            result = self._execute_range_query(box)
-            io_ms = self.stats.simulated_io_ms - io_before
-            pages = self.stats.pages_read - pages_before
-            seeks = self.stats.seeks - seeks_before
-        if io_ms or pages or seeks:
-            result = replace(
-                result, io_ms=io_ms, pages_read=pages, seeks=seeks
+            io_ms, pages, seeks = stats.simulated_io_ms, stats.pages_read, stats.seeks
+            empty, hits = stats.empty_queries, stats.buffer_hits
+            points, rowids, rows_fetched = self._execute_range_query(box)
+            return RangeResult(
+                points,
+                rowids,
+                rows_fetched,
+                io_ms=stats.simulated_io_ms - io_ms,
+                pages_read=stats.pages_read - pages,
+                seeks=stats.seeks - seeks,
+                range_queries=1,
+                empty_queries=stats.empty_queries - empty,
+                buffer_hits=stats.buffer_hits - hits,
             )
-        return result
 
     def charge_io(self, ms: float) -> None:
         """Charge extra simulated I/O latency (e.g. an injected latency
@@ -373,7 +400,8 @@ class DiskTable:
         with self._lock:
             self.stats.simulated_io_ms += ms
 
-    def _execute_range_query(self, box: Box) -> RangeResult:
+    def _execute_range_query(self, box: Box) -> tuple:
+        """``(points, rowids, rows_fetched)``, charging :attr:`stats`."""
         if box.ndim != self.ndim:
             raise ValueError("box dimensionality does not match the table")
         self.stats.range_queries += 1
@@ -403,11 +431,7 @@ class DiskTable:
         else:
             self._charge_fetch(candidates)
             rows_fetched = len(candidates)
-        return RangeResult(
-            points=points[keep],
-            rowids=matches,
-            rows_fetched=rows_fetched,
-        )
+        return points[keep], matches, rows_fetched
 
     def full_scan(self) -> RangeResult:
         """Sequentially scan the whole table."""
@@ -630,14 +654,10 @@ class DiskTable:
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _empty_result(self) -> RangeResult:
-        return RangeResult(
-            points=np.empty((0, self.ndim)),
-            rowids=np.empty(0, dtype=np.int64),
-            rows_fetched=0,
-        )
+    def _empty_result(self) -> tuple:
+        return np.empty((0, self.ndim)), np.empty(0, dtype=np.int64), 0
 
-    def _seqscan_query(self, box: Box) -> RangeResult:
+    def _seqscan_query(self, box: Box) -> tuple:
         """Answer a range query by scanning the whole heap.
 
         The paper's preliminary experiments "also tested a baseline using
@@ -651,9 +671,7 @@ class DiskTable:
         self.stats.simulated_io_ms += self.cost_model.sequential_scan_cost_ms(n_pages)
         keep = box.mask(self._data) & self._alive
         rowids = np.flatnonzero(keep)
-        return RangeResult(
-            points=self._data[rowids], rowids=rowids, rows_fetched=self.n
-        )
+        return self._data[rowids], rowids, self.n
 
     def _best_index_candidates(self, box: Box) -> Optional[np.ndarray]:
         best_dim, best_count = 0, None

@@ -138,11 +138,14 @@ class TestShardSweepCli:
         assert "positive query count" in capsys.readouterr().out
 
     def test_shard_sweep_with_faults_and_workers(self, capsys):
-        assert main(["--shard-sweep", "3", "--faults", "default",
-                     "--workers", "2"]) == 0
+        sweep = ["--shard-sweep", "3", "--faults", "default"]
+        assert main(sweep) == 0
         out = capsys.readouterr().out
         assert "faults=default" in out
         assert "stale serves" in out
+        # --workers sizes the overload soak's service and nothing else
+        assert main(sweep + ["--workers", "2"]) == 2
+        assert "--overload" in capsys.readouterr().out
 
     def test_shard_sweep_json_dump(self, capsys, tmp_path):
         target = tmp_path / "out.json"
@@ -159,7 +162,7 @@ class TestShardSweepCli:
         def broken_sweep(**kwargs):
             report = shardsweep.ShardSweepReport(
                 seeds=(0,), shard_counts=(1,), strategies=("max-overlap-sp",),
-                profile=None, workers=1, n_queries=1,
+                profile=None, n_queries=1,
             )
             report.answer_mismatches = 1
             return report

@@ -78,7 +78,6 @@ class TestDrill:
         report = run_crash_drill(
             seed=2,
             profile="default",
-            workers=2,
             scenarios=(
                 CrashScenario("warm-restart", None),
                 CrashScenario("wal-append-torn", "wal.append", after=5,

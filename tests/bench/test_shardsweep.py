@@ -75,7 +75,6 @@ class TestFaultedSweep:
             strategies=("max-overlap-sp",),
             n_points=800,
             profile="default",
-            workers=2,
         )
         assert report.passed
         assert report.profile == "default"
@@ -90,7 +89,6 @@ class TestFaultedSweep:
             shard_counts=(1,),
             strategies=("max-overlap-sp",),
             profile=None,
-            workers=1,
             n_queries=1,
         )
         report.answer_mismatches = 1

@@ -1,22 +1,28 @@
-"""Concurrent-executor tests: parallel fetches must change only latency.
+"""The fetch contract, and the concurrency that is left.
 
-The acceptance contract of the planner/executor split: with ``workers=4``
-the engine returns bit-identical skylines and identical ``points_read`` /
-``range_queries`` counters to the serial engine on the quick experiment
-set, and under a latency-spike fault profile the effective fetch latency
-(``fetch_io_ms``) is measurably lower than serial while the aggregate disk
-work (``io_ms_total``) stays the same.
+A plan's boxes reach the table one way: in plan order, on the calling
+thread, stopping at the first box that raises.  The one simulated clock is
+``fetch_io_ms``.  What still runs concurrently is whole queries
+(``QueryService`` workers calling ``engine.query`` on one engine), and each
+of them must be billed for its own I/O only.
 """
 
-import numpy as np
+import sys
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
+
 import pytest
 
 from repro.core.ampr import ExactMPR
 from repro.core.cbcs import CBCS
-from repro.core.executor import Executor, effective_latency_ms
+from repro.core.executor import Executor
 from repro.data.generator import independent
 from repro.geometry.constraints import Constraints
-from repro.storage.faults import FaultInjector, FaultProfile, FaultyDiskTable
+from repro.skyline.baseline import BaselineMethod
+from repro.skyline.bbs import BBSMethod
+from repro.stats import StageTimings
+from repro.storage.faults import TransientStorageError
+from repro.storage.pager import IOStats
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
 
@@ -24,19 +30,6 @@ from repro.workload.generator import WorkloadGenerator
 @pytest.fixture(scope="module")
 def data():
     return independent(2_000, 3, seed=42)
-
-
-def quick_queries(data, n=30):
-    gen = WorkloadGenerator(data, seed=9)
-    return list(gen.exploratory_stream(n // 2)) + list(
-        gen.independent_queries(n - n // 2)
-    )
-
-
-def make_engine(data, workers, region=None):
-    return CBCS(
-        DiskTable(data), region_computer=region, workers=workers
-    )
 
 
 QUADRANTS = [
@@ -47,114 +40,112 @@ QUADRANTS = [
 ]
 
 
+@pytest.fixture
+def eager_thread_switches():
+    """Hand the GIL over every few bytecodes, so four threads really do
+    interleave inside one another's queries."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    yield
+    sys.setswitchinterval(interval)
+
+
 class TestBitIdenticalAnswers:
     @pytest.mark.parametrize("region", [None, ExactMPR()])
-    def test_workers_4_matches_serial_on_quick_set(self, data, region):
-        serial = make_engine(data, workers=1, region=region)
-        parallel = make_engine(
-            data, workers=4, region=type(region)() if region else None
-        )
-        try:
-            for c in quick_queries(data):
-                a = serial.query(c)
-                b = parallel.query(c)
-                assert a.skyline.tobytes() == b.skyline.tobytes()
-                assert a.points_read == b.points_read
-                assert a.range_queries == b.range_queries
-                assert a.io.as_dict() == b.io.as_dict()
-                assert (a.case, a.stable, a.cache_hit) == (
-                    b.case,
-                    b.stable,
-                    b.cache_hit,
-                )
-        finally:
-            parallel.close()
+    def test_workers_4_matches_serial_on_quick_set(
+        self, data, region, eager_thread_switches
+    ):
+        """Four threads on one engine (what ``QueryService(workers=4)``
+        does): every outcome carries its own I/O, not its neighbours'."""
+        gen = WorkloadGenerator(data, seed=9)
+        warm = list(gen.independent_queries(40))
+        queries = list(gen.independent_queries(120))
+
+        def warmed():
+            engine = CBCS(
+                DiskTable(data),
+                region_computer=type(region)() if region else None,
+            )
+            engine.warm(warm)
+            # answers no longer depend on the order the queries finish in
+            engine.cache_results = False
+            return engine
+
+        serial, shared = warmed(), warmed()
+        expected = [serial.query(c) for c in queries]
+        before = shared.table.stats.snapshot()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = list(pool.map(shared.query, queries))
+
+        billed = IOStats()
+        for twin, outcome in zip(expected, outcomes):
+            assert outcome.skyline.tobytes() == twin.skyline.tobytes()
+            assert outcome.io == twin.io
+            billed.add(outcome.io)
+        assert billed.range_queries > len(queries)  # plans did fan out
+        assert billed == shared.table.stats.delta_since(before)
 
     def test_serial_engine_timings_unchanged_shape(self, data):
-        engine = make_engine(data, workers=1)
-        outcome = engine.query(Constraints([0.1] * 3, [0.9] * 3))
-        # serial: the Figure-10 fetching stage equals the aggregate I/O
-        assert outcome.timings.fetch_io_ms == outcome.timings.io_ms_total
-        assert outcome.timings.io_ms_total == pytest.approx(
-            outcome.io.simulated_io_ms
-        )
+        """One simulated clock, whatever the method."""
+        c = Constraints([0.1] * 3, [0.9] * 3)
+        for method in (
+            CBCS(DiskTable(data)),
+            BaselineMethod(DiskTable(data)),
+            BBSMethod(data),
+        ):
+            outcome = method.query(c)
+            assert outcome.io.simulated_io_ms > 0
+            assert (
+                outcome.timings.io_ms_total
+                == outcome.timings.fetch_io_ms
+                == outcome.io.simulated_io_ms
+            )
+        assert "io_ms_total" not in {f.name for f in fields(StageTimings)}
+        assert "io_ms_total" not in outcome.as_record()["timings"]
+
+
+class FailsOnSecondCall:
+    """A backend whose second range query raises before it reaches the disk."""
+
+    def __init__(self, table):
+        self.table = table
+        self.ndim = table.ndim
+        self.calls = 0
+
+    def range_query(self, box):
+        self.calls += 1
+        if self.calls == 2:
+            raise TransientStorageError("second box")
+        return self.table.range_query(box)
 
 
 class TestExecutorMerging:
-    def test_parallel_merge_matches_serial_fetch(self, data):
+    def test_fetch_stops_at_the_first_failing_box(self, data):
+        table, reference = DiskTable(data), DiskTable(data)
+        backend = FailsOnSecondCall(table)
+        with pytest.raises(TransientStorageError):
+            Executor().fetch(backend, QUADRANTS)
+        assert backend.calls == 2
+        # boxes three and four were never issued: the table was charged
+        # for the first box and nothing else
+        reference.range_query(QUADRANTS[0])
+        assert table.stats == reference.stats
+
+    def test_fetch_gathers_in_plan_order(self, data):
         table = DiskTable(data)
-        reference = DiskTable(data)
-        parallel = Executor(workers=4)
-        try:
-            outcome = parallel.fetch(table, QUADRANTS)
-        finally:
-            parallel.close()
-        expected = Executor(workers=1).fetch(reference, QUADRANTS).result
-        assert outcome.result.points.tobytes() == expected.points.tobytes()
-        assert np.array_equal(outcome.result.rowids, expected.rowids)
-        assert table.stats.range_queries == reference.stats.range_queries
-        assert table.stats.points_read == reference.stats.points_read
+        outcome = Executor().fetch(table, QUADRANTS)
+        assert len(outcome.parts) == 4
+        assert [p.range_queries for p in outcome.parts] == [1, 1, 1, 1]
+        assert outcome.result.rowids.tolist() == [
+            r for p in outcome.parts for r in p.rowids.tolist()
+        ]
+        assert len(outcome.result) == len(data)
+        assert outcome.result.io_stats() == table.stats
 
     def test_empty_plan_is_free(self, data):
         table = DiskTable(data)
-        outcome = Executor(workers=1).fetch(table, [])
+        outcome = Executor().fetch(table, [])
         assert len(outcome.result) == 0
-        assert outcome.io_ms_total == 0.0
+        assert outcome.parts == ()
+        assert outcome.result.io_stats() == IOStats()
         assert table.stats.range_queries == 0
-
-
-class TestEffectiveLatency:
-    def test_greedy_makespan(self):
-        # lanes fill greedily: (4 then 1) and (3 then 2) -> makespan 5
-        assert effective_latency_ms([4.0, 3.0, 2.0, 1.0], workers=2) == 5.0
-        assert effective_latency_ms([5.0, 1.0, 1.0, 1.0], workers=2) == 5.0
-        assert effective_latency_ms([2.0, 2.0], workers=1) == 4.0
-        assert effective_latency_ms([], workers=4) == 0.0
-
-    def test_latency_spikes_overlap_under_parallel_fetch(self, data):
-        profile = FaultProfile(latency=1.0, latency_ms=10.0)
-
-        def spiky_table():
-            return FaultyDiskTable(
-                DiskTable(data), FaultInjector(profile, seed=0)
-            )
-
-        serial = Executor(workers=1).fetch(spiky_table(), QUADRANTS)
-        parallel_exec = Executor(workers=4)
-        try:
-            parallel = parallel_exec.fetch(spiky_table(), QUADRANTS)
-        finally:
-            parallel_exec.close()
-        # same total disk work, strictly lower effective latency
-        assert parallel.io_ms_total == pytest.approx(serial.io_ms_total)
-        assert serial.effective_io_ms == pytest.approx(serial.io_ms_total)
-        assert parallel.effective_io_ms < 0.5 * serial.effective_io_ms
-        assert (
-            parallel.result.points.tobytes() == serial.result.points.tobytes()
-        )
-
-    def test_engine_fetch_stage_drops_under_latency_faults(self, data):
-        profile = FaultProfile(latency=1.0, latency_ms=10.0)
-
-        def make(workers):
-            table = FaultyDiskTable(
-                DiskTable(data), FaultInjector(profile, seed=0)
-            )
-            return CBCS(table, region_computer=ExactMPR(), workers=workers)
-
-        base = Constraints([0.2] * 3, [0.7] * 3)
-        # widen two bounds: a general refinement decomposed into >= 2 boxes
-        refined = Constraints([0.15] * 3, [0.75] * 3)
-
-        serial, parallel = make(1), make(4)
-        try:
-            s_warm, p_warm = serial.query(base), parallel.query(base)
-            assert s_warm.skyline.tobytes() == p_warm.skyline.tobytes()
-            s, p = serial.query(refined), parallel.query(refined)
-        finally:
-            parallel.close()
-        assert s.skyline.tobytes() == p.skyline.tobytes()
-        assert s.range_queries == p.range_queries
-        assert s.range_queries >= 2  # the plan actually fanned out
-        assert p.timings.io_ms_total == pytest.approx(s.timings.io_ms_total)
-        assert p.timings.fetch_io_ms < s.timings.fetch_io_ms

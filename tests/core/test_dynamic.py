@@ -6,6 +6,8 @@ import pytest
 from repro.core.dynamic import DynamicCBCS
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
+from repro.ioutil import decode_array
+from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
 
@@ -101,6 +103,32 @@ class TestTableUpdates:
         table.append(np.array([[0.1, 0.9]]))
         np.testing.assert_array_equal(table.domain_lo, [0.1, 0.5])
         np.testing.assert_array_equal(table.domain_hi, [0.5, 0.9])
+
+
+class TestRepeatedDeleteIds:
+    @pytest.mark.parametrize(
+        "make_table",
+        [DiskTable, lambda data: ShardedTable(data, 3)],
+        ids=["plain", "sharded"],
+    )
+    def test_a_repeated_id_is_one_row(self, make_table):
+        data = generate("independent", 60, 2, seed=3)
+        engine = DynamicCBCS(make_table(data))
+        assert engine.delete_points([5, 5]) == 1
+        assert engine.table.live_count == 59
+        assert engine.delete_points([7, 9, 7]) == 2
+        assert engine.table.live_count == 57
+
+    def test_the_wal_record_holds_each_id_once(self, tmp_path):
+        data = generate("independent", 60, 2, seed=3)
+        engine = DynamicCBCS(DiskTable(data), durability=tmp_path)
+        engine.delete_points([7, 5, 7, 5, 9])
+        (record,) = engine.durability.wal.records()
+        assert record.payload["rowids"] == [7, 5, 9]
+        np.testing.assert_array_equal(
+            decode_array(record.payload["rows"]), data[[7, 5, 9]]
+        )
+        engine.close()
 
 
 class TestCacheMaintenance:

@@ -98,11 +98,10 @@ class TestBitIdentity:
     def test_thin_constructor_builds_a_plain_engine(self):
         data = make_data()
         engine = ShardedCBCS(
-            ShardedTable(data, 2), strategy_factory=MaxOverlapSP, workers=2
+            ShardedTable(data, 2), strategy_factory=MaxOverlapSP
         )
         assert type(engine) is CBCS
         assert isinstance(engine.strategy, MaxOverlapSP)
-        assert engine.workers == 2
         engine.close()
 
     def test_matches_oracle(self):
@@ -113,19 +112,6 @@ class TestBitIdentity:
             assert_same_point_set(
                 outcome.skyline, constrained_skyline_oracle(data, constraints)
             )
-
-    def test_workers_do_not_change_the_answer(self):
-        data = make_data()
-        serial = CBCS(ShardedTable(data, 4))
-        threaded = CBCS(ShardedTable(data, 4), workers=4)
-        for constraints in stream(data):
-            a = serial.query(constraints)
-            b = threaded.query(constraints)
-            assert a.skyline.tobytes() == b.skyline.tobytes()
-            assert a.points_read == b.points_read
-            assert a.range_queries == b.range_queries
-        serial.close()
-        threaded.close()
 
 
 class TestMergeEdgeCases:

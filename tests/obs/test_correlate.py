@@ -127,25 +127,6 @@ class TestEngineCorrelation:
             assert (span["attrs"] or {})["query_id"] == outcome.query_id
         engine.close()
 
-    def test_parallel_executor_lanes_inherit_the_id(self, tmp_path):
-        obs = Observability()
-        ring = RingBufferSink()
-        obs.tracer.add_sink(ring)
-        rng = np.random.default_rng(2)
-        engine = CBCS(
-            DiskTable(rng.random((2000, 3)), obs=obs), obs=obs, workers=4
-        )
-        queries = [
-            Constraints(lo=rng.random(3) * 0.3, hi=0.5 + rng.random(3) * 0.5)
-            for _ in range(10)
-        ]
-        for c in queries:
-            engine.query(c)
-        fetches = [s for s in ring.spans if s["name"] == "table.range_query"]
-        assert fetches
-        assert all((s["attrs"] or {}).get("query_id") for s in fetches)
-        engine.close()
-
     def test_disabled_obs_mints_no_id(self):
         rng = np.random.default_rng(3)
         engine = CBCS(DiskTable(rng.random((200, 3))))

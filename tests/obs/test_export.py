@@ -129,7 +129,6 @@ class TestQueryLogSink:
         assert set(records[0]["io"]) >= {"points_read", "range_queries"}
         assert set(records[0]["timings"]) == {
             "processing_ms", "fetch_io_ms", "fetch_wall_ms", "skyline_ms",
-            "io_ms_total",
         }
 
     def test_record_is_strict_json(self):

@@ -101,7 +101,7 @@ class TestOneGatherer:
     def test_no_boxes_gather_to_an_empty_result(self, table):
         # built from ``backend.ndim``, not from a private table method
         backend = build_backend(_fault_wrapped(table), resilience=Resilience())
-        merged = Executor(workers=1).fetch(backend, []).result
+        merged = Executor().fetch(backend, []).result
         assert merged.points.shape == (0, 2) and merged.rowids.dtype == np.int64
         assert (merged.rows_fetched, merged.io_ms, merged.seeks) == (0, 0.0, 0)
 
@@ -110,7 +110,7 @@ class TestOneGatherer:
     )
     def test_merged_result_sums_every_counter(self, table, stack):
         before = table.stats.snapshot()
-        outcome = Executor(workers=1).fetch(stack(table), HALVES)
+        outcome = Executor().fetch(stack(table), HALVES)
         delta = table.stats.delta_since(before)
         merged, parts = outcome.result, outcome.parts
         assert len(parts) == len(HALVES) == delta.range_queries
@@ -230,8 +230,8 @@ class TestBreakerIntegration:
 
     def test_executor_fetch_is_per_box_protected(self, data):
         backend, injector, breaker = self.make_stack(data, threshold=5)
-        result = Executor(workers=1).fetch(backend, HALVES).result
-        raw = Executor(workers=1).fetch(DiskTable(data), HALVES).result
+        result = Executor().fetch(backend, HALVES).result
+        raw = Executor().fetch(DiskTable(data), HALVES).result
         assert injector.calls == len(HALVES)  # one guarded operation per box
         assert np.array_equal(
             np.sort(result.rowids), np.sort(raw.rowids)

@@ -136,7 +136,7 @@ class TestFaultyDiskTable:
             Box.closed([0.0, 0.0], [0.5, 1.0]),
             Box.closed([0.5, 0.0], [1.0, 1.0]),
         ]
-        result = Executor(workers=1).fetch(wrapped, halves).result
+        result = Executor().fetch(wrapped, halves).result
         assert len(result.points) != len(result.rowids)
 
     def test_corruption_injects_nan(self):

@@ -193,7 +193,7 @@ class TestAccounting:
             ),
         ]
         before = t.stats.snapshot()
-        result = Executor(workers=1).fetch(t, boxes).result
+        result = Executor().fetch(t, boxes).result
         delta = t.stats.delta_since(before)
         assert delta.range_queries == 2
         # disjoint boxes: no duplicate rowids in the union
@@ -203,7 +203,7 @@ class TestAccounting:
 
     def test_executor_fetch_of_no_boxes_is_empty(self, table):
         t, _ = table
-        result = Executor(workers=1).fetch(t, []).result
+        result = Executor().fetch(t, []).result
         assert len(result) == 0
 
     def test_full_scan(self, table):
