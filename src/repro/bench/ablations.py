@@ -277,7 +277,6 @@ def ablation_invalidation(seed: int = 0) -> FigureReport:
                 prune_with=surviving[:1] if len(surviving) else surviving,
                 max_invalidation_pieces=None if anchors is None else 512,
                 max_invalidation_anchors=anchors,
-                merge_boxes=True,
             )
             boxes_counts.append(len(result.boxes))
             reads.append(int(union_mask(result.boxes, data).sum()))

@@ -41,6 +41,7 @@ from repro.core.cases import (
     CASE_C,
     CASE_D,
 )
+from repro.core.shaping import shape
 from repro.core.strategies import (
     MaxOverlap,
     MaxOverlapSP,
@@ -53,6 +54,7 @@ from repro.data.generator import generate
 from repro.data.realestate import danish_real_estate
 from repro.geometry.constraints import Constraints
 from repro.skyline.sfs import sfs_skyline
+from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -268,7 +270,11 @@ def fig9_range_queries(workload: str = "interactive", seed: int = 0) -> FigureRe
     |S| = 5000 (as in the paper, 'so that we can scale MPR to higher
     dimensions'); for each dimensionality, cache-item/query pairs are drawn
     from the interactive or independent workload and the region computers
-    run directly (no table needed to count boxes).
+    run directly.  That count is the paper's quantity; beside it goes what
+    the planner *issues* for the same region once its shaping pass
+    (:func:`repro.core.shaping.shape`, this repository's, not the paper's)
+    has dropped the boxes forecast empty and coalesced where that saves
+    seeks against a table of the same rows.
     """
     if workload not in ("interactive", "independent"):
         raise ValueError("workload must be 'interactive' or 'independent'")
@@ -288,8 +294,10 @@ def fig9_range_queries(workload: str = "interactive", seed: int = 0) -> FigureRe
         "aMPR (10p)": ApproximateMPR(10),
     }
     series: Dict[str, List[float]] = {name: [] for name in computers}
+    issued: Dict[str, List[float]] = {name: [] for name in computers}
     for ndim in dims:
         data = generate("independent", n, ndim, seed=seed)
+        forecast = DiskTable(data).forecast
         gen = WorkloadGenerator(data, seed=seed + ndim)
         pairs = []
         attempts = 0
@@ -310,22 +318,29 @@ def fig9_range_queries(workload: str = "interactive", seed: int = 0) -> FigureRe
         for name, computer in computers.items():
             if name == "MPR" and ndim > mpr_dim_cap:
                 series[name].append(float("nan"))
+                issued[name].append(float("nan"))
                 continue
-            counts = [
-                len(computer.compute(old, skyline, new).boxes)
+            regions = [
+                computer.compute(old, skyline, new).boxes
                 for old, skyline, new in pairs
             ]
-            series[name].append(float(np.mean(counts)) if counts else float("nan"))
-    text = format_series(
-        "|D|", dims, series,
-        title=f"Avg range queries generated ({workload} pairs, |S|=5k)",
-        unit="queries",
+            for column, counts in (
+                (series, [len(region) for region in regions]),
+                (issued, [len(shape(region, forecast).boxes) for region in regions]),
+            ):
+                column[name].append(float(np.mean(counts)) if counts else float("nan"))
+    text = "\n\n".join(
+        format_series("|D|", dims, column, title=title, unit="queries")
+        for column, title in (
+            (series, f"Avg range queries generated ({workload} pairs, |S|=5k)"),
+            (issued, "Avg range queries issued after plan shaping (same pairs)"),
+        )
     )
     return FigureReport(
         figure="fig9a" if workload == "interactive" else "fig9b",
         title=f"Range queries generated ({workload})",
         text=text,
-        series={"dims": dims, "range_queries": series},
+        series={"dims": dims, "range_queries": series, "issued": issued},
     )
 
 
@@ -338,7 +353,6 @@ def fig10_stage_breakdown(seed: int = 0) -> FigureReport:
     n = scaled(30_000, 100_000, 1_000_000)
     n_chains = scaled(40, 80, 200)
     data = generate("independent", n, 3, seed=seed)
-    from repro.storage.table import DiskTable
     from repro.skyline.baseline import BaselineMethod
 
     baseline = BaselineMethod(DiskTable(data))
@@ -691,16 +705,16 @@ def sharding_scaleout(seed: int = 0, ndim: int = 4) -> FigureReport:
     pays off as a decreasing points-read curve (equal answers are the
     :mod:`repro.bench.shardsweep` gate; here we just report the curve).
 
-    Simulated I/O and CPU wall are reported apart.  Simulated I/O still
-    *rises* with shard count although fewer points are read: every shard a
-    box straddles costs its own seek (the ``shard reads`` column), and a
-    seek buys 1 280 points.  Shaping plans by that cost is the planner's
-    job (ROADMAP item 1), not the table's.
+    Simulated I/O and CPU wall are reported apart.  The planner prices a
+    box by the shards it will touch and coalesces where that saves seeks
+    (:mod:`repro.core.shaping`), so the ``shard reads`` column is what is
+    left after shaping; simulated I/O still rises somewhat with shard count
+    -- a box that has to straddle shards pays a seek in each, and a seek
+    buys 1 280 points.
     """
     from repro.core.cbcs import CBCS
     from repro.obs import current as _current_obs
     from repro.storage.sharding import ShardedTable
-    from repro.storage.table import DiskTable
 
     obs = _current_obs()
     shard_counts = (1, 2, 4, 8)

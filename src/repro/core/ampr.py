@@ -60,7 +60,6 @@ class ApproximateMPR:
         k: int = 1,
         max_invalidation_pieces: int = 128,
         invalidation_anchors: int = 8,
-        merge_boxes: bool = True,
     ):
         if k < 1:
             raise ValueError("k must be at least 1")
@@ -71,7 +70,6 @@ class ApproximateMPR:
         self.k = k
         self.max_invalidation_pieces = max_invalidation_pieces
         self.invalidation_anchors = invalidation_anchors
-        self.merge_boxes = merge_boxes
         self.obs = NULL_OBS
 
     def bind_obs(self, obs) -> "ApproximateMPR":
@@ -101,7 +99,6 @@ class ApproximateMPR:
             prune_with=pruners,
             max_invalidation_pieces=self.max_invalidation_pieces,
             max_invalidation_anchors=self.invalidation_anchors,
-            merge_boxes=self.merge_boxes,
             obs=self.obs,
         )
 

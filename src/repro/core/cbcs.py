@@ -187,7 +187,7 @@ class CBCS:
                 self.resilience.bind_metrics(obs.metrics)
             if self._fallback_region is not None:
                 self._fallback_region.bind_obs(obs)
-        self.planner = Planner(self.strategy, self.region, self.table.estimate_count)
+        self.planner = Planner(self.strategy, self.region, self.table.forecast)
         self.executor = Executor()
         #: the storage stack all query I/O goes through; ``self.table`` stays
         #: the caller's handle for data maintenance (append/delete/vacuum)
@@ -489,7 +489,6 @@ class CBCS:
         if attempt.planned is not None:
             sections = plan_sections(
                 self.planner,
-                self.table,
                 attempt.cache_items,
                 not attempt.rung.use_cache,
                 attempt.rejected,

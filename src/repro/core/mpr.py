@@ -25,7 +25,7 @@ approximate MPR (:mod:`repro.core.ampr`) trades against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional
 
 import numpy as np
@@ -42,24 +42,30 @@ __all__ = ["MPRResult", "compute_mpr"]
 class MPRResult:
     """The decomposed missing-points region of one cache-vs-query pair.
 
-    - ``boxes``: disjoint range queries covering the MPR;
+    - ``boxes``: the disjoint boxes covering the MPR, as the
+      :class:`~repro.geometry.box.BoxSet` the decomposition ran on -- a
+      sequence of :class:`Box` values held as arrays, which the planner
+      shapes into the range queries it issues (:mod:`repro.core.shaping`);
     - ``surviving``: cached skyline points satisfying the new constraints
       (they are merged with the fetched points, Theorem 6);
     - ``stable``: whether the cached skyline was stable for this query
       (operationally -- syntactic stability or no expelled points);
-    - ``invalidated_boxes``: the subset of ``boxes`` that came from cache
-      invalidation rather than new territory (diagnostics; already included
-      in ``boxes``).
+    - ``invalidated``: how many boxes, the last of ``boxes``, came from
+      cache invalidation rather than new territory.
     """
 
-    boxes: List[Box]
+    boxes: BoxSet
     surviving: np.ndarray
     stable: bool
-    invalidated_boxes: List[Box] = field(default_factory=list)
+    invalidated: int = 0
 
     @property
-    def n_range_queries(self) -> int:
-        return len(self.boxes)
+    def invalidated_boxes(self) -> List[Box]:
+        """The subset of ``boxes`` that came from cache invalidation.  A
+        diagnostic of the *region*: the planner's shaping pass may coalesce
+        or drop these boxes before anything is issued, and this list does
+        not follow it."""
+        return self.boxes[len(self.boxes) - self.invalidated :]
 
 
 def compute_mpr(
@@ -69,7 +75,6 @@ def compute_mpr(
     prune_with: Optional[np.ndarray] = None,
     max_invalidation_pieces: Optional[int] = None,
     max_invalidation_anchors: Optional[int] = None,
-    merge_boxes: bool = False,
     obs=None,
 ) -> MPRResult:
     """Compute the (possibly approximate) MPR of a cached item for ``new``.
@@ -96,10 +101,8 @@ def compute_mpr(
     tiling: the points are chunked into at most that many groups and each
     group replaced by its componentwise minimum, whose corner region covers
     the whole group -- again a conservative superset, but with a bounded and
-    typically tiny tiling.  ``merge_boxes`` fuses abutting result boxes into
-    larger ones (identical point set, fewer range queries); both are the
-    aMPR's "fewer, larger, disjoint range queries" trade-off applied to the
-    unstable case.
+    typically tiny tiling: the aMPR's "fewer, larger, disjoint range
+    queries" trade-off applied to the unstable case.
 
     When the returned boxes cover some surviving cached skyline points
     (possible only under the conservative approximations above), those
@@ -122,13 +125,12 @@ def compute_mpr(
             prune_with,
             max_invalidation_pieces,
             max_invalidation_anchors,
-            merge_boxes,
             obs,
         )
         if obs.enabled:
             span.set(
                 boxes=len(result.boxes),
-                invalidated_boxes=len(result.invalidated_boxes),
+                invalidated_boxes=result.invalidated,
                 surviving=len(result.surviving),
                 stable=result.stable,
             )
@@ -147,15 +149,15 @@ def _compute_mpr(
     prune_with: Optional[np.ndarray],
     max_invalidation_pieces: Optional[int],
     max_invalidation_anchors: Optional[int],
-    merge_boxes: bool,
     obs,
 ) -> MPRResult:
     """The Algorithm-1 body behind :func:`compute_mpr` (see its docstring).
 
     The region is a :class:`~repro.geometry.box.BoxSet` from the end of
-    step 1 to the ``surviving`` filter -- every step on it is a whole-set
-    array operation -- and becomes ``List[Box]`` once, in the returned
-    result.  Step 1 itself is one box minus one box and stays on
+    step 1 on -- every step on it is a whole-set array operation -- and
+    leaves as one, in the returned result: :class:`Box` objects are built
+    for the executor, by the planner, after shaping.  Step 1 itself is one
+    box minus one box and stays on
     :meth:`Box.subtract_box`, which is faster than the set form at ``n = 1``
     (DESIGN.md section 5, item 13).
     """
@@ -181,7 +183,9 @@ def _compute_mpr(
         # Disjoint regions: the cache tells us nothing; the MPR is all of
         # R_C' (still "stable" per Theorem 1 -- nothing cached is reusable
         # or invalidated).
-        return MPRResult(boxes=[new.region()], surviving=surviving, stable=True)
+        return MPRResult(
+            boxes=BoxSet.of([new.region()]), surviving=surviving, stable=True
+        )
 
     # Step 1 -- new territory: R_C' minus the overlap with the old region.
     pieces = BoxSet.of(new.region().subtract_box(old.region()), ndim=new.ndim)
@@ -212,23 +216,13 @@ def _compute_mpr(
     pieces = _subtract_corners(pieces, pruners)
     invalid = _subtract_corners(invalid, pruners)
 
-    fetch = unmerged = BoxSet.concat([pieces, invalid])
-    if merge_boxes and len(fetch) > 1:
-        fetch = fetch.merged()
+    fetch = BoxSet.concat([pieces, invalid])
     if len(surviving) and len(fetch):
         # Conservative boxes may cover surviving points; drop those from the
         # reuse set -- they (and their duplicates) arrive via the fetch.
         surviving = surviving[~fetch.union_mask(surviving)]
-
-    boxes = fetch.boxes()
     return MPRResult(
-        boxes=boxes,
-        surviving=surviving,
-        stable=stable,
-        # the tail of ``boxes`` unless merging rearranged them
-        invalidated_boxes=(
-            boxes[len(pieces) :] if fetch is unmerged else invalid.boxes()
-        ),
+        boxes=fetch, surviving=surviving, stable=stable, invalidated=len(invalid)
     )
 
 

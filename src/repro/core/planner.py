@@ -18,10 +18,16 @@ will do -- a miss is just the degenerate plan (the whole region, nothing
 reused), and the degradation ladder's bounding rung is the same plan built
 against no candidates.
 
+The region's boxes are not the plan's: between the two runs the one shaping
+pass (:func:`repro.core.shaping.shape`), which prices boxes and their
+bounding boxes with the table's forecast, drops the ones forecast empty and
+coalesces where that saves seeks -- on every rung and for every region
+computer that emits more than one box, so there is nothing to switch.
+
 The planner performs zero I/O.  Its only inputs are the query constraints,
 the candidate cache items (the caller does the cache search, because the
-cache lookup is stateful -- hit/miss counters, verification), and an
-I/O-free per-dimension selectivity estimator.
+cache lookup is stateful -- hit/miss counters, verification), and the
+table's I/O-free forecast.
 """
 
 from __future__ import annotations
@@ -29,8 +35,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence
 
+import numpy as np
+
 from repro.core.cases import CASE_EXACT, classify_change
-from repro.geometry.box import Box
+from repro.core.shaping import admitted_bounds, shape
+from repro.geometry.box import Box, BoxSet
 from repro.geometry.constraints import Constraints
 
 CASE_MISS = "miss"
@@ -62,10 +71,13 @@ class QueryPlan:
     candidates: int
     item_id: Optional[int]
     reusable_points: int
+    #: boxes issued -- ``len(boxes)``, after shaping
     range_queries: int
     boxes: List[Box] = field(default_factory=list)
-    #: sum of the table's per-dimension selectivity estimates over the
-    #: planned range queries -- an upper-bound style estimate, not a count
+    #: boxes the region computer emitted, before shaping (the paper's
+    #: "range queries generated", Figure 9)
+    region_boxes: int = 0
+    #: the table's forecast of the rows the planned range queries read
     estimated_points: int = 0
     #: correlation id of the query this plan was produced for; stamped by
     #: the engine during execution (``explain`` plans keep the default None)
@@ -89,6 +101,7 @@ class QueryPlan:
             "item_id": self.item_id,
             "reusable_points": self.reusable_points,
             "range_queries": self.range_queries,
+            "region_boxes": self.region_boxes,
             "estimated_points": self.estimated_points,
             "boxes": [box.to_dict() for box in self.boxes],
         }
@@ -118,8 +131,11 @@ class PlannedQuery:
     ``plan`` is the serializable EXPLAIN record; ``candidates`` are the
     cache items it was planned against, ``item`` the selected one (None on
     a miss) and ``mpr`` the computed missing-points region (None on a miss
-    or an exact hit, where there is nothing to fetch).
-    ``mpr.boxes == plan.boxes`` whenever ``mpr`` is set.
+    or an exact hit, where there is nothing to fetch) -- the region *before*
+    shaping: ``plan.boxes`` cover ``mpr.boxes`` and lie in the query region.
+    ``reusable`` holds the cached skyline points that carry over into the
+    answer: the MPR's survivors outside every planned box on a hit, None on
+    a miss (nothing is reused).
     """
 
     plan: QueryPlan
@@ -127,35 +143,25 @@ class PlannedQuery:
     candidates: Sequence = ()
     item: Optional[object] = None
     mpr: Optional[object] = None
+    reusable: Optional[np.ndarray] = None
 
     @property
     def case(self) -> str:
         return self.plan.case
 
-    @property
-    def reusable(self):
-        """Cached skyline points that carry over into the answer: the
-        MPR's survivors on a hit, None on a miss (nothing is reused)."""
-        return None if self.mpr is None else self.mpr.surviving
-
 
 class Planner:
     """Pure query planner: cache-item selection + case + region, no I/O.
 
-    ``estimate_count(dim, lo, hi)`` must be an in-memory selectivity
-    estimate (the table's histogram lookup) -- the planner trusts it to
-    charge no simulated I/O.
+    ``forecast(lo, hi)`` is the table's
+    (:meth:`repro.storage.table.DiskTable.forecast`): an in-memory pricing
+    of closed boxes -- the planner trusts it to charge no simulated I/O.
     """
 
-    def __init__(
-        self,
-        strategy,
-        region_computer,
-        estimate_count: Callable[[int, float, float], int],
-    ):
+    def __init__(self, strategy, region_computer, forecast: Callable):
         self.strategy = strategy
         self.region = region_computer
-        self.estimate_count = estimate_count
+        self._forecast = forecast
 
     def select(
         self, constraints: Constraints, candidates, record: bool = True
@@ -227,7 +233,9 @@ class Planner:
         the ladder's cache-bypassing bounding rung, which passes no
         candidates) is the single range query over the whole region with
         nothing reused; an exact match fetches nothing; every other hit
-        fetches the missing-points region.
+        fetches the missing-points region, shaped by forecast cost
+        (:func:`repro.core.shaping.shape`) -- cached points inside a
+        coalesced box leave the reuse set and arrive via the fetch.
 
         ``item`` lets the caller pass a pre-selected (and cache-verified)
         item so selection is not repeated; with the default None the
@@ -238,7 +246,7 @@ class Planner:
         """
         if item is None:
             item = self.select(constraints, candidates, record=record)
-        mpr = None
+        mpr = reusable = None
         case = (
             CASE_MISS
             if item is None
@@ -254,6 +262,7 @@ class Planner:
                 reusable_points=0,
                 range_queries=1,
                 boxes=[constraints.region()],
+                region_boxes=1,
             )
         elif case == CASE_EXACT:
             plan = QueryPlan(
@@ -269,15 +278,23 @@ class Planner:
             mpr = self.compute_region(
                 item, constraints, region_override=region_override
             )
+            fetch, hulls, reusable = mpr.boxes, 0, mpr.surviving
+            if len(fetch) > 1:
+                # (one box has nothing to coalesce with, and whether it is
+                # empty the table finds out without a seek)
+                fetch, hulls, _ = shape(fetch, self._forecast)
+            if hulls and len(reusable):
+                reusable = reusable[~fetch.union_mask(reusable)]
             plan = QueryPlan(
                 case=case,
                 cache_hit=True,
                 stable=mpr.stable,
                 candidates=len(candidates),
                 item_id=item.item_id,
-                reusable_points=len(mpr.surviving),
-                range_queries=len(mpr.boxes),
-                boxes=list(mpr.boxes),
+                reusable_points=len(reusable),
+                range_queries=len(fetch),
+                boxes=fetch.boxes(),
+                region_boxes=len(mpr.boxes),
             )
         return PlannedQuery(
             plan=plan,
@@ -285,29 +302,29 @@ class Planner:
             candidates=candidates,
             item=item,
             mpr=mpr,
+            reusable=reusable,
         )
+
+    def forecast(self, boxes: BoxSet):
+        """The table's :class:`~repro.storage.table.Forecast` of ``boxes``,
+        open and closed faces honoured."""
+        return self._forecast(*admitted_bounds(boxes))
 
     def annotate(self, planned: PlannedQuery) -> QueryPlan:
         """Fill the plan's explain-only fields; returns the plan.
 
-        ``estimated_points`` (selectivity estimator) and
+        ``estimated_points`` (the forecast rows of the planned boxes) and
         ``candidates_scored`` (strategy scoring table) are pure and
         I/O-free but not free: only ``explain()`` and EXPLAIN records call
         this, never the execution path.
         """
         plan = planned.plan
-        plan.estimated_points = sum(self.estimate_box(box) for box in plan.boxes)
+        boxes = BoxSet.of(plan.boxes, ndim=planned.constraints.ndim)
+        plan.estimated_points = int(round(self.forecast(boxes).rows.sum()))
         plan.candidates_scored = self.candidate_table(
             planned.constraints, planned.candidates, chosen=planned.item
         )
         return plan
-
-    def estimate_box(self, box: Box) -> int:
-        """Most-selective-dimension estimate of a box's row count."""
-        return min(
-            self.estimate_count(i, iv.lo, iv.hi)
-            for i, iv in enumerate(box.intervals)
-        )
 
     def compute_region(self, item, constraints, region_override=None):
         """Compute the missing-points region of the query against ``item``."""

@@ -41,6 +41,7 @@ from repro.core.cases import (
     GENERAL_UNSTABLE,
     bound_change_counts,
 )
+from repro.core.shaping import shape
 from repro.core.stability import guaranteed_stable_rows
 from repro.geometry.constraints import Constraints, overlap_volumes, overlaps_rows
 from repro.obs import NULL_OBS
@@ -266,10 +267,10 @@ class CostBased(CacheSearchStrategy):
 
     The paper's strategies rank items by proxies (overlap volume, stability,
     per-bound case penalties).  This strategy evaluates the real plan: it
-    runs the region computer for each of the most-overlapping candidates
-    and costs the resulting decomposition with the table's selectivity
-    estimates and disk constants -- one seek per non-trivial box plus the
-    transfer cost of its estimated rows -- then picks the cheapest.
+    runs the region computer for each of the most-overlapping candidates,
+    shapes the region as the planner will (:func:`repro.core.shaping.shape`)
+    and prices the boxes that would be issued with the table's forecast --
+    seeks and pages under its disk constants -- then picks the cheapest.
 
     Selection itself becomes more expensive (one region computation per
     evaluated candidate), so ``max_candidates`` bounds the evaluation to
@@ -303,18 +304,10 @@ class CostBased(CacheSearchStrategy):
         return -self._estimated_cost(query, item)
 
     def _estimated_cost(self, query: Constraints, item: CacheItem) -> float:
+        """Predicted ``io_ms`` of the plan the engine would issue: the
+        region shaped and priced by the planner's own pass."""
         mpr = self.region.compute(item.constraints, item.skyline, query)
-        model = self.table.cost_model
-        per_point_ms = model.page_read_ms / model.page_size
-        cost = 0.0
-        for box in mpr.boxes:
-            rows = min(
-                self.table.estimate_count(i, iv.lo, iv.hi)
-                for i, iv in enumerate(box.intervals)
-            )
-            if rows:
-                cost += model.seek_ms + rows * per_point_ms
-        return cost
+        return shape(mpr.boxes, self.table.forecast).io_ms
 
 
 def _constraint_bounds(items: Sequence[CacheItem]) -> Tuple[np.ndarray, np.ndarray]:

@@ -331,7 +331,9 @@ def _staircase(
 class BoxSet:
     """``n`` boxes of one dimensionality as four ``(n, d)`` arrays.
 
-    The structure-of-arrays twin of ``List[Box]``: ``lo`` / ``hi`` hold the
+    The structure-of-arrays twin of ``List[Box]`` (and a sequence of
+    :class:`Box` itself: ``len``, iteration, indexing and ``==`` against a
+    list materialize the rows): ``lo`` / ``hi`` hold the
     bounds, ``lo_open`` / ``hi_open`` the face flags, row ``r`` is the box
     ``Box(Interval(lo[r, j], hi[r, j], lo_open[r, j], hi_open[r, j]) for j)``.
     Every operation treats the whole set in a fixed number of broadcast
@@ -367,6 +369,8 @@ class BoxSet:
         Raises ``ValueError`` unless every box has the same dimensionality
         (``ndim`` when given, which also shapes an empty set).
         """
+        if isinstance(boxes, BoxSet):
+            return boxes
         rows = [box.intervals for box in boxes]
         if ndim is None:
             ndim = len(rows[0]) if rows else 0
@@ -407,6 +411,22 @@ class BoxSet:
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self.lo)
+
+    def __iter__(self) -> Iterator[Box]:
+        return iter(self.boxes())
+
+    def __getitem__(self, rows):
+        """Row ``rows`` as a :class:`Box` (a slice: as a list of them)."""
+        return self.boxes()[rows]
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to any sequence of the same boxes in the same order."""
+        try:
+            return self.boxes() == list(other)
+        except TypeError:
+            return NotImplemented
+
+    __hash__ = None
 
     @property
     def ndim(self) -> int:
@@ -531,77 +551,6 @@ class BoxSet:
         hit = ~_empty_dims(*cut).any(axis=1)
         return _staircase(row, cut, [below, above], hit)
 
-    def merged(self) -> "BoxSet":
-        """Greedily merge rows that tile a larger box, to a fixpoint.
-
-        Two boxes merge along dimension ``i`` when every other dimension's
-        interval is identical (flags included) and their ``i``-intervals
-        abut exactly -- they share the boundary coordinate with exactly one
-        side closed, so the union is again one interval with no gap and no
-        double-covered point.  Each round merges the first mergeable pair
-        ``(i, j)``, ``i < j``, in row order into row ``i`` and drops row
-        ``j``, so the result is the list a restart-after-every-merge scan
-        over ``List[Box]`` produces; the pairwise table is computed once and
-        only row and column ``i`` are recomputed per merge.
-
-        Merging never changes the covered point set; it only reduces the
-        number of range queries a decomposition issues (less random
-        access), which is the aMPR's goal of "fewer, but larger, disjoint
-        range queries".
-        """
-        pool = self.nonempty()
-        n, ndim = pool.lo.shape
-        if n < 2:
-            return pool
-        # One float table ``[lo, lo_open, hi, hi_closed]`` of shape
-        # ``(4, d, n)``: an interval equals another when all four entries
-        # do, and ends where another starts, one face closed, when its
-        # ``(hi, hi_closed)`` equals the other's ``(lo, lo_open)`` -- two
-        # comparisons instead of seven, with the rows (not the short
-        # dimension axis) innermost.
-        table = np.array(
-            [pool.lo.T, pool.lo_open.T, pool.hi.T, ~pool.hi_open.T], dtype=float
-        )
-        later = np.arange(n)
-        mergeable = later > later[:, None]  # pairs (i, j), i < j, only
-        for rows in _row_blocks(n, n * ndim):
-            mergeable[rows] &= _tiles(table[:, :, rows, None], table[:, :, None], True)
-        alive = np.ones(n, dtype=bool)
-        while True:
-            i, j = divmod(int(mergeable.argmax()), n)
-            if not mergeable[i, j]:
-                break
-            k = int((table[:, :, i] != table[:, :, j]).any(axis=0).argmax())
-            part = slice(0, 2) if table[0, k, j] < table[0, k, i] else slice(2, 4)
-            table[part, k, i] = table[part, k, j]
-            alive[j] = False
-            mergeable[j, :] = False
-            mergeable[:, j] = False
-            with_i = _tiles(table[:, :, i, None], table, later > i) & alive
-            mergeable[i, i + 1 :] = with_i[i + 1 :]
-            mergeable[:i, i] = with_i[:i]
-        if alive.all():
-            return pool
-        lo, lo_open, hi, hi_closed = table[:, :, alive]
-        return BoxSet(lo.T, hi.T, lo_open.T != 0, hi_closed.T == 0)
-
-
-def _tiles(x: np.ndarray, y: np.ndarray, x_first_on_tie) -> np.ndarray:
-    """Whether the boxes ``x`` and ``y`` tile one box, for broadcastable
-    ``[lo, lo_open, hi, hi_closed]`` tables of shape ``(4, d, ...)``
-    (:meth:`BoxSet.merged`): identical intervals in all dimensions but one,
-    where the interval with the lower ``lo`` (``x`` on a tie where
-    ``x_first_on_tie``) ends exactly where the other starts, one of the two
-    faces closed."""
-    same = (x == y).all(axis=0)
-    x_first = (x[0] < y[0]) | (x_first_on_tie & (x[0] == y[0]))
-    abut = np.where(
-        x_first, (x[2:] == y[:2]).all(axis=0), (y[2:] == x[:2]).all(axis=0)
-    )
-    return (same | abut).all(axis=0) & (
-        np.count_nonzero(same, axis=0) == len(same) - 1
-    )
-
 
 def decompose_difference(base: Box, removals: Iterable[Box]) -> List[Box]:
     """Return disjoint boxes covering ``base`` minus the union of ``removals``.
@@ -626,12 +575,6 @@ def union_mask(boxes: Sequence[Box], points: np.ndarray) -> np.ndarray:
     """Return a boolean mask of rows of ``points`` covered by any box."""
     points = np.asarray(points, dtype=float)
     return BoxSet.of(boxes, ndim=points.shape[-1]).union_mask(points)
-
-
-def merge_aligned_boxes(boxes: Sequence[Box]) -> List[Box]:
-    """Greedily merge disjoint boxes that tile a larger box
-    (:meth:`BoxSet.merged` over a list)."""
-    return BoxSet.of(boxes).merged().boxes()
 
 
 def pairwise_disjoint(boxes: Sequence[Box]) -> bool:

@@ -9,10 +9,12 @@ records the decision itself:
   incremental case, score, and a machine-readable rejection reason
   (``"outscored"``, ``"failed-verification"``, ``"not-sampled"``, ...);
 - the selected item and the resulting plan summary;
-- per plan box, the *predicted* points/pages/seeks/io_ms (selectivity
-  estimator + :meth:`~repro.storage.costmodel.DiskCostModel.predict_fetch`)
-  joined against the *actual* executed values stamped on each
-  :class:`~repro.storage.table.RangeResult`.
+- per plan box, the *predicted* points/pages/seeks/io_ms (the table's
+  :class:`~repro.storage.table.Forecast`, the one the planner shaped the
+  plan with) joined against the *actual* executed values stamped on each
+  :class:`~repro.storage.table.RangeResult`;
+- ``predicted_io_ms`` of the plan as shaped, of the region computer's boxes
+  issued one by one, and of the one-box alternative -- the shaping decision.
 
 One record is emitted per ``query()`` call, stamped with the query's
 correlation id, so ``explain.jsonl`` joins 1:1 with ``queries.jsonl`` and
@@ -68,6 +70,7 @@ _PLAN_KEYS = (
     "item_id",
     "reusable_points",
     "range_queries",
+    "region_boxes",
     "estimated_points",
 )
 
@@ -109,9 +112,7 @@ def explain_record(outcome, method, attempts, strategy=None, **sections) -> dict
     return stamp(record)
 
 
-def plan_sections(
-    planner, table, cache_items, bypassed, rejected, planned, parts
-) -> dict:
+def plan_sections(planner, cache_items, bypassed, rejected, planned, parts) -> dict:
     """The decision + predicted-vs-actual sections of one planned query.
 
     ``planned`` is the final attempt's plan, ``rejected`` the cache items
@@ -119,11 +120,23 @@ def plan_sections(
     results in plan order (empty when the fetch never completed, so every
     box keeps ``"actual": null``).  ``cache_items`` is the cache size the
     plan was built against; ``bypassed`` marks the bounding rung, which
-    never consulted it.  I/O-free estimator and cost-model math only.
+    never consulted it.  I/O-free forecast and cost-model math only.
     """
+    from repro.geometry.box import BoxSet
+
     plan = planner.annotate(planned)
-    model = table.cost_model
-    heap_pages = None if model.clustered else table.n_pages
+    ndim = planned.constraints.ndim
+    forecast = planner.forecast(BoxSet.of(plan.boxes, ndim=ndim))
+    model = forecast.model
+    # the shaping decision: what was planned, what the region computer's
+    # boxes would have cost one by one (a miss or an exact hit has none but
+    # the plan's), and the one-box alternative
+    region = plan.boxes if planned.mpr is None else planned.mpr.boxes
+    shaping = {
+        "plan": forecast,
+        "region": planner.forecast(BoxSet.of(region, ndim=ndim)),
+        "one_box": planner.forecast(BoxSet.of([planned.constraints.region()])),
+    }
     candidates = [dict(row) for row in plan.candidates_scored] + [
         planner.candidate_row(
             planned.constraints, item, rejection=REJECT_FAILED_VERIFICATION
@@ -146,12 +159,17 @@ def plan_sections(
     boxes = [
         {
             "box": box.to_dict(),
-            "predicted": model.predict_fetch(
-                planner.estimate_box(box), heap_pages=heap_pages
-            ).as_dict(),
+            "predicted": {
+                "points": int(round(rows)),
+                "pages": int(pages),
+                "seeks": int(seeks),
+                "io_ms": round(model.fetch_cost_ms(int(seeks), int(pages)), 6),
+            },
             "actual": actual,
         }
-        for box, actual in zip(plan.boxes, actuals)
+        for box, actual, rows, pages, seeks in zip(
+            plan.boxes, actuals, forecast.rows, forecast.pages, forecast.seeks
+        )
     ]
     return {
         "cache_items": int(cache_items),
@@ -159,6 +177,9 @@ def plan_sections(
         "candidates": candidates,
         "plan": {key: getattr(plan, key) for key in _PLAN_KEYS},
         "boxes": boxes,
+        "predicted_io_ms": {
+            key: round(cost.io_ms(), 6) for key, cost in shaping.items()
+        },
         "predicted": _sum_costs(row["predicted"] for row in boxes),
         "actual": _sum_costs(row["actual"] for row in boxes) if executed else None,
     }
@@ -282,8 +303,15 @@ def render_record(record: dict) -> str:
         f"plan: item={plan.get('item_id')} "
         f"reuse={plan.get('reusable_points')} "
         f"range_queries={plan.get('range_queries')} "
+        f"(region: {plan.get('region_boxes')} boxes) "
         f"est_points={plan.get('estimated_points')}",
     ]
+    shaping = record.get("predicted_io_ms")
+    if shaping:
+        lines.append(
+            "predicted io_ms: "
+            + " ".join(f"{key}={shaping.get(key)}" for key in ("plan", "region", "one_box"))
+        )
     candidates = record.get("candidates") or []
     if candidates:
         rows = [

@@ -39,7 +39,7 @@ from repro.resilience.retry import RetryState
 from repro.resilience.validate import validate_range_result
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import IOStats
-from repro.storage.table import RangeResult
+from repro.storage.table import Forecast, RangeResult
 
 
 @runtime_checkable
@@ -49,12 +49,12 @@ class StorageBackend(Protocol):
     Structural: anything with these members qualifies -- ``DiskTable``,
     ``ShardedTable``, ``FaultyDiskTable`` and the decorators in this module
     all do (the wrappers by delegation).  The executor issues
-    ``range_query``; the planner calls ``estimate_count`` while planning,
-    so it must be free of (simulated) disk I/O; ``stats`` is the table's
-    running total (a query is billed from the charges stamped on its own
-    range results, not from a window on it); ``CBCS`` hands its
-    observability down through ``obs`` / ``bind_obs``, and the cost-based
-    strategy and the EXPLAIN record price boxes with ``cost_model``.
+    ``range_query``; the planner prices boxes with ``forecast`` while
+    planning, so it must be free of (simulated) disk I/O; ``stats`` is the
+    table's running total (a query is billed from the charges stamped on its
+    own range results, not from a window on it); ``CBCS`` hands its
+    observability down through ``obs`` / ``bind_obs``, and the EXPLAIN
+    record turns forecast seeks and pages into latency with ``cost_model``.
     """
 
     @property
@@ -73,7 +73,7 @@ class StorageBackend(Protocol):
 
     def range_query(self, box: Box) -> RangeResult: ...
 
-    def estimate_count(self, dim: int, lo: float, hi: float) -> int: ...
+    def forecast(self, lo, hi) -> Forecast: ...
 
 
 def unwrap(backend) -> object:

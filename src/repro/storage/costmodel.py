@@ -21,9 +21,10 @@ constants themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Union
+
+import numpy as np
 
 
 @dataclass(frozen=True)
@@ -88,8 +89,38 @@ class DiskCostModel:
             return 0.0
         return self.fetch_cost_ms(1, n_pages)
 
+    def fetch_shape(self, rows, heap_pages=None):
+        """``(pages, seeks)`` of one range query per entry of ``rows``.
+
+        The array core of :meth:`predict_fetch` (see there for the model):
+        ``rows`` is an array of estimated row counts, fractional ones
+        included -- any positive estimate costs at least one page behind one
+        seek, zero costs nothing -- and ``heap_pages`` broadcasts against it.
+        """
+        rows = np.asarray(rows, dtype=float)
+        some = rows > 0
+        if self.clustered:
+            # no row, no page: ceil(0) needs no masking
+            pages = np.ceil(rows / self.page_size)
+            return pages.astype(np.int64), some.astype(np.int64)
+        if heap_pages is None or np.any(np.asarray(heap_pages) < 1):
+            # No heap-size hint: pessimistic scatter, one page per row.
+            pages = seeks = np.ceil(rows)
+        else:
+            pool = np.asarray(heap_pages, dtype=float)
+            expected = pool * (1.0 - (1.0 - 1.0 / pool) ** rows)
+            pages = np.maximum(
+                1, np.minimum(np.minimum(pool, np.ceil(rows)), np.ceil(expected))
+            )
+            runs = pages * (pool - pages + 1) / pool
+            seeks = np.maximum(1, np.minimum(pages, np.ceil(runs)))
+        return (
+            np.where(some, pages, 0).astype(np.int64),
+            np.where(some, seeks, 0).astype(np.int64),
+        )
+
     def predict_fetch(
-        self, n_rows: int, heap_pages: Optional[int] = None
+        self, n_rows: float, heap_pages: Optional[int] = None
     ) -> FetchForecast:
         """Forecast one range query's fetch of an estimated ``n_rows`` rows.
 
@@ -106,24 +137,10 @@ class DiskCostModel:
         ``heap_pages`` hint the unclustered forecast degrades to the
         pessimistic one-page-per-row-capped bound.
         """
-        n = max(int(n_rows), 0)
-        if n == 0:
-            return FetchForecast(points=0, pages=0, seeks=0, io_ms=0.0)
-        if self.clustered:
-            pages = math.ceil(n / self.page_size)
-            seeks = 1
-        elif heap_pages is None or heap_pages < 1:
-            # No heap-size hint: pessimistic scatter, one page per row.
-            pages = n
-            seeks = n
-        else:
-            pool = max(int(heap_pages), 1)
-            expected = pool * (1.0 - (1.0 - 1.0 / pool) ** n)
-            pages = max(1, min(pool, n, math.ceil(expected)))
-            runs = pages * (pool - pages + 1) / pool
-            seeks = max(1, min(pages, math.ceil(runs)))
+        n_rows = max(n_rows, 0)
+        pages, seeks = (int(v) for v in self.fetch_shape(n_rows, heap_pages))
         return FetchForecast(
-            points=n,
+            points=int(round(n_rows)),
             pages=pages,
             seeks=seeks,
             io_ms=self.fetch_cost_ms(seeks, pages),

@@ -49,6 +49,7 @@ from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import IOStats
 from repro.storage.table import (
     DiskTable,
+    Forecast,
     RangeResult,
     checked_rows,
     concat_results,
@@ -247,6 +248,12 @@ class ShardedTable:
         """Index entries in ``[lo, hi]`` on one dimension, summed over the
         shards (no I/O): always ``len(self.index(dim).range_rows(lo, hi))``."""
         return sum(s.table.estimate_count(dim, lo, hi) for s in self.shards)
+
+    def forecast(self, lo: np.ndarray, hi: np.ndarray) -> Forecast:
+        """Price the closed boxes ``[lo[i], hi[i]]`` shard by shard (no
+        I/O): a box costs the seeks of the shards it will actually touch,
+        and a shard with an empty marginal is not one of them."""
+        return Forecast([s.table for s in self.shards], lo, hi)
 
     # ------------------------------------------------------------------
     # Reads

@@ -39,7 +39,7 @@ import math
 import threading
 import zlib
 from dataclasses import dataclass
-from typing import List, Literal, Optional, Sequence
+from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -207,6 +207,73 @@ class _SortedColumn:
         return len(kept) - len(self.rows)
 
 
+class Forecast:
+    """What fetching each of ``n`` closed boxes ``[lo[i], hi[i]]`` would
+    charge, from the sorted columns alone -- no simulated I/O, no lock.
+
+    ``rows`` / ``pages`` / ``seeks`` are ``(n,)`` arrays, summed over
+    ``tables`` (one :class:`DiskTable`, or the shards of a fleet, which share
+    a plan and a cost model).  Rows follow what the plan charges: ``n * prod_j
+    (c_j / n)`` over the exact per-dimension counts ``c_j`` under ``bitmap``
+    (independence between dimensions is the only assumption), ``min_j c_j``
+    under ``best_index``, the heap under ``seqscan``; a table with an empty
+    marginal contributes nothing, as it answers such a box without a seek.
+    Pages and seeks are :meth:`DiskCostModel.fetch_shape` of the rows.
+
+    Each bound is bisected once, here, and its *rank* kept: the marginal
+    count of the bounding box of any subset of the boxes is ``max(rank_hi) -
+    min(rank_lo)``, so :meth:`hull` prices it without another bisect.
+    ``model`` is the tables' :class:`DiskCostModel`.
+    """
+
+    def __init__(self, tables: Sequence["DiskTable"], lo: np.ndarray, hi: np.ndarray):
+        first = tables[0]
+        self._plan, self.model = first.plan, first.cost_model
+        ndim = self._ndim = first.ndim
+        # (tables, 2d, n): each lower bound's rank, then each upper bound's
+        # negated, so one ``min`` over boxes is their hull's ranks
+        ranks = self._ranks = np.empty((len(tables), 2 * ndim, len(lo)))
+        for row, table in zip(ranks, tables):
+            for dim, (lows, highs) in enumerate(zip(lo.T, hi.T)):
+                keys = table.index(dim).keys
+                row[dim] = keys.searchsorted(lows, "left")
+                row[ndim + dim] = keys.searchsorted(highs, "right")
+        ranks[:, ndim:] *= -1.0
+        # (tables, 1): index entries (as the factor that turns a product of
+        # marginal counts into rows), heap pages
+        size = self._size = np.array([[float(len(t.index(0).keys))] for t in tables])
+        self._per_product = 1.0 / np.maximum(size, 1.0) ** (ndim - 1)
+        self._heap_pages = (
+            None if self.model.clustered else np.array([[t.n_pages] for t in tables])
+        )
+        self.rows, self.pages, self.seeks = self._price(ranks)
+
+    def hull(self, members: np.ndarray) -> Tuple[float, int, int]:
+        """``(rows, pages, seeks)`` of the bounding box of ``members``."""
+        rows, pages, seeks = self._price(
+            self._ranks[:, :, members].min(axis=2, keepdims=True)
+        )
+        return float(rows[0]), int(pages[0]), int(seeks[0])
+
+    def io_ms(self) -> float:
+        """Predicted latency of issuing every box, one by one."""
+        return self.model.fetch_cost_ms(int(self.seeks.sum()), int(self.pages.sum()))
+
+    def _price(self, ranks: np.ndarray) -> tuple:
+        ndim = self._ndim
+        counts = np.maximum(-(ranks[:, :ndim] + ranks[:, ndim:]), 0.0)
+        if self._plan == "bitmap":
+            rows = counts.prod(axis=1) * self._per_product
+        elif self._plan == "best_index":
+            rows = counts.min(axis=1)
+        else:
+            rows = np.broadcast_to(self._size, counts.shape[::2])
+        pages, seeks = self.model.fetch_shape(rows, self._heap_pages)
+        if len(rows) == 1:  # one table: nothing to sum, on the planning path
+            return rows[0], pages[0], seeks[0]
+        return rows.sum(axis=0), pages.sum(axis=0), seeks.sum(axis=0)
+
+
 class DiskTable:
     """A read-mostly table of ``(n, d)`` float points with per-dim indexes."""
 
@@ -337,6 +404,12 @@ class DiskTable:
         left = int(keys.searchsorted(lo, "left"))
         right = int(keys.searchsorted(hi, "right"))
         return max(0, right - left)
+
+    def forecast(self, lo: np.ndarray, hi: np.ndarray) -> Forecast:
+        """Price the closed boxes ``[lo[i], hi[i]]`` (``(n, d)`` arrays)
+        from the live sorted columns: nothing is maintained for it, so it is
+        never stale, and it charges no simulated I/O."""
+        return Forecast([self], lo, hi)
 
     # ------------------------------------------------------------------
     # Queries

@@ -51,7 +51,6 @@ class TestBudgetedCompleteness:
                 prune_with=surviving[:1],
                 max_invalidation_pieces=pieces,
                 max_invalidation_anchors=anchors,
-                merge_boxes=True,
             )
             assert pairwise_disjoint(mpr.boxes)
             assert_same_point_set(
@@ -72,7 +71,6 @@ class TestBudgetedCompleteness:
             prune_with=surviving[: min(2, len(surviving))],
             max_invalidation_pieces=8,
             max_invalidation_anchors=anchors,
-            merge_boxes=True,
         )
         assert_same_point_set(
             solve(mpr, data), constrained_skyline_oracle(data, new)

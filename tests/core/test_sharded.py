@@ -72,8 +72,16 @@ class TestBitIdentity:
                 outcome.skyline, expected.skyline,
                 context=f"shards={n_shards} mode={mode}",
             )
-            # the bitmap plan reads the matching rows, wherever they live
-            assert outcome.points_read == expected.points_read
+            # The plan is priced by the layout, so only one shard reads
+            # exactly what the plain table does
+            # (``test_one_shard_is_the_plain_table``): how far the boxes
+            # are coalesced differs with the shard count.  They stay
+            # disjoint and inside the region, and the bitmap plan reads the
+            # matching rows, wherever they live -- never more than not
+            # caching would.
+            in_region = int(constraints.satisfied_mask(data).sum())
+            assert outcome.points_read <= in_region
+            assert expected.points_read <= in_region
             assert outcome.case == expected.case
 
     def test_one_shard_is_the_plain_table(self):

@@ -10,7 +10,10 @@ After every query the answer must equal
 :func:`~repro.skyline.reference.constrained_reference` over the live rows --
 a mirror the machine keeps itself from the ids the engine hands back, never
 the table's own tombstones.  This is the strongest end-to-end guarantee in
-the test suite.
+the test suite.  Every plan the engine executes on the way is held to the
+containment that makes it safe, MPR <= R <= C': its boxes are pairwise
+disjoint, lie in the queried region, hold every live row the region
+computer's boxes hold, and none of the cached points it reuses.
 
 The table starts inside ``[1/6, 5/6]^d`` and grows outwards (inserts and
 queries range over ``[0, 1]^d``, both hitting the 1/6 grid often), so rows
@@ -33,6 +36,7 @@ from hypothesis import strategies as st
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import SkylineCache
 from repro.core.dynamic import DynamicCBCS
+from repro.geometry.box import BoxSet, pairwise_disjoint
 from repro.geometry.constraints import Constraints
 from repro.skyline.reference import constrained_reference, same_multiset
 from repro.storage.sharding import ShardedTable
@@ -83,6 +87,24 @@ class EngineMachine(RuleBasedStateMachine):
         #: the machine's own record of the live rows: row id -> values
         self.live = dict(enumerate(data))
         self.last_query = None
+        plan = self.engine.planner.plan
+        self.engine.planner.plan = lambda *args, **kwargs: self._checked(
+            plan(*args, **kwargs)
+        )
+
+    def _checked(self, planned):
+        """MPR <= R <= C' for a plan the engine is about to execute."""
+        boxes, mpr = planned.plan.boxes, planned.mpr
+        if mpr is None:
+            return planned
+        region = planned.constraints.region()
+        assert pairwise_disjoint(boxes)
+        assert all(region.contains_box(box) for box in boxes)
+        rows = np.array(list(self.live.values()))
+        fetch = BoxSet.of(boxes, ndim=self.ndim)
+        assert fetch.union_mask(rows)[mpr.boxes.union_mask(rows)].all()
+        assert not fetch.union_mask(planned.reusable).any()
+        return planned
 
     def _rows(self, rng, n, lo=0.0, hi=1.0):
         rows = rng.uniform(lo, hi, size=(n, self.ndim))

@@ -9,16 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from repro.core.shaping import shape
 from repro.geometry.box import (
     Box,
     BoxSet,
     decompose_difference,
-    merge_aligned_boxes,
     pairwise_disjoint,
     total_volume,
     union_mask,
 )
 from repro.geometry.interval import Interval
+from repro.storage.costmodel import DiskCostModel
+from repro.storage.table import DiskTable
 
 
 def boxes(ndim, lo=-10.0, hi=10.0):
@@ -208,30 +210,53 @@ class TestSubtractCorner:
         assert pairwise_disjoint(box.subtract_corner(corner))
 
 
+def lattice(*axes):
+    """One row on every point of the product of ``axes``: the dimensions are
+    independent, so the table's forecast of a box is its exact row count."""
+    return np.array(list(itertools.product(*axes)), dtype=float)
+
+
+def issued(boxes, rows, page_size=1):
+    """What the planner issues for ``boxes`` over a table of ``rows``
+    (:func:`repro.core.shaping.shape`).  At one row per page a bounding box
+    never fits in the pages of its largest member, so boxes coalesce only
+    where they tile it -- what the deleted tile merge decided by geometry."""
+    table = DiskTable(rows, cost_model=DiskCostModel(page_size=page_size))
+    return shape(BoxSet.of(boxes, ndim=rows.shape[1]), table.forecast).boxes.boxes()
+
+
+HALVES = [0.0, 0.5, 1.0, 1.5, 2.0]
+
+
 class TestMergeAlignedBoxes:
+    """The cases the tile merge (``BoxSet.merged``, deleted) was pinned on,
+    now decided by the shaping pass against rows that sit *on* the faces."""
+
     def test_merges_abutting_halves(self):
         a = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(0.0, 1.0)])
         b = Box([Interval.closed(1.0, 2.0), Interval.closed(0.0, 1.0)])
-        merged = merge_aligned_boxes([a, b])
-        assert len(merged) == 1
+        merged = issued([a, b], lattice(HALVES, HALVES[:3]))
+        assert merged == [Box.closed([0.0, 0.0], [2.0, 1.0])]
         assert merged[0].contains_point([1.0, 0.5])
         assert merged[0].contains_point([0.0, 0.0])
         assert merged[0].contains_point([2.0, 1.0])
 
-    def test_does_not_merge_with_double_covered_boundary(self):
-        a = Box.closed([0.0, 0.0], [1.0, 1.0])
-        b = Box.closed([1.0, 0.0], [2.0, 1.0])  # x=1 covered by both
-        assert len(merge_aligned_boxes([a, b])) == 2
-
     def test_does_not_merge_with_gap(self):
         a = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(0.0, 1.0)])
         b = Box([Interval(1.0, 2.0, lo_open=True), Interval.closed(0.0, 1.0)])
-        assert len(merge_aligned_boxes([a, b])) == 2  # x=1.0 in neither
+        # x=1.0 in neither, and rows sit there: the hull would read them
+        assert issued([a, b], lattice(HALVES, HALVES[:3])) == [a, b]
+        # nothing to read in the gap: one fetch, the same rows
+        gapless = lattice([0.0, 0.5, 1.5, 2.0], HALVES[:3])
+        (hull,) = issued([a, b], gapless)
+        assert hull == Box(
+            [Interval(0.0, 2.0, lo_open=False, hi_open=False), Interval.closed(0.0, 1.0)]
+        )
 
     def test_does_not_merge_across_different_cross_sections(self):
         a = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(0.0, 1.0)])
         b = Box([Interval.closed(1.0, 2.0), Interval.closed(0.0, 2.0)])
-        assert len(merge_aligned_boxes([a, b])) == 2
+        assert issued([a, b], lattice(HALVES, HALVES)) == [a, b]
 
     def test_chains_of_merges(self):
         slabs = [
@@ -239,12 +264,21 @@ class TestMergeAlignedBoxes:
                  Interval.closed(0.0, 1.0)])
             for i in range(5)
         ]
-        merged = merge_aligned_boxes(slabs)
-        assert len(merged) == 1
+        merged = issued(slabs, lattice(np.arange(0.0, 5.5, 0.5), HALVES[:3]))
+        assert merged == [
+            Box([Interval(0.0, 5.0, hi_open=True), Interval.closed(0.0, 1.0)])
+        ]
 
     def test_drops_empty_boxes(self):
+        rows = lattice(HALVES, HALVES)
         empty = Box.closed([1.0, 1.0], [0.0, 0.0])
-        assert merge_aligned_boxes([empty]) == []
+        assert issued([empty], rows) == []
+        # ... and the boxes no row lies in: the table answers them unasked
+        between = Box([Interval(0.0, 0.5, lo_open=True, hi_open=True)] * 2)
+        assert issued([between], rows) == []
+        assert issued([between, Box.closed([1.0, 1.0], [2.0, 2.0])], rows) == [
+            Box.closed([1.0, 1.0], [2.0, 2.0])
+        ]
 
     @given(
         boxes(2),
@@ -255,18 +289,21 @@ class TestMergeAlignedBoxes:
     )
     @settings(max_examples=60)
     def test_merge_preserves_coverage(self, base, corners, pts):
-        """Merging a corner-subtraction tiling never changes membership."""
+        """Shaping a corner-subtraction tiling loses no row of the table,
+        reads none twice and stays inside the tiled box."""
         pieces = [base]
         for corner in corners:
             pieces = [
                 p for piece in pieces for p in piece.subtract_corner(corner)
             ]
-        merged = merge_aligned_boxes(pieces)
+        merged = issued(pieces, pts, page_size=128)
         assert len(merged) <= max(len(pieces), 1)
         assert pairwise_disjoint(merged)
-        np.testing.assert_array_equal(
-            union_mask(merged, pts), union_mask(pieces, pts)
-        )
+        assert all(base.contains_box(box) for box in merged)
+        covered = union_mask(merged, pts)
+        assert covered[union_mask(pieces, pts)].all()
+        if merged:
+            assert BoxSet.of(merged).mask(pts).sum(axis=0).max() <= 1
 
 
 class TestDecomposeDifference:
@@ -331,37 +368,6 @@ def box_lists_with_corner(draw):
     ndim, boxes = draw(box_lists())
     corner = draw(st.lists(st.sampled_from(GRID), min_size=ndim, max_size=ndim))
     return ndim, boxes, corner
-
-
-def greedy_restart_merge(boxes):
-    """The list-of-``Box`` loop :meth:`BoxSet.merged` replaced: merge the first
-    mergeable pair in list order, restart the scan, until nothing merges."""
-
-    def try_merge(a, b):
-        differing = [i for i, (x, y) in enumerate(zip(a, b)) if x != y]
-        if len(differing) != 1:
-            return None
-        (dim,) = differing
-        first, second = a.intervals[dim], b.intervals[dim]
-        if first.lo > second.lo:
-            first, second = second, first
-        if first.hi != second.lo or first.hi_open == second.lo_open:
-            return None
-        joined = Interval(first.lo, second.hi, first.lo_open, second.hi_open)
-        return Box(joined if i == dim else iv for i, iv in enumerate(a))
-
-    pool = [box for box in boxes if not box.is_empty()]
-    merged = True
-    while merged:
-        merged = False
-        for i, j in itertools.combinations(range(len(pool)), 2):
-            union = try_merge(pool[i], pool[j])
-            if union is not None:
-                pool[i] = union
-                del pool[j]
-                merged = True
-                break
-    return pool
 
 
 class TestBoxSetAgainstBox:
@@ -452,8 +458,6 @@ class TestBoxSetAgainstBox:
         with pytest.raises(ValueError):
             BoxSet.of(mixed)
         with pytest.raises(ValueError):
-            merge_aligned_boxes(mixed)
-        with pytest.raises(ValueError):
             BoxSet.of(mixed[:1]).subtract_box(mixed[1])
         with pytest.raises(ValueError):
             BoxSet.of(mixed[:1]).subtract_corner([0.0, 0.0])
@@ -462,8 +466,10 @@ class TestBoxSetAgainstBox:
 
 
 class TestMergedAgainstGreedyRestart:
-    """``BoxSet.merged`` returns the *same list* as the restart loop: which
-    pair merges first decides the shape of the result."""
+    """Named for the restart loop the tile merge was held against.  What is
+    held now is the shaping pass on lattice data at one row per page, where
+    it reduces to dropping the boxes no row lies in and coalescing exact
+    tilings: the same rows are read, each once, in no more range queries."""
 
     @given(
         st.integers(1, 4).flatmap(
@@ -485,7 +491,7 @@ class TestMergedAgainstGreedyRestart:
     @settings(max_examples=150)
     def test_shattered_corner_tilings(self, drawn, random):
         """Tilings made by repeated ``subtract_corner``, then cut along a few
-        more planes so that several merges chain and compete."""
+        more planes so that several hulls chain and compete."""
         base, corners, cuts = drawn
         pieces = [base]
         for corner in corners:
@@ -499,33 +505,31 @@ class TestMergedAgainstGreedyRestart:
                 for half in (b.replace(dim, below), b.replace(dim, above))
                 if not half.is_empty()
             ]
+        rows = lattice(*[GRID] * base.ndim)
+        merged = issued(pieces, rows)
+        assert len(merged) <= len(pieces)
+        assert pairwise_disjoint(merged)
+        np.testing.assert_array_equal(
+            union_mask(merged, rows), union_mask(pieces, rows)
+        )
+        # which boxes come out does not depend on the order they went in
         random.shuffle(pieces)
-        assert merge_aligned_boxes(pieces) == greedy_restart_merge(pieces)
+        assert set(issued(pieces, rows)) == set(merged)
 
     @given(box_lists(max_size=8))
     def test_arbitrary_sets(self, drawn):
-        _, boxes = drawn
-        assert merge_aligned_boxes(boxes) == greedy_restart_merge(boxes)
-
-    def test_l_shape_merges_by_list_order(self):
-        corner = Box([Interval(0.0, 1.0, hi_open=True)] * 2)
-        right = Box([Interval.closed(1.0, 2.0), Interval(0.0, 1.0, hi_open=True)])
-        above = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(1.0, 2.0)])
-        results = set()
-        for order in itertools.permutations([corner, right, above]):
-            merged = merge_aligned_boxes(order)
-            assert merged == greedy_restart_merge(order)
-            results.add(tuple(merged))
-        assert len(results) > 1  # the order decided
-
-    def test_point_interval_tie_follows_list_order(self):
-        """``[1, 1]`` and ``(1, 2]`` share their lower bound: the restart loop
-        treats the earlier box as the lower one, so only one order merges."""
-        point = Box([Interval.closed(1.0, 1.0)])
-        rest = Box([Interval(1.0, 2.0, lo_open=True)])
-        assert merge_aligned_boxes([point, rest]) == [Box.closed([1.0], [2.0])]
-        for order in ([point, rest], [rest, point]):
-            assert merge_aligned_boxes(order) == greedy_restart_merge(order)
+        """Overlapping, duplicated and empty input: no row is lost and
+        nothing outside the input's bounding box is asked for."""
+        ndim, boxes = drawn
+        rows = lattice(*[GRID] * ndim)
+        merged = issued(boxes, rows)
+        assert len(merged) <= len(boxes)
+        assert union_mask(merged, rows)[union_mask(boxes, rows)].all()
+        live = [box for box in boxes if not box.is_empty()]
+        for box in merged:
+            for dim, iv in enumerate(box):
+                assert iv.lo >= min(b.intervals[dim].lo for b in live)
+                assert iv.hi <= max(b.intervals[dim].hi for b in live)
 
     def test_shuffled_chain_longer_than_64(self):
         chain = [
@@ -533,16 +537,18 @@ class TestMergedAgainstGreedyRestart:
             for i in range(90)
         ]
         np.random.default_rng(0).shuffle(chain)
-        merged = merge_aligned_boxes(chain)
-        assert merged == greedy_restart_merge(chain)
-        assert merged == [
+        rows = lattice(np.arange(0.0, 90.0, 0.5), HALVES[:3])
+        assert issued(chain, rows) == [
             Box([Interval(0.0, 90.0, hi_open=True), Interval.closed(0.0, 1.0)])
         ]
 
     def test_chain_spanning_several_row_blocks(self):
-        """600 boxes: the pairwise table is built a block of rows at a time."""
+        """600 boxes and a row on every face between them."""
         chain = [
             Box([Interval(float(i), i + 1.0, hi_open=True), Interval.closed(0.0, 1.0)])
             for i in range(600)
         ]
-        assert merge_aligned_boxes(chain) == greedy_restart_merge(chain)
+        rows = lattice(np.arange(0.0, 600.0, 0.5), HALVES[:3])
+        assert issued(chain, rows) == [
+            Box([Interval(0.0, 600.0, hi_open=True), Interval.closed(0.0, 1.0)])
+        ]

@@ -80,8 +80,10 @@ class TestRecordStructure:
         for box in record["boxes"]:
             assert set(box["predicted"]) == {"points", "pages", "seeks", "io_ms"}
             assert box["actual"] is not None
-        # the estimator upper-bounds the bitmap fetch per query
-        assert record["actual"]["points"] <= record["predicted"]["points"]
+        # the forecast estimates the bitmap fetch per query: relative error
+        # below 1, the calibration ledger's gate
+        read = record["actual"]["points"]
+        assert abs(record["predicted"]["points"] - read) < max(read, 1)
         assert record["actual"]["points"] == outcome.io.points_read
         engine.close()
 
@@ -239,10 +241,13 @@ class TestShardedRecords:
         (plain,) = recorder.records
         assert set(fleet) == set(plain) and "shard_pruning" not in fleet
         assert fleet["method"] == plain["method"]
+        # a box is priced by the shards it touches (independence is assumed
+        # inside each shard), so the row forecast differs with the layout
+        assert fleet["plan"].pop("estimated_points") > 0
+        assert plain["plan"].pop("estimated_points") > 0
         assert fleet["plan"] == plain["plan"]
         for ours, theirs in zip(fleet["boxes"], plain["boxes"], strict=True):
             assert ours["box"] == theirs["box"]
-            assert ours["predicted"]["points"] == theirs["predicted"]["points"]
             assert ours["actual"]["points"] == theirs["actual"]["points"]
         # ... so fleet queries join the per-box calibration block
         assert ledger.queries == 2 and ledger.skipped == 0
