@@ -33,9 +33,19 @@ import threading
 import time
 from contextlib import nullcontext
 
+from repro.bench import soak
 from repro.bench.experiments import ALL_EXPERIMENTS
 from repro.bench.harness import activate_faults, bench_scale
 from repro.obs import activate
+
+#: flag -> (scenario in :mod:`repro.bench.soak`, exit code when it fails).
+#: Soaks run in this order after the figures; the highest failing code wins.
+SOAKS = {
+    "chaos": ("chaos", 4),
+    "overload": ("overload", 6),
+    "shard_sweep": ("shards", 7),
+    "crash_drill": ("crash", 5),
+}
 
 
 def _build_obs(obs_dir, query_log=None):
@@ -127,9 +137,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--chaos", metavar="N", type=int,
         help="run an N-query chaos soak (fault-injected mixed workload with "
-             "reference-checked answers, a circuit-breaker drill, and a "
-             "crash-recovery drill); exits 4 if the soak fails.  Without "
-             "explicit FIGUREs, runs the soak alone",
+             "reference-checked answers and a circuit-breaker drill); exits "
+             "4 if the soak fails.  Without explicit FIGUREs, runs the soak "
+             "alone",
     )
     parser.add_argument(
         "--overload", metavar="N", type=int,
@@ -154,8 +164,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--crash-drill", action="store_true",
         help="run the seeded crash-recovery drill: kill a durable engine at "
              "armed crash points mid-write, recover from the WAL, and check "
-             "answers bit-exactly against an uncrashed reference; exits 5 "
-             "on failure",
+             "answers against the reference skyline of the committed rows; "
+             "exits 5 on failure",
     )
     parser.add_argument(
         "--crash-out", metavar="DIR",
@@ -200,15 +210,11 @@ def main(argv=None) -> int:
     if opts.explain and opts.obs is None:
         print("--explain needs --obs DIR (explain.jsonl lives there)")
         return 2
+    soaks = [flag for flag in SOAKS if getattr(opts, flag)]
     if opts.figures:
         names = list(opts.figures)
-    elif (
-        opts.chaos is not None
-        or opts.crash_drill
-        or opts.overload is not None
-        or opts.shard_sweep is not None
-    ):
-        names = []  # soak-/drill-/sweep-only run
+    elif soaks:
+        names = []  # soak-only run
     else:
         names = list(ALL_EXPERIMENTS)
     unknown = [n for n in names if n not in ALL_EXPERIMENTS]
@@ -310,10 +316,7 @@ def main(argv=None) -> int:
     dump = {"scale": bench_scale(), "figures": {}}
     figure_summaries = {}
     figure_failures = []
-    chaos_report = None
-    crash_report = None
-    serving_report = None
-    shard_report = None
+    soak_failures = {}
     cumulative = obs.metrics if obs is not None else None
     faults_ctx = (
         nullcontext() if opts.faults is None else activate_faults(opts.faults)
@@ -373,56 +376,23 @@ def main(argv=None) -> int:
                     print(f"[chart written to {target}]")
         if obs is not None:
             obs.metrics = cumulative
-        if opts.chaos is not None:
-            from repro.bench.chaos import run_chaos_soak
-
-            chaos_report = run_chaos_soak(
-                n_queries=opts.chaos,
-                profile=opts.faults or "default",
-                obs=obs,
-            )
-            print(chaos_report.render_text())
+        for flag in soaks:
+            scenario, code = SOAKS[flag]
+            # Without --faults each scenario keeps its own default profile.
+            kwargs = {} if opts.faults is None else {"profile": opts.faults}
+            if scenario == "crash":
+                kwargs["out_dir"] = opts.crash_out
+            else:
+                kwargs.update(n=getattr(opts, flag), obs=obs)
+            if scenario == "overload":
+                kwargs["workers"] = max(opts.workers or 2, 2)
+            report = getattr(soak, scenario)(**kwargs)
+            print(report.render_text())
             print()
             if opts.json is not None:
-                dump["chaos"] = chaos_report.as_dict()
-        if opts.overload is not None:
-            from repro.bench.serving import run_overload_soak
-
-            serving_report = run_overload_soak(
-                n_requests=opts.overload,
-                profile=opts.faults or "none",
-                obs=obs,
-                workers=max(opts.workers or 2, 2),
-            )
-            print(serving_report.render_text())
-            print()
-            if opts.json is not None:
-                dump["overload"] = serving_report.as_dict()
-        if opts.shard_sweep is not None:
-            from repro.bench.shardsweep import run_shard_sweep
-
-            shard_report = run_shard_sweep(
-                n_queries=opts.shard_sweep,
-                profile=opts.faults,
-                obs=obs,
-            )
-            print(shard_report.render_text())
-            print()
-            if opts.json is not None:
-                dump["shard_sweep"] = shard_report.as_dict()
-        if opts.crash_drill or opts.chaos is not None:
-            # The crash-recovery drill rides along with every chaos soak:
-            # same fault profile, plus armed crashes.
-            from repro.bench.crashdrill import run_crash_drill
-
-            crash_report = run_crash_drill(
-                profile=opts.faults or "default",
-                out_dir=opts.crash_out,
-            )
-            print(crash_report.render_text())
-            print()
-            if opts.json is not None:
-                dump["crash_drill"] = crash_report.as_dict()
+                dump[flag] = report.as_dict()
+            if not report.passed:
+                soak_failures[scenario] = code
     if watch_stop is not None:
         watch_stop.set()
         watch_thread.join(timeout=5.0)
@@ -452,13 +422,6 @@ def main(argv=None) -> int:
             figures=figure_summaries,
             # the snapshot's predicted-vs-actual block: one source, the ledger
             calibration=ledger.summary() if ledger is not None else None,
-            chaos=chaos_report.as_dict() if chaos_report is not None else None,
-            overload=(
-                serving_report.as_dict() if serving_report is not None else None
-            ),
-            shard_sweep=(
-                shard_report.as_dict() if shard_report is not None else None
-            ),
         )
         if opts.save_bench is not None:
             written = save_snapshot(snapshot, opts.save_bench)
@@ -530,23 +493,13 @@ def main(argv=None) -> int:
             print("\n# observability report\n")
             print(render_report(obs.metrics))
     # Distinct exit codes: 1 regression, 2 usage/snapshot error, 3 a figure
-    # run failed mid-workload, 4 the chaos soak failed, 5 the crash-recovery
-    # drill failed, 6 the overload soak failed, 7 the shard sweep failed.
+    # run failed mid-workload, 4-7 a soak failed (SOAKS); the highest wins.
     if figure_failures:
         print(f"[{len(figure_failures)} figure(s) failed: {figure_failures}]")
         exit_code = 3
-    if chaos_report is not None and not chaos_report.passed:
-        print("[chaos soak FAILED]")
-        exit_code = 4
-    if crash_report is not None and not crash_report.passed:
-        print("[crash-recovery drill FAILED]")
-        exit_code = 5
-    if serving_report is not None and not serving_report.passed:
-        print("[overload soak FAILED]")
-        exit_code = 6
-    if shard_report is not None and not shard_report.passed:
-        print("[shard sweep FAILED]")
-        exit_code = 7
+    for scenario, code in soak_failures.items():
+        print(f"[{scenario} soak FAILED]")
+        exit_code = max(exit_code, code)
     return exit_code
 
 

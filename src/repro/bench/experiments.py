@@ -619,7 +619,7 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
 def serving_overload(seed: int = 0) -> FigureReport:
     """Open-loop overload serving: latency, shed rate, coalesce rate.
 
-    Runs the :mod:`repro.bench.serving` soak at twice the calibrated
+    Runs the :func:`repro.bench.soak.overload` soak at twice the calibrated
     saturation rate over a zipf-skewed multi-user stream and reports the
     answered-latency percentiles alongside the ingress outcomes.  The
     headline claim: under 2x nominal overload the service stays correct
@@ -630,7 +630,7 @@ def serving_overload(seed: int = 0) -> FigureReport:
     carries a serving section (see ``repro.bench.regress``).
     """
     from repro.bench.harness import active_fault_profile
-    from repro.bench.serving import run_overload_soak
+    from repro.bench.soak import overload
     from repro.obs import current as _current_obs
 
     # obs stays off for the soak itself: which requests coalesce (and so
@@ -639,51 +639,43 @@ def serving_overload(seed: int = 0) -> FigureReport:
     # tightly-thresholded methods compare flap in CI.  The figure's
     # contribution to the snapshot is the serving_* gauges alone; the
     # ``--overload`` CLI soak records full observability.
-    report = run_overload_soak(
-        n_requests=scaled(200, 600, 2_000),
-        n_points=scaled(2_000, 10_000, 30_000),
+    report = overload(
+        scaled(200, 600, 2_000),
         profile=active_fault_profile() or "none",
         seed=seed,
         workers=4,
-        obs=None,
     )
+    counts, facts = report.counts, report.facts
     metrics = _current_obs().metrics
-    metrics.set_gauge("serving_p50_ms", report.p50_ms)
-    metrics.set_gauge("serving_p95_ms", report.p95_ms)
-    metrics.set_gauge("serving_p99_ms", report.p99_ms)
-    metrics.set_gauge("serving_shed_rate", report.shed_rate)
-    metrics.set_gauge("serving_coalesce_rate", report.coalesce_rate)
-    metrics.set_gauge("serving_deadline_exceeded", report.deadline_exceeded)
-    metrics.set_gauge("serving_submitted", report.submitted)
-    metrics.set_gauge("serving_answered", report.answered)
-    metrics.set_gauge("serving_target_rps", report.target_rps)
+    for key in ("p50_ms", "p95_ms", "p99_ms", "shed_rate", "coalesce_rate",
+                "target_rps"):
+        metrics.set_gauge(f"serving_{key}", facts[key])
+    for key in ("deadline_exceeded", "submitted", "answered"):
+        metrics.set_gauge(f"serving_{key}", counts[key])
     return FigureReport(
         figure="serving",
         title="Overload-safe serving (open loop, 2x saturation)",
         text=report.render_text(),
         series={
             "latency_ms": {
-                "p50": report.p50_ms,
-                "p95": report.p95_ms,
-                "p99": report.p99_ms,
+                "p50": facts["p50_ms"],
+                "p95": facts["p95_ms"],
+                "p99": facts["p99_ms"],
             },
             "rates": {
-                "shed": report.shed_rate,
-                "coalesce": report.coalesce_rate,
+                "shed": facts["shed_rate"],
+                "coalesce": facts["coalesce_rate"],
             },
             "outcomes": {
-                "submitted": report.submitted,
-                "answered": report.answered,
-                "shed": report.shed,
-                "rejected_queue_full": report.rejected_queue_full,
-                "deadline_exceeded": report.deadline_exceeded,
-                "coalesced_dedup": report.coalesced_dedup,
-                "coalesced_subsumed": report.coalesced_subsumed,
+                key: counts[key]
+                for key in ("submitted", "answered", "shed",
+                            "rejected_queue_full", "deadline_exceeded",
+                            "coalesced_dedup", "coalesced_subsumed")
             },
             "throughput_rps": {
-                "saturation": report.saturation_rps,
-                "target": report.target_rps,
-                "achieved": report.achieved_rps,
+                "saturation": facts["saturation_rps"],
+                "target": facts["target_rps"],
+                "achieved": facts["achieved_rps"],
             },
         },
     )
@@ -703,7 +695,7 @@ def sharding_scaleout(seed: int = 0, ndim: int = 4) -> FigureReport:
     ``points_read`` charges the index-scan candidates each shard actually
     touches: a plan box never reaches a shard whose MBR it misses, which
     pays off as a decreasing points-read curve (equal answers are the
-    :mod:`repro.bench.shardsweep` gate; here we just report the curve).
+    :func:`repro.bench.soak.shards` gate; here we just report the curve).
 
     Simulated I/O and CPU wall are reported apart.  The planner prices a
     box by the shards it will touch and coalesces where that saves seeks

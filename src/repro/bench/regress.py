@@ -171,9 +171,6 @@ def build_snapshot(
     calibration: Optional[dict] = None,
     rev: Optional[str] = None,
     run_id: Optional[str] = None,
-    chaos: Optional[dict] = None,
-    overload: Optional[dict] = None,
-    shard_sweep: Optional[dict] = None,
 ) -> dict:
     """Assemble the schema-versioned snapshot dict for one bench run.
 
@@ -198,12 +195,6 @@ def build_snapshot(
     }
     if calibration is not None:
         snapshot["calibration"] = calibration
-    if chaos is not None:
-        snapshot["chaos"] = chaos
-    if overload is not None:
-        snapshot["overload"] = overload
-    if shard_sweep is not None:
-        snapshot["shard_sweep"] = shard_sweep
     return snapshot
 
 

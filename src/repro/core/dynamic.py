@@ -25,7 +25,7 @@ Durability.  With ``durability=`` set (a directory or a
 is WAL-logged *before* it is applied -- the PostgreSQL write path -- and
 :meth:`DynamicCBCS.recover` rebuilds a crashed engine from the last
 checkpoint plus the log tail, provably converging to the committed
-pre-crash state (asserted bit-exactly by :mod:`repro.bench.crashdrill`).
+pre-crash state (asserted by :func:`repro.bench.soak.crash`).
 """
 
 from __future__ import annotations

@@ -1,10 +1,11 @@
 """Brute-force skyline, the executable form of Definition 1.
 
 Quadratic in the input size; used as the test oracle that every other
-algorithm (BNL, SFS, BBS, CBCS) must agree with.  Also home of the two
-helpers every soak driver bit-checks answers with:
-:func:`constrained_reference` (the engine-free ground truth for one
-query) and :func:`same_multiset`.
+algorithm (BNL, SFS, BBS, CBCS) must agree with.  Also home of the one
+definition of a correct engine answer, :func:`answer_error`, which the
+soaks and the engine state machine share: :func:`constrained_reference`
+(the engine-free ground truth for one query) compared with
+:func:`same_multiset`.
 
 This module keeps its own dominance loop and imports nothing from
 ``repro.skyline.sfs`` or ``repro.geometry.dominance``: an oracle that shared
@@ -61,3 +62,21 @@ def constrained_reference(data: np.ndarray, constraints) -> np.ndarray:
     if len(region) == 0:
         return region
     return region[brute_force_skyline(region)]
+
+
+def answer_error(outcome, rows: np.ndarray, constraints) -> str | None:
+    """None if ``outcome`` answers ``constraints`` over the live ``rows``
+    correctly, else what is wrong with it.
+
+    Correct means flagged ``stale`` (the degraded rungs that may miss points
+    say so) or equal, as a multiset, to :func:`constrained_reference`.
+    """
+    if outcome.stale:
+        return None
+    expected = constrained_reference(rows, constraints)
+    if same_multiset(outcome.skyline, expected):
+        return None
+    return (
+        f"answer differs from the reference ({len(outcome.skyline)} vs "
+        f"{len(expected)} points, case={outcome.case}, rung={outcome.degraded})"
+    )

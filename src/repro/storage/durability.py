@@ -13,8 +13,8 @@ the PostgreSQL write path for its table updates:
 3. **Recover.** :meth:`recover` loads the last checkpoint, replays the WAL
    tail past its LSN (torn tails truncated, mid-file corruption loud), and
    returns a table provably equal to "checkpoint + committed updates" --
-   the contract the crash drill (:mod:`repro.bench.crashdrill`) asserts
-   bit-exactly against an uncrashed reference.
+   the contract the crash soak (:func:`repro.bench.soak.crash`) asserts
+   against the reference skyline of the committed rows.
 
 Directory layout::
 

@@ -31,7 +31,7 @@ read, never a row).
 
 With ``n_shards=1`` the single shard holds the whole dataset and every
 answer, row order and I/O counter equals the plain table's -- the anchor of
-``repro.bench.shardsweep``.
+the shard soak (:func:`repro.bench.soak.shards`).
 """
 
 from __future__ import annotations

@@ -130,7 +130,7 @@ class TestShardSweepCli:
     def test_shard_sweep_alone_runs_and_passes(self, capsys):
         assert main(["--shard-sweep", "3"]) == 0
         out = capsys.readouterr().out
-        assert "# shard sweep" in out
+        assert "# shards soak" in out
         assert "PASS" in out
 
     def test_shard_sweep_needs_positive_count(self, capsys):
@@ -142,7 +142,7 @@ class TestShardSweepCli:
         assert main(sweep) == 0
         out = capsys.readouterr().out
         assert "faults=default" in out
-        assert "stale serves" in out
+        assert "stale_serves" in out
         # --workers sizes the overload soak's service and nothing else
         assert main(sweep + ["--workers", "2"]) == 2
         assert "--overload" in capsys.readouterr().out
@@ -154,22 +154,17 @@ class TestShardSweepCli:
 
         payload = json.loads(target.read_text())
         assert payload["shard_sweep"]["passed"] is True
-        assert payload["shard_sweep"]["cells"] > 0
+        assert payload["shard_sweep"]["counts"]["cells"] > 0
 
     def test_failing_sweep_exits_7(self, capsys, monkeypatch):
-        from repro.bench import shardsweep
+        from repro.bench import soak
 
         def broken_sweep(**kwargs):
-            report = shardsweep.ShardSweepReport(
-                seeds=(0,), shard_counts=(1,), strategies=("max-overlap-sp",),
-                profile=None, n_queries=1,
-            )
-            report.answer_mismatches = 1
-            return report
+            return soak.SoakReport("shards", 0, "none", errors=["answer differs"])
 
-        monkeypatch.setattr(shardsweep, "run_shard_sweep", broken_sweep)
+        monkeypatch.setattr(soak, "shards", broken_sweep)
         assert main(["--shard-sweep", "1"]) == 7
-        assert "shard sweep FAILED" in capsys.readouterr().out
+        assert "shards soak FAILED" in capsys.readouterr().out
 
     def test_sharding_figure_in_snapshot(self, capsys, tmp_path):
         target = tmp_path / "BENCH_x.json"

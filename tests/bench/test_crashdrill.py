@@ -1,97 +1,83 @@
-"""Crash-recovery drill: scenarios pass, determinism, artifacts, CLI exit."""
+"""Crash-recovery drill (:func:`repro.bench.soak.crash`): scenarios pass,
+determinism, artifacts, temp files, CLI exit."""
 
 import json
+import tempfile
 
 import pytest
 
-from repro.bench.crashdrill import (
-    DEFAULT_SCENARIOS,
-    CrashScenario,
-    run_crash_drill,
-)
-
-_QUICK = dict(n_points=150, ndim=3, n_ops=12, n_check_queries=5, fsync=False)
+from repro.bench.soak import CRASH_SCENARIOS, crash
 
 
 @pytest.fixture(scope="module")
 def drill_report():
-    return run_crash_drill(seed=0, profile="none", **_QUICK)
+    return crash("none", seed=0)
 
 
 class TestDrill:
     def test_all_default_scenarios_pass(self, drill_report):
-        assert drill_report.passed
-        assert len(drill_report.scenarios) == len(DEFAULT_SCENARIOS)
-        for scenario in drill_report.scenarios:
-            assert scenario.passed, scenario.errors
-            assert scenario.queries_checked > 0
-            assert scenario.mismatches == 0
+        assert drill_report.passed, drill_report.errors
+        assert list(drill_report.facts) == [s[0] for s in CRASH_SCENARIOS]
+        assert drill_report.counts["scenarios"] == len(CRASH_SCENARIOS)
+        for row in drill_report.facts.values():
+            assert row["passed"], row["errors"]
+            assert row["queries_checked"] > 0
+            assert row["mismatches"] == 0
 
     def test_crash_scenarios_actually_crash(self, drill_report):
-        by_name = {s.name: s for s in drill_report.scenarios}
-        control = by_name.pop("warm-restart")
-        assert not control.crashed
+        rows = dict(drill_report.facts)
+        control = rows.pop("warm-restart")
+        assert not control["crashed"]
         # Clean shutdown commits the whole schedule and warm-restarts.
-        assert control.committed_ops == control.total_ops
-        assert control.cache_restored_from != "cold"
-        for scenario in by_name.values():
-            assert scenario.crashed, f"{scenario.name} never hit its point"
+        assert control["committed_ops"] == control["total_ops"]
+        assert control["cache_restored_from"] != "cold"
+        for row in rows.values():
+            assert row["crashed"], f"{row['name']} never hit its point"
             # A crash never commits more than the schedule attempted.
-            assert scenario.committed_ops <= scenario.total_ops
+            assert row["committed_ops"] <= row["total_ops"]
 
     def test_torn_scenario_reports_torn_tail(self, drill_report):
-        (torn,) = [
-            s for s in drill_report.scenarios if s.name == "wal-append-torn"
-        ]
-        assert torn.crashed
+        torn = drill_report.facts["wal-append-torn"]
+        assert torn["crashed"]
         # The torn prefix landed on whichever WAL hit the point; either way
         # recovery must have seen and truncated it.
-        assert "torn" in (torn.tail_status, torn.cache_tail_status)
+        assert "torn" in (torn["tail_status"], torn["cache_tail_status"])
 
     def test_seeded_determinism(self, drill_report):
-        again = run_crash_drill(seed=0, profile="none", **_QUICK)
-        a = drill_report.as_dict()
-        b = again.as_dict()
-        assert a == b
+        assert crash("none", seed=0).as_dict() == drill_report.as_dict()
 
     def test_different_seed_changes_schedule(self, drill_report):
-        other = run_crash_drill(seed=42, profile="none", **_QUICK)
-        assert other.passed
-        committed = [s.committed_ops for s in other.scenarios]
-        baseline = [s.committed_ops for s in drill_report.scenarios]
+        other = crash("none", seed=42)
+        assert other.passed, other.errors
+        committed = [r["committed_ops"] for r in other.facts.values()]
+        baseline = [r["committed_ops"] for r in drill_report.facts.values()]
         assert committed != baseline or other.as_dict() != drill_report.as_dict()
 
     def test_report_artifact_written(self, tmp_path):
-        report = run_crash_drill(
-            seed=1,
-            profile="none",
-            scenarios=(CrashScenario("wal-append-clean", "wal.append", after=3),),
-            out_dir=tmp_path,
-            **_QUICK,
-        )
-        assert report.passed
+        report = crash("none", seed=1, out_dir=tmp_path)
+        assert report.passed, report.errors
         payload = json.loads((tmp_path / "recovery_report.json").read_text())
+        assert set(payload) == {"seed", "profile", "scenarios", "passed"}
         assert payload["passed"] is True
-        assert payload["scenarios"][0]["name"] == "wal-append-clean"
+        assert [s["name"] for s in payload["scenarios"]] == [
+            s[0] for s in CRASH_SCENARIOS
+        ]
+        assert (tmp_path / "wal-append-torn" / "durability").is_dir()
 
     def test_drill_under_fault_profile(self):
-        report = run_crash_drill(
-            seed=2,
-            profile="default",
-            scenarios=(
-                CrashScenario("warm-restart", None),
-                CrashScenario("wal-append-torn", "wal.append", after=5,
-                              torn_fraction=0.5),
-            ),
-            **_QUICK,
-        )
-        assert report.passed, [s.errors for s in report.scenarios]
+        report = crash("default", seed=2)
+        assert report.passed, report.errors
 
     def test_render_text_mentions_every_scenario(self, drill_report):
         text = drill_report.render_text()
-        for scenario in drill_report.scenarios:
-            assert scenario.name in text
+        for name, *_ in CRASH_SCENARIOS:
+            assert name in text
         assert text.endswith("PASS")
+
+    def test_no_out_dir_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        assert crash("none", seed=0).passed
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestCli:
@@ -100,5 +86,5 @@ class TestCli:
 
         out_dir = tmp_path / "drill"
         assert main(["--crash-drill", "--crash-out", str(out_dir)]) == 0
-        assert "crash-recovery drill" in capsys.readouterr().out
+        assert "crash soak" in capsys.readouterr().out
         assert (out_dir / "recovery_report.json").exists()

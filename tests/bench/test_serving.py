@@ -1,94 +1,111 @@
-"""Tests for the open-loop overload soak and its regression wiring."""
+"""Tests for the open-loop overload soak (:func:`repro.bench.soak.overload`)
+and its regression wiring."""
 
+import json
+import math
 import time
 
 import numpy as np
 import pytest
 
+from repro.bench import soak
 from repro.bench.regress import (
     Thresholds,
     build_snapshot,
     compare_snapshots,
     summarize_registry,
 )
-from repro.bench.serving import PacedEngine, ServingReport, run_overload_soak
+from repro.bench.soak import PacedEngine, overload
 from repro.obs.metrics import MetricsRegistry
+from repro.service import QueryService
+from repro.service.admission import AdmissionController
 from repro.stats import QueryOutcome, StageTimings
+
+TERMINAL = ("answered", "shed", "rejected_queue_full", "deadline_exceeded", "error_count")
+
+
+@pytest.fixture(scope="module")
+def smoke():
+    """A tiny but real open-loop soak: every pass condition holds at
+    miniature scale in well under a second."""
+    return overload(40, seed=0, workers=2)
+
+
+def _named(report, name):
+    return [err for err in report.errors if err.startswith(name)]
+
+
+def _skewed_stats(monkeypatch, **delta):
+    """The service's counters, each shifted by ``delta``."""
+    honest = QueryService.stats
+
+    def stats(self):
+        counts = honest(self)
+        for key, by in delta.items():
+            counts[key] += by
+        return counts
+
+    monkeypatch.setattr(QueryService, "stats", stats)
 
 
 class TestServingReport:
-    def report(self, **overrides):
-        kwargs = dict(
-            profile="none",
-            seed=0,
-            workers=2,
-            n_requests=10,
-            rate_multiplier=2.0,
-            submitted=10,
-            answered=7,
-            shed=2,
-            rejected_queue_full=1,
-            coalesced_dedup=2,
-            coalesced_subsumed=1,
-            p50_ms=5.0,
-            p95_ms=9.0,
-            p99_ms=10.0,
-            p99_limit_ms=100.0,
-        )
-        kwargs.update(overrides)
-        return ServingReport(**kwargs)
+    def test_closed_accounting_passes(self, smoke):
+        c = smoke.counts
+        assert c["submitted"] == sum(c[key] for key in TERMINAL)
+        coalesced = c["coalesced_dedup"] + c["coalesced_subsumed"]
+        assert smoke.facts["coalesce_rate"] == pytest.approx(coalesced / c["submitted"])
+        shed = c["shed"] + c["rejected_queue_full"]
+        assert smoke.facts["shed_rate"] == pytest.approx(shed / c["submitted"])
+        assert smoke.passed, smoke.errors
 
-    def test_closed_accounting_passes(self):
-        report = self.report()
-        assert report.accounting_closed
-        assert report.coalesced == 3
-        assert report.shed_rate == pytest.approx(0.3)
-        assert report.coalesce_rate == pytest.approx(0.3)
-        assert report.passed
-
-    def test_a_leaked_request_fails(self):
-        report = self.report(answered=6)  # one request vanished
-        assert not report.accounting_closed
+    def test_a_leaked_request_fails(self, monkeypatch):
+        _skewed_stats(monkeypatch, answered=-1)  # one request vanished
+        report = overload(40, seed=0, workers=2)
+        assert _named(report, "accounting closed")
         assert not report.passed
 
-    def test_incorrect_answer_fails(self):
-        assert not self.report(incorrect_answers=1).passed
+    def test_incorrect_answer_fails(self, lossy_table):
+        report = overload(40, seed=0, workers=2)
+        assert [e for e in report.errors if "answer differs from the reference" in e]
 
-    def test_unhandled_exception_fails(self):
-        assert not self.report(unhandled_exceptions=1).passed
+    def test_unhandled_exception_fails(self, monkeypatch):
+        # the service counts an error no request raised
+        _skewed_stats(monkeypatch, answered=-1, errors=1)
+        report = overload(40, seed=0, workers=2)
+        assert [e for e in _named(report, "accounting closed") if "raised" in e]
 
-    def test_unbounded_p99_fails(self):
-        report = self.report(p99_ms=500.0)
-        assert not report.p99_bounded
-        assert not report.passed
+    def test_unbounded_p99_fails(self, monkeypatch):
+        monkeypatch.setattr(soak, "P99_SLACK_MS", -1e9)
+        report = overload(40, seed=0, workers=2)
+        assert _named(report, "p99 bound")
 
-    def test_p99_bound_is_vacuous_with_no_answers(self):
-        report = self.report(
-            answered=0, shed=9, rejected_queue_full=1, p99_ms=float("nan")
+    def test_p99_bound_is_vacuous_with_no_answers(self, monkeypatch):
+        monkeypatch.setattr(soak, "P99_SLACK_MS", -1e9)
+        monkeypatch.setattr(
+            AdmissionController, "decide", lambda self, *args, **kwargs: "shed all"
         )
-        assert report.p99_bounded
-        assert report.accounting_closed
+        report = overload(40, seed=0, workers=2)
+        assert report.counts["answered"] == 0 and report.counts["shed"] == 40
+        assert math.isnan(report.facts["p99_ms"])
+        assert not _named(report, "p99 bound")
+        assert not _named(report, "accounting closed")
 
-    def test_missing_coalescing_fails(self):
-        report = self.report(
-            coalesced_dedup=0, coalesced_subsumed=0, min_coalesced=1
-        )
-        assert not report.passed
+    def test_missing_coalescing_fails(self, monkeypatch):
+        monkeypatch.setattr(soak, "MIN_COALESCED", 10**6)
+        report = overload(40, seed=0, workers=2)
+        assert _named(report, "coalescing")
 
-    def test_as_dict_serializes_verdict_inputs(self):
-        import json
-
-        payload = json.loads(json.dumps(self.report().as_dict()))
+    def test_as_dict_serializes_verdict_inputs(self, smoke):
+        payload = json.loads(json.dumps(smoke.as_dict()))
         assert payload["passed"] is True
-        assert payload["accounting_closed"] is True
-        assert payload["coalesced"] == 3
-        assert payload["shed_rate"] == pytest.approx(0.3)
+        assert payload["counts"]["submitted"] == 40
+        assert payload["facts"]["p99_limit_ms"] > 0
 
-    def test_render_text_mentions_the_verdict(self):
-        text = self.report().render_text()
-        assert "CLOSED" in text and "PASS" in text
-        leaked = self.report(answered=6).render_text()
-        assert "LEAK" in leaked and "FAIL" in leaked
+    def test_render_text_mentions_the_verdict(self, smoke, monkeypatch):
+        assert "PASS" in smoke.render_text()
+        _skewed_stats(monkeypatch, answered=-1)
+        leaked = overload(40, seed=0, workers=2).render_text()
+        assert "error: accounting closed" in leaked and "FAIL" in leaked
 
 
 class _InstantEngine:
@@ -110,14 +127,15 @@ class _InstantEngine:
 
 
 class TestPacedEngine:
-    def test_floor_paces_a_free_answer(self):
-        paced = PacedEngine(_InstantEngine(total_ms=0.0), floor_ms=20.0)
+    def test_floor_paces_a_free_answer(self, monkeypatch):
+        monkeypatch.setattr(soak, "FLOOR_MS", 20.0)
+        paced = PacedEngine(_InstantEngine(total_ms=0.0))
         t0 = time.perf_counter()
         paced.query(None)
         assert (time.perf_counter() - t0) * 1000.0 >= 18.0
 
     def test_simulated_cost_becomes_wall_time(self):
-        paced = PacedEngine(_InstantEngine(total_ms=40.0), floor_ms=1.0)
+        paced = PacedEngine(_InstantEngine(total_ms=40.0))
         t0 = time.perf_counter()
         outcome = paced.query(None)
         assert (time.perf_counter() - t0) * 1000.0 >= 35.0
@@ -130,54 +148,36 @@ class TestPacedEngine:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            run_overload_soak(n_requests=0)
-        with pytest.raises(ValueError):
-            run_overload_soak(rate_multiplier=0.0)
+            overload(0)
 
 
 class TestOverloadSoakSmoke:
-    """A tiny but real open-loop soak: every acceptance invariant holds at
-    miniature scale in a few seconds."""
+    def test_soak_passes(self, smoke):
+        assert smoke.passed, smoke.render_text()
 
-    @pytest.fixture(scope="class")
-    def report(self):
-        return run_overload_soak(
-            n_requests=40,
-            n_points=800,
-            ndim=3,
-            workers=2,
-            queue_capacity=16,
-            calibration_queries=8,
-            floor_ms=1.0,
-            min_coalesced=0,
-            seed=0,
-        )
-
-    def test_soak_passes(self, report):
-        assert report.passed, report.render_text()
-
-    def test_accounting_closes_exactly(self, report):
-        assert report.submitted == 40
-        assert report.accounting_closed
+    def test_accounting_closes_exactly(self, smoke):
+        assert smoke.counts["submitted"] == 40
+        assert not _named(smoke, "accounting closed")
         # the per-priority tallies close too
-        total = sum(
-            sum(counts.values()) for counts in report.by_priority.values()
+        by_priority = smoke.facts["by_priority"]
+        assert sum(sum(tally.values()) for tally in by_priority.values()) == 40
+
+    def test_admitted_answers_were_bit_checked(self, smoke):
+        assert smoke.errors == []
+        assert smoke.counts["answered"] > 0
+
+    def test_latency_was_measured_and_bounded(self, smoke):
+        facts = smoke.facts
+        assert facts["p50_ms"] <= facts["p95_ms"] <= facts["p99_ms"]
+        assert facts["p99_ms"] <= facts["p99_limit_ms"]
+
+    def test_calibration_derived_the_schedule(self, smoke):
+        facts = smoke.facts
+        assert facts["mean_service_ms"] > 0
+        assert facts["target_rps"] == pytest.approx(
+            soak.RATE_MULTIPLIER * facts["saturation_rps"]
         )
-        assert total == 40
-
-    def test_admitted_answers_were_bit_checked(self, report):
-        assert report.incorrect_answers == 0
-        assert report.unhandled_exceptions == 0
-        assert report.answered > 0
-
-    def test_latency_was_measured_and_bounded(self, report):
-        assert report.p50_ms <= report.p95_ms <= report.p99_ms
-        assert report.p99_ms <= report.p99_limit_ms
-
-    def test_calibration_derived_the_schedule(self, report):
-        assert report.mean_service_ms > 0
-        assert report.target_rps == pytest.approx(2.0 * report.saturation_rps)
-        assert report.achieved_rps > 0
+        assert facts["achieved_rps"] > 0
 
 
 class TestServingRegression:

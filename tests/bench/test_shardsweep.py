@@ -1,37 +1,35 @@
-"""Tests for the bit-identity shard sweep (:mod:`repro.bench.shardsweep`)."""
+"""Tests for the shard sweep (:func:`repro.bench.soak.shards`)."""
 
 import json
 
 import numpy as np
 import pytest
 
-from repro.bench.shardsweep import ShardSweepReport, run_shard_sweep
+from repro.bench.soak import SHARD_COUNTS, SWEEP_STRATEGIES, shards
+
+#: two seeds x every strategy x every shard count
+CELLS = 2 * len(SWEEP_STRATEGIES) * len(SHARD_COUNTS)
 
 
 @pytest.fixture(scope="module")
 def clean_report():
-    return run_shard_sweep(
-        n_queries=8, seeds=(0,), shard_counts=(1, 2, 4), n_points=800
-    )
+    return shards(8)
 
 
 class TestCleanSweep:
     def test_passes_and_covers_every_cell(self, clean_report):
-        assert clean_report.passed
-        # 1 seed x 3 shard counts x 2 strategies
-        assert clean_report.cells == 6
-        assert clean_report.queries_checked == 6 * 8
-        assert clean_report.answer_mismatches == 0
-        assert clean_report.flag_mismatches == 0
-        assert clean_report.io_mismatches == 0
+        assert clean_report.passed, clean_report.errors
+        assert clean_report.counts["cells"] == CELLS
+        assert clean_report.counts["queries_checked"] == CELLS * 8
 
     def test_table_io_is_fully_attributed(self, clean_report):
         # The end-of-cell strict check ran without complaint, and the sweep
-        # recorded per-shard-count totals for the trajectory: under the
-        # bitmap plan every shard count reads the same rows.
-        assert set(clean_report.points_read_by_shards) == {1, 2, 4}
-        assert len(set(clean_report.points_read_by_shards.values())) == 1
-        assert clean_report.points_read_by_shards[1] > 0
+        # recorded per-shard-count totals for the trajectory.  Plans are
+        # priced by the layout, so the totals need not be equal.
+        assert not [e for e in clean_report.errors if "io attribution" in e]
+        points = clean_report.facts["points_read_by_shards"]
+        assert set(points) == set(SHARD_COUNTS)
+        assert all(total > 0 for total in points.values())
 
     def test_a_table_that_loses_rows_is_caught(self, monkeypatch):
         """The sweep must fail on the defect it exists for: a fleet whose
@@ -45,54 +43,36 @@ class TestCleanSweep:
             return honest(self, box)
 
         monkeypatch.setattr(ShardedTable, "range_query", lossy)
-        report = run_shard_sweep(
-            n_queries=8, seeds=(0,), shard_counts=(1, 4),
-            strategies=("max-overlap-sp",), n_points=800,
-        )
+        report = shards(8)
         assert not report.passed
-        assert report.answer_mismatches > 0 and report.io_mismatches > 0
-        assert all("shards=4" in err for err in report.errors)
+        assert [e for e in report.errors if "answer differs from unsharded" in e]
+        assert [e for e in report.errors if "answer differs from the reference" in e]
+        # one shard has no shard 1 to skip: only the multi-shard cells fail
+        assert not [e for e in report.errors if "shards=1 " in e]
 
     def test_report_serializes_and_renders(self, clean_report):
-        payload = clean_report.as_dict()
-        json.dumps(payload)
+        payload = json.loads(json.dumps(clean_report.as_dict()))
         assert payload["passed"] is True
+        assert payload["facts"]["points_read_by_shards"]
         text = clean_report.render_text()
         assert "PASS" in text
-        assert "answer mismatches    : 0" in text
-
-    def test_unknown_strategy_rejected(self):
-        with pytest.raises(ValueError):
-            run_shard_sweep(n_queries=1, strategies=("quantum",))
+        assert "faults=none" in text
 
 
 class TestFaultedSweep:
     def test_faulted_shard_keeps_answers_correct(self):
-        report = run_shard_sweep(
-            n_queries=8,
-            seeds=(0,),
-            shard_counts=(1, 4),
-            strategies=("max-overlap-sp",),
-            n_points=800,
-            profile="default",
-        )
-        assert report.passed
+        report = shards(8, "default")
+        assert report.passed, report.errors
         assert report.profile == "default"
         # every non-stale answer was reference-checked; stale ones flagged
-        assert report.queries_checked == 2 * 8
-        text = report.render_text()
-        assert "stale serves" in text
+        assert report.counts["queries_checked"] == CELLS * 8
+        assert "stale_serves" in report.render_text()
 
-    def test_report_records_failures(self):
-        report = ShardSweepReport(
-            seeds=(0,),
-            shard_counts=(1,),
-            strategies=("max-overlap-sp",),
-            profile=None,
-            n_queries=1,
-        )
-        report.answer_mismatches = 1
-        report.errors.append("cell x: answer differs")
+    def test_report_records_failures(self, lossy_table):
+        """Faulted cells have no unsharded twin: the reference verdict alone
+        must catch a table that drops a matching row."""
+        report = shards(4, "default")
         assert not report.passed
-        assert "FAIL" in report.render_text()
+        assert [e for e in report.errors if "answer differs from the reference" in e]
         assert report.as_dict()["passed"] is False
+        assert "FAIL" in report.render_text()

@@ -10,15 +10,12 @@ on a stale/unavailable degradation rung -- never silently wrong.
 import numpy as np
 import pytest
 
-from repro.core.cbcs import RUNG_STALE, RUNG_UNAVAILABLE
 from repro.core.dynamic import DynamicCBCS
 from repro.data.generator import generate
 from repro.skyline.reference import same_multiset
 from repro.storage.faults import FaultInjector, FaultyDiskTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
-
-_STALE_RUNGS = (RUNG_STALE, RUNG_UNAVAILABLE)
 
 
 def _schedule(rng, data, queries, n_ops):
@@ -68,7 +65,7 @@ def test_interleaved_updates_exact_or_flagged_under_default_faults(seed):
             outcome = faulty.query(payload)
             ref = reference.query(payload)
             checked += 1
-            if outcome.degraded in _STALE_RUNGS:
+            if outcome.stale:
                 flagged += 1  # legitimately non-exact, and says so
                 continue
             assert same_multiset(
