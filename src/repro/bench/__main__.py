@@ -9,8 +9,6 @@ Usage::
     python -m repro.bench --obs out/ fig5a        # metrics.json + metrics.prom + trace.jsonl
     python -m repro.bench --obs-report fig5a      # print the obs summary
     python -m repro.bench --query-log q.jsonl fig5a     # per-query structured log
-    python -m repro.bench --watch 2 --obs out/ fig5a    # live dashboard + health.jsonl
-    python -m repro.bench --profile prof/ fig5a         # sampled cProfile + flamegraph stacks
     python -m repro.bench --save-bench BENCH_ci.json fig5a   # performance snapshot
     python -m repro.bench --baseline BENCH_old.json fig5a    # regression check
     python -m repro.bench --obs out/ --explain fig5a    # explain.jsonl provenance
@@ -29,7 +27,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-import threading
 import time
 from contextlib import nullcontext
 
@@ -89,18 +86,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--query-log", metavar="PATH",
         help="append one structured JSON record per query to PATH",
-    )
-    parser.add_argument(
-        "--watch", nargs="?", const=2.0, type=float, metavar="SECS",
-        help="print a live qps/latency/hit-ratio/health dashboard to stderr "
-             "every SECS seconds (default 2); with --obs DIR, also record "
-             "flight-recorder snapshots to DIR/health.jsonl",
-    )
-    parser.add_argument(
-        "--profile", metavar="DIR",
-        help="sampled per-query, per-stage cProfile of the serving path; "
-             "writes profile.pstats and profile.collapsed "
-             "(flamegraph-compatible) into DIR",
     )
     parser.add_argument(
         "--save-bench", metavar="PATH",
@@ -229,8 +214,6 @@ def main(argv=None) -> int:
         or opts.obs_report
         or opts.query_log is not None
         or snapshotting
-        or opts.watch is not None
-        or opts.profile is not None
         or opts.explain
         or opts.calibration
     ):
@@ -249,58 +232,6 @@ def main(argv=None) -> int:
 
             explain_sink = JsonlSink(Path(opts.obs) / "explain.jsonl")
         obs.explainer = ExplainRecorder(sink=explain_sink, ledger=ledger)
-
-    if opts.profile is not None:
-        from repro.obs.profiling import QueryProfiler
-
-        obs.profiler = QueryProfiler(sample_every=1)
-
-    watch_monitor = None
-    watch_stop = None
-    watch_thread = None
-    health_sink = None
-    watch_t0 = time.perf_counter()
-    if opts.watch is not None:
-        if opts.watch <= 0:
-            print("--watch interval must be positive")
-            return 2
-        from repro.obs.health import HealthMonitor, render_dashboard
-        from repro.obs.sinks import JsonlSink
-        from repro.obs.window import RollingWindow
-
-        watch_window = RollingWindow()
-        obs.add_outcome_sink(watch_window)
-        watch_monitor = HealthMonitor(watch_window)
-        if opts.obs is not None:
-            from pathlib import Path
-
-            health_sink = JsonlSink(Path(opts.obs) / "health.jsonl")
-
-        def _watch_tick() -> None:
-            report = watch_monitor.report()
-            print(render_dashboard(report), file=sys.stderr)
-            if health_sink is not None:
-                from repro.obs.schema import stamp
-
-                health_sink.emit(
-                    stamp(
-                        {
-                            "t_s": round(time.perf_counter() - watch_t0, 3),
-                            **report.as_dict(),
-                        }
-                    )
-                )
-
-        watch_stop = threading.Event()
-
-        def _watch_loop() -> None:
-            while not watch_stop.wait(opts.watch):
-                _watch_tick()
-
-        watch_thread = threading.Thread(
-            target=_watch_loop, name="bench-watch", daemon=True
-        )
-        watch_thread.start()
 
     if opts.faults is not None:
         from repro.storage.faults import PROFILES
@@ -393,13 +324,6 @@ def main(argv=None) -> int:
                 dump[flag] = report.as_dict()
             if not report.passed:
                 soak_failures[scenario] = code
-    if watch_stop is not None:
-        watch_stop.set()
-        watch_thread.join(timeout=5.0)
-        _watch_tick()  # final snapshot covering the tail of the run
-        if health_sink is not None:
-            health_sink.close()
-            print(f"[health snapshots written to {health_sink.path}]")
 
     if opts.json is not None:
         from repro.ioutil import atomic_write_json
@@ -457,13 +381,6 @@ def main(argv=None) -> int:
             print(f"[metrics written to {metrics_path}]")
             print(f"[openmetrics written to {out_dir / 'metrics.prom'}]")
             print(f"[trace written to {out_dir / 'trace.jsonl'}]")
-            if obs.last_cache is not None:
-                from repro.ioutil import atomic_write_json
-                from repro.obs.cacheview import view_for
-
-                cache_path = out_dir / "cache.json"
-                atomic_write_json(cache_path, view_for(obs.last_cache).snapshot())
-                print(f"[cache introspection written to {cache_path}]")
             if opts.explain:
                 print(
                     f"[explain records written to {out_dir / 'explain.jsonl'}"
@@ -473,12 +390,6 @@ def main(argv=None) -> int:
                 calibration_path = out_dir / "calibration.json"
                 ledger.save_json(calibration_path)
                 print(f"[calibration written to {calibration_path}]")
-        if opts.profile is not None:
-            paths = obs.profiler.save(opts.profile)
-            print(f"[profile written to {paths['pstats']} / {paths['collapsed']}]")
-            print()
-            print(obs.profiler.render_summary())
-            print()
         if opts.query_log is not None:
             print(f"[query log written to {opts.query_log}]")
         if opts.calibration:

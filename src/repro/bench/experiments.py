@@ -739,8 +739,6 @@ def sharding_scaleout(seed: int = 0, ndim: int = 4) -> FigureReport:
         rows.append((count, points, io_ms, total_ms - io_ms, reads))
         obs.metrics.set_gauge(f"sharding_points_read_{count}", float(points))
         obs.metrics.set_gauge(f"sharding_total_ms_{count}", total_ms)
-    # Leave the widest fleet's cache behind for --obs cache introspection.
-    obs.last_cache = engine.cache
     text = format_table(
         ["shards", "points read", "sim io ms/q", "cpu ms/q", "shard reads/q"],
         [

@@ -182,7 +182,7 @@ def make_cbcs(
         )
         table = FaultyDiskTable(table, injector)
         resilience = True
-    engine = CBCS(
+    return CBCS(
         table,
         cache=cache if cache is not None else SkylineCache(),
         strategy=strategy,
@@ -190,9 +190,6 @@ def make_cbcs(
         obs=obs if obs.enabled else None,
         resilience=resilience,
     )
-    if obs.enabled:
-        obs.last_cache = engine.cache
-    return engine
 
 
 def make_methods(

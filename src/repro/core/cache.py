@@ -21,8 +21,7 @@ import itertools
 import threading
 import zlib
 from bisect import bisect_left
-from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Literal, Optional
 
 import numpy as np
@@ -30,7 +29,6 @@ import numpy as np
 from repro.geometry.constraints import Constraints
 from repro.geometry.dominance import dominated_mask
 from repro.ioutil import atomic_savez
-from repro.obs.correlate import current_query_id
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 ReplacementPolicy = Literal["lru", "lcu"]
@@ -66,10 +64,6 @@ class CacheItem:
     inserted_at: int
     last_used: int = 0
     use_count: int = 0
-    #: uses broken down by the overlap case that reused this item (cases
-    #: a-d / ``exact``; plain touches without a case land under None) --
-    #: cache-introspection evidence for :mod:`repro.obs.cacheview`
-    case_uses: Dict[Optional[str], int] = field(default_factory=dict)
 
     @property
     def skyline_size(self) -> int:
@@ -138,7 +132,6 @@ class SkylineCache:
         policy: ReplacementPolicy = "lru",
         metrics: Optional[MetricsRegistry] = None,
         backend=None,
-        quarantine_log_cap: int = 64,
     ):
         """``capacity`` of None means unbounded (the paper's experiments
         never evict; replacement is exercised by our extension tests).
@@ -152,19 +145,11 @@ class SkylineCache:
         mutation to a WAL, checkpoints periodic snapshots, and *restores*
         any persisted state into this cache right here in the constructor
         (warm restart).
-
-        ``quarantine_log_cap`` bounds the quarantine ring buffer; events
-        beyond the cap drop the oldest entry and count into
-        ``quarantine_log_dropped`` / the
-        ``cache_quarantine_log_dropped_total`` metric, so a pathological
-        fault profile cannot grow memory without bound.
         """
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive (or None for unbounded)")
         if policy not in ("lru", "lcu"):
             raise ValueError(f"unknown replacement policy {policy!r}")
-        if quarantine_log_cap < 1:
-            raise ValueError("quarantine_log_cap must be positive")
         self.capacity = capacity
         self.policy: ReplacementPolicy = policy
         # Reentrant: verify_and_heal -> quarantine and replace_skyline ->
@@ -183,11 +168,6 @@ class SkylineCache:
         self.insertions = 0
         self.refreshes = 0
         self.quarantined = 0
-        #: most recent quarantine events (item id, reason, correlated query
-        #: id when one was bound) -- surfaced by :mod:`repro.obs.cacheview`
-        self.quarantine_log: deque = deque(maxlen=quarantine_log_cap)
-        #: events evicted from the ring buffer by newer ones
-        self.quarantine_log_dropped = 0
         self.metrics = NULL_METRICS if metrics is None else metrics
         if backend is None:
             from repro.core.cache_backend import MemoryCacheBackend
@@ -304,18 +284,11 @@ class SkylineCache:
                 self.backend.record_put(refreshed)
             return refreshed
 
-    def touch(self, item: CacheItem, case: Optional[str] = None) -> None:
-        """Record a use of ``item`` (feeds the LRU/LCU counters).
-
-        ``case`` optionally attributes the use to the overlap case that
-        reused the item (cases a-d / ``exact``), feeding the per-case hit
-        breakdown that :mod:`repro.obs.cacheview` reports.
-        """
+    def touch(self, item: CacheItem) -> None:
+        """Record a use of ``item`` (feeds the LRU/LCU counters)."""
         with self._lock:
             item.last_used = next(self._clock)
             item.use_count += 1
-            if case is not None:
-                item.case_uses[case] = item.case_uses.get(case, 0) + 1
 
     def _reindex(self, item: CacheItem, skyline: np.ndarray) -> None:
         """Swap ``item``'s skyline/MBR in place and overwrite its table row."""
@@ -430,19 +403,6 @@ class SkylineCache:
             self._by_constraints.pop(item.constraints.key(), None)
             self._bounds.delete(item.item_id)
             self.quarantined += 1
-            if len(self.quarantine_log) == self.quarantine_log.maxlen:
-                # Ring buffer full: the append below evicts the oldest
-                # event.  Count the drop so introspection can say the log
-                # is a window, not the full history.
-                self.quarantine_log_dropped += 1
-                self.metrics.inc("cache_quarantine_log_dropped_total")
-            self.quarantine_log.append(
-                {
-                    "item_id": item.item_id,
-                    "reason": reason,
-                    "query_id": current_query_id(),
-                }
-            )
             self.backend.record_del(item)
         self.metrics.inc("cache_quarantined_total", reason=reason)
         self.metrics.set_gauge("cache_items", len(self._items))
@@ -478,7 +438,6 @@ class SkylineCache:
             "evictions": self.evictions,
             "refreshes": self.refreshes,
             "quarantined": self.quarantined,
-            "quarantine_log_dropped": self.quarantine_log_dropped,
         }
 
     def checkpoint(self) -> None:

@@ -30,14 +30,13 @@ is the degenerate plan), fetch the plan's boxes, merge with the reusable
 points, skyline, cache.  The degradation ladder is a table of rungs walked
 by one loop in :meth:`CBCS._serve`, each rung one more pass of that same
 body.  :meth:`CBCS.query` is the per-query preamble and epilogue (id,
-profiler, root span, outcome record, and -- after the fact -- the EXPLAIN
-record).  Every query returns a :class:`~repro.stats.QueryOutcome` with the
+root span, outcome record, and -- after the fact -- the EXPLAIN record).
+Every query returns a :class:`~repro.stats.QueryOutcome` with the
 Figure-10 stage breakdown.
 """
 
 from __future__ import annotations
 
-from contextlib import nullcontext
 from dataclasses import dataclass, field
 from typing import Callable, List, NamedTuple, Optional
 
@@ -225,7 +224,7 @@ class CBCS:
         escape when resilience is on.
 
         ``query_id`` correlates everything this query produces -- trace
-        spans, plan, outcome record, metric exemplar, quarantine events --
+        spans, plan, outcome record, metric exemplar, EXPLAIN record --
         under one id.  Callers (e.g. ``QueryService``) may pass their own;
         otherwise one is minted here whenever observability is enabled.
         With observability disabled no id is minted and the answer is
@@ -249,11 +248,7 @@ class CBCS:
         obs = self.obs
         if query_id is None and obs.enabled:
             query_id = obs.correlation.new_id()
-        profiler = obs.profiler
-        sample = (
-            profiler.maybe(query_id) if profiler is not None else nullcontext(False)
-        )
-        with bind(query_id), sample:
+        with bind(query_id):
             with obs.tracer.span("cbcs.query", strategy=self.strategy.name) as qspan:
                 outcome, attempt = self._serve(constraints, qspan, deadline)
             outcome.query_id = query_id
@@ -358,7 +353,7 @@ class CBCS:
         """
         obs = self.obs
         rung = attempt.rung
-        watch = Stopwatch(tracer=obs.tracer, profiler=obs.profiler)
+        watch = Stopwatch(tracer=obs.tracer)
 
         candidates, item = (), None
         with watch.stage("processing"):
@@ -389,7 +384,7 @@ class CBCS:
         qspan.set(case=plan.case, cache_hit=plan.cache_hit, stable=plan.stable)
 
         if plan.case == CASE_EXACT:
-            self.cache.touch(item, case=CASE_EXACT)
+            self.cache.touch(item)
             return QueryOutcome(
                 skyline=item.skyline.copy(),
                 method=self.name,
@@ -427,7 +422,7 @@ class CBCS:
                     )
 
         if item is not None:
-            self.cache.touch(item, case=plan.case)
+            self.cache.touch(item)
         if self.cache_results:
             inserted = self.cache.insert(constraints, skyline)
             if (

@@ -1,4 +1,4 @@
-"""Observability for the CBCS query engine: metrics, tracing, profiling.
+"""Observability for the CBCS query engine: metrics and tracing.
 
 The paper's evaluation attributes cost to stages — cache search, MPR/aMPR
 decomposition, disk fetches, skyline computation.  This package makes that
@@ -88,16 +88,9 @@ class Observability:
         self.tracer = tracer if tracer is not None else Tracer()
         self.outcome_sinks: list = []
         #: Mints per-query correlation ids at the serving ingress; every
-        #: span, outcome record, and quarantine event of one query carries
-        #: the same id (see :mod:`repro.obs.correlate`).
+        #: span, outcome record and EXPLAIN record of one query carries the
+        #: same id (see :mod:`repro.obs.correlate`).
         self.correlation = QueryCorrelation()
-        #: Optional :class:`repro.obs.profiling.QueryProfiler`; when set,
-        #: the engine routes sampled queries' stages through it.
-        self.profiler = None
-        #: The most recently built engine's :class:`SkylineCache` (set by
-        #: ``repro.bench.harness.make_cbcs``); lets the bench CLI write
-        #: ``cache.json`` introspection without threading the engine out.
-        self.last_cache = None
         #: Optional :class:`repro.obs.explain.ExplainRecorder`; when set,
         #: every :meth:`CBCS.query` emits one decision-provenance record
         #: (EXPLAIN ANALYZE) through it.

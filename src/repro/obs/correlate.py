@@ -3,20 +3,19 @@
 The serving path spreads a single Sky(S, C') request over several layers
 (``QueryService`` -> ``CBCS`` -> ``Planner`` -> ``Executor`` ->
 ``StorageBackend``) and several observability channels (trace spans, metric
-exemplars, the ``--query-log`` JSONL records, cache quarantine events).
-This module gives all of them one join key:
+exemplars, the ``--query-log`` JSONL records, EXPLAIN records).  This module gives all of them one join key:
 
 - :class:`QueryCorrelation` mints process-unique ids (``q00000001``, ...)
   at the ingress (``QueryService.submit`` or ``CBCS.query``);
 - :func:`bind` installs the id in a :mod:`contextvars` context variable for
   the duration of the query, and :func:`current_query_id` reads it from
-  anywhere on the call path -- the tracer stamps it onto every span, the
-  cache onto quarantine-log entries, the executor re-binds it inside its
-  worker threads so per-box fetch spans stay joinable;
-- :func:`correlate` (and ``python -m repro.obs.correlate``) joins the
-  artifacts of an instrumented run back together: give it a query id and
-  an obs directory and it returns that query's trace spans, outcome
-  record, and query-log line side by side.
+  anywhere on the call path -- the tracer stamps it onto every span and
+  ``CBCS`` onto the executed plan.
+
+Joining an ``--obs`` directory's artifacts is a filter on that key: the
+spans of query ``q`` are the ``trace.jsonl`` lines whose
+``attrs.query_id == q``.  A coalesced request names its executing query in
+its outcome record's ``served_by``.
 
 Ids travel *by context*, never as metric labels -- a per-query label would
 explode series cardinality.  Histograms instead keep the last-observed id
@@ -27,22 +26,13 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-import json
-import sys
 from contextlib import contextmanager
-from typing import Dict, Iterator, List, Optional
+from typing import Iterator, Optional
 
-__all__ = [
-    "QueryCorrelation",
-    "bind",
-    "current_query_id",
-    "correlate",
-    "render_correlation",
-]
+__all__ = ["QueryCorrelation", "bind", "current_query_id"]
 
 #: The ambient query id of the call path.  A context variable (not a plain
-#: thread-local) so a future asyncio front end inherits it for free; the
-#: executor copies it into its pool threads explicitly.
+#: thread-local) so a future asyncio front end inherits it for free.
 _QUERY_ID: contextvars.ContextVar[Optional[str]] = contextvars.ContextVar(
     "repro_query_id", default=None
 )
@@ -92,150 +82,3 @@ class QueryCorrelation:
     def __repr__(self) -> str:
         return f"QueryCorrelation(prefix={self.prefix!r})"
 
-
-# ----------------------------------------------------------------------
-# Joining artifacts back together
-# ----------------------------------------------------------------------
-def _jsonl_records(path) -> List[dict]:
-    records = []
-    try:
-        handle = open(path)
-    except OSError:
-        return records
-    with handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                continue  # a torn line from a crashed writer is not fatal
-    return records
-
-
-def correlate(obs_dir, query_id: str) -> Dict[str, object]:
-    """Join every artifact of one query from an ``--obs`` directory.
-
-    Returns ``{"query_id", "spans", "outcome", "snapshots"}``: the trace
-    spans whose ``attrs.query_id`` matches (from ``trace.jsonl``), the
-    query-log record (from ``queries.jsonl``, written by ``--query-log``
-    into the obs dir), and any flight-recorder snapshots that covered the
-    query's window.  Missing files yield empty lists, not errors -- the
-    same partial-artifact tolerance as ``repro.obs.report``.
-
-    A coalesced/deduplicated request executes no query of its own; its
-    outcome record names the executing query in ``served_by``.  The join
-    follows that pointer one hop: the result then also carries
-    ``served_by`` and ``parent_spans`` (the executing query's trace spans),
-    so piggybacked requests stay fully explainable.
-    """
-    from pathlib import Path
-
-    obs_dir = Path(obs_dir)
-    all_spans = _jsonl_records(obs_dir / "trace.jsonl")
-    spans = [
-        rec
-        for rec in all_spans
-        if (rec.get("attrs") or {}).get("query_id") == query_id
-    ]
-    outcomes = [
-        rec
-        for rec in _jsonl_records(obs_dir / "queries.jsonl")
-        if rec.get("query_id") == query_id
-    ]
-    outcome = outcomes[0] if outcomes else None
-    served_by = outcome.get("served_by") if outcome else None
-    parent_spans = (
-        [
-            rec
-            for rec in all_spans
-            if (rec.get("attrs") or {}).get("query_id") == served_by
-        ]
-        if served_by
-        else []
-    )
-    return {
-        "query_id": query_id,
-        "spans": spans,
-        "outcome": outcome,
-        "outcomes": outcomes,
-        "served_by": served_by,
-        "parent_spans": parent_spans,
-    }
-
-
-def render_correlation(joined: Dict[str, object]) -> str:
-    """Human-readable rendering of one :func:`correlate` result."""
-    lines = [f"# query {joined['query_id']}"]
-    outcome = joined.get("outcome")
-    if outcome:
-        lines.append(
-            "outcome: method={method} case={case} cache_hit={cache_hit} "
-            "skyline={skyline_size} total_ms={total_ms:.3f} "
-            "degraded={degraded} retries={retries}".format(**outcome)
-        )
-    else:
-        lines.append("outcome: (no queries.jsonl record)")
-    served_by = joined.get("served_by")
-    if served_by:
-        parent_spans = joined.get("parent_spans") or []
-        lines.append(
-            f"served by: {served_by} (coalesced; "
-            f"{len(parent_spans)} span(s) of the executing query below)"
-        )
-        for span in parent_spans:
-            lines.append(
-                f"  {'  ' * int(span.get('depth', 0))}{span['name']} "
-                f"{span.get('duration_ms', 0.0):.3f}ms"
-            )
-    spans = joined.get("spans") or []
-    if spans:
-        lines.append(f"spans ({len(spans)}):")
-        for span in spans:
-            attrs = {
-                k: v
-                for k, v in (span.get("attrs") or {}).items()
-                if k != "query_id"
-            }
-            suffix = (
-                " " + " ".join(f"{k}={v}" for k, v in attrs.items())
-                if attrs
-                else ""
-            )
-            lines.append(
-                f"  {'  ' * int(span.get('depth', 0))}{span['name']} "
-                f"{span.get('duration_ms', 0.0):.3f}ms{suffix}"
-            )
-    else:
-        lines.append("spans: (none found in trace.jsonl)")
-    return "\n".join(lines)
-
-
-def main(argv=None) -> int:
-    """CLI: ``python -m repro.obs.correlate OBS_DIR QUERY_ID``."""
-    import argparse
-
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.obs.correlate",
-        description="Join one query's spans, outcome record, and log lines.",
-    )
-    parser.add_argument("obs_dir", metavar="OBS_DIR")
-    parser.add_argument("query_id", metavar="QUERY_ID")
-    parser.add_argument(
-        "--json", action="store_true", help="emit the joined record as JSON"
-    )
-    try:
-        opts = parser.parse_args(list(sys.argv[1:] if argv is None else argv))
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    joined = correlate(opts.obs_dir, opts.query_id)
-    if opts.json:
-        print(json.dumps(joined, indent=2))
-    else:
-        print(render_correlation(joined))
-    return 0 if (joined["spans"] or joined["outcome"]) else 1
-
-
-if __name__ == "__main__":
-    raise SystemExit(main())

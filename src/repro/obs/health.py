@@ -14,8 +14,8 @@ the circuit breaker and cache quarantine state -- and classifies:
   or unavailable answers above budget, circuit breaker open).
 
 Every violated objective contributes a human-readable reason string, so
-``QueryService.health()`` and the ``--watch`` dashboard can say *what* is
-wrong, not just that something is.
+``QueryService.health()`` can say *what* is wrong, not just that something
+is.
 """
 
 from __future__ import annotations
@@ -286,24 +286,3 @@ class HealthMonitor:
     def __repr__(self) -> str:
         return f"HealthMonitor(window={self.window!r}, slo={self.slo!r})"
 
-
-def render_dashboard(report: HealthReport) -> str:
-    """One-line live dashboard rendering for ``--watch``."""
-    snap = report.snapshot
-    service = report.service
-    queue = ""
-    if service is not None:
-        shed = service.get("shed", 0) + service.get("rejected_queue_full", 0)
-        queue = (
-            f"queue={service.get('queue_depth', 0)}/"
-            f"{service.get('queue_capacity', 0)}  shed={shed}  "
-        )
-    if snap is None or snap.queries == 0:
-        return f"[watch] {queue}status={report.summary()} (no traffic in window)"
-    return (
-        f"[watch] qps={snap.qps:7.1f}  "
-        f"p50={snap.p50_ms:7.2f}ms  p95={snap.p95_ms:7.2f}ms  "
-        f"p99={snap.p99_ms:7.2f}ms  hit={snap.hit_ratio:6.1%}  "
-        f"degraded={snap.degraded_rate:5.1%}  stale={snap.stale_rate:5.1%}  "
-        f"errors={snap.errors}  {queue}status={report.summary()}"
-    )

@@ -6,10 +6,9 @@ queries per method, cache hit rate per strategy, the stable/unstable and
 case a-d breakdowns, I/O totals, and p50/p95 stage latencies.
 
 Pointed at a whole ``--obs`` output *directory*, it renders every artifact
-it finds -- ``metrics.json``, the ``health.jsonl`` flight recorder,
-``cache.json`` introspection, ``trace.jsonl``, ``profile.collapsed`` --
-and warns (instead of failing) about the ones a partial or interrupted run
-did not produce.
+it finds -- ``metrics.json``, ``explain.jsonl``, ``calibration.json``,
+``trace.jsonl`` -- and warns (instead of failing) about the ones a partial
+or interrupted run did not produce.
 
 Usage::
 
@@ -26,7 +25,8 @@ from pathlib import Path
 from typing import Dict, List, Tuple
 
 from repro.bench.reporting import format_table
-from repro.obs.schema import check_version, check_versions
+from repro.obs.schema import check_version
+from repro.obs.sinks import read_jsonl
 
 Labeled = List[Tuple[Dict[str, str], Dict[str, float]]]
 
@@ -291,48 +291,13 @@ def render_report(metrics) -> str:
     return "\n\n".join(sections)
 
 
-def _read_jsonl(path: Path) -> List[dict]:
-    records = []
-    with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if line:
-                records.append(json.loads(line))
-    return records
-
-
-def render_health_section(records: List[dict]) -> str:
-    """Render the last flight-recorder snapshot plus the verdict history."""
-    if not records:
-        return "# health\n(no snapshots recorded)"
-    last = records[-1]
-    window = last.get("window") or {}
-    statuses: Dict[str, int] = {}
-    for rec in records:
-        status = str(rec.get("status", "?"))
-        statuses[status] = statuses.get(status, 0) + 1
-    history = ", ".join(f"{k}: {v}" for k, v in sorted(statuses.items()))
-    lines = [
-        "# health",
-        f"last status: {last.get('status', '?')}"
-        + (f" ({'; '.join(last['reasons'])})" if last.get("reasons") else ""),
-        f"snapshots: {len(records)} ({history})",
-        f"window: qps={window.get('qps', '-')} p50={window.get('p50_ms', '-')}ms "
-        f"p95={window.get('p95_ms', '-')}ms p99={window.get('p99_ms', '-')}ms "
-        f"hit={window.get('cache_hit_ratio', '-')} "
-        f"degraded={window.get('degraded_rate', '-')} "
-        f"errors={window.get('errors', '-')}",
-    ]
-    return "\n".join(lines)
-
-
 def render_obs_dir(directory) -> Tuple[str, List[str], int]:
     """Render every artifact in an ``--obs`` directory.
 
     Returns ``(text, warnings, rendered_count)``.  Missing or unreadable
     artifacts produce warnings, never exceptions: a partial directory (an
-    interrupted run, a run without ``--trace`` or ``--profile``) still
-    yields a report from whatever is there.
+    interrupted run, a run without ``--explain``) still yields a report
+    from whatever is there.
     """
     directory = Path(directory)
     sections: List[str] = []
@@ -357,28 +322,6 @@ def render_obs_dir(directory) -> Tuple[str, List[str], int]:
             missing("metrics.json", f"unreadable ({exc})")
     else:
         missing("metrics.json")
-
-    health_path = directory / "health.jsonl"
-    if health_path.is_file():
-        try:
-            records = _read_jsonl(health_path)
-            for warning in check_versions(records, str(health_path)):
-                warnings.append(f"warning: {warning}")
-            sections.append(render_health_section(records))
-        except (OSError, json.JSONDecodeError) as exc:
-            missing("health.jsonl", f"unreadable ({exc})")
-
-    cache_path = directory / "cache.json"
-    if cache_path.is_file():
-        try:
-            from repro.obs.cacheview import render_cacheview
-
-            with open(cache_path) as handle:
-                cache_snap = json.load(handle)
-            version_warning(cache_snap, "cache.json")
-            sections.append(render_cacheview(cache_snap))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            missing("cache.json", f"unreadable ({exc})")
 
     try:
         from repro.obs.explain import summarize_obs_dir
@@ -405,7 +348,7 @@ def render_obs_dir(directory) -> Tuple[str, List[str], int]:
     trace_path = directory / "trace.jsonl"
     if trace_path.is_file():
         try:
-            spans = _read_jsonl(trace_path)
+            spans = read_jsonl(trace_path)
             names: Dict[str, int] = {}
             correlated = 0
             for span in spans:
@@ -430,16 +373,6 @@ def render_obs_dir(directory) -> Tuple[str, List[str], int]:
 
     if not (directory / "metrics.prom").is_file():
         missing("metrics.prom")
-
-    collapsed = directory / "profile.collapsed"
-    if collapsed.is_file():
-        try:
-            lines = [
-                ln for ln in collapsed.read_text().splitlines() if ln.strip()
-            ]
-            sections.append(f"# profile\ncollapsed stacks: {len(lines)} frames")
-        except OSError as exc:
-            missing("profile.collapsed", f"unreadable ({exc})")
 
     return "\n\n".join(sections), warnings, len(sections)
 

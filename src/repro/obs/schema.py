@@ -1,8 +1,7 @@
 """Schema versioning for observability artifacts.
 
 Every JSON/JSONL artifact an ``--obs`` run writes -- ``metrics.json``,
-``cache.json``, ``health.jsonl`` snapshots, ``explain.jsonl`` records,
-``calibration.json`` -- carries a top-level ``"schema": N`` field so readers
+``explain.jsonl`` records, ``calibration.json`` -- carries a top-level ``"schema": N`` field so readers
 (:mod:`repro.obs.report`, external tooling) can detect records written by a
 newer or older build.  Readers must *warn, not raise* on unknown versions:
 an artifact from a different build is still mostly renderable, and a report

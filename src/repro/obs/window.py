@@ -10,11 +10,9 @@ outcomes in fixed-size time buckets and answers, at any moment:
 - cache hit ratio,
 - degradation / stale-answer / error rates.
 
-It doubles as an outcome sink (``emit(record)`` accepts the
-``QueryOutcome.as_record()`` dicts that ``Observability`` pushes), so one
-``obs.add_outcome_sink(window)`` call makes any instrumented engine --
-benchmark harness, chaos soak, or :class:`~repro.service.QueryService` --
-feed a live window with zero engine changes.
+:class:`~repro.service.QueryService` records every answer and error into
+one window; its :class:`~repro.obs.health.HealthMonitor` and admission
+control read the snapshot.
 
 The clock is injectable (``clock=time.monotonic`` by default) so tests can
 drive bucket rotation deterministically.
@@ -195,15 +193,6 @@ class RollingWindow:
         with self._lock:
             self._bucket(self.clock()).errors += 1
             self.total_errors += 1
-
-    def emit(self, record: Dict[str, object]) -> None:
-        """Outcome-sink entry point: accepts ``QueryOutcome.as_record()``."""
-        self.record(
-            total_ms=float(record.get("total_ms", 0.0)),
-            cache_hit=bool(record.get("cache_hit", False)),
-            degraded=record.get("degraded"),  # type: ignore[arg-type]
-            stale=bool(record.get("stale", False)),
-        )
 
     # ------------------------------------------------------------------
     # Reading

@@ -25,10 +25,8 @@ The package splits by stage:
 Thread-safety contract: the engine's shared state is individually locked
 (cache items and bounds table, table stats, fault injector, retry budget,
 breaker), so concurrent queries are safe and every *answer* is correct.
-Per-query I/O attribution (``QueryOutcome.io``) is taken from deltas of the
-table's global counters and may therefore include a concurrent neighbour's
-reads; the aggregate counters remain exact.  Single-query runs are
-unaffected.
+Per-query I/O (``QueryOutcome.io``) is the sum of the query's own range-read
+charges, so concurrent workers never bill each other.
 
 Live observability: the service maintains a
 :class:`~repro.obs.window.RollingWindow` of recent outcomes and a

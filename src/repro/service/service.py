@@ -522,7 +522,7 @@ class QueryService:
     def stats(self) -> dict:
         """A consistent snapshot of the ingress pipeline: queue depth and
         capacity, executing/in-flight counts, and the typed-outcome
-        counters.  This feeds ``health()`` and the ``--watch`` dashboard."""
+        counters.  This feeds ``health()``."""
         with self._lock:
             counters = dict(self._counters)
             executing = self._executing

@@ -162,13 +162,9 @@ class Stopwatch:
     :data:`~repro.obs.tracing.NULL_TRACER` the span recording is a no-op.
     """
 
-    def __init__(self, tracer: Optional[Tracer] = None, profiler=None) -> None:
+    def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.timings = StageTimings()
         self.tracer = NULL_TRACER if tracer is None else tracer
-        #: Optional :class:`repro.obs.profiling.QueryProfiler`; when the
-        #: current thread is inside a sampled query, each stage body also
-        #: runs under that stage's accumulating cProfile.
-        self.profiler = profiler
 
     @contextmanager
     def stage(self, name: str) -> Iterator[None]:
@@ -178,15 +174,9 @@ class Stopwatch:
                 f"unknown stage {name!r}; expected one of {sorted(STAGE_NAMES)}"
             )
         attr = f"{name}_ms"
-        profiler = self.profiler
-        profiled = profiler is not None and profiler.is_active()
         start = time.perf_counter()
         try:
-            if profiled:
-                with profiler.stage(name):
-                    yield
-            else:
-                yield
+            yield
         finally:
             elapsed_ms = (time.perf_counter() - start) * 1000.0
             setattr(self.timings, attr, getattr(self.timings, attr) + elapsed_ms)

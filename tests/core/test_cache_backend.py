@@ -369,26 +369,3 @@ class TestChecksumRoundTrip:
         fresh = SkylineCache()
         with pytest.raises(CorruptCacheError):
             fresh.load_into(path)
-
-
-class TestQuarantineLogBounds:
-    def test_ring_buffer_caps_and_counts_drops(self):
-        """S3: the quarantine log is bounded; overflow drops the oldest
-        event and increments the dropped counter + metric."""
-        metrics = MetricsRegistry()
-        cache = SkylineCache(metrics=metrics, quarantine_log_cap=3)
-        items = _fill(cache, n=5)
-        for item in items:
-            cache.quarantine(item, reason="test-overflow")
-        assert len(cache.quarantine_log) == 3
-        assert cache.quarantine_log_dropped == 2
-        assert (
-            metrics.counter_value("cache_quarantine_log_dropped_total") == 2
-        )
-        # The survivors are the newest events.
-        logged_ids = [event["item_id"] for event in cache.quarantine_log]
-        assert logged_ids == [items[2].item_id, items[3].item_id, items[4].item_id]
-
-    def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            SkylineCache(quarantine_log_cap=0)

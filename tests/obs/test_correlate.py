@@ -1,4 +1,4 @@
-"""Tests for query-id minting, context binding, and artifact joining."""
+"""Tests for query-id minting, context binding, and joinable artifacts."""
 
 import json
 import threading
@@ -8,14 +8,7 @@ import numpy as np
 from repro.core.cbcs import CBCS
 from repro.geometry.constraints import Constraints
 from repro.obs import Observability
-from repro.obs.correlate import (
-    QueryCorrelation,
-    bind,
-    correlate,
-    current_query_id,
-    main,
-    render_correlation,
-)
+from repro.obs.correlate import QueryCorrelation, bind, current_query_id
 from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.storage.table import DiskTable
 
@@ -161,49 +154,6 @@ class TestEngineCorrelation:
         engine.close()
 
 
-class TestCorrelateJoin:
-    def test_correlate_joins_spans_and_outcome(self, tmp_path):
-        outcomes = _run_instrumented(tmp_path)
-        target = outcomes[0].query_id
-        joined = correlate(tmp_path, target)
-        assert joined["outcome"]["query_id"] == target
-        assert joined["spans"]
-        assert all(
-            s["attrs"]["query_id"] == target for s in joined["spans"]
-        )
-
-    def test_correlate_missing_dir_is_empty_not_error(self, tmp_path):
-        joined = correlate(tmp_path / "absent", "q00000001")
-        assert joined["spans"] == []
-        assert joined["outcome"] is None
-
-    def test_torn_jsonl_lines_are_skipped(self, tmp_path):
-        (tmp_path / "trace.jsonl").write_text(
-            json.dumps({"name": "x", "attrs": {"query_id": "q1"}})
-            + "\n{truncated"
-        )
-        joined = correlate(tmp_path, "q1")
-        assert len(joined["spans"]) == 1
-
-    def test_render_correlation_mentions_outcome_and_spans(self, tmp_path):
-        outcomes = _run_instrumented(tmp_path)
-        text = render_correlation(correlate(tmp_path, outcomes[0].query_id))
-        assert outcomes[0].query_id in text
-        assert "cbcs.query" in text
-
-    def test_cli_exit_codes(self, tmp_path, capsys):
-        outcomes = _run_instrumented(tmp_path)
-        assert main([str(tmp_path), outcomes[0].query_id]) == 0
-        assert main([str(tmp_path), "q99999999"]) == 1
-        capsys.readouterr()
-
-    def test_cli_json_output(self, tmp_path, capsys):
-        outcomes = _run_instrumented(tmp_path)
-        assert main([str(tmp_path), outcomes[0].query_id, "--json"]) == 0
-        joined = json.loads(capsys.readouterr().out)
-        assert joined["query_id"] == outcomes[0].query_id
-
-
 class _GatedEngine:
     """Delegates to a real CBCS but blocks in query() until released, so a
     test can deterministically pile a follower onto an in-flight leader."""
@@ -247,38 +197,42 @@ def _run_coalesced(tmp_path):
     return parent, child
 
 
+def _jsonl(path):
+    return [json.loads(line) for line in open(path) if line.strip()]
+
+
+def _spans_of(tmp_path, query_id):
+    return [
+        s
+        for s in _jsonl(tmp_path / "trace.jsonl")
+        if (s.get("attrs") or {}).get("query_id") == query_id
+    ]
+
+
+def _record_of(tmp_path, query_id):
+    (record,) = [
+        r for r in _jsonl(tmp_path / "queries.jsonl") if r["query_id"] == query_id
+    ]
+    return record
+
+
 class TestServedByJoin:
-    """Satellite 2: a coalesced request is joinable by its *own* query_id;
-    the join follows ``served_by`` to the executing query's spans."""
+    """A coalesced request is joinable by its *own* query_id; its outcome
+    record's ``served_by`` leads to the executing query's spans."""
 
     def test_child_outcome_record_carries_served_by(self, tmp_path):
         parent, child = _run_coalesced(tmp_path)
-        joined = correlate(tmp_path, child.query_id)
-        assert joined["outcome"]["query_id"] == child.query_id
-        assert joined["served_by"] == parent.query_id
+        assert _record_of(tmp_path, child.query_id)["served_by"] == parent.query_id
 
     def test_parent_spans_are_joined_one_hop(self, tmp_path):
         parent, child = _run_coalesced(tmp_path)
-        joined = correlate(tmp_path, child.query_id)
-        # the child's own spans include the zero-duration coalesce event...
-        assert any(s["name"] == "service.coalesced" for s in joined["spans"])
-        # ...and the executing query's real work appears as parent_spans
-        parent_names = {s["name"] for s in joined["parent_spans"]}
-        assert "cbcs.query" in parent_names
-        assert all(
-            s["attrs"]["query_id"] == parent.query_id
-            for s in joined["parent_spans"]
-        )
+        # the child's own spans hold only the zero-duration coalesce event...
+        own = {s["name"] for s in _spans_of(tmp_path, child.query_id)}
+        assert own == {"service.coalesced"}
+        # ...and following served_by reaches the executing query's real work
+        served_by = _record_of(tmp_path, child.query_id)["served_by"]
+        assert "cbcs.query" in {s["name"] for s in _spans_of(tmp_path, served_by)}
 
     def test_directly_executed_query_has_no_parent(self, tmp_path):
         parent, _child = _run_coalesced(tmp_path)
-        joined = correlate(tmp_path, parent.query_id)
-        assert joined["served_by"] is None
-        assert joined["parent_spans"] == []
-
-    def test_render_mentions_served_by(self, tmp_path):
-        parent, child = _run_coalesced(tmp_path)
-        text = render_correlation(correlate(tmp_path, child.query_id))
-        assert "served by:" in text
-        assert parent.query_id in text
-        assert "cbcs.query" in text  # the parent's spans render too
+        assert _record_of(tmp_path, parent.query_id)["served_by"] is None

@@ -8,7 +8,6 @@ from repro.obs.health import (
     UNHEALTHY,
     HealthMonitor,
     SLOSpec,
-    render_dashboard,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.window import RollingWindow
@@ -160,14 +159,6 @@ class TestExportAndRendering:
         assert payload["status"] == HEALTHY
         assert payload["window"]["queries"] == 20
 
-    def test_dashboard_renders_key_signals(self):
-        line = render_dashboard(HealthMonitor(window_with(hits=10)).report())
-        for token in ("qps=", "p95=", "p99=", "hit=", "status=healthy"):
-            assert token in line
-
-    def test_dashboard_on_empty_window(self):
-        line = render_dashboard(HealthMonitor(window_with(n=0)).report())
-        assert "no traffic" in line
 
 
 class TestOverloadClassification:
@@ -232,13 +223,6 @@ class TestOverloadClassification:
         report = monitor.report()
         assert report.status == HEALTHY
         assert report.service is not None
-
-    def test_dashboard_renders_queue_occupancy(self):
-        stats = self.service_stats(queue_depth=9, shed=2, rejected_queue_full=1)
-        monitor = HealthMonitor(window_with(), service_stats=lambda: stats)
-        line = render_dashboard(monitor.report())
-        assert "queue=9/64" in line
-        assert "shed=3" in line
 
     def test_overload_survives_as_dict(self):
         import json

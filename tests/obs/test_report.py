@@ -8,12 +8,7 @@ import pytest
 from repro.core.cbcs import CBCS
 from repro.geometry.constraints import Constraints
 from repro.obs import Observability
-from repro.obs.report import (
-    main,
-    render_health_section,
-    render_obs_dir,
-    render_report,
-)
+from repro.obs.report import main, render_obs_dir, render_report
 from repro.obs.sinks import JsonlSink
 from repro.storage.table import DiskTable
 
@@ -58,59 +53,14 @@ class TestRenderObsDir:
             "metrics.json" in w and "unreadable" in w for w in warnings
         )
 
-    def test_health_and_trace_sections(self, tmp_path):
-        sink = JsonlSink(tmp_path / "health.jsonl")
-        sink.emit(
-            {
-                "t_s": 1.0,
-                "status": "healthy",
-                "reasons": [],
-                "window": {"qps": 10.0, "p95_ms": 4.0, "queries": 20},
-            }
-        )
-        sink.close()
+    def test_trace_section(self, tmp_path):
         trace = JsonlSink(tmp_path / "trace.jsonl")
         trace.emit({"name": "cbcs.query", "attrs": {"query_id": "q1"}})
         trace.emit({"name": "table.range_query", "attrs": {}})
         trace.close()
         text, warnings, rendered = render_obs_dir(tmp_path)
-        assert rendered == 2
-        assert "# health" in text and "last status: healthy" in text
+        assert rendered == 1
         assert "# trace" in text and "1 carrying a query_id" in text
-
-    def test_cache_and_profile_sections(self, tmp_path):
-        (tmp_path / "cache.json").write_text(
-            json.dumps(
-                {
-                    "items": 2,
-                    "total_points": 7,
-                    "total_bytes": 512,
-                    "coverage_fraction": 0.25,
-                    "hit_rate": 0.5,
-                    "quarantined": 0,
-                }
-            )
-        )
-        (tmp_path / "profile.collapsed").write_text(
-            "stage.skyline;sfs_skyline 120\n"
-        )
-        text, warnings, rendered = render_obs_dir(tmp_path)
-        assert "# cache introspection" in text
-        assert "collapsed stacks: 1 frames" in text
-
-
-class TestHealthSection:
-    def test_empty_records(self):
-        assert "(no snapshots recorded)" in render_health_section([])
-
-    def test_counts_status_history_and_last_reasons(self):
-        records = [
-            {"status": "healthy", "window": {}},
-            {"status": "degraded", "reasons": ["p95 over SLO"], "window": {}},
-        ]
-        text = render_health_section(records)
-        assert "last status: degraded (p95 over SLO)" in text
-        assert "degraded: 1" in text and "healthy: 1" in text
 
 
 class TestCLI:

@@ -100,30 +100,6 @@ class TestRecording:
         assert snap.p50_ms <= 9.0  # percentile from the retained prefix
 
 
-class TestOutcomeSinkCompat:
-    def test_emit_accepts_query_outcome_records(self):
-        window, clock = make_window()
-        window.emit(
-            {
-                "query_id": "q00000001",
-                "total_ms": 12.5,
-                "cache_hit": True,
-                "degraded": "stale",
-                "stale": True,
-            }
-        )
-        snap = window.snapshot()
-        assert snap.queries == 1
-        assert snap.cache_hits == 1
-        assert snap.stale == 1
-        assert snap.rungs == {"stale": 1}
-
-    def test_emit_tolerates_minimal_records(self):
-        window, clock = make_window()
-        window.emit({})
-        assert window.snapshot().queries == 1
-
-
 class TestSnapshotSerialization:
     def test_as_dict_is_json_ready(self):
         import json

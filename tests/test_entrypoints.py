@@ -39,7 +39,6 @@ ENTRIES = script_entries()
 def test_scripts_section_present():
     names = [name for name, _, _ in ENTRIES]
     assert "repro-obs-report" in names
-    assert "repro-obs-correlate" in names
     assert "repro-obs-explain" in names
     assert "repro-bench-history" in names
 
