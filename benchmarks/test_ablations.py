@@ -55,9 +55,10 @@ def test_skyline_algorithm_independence(figure_runner):
     reads = [v["mean_points_read"] for v in s.values()]
     assert max(reads) == min(reads)
 
-    # The skyline stage is a minor part of the total for every algorithm.
+    # The skyline stage is not the bottleneck: for every algorithm it costs
+    # no more than the same queries' simulated fetch I/O.
     for v in s.values():
-        assert v["mean_skyline_ms"] <= v["mean_ms"] * 0.5
+        assert v["mean_skyline_ms"] <= v["io_ms"]
 
 
 def test_cost_strategy(figure_runner):

@@ -20,7 +20,8 @@ def describe(label, outcome):
         f" skyline={outcome.skyline_size:>4}"
         f" points_read={outcome.points_read:>6}"
         f" range_queries={outcome.range_queries:>3}"
-        f" time={outcome.total_ms:7.1f} ms"
+        f" sim_io={outcome.timings.fetch_io_ms:7.1f} ms"
+        f" wall={outcome.timings.wall_ms:6.1f} ms"
     )
 
 

@@ -10,16 +10,14 @@ Usage::
     python -m repro.bench --obs-report fig5a      # print the obs summary
     python -m repro.bench --query-log q.jsonl fig5a     # per-query structured log
     python -m repro.bench --save-bench BENCH_ci.json fig5a   # performance snapshot
-    python -m repro.bench --baseline BENCH_old.json fig5a    # regression check
     python -m repro.bench --obs out/ --explain fig5a    # explain.jsonl provenance
     python -m repro.bench --calibration fig5a     # predicted-vs-actual MARE
-    python -m repro.bench history benchmarks/     # snapshot trajectory report
     REPRO_BENCH_SCALE=default python -m repro.bench
 
 Scales: quick (default; seconds per figure), default (minutes), full
 (closest to paper scale).  Results and the paper-vs-measured comparison are
-recorded in EXPERIMENTS.md; the performance trajectory lives in
-``BENCH_*.json`` snapshots (see ``repro.bench.regress``).
+recorded in EXPERIMENTS.md; ``BENCH_*.json`` snapshots are compared by
+``python -m repro.bench.regress``.
 """
 
 from __future__ import annotations
@@ -93,10 +91,6 @@ def build_parser() -> argparse.ArgumentParser:
              "(PATH may be a file or a directory)",
     )
     parser.add_argument(
-        "--baseline", metavar="PATH",
-        help="compare this run against a saved snapshot; exit 1 on regression",
-    )
-    parser.add_argument(
         "--explain", action="store_true",
         help="record per-query planner decision provenance (candidates "
              "considered, per-box predicted vs actual cost) to "
@@ -163,11 +157,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     argv = list(sys.argv[1:] if argv is None else argv)
-    if argv and argv[0] == "history":
-        # Subcommand: snapshot-trajectory report over BENCH_*.json files.
-        from repro.bench.history import main as history_main
-
-        return history_main(argv[1:])
     parser = build_parser()
     try:
         opts = parser.parse_args(argv)
@@ -207,13 +196,12 @@ def main(argv=None) -> int:
         print(f"unknown experiment(s): {unknown}; available: {list(ALL_EXPERIMENTS)}")
         return 2
 
-    snapshotting = opts.save_bench is not None or opts.baseline is not None
     obs = None
     if (
         opts.obs is not None
         or opts.obs_report
         or opts.query_log is not None
-        or snapshotting
+        or opts.save_bench is not None
         or opts.explain
         or opts.calibration
     ):
@@ -332,14 +320,8 @@ def main(argv=None) -> int:
         print(f"[series written to {opts.json}]")
 
     exit_code = 0
-    if snapshotting:
-        from repro.bench.regress import (
-            SnapshotError,
-            build_snapshot,
-            compare_snapshots,
-            load_snapshot,
-            save_snapshot,
-        )
+    if opts.save_bench is not None:
+        from repro.bench.regress import build_snapshot, save_snapshot
 
         snapshot = build_snapshot(
             scale=bench_scale(),
@@ -347,20 +329,8 @@ def main(argv=None) -> int:
             # the snapshot's predicted-vs-actual block: one source, the ledger
             calibration=ledger.summary() if ledger is not None else None,
         )
-        if opts.save_bench is not None:
-            written = save_snapshot(snapshot, opts.save_bench)
-            print(f"[bench snapshot written to {written}]")
-        if opts.baseline is not None:
-            try:
-                baseline = load_snapshot(opts.baseline)
-                regression = compare_snapshots(baseline, snapshot)
-            except SnapshotError as exc:
-                print(f"error: {exc}")
-                return 2
-            print()
-            print(regression.render_text())
-            if regression.has_regressions:
-                exit_code = 1
+        written = save_snapshot(snapshot, opts.save_bench)
+        print(f"[bench snapshot written to {written}]")
 
     if obs is not None:
         if obs.explainer is not None:
@@ -403,8 +373,8 @@ def main(argv=None) -> int:
 
             print("\n# observability report\n")
             print(render_report(obs.metrics))
-    # Distinct exit codes: 1 regression, 2 usage/snapshot error, 3 a figure
-    # run failed mid-workload, 4-7 a soak failed (SOAKS); the highest wins.
+    # Distinct exit codes: 2 usage error, 3 a figure run failed
+    # mid-workload, 4-7 a soak failed (SOAKS); the highest wins.
     if figure_failures:
         print(f"[{len(figure_failures)} figure(s) failed: {figure_failures}]")
         exit_code = 3

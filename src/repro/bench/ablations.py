@@ -59,29 +59,15 @@ def ablation_page_cache(seed: int = 0) -> FigureReport:
     for label, engine in engines.items():
         gen = WorkloadGenerator(data, seed=seed + 1)
         result = run_queries(engine, gen.exploratory_stream(n_queries))
-        io_ms = float(
-            np.mean([o.timings.fetch_io_ms for o in result.outcomes])
-        )
-        cpu_ms = float(
-            np.mean(
-                [
-                    o.timings.processing_ms
-                    + o.timings.fetch_wall_ms
-                    + o.timings.skyline_ms
-                    for o in result.outcomes
-                ]
-            )
-        )
         series[label] = {
-            "mean_ms": result.mean_total_ms(),
-            "io_ms": io_ms,
-            "cpu_ms": cpu_ms,
+            "io_ms": result.mean_io_ms(),
+            "wall_ms": result.mean_wall_ms(),
             "mean_points_read": result.mean_points_read(),
         }
-        rows.append([label, result.mean_total_ms(), io_ms, cpu_ms,
+        rows.append([label, result.mean_io_ms(), result.mean_wall_ms(),
                      result.mean_points_read()])
     text = format_table(
-        ["configuration", "mean ms", "I/O (ms)", "CPU (ms)", "points read"],
+        ["configuration", "sim I/O (ms)", "CPU wall (ms)", "points read"],
         rows,
         title=f"Semantic vs page caching (|S|={n}, |D|=4, interactive)",
     )
@@ -118,19 +104,20 @@ def ablation_skyline_algorithm(seed: int = 0) -> FigureReport:
         engine = CBCS(DiskTable(data), skyline_algorithm=algorithm)
         gen = WorkloadGenerator(data, seed=seed + 1)
         result = run_queries(engine, gen.exploratory_stream(n_queries))
-        skyline_ms = float(
-            np.mean([o.timings.skyline_ms for o in result.outcomes])
-        )
+        skyline_ms = result.mean_stage_ms()["skyline"]
         series[label] = {
-            "mean_ms": result.mean_total_ms(),
+            "io_ms": result.mean_io_ms(),
+            "wall_ms": result.mean_wall_ms(),
             "mean_points_read": result.mean_points_read(),
             "mean_skyline_ms": skyline_ms,
         }
         rows.append(
-            [label, result.mean_total_ms(), skyline_ms, result.mean_points_read()]
+            [label, result.mean_io_ms(), result.mean_wall_ms(), skyline_ms,
+             result.mean_points_read()]
         )
     text = format_table(
-        ["skyline algorithm", "mean ms", "skyline stage (ms)", "mean points read"],
+        ["skyline algorithm", "sim I/O (ms)", "CPU wall (ms)",
+         "skyline stage (ms)", "mean points read"],
         rows,
         title=f"CBCS independence of the skyline algorithm (|S|={n}, |D|=4)",
     )
@@ -171,19 +158,20 @@ def ablation_cost_strategy(seed: int = 0) -> FigureReport:
             warm_queries=scaled(100, 400, 2000),
             seed=seed + 6,
         )[label]
-        proc_ms = float(
-            np.mean([o.timings.processing_ms for o in result.outcomes])
-        )
+        proc_ms = result.mean_stage_ms()["processing"]
         series[label] = {
-            "mean_ms": result.mean_total_ms(),
+            "io_ms": result.mean_io_ms(),
+            "wall_ms": result.mean_wall_ms(),
             "mean_points_read": result.mean_points_read(),
             "processing_ms": proc_ms,
         }
         rows.append(
-            [label, result.mean_total_ms(), result.mean_points_read(), proc_ms]
+            [label, result.mean_io_ms(), result.mean_wall_ms(),
+             result.mean_points_read(), proc_ms]
         )
     text = format_table(
-        ["strategy", "mean ms", "mean points read", "selection overhead (ms)"],
+        ["strategy", "sim I/O (ms)", "CPU wall (ms)", "mean points read",
+         "selection overhead (ms)"],
         rows,
         title=f"Cost-based cache search (|S|={n}, |D|=4, independent)",
     )
@@ -215,17 +203,19 @@ def ablation_replacement(seed: int = 0) -> FigureReport:
         result = run_queries(engine, gen.exploratory_stream(n_queries))
         hits = sum(1 for o in result.outcomes if o.cache_hit)
         series[label] = {
-            "mean_ms": result.mean_total_ms(),
+            "io_ms": result.mean_io_ms(),
+            "wall_ms": result.mean_wall_ms(),
             "mean_points_read": result.mean_points_read(),
             "hit_rate": hits / len(result),
             "evictions": float(cache.evictions),
         }
         rows.append(
-            [label, result.mean_total_ms(), result.mean_points_read(),
-             f"{hits}/{len(result)}", cache.evictions]
+            [label, result.mean_io_ms(), result.mean_wall_ms(),
+             result.mean_points_read(), f"{hits}/{len(result)}", cache.evictions]
         )
     text = format_table(
-        ["cache", "mean ms", "mean points read", "cache hits", "evictions"],
+        ["cache", "sim I/O (ms)", "CPU wall (ms)", "mean points read",
+         "cache hits", "evictions"],
         rows,
         title=f"Cache replacement under pressure (|S|={n}, |D|=4, interactive)",
     )

@@ -9,14 +9,16 @@ Scales: the paper ran 1M-5M points, 5x100 interactive queries and
 2000-query cache preloads on PostgreSQL.  ``REPRO_BENCH_SCALE`` selects
 ``quick`` (seconds per figure; default), ``default`` (minutes), or ``full``
 (closest to paper scale).  Every comparison's *shape* is preserved at every
-scale; absolute milliseconds are simulated-I/O plus Python CPU and are not
-comparable to the paper's Java/PostgreSQL testbed.
+scale.  Time axes plot the cost model's simulated disk time (``io_ms``,
+deterministic for a seed) with the measured Python CPU wall beside it
+(``wall_ms``); the two are never added, and neither is comparable in
+absolute terms to the paper's Java/PostgreSQL testbed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -71,6 +73,48 @@ class FigureReport:
         return f"== {self.figure}: {self.title} ==\n{self.text}\n"
 
 
+def _append_clocks(
+    results: Dict[str, MethodResult],
+    io_ms: Dict[str, List[float]],
+    wall_ms: Dict[str, List[float]],
+) -> None:
+    """Append each result's mean simulated I/O and CPU wall (NaN if empty)."""
+    for name, res in results.items():
+        io_ms[name].append(res.mean_io_ms() if len(res) else float("nan"))
+        wall_ms[name].append(res.mean_wall_ms() if len(res) else float("nan"))
+
+
+def _clock_tables(x_label, xs, io_ms, wall_ms, caption: str) -> str:
+    """A time-axis figure's text: simulated I/O, then CPU wall beside it."""
+    return "\n\n".join(
+        format_series(
+            x_label, xs, column, title=f"Avg {what} (ms), {caption}", unit="ms"
+        )
+        for column, what in ((io_ms, "simulated I/O"), (wall_ms, "CPU wall"))
+    )
+
+
+def _distributions(results: Dict[str, MethodResult], title: str) -> Tuple[str, Dict]:
+    """Box-plot figures (11, 12): per-query simulated I/O quantiles, with
+    each method's mean CPU wall in a table beside them."""
+    io_ms = {name: res.io_ms_values() for name, res in results.items()}
+    wall_ms = {name: res.mean_wall_ms() for name, res in results.items()}
+    text = "\n\n".join(
+        [
+            format_boxplot_table(io_ms, title=f"Simulated I/O, {title}"),
+            format_table(["method", "mean CPU wall (ms)"], list(wall_ms.items())),
+        ]
+    )
+    series = {
+        "io_ms": {
+            name: {"mean": float(v.mean()), "median": float(np.median(v))}
+            for name, v in io_ms.items()
+        },
+        "wall_ms": wall_ms,
+    }
+    return text, series
+
+
 # ----------------------------------------------------------------------
 # Figures 5 & 6 -- scalability with dataset size
 # ----------------------------------------------------------------------
@@ -88,10 +132,9 @@ def fig5_scalability(
     )
     n_sessions = scaled(2, 5, 5)
     per_session = scaled(12, 20, 100)
-    series: Dict[str, List[float]] = {
-        "Baseline": [], "BBS": [], "aMPR": [],
-        "aMPR (Stable)": [], "aMPR (Unstable)": [],
-    }
+    names = ["Baseline", "BBS", "aMPR", "aMPR (Stable)", "aMPR (Unstable)"]
+    io_ms: Dict[str, List[float]] = {name: [] for name in names}
+    wall_ms: Dict[str, List[float]] = {name: [] for name in names}
     points_read: Dict[str, List[float]] = {
         "Baseline": [], "aMPR": [], "aMPR (Stable)": [], "aMPR (Unstable)": []
     }
@@ -103,28 +146,23 @@ def fig5_scalability(
             queries_per_session=per_session, seed=seed + 1,
         )
         split = results["aMPR"].split_by_stability()
-        for name, res in [
-            ("Baseline", results["Baseline"]),
-            ("BBS", results["BBS"]),
-            ("aMPR", results["aMPR"]),
-            ("aMPR (Stable)", split["stable"]),
-            ("aMPR (Unstable)", split["unstable"]),
-        ]:
-            series[name].append(res.mean_total_ms() if len(res) else float("nan"))
-            if name in points_read:
-                points_read[name].append(
-                    res.mean_points_read() if len(res) else float("nan")
-                )
-    text = format_series(
-        "|S|", sizes, series,
-        title=f"Avg running time (ms), {distribution}, |D|={ndim}, interactive",
-        unit="ms",
+        lookup = {**results, "aMPR (Stable)": split["stable"],
+                  "aMPR (Unstable)": split["unstable"]}
+        _append_clocks(lookup, io_ms, wall_ms)
+        for name in points_read:
+            res = lookup[name]
+            points_read[name].append(
+                res.mean_points_read() if len(res) else float("nan")
+            )
+    text = _clock_tables(
+        "|S|", sizes, io_ms, wall_ms, f"{distribution}, |D|={ndim}, interactive"
     )
     return FigureReport(
         figure="fig5" if distribution == "independent" else f"fig5-{distribution}",
         title=f"Scalability with dataset size ({distribution}, |D|={ndim})",
         text=text,
-        series={"sizes": sizes, "time_ms": series, "points_read": points_read},
+        series={"sizes": sizes, "io_ms": io_ms, "wall_ms": wall_ms,
+                "points_read": points_read},
     )
 
 
@@ -138,7 +176,8 @@ def fig6_mpr_vs_ampr(seed: int = 0) -> FigureReport:
     per_session = scaled(12, 20, 100)
     names = ["Baseline", "BBS", "MPR", "MPR (Stable)", "MPR (Unstable)",
              "aMPR", "aMPR (Stable)", "aMPR (Unstable)"]
-    series: Dict[str, List[float]] = {name: [] for name in names}
+    io_ms: Dict[str, List[float]] = {name: [] for name in names}
+    wall_ms: Dict[str, List[float]] = {name: [] for name in names}
     points_read: Dict[str, List[float]] = {
         name: [] for name in ["Baseline", "MPR", "aMPR"]
     }
@@ -158,21 +197,19 @@ def fig6_mpr_vs_ampr(seed: int = 0) -> FigureReport:
             "aMPR (Stable)": ampr_split["stable"],
             "aMPR (Unstable)": ampr_split["unstable"],
         }
-        for name in names:
-            res = lookup[name]
-            series[name].append(res.mean_total_ms() if len(res) else float("nan"))
+        _append_clocks(lookup, io_ms, wall_ms)
         for name in points_read:
             points_read[name].append(lookup[name].mean_points_read())
-    text = format_series(
-        "|S|", sizes, series,
-        title="Avg running time (ms), independent, |D|=3, interactive (incl. exact MPR)",
-        unit="ms",
+    text = _clock_tables(
+        "|S|", sizes, io_ms, wall_ms,
+        "independent, |D|=3, interactive (incl. exact MPR)",
     )
     return FigureReport(
         figure="fig6",
         title="MPR vs aMPR scalability (independent, |D|=3)",
         text=text,
-        series={"sizes": sizes, "time_ms": series, "points_read": points_read},
+        series={"sizes": sizes, "io_ms": io_ms, "wall_ms": wall_ms,
+                "points_read": points_read},
     )
 
 
@@ -202,7 +239,8 @@ def fig7_dimensionality(seed: int = 0) -> FigureReport:
     n_sessions = scaled(2, 3, 5)
     per_session = scaled(10, 15, 100)
     names = ["Baseline", "BBS", "aMPR", "aMPR (Stable)", "aMPR (Unstable)"]
-    series: Dict[str, List[float]] = {name: [] for name in names}
+    io_ms: Dict[str, List[float]] = {name: [] for name in names}
+    wall_ms: Dict[str, List[float]] = {name: [] for name in names}
     for ndim in dims:
         data = generate("independent", n, ndim, seed=seed)
         methods = make_methods(data)
@@ -217,21 +255,20 @@ def fig7_dimensionality(seed: int = 0) -> FigureReport:
                     method.cache.clear()
                 results[name].outcomes.extend(run_queries(method, queries).outcomes)
         split = results["aMPR"].split_by_stability()
-        lookup = {**results, "aMPR (Stable)": split["stable"],
-                  "aMPR (Unstable)": split["unstable"]}
-        for name in names:
-            res = lookup[name]
-            series[name].append(res.mean_total_ms() if len(res) else float("nan"))
-    text = format_series(
-        "|D|", dims, series,
-        title=f"Avg running time (ms) vs dimensionality (|S|={n}, 5 constrained dims)",
-        unit="ms",
+        _append_clocks(
+            {**results, "aMPR (Stable)": split["stable"],
+             "aMPR (Unstable)": split["unstable"]},
+            io_ms, wall_ms,
+        )
+    text = _clock_tables(
+        "|D|", dims, io_ms, wall_ms,
+        f"vs dimensionality (|S|={n}, 5 constrained dims)",
     )
     return FigureReport(
         figure="fig7",
         title="Efficiency with increasing dimensionality",
         text=text,
-        series={"dims": dims, "time_ms": series},
+        series={"dims": dims, "io_ms": io_ms, "wall_ms": wall_ms},
     )
 
 
@@ -348,8 +385,10 @@ def fig9_range_queries(workload: str = "interactive", seed: int = 0) -> FigureRe
 # Figure 10 -- per-stage breakdown by case
 # ----------------------------------------------------------------------
 def fig10_stage_breakdown(seed: int = 0) -> FigureReport:
-    """Figure 10: avg ms per stage (processing/fetching/skyline), split by
-    incremental case, independent data, |D|=3."""
+    """Figure 10: avg ms per stage, split by incremental case, independent
+    data, |D|=3: the three measured stages (processing / fetching / skyline)
+    and, in its own column, the fetch's simulated disk time.  No column
+    adds the two clocks."""
     n = scaled(30_000, 100_000, 1_000_000)
     n_chains = scaled(40, 80, 200)
     data = generate("independent", n, 3, seed=seed)
@@ -384,13 +423,12 @@ def fig10_stage_breakdown(seed: int = 0) -> FigureReport:
         stages = res.mean_stage_ms()
         stage_series[label] = stages
         rows.append(
-            [label, len(res), stages["processing"], stages["fetching"],
-             stages["skyline"],
-             stages["processing"] + stages["fetching"] + stages["skyline"]]
+            [label, len(res), stages["processing"], stages["fetch_wall"],
+             stages["skyline"], stages["fetch_io"]]
         )
     text = format_table(
         ["method/case", "n", "processing (ms)", "fetching (ms)",
-         "skyline (ms)", "total (ms)"],
+         "skyline (ms)", "simulated fetch I/O (ms)"],
         rows,
         title=f"Avg ms per stage (independent, |S|={n}, |D|=3)",
     )
@@ -425,34 +463,31 @@ def fig11_strategies(workload: str = "interactive", seed: int = 0) -> FigureRepo
         # the paper omits Prioritized1D for independent queries
         strategies.pop("Prioritized1D")
 
-    distributions: Dict[str, np.ndarray] = {}
+    results: Dict[str, MethodResult] = {}
     for name, factory in strategies.items():
         engine = make_cbcs(data, region=ApproximateMPR(1), strategy=factory())
         if workload == "interactive":
             n_sessions = scaled(2, 5, 5)
             per_session = scaled(12, 20, 100)
-            results = run_interactive_workload(
+            results[name] = run_interactive_workload(
                 data, {name: engine}, n_sessions=n_sessions,
                 queries_per_session=per_session, seed=seed + 3,
             )[name]
         else:
-            results = run_independent_workload(
+            results[name] = run_independent_workload(
                 data, {name: engine},
                 n_queries=scaled(25, 100, 500),
                 warm_queries=scaled(100, 400, 2000),
                 seed=seed + 3,
             )[name]
-        distributions[name] = results.total_ms_values()
-    text = format_boxplot_table(
-        distributions,
-        title=f"Response time per cache search strategy ({workload}, |S|={n}, |D|=5)",
+    text, series = _distributions(
+        results, f"per cache search strategy ({workload}, |S|={n}, |D|=5)"
     )
     return FigureReport(
         figure="fig11a" if workload == "interactive" else "fig11b",
         title=f"Cache search strategies ({workload})",
         text=text,
-        series={name: {"mean": float(v.mean()), "median": float(np.median(v))}
-                for name, v in distributions.items()},
+        series=series,
     )
 
 
@@ -473,13 +508,8 @@ def fig12_real_data(workload: str = "interactive", seed: int = 0) -> FigureRepor
             queries_per_session=scaled(12, 20, 100), seed=seed + 4,
         )
         split = results["aMPR"].split_by_stability()
-        distributions = {
-            "Baseline": results["Baseline"].total_ms_values(),
-            "BBS": results["BBS"].total_ms_values(),
-            "aMPR": results["aMPR"].total_ms_values(),
-            "aMPR (Stable)": split["stable"].total_ms_values(),
-            "aMPR (Unstable)": split["unstable"].total_ms_values(),
-        }
+        results["aMPR (Stable)"] = split["stable"]
+        results["aMPR (Unstable)"] = split["unstable"]
     else:
         methods: Dict[str, object] = {}
         base = make_methods(data, ampr_k=1)
@@ -493,19 +523,14 @@ def fig12_real_data(workload: str = "interactive", seed: int = 0) -> FigureRepor
             data, methods, n_queries=scaled(20, 50, 50),
             warm_queries=scaled(100, 400, 2000), seed=seed + 5,
         )
-        distributions = {
-            name: res.total_ms_values() for name, res in results.items()
-        }
-    text = format_boxplot_table(
-        distributions,
-        title=f"Danish property data substitute ({workload}, |S|={n}, |D|=4)",
+    text, series = _distributions(
+        results, f"Danish property data substitute ({workload}, |S|={n}, |D|=4)"
     )
     return FigureReport(
         figure="fig12a" if workload == "interactive" else "fig12b",
         title=f"Real-estate data ({workload})",
         text=text,
-        series={name: {"mean": float(v.mean()), "median": float(np.median(v))}
-                for name, v in distributions.items()},
+        series=series,
     )
 
 
@@ -526,7 +551,7 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
       WAL tail and re-answers the workload.
 
     A faithful restore makes the warm hit rate equal the memory control's
-    and the warm total strictly cheaper than the cold total.  The numbers
+    and the warm simulated I/O strictly below the cold one.  The numbers
     are exported as ``warmstart_*`` gauges so the bench snapshot carries a
     cold-vs-warm section (see ``repro.bench.regress.summarize_registry``).
     """
@@ -574,27 +599,24 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
-    rows = [
-        ("cold", cold.mean_total_ms(), cold_rate, cold.mean_points_read()),
-        ("memory", mem.mean_total_ms(), mem_rate, mem.mean_points_read()),
-        ("warm", warm.mean_total_ms(), warm_rate, warm.mean_points_read()),
-    ]
+    phases = {"cold": cold, "mem": mem, "warm": warm}
+    io_ms = {phase: res.mean_io_ms() for phase, res in phases.items()}
+    wall_ms = {phase: res.mean_wall_ms() for phase, res in phases.items()}
+    hit_rate = {"cold": cold_rate, "mem": mem_rate, "warm": warm_rate}
     from repro.obs import current as _current_obs
 
     metrics = _current_obs().metrics
-    metrics.set_gauge("warmstart_cold_total_ms", cold.mean_total_ms())
-    metrics.set_gauge("warmstart_mem_total_ms", mem.mean_total_ms())
-    metrics.set_gauge("warmstart_warm_total_ms", warm.mean_total_ms())
-    metrics.set_gauge("warmstart_cold_hit_rate", cold_rate)
-    metrics.set_gauge("warmstart_mem_hit_rate", mem_rate)
-    metrics.set_gauge("warmstart_warm_hit_rate", warm_rate)
+    for phase in phases:
+        metrics.set_gauge(f"warmstart_{phase}_io_ms", io_ms[phase])
+        metrics.set_gauge(f"warmstart_{phase}_hit_rate", hit_rate[phase])
     metrics.set_gauge("warmstart_restored_items", restored_items)
 
     text = format_table(
-        ["phase", "avg ms", "hit rate", "points read"],
+        ["phase", "sim I/O ms", "CPU wall ms", "hit rate", "points read"],
         [
-            [name, f"{ms:.2f}", f"{rate:.1%}", f"{pr:.1f}"]
-            for name, ms, rate, pr in rows
+            [phase, f"{io_ms[phase]:.2f}", f"{wall_ms[phase]:.2f}",
+             f"{hit_rate[phase]:.1%}", f"{res.mean_points_read():.1f}"]
+            for phase, res in phases.items()
         ],
         title=(
             f"Cold vs warm start (|S|={n}, |D|={ndim}, {n_queries} queries, "
@@ -606,8 +628,9 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
         title="Warm restarts (persistent cache backend)",
         text=text,
         series={
-            "total_ms": {name: ms for name, ms, _, _ in rows},
-            "hit_rate": {name: rate for name, _, rate, _ in rows},
+            "io_ms": io_ms,
+            "wall_ms": wall_ms,
+            "hit_rate": hit_rate,
             "restored_items": restored_items,
         },
     )
@@ -733,17 +756,15 @@ def sharding_scaleout(seed: int = 0, ndim: int = 4) -> FigureReport:
         outcomes = [engine.query(constraints) for constraints in queries]
         engine.close()
         points = sum(o.points_read for o in outcomes)
-        io_ms = sum(o.timings.fetch_io_ms for o in outcomes) / n_queries
-        total_ms = sum(o.total_ms for o in outcomes) / n_queries
-        reads = sum(o.range_queries for o in outcomes) / n_queries
-        rows.append((count, points, io_ms, total_ms - io_ms, reads))
+        result = MethodResult("CBCS", outcomes)
+        rows.append((count, points, result.mean_io_ms(), result.mean_wall_ms(),
+                     result.mean_range_queries()))
         obs.metrics.set_gauge(f"sharding_points_read_{count}", float(points))
-        obs.metrics.set_gauge(f"sharding_total_ms_{count}", total_ms)
     text = format_table(
         ["shards", "points read", "sim io ms/q", "cpu ms/q", "shard reads/q"],
         [
-            [count, points, f"{io_ms:.2f}", f"{cpu_ms:.2f}", f"{reads:.2f}"]
-            for count, points, io_ms, cpu_ms, reads in rows
+            [count, points, f"{io_ms:.2f}", f"{wall_ms:.2f}", f"{reads:.2f}"]
+            for count, points, io_ms, wall_ms, reads in rows
         ],
         title=(
             f"Shard scale-out (|S|={n}, |D|={ndim}, {n_queries} "
@@ -758,7 +779,7 @@ def sharding_scaleout(seed: int = 0, ndim: int = 4) -> FigureReport:
         series={
             name: {str(row[0]): row[column] for row in rows}
             for column, name in enumerate(
-                ("points_read", "sim_io_ms", "cpu_ms", "shard_reads"), 1
+                ("points_read", "io_ms", "wall_ms", "shard_reads"), 1
             )
         },
     )

@@ -9,8 +9,8 @@ exact MPR or aMPR) -- under two workloads (Section 7.1):
 
 This module builds methods over a dataset, runs workloads through them, and
 aggregates the per-query :class:`~repro.stats.QueryOutcome` records into the
-quantities the paper plots (mean response time, stable/unstable splits,
-points read, range queries generated/non-empty).
+quantities the paper plots (mean simulated I/O with CPU wall beside it,
+stable/unstable splits, points read, range queries generated/non-empty).
 
 Scaling: the authors ran 1M-5M points on PostgreSQL; a pure-Python
 reproduction trims cardinalities while preserving every comparison's shape.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import os
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Callable, Dict, List, Optional, Sequence
 
 import numpy as np
@@ -35,7 +35,7 @@ from repro.geometry.constraints import Constraints
 from repro.obs import current as current_obs
 from repro.skyline.baseline import BaselineMethod
 from repro.skyline.bbs import BBSMethod
-from repro.stats import QueryOutcome
+from repro.stats import QueryOutcome, StageTimings
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
@@ -97,9 +97,13 @@ class MethodResult:
     method: str
     outcomes: List[QueryOutcome] = field(default_factory=list)
 
-    def mean_total_ms(self) -> float:
-        """Average end-to-end response time (simulated I/O + CPU), ms."""
-        return float(np.mean([o.total_ms for o in self.outcomes]))
+    def mean_io_ms(self) -> float:
+        """Average simulated disk time per query (the time axes' clock), ms."""
+        return float(np.mean(self.io_ms_values()))
+
+    def mean_wall_ms(self) -> float:
+        """Average measured CPU wall time per query, ms."""
+        return float(np.mean([o.timings.wall_ms for o in self.outcomes]))
 
     def mean_points_read(self) -> float:
         """Average heap rows read from disk per query (Figure 8's y-axis)."""
@@ -113,9 +117,9 @@ class MethodResult:
         """Average range queries that actually read data per query."""
         return float(np.mean([o.nonempty_queries for o in self.outcomes]))
 
-    def total_ms_values(self) -> np.ndarray:
-        """Per-query response times (for distribution/box-plot figures)."""
-        return np.array([o.total_ms for o in self.outcomes])
+    def io_ms_values(self) -> np.ndarray:
+        """Per-query simulated I/O (for distribution/box-plot figures)."""
+        return np.array([o.timings.fetch_io_ms for o in self.outcomes])
 
     def split_by_stability(self) -> Dict[str, "MethodResult"]:
         """Return {'stable': ..., 'unstable': ...} sub-results (cache hits
@@ -130,20 +134,13 @@ class MethodResult:
         return {"stable": stable, "unstable": unstable}
 
     def mean_stage_ms(self) -> Dict[str, float]:
-        """Average per-stage milliseconds (Figure 10's bars)."""
+        """Average milliseconds per ``StageTimings`` field (Figure 10's
+        bars): the three measured stages and the simulated ``fetch_io``."""
         return {
-            "processing": float(
-                np.mean([o.timings.processing_ms for o in self.outcomes])
-            ),
-            "fetching": float(
-                np.mean(
-                    [
-                        o.timings.fetch_io_ms + o.timings.fetch_wall_ms
-                        for o in self.outcomes
-                    ]
-                )
-            ),
-            "skyline": float(np.mean([o.timings.skyline_ms for o in self.outcomes])),
+            f.name[: -len("_ms")]: float(
+                np.mean([getattr(o.timings, f.name) for o in self.outcomes])
+            )
+            for f in fields(StageTimings)
         }
 
     def __len__(self) -> int:
@@ -303,7 +300,8 @@ def summarize(results: Dict[str, MethodResult]) -> Dict[str, Dict[str, float]]:
         if not len(res):
             continue
         out[name] = {
-            "mean_ms": res.mean_total_ms(),
+            "io_ms": res.mean_io_ms(),
+            "wall_ms": res.mean_wall_ms(),
             "mean_points_read": res.mean_points_read(),
             "mean_range_queries": res.mean_range_queries(),
             "queries": float(len(res)),

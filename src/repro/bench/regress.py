@@ -1,26 +1,21 @@
 """Benchmark snapshots and regression detection (``BENCH_*.json``).
 
 The paper's claims are quantitative -- CBCS reads fewer points and issues
-cheaper I/O than Baseline and BBS -- so the repo keeps a *performance
-trajectory*: every ``python -m repro.bench --save-bench`` run serializes a
-schema-versioned snapshot of per-figure, per-method means (total_ms,
-points_read, range_queries, cache hit rate, stage breakdown) plus scale and
-git revision, and this module compares two snapshots with noise-aware
-thresholds for CI gating.
+cheaper I/O than Baseline and BBS -- so every ``python -m repro.bench
+--save-bench`` run serializes a schema-versioned snapshot of per-figure,
+per-method means (points_read, range_queries, the stage breakdown with its
+simulated ``fetch_io``, cache hit rate) plus scale and git revision, and
+this module compares two snapshots for CI gating.
 
-A regression requires **both** a relative excess and an absolute floor to
-trip, so sub-millisecond timing jitter on a 3 ms mean does not page anyone,
-while a genuine 2x blow-up in points read does:
-
-- timing metrics (``total_ms``) use ``rel_ms``/``abs_ms`` (wall-clock noise
-  on CI runners is large);
-- I/O metrics (``points_read``, ``range_queries``) use ``rel_io`` and their
-  own absolute floors (deterministic given seed and scale, so tight).
+The per-method rows -- ``fetch_io_ms`` (simulated disk time),
+``points_read`` and ``range_queries`` -- are deterministic given seed and
+scale, so they gate tightly on ``rel_io``; ``points_read`` and
+``range_queries`` also need an absolute excess to trip.  Only the serving
+figure's latency percentiles are wall-clock, and they gate generously.
 
 Usage::
 
     python -m repro.bench --save-bench BENCH_ci.json --calibration fig5a
-    python -m repro.bench --baseline benchmarks/BENCH_baseline_quick.json fig5a
     python -m repro.bench.regress BENCH_old.json BENCH_new.json
     python -m repro.bench.regress BENCH_old.json BENCH_new.json --json report.json
 
@@ -66,12 +61,6 @@ def summarize_registry(metrics) -> dict:
         method = labels.get("method", "?")
         if not n:
             continue
-        hist = metrics.histogram("query_total_ms", method=method)
-        total_ms = (
-            {"mean": hist.mean, "p50": hist.percentile(50), "p95": hist.percentile(95)}
-            if hist is not None and hist.count
-            else {}
-        )
         stage_ms = {}
         for stage in STAGES:
             sh = metrics.histogram("stage_ms", method=method, stage=stage)
@@ -79,7 +68,6 @@ def summarize_registry(metrics) -> dict:
                 stage_ms[stage] = sh.mean
         methods[method] = {
             "queries": n,
-            "total_ms": total_ms,
             "points_read": metrics.counter_value("points_read_total", method=method) / n,
             "range_queries": metrics.counter_value("range_queries_total", method=method) / n,
             "stage_ms": stage_ms,
@@ -99,14 +87,14 @@ def summarize_registry(metrics) -> dict:
         },
     }
     # The warm-restart figure exports its cold/memory/warm comparison as
-    # gauges; carry them into the snapshot so the trajectory records the
-    # cold-vs-warm gap alongside the per-method means.
-    cold_ms = metrics.gauge_value("warmstart_cold_total_ms")
+    # gauges; carry them into the snapshot so it records the cold-vs-warm
+    # gap alongside the per-method means.
+    cold_ms = metrics.gauge_value("warmstart_cold_io_ms")
     if cold_ms is not None:
         summary["warmstart"] = {
-            "cold_total_ms": cold_ms,
-            "mem_total_ms": metrics.gauge_value("warmstart_mem_total_ms"),
-            "warm_total_ms": metrics.gauge_value("warmstart_warm_total_ms"),
+            "cold_io_ms": cold_ms,
+            "mem_io_ms": metrics.gauge_value("warmstart_mem_io_ms"),
+            "warm_io_ms": metrics.gauge_value("warmstart_warm_io_ms"),
             "cold_hit_rate": metrics.gauge_value("warmstart_cold_hit_rate"),
             "mem_hit_rate": metrics.gauge_value("warmstart_mem_hit_rate"),
             "warm_hit_rate": metrics.gauge_value("warmstart_warm_hit_rate"),
@@ -114,9 +102,8 @@ def summarize_registry(metrics) -> dict:
         }
     # The serving figure exports the overload soak's wall-clock latency
     # percentiles and ingress rates as gauges; carry them into the snapshot
-    # so the trajectory (and the CI gate, with its own generous serving
-    # thresholds) tracks the overload behaviour alongside the per-method
-    # means.
+    # so the CI gate, with its own generous serving thresholds, tracks the
+    # overload behaviour alongside the per-method means.
     serving_p99 = metrics.gauge_value("serving_p99_ms")
     if serving_p99 is not None:
         summary["serving"] = {
@@ -132,19 +119,14 @@ def summarize_registry(metrics) -> dict:
             "answered": metrics.gauge_value("serving_answered"),
             "target_rps": metrics.gauge_value("serving_target_rps"),
         }
-    # The sharding figure exports the scale-out curve -- total points read
-    # and mean wall-clock per shard count -- as gauges; carry them into the
-    # snapshot so the gate holds the points-read curve tight (simulated,
-    # deterministic) while treating the wall-clock generously.
+    # The sharding figure exports total points read per shard count as
+    # gauges; carry them into the snapshot so the gate holds that
+    # (deterministic) curve tight.
     sharding = {}
     for count in SHARDING_COUNTS:
         points = metrics.gauge_value(f"sharding_points_read_{count}")
-        if points is None:
-            continue
-        sharding[f"points_read_{count}"] = points
-        sharding[f"total_ms_{count}"] = metrics.gauge_value(
-            f"sharding_total_ms_{count}"
-        )
+        if points is not None:
+            sharding[f"points_read_{count}"] = points
     if sharding:
         summary["sharding"] = sharding
     return summary
@@ -211,7 +193,7 @@ def save_snapshot(snapshot: dict, path) -> str:
         path.mkdir(parents=True, exist_ok=True)
         path = path / default_snapshot_name(snapshot)
     # Atomic: a crash mid-save must never leave a torn BENCH_*.json for a
-    # later --baseline run to choke on.
+    # later compare to choke on.
     atomic_write_json(path, snapshot)
     return str(path)
 
@@ -246,29 +228,28 @@ def load_snapshot(path) -> dict:
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Thresholds:
-    """Noise-aware regression thresholds.
+    """Regression thresholds.
 
     A metric regresses only when the relative excess *and* the absolute
-    delta both exceed their bound; improvements are reported symmetrically
-    but never fail the check.
+    delta both exceed their bound (``fetch_io_ms`` has no absolute floor);
+    improvements are reported symmetrically but never fail the check.
     """
 
-    rel_ms: float = 0.30
     rel_io: float = 0.10
-    abs_ms: float = 2.0
     abs_points: float = 25.0
     abs_range_queries: float = 0.5
     # The serving figure's latency percentiles are pure wall-clock under an
     # intentionally overloaded open-loop schedule, so they are far noisier
-    # than the simulated per-method means: tolerate a 2x excess and demand
+    # than the deterministic per-method means: tolerate a 2x excess and demand
     # a large absolute delta before failing CI.
     rel_serving: float = 1.0
     abs_serving_ms: float = 50.0
 
 
-#: metric key -> (snapshot extractor, rel-threshold attr, abs-threshold attr)
+#: metric key -> (snapshot extractor, rel-threshold attr, abs-threshold attr;
+#: None means no absolute floor)
 _METRICS = {
-    "total_ms": (lambda m: m.get("total_ms", {}).get("mean"), "rel_ms", "abs_ms"),
+    "fetch_io_ms": (lambda m: m.get("stage_ms", {}).get("fetch_io"), "rel_io", None),
     "points_read": (lambda m: m.get("points_read"), "rel_io", "abs_points"),
     "range_queries": (
         lambda m: m.get("range_queries"),
@@ -351,9 +332,7 @@ class RegressionReport:
             "current_id": self.current_id,
             "scale": self.scale,
             "thresholds": {
-                "rel_ms": self.thresholds.rel_ms,
                 "rel_io": self.thresholds.rel_io,
-                "abs_ms": self.thresholds.abs_ms,
                 "abs_points": self.thresholds.abs_points,
                 "abs_range_queries": self.thresholds.abs_range_queries,
                 "rel_serving": self.thresholds.rel_serving,
@@ -517,7 +496,7 @@ def compare_snapshots(
                     b,
                     c,
                     getattr(thresholds, rel_attr),
-                    getattr(thresholds, abs_attr),
+                    getattr(thresholds, abs_attr) if abs_attr else 0.0,
                 )
                 report.findings.append(
                     Finding(fig_name, method, metric, b, c, status)
@@ -567,15 +546,9 @@ def compare_snapshots(
                 if b != b or c != c:
                     continue
                 # points_read is simulated and deterministic: gate tightly.
-                # total_ms is fan-out wall-clock: gate like serving latency.
-                if metric.startswith("points_read_"):
-                    rel, floor = thresholds.rel_io, thresholds.abs_points
-                else:
-                    rel, floor = (
-                        thresholds.rel_serving,
-                        thresholds.abs_serving_ms,
-                    )
-                status = _classify(b, c, rel, floor)
+                status = _classify(
+                    b, c, thresholds.rel_io, thresholds.abs_points
+                )
                 report.findings.append(
                     Finding(fig_name, "sharding", metric, b, c, status)
                 )
@@ -597,17 +570,13 @@ def main(argv=None) -> int:
 
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench.regress",
-        description="Compare two BENCH_*.json snapshots with noise-aware thresholds.",
+        description="Compare two BENCH_*.json snapshots for regressions.",
     )
     parser.add_argument("baseline", metavar="BASELINE_JSON")
     parser.add_argument("current", metavar="CURRENT_JSON")
     defaults = Thresholds()
-    parser.add_argument("--rel-ms", type=float, default=defaults.rel_ms,
-                        help=f"relative tolerance for total_ms (default {defaults.rel_ms})")
     parser.add_argument("--rel-io", type=float, default=defaults.rel_io,
                         help=f"relative tolerance for I/O metrics (default {defaults.rel_io})")
-    parser.add_argument("--abs-ms", type=float, default=defaults.abs_ms,
-                        help=f"absolute floor for total_ms deltas (default {defaults.abs_ms})")
     parser.add_argument("--abs-points", type=float, default=defaults.abs_points,
                         help=f"absolute floor for points_read deltas (default {defaults.abs_points})")
     parser.add_argument("--abs-rq", type=float, default=defaults.abs_range_queries,
@@ -627,9 +596,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
 
     thresholds = Thresholds(
-        rel_ms=opts.rel_ms,
         rel_io=opts.rel_io,
-        abs_ms=opts.abs_ms,
         abs_points=opts.abs_points,
         abs_range_queries=opts.abs_rq,
         rel_serving=opts.rel_serving,

@@ -84,7 +84,7 @@ DEADLINE_MULTIPLIER = 25.0
 MIN_COALESCED = 1
 #: slack on the p99 bound, for scheduler jitter on loaded runners
 P99_SLACK_MS = 250.0
-#: PacedEngine: an answer takes max(simulated ms * PACE, FLOOR_MS) of wall time
+#: PacedEngine: an answer takes max(simulated I/O ms * PACE, FLOOR_MS) of wall time
 PACE = 1.0
 FLOOR_MS = 2.0
 _PRIORITY_MIX = (("interactive", 0.3), ("normal", 0.5), ("batch", 0.2))
@@ -401,12 +401,14 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
 # overload: open-loop arrivals through the QueryService ingress
 # ----------------------------------------------------------------------
 class PacedEngine:
-    """Replays an engine's *simulated* cost as wall-clock time.
+    """Replays an engine's simulated disk time as wall-clock time.
 
-    The engine charges simulated milliseconds and answers in microseconds of
-    wall time, so no arrival rate could overload it.  This shim sleeps after
-    each answer until ``max(outcome.total_ms * PACE, FLOOR_MS)`` has passed,
-    which makes saturation, queue growth and shedding real.  Exceptions
+    The engine charges simulated I/O milliseconds and answers in
+    microseconds of wall time, so no arrival rate could overload it.  This
+    shim sleeps after each answer until
+    ``max(outcome.timings.fetch_io_ms * PACE, FLOOR_MS)`` has passed since
+    the query began: the simulated disk replayed as wall time, which makes
+    saturation, queue growth and shedding real.  Exceptions
     (:class:`~repro.resilience.errors.DeadlineExceeded` included) propagate
     unpadded; everything else is the engine's.
     """
@@ -420,7 +422,7 @@ class PacedEngine:
     def query(self, constraints, query_id=None, deadline=None):
         t0 = time.perf_counter()
         outcome = self.engine.query(constraints, query_id=query_id, deadline=deadline)
-        leftover = max(outcome.total_ms * PACE, FLOOR_MS) / 1000.0 - (
+        leftover = max(outcome.timings.fetch_io_ms * PACE, FLOOR_MS) / 1000.0 - (
             time.perf_counter() - t0
         )
         if leftover > 0:

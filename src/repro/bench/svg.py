@@ -2,9 +2,10 @@
 
 ``python -m repro.bench fig5a --svg out/`` writes one SVG per figure so the
 reproduced curves can be compared with the paper's plots side by side.  The
-renderer is deliberately tiny: line charts for x/series figures (Figs. 5-9)
-and grouped bar charts for distribution/stage figures (Figs. 10-12 and the
-ablations), with a log-scale option for the range-query counts of Figure 9.
+renderer is deliberately tiny: line charts for x/series figures (Figs. 5-9;
+time axes plot simulated I/O) and grouped bar charts for distribution/stage
+figures (Figs. 10-12, simulated I/O with CPU wall beside it), with a
+log-scale option for the range-query counts of Figure 9.
 """
 
 from __future__ import annotations
@@ -159,16 +160,12 @@ def render_figure(report) -> Optional[str]:
     Returns None for reports whose series shape has no chart mapping.
     """
     series = report.series
-    if "time_ms" in series and "sizes" in series:
-        return line_chart(
-            report.title, "|S|", series["sizes"], series["time_ms"],
-            y_label="avg running time (ms)",
-        )
-    if "time_ms" in series and "dims" in series:
-        return line_chart(
-            report.title, "|D|", series["dims"], series["time_ms"],
-            y_label="avg running time (ms)",
-        )
+    for x_key, x_label in (("sizes", "|S|"), ("dims", "|D|")):
+        if "io_ms" in series and x_key in series:
+            return line_chart(
+                report.title, x_label, series[x_key], series["io_ms"],
+                y_label="avg simulated I/O (ms)",
+            )
     if "range_queries" in series and "dims" in series:
         return line_chart(
             report.title, "|D|", series["dims"], series["range_queries"],
@@ -177,20 +174,24 @@ def render_figure(report) -> Optional[str]:
     if "stages" in series:
         stages = series["stages"]
         categories = list(stages)
-        stage_names = ["processing", "fetching", "skyline"]
+        stage_names = list(next(iter(stages.values()), {}))
         data = {
             stage: [stages[cat][stage] for cat in categories]
             for stage in stage_names
         }
         return bar_chart(report.title, categories, data, y_label="avg ms per stage")
-    if series and all(
-        isinstance(v, dict) and "mean" in v for v in series.values()
+    io_ms = series.get("io_ms")
+    if isinstance(io_ms, dict) and all(
+        isinstance(v, dict) and "mean" in v for v in io_ms.values()
     ):
-        categories = list(series)
+        categories = list(io_ms)
         return bar_chart(
             report.title, categories,
-            {"mean": [series[c]["mean"] for c in categories]},
-            y_label="mean response time (ms)",
+            {
+                "io_ms": [io_ms[c]["mean"] for c in categories],
+                "wall_ms": [series["wall_ms"][c] for c in categories],
+            },
+            y_label="mean ms per query",
         )
     return None
 

@@ -154,8 +154,8 @@ class Observability:
         # the trace), never as a label: per-query labels would explode
         # series cardinality.
         m.observe(
-            "query_total_ms",
-            t.total_ms,
+            "query_wall_ms",
+            t.wall_ms,
             exemplar=getattr(outcome, "query_id", None),
             method=method,
         )

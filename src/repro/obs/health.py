@@ -40,9 +40,10 @@ STATUS_CODES = {HEALTHY: 0, DEGRADED: 1, UNHEALTHY: 2}
 class SLOSpec:
     """Service-level objectives for the constrained-skyline serving path.
 
-    Latency objectives are in *effective* milliseconds (simulated I/O plus
-    CPU, the same ``total_ms`` the paper's figures plot).  Any objective
-    set to None is not enforced.  ``min_queries`` guards against verdict
+    Latency objectives are in wall-clock milliseconds from submission to
+    answer -- queue wait included, what the caller waited; simulated I/O
+    is a cost-model output and never part of them.  Any objective set to
+    None is not enforced.  ``min_queries`` guards against verdict
     flapping on a nearly empty window: below it the monitor reports
     ``healthy`` with an "insufficient data" reason rather than judging on
     noise.

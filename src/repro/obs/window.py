@@ -6,7 +6,7 @@ after a run ends; a serving deployment needs the same signals *live*.
 outcomes in fixed-size time buckets and answers, at any moment:
 
 - throughput (queries per second over the populated part of the window),
-- effective-latency percentiles (p50/p95/p99 of ``total_ms``),
+- latency percentiles (p50/p95/p99 of what each caller waited, wall ms),
 - cache hit ratio,
 - degradation / stale-answer / error rates.
 
@@ -168,12 +168,13 @@ class RollingWindow:
 
     def record(
         self,
-        total_ms: float,
+        latency_ms: float,
         cache_hit: bool = False,
         degraded: Optional[str] = None,
         stale: bool = False,
     ) -> None:
-        """Fold one answered query into the current bucket."""
+        """Fold one answered query, ``latency_ms`` after its submission,
+        into the current bucket."""
         with self._lock:
             bucket = self._bucket(self.clock())
             bucket.queries += 1
@@ -186,7 +187,7 @@ class RollingWindow:
             if stale:
                 bucket.stale += 1
             if len(bucket.latencies) < self.max_samples_per_bucket:
-                bucket.latencies.append(float(total_ms))
+                bucket.latencies.append(float(latency_ms))
 
     def record_error(self) -> None:
         """Fold one failed query (an exception, not an answer)."""

@@ -397,7 +397,7 @@ class QueryService:
 
     def _record_answer(self, req: _Request, outcome) -> None:
         self.window.record(
-            total_ms=outcome.total_ms,
+            latency_ms=(time.perf_counter() - req.submitted_at) * 1000.0,
             cache_hit=outcome.cache_hit,
             degraded=outcome.degraded,
             stale=outcome.stale,

@@ -34,6 +34,8 @@ class StageTimings:
     - ``fetch_wall_ms``: CPU time spent executing the fetches in-process;
     - ``skyline_ms``: the skyline-algorithm stage.
 
+    The two clocks are never added: :attr:`wall_ms` is the measured CPU
+    wall (the three measured stages), ``fetch_io_ms`` the simulated disk.
     ``io_ms_total`` is a read-only alias of ``fetch_io_ms`` (not a field, so
     not in :meth:`as_dict`), kept for the repository benchmark, which reads
     it (``perfbench/measure.py``).
@@ -49,14 +51,9 @@ class StageTimings:
         return self.fetch_io_ms
 
     @property
-    def total_ms(self) -> float:
-        """End-to-end simulated response time of the query."""
-        return (
-            self.processing_ms
-            + self.fetch_io_ms
-            + self.fetch_wall_ms
-            + self.skyline_ms
-        )
+    def wall_ms(self) -> float:
+        """Measured in-process wall time of the query, all stages."""
+        return self.processing_ms + self.fetch_wall_ms + self.skyline_ms
 
     def as_dict(self) -> dict:
         """Per-stage milliseconds keyed by field name (JSON-serializable)."""
@@ -100,10 +97,6 @@ class QueryOutcome:
         return len(self.skyline)
 
     @property
-    def total_ms(self) -> float:
-        return self.timings.total_ms
-
-    @property
     def points_read(self) -> int:
         return self.io.points_read
 
@@ -130,7 +123,6 @@ class QueryOutcome:
             "stable": self.stable,
             "cache_hit": self.cache_hit,
             "skyline_size": self.skyline_size,
-            "total_ms": self.total_ms,
             "timings": self.timings.as_dict(),
             "io": self.io.as_dict(),
             "nodes_accessed": self.nodes_accessed,
@@ -143,7 +135,7 @@ class QueryOutcome:
 
 #: Valid Stopwatch stage names: exactly the ``*_ms``-suffixed *fields* of
 #: :class:`StageTimings`.  Derived explicitly from ``dataclasses.fields`` so
-#: read-only properties such as ``total_ms`` (which a plain ``hasattr`` check
+#: read-only properties such as ``wall_ms`` (which a plain ``hasattr`` check
 #: would accept) are rejected.
 STAGE_NAMES = frozenset(
     f.name[: -len("_ms")]

@@ -52,9 +52,15 @@ class TestReports:
         stages = report.series["stages"]
         assert "Baseline" in stages
         for breakdown in stages.values():
-            assert set(breakdown) == {"processing", "fetching", "skyline"}
+            assert set(breakdown) == {
+                "processing", "fetch_io", "fetch_wall", "skyline"
+            }
+        # no column adds the simulated fetch I/O to the measured stages
+        assert "total" not in report.text
 
     def test_fig11_report_structure(self):
         report = fig11_strategies("interactive")
-        assert "Random" in report.series
-        assert all("mean" in s for s in report.series.values())
+        io_ms, wall_ms = report.series["io_ms"], report.series["wall_ms"]
+        assert "Random" in io_ms
+        assert all("mean" in s for s in io_ms.values())
+        assert set(wall_ms) == set(io_ms)

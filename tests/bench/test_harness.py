@@ -64,7 +64,9 @@ class TestMethodResult:
             self.make_outcome(10.0, 100, True),
             self.make_outcome(30.0, 300, False),
         ]
-        assert res.mean_total_ms() == pytest.approx(20.0)
+        assert res.mean_io_ms() == pytest.approx(20.0)
+        assert res.mean_wall_ms() == 0.0
+        assert list(res.io_ms_values()) == [10.0, 30.0]
         assert res.mean_points_read() == pytest.approx(200.0)
         assert res.mean_range_queries() == pytest.approx(2.0)
         assert res.mean_nonempty_queries() == pytest.approx(1.0)
@@ -79,13 +81,14 @@ class TestMethodResult:
         split = res.split_by_stability()
         assert len(split["stable"]) == 1
         assert len(split["unstable"]) == 1
-        assert split["stable"].mean_total_ms() == pytest.approx(10.0)
+        assert split["stable"].mean_io_ms() == pytest.approx(10.0)
 
     def test_stage_means(self):
         res = MethodResult("m")
         res.outcomes = [self.make_outcome(10.0, 1, True)]
         stages = res.mean_stage_ms()
-        assert stages["fetching"] == pytest.approx(10.0)
+        assert set(stages) == {"processing", "fetch_io", "fetch_wall", "skyline"}
+        assert stages["fetch_io"] == pytest.approx(10.0)
         assert stages["processing"] == 0.0
 
 

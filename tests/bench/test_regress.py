@@ -26,7 +26,7 @@ def registry_for(method="Baseline", n=10, ms=8.0, points=100.0, rq=2.0):
     reg.inc("points_read_total", points * n, method=method)
     reg.inc("range_queries_total", rq * n, method=method)
     for _ in range(n):
-        reg.observe("query_total_ms", ms, method=method)
+        reg.observe("stage_ms", ms, method=method, stage="fetch_io")
         reg.observe("stage_ms", ms / 2, method=method, stage="processing")
     reg.inc("cache_lookups_total", 6, strategy="MaxOverlapSP", outcome="hit")
     reg.inc("cache_lookups_total", 4, strategy="MaxOverlapSP", outcome="miss")
@@ -49,7 +49,8 @@ class TestSummarizeRegistry:
         summary = summarize_registry(registry_for())
         entry = summary["methods"]["Baseline"]
         assert entry["queries"] == 10
-        assert entry["total_ms"]["mean"] == pytest.approx(8.0)
+        assert "total_ms" not in entry
+        assert entry["stage_ms"]["fetch_io"] == pytest.approx(8.0)
         assert entry["points_read"] == pytest.approx(100.0)
         assert entry["range_queries"] == pytest.approx(2.0)
         assert entry["stage_ms"]["processing"] == pytest.approx(4.0)
@@ -63,16 +64,16 @@ class TestSummarizeRegistry:
 
     def test_warmstart_gauges_become_snapshot_section(self):
         reg = registry_for()
-        reg.set_gauge("warmstart_cold_total_ms", 30.0)
-        reg.set_gauge("warmstart_mem_total_ms", 0.5)
-        reg.set_gauge("warmstart_warm_total_ms", 0.6)
+        reg.set_gauge("warmstart_cold_io_ms", 30.0)
+        reg.set_gauge("warmstart_mem_io_ms", 0.5)
+        reg.set_gauge("warmstart_warm_io_ms", 0.6)
         reg.set_gauge("warmstart_cold_hit_rate", 0.8)
         reg.set_gauge("warmstart_mem_hit_rate", 1.0)
         reg.set_gauge("warmstart_warm_hit_rate", 1.0)
         reg.set_gauge("warmstart_restored_items", 12)
         section = summarize_registry(reg)["warmstart"]
-        assert section["cold_total_ms"] == pytest.approx(30.0)
-        assert section["warm_total_ms"] == pytest.approx(0.6)
+        assert section["cold_io_ms"] == pytest.approx(30.0)
+        assert section["warm_io_ms"] == pytest.approx(0.6)
         assert section["restored_items"] == pytest.approx(12)
 
 
@@ -114,24 +115,21 @@ class TestCompare:
         report = compare_snapshots(snapshot_for(), snapshot_for(run_id="new"))
         assert not report.has_regressions
         assert all(f.status == "ok" for f in report.findings)
-        assert len(report.findings) == 3  # total_ms, points_read, range_queries
+        # fetch_io_ms, points_read, range_queries
+        assert len(report.findings) == 3
 
     def test_noise_within_thresholds_passes(self):
-        # +20% on an 8 ms mean is inside rel_ms=0.30
-        report = compare_snapshots(snapshot_for(), snapshot_for(ms=9.6, run_id="new"))
+        # +5% on an 8 ms simulated-I/O mean is inside rel_io=0.10
+        report = compare_snapshots(snapshot_for(), snapshot_for(ms=8.4, run_id="new"))
         assert not report.has_regressions
 
-    def test_timing_regression_requires_rel_and_abs(self):
-        # +50% but only +1.5 ms absolute: below abs_ms floor -> ok
+    def test_fetch_io_regression_needs_no_absolute_floor(self):
+        # simulated I/O is deterministic: +20% regresses even at +0.1 ms
         report = compare_snapshots(
-            snapshot_for(ms=3.0), snapshot_for(ms=4.5, run_id="new")
+            snapshot_for(ms=0.5), snapshot_for(ms=0.6, run_id="new")
         )
-        assert not report.has_regressions
-        # +50% and +4 ms absolute: regression
-        report = compare_snapshots(
-            snapshot_for(ms=8.0), snapshot_for(ms=12.0, run_id="new")
-        )
-        assert [f.metric for f in report.regressions] == ["total_ms"]
+        assert [f.metric for f in report.regressions] == ["fetch_io_ms"]
+        assert not hasattr(Thresholds(), "rel_ms")
 
     def test_points_read_regression(self):
         report = compare_snapshots(
@@ -172,9 +170,9 @@ class TestCompare:
     def test_malformed_entries_become_warnings_not_errors(self):
         base = snapshot_for()
         cur = copy.deepcopy(snapshot_for(run_id="new"))
-        cur["figures"]["fig5a"]["methods"]["Baseline"]["total_ms"] = "garbage"
+        cur["figures"]["fig5a"]["methods"]["Baseline"]["stage_ms"] = "garbage"
         report = compare_snapshots(base, cur)  # must not raise
-        assert any("total_ms" in w for w in report.warnings)
+        assert any("fetch_io_ms" in w for w in report.warnings)
         # the intact metrics are still compared
         assert any(f.metric == "points_read" for f in report.findings)
 
@@ -237,7 +235,8 @@ class TestRegressCli:
     def test_custom_thresholds(self, tmp_path):
         base = self.write(tmp_path, "a.json")
         cur = self.write(tmp_path, "b.json", ms=30.0, run_id="new")
-        assert main([base, cur, "--rel-ms", "5.0"]) == 0
+        assert main([base, cur, "--rel-io", "5.0"]) == 0
+        assert main([base, cur, "--rel-ms", "5.0"]) == 2
 
     def test_exit_two_on_bad_inputs(self, tmp_path, capsys):
         base = self.write(tmp_path, "a.json")
@@ -267,16 +266,14 @@ class TestRegressCli:
 
 
 class TestShardingSection:
-    def sharded_snapshot(self, points8=12000.0, ms8=40.0, run_id="base"):
+    def sharded_snapshot(self, points8=12000.0, run_id="base"):
         reg = registry_for()
-        for count, points, ms in (
-            (1, 30000.0, 25.0),
-            (2, 24000.0, 28.0),
-            (4, 17000.0, 30.0),
-            (8, points8, ms8),
+        for count, points in (
+            (1, 30000.0), (2, 24000.0), (4, 17000.0), (8, points8)
         ):
             reg.set_gauge(f"sharding_points_read_{count}", points)
-            reg.set_gauge(f"sharding_total_ms_{count}", ms)
+        # a stray wall-clock gauge is not carried into the snapshot
+        reg.set_gauge("sharding_wall_ms_8", 40.0)
         figures = {
             "sharding": {"title": "t", "seconds": 1.0, **summarize_registry(reg)}
         }
@@ -288,7 +285,7 @@ class TestShardingSection:
         section = self.sharded_snapshot()["figures"]["sharding"]["sharding"]
         assert section["points_read_1"] == pytest.approx(30000.0)
         assert section["points_read_8"] == pytest.approx(12000.0)
-        assert section["total_ms_4"] == pytest.approx(30.0)
+        assert set(section) == {f"points_read_{n}" for n in (1, 2, 4, 8)}
 
     def test_identical_snapshots_pass(self):
         base = self.sharded_snapshot()
@@ -302,18 +299,5 @@ class TestShardingSection:
         assert report.has_regressions
         assert any(
             f.metric == "points_read_8" and f.status == "regressed"
-            for f in report.findings
-        )
-
-    def test_wall_clock_is_gated_generously(self):
-        base = self.sharded_snapshot()
-        # +50% and +20ms: within the serving-style wall-clock tolerance.
-        cur = self.sharded_snapshot(ms8=60.0, run_id="cur")
-        assert not compare_snapshots(base, cur).has_regressions
-        # but a 2x-plus-large-absolute blowup still fails
-        cur = self.sharded_snapshot(ms8=140.0, run_id="cur")
-        report = compare_snapshots(base, cur)
-        assert any(
-            f.metric == "total_ms_8" and f.status == "regressed"
             for f in report.findings
         )

@@ -59,9 +59,11 @@ class TestRenderFigure:
     def test_size_series(self):
         report = FigureReport(
             figure="fig5a", title="t", text="",
-            series={"sizes": [10, 20], "time_ms": {"A": [1.0, 2.0]}},
+            series={"sizes": [10, 20], "io_ms": {"A": [1.0, 2.0]},
+                    "wall_ms": {"A": [0.1, 0.2]}},
         )
-        assert "<polyline" in render_figure(report)
+        svg = render_figure(report)
+        assert "<polyline" in svg and "simulated I/O" in svg
 
     def test_dims_series_log(self):
         report = FigureReport(
@@ -75,16 +77,19 @@ class TestRenderFigure:
         report = FigureReport(
             figure="fig10", title="t", text="",
             series={"stages": {"Baseline": {
-                "processing": 0.0, "fetching": 1.0, "skyline": 2.0}}},
+                "processing": 0.0, "fetch_io": 3.0, "fetch_wall": 1.0,
+                "skyline": 2.0}}},
         )
         assert "<rect" in render_figure(report)
 
     def test_mean_series(self):
         report = FigureReport(
             figure="fig11a", title="t", text="",
-            series={"Random": {"mean": 5.0, "median": 4.0}},
+            series={"io_ms": {"Random": {"mean": 5.0, "median": 4.0}},
+                    "wall_ms": {"Random": 0.5}},
         )
-        assert "<rect" in render_figure(report)
+        svg = render_figure(report)
+        assert "<rect" in svg and "io_ms" in svg and "wall_ms" in svg
 
     def test_unknown_shape_returns_none(self):
         report = FigureReport(figure="x", title="t", text="", series={"odd": 1})

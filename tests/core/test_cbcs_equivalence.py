@@ -176,7 +176,7 @@ class TestEngineBehaviour:
         assert out.method.startswith("CBCS")
         assert out.stable is not None
         assert out.timings.processing_ms > 0
-        assert out.total_ms > 0
+        assert out.timings.wall_ms > 0
 
     def test_empty_region_query(self, dataset):
         engine = CBCS(DiskTable(dataset))

@@ -141,8 +141,10 @@ class TestReconciliation:
         hist = m.histogram("stage_ms", method=method, stage="skyline")
         assert hist.count == len(outcomes)
         assert hist.sum == pytest.approx(sum(o.timings.skyline_ms for o in outcomes))
-        total_hist = m.histogram("query_total_ms", method=method)
-        assert total_hist.sum == pytest.approx(sum(o.total_ms for o in outcomes))
+        wall_hist = m.histogram("query_wall_ms", method=method)
+        assert wall_hist.sum == pytest.approx(
+            sum(o.timings.wall_ms for o in outcomes)
+        )
 
 
 class TestNoopMode:

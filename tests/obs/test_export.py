@@ -18,7 +18,7 @@ def populated_registry() -> MetricsRegistry:
     reg.inc("cache_lookups_total", 2, strategy="MaxOverlapSP", outcome="hit")
     reg.set_gauge("cache_items", 7)
     for v in (1.0, 2.0, 3.0):
-        reg.observe("query_total_ms", v, method="Baseline")
+        reg.observe("query_wall_ms", v, method="Baseline")
     return reg
 
 
@@ -32,10 +32,10 @@ class TestRenderOpenMetrics:
         text = render_openmetrics(populated_registry())
         assert "# TYPE repro_cache_items gauge" in text
         assert "repro_cache_items 7" in text
-        assert "# TYPE repro_query_total_ms summary" in text
-        assert 'repro_query_total_ms{method="Baseline",quantile="0.5"} 2' in text
-        assert 'repro_query_total_ms_count{method="Baseline"} 3' in text
-        assert 'repro_query_total_ms_sum{method="Baseline"} 6' in text
+        assert "# TYPE repro_query_wall_ms summary" in text
+        assert 'repro_query_wall_ms{method="Baseline",quantile="0.5"} 2' in text
+        assert 'repro_query_wall_ms_count{method="Baseline"} 3' in text
+        assert 'repro_query_wall_ms_sum{method="Baseline"} 6' in text
 
     def test_ends_with_eof_marker(self):
         assert render_openmetrics(populated_registry()).endswith("# EOF\n")

@@ -30,7 +30,7 @@ def window_with(n=20, ms=5.0, hits=0, degraded=0, stale=0, errors=0):
     window = RollingWindow(window_s=60.0, clock=FakeClock())
     for i in range(n):
         window.record(
-            total_ms=ms,
+            latency_ms=ms,
             cache_hit=i < hits,
             degraded="ampr" if i < degraded else None,
             stale=i < stale,

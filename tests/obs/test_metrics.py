@@ -217,8 +217,8 @@ class TestExemplars:
 
     def test_registry_observe_threads_exemplar_through(self):
         reg = MetricsRegistry()
-        reg.observe("query_total_ms", 4.0, exemplar="q00000002", method="CBCS")
-        hist = reg.histogram("query_total_ms", method="CBCS")
+        reg.observe("query_wall_ms", 4.0, exemplar="q00000002", method="CBCS")
+        hist = reg.histogram("query_wall_ms", method="CBCS")
         assert hist.exemplar == ("q00000002", 4.0)
         [rec] = reg.as_dict()["histograms"]
         assert rec["exemplar"]["query_id"] == "q00000002"

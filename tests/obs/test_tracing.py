@@ -150,11 +150,12 @@ class TestStopwatchIntegration:
         assert traced == pytest.approx(watch.timings.processing_ms, abs=1e-5)
 
     def test_rejects_total_pseudo_stage(self):
-        # total_ms is a derived property, not a StageTimings field; the old
-        # hasattr() check wrongly accepted it.
-        with pytest.raises(ValueError):
-            with Stopwatch().stage("total"):
-                pass
+        # wall_ms is a derived property, not a StageTimings field, and there
+        # is no total at all; a hasattr() check would accept the first.
+        for name in ("total", "wall"):
+            with pytest.raises(ValueError):
+                with Stopwatch().stage(name):
+                    pass
 
     def test_untraced_stopwatch_still_works(self):
         watch = Stopwatch()

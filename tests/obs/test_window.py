@@ -31,7 +31,7 @@ class TestRecording:
         window, clock = make_window()
         for i in range(10):
             window.record(
-                total_ms=float(i),
+                latency_ms=float(i),
                 cache_hit=i % 2 == 0,
                 degraded="ampr" if i == 3 else None,
                 stale=i == 4,
@@ -50,7 +50,7 @@ class TestRecording:
     def test_percentiles_and_mean(self):
         window, clock = make_window()
         for v in range(1, 101):
-            window.record(total_ms=float(v))
+            window.record(latency_ms=float(v))
         snap = window.snapshot()
         assert snap.p50_ms == pytest.approx(50.0, abs=1.0)
         assert snap.p95_ms == pytest.approx(95.0, abs=1.0)
@@ -68,7 +68,7 @@ class TestRecording:
 
     def test_old_buckets_age_out(self):
         window, clock = make_window(window_s=5.0)
-        window.record(total_ms=1.0)
+        window.record(latency_ms=1.0)
         assert window.snapshot().queries == 1
         clock.advance(6.5)  # past the window: bucket 0 is outside
         assert window.snapshot().queries == 0
@@ -77,16 +77,16 @@ class TestRecording:
 
     def test_ring_reuse_resets_stale_bucket(self):
         window, clock = make_window(window_s=3.0, bucket_s=1.0)
-        window.record(total_ms=1.0)
+        window.record(latency_ms=1.0)
         clock.advance(4.0)  # wraps the ring back onto bucket index 0's slot
-        window.record(total_ms=2.0)
+        window.record(latency_ms=2.0)
         snap = window.snapshot()
         assert snap.queries == 1  # old bucket was reset, not double counted
 
     def test_qps_uses_populated_span_not_whole_window(self):
         window, clock = make_window(window_s=60.0)
         for _ in range(100):
-            window.record(total_ms=1.0)
+            window.record(latency_ms=1.0)
         clock.advance(2.0)
         snap = window.snapshot()
         assert snap.qps == pytest.approx(50.0, rel=0.1)
@@ -94,7 +94,7 @@ class TestRecording:
     def test_sample_cap_keeps_counts_exact(self):
         window, clock = make_window(max_samples_per_bucket=10)
         for v in range(100):
-            window.record(total_ms=float(v))
+            window.record(latency_ms=float(v))
         snap = window.snapshot()
         assert snap.queries == 100  # count exact beyond the latency cap
         assert snap.p50_ms <= 9.0  # percentile from the retained prefix
@@ -105,7 +105,7 @@ class TestSnapshotSerialization:
         import json
 
         window, clock = make_window()
-        window.record(total_ms=3.0, cache_hit=True)
+        window.record(latency_ms=3.0, cache_hit=True)
         payload = json.loads(json.dumps(window.snapshot().as_dict()))
         assert payload["queries"] == 1
         assert payload["cache_hit_ratio"] == 1.0
@@ -125,7 +125,7 @@ class TestValidationAndConcurrency:
 
         def pump():
             for _ in range(n):
-                window.record(total_ms=1.0, cache_hit=True)
+                window.record(latency_ms=1.0, cache_hit=True)
 
         workers = [threading.Thread(target=pump) for _ in range(threads)]
         for w in workers:

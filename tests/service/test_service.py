@@ -115,6 +115,34 @@ class TestObservability:
         assert window["p95_ms"] == window["p95_ms"]  # not NaN
         assert window["errors"] == 0
 
+    def test_window_latency_is_what_the_caller_waited(self):
+        """One worker, six requests submitted at once: each answer's latency
+        runs from its own submit, so queue wait counts.  The engine's own
+        timings -- no CPU, a huge simulated I/O -- are not the latency."""
+        import time
+
+        from repro.stats import QueryOutcome, StageTimings
+
+        sleep_ms = 20.0
+
+        class SleepingEngine:
+            def query(self, constraints):
+                time.sleep(sleep_ms / 1000.0)
+                return QueryOutcome(
+                    skyline=np.empty((0, 2)),
+                    method="sleeping",
+                    timings=StageTimings(fetch_io_ms=10_000.0),
+                )
+
+        queries = [Constraints([0.1 * i, 0.0], [1.0, 1.0]) for i in range(6)]
+        with QueryService(SleepingEngine(), workers=1, coalesce=False) as svc:
+            report = svc.run(queries)
+            snap = svc.window.snapshot()
+        assert report.answered == 6
+        # the median request sat behind at least two others
+        assert snap.p50_ms >= 3 * sleep_ms * 0.9
+        assert snap.p99_ms < 10_000.0
+
     def test_health_turns_unhealthy_on_errors(self, data):
         injector = FaultInjector(FaultProfile(transient_io=1.0), seed=3)
         engine = CBCS(FaultyDiskTable(DiskTable(data), injector))

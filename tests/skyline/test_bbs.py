@@ -184,6 +184,6 @@ class TestBBSMethod:
         assert outcome.method == "BBS"
         assert outcome.nodes_accessed > 0
         assert outcome.timings.fetch_io_ms > 0
-        assert outcome.total_ms > 0
+        assert outcome.timings.wall_ms > 0
         expected = constrained_oracle(pts, c)
         assert len(outcome.skyline) == len(expected)

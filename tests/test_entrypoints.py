@@ -40,7 +40,9 @@ def test_scripts_section_present():
     names = [name for name, _, _ in ENTRIES]
     assert "repro-obs-report" in names
     assert "repro-obs-explain" in names
-    assert "repro-bench-history" in names
+    # the snapshot trajectory renderer was retired; regress is the one
+    # compare (`python -m repro.bench.regress`)
+    assert "repro-bench-history" not in names
 
 
 @pytest.mark.parametrize(

@@ -11,13 +11,15 @@ from repro.storage.pager import IOStats
 
 class TestStageTimings:
     def test_total(self):
+        # wall_ms sums the measured stages and never the simulated fetch I/O
         t = StageTimings(
             processing_ms=1.0, fetch_io_ms=2.0, fetch_wall_ms=3.0, skyline_ms=4.0
         )
-        assert t.total_ms == pytest.approx(10.0)
+        assert t.wall_ms == pytest.approx(8.0)
+        assert not hasattr(t, "total_ms")
 
     def test_defaults_zero(self):
-        assert StageTimings().total_ms == 0.0
+        assert StageTimings().wall_ms == 0.0
 
 
 class TestStopwatch:
@@ -55,7 +57,7 @@ class TestQueryOutcome:
         assert out.points_read == 42
         assert out.range_queries == 5
         assert out.nonempty_queries == 3
-        assert out.total_ms == pytest.approx(1.0)
+        assert out.timings.wall_ms == pytest.approx(1.0)
 
     def test_defaults(self):
         out = QueryOutcome(skyline=np.empty((0, 2)), method="X")
