@@ -560,7 +560,7 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
     from pathlib import Path
 
     from repro.core.cache import SkylineCache
-    from repro.core.cache_backend import DiskCacheBackend
+    from repro.storage.wal import CheckpointedLog
 
     n = scaled(2_000, 10_000, 50_000)
     n_queries = scaled(40, 150, 400)
@@ -577,9 +577,11 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
             misses = cache.misses - misses0
             return hits / (hits + misses) if hits + misses else 0.0
 
-        cache = SkylineCache(
-            backend=DiskCacheBackend(cache_dir, fsync=False, checkpoint_every=None)
-        )
+        def durable_cache():
+            log = CheckpointedLog(cache_dir, "cache", fsync=False, checkpoint_every=None)
+            return SkylineCache(log=log)
+
+        cache = durable_cache()
         engine = make_cbcs(data, cache=cache)
         cold = run_queries(engine, queries)
         cold_rate = hit_rate(cache, 0, 0)
@@ -588,10 +590,8 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
         mem_rate = hit_rate(cache, h0, m0)
         engine.close()  # final checkpoint: the state a restart restores
 
-        cache2 = SkylineCache(
-            backend=DiskCacheBackend(cache_dir, fsync=False, checkpoint_every=None)
-        )
-        restored_items = cache2.backend.restored_items
+        cache2 = durable_cache()
+        restored_items = len(cache2)
         engine2 = make_cbcs(data, cache=cache2)
         warm = run_queries(engine2, queries)
         warm_rate = hit_rate(cache2, 0, 0)
@@ -625,7 +625,7 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
     )
     return FigureReport(
         figure="warmstart",
-        title="Warm restarts (persistent cache backend)",
+        title="Warm restarts (durable cache log)",
         text=text,
         series={
             "io_ms": io_ms,

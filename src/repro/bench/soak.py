@@ -44,7 +44,6 @@ import numpy as np
 
 from repro.bench.harness import scaled
 from repro.core.cache import SkylineCache
-from repro.core.cache_backend import DiskCacheBackend
 from repro.core.cbcs import CBCS
 from repro.core.dynamic import DynamicCBCS
 from repro.core.strategies import MaxOverlap, MaxOverlapSP
@@ -56,6 +55,7 @@ from repro.storage.durability import DurabilityManager
 from repro.storage.faults import FaultInjector, FaultyDiskTable, SimulatedCrash
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
+from repro.storage.wal import CheckpointedLog
 from repro.workload.generator import WorkloadGenerator
 
 #: chaos: the share of queries that must be answered above the stale rung
@@ -304,14 +304,14 @@ def _live_rows(data: np.ndarray, updates) -> np.ndarray:
 
 
 def _durable_state(sdir: Path, injector):
-    """A durability manager and a disk cache over ``sdir``'s files."""
+    """A durability manager and a durable cache over ``sdir``'s files."""
     manager = DurabilityManager(
         sdir / "durability", fsync=True, checkpoint_every=5, injector=injector
     )
-    backend = DiskCacheBackend(
-        sdir / "cache", fsync=True, checkpoint_every=8, injector=injector
+    log = CheckpointedLog(
+        sdir / "cache", "cache", fsync=True, checkpoint_every=8, injector=injector
     )
-    return manager, SkylineCache(backend=backend)
+    return manager, SkylineCache(log=log)
 
 
 def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -> dict:
@@ -356,6 +356,7 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
 
         injector.disarm_crashes()
         manager, cache = _durable_state(root / name, injector)
+        restored_items = len(cache)
         recovered = DynamicCBCS.recover(
             manager,
             cache=cache,
@@ -368,12 +369,12 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
             replayed_ops=rec.replayed_ops,
             checkpoint_lsn=rec.checkpoint_lsn,
             tail_status=rec.tail_status,
-            cache_tail_status=cache.backend.wal.opened_tail_status,
-            cache_restored_from=cache.backend.restored_from,
-            cache_restored_items=cache.backend.restored_items,
+            cache_tail_status=cache.log.wal.opened_tail_status,
+            cache_restored_from=cache.restored_from,
+            cache_restored_items=restored_items,
         )
         committed = rec.last_lsn
-        if point is None and cache.backend.restored_from == "cold":
+        if point is None and cache.restored_from == "cold":
             errors.append("warm restart: the control came back cold")
         if point is None and committed != len(updates):
             errors.append(

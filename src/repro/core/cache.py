@@ -13,6 +13,12 @@ item 10) and returns candidates in a documented order: ascending
 Cache replacement (Section 6.2) is supported by insertion and use counters
 on the items: this module implements LRU (least recently used) and LCU
 (least commonly used) eviction over a configurable capacity.
+
+A cache built with ``log=`` (a :class:`~repro.storage.wal.CheckpointedLog`)
+is durable: every mutation is journaled as it applies, the whole cache is
+snapshotted every ``checkpoint_every`` records, and constructing a cache
+over the same directory restores the snapshot plus the WAL tail (warm
+restart).  A snapshot that fails validation cold-starts the cache.
 """
 
 from __future__ import annotations
@@ -28,7 +34,7 @@ import numpy as np
 
 from repro.geometry.constraints import Constraints
 from repro.geometry.dominance import dominated_mask
-from repro.ioutil import atomic_savez
+from repro.ioutil import atomic_savez, decode_array, encode_array
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
 
 ReplacementPolicy = Literal["lru", "lcu"]
@@ -131,20 +137,18 @@ class SkylineCache:
         capacity: Optional[int] = None,
         policy: ReplacementPolicy = "lru",
         metrics: Optional[MetricsRegistry] = None,
-        backend=None,
+        log=None,
     ):
         """``capacity`` of None means unbounded (the paper's experiments
         never evict; replacement is exercised by our extension tests).
         ``metrics`` optionally mirrors the hit/miss/eviction counters into a
         shared :class:`~repro.obs.metrics.MetricsRegistry`.
 
-        ``backend`` selects the persistence backend (see
-        :mod:`repro.core.cache_backend`): the default None is the in-memory
-        backend -- bit-identical to a backend-less cache -- while a
-        :class:`~repro.core.cache_backend.DiskCacheBackend` journals every
-        mutation to a WAL, checkpoints periodic snapshots, and *restores*
-        any persisted state into this cache right here in the constructor
-        (warm restart).
+        ``log`` (a :class:`~repro.storage.wal.CheckpointedLog`, named
+        ``"cache"`` by convention) makes the cache durable: its snapshot and
+        WAL tail are restored into this cache right here in the constructor
+        (warm restart), and every later mutation is journaled to it.  The
+        default None keeps the cache in process memory only.
         """
         if capacity is not None and capacity < 1:
             raise ValueError("capacity must be positive (or None for unbounded)")
@@ -169,12 +173,14 @@ class SkylineCache:
         self.refreshes = 0
         self.quarantined = 0
         self.metrics = NULL_METRICS if metrics is None else metrics
-        if backend is None:
-            from repro.core.cache_backend import MemoryCacheBackend
-
-            backend = MemoryCacheBackend()
-        self.backend = backend
-        backend.attach(self)
+        #: a durable cache's restore source: ``"snapshot"``, ``"wal"``,
+        #: ``"snapshot+wal"`` or ``"cold"`` (None without a log)
+        self.restored_from: Optional[str] = None
+        # attached after the restore, so replayed records are not re-logged
+        self.log = None
+        if log is not None:
+            self.restored_from = self._restore(log)
+            self.log = log
 
     def bind_metrics(self, metrics: Optional[MetricsRegistry]) -> "SkylineCache":
         """Attach (or detach, with None) a shared metrics registry."""
@@ -221,7 +227,7 @@ class SkylineCache:
                     self._reindex(item, skyline)
                     self.refreshes += 1
                     self.metrics.inc("cache_refreshes_total")
-                    self.backend.record_put(item)
+                    self._journal("put", item)
                 self.touch(item)
                 self._apply_stamps(item, stamps)
                 return item
@@ -243,7 +249,7 @@ class SkylineCache:
             self._bounds.put(item.item_id, item.mbr_lo, item.mbr_hi)
             self.insertions += 1
             self.metrics.inc("cache_insertions_total")
-            self.backend.record_put(item)
+            self._journal("put", item)
             self._evict_if_needed()
             self.metrics.set_gauge("cache_items", len(self._items))
             return item
@@ -281,7 +287,7 @@ class SkylineCache:
                 refreshed.last_used = item.last_used
                 # Re-journal with the carried-over counters so a warm
                 # restart restores the same LRU/LCU ordering.
-                self.backend.record_put(refreshed)
+                self._journal("put", refreshed)
             return refreshed
 
     def touch(self, item: CacheItem) -> None:
@@ -303,7 +309,7 @@ class SkylineCache:
             self._items.clear()
             self._by_constraints.clear()
             self._bounds = None
-            self.backend.record_clear()
+            self._journal("clear")
         self.metrics.set_gauge("cache_items", 0)
 
     # ------------------------------------------------------------------
@@ -403,7 +409,7 @@ class SkylineCache:
             self._by_constraints.pop(item.constraints.key(), None)
             self._bounds.delete(item.item_id)
             self.quarantined += 1
-            self.backend.record_del(item)
+            self._journal("del", item)
         self.metrics.inc("cache_quarantined_total", reason=reason)
         self.metrics.set_gauge("cache_items", len(self._items))
 
@@ -441,12 +447,15 @@ class SkylineCache:
         }
 
     def checkpoint(self) -> None:
-        """Ask the backend to snapshot now (no-op for the memory backend)."""
-        self.backend.checkpoint()
+        """Snapshot a durable cache now and prune its WAL (no log: no-op)."""
+        if self.log is not None:
+            self.log.checkpoint(self)
 
     def close(self) -> None:
-        """Flush and close the persistence backend (memory backend: no-op)."""
-        self.backend.close()
+        """A durable cache's final checkpoint, then its WAL closes (no log:
+        no-op)."""
+        if self.log is not None:
+            self.log.close(self)
 
     def __len__(self) -> int:
         return len(self._items)
@@ -555,7 +564,7 @@ class SkylineCache:
         """Merge a saved archive's items into this cache; returns #loaded.
 
         Items keep their saved use counters and recency stamps.  Used by
-        :meth:`load` and the persistent backend's warm restart; raises
+        :meth:`load` and a durable cache's warm restart; raises
         :class:`CorruptCacheError` on any integrity failure *before*
         mutating the cache.
         """
@@ -603,4 +612,64 @@ class SkylineCache:
         del self._by_constraints[item.constraints.key()]
         if not self._bounds.delete(item.item_id):
             raise RuntimeError("cache index out of sync with item store")
-        self.backend.record_del(item)
+        self._journal("del", item)
+
+    # ------------------------------------------------------------------
+    # Durability (only with a log)
+    # ------------------------------------------------------------------
+    def _journal(self, op: str, item: Optional[CacheItem] = None) -> None:
+        """Log one mutation (under the lock, after it applied) and take the
+        checkpoint it makes due; a no-op for an in-memory cache."""
+        if self.log is None:
+            return
+        payload: dict = {"op": op}
+        if item is not None:
+            payload["lo"] = list(map(float, item.constraints.lo))
+            payload["hi"] = list(map(float, item.constraints.hi))
+        if op == "put":
+            payload["sky"] = encode_array(item.skyline)
+            payload["meta"] = [item.inserted_at, item.last_used, item.use_count]
+        self.log.append(payload)
+        self.log.maybe_checkpoint(self)
+
+    def _restore(self, log) -> str:
+        """Load ``log``'s snapshot, replay its tail; returns the source.
+
+        A snapshot that fails validation cold-starts the cache, counted by
+        ``cache_restore_corrupt_total``, and the empty cache is checkpointed
+        at once: the WAL tail assumes the rejected snapshot, so it is pruned
+        with it, and the records logged from here on replay onto a valid
+        snapshot after a crash.  Replay is idempotent over a snapshot newer
+        than the checkpoint LSN (puts are upserts, dels tolerate misses).
+        """
+        sources = []
+        if log.snapshot_path.exists():
+            try:
+                self.load_into(log.snapshot_path)
+            except CorruptCacheError:
+                log.metrics.inc("cache_restore_corrupt_total")
+                log.checkpoint(self)
+                return "cold"
+            sources.append("snapshot")
+        replayed = 0
+        for record in log.tail():
+            payload = record.payload
+            op = payload.get("op")
+            if op == "put":
+                self._put(
+                    Constraints(payload["lo"], payload["hi"]),
+                    decode_array(payload["sky"]),
+                    payload.get("meta"),
+                )
+            elif op == "del":
+                existing = self.exact_match(Constraints(payload["lo"], payload["hi"]))
+                if existing is not None:
+                    self.remove(existing)
+            elif op == "clear":
+                self.clear()
+            replayed += 1
+        if replayed:
+            sources.append("wal")
+        if self._items:
+            log.metrics.inc("cache_restored_items_total", len(self._items))
+        return "+".join(sources) or "cold"

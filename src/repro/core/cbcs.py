@@ -197,9 +197,8 @@ class CBCS:
         return f"CBCS[{self.region.name}]"
 
     def close(self) -> None:
-        """Flush the cache backend: a no-op for the default in-memory one; a
-        persistent backend takes a final checkpoint so the next start is
-        warm.
+        """Close the cache: a durable one takes a final checkpoint so the
+        next start is warm; an in-memory one has nothing to flush.
         """
         self.executor.close()
         self.cache.close()
@@ -480,7 +479,7 @@ class CBCS:
 
         sections = {}
         # planning itself can fail a pass (healing a corrupt item writes to
-        # the cache backend); such a record is just the outcome head
+        # a durable cache's log); such a record is just the outcome head
         if attempt.planned is not None:
             sections = plan_sections(
                 self.planner,

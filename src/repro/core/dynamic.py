@@ -123,13 +123,15 @@ class DynamicCBCS(CBCS):
     # Durability lifecycle
     # ------------------------------------------------------------------
     def checkpoint(self) -> None:
-        """Checkpoint the table (and the cache's backend, if persistent)."""
+        """Checkpoint the table's log (and the cache's, if it is durable)."""
         if self.durability is not None:
             self.durability.checkpoint(self.table)
         self.cache.checkpoint()
 
     def close(self) -> None:
-        """Checkpoint durable state, close the WAL, flush the cache."""
+        """Close the table's log and then the cache's, each through
+        :meth:`~repro.storage.wal.CheckpointedLog.close`: a final
+        checkpoint, then the WAL closes."""
         if self.durability is not None:
             self.durability.close(self.table)
         super().close()

@@ -18,7 +18,11 @@ reproduces that substrate in-process:
   every storage layer satisfies, with the stacking decorators
   (:class:`~repro.storage.backend.ResilientBackend`,
   :class:`~repro.storage.backend.InstrumentedBackend`) that compose fault
-  tolerance and instrumentation over a base table.
+  tolerance and instrumentation over a base table;
+- :class:`~repro.storage.wal.CheckpointedLog` -- a write-ahead log plus the
+  snapshot it is checkpointed into: the table's
+  :class:`~repro.storage.durability.DurabilityManager` and a durable
+  :class:`~repro.core.cache.SkylineCache` are each one.
 """
 
 from repro.storage.backend import (

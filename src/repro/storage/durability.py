@@ -16,7 +16,8 @@ the PostgreSQL write path for its table updates:
    the contract the crash soak (:func:`repro.bench.soak.crash`) asserts
    against the reference skyline of the committed rows.
 
-Directory layout::
+Directory layout (a :class:`~repro.storage.wal.CheckpointedLog` named
+``"table"``)::
 
     durability-dir/
       table.npz     last table checkpoint (atomic replace, CRC-validated)
@@ -31,22 +32,16 @@ serialized.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
-from repro.ioutil import atomic_write_json, decode_array, encode_array
-from repro.obs.metrics import NULL_METRICS
+from repro.ioutil import decode_array, encode_array
 from repro.storage.table import CorruptTableError, DiskTable
-from repro.storage.wal import WriteAheadLog
+from repro.storage.wal import CheckpointedLog
 
 __all__ = ["DurabilityManager", "RecoveryReport"]
-
-_TABLE_NAME = "table.npz"
-_META_NAME = "meta.json"
 
 
 @dataclass
@@ -77,44 +72,20 @@ class RecoveryReport:
         }
 
 
-class DurabilityManager:
-    """WAL + checkpoint + recovery for one engine's table updates.
+class DurabilityManager(CheckpointedLog):
+    """The table's checkpointed log: update batches, checkpoints, recovery.
 
-    ``checkpoint_every=N`` checkpoints after every N logged update batches
-    (None leaves checkpointing to explicit :meth:`checkpoint` calls);
-    ``fsync=False`` trades commit durability for speed in tests.  The
-    optional ``injector`` threads seeded crash points into every commit
+    A :class:`~repro.storage.wal.CheckpointedLog` named ``"table"``, so it
+    checkpoints, keeps its LSN horizon and closes exactly like the cache's
+    log.  ``checkpoint_every=N`` checkpoints after every N logged update
+    batches (None leaves checkpointing to explicit :meth:`checkpoint`
+    calls); ``fsync=False`` trades commit durability for speed in tests.
+    The optional ``injector`` threads seeded crash points into every commit
     site (``wal.append``, ``wal.fsync``, ``table.checkpoint``).
     """
 
-    def __init__(
-        self,
-        directory,
-        fsync: bool = True,
-        checkpoint_every: Optional[int] = 64,
-        injector=None,
-        metrics=None,
-    ):
-        if checkpoint_every is not None and checkpoint_every < 1:
-            raise ValueError("checkpoint_every must be positive (or None)")
-        self.directory = Path(directory)
-        self.directory.mkdir(parents=True, exist_ok=True)
-        self.table_path = self.directory / _TABLE_NAME
-        self.meta_path = self.directory / _META_NAME
-        self.checkpoint_every = checkpoint_every
-        self.injector = injector
-        self.metrics = NULL_METRICS if metrics is None else metrics
-        self.wal = WriteAheadLog(
-            self.directory / "wal",
-            fsync=fsync,
-            injector=injector,
-            metrics=self.metrics,
-        )
-        # Checkpoints prune covered segments, so a reopened WAL may hold no
-        # record of the LSN horizon -- restore it from the checkpoint meta,
-        # or fresh appends would reuse LSNs that replay then skips.
-        self.wal.last_lsn = max(self.wal.last_lsn, self._checkpoint_lsn())
-        self._ops_since_checkpoint = 0
+    def __init__(self, directory, **kwargs):
+        super().__init__(directory, "table", **kwargs)
 
     # ------------------------------------------------------------------
     # Logging (call BEFORE applying the update to the table)
@@ -127,14 +98,14 @@ class DurabilityManager:
         (a crash can land between the snapshot replace and the meta
         replace), making insert replay idempotent.
         """
-        return self._log(
+        return self.append(
             {"op": "insert", "start": int(start), "rows": encode_array(rows)}
         )
 
     def log_delete(self, rowids, coords: np.ndarray) -> int:
         """Journal one delete batch (ids + their coordinates, so recovery
         and cache reconciliation never need the pre-delete heap)."""
-        return self._log(
+        return self.append(
             {
                 "op": "delete",
                 "rowids": [int(r) for r in np.atleast_1d(rowids)],
@@ -142,65 +113,9 @@ class DurabilityManager:
             }
         )
 
-    def _log(self, payload: dict) -> int:
-        lsn = self.wal.append(payload)
-        self._ops_since_checkpoint += 1
-        return lsn
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-    def checkpoint(self, table: DiskTable) -> None:
-        """Snapshot ``table`` atomically, then prune the covered WAL.
-
-        Commit order mirrors :meth:`DiskCacheBackend.checkpoint
-        <repro.core.cache_backend.DiskCacheBackend.checkpoint>`: table
-        replace -> meta replace -> rotate + prune.  A crash between steps
-        replays a few extra records onto the newer snapshot; deletes are
-        idempotent and inserts are covered by the checkpoint-LSN horizon,
-        so recovery still converges.
-        """
-        crashpoint = (
-            self.injector.crash_check if self.injector is not None else None
-        )
-        lsn = self.wal.last_lsn
-        table.save(self.table_path, crashpoint=crashpoint)
-        atomic_write_json(self.meta_path, {"checkpoint_lsn": lsn})
-        self.wal.rotate()
-        self.wal.prune(lsn)
-        self._ops_since_checkpoint = 0
-        self.metrics.inc("table_checkpoints_total")
-
-    def ensure_checkpoint(self, table: DiskTable) -> None:
-        """Write the base checkpoint if this directory has none yet.
-
-        Recovery rebuilds "checkpoint + tail"; without a base snapshot the
-        initial dataset would be unrecoverable, so a durable engine seeds
-        one the moment it adopts a fresh directory.
-        """
-        if not self.table_path.exists():
-            self.checkpoint(table)
-
-    def maybe_checkpoint(self, table: DiskTable) -> bool:
-        """Auto-checkpoint once ``checkpoint_every`` batches accumulated."""
-        if (
-            self.checkpoint_every is not None
-            and self._ops_since_checkpoint >= self.checkpoint_every
-        ):
-            self.checkpoint(table)
-            return True
-        return False
-
     # ------------------------------------------------------------------
     # Recovery
     # ------------------------------------------------------------------
-    def _checkpoint_lsn(self) -> int:
-        try:
-            with open(self.meta_path) as handle:
-                return int(json.load(handle).get("checkpoint_lsn", 0))
-        except (OSError, ValueError):
-            return 0
-
     def recover(self) -> Tuple[DiskTable, RecoveryReport]:
         """Rebuild the table: last checkpoint + WAL tail replay.
 
@@ -210,14 +125,13 @@ class DurabilityManager:
         when a logged record cannot apply to it (a missing insert batch, a
         delete of a row outside the heap, an unknown op), naming the LSN.
         """
-        if not self.table_path.exists():
+        if not self.snapshot_path.exists():
             raise CorruptTableError(
-                f"no table checkpoint at {self.table_path}; nothing to recover"
+                f"no table checkpoint at {self.snapshot_path}; nothing to recover"
             )
-        table = DiskTable.load(self.table_path)
-        checkpoint_lsn = self._checkpoint_lsn()
+        table = DiskTable.load(self.snapshot_path)
         replayed: List[Tuple[str, np.ndarray]] = []
-        for record in self.wal.replay(after_lsn=checkpoint_lsn):
+        for record in self.tail():
             payload = record.payload
             op = payload.get("op")
             rows = decode_array(payload["rows"])
@@ -250,7 +164,7 @@ class DurabilityManager:
                 )
             replayed.append((op, rows))
         report = RecoveryReport(
-            checkpoint_lsn=checkpoint_lsn,
+            checkpoint_lsn=self.checkpoint_lsn,
             last_lsn=self.wal.last_lsn,
             replayed_ops=len(replayed),
             # A torn tail is truncated the moment the WAL reopens, so the
@@ -267,18 +181,3 @@ class DurabilityManager:
         if replayed:
             self.metrics.inc("table_recovered_ops_total", len(replayed))
         return table, report
-
-    # ------------------------------------------------------------------
-    # Lifecycle
-    # ------------------------------------------------------------------
-    def close(self, table: Optional[DiskTable] = None) -> None:
-        """Optionally checkpoint ``table`` one last time, then close."""
-        if table is not None:
-            self.checkpoint(table)
-        self.wal.close()
-
-    def __repr__(self) -> str:
-        return (
-            f"DurabilityManager({str(self.directory)!r}, "
-            f"last_lsn={self.wal.last_lsn})"
-        )

@@ -25,10 +25,10 @@ following a bad one) is real corruption, not a torn tail, and raises
 
 Rotation and compaction.  :meth:`rotate` seals the active segment and
 starts the next; :meth:`prune` deletes sealed segments whose records are
-all covered by a checkpoint.  The checkpointing side
-(:class:`repro.storage.durability.DurabilityManager`,
-:class:`repro.core.cache_backend.DiskCacheBackend`) calls both after each
-successful checkpoint, bounding log size.
+all covered by a checkpoint.  :class:`CheckpointedLog` -- a log plus the
+snapshot it is checkpointed into, the one durable-state primitive of the
+table and of the cache -- calls both after each successful checkpoint,
+bounding log size.
 
 Crash points.  An optional fault ``injector``
 (:class:`~repro.storage.faults.FaultInjector`) is consulted at
@@ -47,9 +47,10 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
+from repro.ioutil import atomic_write_json
 from repro.storage.faults import SimulatedCrash
 
-__all__ = ["CorruptWALError", "WalRecord", "WriteAheadLog"]
+__all__ = ["CheckpointedLog", "CorruptWALError", "WalRecord", "WriteAheadLog"]
 
 #: ``[lsn u64][length u32][crc u32]``
 _HEADER = struct.Struct("<QII")
@@ -280,7 +281,7 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     def rotate(self) -> Path:
         """Seal the active segment and open the next; returns the new path."""
-        self.close_handle()
+        self.close()
         self._active_seq += 1
         self._active_path = _segment_path(self.directory, self._active_seq)
         self._active_path.touch()
@@ -309,27 +310,134 @@ class WriteAheadLog:
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
-    @property
-    def size_bytes(self) -> int:
-        """Total bytes across all live segments."""
-        return sum(p.stat().st_size for p in self._segments())
-
-    def close_handle(self) -> None:
+    def close(self) -> None:
+        """Close the append handle; the next :meth:`append` reopens it."""
         if self._handle is not None:
             self._handle.close()
             self._handle = None
-
-    def close(self) -> None:
-        self.close_handle()
-
-    def __enter__(self) -> "WriteAheadLog":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:
         return (
             f"WriteAheadLog({str(self.directory)!r}, last_lsn={self.last_lsn}, "
             f"segments={len(self._segments())}, fsync={self.fsync})"
+        )
+
+
+class CheckpointedLog:
+    """A write-ahead log plus the snapshot it is checkpointed into.
+
+    The table's :class:`~repro.storage.durability.DurabilityManager` is one
+    (named ``"table"``), and a :class:`~repro.core.cache.SkylineCache` built
+    with ``log=`` journals into another (named ``"cache"``); both share this
+    checkpoint, LSN horizon and close path.  Each owns one directory::
+
+        directory/
+          <name>.npz    last snapshot (atomic replace, CRC-validated)
+          meta.json     {"checkpoint_lsn": N} (atomic replace)
+          wal/wal-*.log the records logged since
+
+    The owner appends one record per mutation and rebuilds itself from
+    :attr:`snapshot_path` plus :meth:`tail`; whatever is checkpointed only
+    needs ``save(path, crashpoint=None)``.  ``checkpoint_every=N``
+    checkpoints after every N appended records when the owner calls
+    :meth:`maybe_checkpoint` (None leaves it to explicit :meth:`checkpoint`
+    calls); ``fsync=False`` trades commit durability for speed in tests.
+    The optional ``injector`` threads seeded crash points into every commit
+    site (``wal.append``, ``wal.fsync`` and the snapshot's own ``save``).
+    """
+
+    def __init__(
+        self,
+        directory,
+        name: str,
+        fsync: bool = True,
+        checkpoint_every: Optional[int] = 64,
+        injector=None,
+        metrics=None,
+    ):
+        from repro.obs.metrics import NULL_METRICS
+
+        if checkpoint_every is not None and checkpoint_every < 1:
+            raise ValueError("checkpoint_every must be positive (or None)")
+        self.directory = Path(directory)
+        self.directory.mkdir(parents=True, exist_ok=True)
+        self.name = name
+        self.snapshot_path = self.directory / f"{name}.npz"
+        self.meta_path = self.directory / "meta.json"
+        self.checkpoint_every = checkpoint_every
+        self.injector = injector
+        self.metrics = NULL_METRICS if metrics is None else metrics
+        self.wal = WriteAheadLog(
+            self.directory / "wal", fsync=fsync, injector=injector, metrics=self.metrics
+        )
+        #: the last LSN the snapshot covers (0: no checkpoint yet)
+        self.checkpoint_lsn = self._read_checkpoint_lsn()
+        # Checkpoints prune covered segments, so a reopened WAL may hold no
+        # record of the LSN horizon -- restore it from the checkpoint meta,
+        # or fresh appends would reuse LSNs that replay then skips.
+        self.wal.last_lsn = max(self.wal.last_lsn, self.checkpoint_lsn)
+        self._since_checkpoint = 0
+
+    def _read_checkpoint_lsn(self) -> int:
+        try:
+            with open(self.meta_path) as handle:
+                return int(json.load(handle).get("checkpoint_lsn", 0))
+        except (OSError, ValueError):
+            return 0
+
+    def append(self, payload: dict) -> int:
+        """Journal one record; returns its LSN (durable on return)."""
+        lsn = self.wal.append(payload)
+        self._since_checkpoint += 1
+        return lsn
+
+    def tail(self) -> Iterator[WalRecord]:
+        """The records the snapshot does not cover, in LSN order."""
+        return self.wal.replay(after_lsn=self.checkpoint_lsn)
+
+    def checkpoint(self, state) -> None:
+        """Snapshot ``state`` atomically, then prune the covered WAL.
+
+        Commit order: snapshot replace -> meta replace -> rotate + prune.  A
+        crash between two steps leaves the meta behind the snapshot, so a
+        few records replay onto a snapshot that already holds them; each
+        owner's replay is idempotent for exactly that case.
+        """
+        crashpoint = (
+            self.injector.crash_check if self.injector is not None else None
+        )
+        lsn = self.wal.last_lsn
+        state.save(self.snapshot_path, crashpoint=crashpoint)
+        atomic_write_json(self.meta_path, {"checkpoint_lsn": lsn})
+        self.checkpoint_lsn = lsn
+        self.wal.rotate()
+        self.wal.prune(lsn)
+        self._since_checkpoint = 0
+        self.metrics.inc(f"{self.name}_checkpoints_total")
+
+    def ensure_checkpoint(self, state) -> None:
+        """Checkpoint ``state`` if this directory holds no snapshot yet."""
+        if not self.snapshot_path.exists():
+            self.checkpoint(state)
+
+    def maybe_checkpoint(self, state) -> bool:
+        """Checkpoint once ``checkpoint_every`` records accumulated."""
+        if (
+            self.checkpoint_every is not None
+            and self._since_checkpoint >= self.checkpoint_every
+        ):
+            self.checkpoint(state)
+            return True
+        return False
+
+    def close(self, state=None) -> None:
+        """Checkpoint ``state`` one last time (when given), then close."""
+        if state is not None:
+            self.checkpoint(state)
+        self.wal.close()
+
+    def __repr__(self) -> str:
+        return (
+            f"{type(self).__name__}({str(self.directory)!r}, "
+            f"last_lsn={self.wal.last_lsn})"
         )

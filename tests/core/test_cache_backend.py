@@ -1,14 +1,15 @@
-"""Cache persistence backends: memory no-op parity, disk warm restart,
-corrupt-snapshot policies, checksum round trips, quarantine-log bounds."""
+"""Durable caches: a ``CheckpointedLog`` leaves the in-memory cache as it
+was, warm restart from snapshot and WAL tail, the corrupt-snapshot cold
+start, checksum round trips."""
 
 import numpy as np
 import pytest
 
 from repro.core.cache import CorruptCacheError, SkylineCache
-from repro.core.cache_backend import DiskCacheBackend, MemoryCacheBackend
 from repro.core.strategies import default_strategy_suite
 from repro.geometry.constraints import Constraints
 from repro.obs.metrics import MetricsRegistry
+from repro.storage.wal import CheckpointedLog
 
 
 def _box(lo, hi, d=3):
@@ -28,6 +29,15 @@ def _fill(cache, n=5):
     return items
 
 
+def _durable(directory, capacity=None, **log_kwargs):
+    """A cache over ``directory``'s log: no fsync, no automatic checkpoint
+    unless ``log_kwargs`` say otherwise."""
+    log_kwargs = {"fsync": False, "checkpoint_every": None, **log_kwargs}
+    return SkylineCache(
+        capacity=capacity, log=CheckpointedLog(directory, "cache", **log_kwargs)
+    )
+
+
 def _state(cache):
     return sorted(
         (
@@ -39,109 +49,83 @@ def _state(cache):
     )
 
 
-class TestMemoryBackend:
-    def test_default_backend_is_memory(self):
-        cache = SkylineCache()
-        assert isinstance(cache.backend, MemoryCacheBackend)
-
-    def test_memory_backend_is_bit_identical_to_default(self):
+class TestLoggedCache:
+    def test_log_leaves_memory_state_identical(self, tmp_path):
         plain = SkylineCache()
-        backed = SkylineCache(backend=MemoryCacheBackend())
+        logged = _durable(tmp_path)
         _fill(plain)
-        _fill(backed)
+        _fill(logged)
         plain.remove(next(iter(plain)))
-        backed.remove(next(iter(backed)))
-        assert _state(plain) == _state(backed)
+        logged.remove(next(iter(logged)))
+        assert _state(plain) == _state(logged)
         assert (plain.hits, plain.misses, plain.insertions) == (
-            backed.hits, backed.misses, backed.insertions
+            logged.hits, logged.misses, logged.insertions
         )
-        backed.close()  # no-op, no files anywhere
+        assert plain.log is None and plain.restored_from is None
+        plain.close()  # no log: nothing to flush, no files anywhere
+        logged.close()
 
 
 class TestDiskWarmRestart:
     def test_restart_from_snapshot(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache = _durable(tmp_path)
         _fill(cache)
         cache.close()  # final checkpoint -> snapshot
 
-        warm = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
-        assert warm.backend.restored_from == "snapshot"
-        assert warm.backend.restored_items == 5
+        warm = _durable(tmp_path)
+        assert warm.restored_from == "snapshot"
+        assert len(warm) == 5
         assert _state(warm) == _state(cache)
         warm.close()
 
     def test_restart_from_wal_only(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache = _durable(tmp_path)
         _fill(cache, n=3)
-        cache.backend.wal.close()  # abandon without checkpoint
+        cache.log.wal.close()  # abandon without checkpoint
 
-        warm = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
-        assert warm.backend.restored_from == "wal"
+        warm = _durable(tmp_path)
+        assert warm.restored_from == "wal"
         assert _state(warm) == _state(cache)
         warm.close()
 
     def test_restart_from_snapshot_plus_wal_tail(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache = _durable(tmp_path)
         _fill(cache, n=3)
         cache.checkpoint()
         cache.insert(_box(0.8, 0.95), _skyline(99))  # journaled, unsnapshotted
-        cache.backend.wal.close()
+        cache.log.wal.close()
 
-        warm = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
-        assert warm.backend.restored_from == "snapshot+wal"
+        warm = _durable(tmp_path)
+        assert warm.restored_from == "snapshot+wal"
         assert _state(warm) == _state(cache)
         warm.close()
 
     def test_replay_covers_del_and_clear(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache = _durable(tmp_path)
         items = _fill(cache, n=3)
         cache.remove(items[1])
-        cache.backend.wal.close()
-        warm = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache.log.wal.close()
+        warm = _durable(tmp_path)
         assert _state(warm) == _state(cache)
         warm.clear()
-        warm.backend.wal.close()
-        colder = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        warm.log.wal.close()
+        colder = _durable(tmp_path)
         assert len(colder) == 0
         colder.close()
 
     def test_fresh_directory_is_cold(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
-        assert cache.backend.restored_from == "cold"
-        assert cache.backend.restored_items == 0
+        cache = _durable(tmp_path)
+        assert cache.restored_from == "cold"
+        assert len(cache) == 0
         cache.close()
 
     def test_restored_item_metadata_survives(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache = _durable(tmp_path)
         item = cache.insert(_box(0.0, 0.5), _skyline(1))
         cache.candidates(_box(0.1, 0.4))  # bump use_count/last_used
         use_count = item.use_count
         cache.close()
-        warm = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        warm = _durable(tmp_path)
         (restored,) = list(warm)
         assert restored.use_count == use_count
         warm.close()
@@ -149,42 +133,26 @@ class TestDiskWarmRestart:
     def test_crash_reopen_of_full_cache_keeps_capacity_items(self, tmp_path):
         """The WAL ends with put x4 + the del of the evicted one: replaying
         the fourth put must evict that same item, not the put itself."""
-        cache = SkylineCache(
-            capacity=3,
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None),
-        )
+        cache = _durable(tmp_path, capacity=3)
         early = cache.insert(_box(0.0, 0.2), _skyline(40))
         for _ in range(10):  # journaled stamps run ahead of a replay's clock
             cache.touch(early)
         cache.remove(early)
         _fill(cache, n=4)
         assert cache.evictions == 1
-        cache.backend.wal.close()  # crash: no final checkpoint
-        warm = SkylineCache(
-            capacity=3,
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None),
-        )
+        cache.log.wal.close()  # crash: no final checkpoint
+        warm = _durable(tmp_path, capacity=3)
         assert len(warm) == 3
         assert _state(warm) == _state(cache)
         warm.close()
 
     def test_auto_checkpoint_bounds_wal(self, tmp_path):
         metrics = MetricsRegistry()
-        cache = SkylineCache(
-            backend=DiskCacheBackend(
-                tmp_path, fsync=False, checkpoint_every=2, metrics=metrics
-            )
-        )
+        cache = _durable(tmp_path, checkpoint_every=2, metrics=metrics)
         _fill(cache, n=5)
         assert metrics.counter_value("cache_checkpoints_total") >= 2
-        assert (tmp_path / "snapshot.npz").exists()
+        assert (tmp_path / "cache.npz").exists()
         cache.close()
-
-    def test_backend_validation(self, tmp_path):
-        with pytest.raises(ValueError):
-            DiskCacheBackend(tmp_path, checkpoint_every=0)
-        with pytest.raises(ValueError):
-            DiskCacheBackend(tmp_path, on_corrupt="shrug")
 
 
 class TestRestoredClock:
@@ -236,10 +204,8 @@ class TestPlanDeterminism:
             lo = rng.uniform(0.0, 0.6, size=d)
             return Constraints(lo, lo + rng.uniform(0.1, 0.4, size=d))
 
-        backend_dir = tmp_path / "backend"
-        cold = SkylineCache(
-            backend=DiskCacheBackend(backend_dir, fsync=False, checkpoint_every=None)
-        )
+        log_dir = tmp_path / "log"
+        cold = _durable(log_dir)
         items = []
         for i in range(60):
             box = random_box()
@@ -250,13 +216,11 @@ class TestPlanDeterminism:
                 cold.remove(items[int(rng.integers(len(items) - 1))])
         path = tmp_path / "cache.npz"
         cold.save(path)
-        cold.backend.wal.close()
+        cold.log.wal.close()
 
         loaded = SkylineCache.load(path)
-        reopened = SkylineCache(
-            backend=DiskCacheBackend(backend_dir, fsync=False, checkpoint_every=None)
-        )
-        assert reopened.backend.restored_from == "snapshot+wal"
+        reopened = _durable(log_dir)
+        assert reopened.restored_from == "snapshot+wal"
         caches = [cold, loaded, reopened]
         suites = [default_strategy_suite(seed=0) for _ in caches]
         for _ in range(50):
@@ -277,51 +241,45 @@ class TestPlanDeterminism:
 
 class TestCorruptSnapshot:
     def _corrupt_snapshot(self, tmp_path):
-        path = tmp_path / "snapshot.npz"
+        path = tmp_path / "cache.npz"
         blob = bytearray(path.read_bytes())
         blob[len(blob) // 2] ^= 0xFF
         path.write_bytes(bytes(blob))
 
     def test_cold_policy_starts_empty_and_counts(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        cache = _durable(tmp_path)
         _fill(cache)
         cache.close()
         self._corrupt_snapshot(tmp_path)
 
         metrics = MetricsRegistry()
-        warm = SkylineCache(
-            backend=DiskCacheBackend(
-                tmp_path, fsync=False, checkpoint_every=None, metrics=metrics
-            )
-        )
-        assert warm.backend.restored_from == "cold"
+        warm = _durable(tmp_path, metrics=metrics)
+        assert warm.restored_from == "cold"
         assert len(warm) == 0
         assert metrics.counter_value("cache_restore_corrupt_total") == 1
         # The cache keeps working and re-persists cleanly.
         warm.insert(_box(0.2, 0.7), _skyline(5))
         warm.close()
-        again = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+        again = _durable(tmp_path)
         assert len(again) == 1
         again.close()
 
-    def test_raise_policy_propagates(self, tmp_path):
-        cache = SkylineCache(
-            backend=DiskCacheBackend(tmp_path, fsync=False, checkpoint_every=None)
-        )
+    def test_records_after_a_cold_start_survive_a_crash(self, tmp_path):
+        """The cold start is checkpointed at once, so what is journaled
+        after it replays onto a valid snapshot instead of being thrown away
+        with a still-corrupt one."""
+        cache = _durable(tmp_path)
         _fill(cache)
         cache.close()
         self._corrupt_snapshot(tmp_path)
-        with pytest.raises(CorruptCacheError):
-            SkylineCache(
-                backend=DiskCacheBackend(
-                    tmp_path, fsync=False, checkpoint_every=None,
-                    on_corrupt="raise",
-                )
-            )
+        cold = _durable(tmp_path)
+        assert cold.restored_from == "cold"
+        cold.insert(_box(0.2, 0.7), _skyline(5))
+        cold.log.wal.close()  # crash: no final checkpoint
+        warm = _durable(tmp_path)
+        assert warm.restored_from == "snapshot+wal"
+        assert _state(warm) == _state(cold)
+        warm.close()
 
 
 class TestChecksumRoundTrip:

@@ -3,11 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.core.cache import SkylineCache
 from repro.core.dynamic import DynamicCBCS
+from repro.geometry.constraints import Constraints
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.durability import DurabilityManager
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.table import CorruptTableError, DiskTable
+from repro.storage.wal import CheckpointedLog
 
 
 def _table(n=20, d=3, seed=0):
@@ -54,9 +57,9 @@ class TestLogApplyRecover:
         manager = DurabilityManager(tmp_path, fsync=False)
         manager.ensure_checkpoint(_table())
         manager.close()
-        blob = bytearray(manager.table_path.read_bytes())
+        blob = bytearray(manager.snapshot_path.read_bytes())
         blob[0] ^= 0xFF  # the first member's zip signature: never ignorable
-        manager.table_path.write_bytes(bytes(blob))
+        manager.snapshot_path.write_bytes(bytes(blob))
         with pytest.raises(CorruptTableError):
             DurabilityManager(tmp_path, fsync=False).recover()
 
@@ -72,7 +75,7 @@ class TestLogApplyRecover:
         table.append(rows)
         # Simulate the half-finished checkpoint: table snapshot written,
         # meta (and WAL prune) never happened.
-        table.save(manager.table_path)
+        table.save(manager.snapshot_path)
         manager.close()
 
         recovered, report = DurabilityManager(
@@ -136,7 +139,7 @@ class TestLogApplyRecover:
         table.delete(np.array([3], dtype=np.int64))
         # Checkpoint AFTER the apply, keeping the WAL tail (no prune racing
         # here: write the snapshot only, as a mid-checkpoint crash would).
-        table.save(manager.table_path)
+        table.save(manager.snapshot_path)
         manager.close()
 
         recovered, report = DurabilityManager(
@@ -190,7 +193,7 @@ class TestCheckpointing:
         manager.log_insert(rows, start=table.n)
         table.append(rows)
         assert manager.maybe_checkpoint(table) is True
-        assert manager._ops_since_checkpoint == 0
+        assert manager._since_checkpoint == 0
 
     def test_checkpoint_every_validation(self, tmp_path):
         with pytest.raises(ValueError):
@@ -212,7 +215,7 @@ class TestCrashRecovery:
         injector.arm_crash("table.checkpoint", after=0)
         with pytest.raises(SimulatedCrash):
             manager.checkpoint(table)
-        manager.wal.close_handle()
+        manager.wal.close()
 
         injector.disarm_crashes()
         recovered, report = DurabilityManager(
@@ -238,7 +241,7 @@ class TestCrashRecovery:
         doomed = np.random.default_rng(5).random((1, 3))
         with pytest.raises(SimulatedCrash):
             manager.log_insert(doomed, start=table.n)
-        manager.wal.close_handle()
+        manager.wal.close()
 
         injector.disarm_crashes()
         recovered, report = DurabilityManager(
@@ -266,3 +269,31 @@ class TestCrashRecovery:
             "checkpoint_lsn", "last_lsn", "replayed_ops", "tail_status",
             "live_rows",
         }
+
+
+class TestOneCheckpointedLog:
+    def test_table_and_cache_logs_share_layout_horizon_and_close(self, tmp_path):
+        """One durable engine, two logs: after ``close`` each directory is
+        ``<name>.npz`` + ``meta.json`` + ``wal/``, its checkpoint covers its
+        whole horizon, and a reopen replays nothing."""
+        cache = SkylineCache(
+            log=CheckpointedLog(tmp_path / "cache", "cache", fsync=False)
+        )
+        engine = DynamicCBCS(
+            _table(),
+            cache=cache,
+            durability=DurabilityManager(tmp_path / "table", fsync=False),
+        )
+        engine.query(Constraints([0.0] * 3, [0.8] * 3))
+        engine.insert_points(np.full((2, 3), 0.05))
+        engine.delete_points([1])
+        engine.close()
+        for name in ("table", "cache"):
+            directory = tmp_path / name
+            assert sorted(p.name for p in directory.iterdir()) == sorted(
+                [f"{name}.npz", "meta.json", "wal"]
+            )
+            reopened = CheckpointedLog(directory, name, fsync=False)
+            assert reopened.checkpoint_lsn == reopened.wal.last_lsn > 0
+            assert list(reopened.tail()) == []
+            reopened.close()

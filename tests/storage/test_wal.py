@@ -1,4 +1,5 @@
-"""Write-ahead log: framing, replay, rotation, torn tails, corruption."""
+"""Write-ahead log: framing, replay, rotation, torn tails, corruption, and
+the checkpointed log built on it."""
 
 import struct
 
@@ -6,7 +7,7 @@ import pytest
 
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.faults import FaultInjector, SimulatedCrash
-from repro.storage.wal import CorruptWALError, WriteAheadLog, _frame
+from repro.storage.wal import CheckpointedLog, CorruptWALError, WriteAheadLog, _frame
 
 
 def _fill(wal, n, start=1):
@@ -169,7 +170,7 @@ class TestCrashPoints:
         injector.arm_crash("wal.append", after=0)
         with pytest.raises(SimulatedCrash):
             wal.append({"op": "doomed"})
-        wal.close_handle()
+        wal.close()
         reopened = WriteAheadLog(tmp_path, fsync=False)
         assert [r.lsn for r in reopened.records()] == [1, 2]
         assert reopened.opened_tail_status == "clean"
@@ -182,7 +183,7 @@ class TestCrashPoints:
         injector.arm_crash("wal.append", after=0, torn_fraction=0.5)
         with pytest.raises(SimulatedCrash):
             wal.append({"op": "doomed", "padding": "x" * 64})
-        wal.close_handle()
+        wal.close()
         reopened = WriteAheadLog(tmp_path, fsync=False)
         assert reopened.opened_tail_status == "torn"
         assert [r.lsn for r in reopened.records()] == [1, 2]
@@ -197,7 +198,7 @@ class TestLsnHorizon:
 
         After a checkpoint prunes every covered segment the reopened log is
         empty; ``last_lsn`` must be restored by the checkpointing layer (see
-        DurabilityManager/DiskCacheBackend) or new appends reuse skipped
+        :class:`CheckpointedLog`) or new appends reuse skipped
         LSNs.  The WAL itself reports 0 here -- this pins the contract the
         callers compensate for.
         """
@@ -222,3 +223,31 @@ class TestLsnHorizon:
         assert record.lsn == 7
         assert record.payload == {"op": "x"}
         wal.close()
+
+
+class _Blob:
+    """The least a checkpoint needs: ``save(path, crashpoint=None)``."""
+
+    def __init__(self):
+        self.saves = 0
+
+    def save(self, path, crashpoint=None):
+        self.saves += 1
+        path.write_bytes(b"snapshot %d" % self.saves)
+
+
+class TestCheckpointedLog:
+    def test_maybe_checkpoint_counts_appends_and_names_its_metric(self, tmp_path):
+        metrics = MetricsRegistry()
+        log = CheckpointedLog(tmp_path, "blob", checkpoint_every=2, metrics=metrics)
+        blob = _Blob()
+        log.ensure_checkpoint(blob)  # the base snapshot
+        log.ensure_checkpoint(blob)  # already there: no second one
+        log.append({"op": "a"})
+        assert log.maybe_checkpoint(blob) is False
+        log.append({"op": "b"})
+        assert log.maybe_checkpoint(blob) is True
+        assert blob.saves == 2
+        assert (tmp_path / "blob.npz").read_bytes() == b"snapshot 2"
+        assert metrics.counter_value("blob_checkpoints_total") == 2
+        log.close()
