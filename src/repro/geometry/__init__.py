@@ -26,8 +26,8 @@ from repro.geometry.constraints import (
 from repro.geometry.dominance import (
     dominance_region,
     dominates,
-    dominates_all,
     dominated_mask,
+    weakly_dominated_mask,
 )
 from repro.geometry.interval import Interval
 
@@ -40,6 +40,6 @@ __all__ = [
     "dominance_region",
     "dominated_mask",
     "dominates",
-    "dominates_all",
     "overlap_region",
+    "weakly_dominated_mask",
 ]

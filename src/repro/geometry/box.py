@@ -246,8 +246,8 @@ class Box:
 
 
 #: Largest broadcast table a :class:`BoxSet` operation materializes at once,
-#: in cells; larger ones are built a block of rows at a time (the bound
-#: :func:`repro.geometry.dominance.dominated_mask` uses, for the same reason).
+#: in cells; larger ones are built a block of rows at a time (the bound both
+#: kernels of :mod:`repro.geometry.dominance` use, for the same reason).
 _MAX_CELLS = 1 << 18
 
 _Bounds = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]

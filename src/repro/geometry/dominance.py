@@ -4,6 +4,11 @@ Throughout the library (and the paper), smaller is better in every dimension:
 ``s`` dominates ``t`` (written ``s < t`` in the paper) iff ``s[i] <= t[i]``
 for every dimension and ``s[i] < t[i]`` for at least one.
 
+Two vectorized kernels share one chunk loop: :func:`dominated_mask` tests
+that definition for inputs in any order, and :func:`weakly_dominated_mask`
+tests only the ``<=`` half, which decides dominance among distinct rows and
+is all sort-based SFS needs.
+
 Dominance regions and coordinate duplicates
 -------------------------------------------
 ``DR(s)`` as returned by :func:`dominance_region` is the *closed* corner
@@ -25,10 +30,11 @@ import numpy as np
 from repro.geometry.box import Box
 from repro.geometry.constraints import Constraints
 
-#: Largest ``rows x dominators`` table :func:`dominated_mask` materializes at
-#: once: two boolean tables plus two comparison temporaries of this many
-#: bytes, 1 MiB in all.  Larger inputs are processed in row chunks; measured
-#: flat from 64 Ki cells up, so the smaller footprint is free.
+#: Largest ``rows x dominators`` table the dominance kernels materialize at
+#: once: :func:`dominated_mask` holds two boolean tables plus two comparison
+#: temporaries of this many bytes (1 MiB in all), :func:`weakly_dominated_mask`
+#: one table and one temporary.  Larger inputs are processed in row chunks;
+#: measured flat from 64 Ki cells up, so the smaller footprint is free.
 _MAX_CELLS = 1 << 18
 
 
@@ -39,27 +45,13 @@ def dominates(s: Sequence[float], t: Sequence[float]) -> bool:
     return bool(np.all(s_arr <= t_arr) and np.any(s_arr < t_arr))
 
 
-def dominates_all(points: np.ndarray, t: Sequence[float]) -> np.ndarray:
-    """Return a mask of which rows of ``points`` dominate point ``t``."""
-    points = np.asarray(points, dtype=float)
-    t_arr = np.asarray(t, dtype=float)
-    le = np.all(points <= t_arr, axis=1)
-    lt = np.any(points < t_arr, axis=1)
-    return le & lt
-
-
-def dominated_mask(points: np.ndarray, dominators: np.ndarray) -> np.ndarray:
-    """Return a mask of rows of ``points`` dominated by any row of ``dominators``.
-
-    ``points`` is ``(n, d)`` and ``dominators`` is ``(m, d)``; the result has
-    length ``n``.  This is the one dominance kernel of the library: SFS, the
-    D&C / BSkyTree merges, cache verification and skyline maintenance all
-    call it.  It builds the ``(n, m)`` "``<=`` in every dimension" and
-    "``<`` in some dimension" tables one dimension at a time -- ``2 d``
-    broadcast comparisons, no reduction over the short length-``d`` axis and
-    no Python loop over dominators -- a chunk of rows at a time, so each
-    boolean temporary holds at most ``max(_MAX_CELLS, m)`` cells.
-    """
+def _any_per_row(points, dominators, table) -> np.ndarray:
+    """The chunk loop both kernels share: ``out[i]`` is whether row ``i`` of
+    the ``(n, m)`` table has a True cell.  ``table(chunk, columns, start)``
+    builds the rows of a chunk of ``points`` that begins at row ``start``;
+    ``columns`` holds the dominators as a contiguous ``(d, m)`` array, so
+    each comparison streams a row.  A chunk's table holds at most
+    ``max(_MAX_CELLS, m)`` cells."""
     points = np.asarray(points, dtype=float)
     dominators = np.asarray(dominators, dtype=float)
     n, m = len(points), len(dominators)
@@ -70,20 +62,74 @@ def dominated_mask(points: np.ndarray, dominators: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"points {points.shape} and dominators {dominators.shape} differ in width"
         )
-    columns = np.ascontiguousarray(dominators.T)  # each comparison streams a row
+    columns = np.ascontiguousarray(dominators.T)
     rows = max(1, _MAX_CELLS // m)
     for start in range(0, n, rows):
-        block = points[start : start + rows]
-        value = block[:, :1]
-        le = columns[0] <= value
-        lt = columns[0] < value
-        for i in range(1, block.shape[1]):
-            value = block[:, i : i + 1]
-            le &= columns[i] <= value
-            lt |= columns[i] < value
-        le &= lt
-        out[start : start + rows] = le.any(axis=1)
+        chunk = table(points[start : start + rows], columns, start)
+        out[start : start + rows] = chunk.any(axis=1)
     return out
+
+
+def _le_table(block, columns, start=0) -> np.ndarray:
+    """``(rows, m)``: dominator ``j`` is ``<=`` row ``i`` in every dimension."""
+    le = columns[0] <= block[:, :1]
+    for i in range(1, block.shape[1]):
+        le &= columns[i] <= block[:, i : i + 1]
+    return le
+
+
+def _dominance_table(block, columns, start=0) -> np.ndarray:
+    """``(rows, m)``: dominator ``j`` dominates row ``i``."""
+    value = block[:, :1]
+    le = columns[0] <= value
+    lt = columns[0] < value
+    for i in range(1, block.shape[1]):
+        value = block[:, i : i + 1]
+        le &= columns[i] <= value
+        lt |= columns[i] < value
+    le &= lt
+    return le
+
+
+def _le_table_off_diagonal(block, columns, start) -> np.ndarray:
+    """:func:`_le_table` of a chunk of the dominators against all of them,
+    without the cells that compare a row with itself."""
+    le = _le_table(block, columns)
+    le.reshape(-1)[start :: le.shape[1] + 1] = False  # cells (i, start + i)
+    return le
+
+
+def dominated_mask(points: np.ndarray, dominators: np.ndarray) -> np.ndarray:
+    """Return a mask of rows of ``points`` dominated by any row of ``dominators``.
+
+    ``points`` is ``(n, d)`` and ``dominators`` is ``(m, d)``; the result has
+    length ``n``.  This is the kernel for inputs in no particular order: the
+    D&C / BSkyTree merges, cache verification and skyline maintenance call
+    it.  It builds the ``(n, m)`` "``<=`` in every dimension" and "``<`` in
+    some dimension" tables one dimension at a time -- ``2 d`` broadcast
+    comparisons, no reduction over the short length-``d`` axis and no Python
+    loop over dominators -- a chunk of rows at a time, so each boolean
+    temporary holds at most ``max(_MAX_CELLS, m)`` cells.
+    """
+    return _any_per_row(points, dominators, _dominance_table)
+
+
+def weakly_dominated_mask(
+    points: np.ndarray, dominators: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Return a mask of rows of ``points`` that some row of ``dominators`` is
+    ``<=`` in every dimension; with no ``dominators``, some *other* row of
+    ``points`` (the table's diagonal is dropped).
+
+    The kernel for sorted input (:func:`~repro.skyline.sfs.sfs_skyline`):
+    when no two rows are equal, a row that is ``<=`` another in every
+    dimension dominates it, so only the "``<=``" table is needed -- ``d``
+    broadcast comparisons per cell and one boolean table, half the work of
+    :func:`dominated_mask`, in the same row chunks.
+    """
+    if dominators is None:
+        return _any_per_row(points, points, _le_table_off_diagonal)
+    return _any_per_row(points, dominators, _le_table)
 
 
 def dominance_region(

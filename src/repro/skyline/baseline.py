@@ -44,13 +44,12 @@ class BaselineMethod:
         """Answer one constrained skyline query."""
         obs = self.obs
         watch = Stopwatch(tracer=obs.tracer)
-        before = self.table.stats.snapshot()
         with obs.tracer.span("baseline.query"):
             with watch.stage("fetch_wall"):
                 result = self.table.range_query(constraints.region())
             with watch.stage("skyline"):
                 skyline = result.points[sfs_skyline(result.points)]
-        io = self.table.stats.delta_since(before)
+        io = result.io_stats()  # this query's charges alone
         watch.timings.fetch_io_ms = io.simulated_io_ms
         outcome = QueryOutcome(
             skyline=skyline, method=self.name, timings=watch.timings, io=io

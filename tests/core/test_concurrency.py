@@ -85,6 +85,37 @@ class TestBitIdenticalAnswers:
         assert billed.range_queries > len(queries)  # plans did fan out
         assert billed == shared.table.stats.delta_since(before)
 
+    def test_baseline_workers_4_bills_each_query_its_own_fetch(
+        self, data, eager_thread_switches
+    ):
+        """Four threads on one ``BaselineMethod``: each outcome's ``io`` is
+        what its own range query charged, and the charges add up to what the
+        table counted."""
+        queries = list(WorkloadGenerator(data, seed=11).independent_queries(120))
+        table = DiskTable(data)
+        method = BaselineMethod(table)
+        fetched = {}
+        range_query = table.range_query
+
+        def recording(box):
+            result = range_query(box)
+            fetched[repr(box)] = result
+            return result
+
+        table.range_query = recording
+        before = table.stats.snapshot()
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            outcomes = list(pool.map(method.query, queries))
+
+        serial = BaselineMethod(DiskTable(data))
+        billed = IOStats()
+        for c, outcome in zip(queries, outcomes):
+            assert outcome.io == fetched[repr(c.region())].io_stats()
+            assert outcome.io == serial.query(c).io
+            billed.add(outcome.io)
+        assert len(fetched) == len(queries)
+        assert billed == table.stats.delta_since(before)
+
     def test_serial_engine_timings_unchanged_shape(self, data):
         """One simulated clock, whatever the method."""
         c = Constraints([0.1] * 3, [0.9] * 3)

@@ -12,7 +12,7 @@ from repro.geometry.dominance import (
     dominance_region,
     dominated_mask,
     dominates,
-    dominates_all,
+    weakly_dominated_mask,
 )
 
 
@@ -48,15 +48,6 @@ class TestDominates:
 
 
 class TestVectorized:
-    @given(
-        arrays(np.float64, (8, 3), elements=st.floats(-50, 50)),
-        coords,
-    )
-    def test_dominates_all_matches_scalar(self, pts, t):
-        mask = dominates_all(pts, t)
-        expected = [dominates(row, t) for row in pts]
-        np.testing.assert_array_equal(mask, expected)
-
     @given(
         arrays(np.float64, (8, 3), elements=st.floats(-50, 50)),
         arrays(np.float64, (4, 3), elements=st.floats(-50, 50)),
@@ -130,6 +121,75 @@ class TestDominatedMaskKernel:
     def test_self_comparison_keeps_duplicates(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
         assert list(dominated_mask(pts, pts)) == [False, False, True, False]
+
+
+def weak_reference(points, dominators, skip_self=False):
+    """Whether some dominator is ``<=`` each point in every dimension, from
+    the scalar definition: dominance, or equality."""
+    return [
+        any(
+            dominates(dom, row) or np.array_equal(dom, row)
+            for j, dom in enumerate(dominators)
+            if not (skip_self and j == i)
+        )
+        for i, row in enumerate(points)
+    ]
+
+
+class TestWeaklyDominatedMask:
+    @pytest.mark.parametrize("ndim", [1, 2, 4])
+    @pytest.mark.parametrize("n, m", [(1, 1), (1, 30), (30, 1), (33, 47)])
+    def test_matches_scalar_definition(self, n, m, ndim):
+        rng = np.random.default_rng(1000 * n + 10 * m + ndim)
+        # a coarse grid with signed zeros: ties and equal rows are common
+        grid = np.array([-0.0, 0.0, 1.0, 2.0])
+        pts = grid[rng.integers(0, 4, size=(n, ndim))]
+        doms = grid[rng.integers(0, 4, size=(m, ndim))]
+        np.testing.assert_array_equal(
+            weakly_dominated_mask(pts, doms), weak_reference(pts, doms)
+        )
+
+    @pytest.mark.parametrize("n", [1, 2, 40])
+    def test_self_comparison_drops_only_the_diagonal(self, n):
+        rng = np.random.default_rng(n)
+        pts = rng.integers(0, 3, size=(n, 2)).astype(float)
+        np.testing.assert_array_equal(
+            weakly_dominated_mask(pts), weak_reference(pts, pts, skip_self=True)
+        )
+
+    def test_equal_rows_count_as_dominators(self):
+        pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
+        assert list(weakly_dominated_mask(pts)) == [True, True, True, False]
+        assert list(dominated_mask(pts, pts)) == [False, False, True, False]
+
+    @pytest.mark.parametrize("offset", [-1, 0, 1])
+    def test_chunk_edge(self, offset):
+        """``n`` one short of, at and one past a whole number of row chunks."""
+        m = 1024
+        rows = dominance._MAX_CELLS // m
+        rng = np.random.default_rng(offset + 1)
+        pts = rng.integers(0, 8, size=(2 * rows + offset, 3)).astype(float)
+        doms = rng.integers(0, 8, size=(m, 3)).astype(float) + 2.0
+        expected = np.array([np.all(doms <= row, axis=1).any() for row in pts])
+        assert 0 < expected.sum() < len(pts)
+        np.testing.assert_array_equal(weakly_dominated_mask(pts, doms), expected)
+
+    def test_self_comparison_across_chunks(self, monkeypatch):
+        """Each chunk drops the diagonal cells of its own rows."""
+        monkeypatch.setattr(dominance, "_MAX_CELLS", 64)
+        rng = np.random.default_rng(4)
+        pts = rng.integers(0, 4, size=(50, 2)).astype(float)  # 1 row per chunk
+        np.testing.assert_array_equal(
+            weakly_dominated_mask(pts), weak_reference(pts, pts, skip_self=True)
+        )
+        monkeypatch.setattr(dominance, "_MAX_CELLS", 7 * 50)
+        np.testing.assert_array_equal(
+            weakly_dominated_mask(pts), weak_reference(pts, pts, skip_self=True)
+        )
+
+    def test_rejects_mismatched_widths(self):
+        with pytest.raises(ValueError):
+            weakly_dominated_mask(np.ones((5, 2)), np.zeros((3, 3)))
 
 
 class TestDominanceRegion:

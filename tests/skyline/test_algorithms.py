@@ -220,6 +220,54 @@ class TestSfsAcrossBlocks:
         self.check(pts)
 
 
+#: Coordinates whose sums tie often: signed zeros, and offsets that 1e16
+#: absorbs (the spacing of doubles there is 2).
+TIE_GRID = (-0.0, 0.0, 0.25, 1.0, 1e16, 1e16 + 2.0)
+#: The same steps without the absorbing offsets.
+SMALL_GRID = (-0.0, 0.0, 0.25, 0.5, 1.0)
+
+
+@st.composite
+def sfs_inputs(draw):
+    """``(points, ties)``: up to ~450 rows of 1-5 grid coordinates, so the
+    input crosses the 64 / 128 / 256 block edges.  With ``ties`` the grid
+    holds 1e16 offsets and one-sided infinities and a row is repeated, so
+    two sums are equal; without, a per-row ramp below the grid step makes
+    every sum distinct."""
+    ties = draw(st.booleans())
+    n = draw(st.integers(1, 450))
+    ndim = draw(st.integers(1, 5))
+    if ties:
+        inf = draw(st.sampled_from([np.inf, -np.inf]))  # never both: NaN sums
+        grid = TIE_GRID + (inf,)
+    else:
+        grid = SMALL_GRID
+    pts = draw(arrays(np.float64, (n, ndim), elements=st.sampled_from(grid)))
+    if ties:
+        pts = np.vstack([pts, pts[draw(st.integers(0, n - 1))]])
+    else:
+        # 450 * 2**-12 < 0.25: the ramp separates rows whose grid sums tie
+        # and never reaches the next grid sum
+        pts[:, 0] += np.arange(n) * 2.0**-12
+    return pts, ties
+
+
+class TestSfsSortPaths:
+    @given(sfs_inputs())
+    @settings(max_examples=120, deadline=None)
+    def test_matches_oracle_on_both_sort_paths(self, drawn):
+        """Distinct sums take the sum-only sort; any equal pair of sums
+        takes the lexicographic fallback that folds equal rows."""
+        pts, ties = drawn
+        sums = pts.sum(axis=1)
+        assert (len(np.unique(sums)) < len(sums)) == ties
+        np.testing.assert_array_equal(sfs_skyline(pts), brute_force_skyline(pts))
+
+    def test_signed_zero_rows_are_equal(self):
+        pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 1.0], [-0.0, 1.0]])
+        assert list(sfs_skyline(pts)) == [0, 1, 3]
+
+
 class TestSfsRejectsUnsortableInput:
     @pytest.mark.filterwarnings("ignore:invalid value encountered")
     def test_nan_coordinate_sum(self):
