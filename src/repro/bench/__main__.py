@@ -335,9 +335,6 @@ def main(argv=None) -> int:
     if obs is not None:
         if obs.explainer is not None:
             obs.explainer.close()
-        if ledger is not None:
-            # Gauges must land before metrics.json is serialized below.
-            ledger.export_gauges(obs.metrics)
         obs.close()
         if opts.obs is not None:
             from pathlib import Path

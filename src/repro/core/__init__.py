@@ -20,7 +20,8 @@ Modules:
   classification, MPR planning; zero I/O) behind both ``CBCS.explain`` and
   execution;
 - :mod:`~repro.core.executor` -- runs a plan's disjoint range queries
-  against a storage backend, in plan order;
+  against the engine's table, in plan order (each one guarded by
+  ``Resilience.read`` when resilience is on);
 - :mod:`~repro.core.cbcs` -- the CBCS query engine tying it all together.
 
 Extension beyond the paper's evaluation (flagged as future work there):

@@ -15,14 +15,14 @@ The engine is split into three layers (see ``docs/architecture.md``):
   selection, case classification (Section 5) and MPR/aMPR planning -- zero
   I/O, shared verbatim by :meth:`CBCS.explain` and the execution path;
 - an :class:`~repro.core.executor.Executor` that runs a plan's disjoint
-  range queries against a :class:`~repro.storage.backend.StorageBackend`,
-  in plan order on the calling thread;
-- a backend stack composed of decorators
-  (:class:`~repro.storage.backend.ResilientBackend` for validation + retry
-  + circuit breaker, :class:`~repro.storage.backend.InstrumentedBackend`
-  for per-call counters) over the base table -- a
-  :class:`~repro.storage.table.DiskTable`, or a partitioned fleet of them
-  behind the same protocol.
+  range queries, in plan order on the calling thread, against the one
+  table the engine holds -- a :class:`~repro.storage.table.DiskTable`, a
+  :class:`~repro.storage.sharding.ShardedTable`, or either behind a
+  fault injector, all satisfying
+  :class:`~repro.storage.backend.StorageBackend`;
+- with resilience on, each of those range queries is one
+  :meth:`repro.resilience.Resilience.read` (validation + retry + circuit
+  breaker) instead of a bare ``table.range_query``.
 
 ``CBCS`` itself keeps the stateful glue, and states the paper's sequence
 exactly once, in :meth:`CBCS._answer`: search, verify, select, plan (a miss
@@ -54,7 +54,6 @@ from repro.resilience import DEGRADABLE, DeadlineExceeded, resolve_resilience
 from repro.resilience.deadline import Deadline
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, Stopwatch
-from repro.storage.backend import build_backend
 from repro.storage.table import DiskTable
 
 __all__ = [
@@ -139,11 +138,11 @@ class CBCS:
         ``resilience`` enables the fault-tolerance layer: pass ``True`` for
         defaults or a :class:`repro.resilience.Resilience` to tune the
         retry policy / circuit breaker.  With it on, every storage range
-        query runs through a :class:`~repro.storage.backend.ResilientBackend`
-        (validated, retried per box against a shared per-query budget,
-        guarded by the circuit breaker); exhausted retries fall down the
-        degradation ladder (aMPR re-plan -> bounding fetch -> stale cache
-        serve) instead of raising, and cache items are invariant-verified
+        query is a :meth:`repro.resilience.Resilience.read` (validated,
+        retried per box against a shared per-query budget, guarded by the
+        circuit breaker); exhausted retries fall down the degradation
+        ladder (aMPR re-plan -> bounding fetch -> stale cache serve)
+        instead of raising, and cache items are invariant-verified
         before CBCS prunes with them.  The default ``None`` keeps the
         historic fail-fast behaviour with zero overhead.
         """
@@ -188,9 +187,6 @@ class CBCS:
                 self._fallback_region.bind_obs(obs)
         self.planner = Planner(self.strategy, self.region, self.table.forecast)
         self.executor = Executor()
-        #: the storage stack all query I/O goes through; ``self.table`` stays
-        #: the caller's handle for data maintenance (append/delete/vacuum)
-        self.backend = build_backend(self.table, resilience=self.resilience, obs=obs)
 
     @property
     def name(self) -> str:
@@ -394,7 +390,9 @@ class CBCS:
             )
 
         with watch.stage("fetch_wall"):
-            fetch = self.executor.fetch(self.backend, plan.boxes, retry_state)
+            fetch = self.executor.fetch(
+                self.table, plan.boxes, self.resilience, retry_state
+            )
         attempt.parts = fetch.parts
         fetched = fetch.result
 

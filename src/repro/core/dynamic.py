@@ -200,12 +200,14 @@ class DynamicCBCS(CBCS):
             if self.on_delete == "evict":
                 self._evict_item(item)
                 continue
-            # refresh: one range query re-derives the item's skyline.  The
-            # fetch runs through the engine's storage stack, so with
-            # resilience on it is validated and retried; a refresh that
-            # still fails falls back to eviction (a miss, never staleness).
+            # refresh: one range query re-derives the item's skyline.  It is
+            # a one-box fetch on the query path, so with resilience on it is
+            # validated and retried; a refresh that still fails falls back
+            # to eviction (a miss, never staleness).
             try:
-                result = self.backend.range_query(item.constraints.region())
+                result = self.executor.fetch(
+                    self.table, [item.constraints.region()], self.resilience
+                ).result
             except DEGRADABLE:
                 self._evict_item(item)
                 continue

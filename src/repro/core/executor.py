@@ -1,12 +1,13 @@
-"""The execution layer: runs a plan's range queries against a backend.
+"""The execution layer: runs a plan's range queries against the table.
 
-The :class:`Executor` is the only component that talks to the
-:class:`~repro.storage.backend.StorageBackend` during a query, and
 :meth:`Executor.fetch` is the only place per-box results are gathered: it
-takes the planner's disjoint boxes and issues one ``range_query`` per box,
-in plan order, on the calling thread.  There is no other fetch path
-(DESIGN.md section 5, item 16): the disk is a cost model behind one lock,
-so threads here could only ever improve a simulated number.
+takes the planner's disjoint boxes and reads each one, in plan order, on
+the calling thread -- with ``table.range_query(box)``, or, when the engine
+runs with resilience, with :meth:`repro.resilience.Resilience.read` (the
+same call, validated, retried and behind the circuit breaker).  There is
+no other fetch path (DESIGN.md section 5, item 16): the disk is a cost
+model behind one lock, so threads here could only ever improve a
+simulated number.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ class FetchOutcome:
 
 
 class Executor:
-    """Runs a plan's range queries against a storage backend.
+    """Runs a plan's range queries against a table.
 
     Stateless.  It stays an object with :meth:`fetch` and a no-op
     :meth:`close` because the repository benchmark (``perfbench/``, which
@@ -40,19 +41,23 @@ class Executor:
     and calls ``engine.executor.close()``.
     """
 
-    def fetch(self, backend, boxes, retry_state=None) -> FetchOutcome:
+    def fetch(self, table, boxes, resilience=None, state=None) -> FetchOutcome:
         """Fetch every box in plan order and merge the results.
 
         The first box that raises (a fault-injected error,
         ``RetriesExhausted``, ``CircuitOpenError``) ends the fetch: the
-        boxes after it are never issued, so they charge nothing.
-        ``retry_state`` (when resilience is on) is forwarded to the
-        backend, whose resilient decorator retries each box against the
-        shared per-query budget.
+        boxes after it are never issued, so they charge nothing.  With
+        ``resilience`` each box is one :meth:`~repro.resilience.Resilience.read`
+        against the query's retry ``state`` (a fresh one when none is
+        given).  ``table.range_query`` is looked up per box, never bound
+        ahead, so a wrapper installed on the table instance sees every read.
         """
-        kwargs = {} if retry_state is None else {"retry_state": retry_state}
-        parts = tuple(backend.range_query(box, **kwargs) for box in boxes)
-        return FetchOutcome(concat_results(parts, backend.ndim), parts)
+        if resilience is None:
+            parts = tuple(table.range_query(box) for box in boxes)
+        else:
+            state = resilience.new_state() if state is None else state
+            parts = tuple(resilience.read(table, box, state) for box in boxes)
+        return FetchOutcome(concat_results(parts, table.ndim), parts)
 
     def close(self) -> None:
         """Nothing to release (kept for ``perfbench/``, see the class)."""

@@ -11,17 +11,15 @@ The denominator is ``max(|actual|, 1)`` so exact hits (predicted 0, actual
 0) contribute a clean zero error and empty boxes never divide by zero:
 every reported MARE is finite by construction.
 
-Outputs: registry gauges (``calibration_mare{stage=...}`` plus per-case and
-per-strategy variants), a ``calibration.json`` artifact under ``--obs``,
-the ``calibration`` block of a ``BENCH_*.json`` snapshot, and a section in
-the obs report.  The ROADMAP's vectorization work gates on these gauges: an
+Outputs: a ``calibration.json`` artifact under ``--obs``, the
+``calibration`` block of a ``BENCH_*.json`` snapshot (the gated source: an
 optimisation that silently breaks the estimator shows up as a MARE jump
-before it shows up as a wrong plan.
+before it shows up as a wrong plan), and the ``--calibration`` table
+(:func:`render_calibration`).
 """
 
 from __future__ import annotations
 
-import json
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.schema import stamp
@@ -109,32 +107,6 @@ class CalibrationLedger:
                 "per_strategy": self._group("strategy"),
             }
         )
-
-    def export_gauges(self, metrics) -> None:
-        """Mirror every cell into registry gauges.
-
-        ``calibration_mare{stage=...}`` carries the overall figures;
-        per-case and per-strategy splits get their own metric names so no
-        single metric mixes label schemas.
-        """
-        metrics.set_gauge("calibration_queries", float(self.queries))
-        for stage in STAGES:
-            value = self.mare(stage)
-            if value is not None:
-                metrics.set_gauge("calibration_mare", value, stage=stage)
-        for case, stages in self._group("case").items():
-            for stage, value in stages.items():
-                metrics.set_gauge(
-                    "calibration_case_mare", value, case=case, stage=stage
-                )
-        for strategy, stages in self._group("strategy").items():
-            for stage, value in stages.items():
-                metrics.set_gauge(
-                    "calibration_strategy_mare",
-                    value,
-                    strategy=strategy,
-                    stage=stage,
-                )
 
     def save_json(self, path) -> None:
         """Write :meth:`summary` to ``path`` atomically (temp + rename)."""

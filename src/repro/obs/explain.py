@@ -48,7 +48,7 @@ import json
 import sys
 from collections import deque
 from pathlib import Path
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.obs.schema import check_versions, stamp
 
@@ -352,32 +352,6 @@ def render_record(record: dict) -> str:
     pred, act = record.get("predicted"), record.get("actual")
     lines.append(f"totals: predicted {_fmt_cost(pred)} actual {_fmt_cost(act)}")
     return "\n\n".join(lines)
-
-
-def summarize_obs_dir(directory) -> Tuple[Optional[str], List[str]]:
-    """(section text or None, warnings) for a directory's explain.jsonl."""
-    path = Path(directory) / "explain.jsonl"
-    if not path.is_file():
-        return None, []
-    try:
-        records = load_records(path)
-    except OSError as exc:
-        return None, [f"warning: {path}: unreadable ({exc})"]
-    warnings = [
-        f"warning: {w}" for w in check_versions(records, str(path))
-    ]
-    joined = sum(1 for rec in records if rec.get("query_id"))
-    cases: dict = {}
-    for rec in records:
-        key = str(rec.get("case"))
-        cases[key] = cases.get(key, 0) + 1
-    case_txt = ", ".join(f"{k}: {v}" for k, v in sorted(cases.items()))
-    text = (
-        "# explain\n"
-        f"records: {len(records)} ({joined} carrying a query_id)\n"
-        f"cases: {case_txt or '-'}"
-    )
-    return text, warnings
 
 
 def main(argv=None) -> int:

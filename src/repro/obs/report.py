@@ -5,10 +5,12 @@ Renders the registry populated by an instrumented run -- or a saved
 queries per method, cache hit rate per strategy, the stable/unstable and
 case a-d breakdowns, I/O totals, and p50/p95 stage latencies.
 
-Pointed at a whole ``--obs`` output *directory*, it renders every artifact
-it finds -- ``metrics.json``, ``explain.jsonl``, ``calibration.json``,
-``trace.jsonl`` -- and warns (instead of failing) about the ones a partial
-or interrupted run did not produce.
+Pointed at a whole ``--obs`` output *directory*, it renders
+``metrics.json`` and the ``trace.jsonl`` span counts, and warns (instead of
+failing) about the artifacts a partial or interrupted run did not produce.
+EXPLAIN records and the cost-model calibration have their own renderers:
+``python -m repro.obs.explain DIR`` and ``python -m repro.bench
+--calibration``.
 
 Usage::
 
@@ -268,24 +270,6 @@ def render_report(metrics) -> str:
             )
         )
 
-    calibration = _series(snap, "gauges", "calibration_mare")
-    if calibration:
-        rows = [
-            [labels.get("stage", "?"), f"{rec['value']:.3f}"]
-            for labels, rec in sorted(
-                calibration, key=lambda lr: lr[0].get("stage", "")
-            )
-        ]
-        for labels, rec in _series(snap, "gauges", "calibration_queries"):
-            rows.append(["(queries calibrated)", int(rec["value"])])
-        sections.append(
-            format_table(
-                ["stage", "MARE"],
-                rows,
-                title="Cost-model calibration (predicted vs actual)",
-            )
-        )
-
     if not sections:
         return "(no metrics recorded)"
     return "\n\n".join(sections)
@@ -296,8 +280,7 @@ def render_obs_dir(directory) -> Tuple[str, List[str], int]:
 
     Returns ``(text, warnings, rendered_count)``.  Missing or unreadable
     artifacts produce warnings, never exceptions: a partial directory (an
-    interrupted run, a run without ``--explain``) still yields a report
-    from whatever is there.
+    interrupted run) still yields a report from whatever is there.
     """
     directory = Path(directory)
     sections: List[str] = []
@@ -322,28 +305,6 @@ def render_obs_dir(directory) -> Tuple[str, List[str], int]:
             missing("metrics.json", f"unreadable ({exc})")
     else:
         missing("metrics.json")
-
-    try:
-        from repro.obs.explain import summarize_obs_dir
-
-        explain_text, explain_warnings = summarize_obs_dir(directory)
-        warnings.extend(explain_warnings)
-        if explain_text is not None:
-            sections.append(explain_text)
-    except (json.JSONDecodeError, KeyError, TypeError) as exc:
-        missing("explain.jsonl", f"unreadable ({exc})")
-
-    calibration_path = directory / "calibration.json"
-    if calibration_path.is_file():
-        try:
-            from repro.obs.calibration import render_calibration
-
-            with open(calibration_path) as handle:
-                summary = json.load(handle)
-            version_warning(summary, "calibration.json")
-            sections.append(render_calibration(summary))
-        except (OSError, json.JSONDecodeError, KeyError, TypeError) as exc:
-            missing("calibration.json", f"unreadable ({exc})")
 
     trace_path = directory / "trace.jsonl"
     if trace_path.is_file():

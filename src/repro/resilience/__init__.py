@@ -13,6 +13,8 @@ parameter:
   path; state transitions are mirrored into the metrics registry;
 - result validation (:func:`~repro.resilience.validate.validate_range_result`)
   -- turns silent short reads and NaN corruption into retryable errors;
+  :meth:`Resilience.read` is the one guarded read that combines these
+  three around a table's ``range_query``;
 - the CBCS degradation ladder -- on exhausted retries a query falls from
   its exact plan to an aMPR re-plan, then a single bounding range query,
   then serving the best-overlap cached skyline flagged ``stale=True``;
@@ -33,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.obs.metrics import MetricsRegistry
 from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import (  # noqa: F401  (re-exported)
@@ -75,16 +78,52 @@ class Resilience:
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
     verify_cache: bool = True
+    #: registry :meth:`read` reports retries to (set by :meth:`bind_metrics`)
+    metrics: Optional[MetricsRegistry] = field(default=None, init=False, repr=False)
 
     def bind_metrics(self, metrics) -> "Resilience":
-        """Mirror breaker state (and future collaborators) into ``metrics``."""
+        """Report breaker transitions and read retries into ``metrics``."""
         self.breaker.bind_metrics(metrics)
+        self.metrics = metrics
         return self
 
     def new_state(self, deadline=None) -> RetryState:
         """A fresh per-query retry budget, optionally bound to a
         per-request :class:`~repro.resilience.deadline.Deadline`."""
         return RetryState(self.policy, deadline=deadline)
+
+    def read(self, table, box, state: RetryState):
+        """One guarded ``table.range_query(box)``: validated, retried
+        against ``state``'s per-query budget, behind the circuit breaker.
+
+        The breaker admits the read before any storage (or fault-injector)
+        activity and records one success or failure for the whole retried
+        unit; truncated or corrupt results are retryable errors.  The
+        simulated I/O of the read charges the request's deadline.
+        """
+        # An already-expired per-request deadline fails fast without
+        # touching the disk or charging the breaker: rejected work is not
+        # evidence of storage health either way.
+        if state.deadline is not None:
+            state.deadline.check("fetch")
+        self.breaker.allow()  # raises CircuitOpenError while open
+
+        def attempt():
+            result = table.range_query(box)
+            validate_range_result(result)
+            return result
+
+        try:
+            result = call_with_retry(attempt, state, metrics=self.metrics, op="fetch")
+        except Exception:
+            self.breaker.record_failure()
+            raise
+        self.breaker.record_success()
+        if state.deadline is not None:
+            # Simulated disk time counts against the request budget just
+            # like real wall-clock time; expiry surfaces at the next box.
+            state.deadline.charge(result.io_ms)
+        return result
 
 
 def resolve_resilience(resilience) -> Optional[Resilience]:

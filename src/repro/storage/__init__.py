@@ -15,37 +15,27 @@ reproduces that substrate in-process:
   empty queries, seeks, pages and points read, matching the quantities
   reported in the paper's Figures 8 and 9;
 - :class:`~repro.storage.backend.StorageBackend` -- the structural protocol
-  every storage layer satisfies, with the stacking decorators
-  (:class:`~repro.storage.backend.ResilientBackend`,
-  :class:`~repro.storage.backend.InstrumentedBackend`) that compose fault
-  tolerance and instrumentation over a base table;
+  of what the engine calls on its table (``DiskTable``, ``ShardedTable``
+  and the fault-injecting ``FaultyDiskTable`` satisfy it); fault tolerance
+  is not a storage layer but one guarded read,
+  :meth:`repro.resilience.Resilience.read`;
 - :class:`~repro.storage.wal.CheckpointedLog` -- a write-ahead log plus the
   snapshot it is checkpointed into: the table's
   :class:`~repro.storage.durability.DurabilityManager` and a durable
   :class:`~repro.core.cache.SkylineCache` are each one.
 """
 
-from repro.storage.backend import (
-    BackendDecorator,
-    InstrumentedBackend,
-    ResilientBackend,
-    StorageBackend,
-    build_backend,
-)
+from repro.storage.backend import StorageBackend
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import IOStats
 from repro.storage.table import CorruptTableError, DiskTable, RangeResult
 
 __all__ = [
-    "BackendDecorator",
     "CorruptTableError",
     "DiskCostModel",
     "DiskTable",
     "IOStats",
-    "InstrumentedBackend",
     "RangeResult",
-    "ResilientBackend",
     "StorageBackend",
-    "build_backend",
 ]
 

@@ -22,34 +22,8 @@ constants themselves.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Union
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class FetchForecast:
-    """Predicted cost of fetching ``points`` rows in one range query.
-
-    Produced by :meth:`DiskCostModel.predict_fetch` before any I/O happens;
-    the executed counterpart is the ``(rows_fetched, pages_read, seeks,
-    io_ms)`` stamped onto each :class:`~repro.storage.table.RangeResult`.
-    The explain/calibration layer (:mod:`repro.obs.explain`,
-    :mod:`repro.obs.calibration`) joins the two per plan box.
-    """
-
-    points: int
-    pages: int
-    seeks: int
-    io_ms: float
-
-    def as_dict(self) -> Dict[str, Union[int, float]]:
-        return {
-            "points": self.points,
-            "pages": self.pages,
-            "seeks": self.seeks,
-            "io_ms": round(self.io_ms, 6),
-        }
 
 
 @dataclass(frozen=True)
@@ -90,12 +64,25 @@ class DiskCostModel:
         return self.fetch_cost_ms(1, n_pages)
 
     def fetch_shape(self, rows, heap_pages=None):
-        """``(pages, seeks)`` of one range query per entry of ``rows``.
+        """Forecast ``(pages, seeks)`` of one range query per entry of ``rows``.
 
-        The array core of :meth:`predict_fetch` (see there for the model):
         ``rows`` is an array of estimated row counts, fractional ones
         included -- any positive estimate costs at least one page behind one
         seek, zero costs nothing -- and ``heap_pages`` broadcasts against it.
+        :class:`~repro.storage.table.Forecast` prices plan boxes with it.
+
+        Clustered heaps read one contiguous run: ``ceil(rows / page_size)``
+        pages behind a single seek -- exactly what :meth:`DiskTable
+        ._charge_fetch` will charge, so clustered predictions differ from
+        actuals only through the row-count estimate itself.
+
+        Unclustered heaps scatter the rows over ``heap_pages`` physical
+        pages; the expected number of *distinct* pages touched follows the
+        Yao/Cardenas approximation ``P * (1 - (1 - 1/P)^n)``, and the
+        expected number of contiguous runs (seeks) among ``k`` uniformly
+        chosen pages out of ``P`` is ``k * (P - k + 1) / P``.  Without a
+        ``heap_pages`` hint the unclustered forecast degrades to the
+        pessimistic one-page-per-row bound.
         """
         rows = np.asarray(rows, dtype=float)
         some = rows > 0
@@ -117,31 +104,4 @@ class DiskCostModel:
         return (
             np.where(some, pages, 0).astype(np.int64),
             np.where(some, seeks, 0).astype(np.int64),
-        )
-
-    def predict_fetch(
-        self, n_rows: float, heap_pages: Optional[int] = None
-    ) -> FetchForecast:
-        """Forecast one range query's fetch of an estimated ``n_rows`` rows.
-
-        Clustered heaps read one contiguous run: ``ceil(rows / page_size)``
-        pages behind a single seek -- exactly what :meth:`DiskTable
-        ._charge_fetch` will charge, so clustered predictions differ from
-        actuals only through the row-count estimate itself.
-
-        Unclustered heaps scatter the rows over ``heap_pages`` physical
-        pages; the expected number of *distinct* pages touched follows the
-        Yao/Cardenas approximation ``P * (1 - (1 - 1/P)^n)``, and the
-        expected number of contiguous runs (seeks) among ``k`` uniformly
-        chosen pages out of ``P`` is ``k * (P - k + 1) / P``.  Without a
-        ``heap_pages`` hint the unclustered forecast degrades to the
-        pessimistic one-page-per-row-capped bound.
-        """
-        n_rows = max(n_rows, 0)
-        pages, seeks = (int(v) for v in self.fetch_shape(n_rows, heap_pages))
-        return FetchForecast(
-            points=int(round(n_rows)),
-            pages=pages,
-            seeks=seeks,
-            io_ms=self.fetch_cost_ms(seeks, pages),
         )

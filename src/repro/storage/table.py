@@ -90,8 +90,7 @@ class RangeResult:
     I/O evidence that belongs to one caller: the engine bills a query from
     the results of its own fetch (:meth:`io_stats`), never from a window on
     the shared counters, and the explain/calibration layer joins them per
-    box against the cost model's
-    :class:`~repro.storage.costmodel.FetchForecast`.
+    box against the plan's :class:`Forecast`.
     """
 
     points: np.ndarray

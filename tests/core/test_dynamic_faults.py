@@ -1,10 +1,11 @@
 """S4: DynamicCBCS interleaved insert/delete/query under storage faults.
 
 The chaos soak exercises a static engine; this pins the *dynamic* engine:
-with the ``default`` fault profile injected under the resilient storage
-stack, an interleaved update/query schedule must keep every answer either
-bit-exact against an uncrashed fault-free reference or explicitly flagged
-on a stale/unavailable degradation rung -- never silently wrong.
+with the ``default`` fault profile injected under the guarded read
+(``Resilience.read``), an interleaved update/query schedule must keep
+every answer either bit-exact against an uncrashed fault-free reference or
+explicitly flagged on a stale/unavailable degradation rung -- never
+silently wrong.
 """
 
 import numpy as np
@@ -12,7 +13,8 @@ import pytest
 
 from repro.core.dynamic import DynamicCBCS
 from repro.data.generator import generate
-from repro.skyline.reference import same_multiset
+from repro.geometry.constraints import Constraints
+from repro.skyline.reference import constrained_reference, same_multiset
 from repro.storage.faults import FaultInjector, FaultyDiskTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
@@ -122,7 +124,7 @@ def test_refresh_failure_falls_back_to_eviction():
     rowid = int(
         np.flatnonzero(np.all(np.isclose(engine.table.data_view(), victim), axis=1))[0]
     )
-    # Force the storage stack hard-down so the refresh range query degrades.
+    # Force the table hard-down so the refresh's guarded read degrades.
     injector.force_outage(calls=1000)
     engine.delete_points([rowid])
     injector.clear_outage()
@@ -130,3 +132,30 @@ def test_refresh_failure_falls_back_to_eviction():
     assert all(
         not np.any(np.all(item.skyline == victim, axis=1)) for item in engine.cache
     )
+
+
+def test_refresh_is_retried_through_the_guarded_read():
+    """A refresh is a one-box ``Executor.fetch``: with resilience on, a
+    transient fault on it is retried and the item is refreshed, not
+    evicted."""
+    data = generate("independent", 120, 2, seed=5)
+    injector = FaultInjector(profile="none", seed=5)
+    engine = DynamicCBCS(
+        FaultyDiskTable(DiskTable(data.copy()), injector),
+        resilience=True,
+        on_delete="refresh",
+    )
+    constraints = Constraints([0.0, 0.0], [0.8, 0.8])
+    engine.query(constraints)
+    (item,) = engine.cache
+    victim = item.skyline[0]
+    rowid = int(np.flatnonzero(np.all(engine.table.data_view() == victim, axis=1))[0])
+    calls = injector.calls
+    injector.force_outage(calls=1)
+    engine.delete_points([rowid])
+    assert injector.calls == calls + 2  # the failed read and its retry
+    (refreshed,) = engine.cache  # replaced in place, not evicted
+    assert refreshed.constraints.region() == item.constraints.region()
+    live = engine.table.data_view()[engine.table._alive]
+    assert same_multiset(refreshed.skyline, constrained_reference(live, constraints))
+

@@ -248,8 +248,8 @@ class TestForecast:
                 "seqscan": table.n,
             }[plan]
             assert rows == pytest.approx(want)
-            shape_ = table.cost_model.predict_fetch(math.ceil(want))
-            assert (pages, seeks) == (shape_.pages, shape_.seeks)
+            shape_ = table.cost_model.fetch_shape([math.ceil(want)])
+            assert (pages, seeks) == (shape_[0][0], shape_[1][0])
 
     def test_best_index_forecast_is_what_the_table_charges(self):
         table = DiskTable(self.data, plan="best_index")

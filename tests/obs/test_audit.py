@@ -23,7 +23,6 @@ from repro.data.generator import generate
 from repro.obs import Observability
 from repro.obs.calibration import CalibrationLedger
 from repro.obs.explain import ExplainRecorder
-from repro.obs.report import render_report
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
 
@@ -61,20 +60,6 @@ class TestAuditor:
         assert "miss" in cases
         assert "exact" in cases
         assert cases - {"miss", "exact"}, "no cache-hit refinement was audited"
-
-    def test_metrics_flow_into_registry_and_report(self):
-        obs, ledger, pairs = audited_run(n_points=1000, n_queries=15)
-        ledger.export_gauges(obs.metrics)
-        m = obs.metrics
-        assert m.gauge_value("calibration_queries") == len(pairs)
-        assert m.gauge_value("calibration_mare", stage="points") == ledger.mare(
-            "points"
-        )
-        text = render_report(m)
-        assert "Cost-model calibration (predicted vs actual)" in text
-        # the retired second audit left no series behind
-        assert "Plan accuracy" not in text
-        assert m.counter_total("plan_case_predictions_total") == 0
 
     def test_auditor_over_explicit_engine(self):
         _, ledger, pairs = audited_run(n_points=1500, n_queries=12, seed=9)

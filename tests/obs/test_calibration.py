@@ -5,7 +5,6 @@ import json
 import pytest
 
 from repro.obs.calibration import STAGES, CalibrationLedger, render_calibration
-from repro.obs.metrics import MetricsRegistry
 
 
 def record(predicted, actual, case="case_c", strategy="MaxOverlapSP"):
@@ -110,24 +109,6 @@ class TestSummaryAndGauges:
         loaded = json.loads(path.read_text())
         assert loaded["schema"] == 1
         assert loaded["overall"]["pages"]["mare"] == pytest.approx(1.0)
-
-    def test_export_gauges(self):
-        reg = MetricsRegistry()
-        self._ledger().export_gauges(reg)
-        assert reg.gauge_value("calibration_queries") == 1.0
-        assert reg.gauge_value("calibration_mare", stage="points") == pytest.approx(0.5)
-        assert reg.gauge_value(
-            "calibration_case_mare", case="case_c", stage="pages"
-        ) == pytest.approx(1.0)
-        assert reg.gauge_value(
-            "calibration_strategy_mare", strategy="MaxOverlapSP", stage="io_ms"
-        ) == pytest.approx(0.5)
-
-    def test_empty_ledger_exports_only_query_count(self):
-        reg = MetricsRegistry()
-        CalibrationLedger().export_gauges(reg)
-        assert reg.gauge_value("calibration_queries") == 0.0
-        assert reg.gauge_value("calibration_mare", stage="points") is None
 
 
 class TestRendering:

@@ -1,23 +1,21 @@
-"""Tests for the storage-backend protocol and its stacking decorators."""
+"""Tests for the storage protocol and the one guarded read,
+:meth:`repro.resilience.Resilience.read`, that ``Executor.fetch`` issues
+per box when resilience is on."""
+
+import inspect
 
 import numpy as np
 import pytest
 
 from repro.core.executor import Executor
 from repro.data.generator import independent
-from repro.geometry.box import Box
 from repro.geometry.constraints import Constraints
-from repro.obs import MetricsRegistry, Observability, Tracer
+from repro.obs import MetricsRegistry
 from repro.resilience import CircuitBreaker, Resilience, RetryPolicy
 from repro.resilience.errors import CircuitOpenError, RetriesExhausted
-from repro.storage.backend import (
-    InstrumentedBackend,
-    ResilientBackend,
-    StorageBackend,
-    build_backend,
-    unwrap,
-)
+from repro.storage.backend import StorageBackend
 from repro.storage.faults import FaultInjector, FaultProfile, FaultyDiskTable
+from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 
 
@@ -41,18 +39,13 @@ HALVES = [
 class TestProtocol:
     def test_every_layer_satisfies_the_protocol(self, table):
         injector = FaultInjector(FaultProfile(), seed=0)
-        faulty = FaultyDiskTable(table, injector)
-        resilient = ResilientBackend(faulty, Resilience())
-        instrumented = InstrumentedBackend(resilient)
-        for layer in (table, faulty, resilient, instrumented):
+        for layer in (table, FaultyDiskTable(table, injector)):
             assert isinstance(layer, StorageBackend)
 
     def test_both_base_tables_satisfy_the_protocol(self, data):
         """The protocol names what ``CBCS`` reads from its table -- ``stats``
         on every query, ``obs`` / ``bind_obs``, ``cost_model`` -- not only
         what the executor calls."""
-        from repro.storage.sharding import ShardedTable
-
         assert isinstance(DiskTable(data), StorageBackend)
         assert isinstance(ShardedTable(data, 3), StorageBackend)
         for member in ("stats", "cost_model", "obs", "bind_obs"):
@@ -65,43 +58,45 @@ class TestProtocol:
         assert not isinstance(ReadsOnly(), StorageBackend)
 
     def test_decorators_delegate_attributes(self, table):
-        stack = InstrumentedBackend(ResilientBackend(table, Resilience()))
-        assert stack.ndim == table.ndim
-        assert stack.stats is table.stats
-        assert stack.estimate_count(0, 0.0, 1.0) == table.estimate_count(
+        """``FaultyDiskTable`` forwards what it does not override to the
+        table it wraps."""
+        faulty = FaultyDiskTable(table, FaultInjector("none", seed=0))
+        assert faulty.ndim == table.ndim
+        assert faulty.stats is table.stats
+        assert faulty.estimate_count(0, 0.0, 1.0) == table.estimate_count(
             0, 0.0, 1.0
         )
 
-    def test_unwrap_reaches_the_base_table(self, table):
-        stack = InstrumentedBackend(ResilientBackend(table, Resilience()))
-        assert unwrap(stack) is table
+    def test_range_query_takes_only_a_box(self):
+        for cls in (StorageBackend, DiskTable, ShardedTable, FaultyDiskTable):
+            params = list(inspect.signature(cls.range_query).parameters)
+            assert params == ["self", "box"], cls
 
 
 def _bare(table):
-    return table
+    return table, None
 
 
 def _fault_wrapped(table):
-    return FaultyDiskTable(table, FaultInjector("none", seed=0))
+    return FaultyDiskTable(table, FaultInjector("none", seed=0)), None
 
 
 def _resilient(table):
-    return build_backend(_fault_wrapped(table), resilience=Resilience())
+    return _fault_wrapped(table)[0], Resilience()
 
 
 def _instrumented(table):
-    obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
-    return build_backend(_fault_wrapped(table), resilience=Resilience(), obs=obs)
+    return _fault_wrapped(table)[0], Resilience().bind_metrics(MetricsRegistry())
 
 
 class TestOneGatherer:
     """``Executor.fetch`` is the only place per-box results are merged: on
-    every stack the merged record carries all four per-box actuals."""
+    every read path the merged record carries all four per-box actuals."""
 
     def test_no_boxes_gather_to_an_empty_result(self, table):
-        # built from ``backend.ndim``, not from a private table method
-        backend = build_backend(_fault_wrapped(table), resilience=Resilience())
-        merged = Executor().fetch(backend, []).result
+        # built from ``table.ndim``, not from a private table method
+        faulty, resilience = _resilient(table)
+        merged = Executor().fetch(faulty, [], resilience).result
         assert merged.points.shape == (0, 2) and merged.rowids.dtype == np.int64
         assert (merged.rows_fetched, merged.io_ms, merged.seeks) == (0, 0.0, 0)
 
@@ -110,7 +105,8 @@ class TestOneGatherer:
     )
     def test_merged_result_sums_every_counter(self, table, stack):
         before = table.stats.snapshot()
-        outcome = Executor().fetch(stack(table), HALVES)
+        read_from, resilience = stack(table)
+        outcome = Executor().fetch(read_from, HALVES, resilience)
         delta = table.stats.delta_since(before)
         merged, parts = outcome.result, outcome.parts
         assert len(parts) == len(HALVES) == delta.range_queries
@@ -127,34 +123,11 @@ class TestOneGatherer:
         )
 
 
-class TestBuildBackend:
-    def test_bare_table_passes_through(self, table):
-        assert build_backend(table) is table
-
-    def test_resilience_wraps_once(self, table):
-        backend = build_backend(table, resilience=Resilience())
-        assert isinstance(backend, ResilientBackend)
-        assert backend.inner is table
-
-    def test_obs_stacks_outermost(self, table):
-        obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
-        backend = build_backend(table, resilience=Resilience(), obs=obs)
-        assert isinstance(backend, InstrumentedBackend)
-        assert isinstance(backend.inner, ResilientBackend)
-        assert backend.inner.inner is table
-
-    def test_disabled_obs_adds_no_layer(self, table):
-        from repro.obs import NULL_OBS
-
-        backend = build_backend(table, resilience=None, obs=NULL_OBS)
-        assert backend is table
-
-
 class TestResilientRangeQuery:
     def test_clean_call_matches_raw_table(self, data, table):
-        backend = ResilientBackend(table, Resilience())
+        res = Resilience()
         raw = DiskTable(data).range_query(BOX)
-        result = backend.range_query(BOX)
+        result = res.read(table, BOX, res.new_state())
         assert np.array_equal(result.points, raw.points)
         assert np.array_equal(result.rowids, raw.rowids)
 
@@ -162,11 +135,10 @@ class TestResilientRangeQuery:
         injector = FaultInjector(FaultProfile(transient_io=0.3), seed=7)
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience(policy=RetryPolicy(max_attempts=6))
-        backend = ResilientBackend(faulty, res)
         state = res.new_state()
         # Enough calls that some hit faults; all must come back clean.
         for _ in range(12):
-            result = backend.range_query(BOX, retry_state=state)
+            result = res.read(faulty, BOX, state)
             assert np.isfinite(result.points).all()
         assert state.retries > 0
 
@@ -174,29 +146,41 @@ class TestResilientRangeQuery:
         injector = FaultInjector(FaultProfile(truncate=0.5), seed=11)
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience()
-        backend = ResilientBackend(faulty, res)
         clean = DiskTable(data).range_query(BOX)
         for _ in range(8):
-            result = backend.range_query(BOX, retry_state=res.new_state())
+            result = res.read(faulty, BOX, res.new_state())
             # validation forces a refetch: points and rowids always agree
             assert len(result.points) == len(result.rowids)
             assert len(result.points) == len(clean.points)
 
     def test_internal_state_used_when_none_passed(self, data):
+        """A guarded fetch without a caller's retry state gets its own."""
         injector = FaultInjector(FaultProfile(transient_io=0.4), seed=5)
         faulty = FaultyDiskTable(DiskTable(data), injector)
-        backend = ResilientBackend(faulty, Resilience())
+        res = Resilience()
         for _ in range(10):
-            result = backend.range_query(BOX)
+            result = Executor().fetch(faulty, [BOX], res).result
             assert np.isfinite(result.points).all()
 
     def test_exhausted_retries_raise(self, data):
         injector = FaultInjector(FaultProfile(transient_io=1.0), seed=1)
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience(policy=RetryPolicy(max_attempts=2))
-        backend = ResilientBackend(faulty, res)
         with pytest.raises(RetriesExhausted):
-            backend.range_query(BOX, retry_state=res.new_state())
+            res.read(faulty, BOX, res.new_state())
+
+    def test_retries_report_to_the_bound_registry(self, data):
+        injector = FaultInjector(FaultProfile(transient_io=0.5), seed=7)
+        faulty = FaultyDiskTable(DiskTable(data), injector)
+        metrics = MetricsRegistry()
+        res = Resilience(policy=RetryPolicy(max_attempts=8)).bind_metrics(metrics)
+        state = res.new_state()
+        for _ in range(6):
+            res.read(faulty, BOX, state)
+        assert state.retries > 0
+        assert metrics.counter_value("storage_retries_total", op="fetch") == (
+            state.retries
+        )
 
 
 class TestBreakerIntegration:
@@ -207,60 +191,33 @@ class TestBreakerIntegration:
             policy=RetryPolicy(max_attempts=1),
             breaker=CircuitBreaker(failure_threshold=threshold, cooldown_calls=50),
         )
-        return ResilientBackend(faulty, res), injector, res.breaker
+        return faulty, res, injector
 
     def test_failures_open_the_breaker(self, data):
-        backend, injector, breaker = self.make_stack(data)
+        faulty, res, injector = self.make_stack(data)
         injector.force_outage(10)
         for _ in range(2):
             with pytest.raises(RetriesExhausted):
-                backend.range_query(BOX)
-        assert breaker.state == "open"
+                res.read(faulty, BOX, res.new_state())
+        assert res.breaker.state == "open"
 
     def test_open_breaker_rejects_before_storage(self, data):
-        backend, injector, breaker = self.make_stack(data)
+        faulty, res, injector = self.make_stack(data)
         injector.force_outage(10)
         for _ in range(2):
             with pytest.raises(RetriesExhausted):
-                backend.range_query(BOX)
+                res.read(faulty, BOX, res.new_state())
         calls_before = injector.calls
         with pytest.raises(CircuitOpenError):
-            backend.range_query(BOX)
+            res.read(faulty, BOX, res.new_state())
         assert injector.calls == calls_before  # rejected before any I/O
 
     def test_executor_fetch_is_per_box_protected(self, data):
-        backend, injector, breaker = self.make_stack(data, threshold=5)
-        result = Executor().fetch(backend, HALVES).result
+        faulty, res, injector = self.make_stack(data, threshold=5)
+        result = Executor().fetch(faulty, HALVES, res, res.new_state()).result
         raw = Executor().fetch(DiskTable(data), HALVES).result
         assert injector.calls == len(HALVES)  # one guarded operation per box
         assert np.array_equal(
             np.sort(result.rowids), np.sort(raw.rowids)
         )
         assert result.rows_fetched == raw.rows_fetched
-
-
-class TestInstrumentedBackend:
-    def test_counts_outcomes(self, data):
-        obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
-        backend = InstrumentedBackend(DiskTable(data), obs)
-        backend.range_query(BOX)
-        assert (
-            obs.metrics.counter_value(
-                "backend_range_queries_total", outcome="ok"
-            )
-            == 1.0
-        )
-
-    def test_error_outcome_labeled(self, data):
-        obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
-        injector = FaultInjector(FaultProfile(transient_io=1.0), seed=2)
-        faulty = FaultyDiskTable(DiskTable(data), injector)
-        backend = InstrumentedBackend(faulty, obs)
-        with pytest.raises(IOError):
-            backend.range_query(BOX)
-        assert (
-            obs.metrics.counter_value(
-                "backend_range_queries_total", outcome="TransientStorageError"
-            )
-            == 1.0
-        )

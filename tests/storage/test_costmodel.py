@@ -37,47 +37,43 @@ class TestCostModel:
 
 
 class TestPredictFetch:
+    """``DiskCostModel.fetch_shape``: the forecast of one range query's
+    pages and seeks from its estimated rows, as ``Forecast`` prices boxes."""
+
     def test_zero_rows_is_free(self):
-        forecast = DiskCostModel().predict_fetch(0)
-        assert forecast.points == 0
-        assert forecast.pages == 0
-        assert forecast.seeks == 0
-        assert forecast.io_ms == 0.0
+        model = DiskCostModel()
+        pages, seeks = model.fetch_shape([0])
+        assert (pages[0], seeks[0]) == (0, 0)
+        assert model.fetch_cost_ms(seeks[0], pages[0]) == 0.0
 
     def test_clustered_matches_fetch_cost(self):
         model = DiskCostModel(page_size=10)
-        forecast = model.predict_fetch(25)
-        assert forecast.points == 25
-        assert forecast.pages == 3  # ceil(25 / 10)
-        assert forecast.seeks == 1  # one contiguous run
-        assert forecast.io_ms == pytest.approx(model.fetch_cost_ms(1, 3))
+        pages, seeks = model.fetch_shape([25, 0.3])
+        assert pages.tolist() == [3, 1]  # ceil(25 / 10); a fraction pays a page
+        assert seeks.tolist() == [1, 1]  # one contiguous run
+        assert model.fetch_cost_ms(seeks[0], pages[0]) == pytest.approx(
+            model.fetch_cost_ms(1, 3)
+        )
 
     def test_unclustered_without_hint_is_pessimistic(self):
         model = DiskCostModel(page_size=10, clustered=False)
-        forecast = model.predict_fetch(25)
-        assert forecast.pages == 25  # one page per row
-        assert forecast.seeks == 25
+        pages, seeks = model.fetch_shape([25])
+        assert pages[0] == 25  # one page per row
+        assert seeks[0] == 25
 
     def test_unclustered_yao_estimate_bounded_by_heap(self):
         model = DiskCostModel(page_size=10, clustered=False)
-        forecast = model.predict_fetch(500, heap_pages=40)
-        assert 1 <= forecast.pages <= 40
-        assert 1 <= forecast.seeks <= forecast.pages
+        pages, seeks = model.fetch_shape([500], heap_pages=40)
+        assert 1 <= pages[0] <= 40
+        assert 1 <= seeks[0] <= pages[0]
         # 500 uniform draws over 40 pages hit nearly every page
-        assert forecast.pages == 40
+        assert pages[0] == 40
 
     def test_unclustered_few_rows_touch_few_pages(self):
         model = DiskCostModel(page_size=10, clustered=False)
-        forecast = model.predict_fetch(3, heap_pages=1000)
-        assert forecast.points == 3
-        assert forecast.pages <= 3  # Yao: at most one page per row
-
-    def test_as_dict_is_json_ready(self):
-        import json
-
-        record = DiskCostModel().predict_fetch(100).as_dict()
-        assert set(record) == {"points", "pages", "seeks", "io_ms"}
-        json.dumps(record)
+        pages, seeks = model.fetch_shape([3, 0], heap_pages=1000)
+        assert pages[0] <= 3  # Yao: at most one page per row
+        assert (pages[1], seeks[1]) == (0, 0)
 
 
 class TestUnclusteredAccounting:
