@@ -188,7 +188,8 @@ def solve_case_d(
     surviving = skyline[surviving_mask]
     removed = skyline[~surviving_mask]
 
-    invalid = _corner_union_tiling(BoxSet.of([new.region()]), removed, None)
+    region = BoxSet(new.lo[None], new.hi[None])
+    invalid = _corner_union_tiling(region, removed, None)
     invalid = _subtract_corners(invalid, surviving)
     return CaseSolution(fetch_boxes=invalid.boxes(), reusable=surviving)
 

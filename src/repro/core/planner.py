@@ -38,7 +38,7 @@ from typing import Callable, List, Optional, Sequence
 import numpy as np
 
 from repro.core.cases import CASE_EXACT, classify_change
-from repro.core.shaping import admitted_bounds, shape
+from repro.core.shaping import shape
 from repro.geometry.box import Box, BoxSet
 from repro.geometry.constraints import Constraints
 
@@ -306,9 +306,8 @@ class Planner:
         )
 
     def forecast(self, boxes: BoxSet):
-        """The table's :class:`~repro.storage.table.Forecast` of ``boxes``,
-        open and closed faces honoured."""
-        return self._forecast(*admitted_bounds(boxes))
+        """The table's :class:`~repro.storage.table.Forecast` of ``boxes``."""
+        return self._forecast(boxes.lo, boxes.hi)
 
     def annotate(self, planned: PlannedQuery) -> QueryPlan:
         """Fill the plan's explain-only fields; returns the plan.

@@ -34,27 +34,17 @@ item 17).
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Tuple
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from repro.geometry.box import BoxSet
 
-__all__ = ["Shaped", "admitted_bounds", "shape"]
+__all__ = ["Shaped", "shape"]
 
 #: slack on "no more rows than the members": the two sides are the same
 #: product of counts summed in a different order
 _ROWS_SLACK = 1.0 + 1e-9
-
-
-def admitted_bounds(boxes: BoxSet) -> Tuple[np.ndarray, np.ndarray]:
-    """The innermost value each lower face admits and the outermost each
-    upper face admits: the closed boxes holding exactly the same floats, so
-    counts and separations computed on them honour every open/closed flag."""
-    return (
-        np.where(boxes.lo_open, np.nextafter(boxes.lo, np.inf), boxes.lo),
-        np.where(boxes.hi_open, np.nextafter(boxes.hi, -np.inf), boxes.hi),
-    )
 
 
 class Shaped(NamedTuple):
@@ -74,7 +64,7 @@ def shape(region: BoxSet, forecast: Callable) -> Shaped:
     ``forecast(lo, hi)`` is the table's."""
     if not len(region):
         return Shaped(region, 0, 0.0)
-    lo, hi = admitted_bounds(region)
+    lo, hi = region.lo, region.hi
     cost = forecast(lo, hi)
     priced = np.array([cost.rows, cost.seeks, cost.pages])
     total = priced.sum(axis=1)  # of issuing every box: the dropped cost 0
@@ -103,14 +93,18 @@ def shape(region: BoxSet, forecast: Callable) -> Shaped:
     if not hulls and len(issued) == len(region):
         return Shaped(region, 0, io_ms)
     if not issued:
-        return Shaped(BoxSet.of([], ndim=region.ndim), 0, io_ms)
-    # One segmented minimum gives every output box, a hull or not: its
-    # bounds, then the bounds it admits -- a face is closed iff some member
-    # attaining that bound is closed.
-    faces = np.array([region.lo, -region.hi, lo, -hi])[:, np.concatenate(issued)]
-    starts = np.cumsum([0] + [len(members) for members in issued[:-1]])
-    low, high, low_in, high_in = np.minimum.reduceat(faces, starts, axis=1)
-    return Shaped(BoxSet(low, -high, low_in > low, high_in > high), hulls, io_ms)
+        return Shaped(BoxSet.empty(region.ndim), 0, io_ms)
+    # One segmented min / max gives every output box, a hull or not.
+    members = np.concatenate(issued)
+    starts = np.cumsum([0] + [len(group) for group in issued[:-1]])
+    return Shaped(
+        BoxSet(
+            np.minimum.reduceat(lo[members], starts),
+            np.maximum.reduceat(hi[members], starts),
+        ),
+        hulls,
+        io_ms,
+    )
 
 
 def _saved_by_hull(cost, members: np.ndarray, group: np.ndarray) -> Optional[np.ndarray]:
@@ -130,7 +124,7 @@ def _saved_by_hull(cost, members: np.ndarray, group: np.ndarray) -> Optional[np.
 
 def _guillotine(lo: np.ndarray, hi: np.ndarray) -> Optional[tuple]:
     """Positions of the boxes on either side of the first axis-parallel
-    plane with boxes strictly on both sides (``lo`` / ``hi`` the admitted
+    plane with boxes strictly on both sides (``lo`` / ``hi`` the closed
     bounds of at least two boxes), or None when no plane separates them.
 
     Per dimension: order by lower bound, take the running maximum of the

@@ -65,7 +65,7 @@ class Constraints:
         Vectorized form of the paper's ``S_C`` membership test.
         """
         points = np.asarray(points, dtype=float)
-        return np.all((points >= self.lo) & (points <= self.hi), axis=1)
+        return ((points >= self.lo) & (points <= self.hi)).all(axis=1)
 
     def satisfies(self, point: Sequence[float]) -> bool:
         """Return True if a single point satisfies the constraints."""
@@ -78,7 +78,7 @@ class Constraints:
 
     def overlaps(self, other: "Constraints") -> bool:
         """Return True if the two constraint regions intersect."""
-        return bool(np.all(self.lo <= other.hi) and np.all(other.lo <= self.hi))
+        return bool((self.lo <= other.hi).all() and (other.lo <= self.hi).all())
 
     def volume(self) -> float:
         """Return the volume of the constraint region."""

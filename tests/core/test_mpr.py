@@ -255,6 +255,13 @@ class TestApproximateMPR:
         got = nearest_to_corner(pts, np.array([0.0, 0.0]), 1)
         np.testing.assert_array_equal(got, [[0.1, 0.1]])
 
+    def test_nearest_to_corner_ignores_a_dimension_unbounded_below(self):
+        """A lower constraint at -inf puts every point at infinite distance;
+        the finite dimensions still order them."""
+        pts = np.array([[5.0, 9.0], [0.2, 0.1]])
+        got = nearest_to_corner(pts, np.array([-np.inf, 0.0]), 1)
+        np.testing.assert_array_equal(got, [[0.2, 0.1]])
+
     def test_nearest_to_corner_k_larger_than_points(self):
         pts = np.array([[0.9, 0.9]])
         got = nearest_to_corner(pts, np.zeros(2), 5)

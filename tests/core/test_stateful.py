@@ -99,6 +99,9 @@ class EngineMachine(RuleBasedStateMachine):
         if mpr is None:
             return planned
         region = planned.constraints.region()
+        # the region itself: disjoint boxes, each holding a double
+        assert not mpr.boxes.is_empty().any()
+        assert pairwise_disjoint(mpr.boxes)
         assert pairwise_disjoint(boxes)
         assert all(region.contains_box(box) for box in boxes)
         rows = np.array(list(self.live.values()))
