@@ -4,11 +4,13 @@ Each cache item is the paper's 3-tuple ``<Sky(S,C), MBR, C>``: the result of
 an earlier query, the minimum bounding rectangle of that result, and the
 constraints that produced it.  A lookup for new constraints ``C'`` returns
 every item whose MBR intersects ``R_C'``.  The paper organizes the cache "by
-an R*-tree indexing the MBR of each cached skyline"; here the MBRs are rows
-of a flat bounds table and the lookup is one broadcast overlap test, which
-is faster than the tree at every cache size measured (DESIGN.md section 5,
-item 10) and returns candidates in a documented order: ascending
-``item_id``.
+an R*-tree indexing the MBR of each cached skyline"; here the MBRs are
+columns of a flat bounds table and the lookup is one broadcast overlap test,
+which is faster than the tree at every cache size measured (DESIGN.md
+section 5, item 10) and returns candidates in a documented order: ascending
+``item_id``.  The same table holds each item's constraint bounds, handed to
+the search strategies with the candidates, and its replacement stamps
+(item 19).
 
 Cache replacement (Section 6.2) is supported by insertion and use counters
 on the items: this module implements LRU (least recently used) and LCU
@@ -32,7 +34,7 @@ from typing import Dict, List, Literal, Optional
 
 import numpy as np
 
-from repro.geometry.constraints import Constraints
+from repro.geometry.constraints import Constraints, all_columns
 from repro.geometry.dominance import dominated_mask
 from repro.ioutil import atomic_savez, decode_array, encode_array
 from repro.obs.metrics import NULL_METRICS, MetricsRegistry
@@ -87,46 +89,141 @@ class CacheItem:
         )
 
 
+class Candidates(list):
+    """The cache items a query's region overlaps, in ascending ``item_id``,
+    with their constraint bounds as columns: ``lo`` / ``hi`` are ``(d, k)``
+    arrays whose column ``j`` is ``self[j].constraints.lo`` / ``.hi``.
+
+    :meth:`SkylineCache.candidates` cuts both from its bounds table in the
+    same gather as the items, so a strategy scores every candidate without
+    touching one :class:`CacheItem`; the short dimension axis leads, so each
+    reduction over it is a few whole-row operations.  :meth:`without` is the
+    one way to drop a candidate, keeping items and columns aligned.
+    """
+
+    def __init__(self, items, lo: np.ndarray, hi: np.ndarray):
+        super().__init__(items)
+        self.lo = lo
+        self.hi = hi
+
+    @classmethod
+    def of(cls, items) -> "Candidates":
+        """``items`` (at least one) with their columns built from each item's
+        constraints; a :class:`Candidates` is returned as it is."""
+        if isinstance(items, Candidates):
+            return items
+        items = list(items)
+        return cls(
+            items,
+            np.stack([item.constraints.lo for item in items], axis=1),
+            np.stack([item.constraints.hi for item in items], axis=1),
+        )
+
+    def without(self, item: CacheItem) -> "Candidates":
+        """The candidates other than ``item`` (compared by identity)."""
+        keep = [j for j, other in enumerate(self) if other is not item]
+        return Candidates([self[j] for j in keep], self.lo[:, keep], self.hi[:, keep])
+
+
 class _BoundsTable:
-    """The live items' MBRs as rows of two ``(n, d)`` arrays.  Item ids only
-    grow, so appending keeps the rows in ascending ``item_id``: a row is found
-    by bisecting the id list, and :meth:`overlapping` answers in that order."""
+    """The live items in ascending ``item_id``, and beside them, as columns,
+    what the cache search, the strategies and replacement read of each.
 
-    def __init__(self, ndim: int):
-        self.ndim = ndim
+    Column ``j < len(self)`` belongs to ``items[j]``: ``_bounds[:, :, j]``
+    holds its MBR's lower and upper corner and its constraints' ``lo`` and
+    ``hi`` (a ``(4, d, capacity)`` float array), ``_stamps[:, j]`` its
+    ``last_used`` and ``use_count``.  Item ids only grow, so appending keeps
+    the order: a column is found by bisecting ``ids``, and a search answers in
+    ``item_id`` order.  Columns past ``len(self)`` are spare room, so an
+    insert or a delete moves data in place rather than reallocating.
+    """
+
+    def __init__(self):
+        #: None until the first item fixes the dimensionality
+        self.ndim: Optional[int] = None
         self.ids: List[int] = []
-        self.lo = np.empty((0, ndim))
-        self.hi = np.empty((0, ndim))
+        self.items: List[CacheItem] = []
+        self._bounds = np.empty((4, 0, 0))
+        self._stamps = np.empty((2, 0), dtype=np.int64)
 
-    def _row(self, item_id: int) -> Optional[int]:
-        i = bisect_left(self.ids, item_id)
-        return i if i < len(self.ids) and self.ids[i] == item_id else None
+    def __len__(self) -> int:
+        return len(self.ids)
 
-    def put(self, item_id: int, lo: np.ndarray, hi: np.ndarray) -> None:
-        """Overwrite ``item_id``'s row, or append one for a new id."""
-        i = self._row(item_id)
-        if i is None:
-            self.ids.append(item_id)
-            self.lo = np.concatenate([self.lo, lo[None]])
-            self.hi = np.concatenate([self.hi, hi[None]])
-        else:
-            self.lo[i] = lo
-            self.hi[i] = hi
+    def _column(self, item_id: int) -> Optional[int]:
+        j = bisect_left(self.ids, item_id)
+        return j if j < len(self.ids) and self.ids[j] == item_id else None
+
+    def get(self, item_id: int) -> Optional[CacheItem]:
+        j = self._column(item_id)
+        return None if j is None else self.items[j]
+
+    def append(self, item: CacheItem) -> None:
+        """Add a column for ``item``, whose id is above every id present."""
+        n = len(self.ids)
+        if self.ndim is None:
+            self.ndim = item.constraints.ndim
+            self._bounds = np.empty((4, self.ndim, 0))
+        if n == self._stamps.shape[1]:
+            room = max(16, n)
+            self._bounds = np.concatenate(
+                [self._bounds, np.empty((4, self.ndim, room))], axis=2
+            )
+            self._stamps = np.concatenate(
+                [self._stamps, np.empty((2, room), dtype=np.int64)], axis=1
+            )
+        self.ids.append(item.item_id)
+        self.items.append(item)
+        column = self._bounds[:, :, n]
+        column[0], column[1] = item.mbr_lo, item.mbr_hi
+        column[2], column[3] = item.constraints.lo, item.constraints.hi
+        self._stamps[0, n] = item.last_used
+        self._stamps[1, n] = item.use_count
+
+    def set_mbr(self, item: CacheItem) -> None:
+        """Copy ``item``'s MBR into its column."""
+        self._bounds[:2, :, self._column(item.item_id)] = item.mbr_lo, item.mbr_hi
+
+    def set_stamps(self, item: CacheItem) -> None:
+        """Copy ``item``'s stamps into its column, if it still has one."""
+        j = self._column(item.item_id)
+        if j is not None:
+            self._stamps[0, j] = item.last_used
+            self._stamps[1, j] = item.use_count
 
     def delete(self, item_id: int) -> bool:
-        """Shift-delete ``item_id``'s row; False when it has none."""
-        i = self._row(item_id)
-        if i is None:
+        """Shift-delete ``item_id``'s column; False when it has none."""
+        j = self._column(item_id)
+        if j is None:
             return False
-        del self.ids[i]
-        self.lo = np.delete(self.lo, i, axis=0)
-        self.hi = np.delete(self.hi, i, axis=0)
+        n = len(self.ids)
+        del self.ids[j]
+        del self.items[j]
+        self._bounds[:, :, j : n - 1] = self._bounds[:, :, j + 1 : n]
+        self._stamps[:, j : n - 1] = self._stamps[:, j + 1 : n]
         return True
 
-    def overlapping(self, lo: np.ndarray, hi: np.ndarray) -> List[int]:
-        """Ids of the rows whose MBR intersects ``[lo, hi]``, ascending."""
-        mask = (self.lo <= hi).all(axis=1) & (self.hi >= lo).all(axis=1)
-        return [self.ids[i] for i in np.flatnonzero(mask).tolist()]
+    def overlapping(self, lo: np.ndarray, hi: np.ndarray) -> Candidates:
+        """The items whose MBR intersects ``[lo, hi]``, ascending, with their
+        constraint columns."""
+        n = len(self.ids)
+        if n == 0:
+            return Candidates([], np.empty((len(lo), 0)), np.empty((len(lo), 0)))
+        bounds = self._bounds[:, :, :n]
+        hit = all_columns((bounds[0] <= hi[:, None]) & (bounds[1] >= lo[:, None]))
+        columns = hit.nonzero()[0]
+        constraints = bounds[2:].take(columns, axis=2)
+        items = self.items
+        return Candidates(
+            [items[j] for j in columns.tolist()], constraints[0], constraints[1]
+        )
+
+    def victim(self, policy: "ReplacementPolicy") -> CacheItem:
+        """The item replacement evicts: least ``last_used`` (LRU), or least
+        ``use_count`` then ``last_used`` (LCU), the lower ``item_id`` on a
+        tie -- ``lexsort`` is stable and the columns are in id order."""
+        last_used, use_count = self._stamps[:, : len(self.ids)]
+        keys = (last_used,) if policy == "lru" else (last_used, use_count)
+        return self.items[int(np.lexsort(keys)[0])]
 
 
 class SkylineCache:
@@ -160,10 +257,8 @@ class SkylineCache:
         # remove/insert nest under one acquisition.  Shared by every
         # engine/service worker querying through this cache concurrently.
         self._lock = threading.RLock()
-        self._items: dict[int, CacheItem] = {}
         self._by_constraints: dict[tuple, int] = {}
-        #: None until the first insert fixes the dimensionality
-        self._bounds: Optional[_BoundsTable] = None
+        self._table = _BoundsTable()
         self._clock = itertools.count(1)
         self._id_counter = itertools.count(1)
         self.hits = 0
@@ -222,14 +317,14 @@ class SkylineCache:
             self._check_ndim(constraints)
             existing_id = self._by_constraints.get(constraints.key())
             if existing_id is not None:
-                item = self._items[existing_id]
+                item = self._table.get(existing_id)
                 if not np.array_equal(item.skyline, skyline):
                     self._reindex(item, skyline)
                     self.refreshes += 1
                     self.metrics.inc("cache_refreshes_total")
                     self._journal("put", item)
                 self.touch(item)
-                self._apply_stamps(item, stamps)
+                self._restore_stamps(item, stamps)
                 return item
 
             item = CacheItem(
@@ -241,38 +336,44 @@ class SkylineCache:
                 inserted_at=next(self._clock),
             )
             item.last_used = item.inserted_at
-            self._apply_stamps(item, stamps)
-            if self._bounds is None:
-                self._bounds = _BoundsTable(constraints.ndim)
-            self._items[item.item_id] = item
+            self._table.append(item)
             self._by_constraints[constraints.key()] = item.item_id
-            self._bounds.put(item.item_id, item.mbr_lo, item.mbr_hi)
+            self._restore_stamps(item, stamps)
             self.insertions += 1
             self.metrics.inc("cache_insertions_total")
             self._journal("put", item)
             self._evict_if_needed()
-            self.metrics.set_gauge("cache_items", len(self._items))
+            self.metrics.set_gauge("cache_items", len(self._table))
             return item
 
-    def _apply_stamps(self, item: CacheItem, stamps) -> None:
+    def _restore_stamps(self, item: CacheItem, stamps) -> None:
         if stamps is None:
             return
-        item.inserted_at, item.last_used, item.use_count = map(int, stamps)
+        inserted_at, last_used, use_count = map(int, stamps)
+        item.inserted_at = inserted_at
+        self._stamp(item, last_used, use_count)
         self._clock = itertools.count(
-            max(next(self._clock), item.inserted_at + 1, item.last_used + 1)
+            max(next(self._clock), inserted_at + 1, last_used + 1)
         )
 
+    def _stamp(self, item: CacheItem, last_used: int, use_count: int) -> None:
+        """The one writer of an item's replacement stamps: its fields and,
+        while it is cached, its bounds-table column."""
+        item.last_used, item.use_count = last_used, use_count
+        self._table.set_stamps(item)
+
     def _check_ndim(self, constraints: Constraints) -> None:
-        if self._bounds is not None and constraints.ndim != self._bounds.ndim:
+        ndim = self._table.ndim
+        if ndim is not None and constraints.ndim != ndim:
             raise ValueError(
                 f"constraints are {constraints.ndim}-dimensional, "
-                f"the cache holds {self._bounds.ndim}-dimensional items"
+                f"the cache holds {ndim}-dimensional items"
             )
 
     def remove(self, item: CacheItem) -> None:
         """Drop one item (used by dynamic-data maintenance, Section 6.2)."""
         with self._lock:
-            if item.item_id in self._items:
+            if self._table.get(item.item_id) is not None:
                 self._remove(item)
 
     def replace_skyline(self, item: CacheItem, skyline: np.ndarray) -> Optional[CacheItem]:
@@ -283,8 +384,7 @@ class SkylineCache:
             self.remove(item)
             refreshed = self.insert(item.constraints, skyline)
             if refreshed is not None:
-                refreshed.use_count = item.use_count
-                refreshed.last_used = item.last_used
+                self._stamp(refreshed, item.last_used, item.use_count)
                 # Re-journal with the carried-over counters so a warm
                 # restart restores the same LRU/LCU ordering.
                 self._journal("put", refreshed)
@@ -293,34 +393,34 @@ class SkylineCache:
     def touch(self, item: CacheItem) -> None:
         """Record a use of ``item`` (feeds the LRU/LCU counters)."""
         with self._lock:
-            item.last_used = next(self._clock)
-            item.use_count += 1
+            self._stamp(item, next(self._clock), item.use_count + 1)
 
     def _reindex(self, item: CacheItem, skyline: np.ndarray) -> None:
         """Swap ``item``'s skyline/MBR in place and overwrite its table row."""
         item.skyline = skyline.copy()
         item.mbr_lo = skyline.min(axis=0)
         item.mbr_hi = skyline.max(axis=0)
-        self._bounds.put(item.item_id, item.mbr_lo, item.mbr_hi)
+        self._table.set_mbr(item)
 
     def clear(self) -> None:
         """Drop every item."""
         with self._lock:
-            self._items.clear()
             self._by_constraints.clear()
-            self._bounds = None
+            self._table = _BoundsTable()
             self._journal("clear")
         self.metrics.set_gauge("cache_items", 0)
 
     # ------------------------------------------------------------------
     # Lookup
     # ------------------------------------------------------------------
-    def candidates(self, query: Constraints, record: bool = True) -> List[CacheItem]:
+    def candidates(self, query: Constraints, record: bool = True) -> Candidates:
         """Return all items whose skyline MBR intersects ``R_C'``.
 
         This is the paper's cache search, "fetching all cache items where
         R_C' intersects MBR != empty" (Section 6), as one broadcast overlap
-        test over the bounds table.  Items come back in ascending
+        test over the bounds table; the items come back as
+        :class:`Candidates`, with their constraint bounds cut from the same
+        table.  Items come back in ascending
         ``item_id`` -- insertion order -- on every path, so strategy ties
         break the same way however the cache contents were built.  Hit/miss
         counters are updated unless ``record`` is False (used by dry-run
@@ -330,11 +430,7 @@ class SkylineCache:
         """
         with self._lock:
             self._check_ndim(query)
-            if self._bounds is None:
-                items: List[CacheItem] = []
-            else:
-                ids = self._bounds.overlapping(query.lo, query.hi)
-                items = [self._items[i] for i in ids]
+            items = self._table.overlapping(query.lo, query.hi)
         if record:
             if items:
                 self.hits += 1
@@ -348,7 +444,7 @@ class SkylineCache:
         """Return the item cached under exactly these constraints, if any."""
         with self._lock:
             item_id = self._by_constraints.get(query.key())
-            return self._items.get(item_id) if item_id is not None else None
+            return self._table.get(item_id) if item_id is not None else None
 
     # ------------------------------------------------------------------
     # Self-healing (invariant verification and quarantine)
@@ -403,15 +499,13 @@ class SkylineCache:
         stored MBR rotted is still removed cleanly.
         """
         with self._lock:
-            if item.item_id not in self._items:
+            if not self._table.delete(item.item_id):
                 return
-            del self._items[item.item_id]
             self._by_constraints.pop(item.constraints.key(), None)
-            self._bounds.delete(item.item_id)
             self.quarantined += 1
             self._journal("del", item)
         self.metrics.inc("cache_quarantined_total", reason=reason)
-        self.metrics.set_gauge("cache_items", len(self._items))
+        self.metrics.set_gauge("cache_items", len(self._table))
 
     def verify_and_heal(self, item: CacheItem, sample: int = 16) -> bool:
         """Verify ``item``; quarantine it on violation.  True = healthy."""
@@ -434,7 +528,7 @@ class SkylineCache:
         with self._lock:
             lookups = self.hits + self.misses
             return {
-                "items": len(self._items),
+                "items": len(self._table),
             "capacity": self.capacity,
             "policy": self.policy,
             "hits": self.hits,
@@ -458,11 +552,11 @@ class SkylineCache:
             self.log.close(self)
 
     def __len__(self) -> int:
-        return len(self._items)
+        return len(self._table)
 
     def __iter__(self):
         with self._lock:
-            return iter(list(self._items.values()))
+            return iter(list(self._table.items))
 
     # ------------------------------------------------------------------
     # Persistence
@@ -471,15 +565,13 @@ class SkylineCache:
         """The archive payload for :meth:`save` (caller holds no lock)."""
         with self._lock:
             arrays = {
-                "n_items": np.array(len(self._items)),
+                "n_items": np.array(len(self._table)),
                 "capacity": np.array(
                     self.capacity if self.capacity is not None else -1
                 ),
                 "policy": np.array(self.policy),
             }
-            for i, item in enumerate(
-                sorted(self._items.values(), key=lambda it: it.item_id)
-            ):
+            for i, item in enumerate(self._table.items):
                 arrays[f"lo_{i}"] = np.asarray(item.constraints.lo)
                 arrays[f"hi_{i}"] = np.asarray(item.constraints.hi)
                 arrays[f"sky_{i}"] = item.skyline
@@ -596,21 +688,14 @@ class SkylineCache:
     # Replacement
     # ------------------------------------------------------------------
     def _evict_if_needed(self) -> None:
-        while self.capacity is not None and len(self._items) > self.capacity:
-            victim = min(self._items.values(), key=self._eviction_key)
-            self._remove(victim)
+        while self.capacity is not None and len(self._table) > self.capacity:
+            self._remove(self._table.victim(self.policy))
             self.evictions += 1
             self.metrics.inc("cache_evictions_total", policy=self.policy)
 
-    def _eviction_key(self, item: CacheItem):
-        if self.policy == "lru":
-            return (item.last_used, item.item_id)
-        return (item.use_count, item.last_used, item.item_id)
-
     def _remove(self, item: CacheItem) -> None:
-        del self._items[item.item_id]
         del self._by_constraints[item.constraints.key()]
-        if not self._bounds.delete(item.item_id):
+        if not self._table.delete(item.item_id):
             raise RuntimeError("cache index out of sync with item store")
         self._journal("del", item)
 
@@ -670,6 +755,6 @@ class SkylineCache:
             replayed += 1
         if replayed:
             sources.append("wal")
-        if self._items:
-            log.metrics.inc("cache_restored_items_total", len(self._items))
+        if len(self._table):
+            log.metrics.inc("cache_restored_items_total", len(self._table))
         return "+".join(sources) or "cold"

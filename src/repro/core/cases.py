@@ -32,7 +32,6 @@ from typing import List, Tuple
 import numpy as np
 
 from repro.core.mpr import _corner_union_tiling, _subtract_corners
-from repro.core.stability import guaranteed_stable
 from repro.geometry.box import Box, BoxSet
 from repro.geometry.constraints import Constraints, delta_region
 from repro.skyline.sfs import sfs_skyline
@@ -50,22 +49,28 @@ SINGLE_BOUND_CASES = (CASE_A, CASE_B, CASE_C, CASE_D)
 
 
 def classify_change(old: Constraints, new: Constraints) -> str:
-    """Return the overlap-case label for an old/new constraint pair."""
+    """Return the overlap-case label for an old/new constraint pair.
+
+    Runs once per query on the chosen item, so it compares the bounds as
+    Python floats: a handful of comparisons, no array operation.
+    """
     if old.ndim != new.ndim:
         raise ValueError("constraint dimensionality mismatch")
-    if old == new:
+    old_lo, old_hi = old.lo.tolist(), old.hi.tolist()
+    new_lo, new_hi = new.lo.tolist(), new.hi.tolist()
+    changed = [
+        CASE_A if b < a else CASE_D for a, b in zip(old_lo, new_lo) if b != a
+    ] + [CASE_B if b < a else CASE_C for a, b in zip(old_hi, new_hi) if b != a]
+    if not changed:
         return CASE_EXACT
-    if not old.overlaps(new):
+    if not all(a <= b for a, b in zip(old_lo, new_hi)) or not all(
+        a <= b for a, b in zip(new_lo, old_hi)
+    ):
         return CASE_DISJOINT
-    lower_diff = np.flatnonzero(old.lo != new.lo)
-    upper_diff = np.flatnonzero(old.hi != new.hi)
-    if len(lower_diff) + len(upper_diff) == 1:
-        if len(lower_diff) == 1:
-            dim = int(lower_diff[0])
-            return CASE_A if new.lo[dim] < old.lo[dim] else CASE_D
-        dim = int(upper_diff[0])
-        return CASE_B if new.hi[dim] < old.hi[dim] else CASE_C
-    return GENERAL_STABLE if guaranteed_stable(old, new) else GENERAL_UNSTABLE
+    if len(changed) == 1:
+        return changed[0]
+    # Theorem 1: overlapping, so stable iff no lower bound rose
+    return GENERAL_UNSTABLE if CASE_D in changed else GENERAL_STABLE
 
 
 def classify_dimension_changes(old: Constraints, new: Constraints) -> List[str]:
@@ -92,13 +97,13 @@ def bound_change_counts(
     old_lo: np.ndarray, old_hi: np.ndarray, new: Constraints
 ) -> np.ndarray:
     """:func:`classify_dimension_changes` for every old region
-    ``[old_lo[r], old_hi[r]]`` of two ``(n, d)`` bounds arrays at once: the
-    ``(n, 4)`` counts of bounds that changed as case a, b, c and d."""
+    ``[old_lo[:, j], old_hi[:, j]]`` of two ``(d, n)`` bounds arrays at once:
+    the ``(4, n)`` counts of bounds that changed as case a, b, c and d."""
+    new_lo, new_hi = new.lo[:, None], new.hi[:, None]
     changes = np.stack(
-        [new.lo < old_lo, new.hi < old_hi, new.hi > old_hi, new.lo > old_lo],
-        axis=1,
+        [new_lo < old_lo, new_hi < old_hi, new_hi > old_hi, new_lo > old_lo]
     )
-    return changes.sum(axis=2)
+    return changes.sum(axis=1)
 
 
 @dataclass

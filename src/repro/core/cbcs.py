@@ -48,7 +48,7 @@ from repro.core.cases import CASE_EXACT
 from repro.core.executor import Executor
 from repro.core.planner import CASE_MISS, PlannedQuery, Planner, QueryPlan
 from repro.core.strategies import CacheSearchStrategy, MaxOverlapSP
-from repro.geometry.constraints import Constraints
+from repro.geometry.constraints import Constraints, overlap_volumes
 from repro.obs import NULL_OBS, bind, current_query_id
 from repro.resilience import DEGRADABLE, DeadlineExceeded, resolve_resilience
 from repro.resilience.deadline import Deadline
@@ -362,7 +362,7 @@ class CBCS:
                     and not self.cache.verify_and_heal(item)
                 ):
                     attempt.rejected.append(item)
-                    candidates = [c for c in candidates if c is not item]
+                    candidates = candidates.without(item)
                     item = self.planner.select(constraints, candidates)
                 obs.metrics.inc(
                     "cache_lookups_total",
@@ -451,10 +451,8 @@ class CBCS:
         with self.obs.tracer.span("cbcs.stale_serve"):
             candidates = self.cache.candidates(constraints, record=False)
             while candidates:
-                best = max(
-                    candidates,
-                    key=lambda c: c.constraints.overlap_volume(constraints),
-                )
+                overlap = overlap_volumes(candidates.lo, candidates.hi, constraints)
+                best = candidates[int(overlap.argmax())]
                 if not self._verify or self.cache.verify_and_heal(best):
                     points = best.skyline[constraints.satisfied_mask(best.skyline)]
                     qspan.set(degraded=RUNG_STALE, item_id=best.item_id)
@@ -467,7 +465,7 @@ class CBCS:
                         degraded=RUNG_STALE,
                         stale=True,
                     )
-                candidates = [c for c in candidates if c is not best]
+                candidates = candidates.without(best)
         return None
 
     def _explain(self, outcome: QueryOutcome, attempt: Attempt) -> dict:

@@ -35,6 +35,7 @@ from typing import Literal, Optional
 import numpy as np
 
 from repro.core.cbcs import CBCS
+from repro.geometry.box import BoxSet
 from repro.geometry.dominance import dominated_mask
 from repro.resilience import DEGRADABLE
 from repro.skyline.sfs import sfs_skyline
@@ -204,9 +205,10 @@ class DynamicCBCS(CBCS):
             # a one-box fetch on the query path, so with resilience on it is
             # validated and retried; a refresh that still fails falls back
             # to eviction (a miss, never staleness).
+            c = item.constraints
             try:
                 result = self.executor.fetch(
-                    self.table, [item.constraints.region()], self.resilience
+                    self.table, BoxSet(c.lo[None], c.hi[None]), self.resilience
                 ).result
             except DEGRADABLE:
                 self._evict_item(item)

@@ -1,10 +1,13 @@
 """The execution layer: runs a plan's range queries against the table.
 
 :meth:`Executor.fetch` is the only place per-box results are gathered: it
-takes the planner's disjoint boxes and reads each one, in plan order, on
-the calling thread -- with ``table.range_query(box)``, or, when the engine
-runs with resilience, with :meth:`repro.resilience.Resilience.read` (the
-same call, validated, retried and behind the circuit breaker).  There is
+takes the planner's disjoint boxes -- the plan's
+:class:`~repro.geometry.box.BoxSet`, closed float bounds from the region
+algebra to the disk, with no :class:`~repro.geometry.box.Box` built on the
+way -- and reads each row, in plan order, on the calling thread -- with
+``table.range_query(lo, hi)``, or, when the engine runs with resilience,
+with :meth:`repro.resilience.Resilience.read` (the same call, validated,
+retried and behind the circuit breaker).  There is
 no other fetch path (DESIGN.md section 5, item 16): the disk is a cost
 model behind one lock, so threads here could only ever improve a
 simulated number.
@@ -42,7 +45,8 @@ class Executor:
     """
 
     def fetch(self, table, boxes, resilience=None, state=None) -> FetchOutcome:
-        """Fetch every box in plan order and merge the results.
+        """Fetch every row of ``boxes`` (a :class:`~repro.geometry.box.BoxSet`)
+        in plan order and merge the results.
 
         The first box that raises (a fault-injected error,
         ``RetriesExhausted``, ``CircuitOpenError``) ends the fetch: the
@@ -52,11 +56,12 @@ class Executor:
         given).  ``table.range_query`` is looked up per box, never bound
         ahead, so a wrapper installed on the table instance sees every read.
         """
+        rows = zip(boxes.lo, boxes.hi)
         if resilience is None:
-            parts = tuple(table.range_query(box) for box in boxes)
+            parts = tuple(table.range_query(lo, hi) for lo, hi in rows)
         else:
             state = resilience.new_state() if state is None else state
-            parts = tuple(resilience.read(table, box, state) for box in boxes)
+            parts = tuple(resilience.read(table, lo, hi, state) for lo, hi in rows)
         return FetchOutcome(concat_results(parts, table.ndim), parts)
 
     def close(self) -> None:

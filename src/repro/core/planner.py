@@ -39,7 +39,7 @@ import numpy as np
 
 from repro.core.cases import CASE_EXACT, classify_change
 from repro.core.shaping import shape
-from repro.geometry.box import Box, BoxSet
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
 
 CASE_MISS = "miss"
@@ -73,7 +73,9 @@ class QueryPlan:
     reusable_points: int
     #: boxes issued -- ``len(boxes)``, after shaping
     range_queries: int
-    boxes: List[Box] = field(default_factory=list)
+    #: the boxes issued, in order, as closed float bounds (the executor
+    #: reads their rows; iterating yields :class:`~repro.geometry.box.Box`)
+    boxes: BoxSet
     #: boxes the region computer emitted, before shaping (the paper's
     #: "range queries generated", Figure 9)
     region_boxes: int = 0
@@ -261,7 +263,7 @@ class Planner:
                 item_id=None,
                 reusable_points=0,
                 range_queries=1,
-                boxes=[constraints.region()],
+                boxes=BoxSet(constraints.lo[None], constraints.hi[None]),
                 region_boxes=1,
             )
         elif case == CASE_EXACT:
@@ -273,6 +275,7 @@ class Planner:
                 item_id=item.item_id,
                 reusable_points=item.skyline_size,
                 range_queries=0,
+                boxes=BoxSet.empty(constraints.ndim),
             )
         else:
             mpr = self.compute_region(
@@ -293,7 +296,7 @@ class Planner:
                 item_id=item.item_id,
                 reusable_points=len(reusable),
                 range_queries=len(fetch),
-                boxes=fetch.boxes(),
+                boxes=fetch,
                 region_boxes=len(mpr.boxes),
             )
         return PlannedQuery(
@@ -318,8 +321,7 @@ class Planner:
         this, never the execution path.
         """
         plan = planned.plan
-        boxes = BoxSet.of(plan.boxes, ndim=planned.constraints.ndim)
-        plan.estimated_points = int(round(self.forecast(boxes).rows.sum()))
+        plan.estimated_points = int(round(self.forecast(plan.boxes).rows.sum()))
         plan.candidates_scored = self.candidate_table(
             planned.constraints, planned.candidates, chosen=planned.item
         )

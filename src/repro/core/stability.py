@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.geometry.constraints import Constraints, overlaps_rows
+from repro.geometry.constraints import Constraints, all_columns, overlaps_columns
 
 
 def guaranteed_stable(old: Constraints, new: Constraints) -> bool:
@@ -29,16 +29,20 @@ def guaranteed_stable(old: Constraints, new: Constraints) -> bool:
     """
     if old.ndim != new.ndim:
         raise ValueError("constraint dimensionality mismatch")
-    return bool(guaranteed_stable_rows(old.lo[None], old.hi[None], new)[0])
+    return bool(
+        guaranteed_stable_columns(old.lo[:, None], old.hi[:, None], new)[0]
+    )
 
 
-def guaranteed_stable_rows(
+def guaranteed_stable_columns(
     old_lo: np.ndarray, old_hi: np.ndarray, new: Constraints
 ) -> np.ndarray:
-    """Theorem 1 for every old region ``[old_lo[r], old_hi[r]]`` of two
-    ``(n, d)`` bounds arrays relative to ``new`` (the cache search
+    """Theorem 1 for every old region ``[old_lo[:, j], old_hi[:, j]]`` of two
+    ``(d, n)`` bounds arrays relative to ``new`` (the cache search
     strategies score all their candidates with one call)."""
-    return (new.lo <= old_lo).all(axis=1) | ~overlaps_rows(old_lo, old_hi, new)
+    return all_columns(new.lo[:, None] <= old_lo) | ~overlaps_columns(
+        old_lo, old_hi, new
+    )
 
 
 def removed_mask(skyline: np.ndarray, new: Constraints) -> np.ndarray:

@@ -30,7 +30,7 @@ from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.core.cache import CacheItem
+from repro.core.cache import CacheItem, Candidates
 from repro.core.cases import (
     CASE_A,
     CASE_B,
@@ -42,8 +42,8 @@ from repro.core.cases import (
     bound_change_counts,
 )
 from repro.core.shaping import shape
-from repro.core.stability import guaranteed_stable_rows
-from repro.geometry.constraints import Constraints, overlap_volumes, overlaps_rows
+from repro.core.stability import guaranteed_stable_columns
+from repro.geometry.constraints import Constraints, overlap_volumes, overlaps_columns
 from repro.obs import NULL_OBS
 
 Rng = Union[int, np.random.Generator, None]
@@ -59,12 +59,13 @@ class CacheSearchStrategy:
     via :meth:`bind_obs` when instrumented.
 
     A scoring strategy implements ``_scores``: the ranking keys of *all*
-    candidates at once, computed by broadcasting over the ``(n, d)`` arrays
-    of their constraint bounds.  ``_select`` picks the first lexicographic
-    maximum in candidate order (the cache lists candidates by ascending
-    ``item_id``, so that is the tie-break), and ``score`` is the one-row
-    case of the same computation.  No key is ever NaN: an argmax would
-    promote one.
+    candidates at once, computed by broadcasting over the ``(d, k)`` columns
+    of their constraint bounds (:class:`~repro.core.cache.Candidates`, which
+    the cache search hands over ready).  ``_select`` picks the first
+    lexicographic maximum in candidate order (the cache lists candidates by
+    ascending ``item_id``, so that is the tie-break), and ``score`` is the
+    one-column case of the same computation.  No key is ever NaN: an argmax
+    would promote one.
     """
 
     name = "abstract"
@@ -88,13 +89,16 @@ class CacheSearchStrategy:
     ) -> CacheItem:
         """Return the preferred cache item for ``query``.
 
-        ``record=False`` skips the selection span and the
+        ``items`` is what :meth:`repro.core.cache.SkylineCache.candidates`
+        returned, or any sequence of items (their columns are then built
+        here).  ``record=False`` skips the selection span and the
         ``strategy_selections_total`` counter -- the explain-only planning
         path uses it so an ``explain()`` followed by ``query()`` counts one
         selection, not two.
         """
         if not items:
             raise ValueError("select() requires at least one candidate item")
+        items = Candidates.of(items)
         obs = self.obs
         if not obs.enabled or not record:
             return self._select(query, items)
@@ -115,22 +119,23 @@ class CacheSearchStrategy:
         next to each candidate so rejections are explainable: the selected
         item's score weakly dominates every rejected one's.
         """
+        one = Candidates.of([item])
         try:
-            keys = self._scores(query, *_constraint_bounds([item]))
+            keys = self._scores(query, one.lo, one.hi)
         except NotImplementedError:
             return None
         parts = tuple(key.item() for key in keys)
         return parts[0] if len(parts) == 1 else parts
 
-    def _select(self, query: Constraints, items: Sequence[CacheItem]) -> CacheItem:
-        return items[_first_maximum(self._scores(query, *_constraint_bounds(items)))]
+    def _select(self, query: Constraints, items: Candidates) -> CacheItem:
+        return items[_first_maximum(self._scores(query, items.lo, items.hi))]
 
     def _scores(
         self, query: Constraints, lo: np.ndarray, hi: np.ndarray
     ) -> Tuple[np.ndarray, ...]:
         """Ranking keys (most significant first, higher is better), one
-        ``(n,)`` array each, of the candidates whose constraints are the
-        rows of ``lo`` / ``hi``."""
+        ``(k,)`` array each, of the candidates whose constraints are the
+        columns of the ``(d, k)`` arrays ``lo`` / ``hi``."""
         raise NotImplementedError
 
     def __repr__(self) -> str:
@@ -150,7 +155,21 @@ class RandomStrategy(CacheSearchStrategy):
             else np.random.default_rng(seed)
         )
 
-    def _select(self, query: Constraints, items: Sequence[CacheItem]) -> CacheItem:
+    def select(
+        self, query: Constraints, items: Sequence[CacheItem], record: bool = True
+    ) -> CacheItem:
+        """A dry run (``record=False``) draws from the generator and then
+        rewinds it, so it names the item the next recorded pick over the
+        same candidates takes and leaves that pick unchanged."""
+        if record:
+            return super().select(query, items)
+        state = self._rng.bit_generator.state
+        try:
+            return super().select(query, items, record=False)
+        finally:
+            self._rng.bit_generator.state = state
+
+    def _select(self, query: Constraints, items: Candidates) -> CacheItem:
         return items[int(self._rng.integers(len(items)))]
 
 
@@ -170,7 +189,7 @@ class MaxOverlapSP(CacheSearchStrategy):
     name = "MaxOverlapSP"
 
     def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
-        stable = guaranteed_stable_rows(lo, hi, query)
+        stable = guaranteed_stable_columns(lo, hi, query)
         return (stable.astype(int), overlap_volumes(lo, hi, query))
 
 
@@ -197,18 +216,18 @@ class Prioritized1D(CacheSearchStrategy):
     def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
         # classify_change, for every candidate at once
         counts = bound_change_counts(lo, hi, query)
-        changed = counts.sum(axis=1)
+        changed = counts.sum(axis=0)
         rank = self._PRIORITY
-        single = counts @ [rank[CASE_A], rank[CASE_B], rank[CASE_C], rank[CASE_D]]
+        single = [rank[CASE_A], rank[CASE_B], rank[CASE_C], rank[CASE_D]] @ counts
         general = np.where(
-            counts[:, 3] == 0, rank[GENERAL_STABLE], rank[GENERAL_UNSTABLE]
+            counts[3] == 0, rank[GENERAL_STABLE], rank[GENERAL_UNSTABLE]
         )
         priority = np.where(
             changed == 0,
             rank[CASE_EXACT],
             np.where(changed == 1, single, general),
         )
-        priority[~overlaps_rows(lo, hi, query)] = 0  # disjoint: no priority
+        priority[~overlaps_columns(lo, hi, query)] = 0  # disjoint: no priority
         return (priority, overlap_volumes(lo, hi, query))
 
 
@@ -243,9 +262,9 @@ class PrioritizedND(CacheSearchStrategy):
         return cls(10, 50, 30, 0)
 
     def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
-        penalty = bound_change_counts(lo, hi, query) @ [
+        penalty = [
             self.penalties[case] for case in (CASE_A, CASE_B, CASE_C, CASE_D)
-        ]
+        ] @ bound_change_counts(lo, hi, query)
         return (0.0 - penalty, overlap_volumes(lo, hi, query))
 
 
@@ -257,9 +276,10 @@ class OptimumDistance(CacheSearchStrategy):
     def _scores(self, query: Constraints, lo: np.ndarray, hi: np.ndarray):
         # a dimension unbounded below on both sides is at distance 0, not
         # inf - inf
+        corner = query.lo[:, None]
         gap = np.zeros(lo.shape)
-        np.subtract(lo, query.lo, out=gap, where=lo != query.lo)
-        return (-np.sqrt((gap * gap).sum(axis=1)),)
+        np.subtract(lo, corner, out=gap, where=lo != corner)
+        return (-np.sqrt((gap * gap).sum(axis=0)),)
 
 
 class CostBased(CacheSearchStrategy):
@@ -289,8 +309,8 @@ class CostBased(CacheSearchStrategy):
         self.region = region
         self.max_candidates = max_candidates
 
-    def _select(self, query: Constraints, items: Sequence[CacheItem]) -> CacheItem:
-        overlap = overlap_volumes(*_constraint_bounds(items), query)
+    def _select(self, query: Constraints, items: Candidates) -> CacheItem:
+        overlap = overlap_volumes(items.lo, items.hi, query)
         shortlist = np.argsort(-overlap, kind="stable")[: self.max_candidates]
         best, best_cost = items[shortlist[0]], float("inf")
         for item in (items[i] for i in shortlist):
@@ -310,27 +330,13 @@ class CostBased(CacheSearchStrategy):
         return shape(mpr.boxes, self.table.forecast).io_ms
 
 
-def _constraint_bounds(items: Sequence[CacheItem]) -> Tuple[np.ndarray, np.ndarray]:
-    """The candidates' constraint bounds as two ``(n, d)`` arrays."""
-    shape = (len(items), -1)
-    return (
-        np.concatenate([item.constraints.lo for item in items]).reshape(shape),
-        np.concatenate([item.constraints.hi for item in items]).reshape(shape),
-    )
-
-
 def _first_maximum(keys: Sequence[np.ndarray]) -> int:
     """Index of the first row holding the lexicographic maximum of ``keys``
-    (what ``max`` over per-row key tuples returns)."""
-    rows = None
-    for key in keys[:-1]:
-        if rows is not None:
-            key = key[rows]
-        top = np.flatnonzero(key == key.max())
-        rows = top if rows is None else rows[top]
-    if rows is None:
-        return int(keys[-1].argmax())
-    return int(rows[keys[-1][rows].argmax()])
+    (what ``max`` over per-row key tuples returns): ``lexsort`` is stable,
+    so the first row of the ascending order of the negated keys."""
+    if len(keys) == 1:
+        return int(keys[0].argmax())
+    return int(np.lexsort([-key for key in reversed(keys)])[0])
 
 
 def default_strategy_suite(seed: Rng = 0) -> List[CacheSearchStrategy]:

@@ -86,7 +86,7 @@ class Constraints:
 
     def overlap_volume(self, other: "Constraints") -> float:
         """Return the volume of the intersection of the two regions."""
-        return float(overlap_volumes(self.lo[None], self.hi[None], other)[0])
+        return float(overlap_volumes(self.lo[:, None], self.hi[:, None], other)[0])
 
     def widths(self) -> np.ndarray:
         """Return per-dimension extents ``hi - lo``."""
@@ -124,25 +124,32 @@ class Constraints:
         return f"Constraints({dims})"
 
 
-def overlaps_rows(lo: np.ndarray, hi: np.ndarray, other: Constraints) -> np.ndarray:
-    """:meth:`Constraints.overlaps` for every region ``[lo[r], hi[r]]`` of two
-    ``(n, d)`` bounds arrays against ``other``."""
-    return (lo <= other.hi).all(axis=1) & (other.lo <= hi).all(axis=1)
+#: ``all`` / ``prod`` over the leading axis of a ``(d, n)`` array, as the bare
+#: ufunc reductions: on the few columns of a query's candidates the call
+#: overhead of the ``ndarray`` methods is most of their cost
+all_columns = np.logical_and.reduce
+prod_columns = np.multiply.reduce
+
+
+def overlaps_columns(lo: np.ndarray, hi: np.ndarray, other: Constraints) -> np.ndarray:
+    """:meth:`Constraints.overlaps` for every region ``[lo[:, j], hi[:, j]]``
+    of two ``(d, n)`` bounds arrays against ``other``."""
+    return all_columns((lo <= other.hi[:, None]) & (other.lo[:, None] <= hi))
 
 
 def overlap_volumes(lo: np.ndarray, hi: np.ndarray, other: Constraints) -> np.ndarray:
-    """:meth:`Constraints.overlap_volume` for every region ``[lo[r], hi[r]]``
-    of two ``(n, d)`` bounds arrays against ``other``.
+    """:meth:`Constraints.overlap_volume` for every region ``[lo[:, j],
+    hi[:, j]]`` of two ``(d, n)`` bounds arrays against ``other``.
 
     An intersection with a zero-width dimension has volume 0 whatever its
     other extents (not ``0 * inf``), so no volume is ever NaN.
     """
-    top = np.minimum(hi, other.hi)
-    bottom = np.maximum(lo, other.lo)
-    solid = (top > bottom).all(axis=1)
+    top = np.minimum(hi, other.hi[:, None])
+    bottom = np.maximum(lo, other.lo[:, None])
+    solid = all_columns(top > bottom)
     width = np.zeros(top.shape)
-    np.subtract(top, bottom, out=width, where=solid[:, None])
-    return np.prod(width, axis=1)
+    np.subtract(top, bottom, out=width, where=solid)
+    return prod_columns(width)
 
 
 def overlap_region(old: Constraints, new: Constraints) -> Box:

@@ -125,17 +125,17 @@ def plan_sections(planner, cache_items, bypassed, rejected, planned, parts) -> d
     from repro.geometry.box import BoxSet
 
     plan = planner.annotate(planned)
-    ndim = planned.constraints.ndim
-    forecast = planner.forecast(BoxSet.of(plan.boxes, ndim=ndim))
+    forecast = planner.forecast(plan.boxes)
     model = forecast.model
     # the shaping decision: what was planned, what the region computer's
     # boxes would have cost one by one (a miss or an exact hit has none but
     # the plan's), and the one-box alternative
     region = plan.boxes if planned.mpr is None else planned.mpr.boxes
+    query = planned.constraints
     shaping = {
         "plan": forecast,
-        "region": planner.forecast(BoxSet.of(region, ndim=ndim)),
-        "one_box": planner.forecast(BoxSet.of([planned.constraints.region()])),
+        "region": planner.forecast(region),
+        "one_box": planner.forecast(BoxSet(query.lo[None], query.hi[None])),
     }
     candidates = [dict(row) for row in plan.candidates_scored] + [
         planner.candidate_row(

@@ -92,8 +92,8 @@ class Resilience:
         per-request :class:`~repro.resilience.deadline.Deadline`."""
         return RetryState(self.policy, deadline=deadline)
 
-    def read(self, table, box, state: RetryState):
-        """One guarded ``table.range_query(box)``: validated, retried
+    def read(self, table, lo, hi, state: RetryState):
+        """One guarded ``table.range_query(lo, hi)``: validated, retried
         against ``state``'s per-query budget, behind the circuit breaker.
 
         The breaker admits the read before any storage (or fault-injector)
@@ -109,7 +109,7 @@ class Resilience:
         self.breaker.allow()  # raises CircuitOpenError while open
 
         def attempt():
-            result = table.range_query(box)
+            result = table.range_query(lo, hi)
             validate_range_result(result)
             return result
 

@@ -26,7 +26,7 @@ def naive_constrained_skyline(
 
     Returns ``(skyline_points, rows_fetched)``.
     """
-    result = table.range_query(constraints.region())
+    result = table.range_query(constraints.lo, constraints.hi)
     skyline = result.points[sfs_skyline(result.points)]
     return skyline, result.rows_fetched
 
@@ -46,7 +46,7 @@ class BaselineMethod:
         watch = Stopwatch(tracer=obs.tracer)
         with obs.tracer.span("baseline.query"):
             with watch.stage("fetch_wall"):
-                result = self.table.range_query(constraints.region())
+                result = self.table.range_query(constraints.lo, constraints.hi)
             with watch.stage("skyline"):
                 skyline = result.points[sfs_skyline(result.points)]
         io = result.io_stats()  # this query's charges alone

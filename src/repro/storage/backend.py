@@ -2,25 +2,29 @@
 
 The engine holds one storage handle, ``CBCS.table``, and reads it in one
 place: :meth:`repro.core.executor.Executor.fetch` issues one
-``table.range_query(box)`` per planned box -- or, with resilience on, one
-:meth:`repro.resilience.Resilience.read` of it, which validates, retries
-and guards the same call with the circuit breaker.  Anything satisfying
+``table.range_query(lo, hi)`` per row of the plan's box set -- or, with
+resilience on, one :meth:`repro.resilience.Resilience.read` of it, which
+validates, retries and guards the same call with the circuit breaker.
+Anything satisfying
 :class:`StorageBackend` can be that table:
 
     DiskTable | ShardedTable       the simulated disk (or a fleet of them)
     -> FaultyDiskTable             (optional) deterministic fault injection
 
 Faults are injected *below* the guarded read, so a retry re-draws the fault
-schedule, like re-issuing a real SQL query.  ``range_query`` takes a box and
-nothing else, and it is looked up on the table per call, so a wrapper put on
-the table instance after the engine is built sees every read.
+schedule, like re-issuing a real SQL query.  ``range_query`` takes one
+closed box as two ``(d,)`` float arrays, ``lo`` and ``hi`` (a face may be
++-inf), and nothing else -- the form the region algebra
+(:class:`~repro.geometry.box.BoxSet`) plans in, so no box object is built
+between the planner and the disk.  It is looked up on the table per call, so
+a wrapper put on the table instance after the engine is built sees every
+read.
 """
 
 from __future__ import annotations
 
 from typing import Protocol, runtime_checkable
 
-from repro.geometry.box import Box
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import IOStats
 from repro.storage.table import Forecast, RangeResult
@@ -55,6 +59,6 @@ class StorageBackend(Protocol):
 
     def bind_obs(self, obs): ...
 
-    def range_query(self, box: Box) -> RangeResult: ...
+    def range_query(self, lo, hi) -> RangeResult: ...
 
     def forecast(self, lo, hi) -> Forecast: ...

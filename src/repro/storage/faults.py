@@ -332,11 +332,11 @@ class FaultyDiskTable:
     # ------------------------------------------------------------------
     # Faulted read path
     # ------------------------------------------------------------------
-    def range_query(self, box) -> RangeResult:
+    def range_query(self, lo, hi) -> RangeResult:
         kind = self.injector.draw("range_query")
         if kind == "transient_io":
             raise TransientStorageError("injected transient I/O failure")
-        result = self.inner.range_query(box)
+        result = self.inner.range_query(lo, hi)
         if kind == "latency":
             # The spike is charged to the table's aggregate stats *and* to
             # this call's io_ms, which is what the query is billed from.

@@ -15,8 +15,8 @@ item 15).
   value -- uniform placement), or **explicit** per-row assignments (tests);
 - each shard is an independent :class:`~repro.storage.table.DiskTable`
   (its own heap, indexes, I/O counters and simulated disk);
-- ``range_query(box)`` tests the box against the shards' MBRs in one
-  broadcast, reads the overlapping non-empty shards in shard order and
+- ``range_query(lo, hi)`` tests the closed box against the shards' MBRs
+  in one broadcast, reads the overlapping non-empty shards in shard order and
   concatenates -- a plan box that cannot hold rows of a shard never reaches
   that shard's disk;
 - rows are named by fleet-global ``int64`` ids (``row(i) == data[i]`` for
@@ -43,7 +43,6 @@ from typing import Callable, List, Literal, Optional, Sequence
 
 import numpy as np
 
-from repro.geometry.box import Box
 from repro.obs import NULL_OBS
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import IOStats
@@ -91,21 +90,13 @@ class _FleetColumn:
         self._fleet = fleet
         self._dim = dim
 
-    def range_rows(
-        self,
-        lo: float = -np.inf,
-        hi: float = np.inf,
-        lo_open: bool = False,
-        hi_open: bool = False,
-    ) -> np.ndarray:
-        """Global row ids whose key lies in the interval, shard by shard
-        (key order within a shard)."""
+    def range_rows(self, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+        """Global row ids whose key lies in the closed interval ``[lo, hi]``,
+        shard by shard (key order within a shard)."""
         fleet = self._fleet
         return np.concatenate(
             [
-                global_of[
-                    shard.table.index(self._dim).range_rows(lo, hi, lo_open, hi_open)
-                ]
+                global_of[shard.table.index(self._dim).range_rows(lo, hi)]
                 for shard, global_of in zip(fleet.shards, fleet._global_of)
             ]
         )
@@ -258,23 +249,25 @@ class ShardedTable:
     # ------------------------------------------------------------------
     # Reads
     # ------------------------------------------------------------------
-    def range_query(self, box: Box) -> RangeResult:
-        """The points inside ``box``, from the shards that can hold any.
+    def range_query(self, lo, hi) -> RangeResult:
+        """The points inside the closed box ``[lo, hi]``, from the shards
+        that can hold any.
 
-        A shard is read iff it has live rows and its MBR meets the closed
-        hull of the box; shards answer in shard order and the result
-        carries global row ids.  A box no shard can meet costs no I/O.
+        A shard is read iff it has live rows and its MBR meets the box;
+        shards answer in shard order and the result carries global row ids.
+        A box no shard can meet costs no I/O.
         """
-        if box.ndim != self.ndim:
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != (self.ndim,) or hi.shape != (self.ndim,):
             raise ValueError("box dimensionality does not match the table")
         touched = np.flatnonzero(
-            (self.mbr_lo <= box.hi()).all(axis=1)
-            & (self.mbr_hi >= box.lo()).all(axis=1)
+            (self.mbr_lo <= hi).all(axis=1)
+            & (self.mbr_hi >= lo).all(axis=1)
             & (self.counts > 0)
         )
         parts = []
         for sid in touched.tolist():
-            part = self.shards[sid].table.range_query(box)
+            part = self.shards[sid].table.range_query(lo, hi)
             parts.append(replace(part, rowids=self._global_of[sid][part.rowids]))
         return concat_results(parts, self.ndim)
 

@@ -43,7 +43,6 @@ from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.box import Box
 from repro.ioutil import atomic_savez
 from repro.obs import NULL_OBS
 from repro.storage.costmodel import DiskCostModel
@@ -147,6 +146,32 @@ def concat_results(parts: Sequence[RangeResult], ndim: int) -> RangeResult:
     )
 
 
+def _holds_double(lo: np.ndarray, hi: np.ndarray) -> bool:
+    """Whether the closed box ``[lo, hi]`` holds a double: ``lo <= hi`` in
+    every dimension, and no face is ``lo == +inf`` or ``hi == -inf``."""
+    return all(
+        low <= high and low != math.inf and high != -math.inf
+        for low, high in zip(lo.tolist(), hi.tolist())
+    )
+
+
+def _inside(points: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The mask of the rows of ``points`` inside the closed box ``[lo, hi]``.
+
+    One column at a time, skipping infinite faces: on the few short columns
+    of a range query's candidates this is faster than one ``(n, d)``
+    comparison reduced over its short axis (DESIGN.md section 5, item 19).
+    """
+    keep = np.ones(len(points), dtype=bool)
+    for dim, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
+        column = points[:, dim]
+        if low > -math.inf:
+            keep &= column >= low
+        if high < math.inf:
+            keep &= column <= high
+    return keep
+
+
 def checked_rows(rows, ndim: int) -> np.ndarray:
     """``rows`` as a ``(k, ndim)`` float array, or ``ValueError``: what a
     base table checks before an append touches anything."""
@@ -174,18 +199,11 @@ class _SortedColumn:
     def __len__(self) -> int:
         return len(self.keys)
 
-    def range_rows(
-        self,
-        lo: float = -np.inf,
-        hi: float = np.inf,
-        lo_open: bool = False,
-        hi_open: bool = False,
-    ) -> np.ndarray:
-        """Row ids whose key lies in the interval, in key order (bounds as
-        in :class:`repro.geometry.interval.Interval`)."""
-        start = self.keys.searchsorted(lo, "right" if lo_open else "left")
-        stop = self.keys.searchsorted(hi, "left" if hi_open else "right")
-        return self.rows[start:stop]
+    def range_rows(self, lo: float = -np.inf, hi: float = np.inf) -> np.ndarray:
+        """Row ids whose key lies in the closed interval ``[lo, hi]``, in key
+        order."""
+        keys = self.keys
+        return self.rows[keys.searchsorted(lo, "left") : keys.searchsorted(hi, "right")]
 
     def insert(self, column: np.ndarray, rowids: np.ndarray) -> None:
         """Merge the keys of new rows (``rowids`` ascending, above every id
@@ -418,20 +436,21 @@ class DiskTable:
         self.obs = NULL_OBS if obs is None else obs
         return self
 
-    def range_query(self, box: Box) -> RangeResult:
-        """Execute one range query for the points inside ``box``.
+    def range_query(self, lo, hi) -> RangeResult:
+        """Execute one range query for the points inside the closed box
+        ``[lo[j], hi[j]]`` per dimension ``j`` (a face may be +-inf).
 
         Each call models one SQL range predicate sent to the DBMS; the MPR
         fetch issues one call per decomposed hyper-rectangle.
         """
         obs = self.obs
         if not obs.enabled:
-            return self._locked_range_query(box)
+            return self._locked_range_query(lo, hi)
         # Instrumented path: one span per range query plus table counters.
         # The span's I/O figures come from the result itself (stamped under
         # the table lock), so they stay exact under concurrent queries.
         with obs.tracer.span("table.range_query", plan=self.plan) as span:
-            result = self._locked_range_query(box)
+            result = self._locked_range_query(lo, hi)
             span.set(
                 rows=len(result),
                 rows_fetched=result.rows_fetched,
@@ -446,14 +465,17 @@ class DiskTable:
             m.inc("table_points_read_total", result.rows_fetched, plan=self.plan)
         return result
 
-    def _locked_range_query(self, box: Box) -> RangeResult:
+    def _locked_range_query(self, lo, hi) -> RangeResult:
         """Run one range query under the table lock, stamping on the result
         every counter the call moved."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if lo.shape != (self.ndim,) or hi.shape != (self.ndim,):
+            raise ValueError("box dimensionality does not match the table")
         stats = self.stats
         with self._lock:
             io_ms, pages, seeks = stats.simulated_io_ms, stats.pages_read, stats.seeks
             empty, hits = stats.empty_queries, stats.buffer_hits
-            points, rowids, rows_fetched = self._execute_range_query(box)
+            points, rowids, rows_fetched = self._execute_range_query(lo, hi)
             return RangeResult(
                 points,
                 rowids,
@@ -472,25 +494,23 @@ class DiskTable:
         with self._lock:
             self.stats.simulated_io_ms += ms
 
-    def _execute_range_query(self, box: Box) -> tuple:
+    def _execute_range_query(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """``(points, rowids, rows_fetched)``, charging :attr:`stats`."""
-        if box.ndim != self.ndim:
-            raise ValueError("box dimensionality does not match the table")
         self.stats.range_queries += 1
-        if self.n == 0 or box.is_empty():
+        if self.n == 0 or not _holds_double(lo, hi):
             self.stats.empty_queries += 1
             return self._empty_result()
 
         if self.plan == "seqscan":
-            return self._seqscan_query(box)
+            return self._seqscan_query(lo, hi)
 
-        candidates = self._best_index_candidates(box)
+        candidates = self._best_index_candidates(lo, hi)
         if candidates is None or len(candidates) == 0:
             self.stats.empty_queries += 1
             return self._empty_result()
 
         points = self._data[candidates]
-        keep = box.mask(points)
+        keep = _inside(points, lo, hi)
         matches = candidates[keep]
         if self.plan == "bitmap":
             # BitmapAnd plan: the indexes intersect to the exact row set;
@@ -729,7 +749,7 @@ class DiskTable:
     def _empty_result(self) -> tuple:
         return np.empty((0, self.ndim)), np.empty(0, dtype=np.int64), 0
 
-    def _seqscan_query(self, box: Box) -> tuple:
+    def _seqscan_query(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """Answer a range query by scanning the whole heap.
 
         The paper's preliminary experiments "also tested a baseline using
@@ -741,22 +761,21 @@ class DiskTable:
         self.stats.seeks += 1 if n_pages else 0
         self.stats.points_read += self.n
         self.stats.simulated_io_ms += self.cost_model.sequential_scan_cost_ms(n_pages)
-        keep = box.mask(self._data) & self._alive
+        keep = _inside(self._data, lo, hi) & self._alive
         rowids = np.flatnonzero(keep)
         return self._data[rowids], rowids, self.n
 
-    def _best_index_candidates(self, box: Box) -> Optional[np.ndarray]:
+    def _best_index_candidates(
+        self, lo: np.ndarray, hi: np.ndarray
+    ) -> Optional[np.ndarray]:
         best_dim, best_count = 0, None
-        for i, iv in enumerate(box.intervals):
-            count = self.estimate_count(i, iv.lo, iv.hi)
+        for i, (low, high) in enumerate(zip(lo.tolist(), hi.tolist())):
+            count = self.estimate_count(i, low, high)
             if best_count is None or count < best_count:
                 best_dim, best_count = i, count
             if count == 0:
                 return None
-        iv = box.intervals[best_dim]
-        candidates = self._indexes[best_dim].range_rows(
-            iv.lo, iv.hi, lo_open=iv.lo_open, hi_open=iv.hi_open
-        )
+        candidates = self._indexes[best_dim].range_rows(lo[best_dim], hi[best_dim])
         return candidates[self._alive[candidates]]
 
     def _charge_fetch(self, rowids: np.ndarray) -> None:

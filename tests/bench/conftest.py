@@ -13,8 +13,8 @@ def lossy_table(monkeypatch):
     defect every soak must catch."""
     honest = DiskTable.range_query
 
-    def drops_first_row(self, box):
-        result = honest(self, box)
+    def drops_first_row(self, lo, hi):
+        result = honest(self, lo, hi)
         return dataclasses.replace(
             result, points=result.points[1:], rowids=result.rowids[1:]
         )

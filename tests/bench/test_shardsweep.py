@@ -38,9 +38,9 @@ class TestCleanSweep:
 
         honest = ShardedTable.range_query
 
-        def lossy(self, box):
+        def lossy(self, lo, hi):
             self.counts = self.counts * (np.arange(len(self.counts)) != 1)
-            return honest(self, box)
+            return honest(self, lo, hi)
 
         monkeypatch.setattr(ShardedTable, "range_query", lossy)
         report = shards(8)

@@ -221,3 +221,61 @@ class TestCandidateOrder:
             assert all(f is e for f, e in zip(found, expected))
             everything = cache.candidates(Constraints([0.0] * d, [1.0] * d), record=False)
             assert [it.item_id for it in everything] == sorted(it.item_id for it in cache)
+
+
+def reference_eviction_key(policy):
+    """The order replacement evicts in: least recently used (LRU) or least
+    commonly used then least recently used (LCU), the lower id on a tie."""
+    if policy == "lru":
+        return lambda it: (it.last_used, it.item_id)
+    return lambda it: (it.use_count, it.last_used, it.item_id)
+
+
+class TestEvictionVictim:
+    """Every over-capacity insert evicts ``min`` over the items under the
+    reference key -- touches, carried-over stamps and restored stamps (which
+    can tie) included."""
+
+    @given(
+        policy=st.sampled_from(["lru", "lcu"]),
+        capacity=st.integers(1, 4),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(
+            st.sampled_from(["insert", "restore", "touch", "touch", "replace"]),
+            min_size=1,
+            max_size=40,
+        ),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_victim_is_the_reference_minimum(self, policy, capacity, seed, ops):
+        rng = np.random.default_rng(seed)
+        cache = SkylineCache(capacity=capacity, policy=policy)
+        key = reference_eviction_key(policy)
+
+        def random_result():
+            lo = rng.uniform(0.0, 0.7, size=2)
+            hi = lo + rng.uniform(0.05, 0.3, size=2)
+            return Constraints(lo, hi), rng.uniform(lo, hi, size=(2, 2))
+
+        for op in ops:
+            before = list(cache)
+            if op in ("touch", "replace") and before:
+                item = before[int(rng.integers(len(before)))]
+                if op == "touch":
+                    cache.touch(item)
+                else:
+                    moved = rng.uniform(item.constraints.lo, item.constraints.hi, size=(2, 2))
+                    fresh = cache.replace_skyline(item, moved)
+                    assert (fresh.last_used, fresh.use_count) == (
+                        item.last_used,
+                        item.use_count,
+                    )
+                continue
+            if op == "restore":  # saved stamps: small, so ties are common
+                stamps = rng.integers(1, 4, size=3)
+                new = cache._put(*random_result(), stamps=stamps)
+            else:
+                new = cache.insert(*random_result())
+            pool = before + [new]
+            evicted = [it for it in pool if it not in list(cache)]
+            assert evicted == ([min(pool, key=key)] if len(pool) > capacity else [])

@@ -11,12 +11,14 @@ import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 
+import numpy as np
 import pytest
 
 from repro.core.ampr import ExactMPR
 from repro.core.cbcs import CBCS
 from repro.core.executor import Executor
 from repro.data.generator import independent
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
 from repro.skyline.baseline import BaselineMethod
 from repro.skyline.bbs import BBSMethod
@@ -32,12 +34,10 @@ def data():
     return independent(2_000, 3, seed=42)
 
 
-QUADRANTS = [
-    Constraints([0.0, 0.0, 0.0], [0.5, 0.5, 1.0]).region(),
-    Constraints([0.5, 0.0, 0.0], [1.0, 0.5, 1.0]).region(),
-    Constraints([0.0, 0.5, 0.0], [0.5, 1.0, 1.0]).region(),
-    Constraints([0.5, 0.5, 0.0], [1.0, 1.0, 1.0]).region(),
-]
+QUADRANTS = BoxSet(
+    np.array([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0], [0.0, 0.5, 0.0], [0.5, 0.5, 0.0]]),
+    np.array([[0.5, 0.5, 1.0], [1.0, 0.5, 1.0], [0.5, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+)
 
 
 @pytest.fixture
@@ -97,9 +97,9 @@ class TestBitIdenticalAnswers:
         fetched = {}
         range_query = table.range_query
 
-        def recording(box):
-            result = range_query(box)
-            fetched[repr(box)] = result
+        def recording(lo, hi):
+            result = range_query(lo, hi)
+            fetched[(tuple(lo), tuple(hi))] = result
             return result
 
         table.range_query = recording
@@ -110,7 +110,7 @@ class TestBitIdenticalAnswers:
         serial = BaselineMethod(DiskTable(data))
         billed = IOStats()
         for c, outcome in zip(queries, outcomes):
-            assert outcome.io == fetched[repr(c.region())].io_stats()
+            assert outcome.io == fetched[c.key()].io_stats()
             assert outcome.io == serial.query(c).io
             billed.add(outcome.io)
         assert len(fetched) == len(queries)
@@ -143,11 +143,11 @@ class FailsOnSecondCall:
         self.ndim = table.ndim
         self.calls = 0
 
-    def range_query(self, box):
+    def range_query(self, lo, hi):
         self.calls += 1
         if self.calls == 2:
             raise TransientStorageError("second box")
-        return self.table.range_query(box)
+        return self.table.range_query(lo, hi)
 
 
 class TestExecutorMerging:
@@ -159,7 +159,7 @@ class TestExecutorMerging:
         assert backend.calls == 2
         # boxes three and four were never issued: the table was charged
         # for the first box and nothing else
-        reference.range_query(QUADRANTS[0])
+        reference.range_query(QUADRANTS.lo[0], QUADRANTS.hi[0])
         assert table.stats == reference.stats
 
     def test_fetch_gathers_in_plan_order(self, data):
@@ -175,7 +175,7 @@ class TestExecutorMerging:
 
     def test_empty_plan_is_free(self, data):
         table = DiskTable(data)
-        outcome = Executor().fetch(table, [])
+        outcome = Executor().fetch(table, BoxSet.empty(3))
         assert len(outcome.result) == 0
         assert outcome.parts == ()
         assert outcome.result.io_stats() == IOStats()

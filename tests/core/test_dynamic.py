@@ -26,8 +26,8 @@ class TestTableUpdates:
         ids = table.append(new_rows)
         assert list(ids) == [500, 501]
         assert table.n == 502
-        box = Constraints([0.0, 0.0], [0.02, 0.02]).region()
-        result = table.range_query(box)
+        c = Constraints([0.0, 0.0], [0.02, 0.02])
+        result = table.range_query(c.lo, c.hi)
         assert 500 in result.rowids
 
     def test_append_shape_validation(self):
@@ -41,7 +41,7 @@ class TestTableUpdates:
         target = int(np.argmin(data.sum(axis=1)))
         assert table.delete([target]) == 1
         assert table.live_count == 299
-        result = table.range_query(Constraints([0, 0], [1, 1]).region())
+        result = table.range_query([0, 0], [1, 1])
         assert target not in result.rowids
 
     def test_delete_is_idempotent(self):
@@ -84,7 +84,7 @@ class TestTableUpdates:
         # repeated vacuum is a no-op
         assert table.vacuum() == 0
         # queries unchanged
-        result = table.range_query(Constraints([0, 0], [1, 1]).region())
+        result = table.range_query([0, 0], [1, 1])
         assert len(result) == 297
         assert {5, 10, 15}.isdisjoint(result.rowids)
 

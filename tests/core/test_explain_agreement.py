@@ -14,6 +14,7 @@ import pytest
 
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cbcs import CBCS
+from repro.core.strategies import RandomStrategy
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
 from repro.obs import Observability
@@ -140,3 +141,30 @@ def test_plan_to_dict_is_strict_json():
     for box in payload["boxes"]:
         for iv in box["intervals"]:
             assert set(iv) == {"lo", "hi", "lo_open", "hi_open"}
+
+
+def test_explain_under_random_names_the_next_pick_and_draws_nothing():
+    """A dry run must not advance ``RandomStrategy``'s generator: explain()
+    names the same item every time, the query after it uses that item, and
+    the query picks what it picks with no explain before it."""
+    data = generate("independent", 2000, 2, seed=5)
+    regions = [
+        Constraints([0.1 * i, 0.1 * i], [0.6 + 0.05 * i, 0.6 + 0.05 * i])
+        for i in range(5)
+    ]
+    query = Constraints([0.25, 0.25], [0.65, 0.65])
+    picks = []
+    for explain_first in (True, False):
+        engine = CBCS(DiskTable(data), strategy=RandomStrategy(seed=3))
+        engine.warm(regions)
+        if explain_first:
+            named = {engine.explain(query).item_id for _ in range(3)}
+            assert len(named) == 1
+        plan = engine.planner.plan
+        seen = []
+        engine.planner.plan = lambda *a, **k: seen.append(plan(*a, **k)) or seen[-1]
+        engine.query(query)
+        picks.append(seen[0].item.item_id)
+        if explain_first:
+            assert named == {picks[0]}
+    assert picks[0] == picks[1]

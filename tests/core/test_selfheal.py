@@ -82,7 +82,7 @@ class TestQuarantine:
         item = make_item(cache, 0.2)
         item.skyline[0, 0] = np.inf
         assert cache.verify_and_heal(item) is False
-        assert item.item_id not in cache._items
+        assert item not in list(cache)
 
     def test_quarantine_idempotent(self):
         cache = SkylineCache()
@@ -133,7 +133,7 @@ class TestCounterConsistencyUnderPressure:
         items = [make_item(cache, 0.05 + 0.09 * i) for i in range(10)]
         assert all(item is not None for item in items)
         # Quarantine one live item, then keep inserting under pressure.
-        live = [i for i in items if i.item_id in cache._items]
+        live = [i for i in items if i in list(cache)]
         cache.quarantine(live[0], reason="non-finite")
         more = [make_item(cache, 0.91 + 0.005 * i, width=0.004) for i in range(5)]
         assert all(item is not None for item in more)

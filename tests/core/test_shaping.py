@@ -263,7 +263,7 @@ class TestForecast:
         boxes = self.boxes()
         cost = forecast_of(table, boxes)
         for box, rows, pages, seeks in zip(boxes, cost.rows, cost.pages, cost.seeks):
-            part = table.range_query(box)
+            part = table.range_query(box.lo(), box.hi())
             assert (rows, pages, seeks) == (part.rows_fetched, part.pages_read, part.seeks)
 
     def test_open_faces_are_honoured(self):
@@ -296,7 +296,7 @@ class TestForecast:
         assert cost.seeks.tolist() == [1, 2, 0]
         assert cost.rows.tolist() == [8.0, 8.0, 0.0]
         for box, seeks in zip([one, two, none], cost.seeks):
-            assert fleet.range_query(box).seeks == seeks
+            assert fleet.range_query(box.lo(), box.hi()).seeks == seeks
         # the fleet's sum is not the plain table's product ...
         assert forecast_of(DiskTable(rows), [two]).seeks.tolist() == [1]
         # ... except at one shard, where it is the plain table's forecast

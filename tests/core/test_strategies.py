@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.cache import CacheItem, SkylineCache
+from repro.core.ampr import ApproximateMPR
+from repro.core.cache import CacheItem, Candidates, SkylineCache
 from repro.core.cases import classify_change, classify_dimension_changes
 from repro.core.strategies import (
     CostBased,
@@ -20,6 +21,7 @@ from repro.core.strategies import (
     default_strategy_suite,
 )
 from repro.geometry.constraints import Constraints
+from repro.storage.table import DiskTable
 
 
 def item(lo, hi, item_id=0):
@@ -173,11 +175,18 @@ def old_stable(old, new):
     return bool(np.all(new.lo <= old.lo)) or not old.overlaps(new)
 
 
-def old_score(strategy, query, it):
+def zero_width_volume(a, b):
+    """``old_overlap_volume`` with a zero-width intersection at volume 0
+    whatever its other extents (never ``0 * inf``)."""
+    lo, hi = np.maximum(a.lo, b.lo), np.minimum(a.hi, b.hi)
+    return 0.0 if np.any(lo >= hi) else float(np.prod(hi - lo))
+
+
+def old_score(strategy, query, it, overlap_volume=old_overlap_volume):
     """What ``strategy.score(query, it)`` returned before the scorers were
     vectorised: one candidate at a time, from the scalar helpers."""
     c = it.constraints
-    volume = old_overlap_volume(c, query)
+    volume = overlap_volume(c, query)
     if isinstance(strategy, MaxOverlapSP):
         return (1 if old_stable(c, query) else 0, volume)
     if isinstance(strategy, MaxOverlap):
@@ -311,3 +320,114 @@ class TestUnboundedConstraints:
         assert line.overlap_volume(slab) == 0.0
         assert MaxOverlap().score(slab, item(line.lo, line.hi)) == 0.0
         assert MaxOverlapSP().score(slab, item(line.lo, line.hi)) == (1, 0.0)
+
+
+# ----------------------------------------------------------------------
+# selection fed by the cache's bounds table against per-item scoring
+# ----------------------------------------------------------------------
+@st.composite
+def cache_and_query(draw):
+    """A cache over grid constraints (+-inf faces, repeats, ties) and a
+    query; each item caches one to three grid points, inside its region --
+    or, for a rotted item, anywhere, so its constraints may miss a query its
+    MBR meets."""
+    ndim = draw(st.integers(1, 3))
+    query = draw(grid_constraints(ndim, unbounded=True))
+    drawn = draw(st.lists(grid_constraints(ndim, unbounded=True), min_size=1, max_size=8))
+    drawn += draw(st.lists(st.sampled_from(drawn + [query]), max_size=3))
+    cache = SkylineCache()
+    for c in drawn:
+        points = draw(
+            st.lists(
+                st.lists(st.sampled_from(GRID), min_size=ndim, max_size=ndim),
+                min_size=1,
+                max_size=3,
+            )
+        )
+        rotted = draw(st.booleans())
+        cache.insert(c, np.array(points) if rotted else np.clip(points, c.lo, c.hi))
+    return query, cache
+
+
+def per_item_pick(strategy, query, candidates):
+    """The first maximum of the per-item score over the candidates in
+    ``item_id`` order -- for ``CostBased``, in the order of its overlap
+    shortlist.  The paper's strategies are scored by the scalar formulas
+    above (``OptimumDistance`` by ``score()``: its last digit is free)."""
+    ranked = list(candidates)
+    if isinstance(strategy, CostBased):
+        ranked = sorted(
+            ranked, key=lambda it: it.constraints.overlap_volume(query), reverse=True
+        )[: strategy.max_candidates]
+    if isinstance(strategy, (CostBased, OptimumDistance)):
+        return max(ranked, key=lambda it: strategy.score(query, it))
+    return max(ranked, key=lambda it: old_score(strategy, query, it, zero_width_volume))
+
+
+def assert_aligned(candidates):
+    assert isinstance(candidates, Candidates)
+    assert candidates.lo.shape == candidates.hi.shape == (
+        candidates.lo.shape[0],
+        len(candidates),
+    )
+    for j, it in enumerate(candidates):
+        np.testing.assert_array_equal(candidates.lo[:, j], it.constraints.lo)
+        np.testing.assert_array_equal(candidates.hi[:, j], it.constraints.hi)
+
+
+def assert_table_scores(strategy, query, candidates):
+    """Every column's keys, scored on the table's columns at once, are the
+    scalar per-item formulas' (``OptimumDistance``'s: ``score()``'s)."""
+    keys = strategy._scores(query, candidates.lo, candidates.hi)
+    for j, it in enumerate(candidates):
+        if isinstance(strategy, OptimumDistance):
+            want = flat(strategy.score(query, it))
+        else:
+            want = flat(old_score(strategy, query, it, zero_width_volume))
+        assert tuple(key[j].item() for key in keys) == want
+
+
+def table_fed_strategies(ndim):
+    table = DiskTable(np.random.default_rng(ndim).random((120, ndim)))
+    return default_strategy_suite(seed=5) + [
+        CostBased(table, ApproximateMPR(k=1), max_candidates=2)
+    ]
+
+
+class TestTableFedSelection:
+    """``select`` over what ``SkylineCache.candidates`` returns -- items and
+    their constraint columns cut from the bounds table -- picks what scoring
+    each item on its own picks, and so does the re-pick after the chosen
+    item is healed out of the cache."""
+
+    @given(cache_and_query(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_pick_and_heal_repick_match_per_item_scoring(self, drawn, data):
+        query, cache = drawn
+        candidates = cache.candidates(query, record=False)
+        ids = [it.item_id for it in candidates]
+        assert ids == sorted(ids)
+        for strategy in table_fed_strategies(query.ndim):
+            remaining = candidates
+            while remaining:
+                assert_aligned(remaining)
+                if isinstance(strategy, RandomStrategy):
+                    # a dry run names the pick and leaves it to be taken
+                    named = strategy.select(query, remaining, record=False)
+                    assert strategy.select(query, remaining) is named
+                    chosen = named
+                else:
+                    if not isinstance(strategy, CostBased):
+                        assert_table_scores(strategy, query, remaining)
+                    chosen = strategy.select(query, remaining)
+                    assert chosen is per_item_pick(strategy, query, remaining)
+                if not data.draw(st.booleans(), label="heal"):
+                    break
+                # corrupt the pick, heal it out, re-pick among the rest
+                saved = chosen.skyline
+                chosen.skyline = np.full_like(saved, np.nan)
+                assert cache.verify_and_heal(chosen) is False
+                remaining = remaining.without(chosen)
+                assert chosen not in remaining
+                cache.insert(chosen.constraints, saved)  # a fresh item, for the next strategy
+            candidates = cache.candidates(query, record=False)

@@ -9,7 +9,7 @@ import pytest
 
 from repro.core.executor import Executor
 from repro.data.generator import independent
-from repro.geometry.constraints import Constraints
+from repro.geometry.box import BoxSet
 from repro.obs import MetricsRegistry
 from repro.resilience import CircuitBreaker, Resilience, RetryPolicy
 from repro.resilience.errors import CircuitOpenError, RetriesExhausted
@@ -29,11 +29,9 @@ def table(data):
     return DiskTable(data)
 
 
-BOX = Constraints([0.1, 0.1], [0.8, 0.8]).region()
-HALVES = [
-    Constraints([0.0, 0.0], [0.5, 1.0]).region(),
-    Constraints([0.5, 0.0], [1.0, 1.0]).region(),
-]
+#: one closed box as the ``(lo, hi)`` a range query takes
+BOX = (np.array([0.1, 0.1]), np.array([0.8, 0.8]))
+HALVES = BoxSet(np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[0.5, 1.0], [1.0, 1.0]]))
 
 
 class TestProtocol:
@@ -68,9 +66,10 @@ class TestProtocol:
         )
 
     def test_range_query_takes_only_a_box(self):
+        """One closed box, as its two corners, and nothing else."""
         for cls in (StorageBackend, DiskTable, ShardedTable, FaultyDiskTable):
             params = list(inspect.signature(cls.range_query).parameters)
-            assert params == ["self", "box"], cls
+            assert params == ["self", "lo", "hi"], cls
 
 
 def _bare(table):
@@ -96,7 +95,7 @@ class TestOneGatherer:
     def test_no_boxes_gather_to_an_empty_result(self, table):
         # built from ``table.ndim``, not from a private table method
         faulty, resilience = _resilient(table)
-        merged = Executor().fetch(faulty, [], resilience).result
+        merged = Executor().fetch(faulty, BoxSet.empty(2), resilience).result
         assert merged.points.shape == (0, 2) and merged.rowids.dtype == np.int64
         assert (merged.rows_fetched, merged.io_ms, merged.seeks) == (0, 0.0, 0)
 
@@ -126,8 +125,8 @@ class TestOneGatherer:
 class TestResilientRangeQuery:
     def test_clean_call_matches_raw_table(self, data, table):
         res = Resilience()
-        raw = DiskTable(data).range_query(BOX)
-        result = res.read(table, BOX, res.new_state())
+        raw = DiskTable(data).range_query(*BOX)
+        result = res.read(table, *BOX, res.new_state())
         assert np.array_equal(result.points, raw.points)
         assert np.array_equal(result.rowids, raw.rowids)
 
@@ -138,7 +137,7 @@ class TestResilientRangeQuery:
         state = res.new_state()
         # Enough calls that some hit faults; all must come back clean.
         for _ in range(12):
-            result = res.read(faulty, BOX, state)
+            result = res.read(faulty, *BOX, state)
             assert np.isfinite(result.points).all()
         assert state.retries > 0
 
@@ -146,9 +145,9 @@ class TestResilientRangeQuery:
         injector = FaultInjector(FaultProfile(truncate=0.5), seed=11)
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience()
-        clean = DiskTable(data).range_query(BOX)
+        clean = DiskTable(data).range_query(*BOX)
         for _ in range(8):
-            result = res.read(faulty, BOX, res.new_state())
+            result = res.read(faulty, *BOX, res.new_state())
             # validation forces a refetch: points and rowids always agree
             assert len(result.points) == len(result.rowids)
             assert len(result.points) == len(clean.points)
@@ -159,7 +158,7 @@ class TestResilientRangeQuery:
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience()
         for _ in range(10):
-            result = Executor().fetch(faulty, [BOX], res).result
+            result = Executor().fetch(faulty, BoxSet(BOX[0][None], BOX[1][None]), res).result
             assert np.isfinite(result.points).all()
 
     def test_exhausted_retries_raise(self, data):
@@ -167,7 +166,7 @@ class TestResilientRangeQuery:
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience(policy=RetryPolicy(max_attempts=2))
         with pytest.raises(RetriesExhausted):
-            res.read(faulty, BOX, res.new_state())
+            res.read(faulty, *BOX, res.new_state())
 
     def test_retries_report_to_the_bound_registry(self, data):
         injector = FaultInjector(FaultProfile(transient_io=0.5), seed=7)
@@ -176,7 +175,7 @@ class TestResilientRangeQuery:
         res = Resilience(policy=RetryPolicy(max_attempts=8)).bind_metrics(metrics)
         state = res.new_state()
         for _ in range(6):
-            res.read(faulty, BOX, state)
+            res.read(faulty, *BOX, state)
         assert state.retries > 0
         assert metrics.counter_value("storage_retries_total", op="fetch") == (
             state.retries
@@ -198,7 +197,7 @@ class TestBreakerIntegration:
         injector.force_outage(10)
         for _ in range(2):
             with pytest.raises(RetriesExhausted):
-                res.read(faulty, BOX, res.new_state())
+                res.read(faulty, *BOX, res.new_state())
         assert res.breaker.state == "open"
 
     def test_open_breaker_rejects_before_storage(self, data):
@@ -206,10 +205,10 @@ class TestBreakerIntegration:
         injector.force_outage(10)
         for _ in range(2):
             with pytest.raises(RetriesExhausted):
-                res.read(faulty, BOX, res.new_state())
+                res.read(faulty, *BOX, res.new_state())
         calls_before = injector.calls
         with pytest.raises(CircuitOpenError):
-            res.read(faulty, BOX, res.new_state())
+            res.read(faulty, *BOX, res.new_state())
         assert injector.calls == calls_before  # rejected before any I/O
 
     def test_executor_fetch_is_per_box_protected(self, data):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.data.generator import generate
-from repro.geometry.box import Box
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.pager import BufferPool
 from repro.storage.table import DiskTable
@@ -56,18 +55,18 @@ class TestWarmTable:
 
     def test_repeat_query_free_when_warm(self, tables):
         cold, warm = tables
-        box = Box.closed([0.2, 0.2], [0.6, 0.6])
-        warm.range_query(box)
+        lo, hi = [0.2, 0.2], [0.6, 0.6]
+        warm.range_query(lo, hi)
         before = warm.stats.snapshot()
-        warm.range_query(box)
+        warm.range_query(lo, hi)
         delta = warm.stats.delta_since(before)
         assert delta.pages_read == 0
         assert delta.simulated_io_ms == 0.0
         assert delta.buffer_hits > 0
         # same query on the cold table pays full price both times
-        cold.range_query(box)
+        cold.range_query(lo, hi)
         before = cold.stats.snapshot()
-        cold.range_query(box)
+        cold.range_query(lo, hi)
         assert cold.stats.delta_since(before).simulated_io_ms > 0
 
     def test_small_buffer_thrashes(self):
@@ -75,16 +74,16 @@ class TestWarmTable:
         table = DiskTable(
             data, cost_model=DiskCostModel(page_size=32), buffer_pages=1
         )
-        box = Box.closed([0.0, 0.0], [1.0, 1.0])
-        table.range_query(box)
+        lo, hi = [0.0, 0.0], [1.0, 1.0]
+        table.range_query(lo, hi)
         before = table.stats.snapshot()
-        table.range_query(box)
+        table.range_query(lo, hi)
         # more pages than the buffer holds: almost everything misses again
         assert table.stats.delta_since(before).pages_read > 50
 
     def test_results_identical_with_and_without_buffer(self, tables):
         cold, warm = tables
-        box = Box.closed([0.1, 0.3], [0.7, 0.9])
-        a = cold.range_query(box)
-        b = warm.range_query(box)
+        lo, hi = [0.1, 0.3], [0.7, 0.9]
+        a = cold.range_query(lo, hi)
+        b = warm.range_query(lo, hi)
         assert sorted(a.rowids) == sorted(b.rowids)

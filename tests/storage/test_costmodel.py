@@ -87,8 +87,8 @@ class TestUnclusteredAccounting:
         data = rng.random((200, 2))
         model = DiskCostModel(page_size=10, clustered=False)
         table = DiskTable(data, cost_model=model)
-        box = Constraints(np.zeros(2), np.ones(2)).region()
-        table.range_query(box)  # full region: every page, one run
+        c = Constraints(np.zeros(2), np.ones(2))
+        table.range_query(c.lo, c.hi)  # full region: every page, one run
         stats = table.stats
         assert stats.pages_read == 20  # 200 rows / 10 per page
         assert stats.seeks == 1  # rows are contiguous -> one run
@@ -104,8 +104,8 @@ class TestUnclusteredAccounting:
         data = rng.random((400, 2))
         model = DiskCostModel(page_size=16, clustered=False)
         table = DiskTable(data, cost_model=model)
-        box = Constraints(np.zeros(2), np.full(2, 0.3)).region()
-        result = table.range_query(box)
+        c = Constraints(np.zeros(2), np.full(2, 0.3))
+        result = table.range_query(c.lo, c.hi)
         rows = result.rows_fetched
         assert 0 < rows < 400
         stats = table.stats

@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.executor import Executor
 from repro.data.generator import independent
-from repro.geometry.box import Box
+from repro.geometry.box import Box, BoxSet
 from repro.storage.faults import (
     PROFILES,
     FaultInjector,
@@ -18,7 +18,8 @@ from repro.storage.table import DiskTable
 
 
 def full_box(ndim):
-    return Box.closed([0.0] * ndim, [1.0] * ndim)
+    """The closed unit box as the ``(lo, hi)`` a range query takes."""
+    return np.zeros(ndim), np.ones(ndim)
 
 
 class TestFaultProfile:
@@ -96,8 +97,8 @@ class TestFaultyDiskTable:
         return FaultyDiskTable(self.table, FaultInjector(profile, seed=seed))
 
     def test_none_profile_is_transparent(self):
-        clean = self.table.range_query(full_box(2))
-        wrapped = self.faulty("none").range_query(full_box(2))
+        clean = self.table.range_query(*full_box(2))
+        wrapped = self.faulty("none").range_query(*full_box(2))
         np.testing.assert_array_equal(clean.points, wrapped.points)
         np.testing.assert_array_equal(clean.rowids, wrapped.rowids)
 
@@ -110,41 +111,40 @@ class TestFaultyDiskTable:
     def test_transient_raises_ioerror(self):
         wrapped = self.faulty(FaultProfile(transient_io=1.0))
         with pytest.raises(TransientStorageError):
-            wrapped.range_query(full_box(2))
+            wrapped.range_query(*full_box(2))
         assert isinstance(TransientStorageError("x"), IOError)
 
     def test_latency_charges_simulated_io(self):
         before = self.table.stats.simulated_io_ms
-        self.table.range_query(full_box(2))
+        self.table.range_query(*full_box(2))
         clean_cost = self.table.stats.simulated_io_ms - before
 
         profile = FaultProfile(latency=1.0, latency_ms=33.0)
         wrapped = self.faulty(profile)
         before = self.table.stats.simulated_io_ms
-        wrapped.range_query(full_box(2))
+        wrapped.range_query(*full_box(2))
         spiked_cost = self.table.stats.simulated_io_ms - before
         assert spiked_cost == pytest.approx(clean_cost + 33.0)
 
     def test_truncation_leaves_detectable_mismatch(self):
         wrapped = self.faulty(FaultProfile(truncate=1.0))
-        result = wrapped.range_query(full_box(2))
+        result = wrapped.range_query(*full_box(2))
         assert len(result.points) < len(result.rowids)
 
     def test_truncation_survives_executor_merge(self):
         wrapped = self.faulty(FaultProfile(truncate=1.0))
-        halves = [
-            Box.closed([0.0, 0.0], [0.5, 1.0]),
-            Box.closed([0.5, 0.0], [1.0, 1.0]),
-        ]
+        halves = BoxSet.of(
+            [Box.closed([0.0, 0.0], [0.5, 1.0]), Box.closed([0.5, 0.0], [1.0, 1.0])]
+        )
         result = Executor().fetch(wrapped, halves).result
         assert len(result.points) != len(result.rowids)
 
     def test_corruption_injects_nan(self):
         wrapped = self.faulty(FaultProfile(corrupt=1.0))
-        result = wrapped.range_query(full_box(2))
+        result = wrapped.range_query(*full_box(2))
         assert np.isnan(result.points).any()
         # The underlying table is untouched (corruption on the read path).
-        assert np.isfinite(self.table.range_query(full_box(2)).points).all()
+        assert np.isfinite(self.table.range_query(*full_box(2)).points).all()
 
     def test_faults_counted_in_metrics(self):
         from repro.obs import MetricsRegistry
@@ -153,7 +153,7 @@ class TestFaultyDiskTable:
         injector = FaultInjector(FaultProfile(transient_io=1.0), metrics=metrics)
         wrapped = FaultyDiskTable(self.table, injector)
         with pytest.raises(TransientStorageError):
-            wrapped.range_query(full_box(2))
+            wrapped.range_query(*full_box(2))
         assert (
             metrics.counter_value(
                 "faults_injected_total", kind="transient_io", op="range_query"

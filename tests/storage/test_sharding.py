@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.geometry.box import Box
+from repro.geometry.box import Box, BoxSet
 from repro.geometry.interval import Interval
 from repro.storage.sharding import ShardedTable, hash_key
 from repro.storage.table import DiskTable
@@ -145,7 +145,7 @@ class TestRangeQuery:
         data = make_data()
         table = ShardedTable(data, 4, mode="range", key_dim=0)
         cut = float(table.mbr_hi[1, 0])
-        result = table.range_query(Box.closed([0, 0, 0], [cut, 1, 1]))
+        result = table.range_query([0, 0, 0], [cut, 1, 1])
         assert [s.table.stats.range_queries for s in table] == [1, 1, 0, 0]
         assert len(result) == int((data[:, 0] <= cut).sum())
 
@@ -154,20 +154,20 @@ class TestRangeQuery:
         data = make_data()
         table = ShardedTable(data, 4, mode="range", key_dim=0)
         edge = float(table.mbr_lo[2, 0])
-        result = table.range_query(Box.closed([0, 0, 0], [edge, 1, 1]))
+        result = table.range_query([0, 0, 0], [edge, 1, 1])
         assert table[2].table.stats.range_queries == 1
         assert edge in result.points[:, 0]
 
     def test_empty_shard_is_not_read(self):
         data = np.column_stack([np.full(50, 0.5), np.linspace(0, 1, 50)])
         table = ShardedTable(data, 4, mode="range", key_dim=0)
-        result = table.range_query(Box.universe(2))
+        result = table.range_query([-np.inf] * 2, [np.inf] * 2)
         assert len(result) == 50
         assert sorted(s.table.stats.range_queries for s in table) == [0, 0, 0, 1]
 
     def test_no_overlapping_shard_costs_nothing(self):
         table = ShardedTable(make_data(), 4)
-        result = table.range_query(Box.closed([2, 0, 0], [3, 1, 1]))
+        result = table.range_query([2, 0, 0], [3, 1, 1])
         assert result.points.shape == (0, 3) and result.rowids.dtype == np.int64
         assert result.rows_fetched == 0
         assert table.stats == type(table.stats)()
@@ -176,7 +176,7 @@ class TestRangeQuery:
         data = make_data()
         table = ShardedTable(data, 4, mode="hash", key_dim=1)
         box = Box.closed([0.1, 0.1, 0.1], [0.9, 0.6, 0.9])
-        result = table.range_query(box)
+        result = table.range_query(box.lo(), box.hi())
         np.testing.assert_array_equal(data[result.rowids], result.points)
         shard_of = table._shard_of[result.rowids]
         assert (np.diff(shard_of) >= 0).all() and len(set(shard_of)) == 4
@@ -203,7 +203,8 @@ class TestRangeQuery:
                     lo, hi, rng.random(3) < 0.3, rng.random(3) < 0.3
                 )
             )
-            result = table.range_query(box)
+            closed = BoxSet.of([box])  # an open face: one double inward
+            result = table.range_query(closed.lo[0], closed.hi[0])
             assert sorted(result.rowids.tolist()) == np.flatnonzero(
                 box.mask(data)
             ).tolist()
@@ -219,13 +220,13 @@ class TestRangeQuery:
 
         table = ShardedTable(make_data(), 2)
         box = Box.closed([0, 0, 0], [1, 1, 1])
-        assert len(table.range_query(box)) == 400
+        assert len(table.range_query(box.lo(), box.hi())) == 400
         injector = FaultInjector("none", seed=0)
         table[1].table = FaultyDiskTable(table[1].table, injector)
         injector.force_outage(1)
         with pytest.raises(TransientStorageError):
-            table.range_query(box)
-        assert len(table.range_query(box)) == 400
+            table.range_query(box.lo(), box.hi())
+        assert len(table.range_query(box.lo(), box.hi())) == 400
         # the wrapper delegates ``stats``, so the fleet sum still reconciles
         assert table.stats.points_read == 400 * 2 + table.counts[0]
 
@@ -244,12 +245,12 @@ class TestRangeQuery:
             def __getattr__(self, name):
                 return getattr(inner, name)
 
-            def range_query(self, box):
-                result = inner.range_query(box)
+            def range_query(self, lo, hi):
+                result = inner.range_query(lo, hi)
                 return replace(result, points=result.points[:-3])
 
         table[0].table = ShortRead()
-        result = table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        result = table.range_query([0, 0, 0], [1, 1, 1])
         assert len(result.rowids) == 400 and len(result.points) == 397
         with pytest.raises(CorruptResultError):
             validate_range_result(result)
@@ -289,7 +290,7 @@ class TestIndexView:
     def test_rows_are_global_ids_in_shard_order(self):
         data = make_data()
         table = ShardedTable(data, 4, mode="hash")
-        rows = table.index(2).range_rows(0.25, 0.75, lo_open=True, hi_open=True)
+        rows = table.index(2).range_rows(np.nextafter(0.25, 1), np.nextafter(0.75, 0))
         keys = data[rows, 2]
         assert ((keys > 0.25) & (keys < 0.75)).all()
         assert len(rows) == int(((data[:, 2] > 0.25) & (data[:, 2] < 0.75)).sum())
@@ -317,7 +318,7 @@ class TestWrites:
         for rowid, row in zip(ids, rows):
             np.testing.assert_array_equal(table.row(rowid), row)
         assert table.n == 409 and table.live_count == 409
-        found = table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        found = table.range_query([0, 0, 0], [1, 1, 1])
         assert sorted(found.rowids.tolist()) == list(range(409))
 
     def test_delete_and_vacuum_span_shards(self):
@@ -330,7 +331,7 @@ class TestWrites:
         with pytest.raises(KeyError, match="row 399 is deleted"):
             table.row(399)
         assert table.vacuum() == 5
-        found = table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        found = table.range_query([0, 0, 0], [1, 1, 1])
         assert not set(victims.tolist()) & set(found.rowids.tolist())
 
     def test_explicit_mode_refuses_append_before_touching_a_shard(self):
@@ -355,7 +356,7 @@ class TestConcurrentReadersAndWriter:
         data = make_data(n=200)
         table = ShardedTable(data, 4, mode="hash")
         batches = [make_data(n=3, seed=100 + i) for i in range(120)]
-        everything = Box.closed([0, 0, 0], [1, 1, 1])
+        everything = (np.zeros(3), np.ones(3))
         committed = [len(data)]  # rows whose append has returned
         failures = []
         done = threading.Event()
@@ -364,7 +365,7 @@ class TestConcurrentReadersAndWriter:
             try:
                 while not done.is_set():
                     floor = committed[0]
-                    result = table.range_query(everything)
+                    result = table.range_query(*everything)
                     ids = result.rowids
                     assert len(set(ids.tolist())) == len(ids) >= floor
                     for rowid, point in zip(ids[-5:].tolist(), result.points[-5:]):
@@ -404,7 +405,7 @@ class TestConcurrentReadersAndWriter:
             sys.setswitchinterval(interval)
         assert not writer.is_alive() and not any(t.is_alive() for t in readers)
         assert not failures, failures
-        final = table.range_query(everything)
+        final = table.range_query(*everything)
         assert sorted(final.rowids.tolist()) == list(range(200 + 360))
 
 
@@ -413,7 +414,7 @@ class TestAccounting:
         data = make_data()
         table = ShardedTable(data, 4)
         for shard in table:
-            shard.table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+            shard.table.range_query([0, 0, 0], [1, 1, 1])
         total = table.stats
         assert total.points_read == sum(
             s.table.stats.points_read for s in table
@@ -451,7 +452,7 @@ class TestAccounting:
         obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
         table = ShardedTable(make_data(), 4)
         assert table.bind_obs(obs) is table and table.obs is obs
-        table.range_query(Box.closed([0, 0, 0], [1, 1, 1]))
+        table.range_query([0, 0, 0], [1, 1, 1])
         assert obs.metrics.counter_total("table_range_queries_total") == 4
         table.bind_obs(None)
         assert all(not s.table.obs.enabled for s in table)

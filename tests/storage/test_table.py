@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.executor import Executor
-from repro.geometry.box import Box
+from repro.geometry.box import Box, BoxSet
 from repro.geometry.interval import Interval
 from repro.storage.costmodel import DiskCostModel
+from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 
 
@@ -52,7 +53,7 @@ class TestConstruction:
 
     def test_empty_table(self):
         t = DiskTable(np.empty((0, 2)))
-        result = t.range_query(Box.closed([0, 0], [1, 1]))
+        result = t.range_query([0, 0], [1, 1])
         assert len(result) == 0
         assert t.stats.empty_queries == 1
 
@@ -67,7 +68,7 @@ class TestRangeQueries:
     def test_matches_numpy_filter(self, table):
         t, data = table
         box = Box.closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
-        result = t.range_query(box)
+        result = t.range_query(box.lo(), box.hi())
         expected = np.flatnonzero(box.mask(data))
         assert sorted(result.rowids) == sorted(expected)
         np.testing.assert_allclose(
@@ -78,7 +79,7 @@ class TestRangeQueries:
         _, data = table
         t = DiskTable(data, plan="bitmap", cost_model=DiskCostModel(page_size=32))
         box = Box.closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
-        result = t.range_query(box)
+        result = t.range_query(box.lo(), box.hi())
         expected = np.flatnonzero(box.mask(data))
         assert sorted(result.rowids) == sorted(expected)
 
@@ -86,30 +87,28 @@ class TestRangeQueries:
         _, data = table
         t = DiskTable(data, plan="bitmap", cost_model=DiskCostModel(page_size=32))
         box = Box.closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
-        result = t.range_query(box)
+        result = t.range_query(box.lo(), box.hi())
         assert result.rows_fetched == len(result)
 
     def test_best_index_may_overfetch_but_never_underfetches(self, table):
         t, data = table
         box = Box.closed([0.45, 0.0, 0.0], [0.55, 1.0, 1.0])
-        result = t.range_query(box)
+        result = t.range_query(box.lo(), box.hi())
         assert result.rows_fetched >= len(result)
         assert len(result) == int(box.mask(data).sum())
 
     def test_open_faces_respected(self):
+        """An open face is the closed bound one double inside it."""
         data = np.array([[0.5, 0.5], [0.5, 0.7], [0.6, 0.5]])
         t = DiskTable(data)
-        box = Box(
-            [Interval(0.5, 1.0, lo_open=True), Interval.closed(0.0, 1.0)]
-        )
-        result = t.range_query(box)
+        result = t.range_query([np.nextafter(0.5, 1.0), 0.0], [1.0, 1.0])
         assert sorted(result.rowids) == [2]
 
     def test_empty_query_costs_no_io(self, table):
         """Paper Section 7.3.2: B-trees detect empty queries without seeks."""
         t, _ = table
         before = t.stats.snapshot()
-        result = t.range_query(Box.closed([2.0, 2.0, 2.0], [3.0, 3.0, 3.0]))
+        result = t.range_query([2.0, 2.0, 2.0], [3.0, 3.0, 3.0])
         delta = t.stats.delta_since(before)
         assert len(result) == 0
         assert delta.range_queries == 1
@@ -121,14 +120,14 @@ class TestRangeQueries:
     def test_unsatisfiable_box_is_empty_query(self, table):
         t, _ = table
         box = Box([Interval.closed(0.5, 0.4)] + [Interval.closed(0, 1)] * 2)
-        result = t.range_query(box)
+        result = t.range_query(box.lo(), box.hi())
         assert len(result) == 0
         assert t.stats.empty_queries >= 1
 
     def test_dimension_mismatch(self, table):
         t, _ = table
         with pytest.raises(ValueError):
-            t.range_query(Box.closed([0, 0], [1, 1]))
+            t.range_query([0, 0], [1, 1])
 
     @given(
         data=arrays(np.float64, (50, 2), elements=st.floats(0, 1)),
@@ -141,9 +140,9 @@ class TestRangeQueries:
         lo = [min(bounds[0], bounds[1]), min(bounds[2], bounds[3])]
         hi = [max(bounds[0], bounds[1]), max(bounds[2], bounds[3])]
         box = Box.closed(lo, hi)
-        best = DiskTable(data, plan="best_index").range_query(box)
-        bitmap = DiskTable(data, plan="bitmap").range_query(box)
-        seqscan = DiskTable(data, plan="seqscan").range_query(box)
+        best = DiskTable(data, plan="best_index").range_query(box.lo(), box.hi())
+        bitmap = DiskTable(data, plan="bitmap").range_query(box.lo(), box.hi())
+        seqscan = DiskTable(data, plan="seqscan").range_query(box.lo(), box.hi())
         assert sorted(best.rowids) == sorted(bitmap.rowids)
         assert sorted(best.rowids) == sorted(seqscan.rowids)
         expected = np.flatnonzero(box.mask(data))
@@ -152,7 +151,7 @@ class TestRangeQueries:
     def test_seqscan_reads_everything(self):
         data = np.random.default_rng(5).uniform(0, 1, size=(500, 2))
         table = DiskTable(data, plan="seqscan")
-        result = table.range_query(Box.closed([0.4, 0.4], [0.6, 0.6]))
+        result = table.range_query([0.4, 0.4], [0.6, 0.6])
         assert result.rows_fetched == 500
         assert table.stats.points_read == 500
 
@@ -164,8 +163,8 @@ class TestRangeQueries:
         indexed = DiskTable(data)
         scanning = DiskTable(data, plan="seqscan")
         box = Box.closed([0.3, 0.3, 0.3], [0.6, 0.6, 0.6])
-        indexed.range_query(box)
-        scanning.range_query(box)
+        indexed.range_query(box.lo(), box.hi())
+        scanning.range_query(box.lo(), box.hi())
         assert indexed.stats.simulated_io_ms < scanning.stats.simulated_io_ms
 
 
@@ -173,7 +172,7 @@ class TestAccounting:
     def test_points_read_counts_candidates(self, table):
         t, _ = table
         before = t.stats.snapshot()
-        result = t.range_query(Box.closed([0.4, 0.0, 0.0], [0.6, 1.0, 1.0]))
+        result = t.range_query([0.4, 0.0, 0.0], [0.6, 1.0, 1.0])
         delta = t.stats.delta_since(before)
         assert delta.points_read == result.rows_fetched
         assert delta.pages_read >= 1
@@ -182,16 +181,18 @@ class TestAccounting:
 
     def test_executor_fetch_accumulates(self, table):
         t, data = table
-        boxes = [
-            Box.closed([0.0, 0.0, 0.0], [0.3, 1.0, 1.0]),
-            Box(
-                [
-                    Interval(0.3, 0.6, lo_open=True),
-                    Interval.closed(0.0, 1.0),
-                    Interval.closed(0.0, 1.0),
-                ]
-            ),
-        ]
+        boxes = BoxSet.of(
+            [
+                Box.closed([0.0, 0.0, 0.0], [0.3, 1.0, 1.0]),
+                Box(
+                    [
+                        Interval(0.3, 0.6, lo_open=True),
+                        Interval.closed(0.0, 1.0),
+                        Interval.closed(0.0, 1.0),
+                    ]
+                ),
+            ]
+        )
         before = t.stats.snapshot()
         result = Executor().fetch(t, boxes).result
         delta = t.stats.delta_since(before)
@@ -203,7 +204,7 @@ class TestAccounting:
 
     def test_executor_fetch_of_no_boxes_is_empty(self, table):
         t, _ = table
-        result = Executor().fetch(t, []).result
+        result = Executor().fetch(t, BoxSet.empty(3)).result
         assert len(result) == 0
 
     def test_full_scan(self, table):
@@ -227,17 +228,106 @@ class TestAccounting:
             data, cost_model=DiskCostModel(page_size=16, clustered=False)
         )
         box = Box.closed([0.4, 0.0], [0.6, 1.0])
-        clustered.range_query(box)
-        physical.range_query(box)
+        clustered.range_query(box.lo(), box.hi())
+        physical.range_query(box.lo(), box.hi())
         assert physical.stats.seeks > clustered.stats.seeks
         assert physical.stats.simulated_io_ms > clustered.stats.simulated_io_ms
 
     def test_small_query_cheaper_than_large(self, table):
         t, _ = table
         before = t.stats.snapshot()
-        t.range_query(Box.closed([0.0, 0.0, 0.0], [0.05, 1.0, 1.0]))
+        t.range_query([0.0, 0.0, 0.0], [0.05, 1.0, 1.0])
         small = t.stats.delta_since(before).simulated_io_ms
         before = t.stats.snapshot()
-        t.range_query(Box.closed([0.0, 0.0, 0.0], [0.9, 1.0, 1.0]))
+        t.range_query([0.0, 0.0, 0.0], [0.9, 1.0, 1.0])
         large = t.stats.delta_since(before).simulated_io_ms
         assert small < large
+
+
+# ----------------------------------------------------------------------
+# range_query(lo, hi) on closed float bounds, against brute force
+# ----------------------------------------------------------------------
+#: data values: few, so duplicates and rows on a face are common
+LEVELS = [0.0, 0.25, 0.5, 0.75, 1.0]
+
+
+def _face(draw, ndim):
+    """One closed bound per dimension: a level, the double next to one, or
+    +-inf (a face at +inf below, or at -inf above, holds no double)."""
+    values = st.one_of(
+        st.sampled_from(LEVELS + [-math.inf, math.inf]),
+        st.sampled_from(LEVELS).map(lambda v: float(np.nextafter(v, math.inf))),
+        st.sampled_from(LEVELS).map(lambda v: float(np.nextafter(v, -math.inf))),
+    )
+    return np.array(draw(st.lists(values, min_size=ndim, max_size=ndim)))
+
+
+@st.composite
+def table_and_box(draw):
+    ndim = draw(st.integers(1, 3))
+    n = draw(st.integers(0, 40))
+    rows = draw(st.lists(st.sampled_from(LEVELS), min_size=n * ndim, max_size=n * ndim))
+    data = np.array(rows, dtype=float).reshape(n, ndim)
+    lo = _face(draw, ndim)
+    shape = draw(st.sampled_from(["free", "point", "one_ulp"]))
+    if shape == "free":
+        hi = _face(draw, ndim)
+    elif shape == "point":  # [v, v]: the box of one value per dimension
+        hi = lo.copy()
+    else:  # [v, nextafter(v)]: two doubles wide
+        hi = np.nextafter(lo, math.inf)
+    plan = draw(st.sampled_from(["bitmap", "best_index", "seqscan"]))
+    shards = draw(st.sampled_from([None, 1, 3]))
+    return data, lo, hi, plan, shards
+
+
+def expected_fetch(data, lo, hi, plan):
+    """``(rowids, rows_fetched)`` of one closed-bounds range query on a
+    plain table over ``data``, by brute force."""
+    inside = np.flatnonzero(((data >= lo) & (data <= hi)).all(axis=1))
+    holds_double = bool(np.all((lo <= hi) & (lo < math.inf) & (hi > -math.inf)))
+    if not len(data) or not holds_double:
+        return inside, 0
+    if plan == "seqscan":
+        return inside, len(data)
+    counts = [int(((col >= a) & (col <= b)).sum()) for col, a, b in zip(data.T, lo, hi)]
+    if plan == "bitmap" or min(counts) == 0:
+        return inside, len(inside)
+    return inside, min(counts)  # best_index: the first most selective column
+
+
+class TestClosedBounds:
+    """``range_query(lo, hi)`` returns the live rows inside the closed box and
+    charges what the plan says, on a plain and on a sharded table: +-inf
+    faces, empty boxes, point and two-double boxes, empty tables."""
+
+    @given(table_and_box())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_rows_fetched_match_brute_force(self, drawn):
+        data, lo, hi, plan, shards = drawn
+
+        def table_of(rows):
+            return DiskTable(rows, plan=plan)
+
+        if shards is None:
+            table = table_of(data)
+            want_fetched = expected_fetch(data, lo, hi, plan)[1]
+        else:
+            table = ShardedTable(data, shards, table_factory=table_of)
+            touched = [
+                shard
+                for shard in table
+                if shard.table.n
+                and np.all(table.mbr_lo[shard.shard_id] <= hi)
+                and np.all(table.mbr_hi[shard.shard_id] >= lo)
+            ]
+            want_fetched = sum(
+                expected_fetch(s.table.data_view(), lo, hi, plan)[1] for s in touched
+            )
+        result = table.range_query(lo, hi)
+        want_rows = expected_fetch(data, lo, hi, plan)[0]
+        assert sorted(result.rowids.tolist()) == want_rows.tolist()
+        np.testing.assert_array_equal(result.points, data[result.rowids])
+        assert result.rows_fetched == want_fetched
+        if result.rows_fetched == 0:
+            assert (result.seeks, result.pages_read, result.io_ms) == (0, 0, 0.0)

@@ -22,14 +22,22 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.geometry.box import Box
-from repro.geometry.interval import Interval
 from repro.storage.table import DiskTable
 
 
 def column_table(keys) -> DiskTable:
     """A one-column table: row ``i`` holds ``keys[i]``."""
     return DiskTable(np.asarray(keys, dtype=float).reshape(-1, 1))
+
+
+def closed(lo, hi, lo_open=False, hi_open=False):
+    """An interval's bounds as the closed ones the index and the table take:
+    an open face at a finite value moves one double inward."""
+    if lo_open and lo > -np.inf:
+        lo = np.nextafter(lo, np.inf)
+    if hi_open and hi < np.inf:
+        hi = np.nextafter(hi, -np.inf)
+    return lo, hi
 
 
 def oracle_range(keys, lo, hi, lo_open=False, hi_open=False):
@@ -71,12 +79,13 @@ class TestRangeQueries:
         assert list(index.range_rows(2.0, 2.0)) == [1, 2, 3]
 
     def test_open_bounds(self):
+        """An open face is asked for as the closed bound one double inside."""
         index = column_table([1.0, 2.0, 2.0, 3.0, 4.0]).index(0)
         assert list(index.range_rows(2.0, 4.0)) == [1, 2, 3, 4]
-        assert list(index.range_rows(2.0, 4.0, lo_open=True)) == [3, 4]
-        assert list(index.range_rows(2.0, 4.0, hi_open=True)) == [1, 2, 3]
-        assert list(index.range_rows(2.0, 4.0, True, True)) == [3]
-        assert list(index.range_rows(2.0, 2.0, lo_open=True)) == []
+        assert list(index.range_rows(*closed(2.0, 4.0, lo_open=True))) == [3, 4]
+        assert list(index.range_rows(*closed(2.0, 4.0, hi_open=True))) == [1, 2, 3]
+        assert list(index.range_rows(*closed(2.0, 4.0, True, True))) == [3]
+        assert list(index.range_rows(*closed(2.0, 2.0, lo_open=True))) == []
 
     def test_empty_and_inverted_ranges(self, loaded):
         table, _ = loaded
@@ -102,7 +111,7 @@ class TestRangeQueries:
     )
     @settings(max_examples=80)
     def test_range_matches_oracle(self, keys, lo, hi, lo_open, hi_open):
-        got = column_table(keys).index(0).range_rows(lo, hi, lo_open, hi_open)
+        got = column_table(keys).index(0).range_rows(*closed(lo, hi, lo_open, hi_open))
         expected = oracle_range(keys, lo, hi, lo_open, hi_open)
         assert list(got) == list(expected)
 
@@ -149,8 +158,8 @@ class TestAppend:
         lo, hi = column[i], column[i + 1]
         a, b = lo + 0.7 * (hi - lo), lo + 0.3 * (hi - lo)
         ids = table.append(np.array([[a, 0.5], [b, 0.5]]))
-        box = Box.closed([(a + b) / 2, 0.0], [(a + hi) / 2, 1.0])
-        assert list(table.range_query(box).rowids) == [ids[0]]
+        rows = table.range_query([(a + b) / 2, 0.0], [(a + hi) / 2, 1.0]).rowids
+        assert list(rows) == [ids[0]]
         assert np.all(np.diff(table.index(0).keys) >= 0)
 
     @given(
@@ -312,7 +321,8 @@ class TableMachine(RuleBasedStateMachine):
             column = data[:, dim]
             keep &= (column > lo) if lo_open else (column >= lo)
             keep &= (column < hi) if hi_open else (column <= hi)
-        result = table.range_query(Box(Interval(*face) for face in box))
+        lo, hi = np.array([closed(*face) for face in box]).T
+        result = table.range_query(lo, hi)
         assert sorted(result.rowids) == list(np.flatnonzero(keep))
         np.testing.assert_array_equal(result.points, data[result.rowids])
 

@@ -45,7 +45,7 @@ class TestNamedColumns:
 
     def test_named_query_roundtrip(self, table):
         c = table.constraints(price=(0.1, 0.9))
-        result = table.range_query(c.region())
+        result = table.range_query(c.lo, c.hi)
         data = table.data_view()
         expected = np.flatnonzero(c.satisfied_mask(data))
         assert sorted(result.rowids) == sorted(expected)
@@ -70,9 +70,9 @@ class TestTablePersistence:
         assert loaded.cost_model.seek_ms == 2.0
         assert loaded.buffer is not None
         assert loaded.live_count == 497
-        box = Constraints([0.1] * 3, [0.9] * 3).region()
-        a = table.range_query(box)
-        b = loaded.range_query(box)
+        c = Constraints([0.1] * 3, [0.9] * 3)
+        a = table.range_query(c.lo, c.hi)
+        b = loaded.range_query(c.lo, c.hi)
         assert sorted(a.rowids) == sorted(b.rowids)
 
     def test_roundtrip_defaults(self, tmp_path):
