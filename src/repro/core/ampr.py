@@ -9,9 +9,11 @@ queried constraints -- the points most likely to prune the most (the same
 intuition as sort-based skyline algorithms).  The result is a superset of
 the MPR decomposed into far fewer, larger range queries.
 
-Both classes expose ``compute(old, skyline, new) -> MPRResult`` so the CBCS
-engine can swap them freely; ``k`` trades points read against random-access
-range queries (evaluated in the paper's Figures 9 and 12b).
+Both classes expose ``compute(old, skyline, new, record=True) -> MPRResult``
+so the CBCS engine can swap them freely (``record=False`` is the planner's
+dry run, which leaves the MPR metrics alone); ``k`` trades points read
+against random-access range queries (evaluated in the paper's Figures 9 and
+12b).
 """
 
 from __future__ import annotations
@@ -35,10 +37,17 @@ class ExactMPR:
         return self
 
     def compute(
-        self, old: Constraints, skyline: np.ndarray, new: Constraints
+        self,
+        old: Constraints,
+        skyline: np.ndarray,
+        new: Constraints,
+        record: bool = True,
     ) -> MPRResult:
-        """Prune with every surviving cached skyline point."""
-        return compute_mpr(old, skyline, new, prune_with=None, obs=self.obs)
+        """Prune with every surviving cached skyline point; ``record=False``
+        (a dry-run plan) leaves the MPR span and metrics out."""
+        return compute_mpr(
+            old, skyline, new, prune_with=None, obs=self.obs if record else NULL_OBS
+        )
 
 
 class ApproximateMPR:
@@ -82,24 +91,23 @@ class ApproximateMPR:
         return f"aMPR({self.k}NN)"
 
     def compute(
-        self, old: Constraints, skyline: np.ndarray, new: Constraints
+        self,
+        old: Constraints,
+        skyline: np.ndarray,
+        new: Constraints,
+        record: bool = True,
     ) -> MPRResult:
-        """Compute a conservative superset of the MPR."""
-        skyline = np.asarray(skyline, dtype=float)
-        surviving = (
-            skyline[new.satisfied_mask(skyline)]
-            if len(skyline)
-            else skyline.reshape(0, new.ndim)
-        )
-        pruners = nearest_to_corner(surviving, new.lo, self.k)
+        """Compute a conservative superset of the MPR; ``record=False`` as
+        in :meth:`ExactMPR.compute`."""
+        k, corner = self.k, new.lo
         return compute_mpr(
             old,
             skyline,
             new,
-            prune_with=pruners,
+            prune_with=lambda surviving: nearest_to_corner(surviving, corner, k),
             max_invalidation_pieces=self.max_invalidation_pieces,
             max_invalidation_anchors=self.invalidation_anchors,
-            obs=self.obs,
+            obs=self.obs if record else NULL_OBS,
         )
 
 

@@ -217,6 +217,17 @@ class _BoundsTable:
             [items[j] for j in columns.tolist()], constraints[0], constraints[1]
         )
 
+    def containing(self, point: np.ndarray) -> List[CacheItem]:
+        """The items whose constraint region holds ``point``, ascending."""
+        n = len(self.ids)
+        if n == 0:
+            return []
+        column = np.asarray(point, dtype=float)[:, None]
+        lo, hi = self._bounds[2:, :, :n]
+        columns = all_columns((lo <= column) & (column <= hi)).nonzero()[0]
+        items = self.items
+        return [items[j] for j in columns.tolist()]
+
     def victim(self, policy: "ReplacementPolicy") -> CacheItem:
         """The item replacement evicts: least ``last_used`` (LRU), or least
         ``use_count`` then ``last_used`` (LCU), the lower ``item_id`` on a
@@ -439,6 +450,13 @@ class SkylineCache:
                 self.misses += 1
                 self.metrics.inc("cache_misses_total")
         return items
+
+    def containing(self, point) -> List[CacheItem]:
+        """Return the items whose constraint region holds ``point`` (faces
+        included), in ascending ``item_id``: the items a write of ``point``
+        touches, found by one comparison over the bounds table."""
+        with self._lock:
+            return self._table.containing(point)
 
     def exact_match(self, query: Constraints) -> Optional[CacheItem]:
         """Return the item cached under exactly these constraints, if any."""

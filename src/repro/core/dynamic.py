@@ -169,9 +169,8 @@ class DynamicCBCS(CBCS):
         engine = cls(table, durability=manager, **kwargs)
         for _op, rows in report.replayed:
             for row in np.atleast_2d(rows):
-                for item in list(engine.cache):
-                    if item.constraints.satisfies(row):
-                        engine.cache.remove(item)
+                for item in engine.cache.containing(row):
+                    engine.cache.remove(item)
         engine.recovery_report = report
         # Seal the recovered state so the next restart replays nothing.
         manager.checkpoint(engine.table)
@@ -181,9 +180,7 @@ class DynamicCBCS(CBCS):
     # Per-item continuous skyline maintenance
     # ------------------------------------------------------------------
     def _maintain_insert(self, row: np.ndarray) -> None:
-        for item in list(self.cache):
-            if not item.constraints.satisfies(row):
-                continue
+        for item in self.cache.containing(row):
             sky = item.skyline
             if dominated_mask(row.reshape(1, -1), sky)[0]:
                 continue  # dominated within the item: skyline unchanged
@@ -192,9 +189,7 @@ class DynamicCBCS(CBCS):
             self._replace_item(item, new_sky)
 
     def _maintain_delete(self, row: np.ndarray) -> None:
-        for item in list(self.cache):
-            if not item.constraints.satisfies(row):
-                continue
+        for item in self.cache.containing(row):
             matches = np.flatnonzero(np.all(item.skyline == row, axis=1))
             if len(matches) == 0:
                 continue  # dominated point: its absence changes nothing

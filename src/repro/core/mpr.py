@@ -14,19 +14,19 @@ minus the dominance regions ``DR(u, C')`` of the cached skyline points that
 survive the new constraints -- wherever a surviving point still dominates,
 nothing new can appear (Theorem 6: completeness; Theorem 7: minimality).
 
-The computation is pure hyper-rectangle algebra: start from ``R_C'``, split
-along the old constraint planes, and repeatedly subtract closed corner
-regions.  The result is a set of *disjoint* axis-orthogonal boxes that can be
-issued directly as range queries -- the form the paper's Algorithm 1
-produces.  The piece count is O(|H| * |Sky| * |D|)-bounded work and grows
-steeply with dimensionality (paper Figure 4/9), which is what the
-approximate MPR (:mod:`repro.core.ampr`) trades against.
+The computation is pure hyper-rectangle algebra: cut ``R_C'`` along the old
+constraint planes, and repeatedly subtract closed corner regions.  The
+result is a set of *disjoint* axis-orthogonal boxes that can be issued
+directly as range queries -- the form the paper's Algorithm 1 produces.
+The piece count is O(|H| * |Sky| * |D|)-bounded work and grows steeply with
+dimensionality (paper Figure 4/9), which is what the approximate MPR
+(:mod:`repro.core.ampr`) trades against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Callable, List, Optional, Union
 
 import numpy as np
 
@@ -36,6 +36,10 @@ from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
 
 __all__ = ["MPRResult", "compute_mpr"]
+
+#: The pruners of :func:`compute_mpr`: every survivor (None), a fixed
+#: array, or a function of the survivors.
+Pruners = Union[None, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass
@@ -72,19 +76,31 @@ def compute_mpr(
     old: Constraints,
     skyline: np.ndarray,
     new: Constraints,
-    prune_with: Optional[np.ndarray] = None,
+    prune_with: Pruners = None,
     max_invalidation_pieces: Optional[int] = None,
     max_invalidation_anchors: Optional[int] = None,
     obs=None,
 ) -> MPRResult:
     """Compute the (possibly approximate) MPR of a cached item for ``new``.
 
+    ``skyline`` is the item's cached ``Sky(S, C)`` for ``old``: every row
+    lies in the closed region ``R_C``.
+
     ``prune_with`` selects which cached skyline points' dominance regions
     are subtracted in the final step: ``None`` uses every *surviving* point
     (the exact MPR of Definition 5); a subset of the surviving points yields
-    a conservative superset of the MPR (this is how
-    :class:`~repro.core.ampr.ApproximateMPR` plugs in -- fewer, larger
-    boxes, no false negatives).
+    a conservative superset of the MPR.  It is a function from the
+    surviving points to that subset, called only when there is a region to
+    prune (this is how :class:`~repro.core.ampr.ApproximateMPR` plugs in --
+    fewer, larger boxes, no false negatives); the fixed ``(k, d)`` array
+    form is kept for the ablations and the tests.
+
+    The call pays only for the region its case leaves to fetch.  New
+    territory ``R_C' \\ R_C`` is one box minus one box
+    (:meth:`~repro.geometry.box.BoxSet.difference`).  When it and the
+    invalidated region are both empty -- every case b, and every stable
+    ``C'`` inside ``C`` -- the result is returned before any pruner is
+    chosen or any corner subtracted.
 
     ``max_invalidation_pieces`` bounds the piece count of the unstable-case
     invalidation decomposition.  The exact union of expelled dominance
@@ -105,7 +121,8 @@ def compute_mpr(
     queries" trade-off applied to the unstable case.
 
     When the returned boxes cover some surviving cached skyline points
-    (possible only under the conservative approximations above), those
+    (possible only under the conservative approximations above, and only
+    in invalidation boxes: new territory lies outside ``R_C``), those
     points are dropped from ``surviving``: they will be re-fetched from disk
     along with any exact duplicates, keeping the merged pool an exact
     multiset.
@@ -146,7 +163,7 @@ def _compute_mpr(
     old: Constraints,
     skyline: np.ndarray,
     new: Constraints,
-    prune_with: Optional[np.ndarray],
+    prune_with: Pruners,
     max_invalidation_pieces: Optional[int],
     max_invalidation_anchors: Optional[int],
     obs,
@@ -164,7 +181,7 @@ def _compute_mpr(
     skyline = np.asarray(skyline, dtype=float)
     if skyline.ndim != 2 or skyline.shape[1] != old.ndim:
         raise ValueError("skyline must be a (k, d) array matching the constraints")
-    if prune_with is not None:
+    if prune_with is not None and not callable(prune_with):
         prune_with = np.asarray(prune_with, dtype=float)
         if prune_with.ndim != 2 or prune_with.shape[1] != old.ndim:
             raise ValueError(
@@ -173,31 +190,32 @@ def _compute_mpr(
 
     satisfied = new.satisfied_mask(skyline)
     surviving = skyline.compress(satisfied, axis=0)
-    removed = skyline.compress(~satisfied, axis=0)
 
-    region = BoxSet(new.lo[None], new.hi[None])
     if not old.overlaps(new):
         # Disjoint regions: the cache tells us nothing; the MPR is all of
         # R_C' (still "stable" per Theorem 1 -- nothing cached is reusable
         # or invalidated).
+        region = BoxSet(new.lo[None], new.hi[None])
         return MPRResult(boxes=region, surviving=surviving, stable=True)
 
-    # Step 1 -- new territory: R_C' minus the overlap with the old region.
-    pieces = region.subtract_box(BoxSet(old.lo[None], old.hi[None]))
+    # Step 1 -- new territory: R_C' minus the old region, one box minus one
+    # box.
+    pieces = BoxSet.difference(new.lo, new.hi, old.lo, old.hi)
 
     # Step 2 -- invalidation (unstable case): parts of the overlap dominated
     # by expelled skyline points.  Syntactically stable items cannot have
     # expelled dominators below the overlap, and items with nothing expelled
     # have nothing to invalidate.
+    expelled = len(skyline) - len(surviving)
     with obs.tracer.span("stability.check") as sspan:
-        stable = len(removed) == 0 or guaranteed_stable(old, new)
-        sspan.set(stable=stable, expelled=len(removed))
+        stable = expelled == 0 or guaranteed_stable(old, new)
+        sspan.set(stable=stable, expelled=expelled)
     invalid = BoxSet.empty(new.ndim)
     if not stable:
         overlap = BoxSet(
             np.maximum(new.lo, old.lo)[None], np.minimum(new.hi, old.hi)[None]
         )
-        anchors = removed
+        anchors = skyline.compress(~satisfied, axis=0)
         if (
             max_invalidation_anchors is not None
             and len(anchors) > max_invalidation_anchors
@@ -206,20 +224,33 @@ def _compute_mpr(
         invalid = _invalidated_regions(
             overlap, anchors, max_invalidation_pieces, obs=obs
         )
+    if not len(pieces) and not len(invalid):
+        # Nothing to fetch (every case b, and a stable C' inside C): no
+        # pruner can shrink an empty region.
+        return MPRResult(boxes=pieces, surviving=surviving, stable=stable)
 
     # Step 3 -- subtract the dominance regions of (a subset of) the
     # surviving cached skyline points.
-    pruners = surviving if prune_with is None else prune_with
+    if prune_with is None:
+        pruners = surviving
+    elif callable(prune_with):
+        pruners = prune_with(surviving)
+    else:
+        pruners = prune_with
     pieces = _subtract_corners(pieces, pruners)
     invalid = _subtract_corners(invalid, pruners)
 
-    fetch = BoxSet.concat([pieces, invalid])
-    if len(surviving) and len(fetch):
-        # Conservative boxes may cover surviving points; drop those from the
-        # reuse set -- they (and their duplicates) arrive via the fetch.
-        surviving = surviving[~fetch.union_mask(surviving)]
+    if len(surviving) and len(invalid):
+        # Conservative invalidation boxes may cover surviving points; drop
+        # those from the reuse set -- they (and their duplicates) arrive via
+        # the fetch.  New territory lies outside the closed R_C, which holds
+        # every cached point, so it covers none.
+        surviving = surviving[~invalid.union_mask(surviving)]
     return MPRResult(
-        boxes=fetch, surviving=surviving, stable=stable, invalidated=len(invalid)
+        boxes=BoxSet.concat([pieces, invalid]),
+        surviving=surviving,
+        stable=stable,
+        invalidated=len(invalid),
     )
 
 
@@ -301,4 +332,6 @@ def _subtract_corners(boxes: BoxSet, points: np.ndarray) -> BoxSet:
     """
     if not len(boxes) or len(points) == 0:
         return boxes
-    return boxes.subtract_corners(points[np.argsort(points.sum(axis=1), kind="stable")])
+    if len(points) > 1:
+        points = points[np.argsort(points.sum(axis=1), kind="stable")]
+    return boxes.subtract_corners(points)

@@ -244,7 +244,7 @@ class Planner:
         strategy picks from ``candidates``.  ``region_override`` substitutes
         the degradation ladder's aMPR re-plan for the configured region
         computer.  ``record=False`` keeps a dry-run plan out of the
-        selection counters.
+        selection counters and the region computer's MPR metrics.
         """
         if item is None:
             item = self.select(constraints, candidates, record=record)
@@ -279,7 +279,7 @@ class Planner:
             )
         else:
             mpr = self.compute_region(
-                item, constraints, region_override=region_override
+                item, constraints, region_override=region_override, record=record
             )
             fetch, hulls, reusable = mpr.boxes, 0, mpr.surviving
             if len(fetch) > 1:
@@ -327,7 +327,10 @@ class Planner:
         )
         return plan
 
-    def compute_region(self, item, constraints, region_override=None):
-        """Compute the missing-points region of the query against ``item``."""
+    def compute_region(self, item, constraints, region_override=None, record=True):
+        """Compute the missing-points region of the query against ``item``;
+        ``record=False`` keeps a dry run out of the MPR span and metrics."""
         region = self.region if region_override is None else region_override
-        return region.compute(item.constraints, item.skyline, constraints)
+        return region.compute(
+            item.constraints, item.skyline, constraints, record=record
+        )

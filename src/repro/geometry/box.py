@@ -262,6 +262,12 @@ def _row_blocks(n: int, cells_per_row: int) -> Iterator[slice]:
         yield slice(start, start + rows)
 
 
+def _holds_double(lo: Sequence[float], hi: Sequence[float]) -> bool:
+    """Whether the closed box ``[lo, hi]``, given as Python floats, holds a
+    double: :func:`_solid` in every dimension."""
+    return all(a <= b and a != math.inf and b != -math.inf for a, b in zip(lo, hi))
+
+
 def _solid(lo, hi) -> np.ndarray:
     """Elementwise: ``[lo, hi]`` holds a finite double -- ``lo <= hi``, but
     ``lo == +inf`` and ``hi == -inf`` are empty too."""
@@ -269,33 +275,29 @@ def _solid(lo, hi) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _stair(ndim: int, sides: int) -> np.ndarray:
-    """The gather table of a staircase cut with ``sides`` pieces per
-    dimension.
+def _stair(ndim: int) -> np.ndarray:
+    """The gather table of a staircase cut.
 
-    A row's pieces are read from the columns ``[lo | inner | outer_0 | ...``
-    ``| hi | inner | outer_0 | ...]`` (``2 + sides`` blocks of ``ndim`` per
-    bound): piece ``(i, side)``, slot ``sides * i + side``, takes ``inner``
-    in the dimensions ``< i``, ``outer_side`` in dimension ``i`` and the row
-    elsewhere; the last slot is the row itself.  Row ``slot`` of the table
-    lists the columns of the piece's ``lo`` then ``hi``.
+    A row's pieces are read from the columns ``[lo | inner | outer | hi |
+    inner | outer]`` (three blocks of ``ndim`` per bound): piece ``i``
+    takes ``inner`` in the dimensions ``< i``, ``outer`` in dimension ``i``
+    and the row elsewhere; the last slot is the row itself.  Row ``slot`` of
+    the table lists the columns of the piece's ``lo`` then ``hi``.
     """
-    slot, dim = np.indices((sides * ndim + 1, ndim))
-    piece, side = np.divmod(slot, sides)
-    block = np.where(dim < piece, 1, np.where(dim == piece, 2 + side, 0))
+    piece, dim = np.indices((ndim + 1, ndim))
+    block = np.where(dim < piece, 1, np.where(dim == piece, 2, 0))
     block[-1] = 0
     columns = block * ndim + dim
-    return np.hstack([columns, columns + (2 + sides) * ndim])
+    return np.hstack([columns, columns + 3 * ndim])
 
 
-def _pieces(keep: np.ndarray, bounds: Sequence[np.ndarray], sides: int) -> "BoxSet":
-    """The pieces ``keep`` (``(n, slots)``) marks, row-major, gathered from
-    the ``(n, d)`` bounds ``lo, inner, outer_0, ..., hi, inner, outer_0, ...``
-    by the :func:`_stair` table."""
+def _pieces(keep: np.ndarray, bounds: Sequence[np.ndarray]) -> "BoxSet":
+    """The pieces ``keep`` (``(n, ndim + 1)``) marks, row-major, gathered
+    from the ``(n, d)`` bounds ``lo, inner, outer, hi, inner, outer`` by the
+    :func:`_stair` table."""
     ndim = bounds[0].shape[1]
     kept = keep.ravel().nonzero()[0]
-    table = _stair(ndim, sides)
-    rows = np.concatenate(bounds, axis=1).take(table, axis=1)
+    rows = np.concatenate(bounds, axis=1).take(_stair(ndim), axis=1)
     rows = rows.reshape(-1, 2 * ndim).take(kept, axis=0)
     return BoxSet(rows[:, :ndim], rows[:, ndim:])
 
@@ -359,6 +361,46 @@ class BoxSet:
     def empty(ndim: int) -> "BoxSet":
         """Return the set of no ``ndim``-dimensional box."""
         return BoxSet(np.empty((0, ndim)), np.empty((0, ndim)))
+
+    @staticmethod
+    def difference(
+        lo: np.ndarray, hi: np.ndarray, other_lo: np.ndarray, other_hi: np.ndarray
+    ) -> "BoxSet":
+        """Return disjoint boxes covering the closed box ``[lo, hi]`` minus
+        the closed box ``[other_lo, other_hi]`` (four ``(d,)`` bound vectors).
+
+        :meth:`Box.subtract_box` mapped to closed bounds: per dimension
+        ``i`` a slab below and a slab above the box's intersection with
+        ``other`` (its *cut*), narrowed to the cut in the dimensions ``< i``;
+        slabs holding no double are dropped, the rest come in dimension
+        order, below before above.  A box ``other`` misses is returned whole.
+
+        One box yields at most ``2 d`` slabs, so they are assembled from
+        Python floats: a handful of scalar steps per dimension costs less
+        than the fixed cost of the array calls that would build them.  The
+        cut is taken as ``np.maximum`` / ``np.minimum`` take it (the second
+        operand on a tie), so the sign of a zero face is theirs.
+        """
+        ndim = len(lo)
+        lo, hi = lo.tolist(), hi.tolist()
+        cut_lo = [a if a > b else b for a, b in zip(lo, other_lo.tolist())]
+        cut_hi = [a if a < b else b for a, b in zip(hi, other_hi.tolist())]
+        if not _holds_double(cut_lo, cut_hi):
+            if _holds_double(lo, hi):
+                return BoxSet(np.array([lo]), np.array([hi]))
+            return BoxSet.empty(ndim)
+        slabs = []
+        for i in range(ndim):
+            below = math.nextafter(cut_lo[i], -math.inf)
+            if lo[i] <= below > -math.inf:
+                slabs.append(cut_lo[:i] + lo[i:] + cut_hi[:i] + [below] + hi[i + 1 :])
+            above = math.nextafter(cut_hi[i], math.inf)
+            if hi[i] >= above < math.inf:
+                slabs.append(cut_lo[:i] + [above] + lo[i + 1 :] + cut_hi[:i] + hi[i:])
+        if not slabs:
+            return BoxSet.empty(ndim)
+        rows = np.array(slabs)
+        return BoxSet(rows[:, :ndim], rows[:, ndim:])
 
     @staticmethod
     def concat(sets: Sequence["BoxSet"]) -> "BoxSet":
@@ -540,39 +582,7 @@ class BoxSet:
             steps[:, ndim] = False
         # piece i: also below the corner in dimension i
         steps[:, :ndim] &= lo <= below_hi
-        return inside, _pieces(steps, (lo, above_lo, lo, hi, hi, below_hi), 1)
-
-    def subtract_box(self, other: "BoxSet") -> "BoxSet":
-        """Return disjoint boxes covering every row minus ``other``, a
-        one-row set.
-
-        :meth:`Box.subtract_box` for the whole set: per dimension ``i`` a
-        slab below and a slab above the row's intersection with ``other``
-        (its *cut*), narrowed to the cut in the dimensions ``< i``.  A row
-        ``other`` misses passes through whole; empty rows and slabs are
-        dropped; the order is row-major, then dimension, then below before
-        above.
-        """
-        if len(other) != 1:
-            raise ValueError(f"subtract_box takes one box, got {len(other)}")
-        if other.ndim != self.ndim:
-            raise ValueError(
-                f"dimensionality mismatch: {self.ndim} vs {other.ndim}"
-            )
-        lo, hi = self.lo, self.hi
-        ndim = lo.shape[1]
-        low, high = np.maximum(lo, -_MAX), np.minimum(hi, _MAX)
-        cut_lo, cut_hi = np.maximum(lo, other.lo[0]), np.minimum(hi, other.hi[0])
-        below_hi = np.nextafter(cut_lo, -math.inf)
-        above_lo = np.nextafter(cut_hi, math.inf)
-        hit = _solid(cut_lo, cut_hi).all(axis=1)
-        keep = np.empty((len(lo), 2 * ndim + 1), dtype=bool)
-        np.less_equal(low, below_hi, out=keep[:, 0:-1:2])
-        np.less_equal(above_lo, high, out=keep[:, 1:-1:2])
-        keep[:, :-1] &= hit[:, None]
-        keep[:, -1] = (low <= high).all(axis=1) > hit
-        bounds = (lo, cut_lo, lo, above_lo, hi, cut_hi, below_hi, hi)
-        return _pieces(keep, bounds, 2)
+        return inside, _pieces(steps, (lo, above_lo, lo, hi, hi, below_hi))
 
 
 def union_mask(boxes: Sequence[Box], points: np.ndarray) -> np.ndarray:

@@ -77,14 +77,17 @@ def sfs_skyline(points: np.ndarray) -> np.ndarray:
     in_skyline = np.zeros(len(ordered), dtype=bool)  # by position in ``ordered``
     start, size = 0, _FIRST_BLOCK
     while start < len(ordered):
-        window = ordered[:start][in_skyline[:start]]
         block = ordered[start : start + size]
-        alive = np.flatnonzero(~weakly_dominated_mask(block, window))
-        if len(alive) > 1:
-            # A survivor's in-block dominator survived too (anything that
-            # dominates the dominator dominates the survivor), so testing
-            # the survivors against each other is exact.
-            alive = alive[~weakly_dominated_mask(block[alive])]
+        if not start:  # the window is empty: only the block against itself
+            alive = np.flatnonzero(~weakly_dominated_mask(block))
+        else:
+            window = ordered[:start][in_skyline[:start]]
+            alive = np.flatnonzero(~weakly_dominated_mask(block, window))
+            if len(alive) > 1:
+                # A survivor's in-block dominator survived too (anything that
+                # dominates the dominator dominates the survivor), so testing
+                # the survivors against each other is exact.
+                alive = alive[~weakly_dominated_mask(block[alive])]
         in_skyline[start + alive] = True
         start += size
         size = min(2 * size, _MAX_BLOCK)

@@ -43,6 +43,7 @@ from typing import List, Literal, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.geometry.box import _holds_double
 from repro.ioutil import atomic_savez
 from repro.obs import NULL_OBS
 from repro.storage.costmodel import DiskCostModel
@@ -143,15 +144,6 @@ def concat_results(parts: Sequence[RangeResult], ndim: int) -> RangeResult:
         range_queries=sum(p.range_queries for p in parts),
         empty_queries=sum(p.empty_queries for p in parts),
         buffer_hits=sum(p.buffer_hits for p in parts),
-    )
-
-
-def _holds_double(lo: np.ndarray, hi: np.ndarray) -> bool:
-    """Whether the closed box ``[lo, hi]`` holds a double: ``lo <= hi`` in
-    every dimension, and no face is ``lo == +inf`` or ``hi == -inf``."""
-    return all(
-        low <= high and low != math.inf and high != -math.inf
-        for low, high in zip(lo.tolist(), hi.tolist())
     )
 
 
@@ -497,7 +489,7 @@ class DiskTable:
     def _execute_range_query(self, lo: np.ndarray, hi: np.ndarray) -> tuple:
         """``(points, rowids, rows_fetched)``, charging :attr:`stats`."""
         self.stats.range_queries += 1
-        if self.n == 0 or not _holds_double(lo, hi):
+        if self.n == 0 or not _holds_double(lo.tolist(), hi.tolist()):
             self.stats.empty_queries += 1
             return self._empty_result()
 

@@ -223,6 +223,56 @@ class TestCandidateOrder:
             assert [it.item_id for it in everything] == sorted(it.item_id for it in cache)
 
 
+class TestContaining:
+    """``containing(p)`` is the brute-force constraint test over the live
+    items, in ascending ``item_id``, faces equal to ``p`` and +-inf faces
+    included, whatever sequence of mutations built the cache."""
+
+    #: few face values, so points on a face are common
+    FACES = [-np.inf, 0.0, 0.25, 0.5, 0.75, 1.0, np.inf]
+
+    @given(
+        d=st.sampled_from([1, 2, 4]),
+        capacity=st.sampled_from([None, 3]),
+        seed=st.integers(0, 2**32 - 1),
+        ops=st.lists(st.sampled_from(CACHE_OPS), min_size=1, max_size=30),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_brute_force_in_item_id_order(self, d, capacity, seed, ops):
+        rng = np.random.default_rng(seed)
+        cache = SkylineCache(capacity=capacity)
+        levels = np.array(self.FACES[1:-1])
+
+        def random_result():
+            lo, hi = np.sort(rng.choice(self.FACES, size=(2, d)), axis=0)
+            return Constraints(lo, hi), rng.choice(levels, size=(3, d))
+
+        for op in ops:
+            live = list(cache)
+            if op == "insert" or not live:
+                cache.insert(*random_result())
+            else:
+                item = live[int(rng.integers(len(live)))]
+                moved = rng.choice(levels, size=(2, d))
+                if op == "refresh":  # identical constraints, new skyline
+                    c = item.constraints
+                    cache.insert(Constraints(c.lo, c.hi), moved)
+                elif op == "replace":
+                    cache.replace_skyline(item, moved)
+                elif op == "remove":
+                    cache.remove(item)
+                else:
+                    cache.quarantine(item)
+            for point in rng.choice(levels, size=(4, d)):
+                expected = [it for it in cache if it.constraints.satisfies(point)]
+                found = cache.containing(point)
+                assert len(found) == len(expected)
+                assert all(f is e for f, e in zip(found, expected))
+
+    def test_an_empty_cache_contains_nothing(self):
+        assert SkylineCache().containing(np.array([0.5, 0.5])) == []
+
+
 def reference_eviction_key(policy):
     """The order replacement evicts in: least recently used (LRU) or least
     commonly used then least recently used (LCU), the lower id on a tie."""

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cbcs import CBCS
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
@@ -141,4 +142,49 @@ class TestExplainSelectionCounters:
             m.counter_value("cache_lookups_total", strategy=strategy, outcome="hit")
             == lookups_before + 1.0
         )
+        engine.close()
+
+
+class TestExplainRegionMetrics:
+    """A dry run leaves the region computer's metrics as it found them."""
+
+    @staticmethod
+    def mpr_metrics(m):
+        rects = m.histogram("mpr_rectangles_per_query")
+        return (
+            m.counter_total("mpr_computations_total"),
+            0 if rects is None else rects.count,
+            m.counter_total("mpr_invalidation_fallbacks_total"),
+        )
+
+    @pytest.mark.parametrize("region", [ExactMPR, ApproximateMPR])
+    def test_explain_then_query_counts_one_computation(self, region):
+        from repro.obs import Observability
+
+        obs = Observability()
+        data = generate("independent", 2000, 3, seed=42)
+        engine = CBCS(DiskTable(data), region_computer=region(), obs=obs)
+        engine.query(Constraints([0.2] * 3, [0.8] * 3))  # a miss: no region
+        refined = Constraints([0.2] * 3, [0.8, 0.8, 0.85])
+        engine.explain(refined)
+        engine.explain(refined)
+        assert self.mpr_metrics(obs.metrics) == (0.0, 0, 0.0)
+        engine.query(refined)
+        assert self.mpr_metrics(obs.metrics) == (1.0, 1, 0.0)
+        engine.close()
+
+    def test_explain_leaves_invalidation_fallbacks_alone(self):
+        from repro.obs import Observability
+
+        obs = Observability()
+        data = generate("independent", 2000, 3, seed=42)
+        region = ApproximateMPR(max_invalidation_pieces=1)
+        engine = CBCS(DiskTable(data), region_computer=region, obs=obs)
+        engine.query(Constraints([0.0] * 3, [1.0] * 3))
+        raised = Constraints([0.3, 0.0, 0.0], [1.0] * 3)  # case d: expels points
+        engine.explain(raised)
+        assert self.mpr_metrics(obs.metrics) == (0.0, 0, 0.0)
+        engine.query(raised)
+        computations, observed, fallbacks = self.mpr_metrics(obs.metrics)
+        assert (computations, observed) == (1.0, 1) and fallbacks >= 1.0
         engine.close()

@@ -302,3 +302,157 @@ class TestMPRGeometry:
         assert_same_point_set(
             merge_and_solve(mpr, data), constrained_skyline_oracle(data, new)
         )
+
+
+# ----------------------------------------------------------------------
+# The region against a reference that does every step every time
+# ----------------------------------------------------------------------
+#: constraint faces: +-inf and a few values, so regions nest, touch and
+#: part often
+FACES = [-1.0, 0.0, 0.25, 0.5, 0.75, 1.0]
+#: point coordinates: the faces and values between them
+COORDS = sorted(set(FACES) | {-0.5, 0.1, 0.4, 0.6, 0.9, 1.5})
+
+
+@st.composite
+def region_pairs(draw):
+    """``(old, skyline, new)``: ``skyline`` rows lie in ``R_old`` (what the
+    cache holds), duplicates included; ``new`` is drawn inside ``old``,
+    around it, touching it, apart from it, or anywhere."""
+    ndim = draw(st.integers(1, 4))
+
+    def bounds(lows, highs):
+        lo = [draw(st.sampled_from(low)) for low in lows]
+        hi = [
+            draw(st.sampled_from([v for v in high if v >= a]))
+            for a, high in zip(lo, highs)
+        ]
+        return Constraints(lo, hi)
+
+    any_lo, any_hi = [-np.inf] + FACES, FACES + [np.inf]
+    old = bounds([any_lo] * ndim, [any_hi] * ndim)
+    mode = draw(st.sampled_from(["inside", "around", "touching", "apart", "free"]))
+    if mode == "inside":
+        spans = list(zip(old.lo, old.hi))
+        new = bounds(
+            [[v for v in any_lo + [np.inf] if a <= v <= b] for a, b in spans],
+            [[v for v in [-np.inf] + any_hi if a <= v <= b] for a, b in spans],
+        )
+    elif mode == "around":
+        new = bounds(
+            [[v for v in any_lo if v <= a] for a in old.lo],
+            [[v for v in any_hi if v >= b] for b in old.hi],
+        )
+    else:
+        new = bounds([any_lo] * ndim, [any_hi] * ndim)
+        if mode in ("touching", "apart"):
+            dim = draw(st.integers(0, ndim - 1))
+            face = old.hi[dim]
+            if np.isfinite(face):
+                step = 0.0 if mode == "touching" else 0.25
+                lo = new.lo.copy()
+                lo[dim] = face + step
+                new = Constraints(lo, np.maximum(new.hi, lo))
+    cells = [[v for v in COORDS if a <= v <= b] for a, b in zip(old.lo, old.hi)]
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(cell) for cell in cells]), max_size=8
+        )
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=2)) if rows else []
+    return old, np.array(rows, dtype=float).reshape(-1, ndim), new
+
+
+def reference_mpr(old, skyline, new, pruners=None, pieces=None, anchors=None):
+    """The region as it was computed before any early-out: new territory
+    by :meth:`Box.subtract_box`, every corner subtraction run, the pruners
+    always sorted, the reuse set tested against every fetched box."""
+    from repro.core.mpr import MPRResult, _coarsen_dominators, _invalidated_regions
+    from repro.core.stability import guaranteed_stable
+    from repro.geometry.box import BoxSet
+
+    satisfied = new.satisfied_mask(skyline)
+    surviving, removed = skyline[satisfied], skyline[~satisfied]
+    if not old.overlaps(new):
+        return MPRResult(BoxSet(new.lo[None], new.hi[None]), surviving, True)
+    territory = BoxSet.of(new.region().subtract_box(old.region()), ndim=new.ndim)
+    stable = len(removed) == 0 or guaranteed_stable(old, new)
+    invalid = BoxSet.empty(new.ndim)
+    if not stable:
+        overlap = BoxSet(
+            np.maximum(new.lo, old.lo)[None], np.minimum(new.hi, old.hi)[None]
+        )
+        if anchors is not None and len(removed) > anchors:
+            removed = _coarsen_dominators(removed, anchors)
+        invalid = _invalidated_regions(overlap, removed, pieces)
+    pruners = surviving if pruners is None else pruners
+    if len(pruners):
+        pruners = pruners[np.argsort(pruners.sum(axis=1), kind="stable")]
+        territory = territory.subtract_corners(pruners)
+        invalid = invalid.subtract_corners(pruners)
+    fetch = BoxSet.concat([territory, invalid])
+    if len(surviving) and len(fetch):
+        surviving = surviving[~fetch.union_mask(surviving)]
+    return MPRResult(fetch, surviving, stable, len(invalid))
+
+
+def assert_same_region(got, want):
+    """Boxes in row order and survivors, as the same doubles (signs of zero
+    included), and the same flags."""
+    for a, b in [
+        (got.boxes.lo, want.boxes.lo),
+        (got.boxes.hi, want.boxes.hi),
+        (got.surviving, want.surviving),
+    ]:
+        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+    assert (got.stable, got.invalidated) == (want.stable, want.invalidated)
+
+
+class TestAgainstReference:
+    """Every region computer equals :func:`reference_mpr`: the early-outs,
+    the one-box new territory and the narrowed reuse test change no box,
+    survivor or flag."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(region_pairs())
+    def test_exact(self, drawn):
+        old, sky, new = drawn
+        want = reference_mpr(old, sky, new)
+        assert_same_region(compute_mpr(old, sky, new), want)
+        assert_same_region(ExactMPR().compute(old, sky, new), want)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        region_pairs(),
+        st.sampled_from([1, 3]),
+        st.sampled_from([1, 2, 128]),
+        st.sampled_from([1, 2, 8]),
+    )
+    def test_approximate(self, drawn, k, pieces, anchors):
+        old, sky, new = drawn
+        region = ApproximateMPR(
+            k=k, max_invalidation_pieces=pieces, invalidation_anchors=anchors
+        )
+        surviving = sky[new.satisfied_mask(sky)]
+        want = reference_mpr(
+            old, sky, new, nearest_to_corner(surviving, new.lo, k), pieces, anchors
+        )
+        assert_same_region(region.compute(old, sky, new), want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(region_pairs())
+    def test_explicit_pruners(self, drawn):
+        """An array ``prune_with``, as the ablations pass it."""
+        old, sky, new = drawn
+        pruners = sky[new.satisfied_mask(sky)][:1]
+        want = reference_mpr(old, sky, new, pruners, 512, 8)
+        got = compute_mpr(
+            old,
+            sky,
+            new,
+            prune_with=pruners,
+            max_invalidation_pieces=512,
+            max_invalidation_anchors=8,
+        )
+        assert_same_region(got, want)

@@ -331,3 +331,61 @@ class TestClosedBounds:
         assert result.rows_fetched == want_fetched
         if result.rows_fetched == 0:
             assert (result.seeks, result.pages_read, result.io_ms) == (0, 0, 0.0)
+
+
+class TestBestIndexCandidates:
+    """The index choice returns the live rows of the most selective
+    dimension's ``range_rows`` slice, in key order: the dimension with the
+    fewest :meth:`DiskTable.estimate_count` entries (the first minimum on a
+    tie), or None when some marginal is empty; on a plain table and on every
+    shard of a sharded one, with dead rows and +-inf faces."""
+
+    @staticmethod
+    def reference(table, lo, hi):
+        counts = [
+            table.estimate_count(dim, a, b) for dim, (a, b) in enumerate(zip(lo, hi))
+        ]
+        if min(counts) == 0:
+            return None
+        dim = counts.index(min(counts))
+        candidates = table.index(dim).range_rows(lo[dim], hi[dim])
+        return candidates[table._alive[candidates]]
+
+    @given(table_and_box(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_same_rows_as_the_per_dimension_choice(self, drawn, data):
+        rows, lo, hi, _, shards = drawn
+        if len(lo) > 1 and data.draw(st.booleans()):
+            # an empty marginal after the first dimension: no row holds 0.6
+            lo[-1] = hi[-1] = 0.6
+
+        def table_of(part):
+            return DiskTable(part, plan="best_index")
+
+        if shards is None:
+            table = table_of(rows)
+            parts = [table]
+        else:
+            table = ShardedTable(rows, shards, table_factory=table_of)
+            parts = [shard.table for shard in table]
+        if len(rows):
+            dead = st.lists(st.integers(0, len(rows) - 1), max_size=len(rows))
+            table.delete(np.array(data.draw(dead), dtype=np.int64))
+        holds_double = bool(np.all((lo <= hi) & (lo < math.inf) & (hi > -math.inf)))
+        fetched = 0
+        for part in parts:
+            got = part._best_index_candidates(lo, hi)
+            want = self.reference(part, lo, hi)
+            assert (got is None) == (want is None)
+            if want is not None:
+                assert got.tolist() == want.tolist()
+                if part.n and holds_double:
+                    fetched += len(want)
+        if shards is None:
+            assert table.range_query(lo, hi).rows_fetched == fetched
+
+    def test_a_tie_goes_to_the_first_dimension(self):
+        # both columns count two rows; their key orders differ
+        table = DiskTable(np.array([[0.0, 1.0], [1.0, 0.0]]), plan="best_index")
+        lo, hi = np.full(2, -math.inf), np.full(2, math.inf)
+        assert table._best_index_candidates(lo, hi).tolist() == [0, 1]
