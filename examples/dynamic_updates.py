@@ -6,7 +6,9 @@ item as a separate dataset with a continuous skyline query").  This script
 runs a listings site where properties appear and sell while users keep
 querying: CBCS maintains its cached skylines through every update and keeps
 serving exact answers -- including exact-match hits for repeated queries
-whose cached result was silently updated in place.
+whose cached result was silently updated in place.  A bulk load written
+straight into the table, behind the engine's back, is noticed too: the next
+query drops the cache and reads afresh rather than serve a stale answer.
 
 Run:  python examples/dynamic_updates.py
 """
@@ -14,7 +16,7 @@ Run:  python examples/dynamic_updates.py
 import numpy as np
 
 from repro import Constraints, DiskTable
-from repro.core.dynamic import DynamicCBCS
+from repro.core.cbcs import CBCS
 from repro.data.realestate import danish_real_estate
 from repro.skyline.sfs import sfs_skyline
 
@@ -28,7 +30,7 @@ def oracle(table, constraints):
 def main():
     rng = np.random.default_rng(11)
     data = danish_real_estate(60_000, seed=3)
-    engine = DynamicCBCS(DiskTable(data), on_delete="refresh")
+    engine = CBCS(DiskTable(data))
 
     # A saved search: newer mid-sized homes below 2.5M DKK.
     saved = Constraints([0.0, 60.0, 100.0, 100.0], [40.0, 160.0, 2500.0, 2500.0])
@@ -42,6 +44,7 @@ def main():
         ("2 skyline listings sell", "delete_skyline", 2),
         ("5 unremarkable listings sell", "delete_dominated", 5),
         ("a bargain appears", "insert_bargain", 1),
+        ("a bulk load bypasses the engine", "table_append", 1),
     ]
     for label, kind, count in events:
         if kind == "insert":
@@ -54,6 +57,8 @@ def main():
             engine.insert_points(rows)
         elif kind == "insert_bargain":
             engine.insert_points(np.array([[1.0, 65.0, 150.0, 120.0]]))
+        elif kind == "table_append":
+            engine.table.append(np.array([[0.5, 62.0, 140.0, 110.0]]))
         else:
             current = engine.query(saved)
             if kind == "delete_skyline":
@@ -85,7 +90,8 @@ def main():
         assert ok
 
     print("\nEvery answer stayed exact while the dataset churned; repeated")
-    print("queries were served from the maintained cache without re-reading.")
+    print("queries were served from the maintained cache without re-reading,")
+    print("until a write bypassed the engine and it fell back to a fresh read.")
 
 
 if __name__ == "__main__":

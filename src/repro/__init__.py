@@ -24,7 +24,6 @@ paper-to-module map, and ``examples/`` for runnable scenarios.
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import CacheItem, SkylineCache
 from repro.core.cbcs import CBCS
-from repro.core.dynamic import DynamicCBCS
 from repro.core.mpr import MPRResult, compute_mpr
 from repro.core.strategies import (
     CostBased,
@@ -45,7 +44,6 @@ from repro.skyline.bnl import bnl_skyline
 from repro.skyline.bskytree import bskytree_skyline
 from repro.skyline.cardinality import expected_skyline_size
 from repro.skyline.dandc import dandc_skyline
-from repro.skyline.nn_method import NNMethod, nn_constrained_skyline
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, StageTimings
 from repro.storage.costmodel import DiskCostModel
@@ -66,13 +64,11 @@ __all__ = [
     "CostBased",
     "DiskCostModel",
     "DiskTable",
-    "DynamicCBCS",
     "ExactMPR",
     "Interval",
     "MPRResult",
     "MaxOverlap",
     "MaxOverlapSP",
-    "NNMethod",
     "OptimumDistance",
     "Prioritized1D",
     "PrioritizedND",
@@ -87,7 +83,6 @@ __all__ = [
     "compute_mpr",
     "dandc_skyline",
     "expected_skyline_size",
-    "nn_constrained_skyline",
     "default_strategy_suite",
     "sfs_skyline",
 ]

@@ -45,7 +45,6 @@ import numpy as np
 from repro.bench.harness import scaled
 from repro.core.cache import SkylineCache
 from repro.core.cbcs import CBCS
-from repro.core.dynamic import DynamicCBCS
 from repro.core.strategies import MaxOverlap, MaxOverlapSP
 from repro.data.generator import independent
 from repro.ioutil import atomic_write_json
@@ -230,7 +229,7 @@ def chaos(n: int = 200, profile: str = "default", seed: int = 0, obs=None) -> So
 # ----------------------------------------------------------------------
 def crash(profile: str = "default", seed: int = 0, out_dir=None) -> SoakReport:
     """Each of :data:`CRASH_SCENARIOS` runs one seeded insert / delete /
-    query schedule against a durable :class:`DynamicCBCS` (WAL-backed table,
+    query schedule against a durable :class:`CBCS` (WAL-backed table,
     disk cache) with its crash point armed, recovers from the files left
     behind, and checks verification queries against the live rows of the
     committed prefix of the schedule.
@@ -332,7 +331,7 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
     injector = table.injector
     try:
         manager, cache = _durable_state(root / name, injector)
-        engine = DynamicCBCS(table, cache=cache, durability=manager, resilience=True)
+        engine = CBCS(table, cache=cache, durability=manager, resilience=True)
         # Armed only now: the base checkpoint must exist to recover onto.
         if point is not None:
             injector.arm_crash(point, after=after, torn_fraction=torn)
@@ -357,7 +356,7 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
         injector.disarm_crashes()
         manager, cache = _durable_state(root / name, injector)
         restored_items = len(cache)
-        recovered = DynamicCBCS.recover(
+        recovered = CBCS.recover(
             manager,
             cache=cache,
             resilience=True,

@@ -22,12 +22,10 @@ Modules:
 - :mod:`~repro.core.executor` -- runs a plan's disjoint range queries
   against the engine's table, in plan order (each one guarded by
   ``Resilience.read`` when resilience is on);
-- :mod:`~repro.core.cbcs` -- the CBCS query engine tying it all together.
-
-Extension beyond the paper's evaluation (flagged as future work there):
-
-- :mod:`~repro.core.dynamic` -- dynamic data with continuous per-item
-  skyline maintenance (Section 6.2).
+- :mod:`~repro.core.cbcs` -- the CBCS query engine tying it all together,
+  including the extension the paper flags as future work: writes, with
+  continuous per-item skyline maintenance (Section 6.2) and an optional
+  WAL-backed durable write path.
 """
 
 from repro.core.ampr import ApproximateMPR, ExactMPR
@@ -44,7 +42,6 @@ from repro.core.cases import (
     classify_change,
 )
 from repro.core.cbcs import CBCS
-from repro.core.dynamic import DynamicCBCS
 from repro.core.executor import Executor, FetchOutcome
 from repro.core.planner import PlannedQuery, Planner, QueryPlan
 from repro.core.mpr import MPRResult, compute_mpr
@@ -71,7 +68,6 @@ __all__ = [
     "CBCS",
     "CacheItem",
     "CostBased",
-    "DynamicCBCS",
     "ExactMPR",
     "Executor",
     "FetchOutcome",

@@ -33,6 +33,17 @@ body.  :meth:`CBCS.query` is the per-query preamble and epilogue (id,
 root span, outcome record, and -- after the fact -- the EXPLAIN record).
 Every query returns a :class:`~repro.stats.QueryOutcome` with the
 Figure-10 stage breakdown.
+
+The engine also takes writes (paper Section 6.2: "Dynamic data can be
+supported by viewing each cache item as a separate dataset with a
+continuous skyline query maintained by any existing method").
+:meth:`CBCS.insert_points` and :meth:`CBCS.delete_points` write the table
+and maintain every cached item whose constraint region holds a written row;
+with ``durability=`` each batch is WAL-logged first and :meth:`CBCS.recover`
+rebuilds a crashed engine.  A write made through the table itself, behind
+the engine's back, moves ``table.write_count``; the next query or explain
+sees it and drops the whole cache, so such a write costs misses, never a
+stale answer.
 """
 
 from __future__ import annotations
@@ -48,13 +59,16 @@ from repro.core.cases import CASE_EXACT
 from repro.core.executor import Executor
 from repro.core.planner import CASE_MISS, PlannedQuery, Planner, QueryPlan
 from repro.core.strategies import CacheSearchStrategy, MaxOverlapSP
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints, overlap_volumes
+from repro.geometry.dominance import dominated_mask
 from repro.obs import NULL_OBS, bind, current_query_id
 from repro.resilience import DEGRADABLE, DeadlineExceeded, resolve_resilience
 from repro.resilience.deadline import Deadline
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, Stopwatch
-from repro.storage.table import DiskTable
+from repro.storage.durability import DurabilityManager
+from repro.storage.table import DiskTable, checked_rowids, checked_rows
 
 __all__ = [
     "CBCS",
@@ -124,6 +138,7 @@ class CBCS:
         cache_results: bool = True,
         obs=None,
         resilience=None,
+        durability=None,
     ):
         """``region_computer`` defaults to the 1-NN aMPR, the paper's default
         for interactive workloads; pass :class:`~repro.core.ampr.ExactMPR`
@@ -145,6 +160,12 @@ class CBCS:
         instead of raising, and cache items are invariant-verified
         before CBCS prunes with them.  The default ``None`` keeps the
         historic fail-fast behaviour with zero overhead.
+
+        ``durability`` enables the WAL-backed write path: a directory (or a
+        prepared :class:`~repro.storage.durability.DurabilityManager`)
+        where :meth:`insert_points` / :meth:`delete_points` batches are
+        journaled before they apply and the table is checkpointed.  The
+        default ``None`` keeps writes in memory only.
         """
         self.table = table
         # explicit None checks: an empty SkylineCache is falsy (len 0)
@@ -187,17 +208,42 @@ class CBCS:
                 self._fallback_region.bind_obs(obs)
         self.planner = Planner(self.strategy, self.region, self.table.forecast)
         self.executor = Executor()
+        if durability is not None and not isinstance(durability, DurabilityManager):
+            durability = DurabilityManager(durability)
+        self.durability: Optional[DurabilityManager] = durability
+        #: set by :meth:`recover` on recovered engines
+        self.recovery_report = None
+        if durability is not None:
+            # A fresh durability directory needs the base snapshot:
+            # recovery rebuilds "checkpoint + tail", never from nothing.
+            durability.ensure_checkpoint(table)
+        #: ``table.write_count`` when the cache was last known current
+        self._writes_seen = table.write_count
 
     @property
     def name(self) -> str:
         return f"CBCS[{self.region.name}]"
 
     def close(self) -> None:
-        """Close the cache: a durable one takes a final checkpoint so the
-        next start is warm; an in-memory one has nothing to flush.
+        """Close the table's log, then the cache's, each with a final
+        checkpoint (:meth:`~repro.storage.wal.CheckpointedLog.close`) so the
+        next start replays nothing and finds the cache warm; without logs
+        there is nothing to flush.
         """
+        if self.durability is not None:
+            self.durability.close(self.table)
         self.executor.close()
         self.cache.close()
+
+    def _sync(self) -> None:
+        """Drop the whole cache if the table was written behind the engine's
+        back (``table.append`` / ``table.delete`` called directly): which
+        items such a write touched is unknown, and a miss is never wrong.
+        The engine's own writes maintain the cache and record the counter."""
+        writes = self.table.write_count
+        if writes != self._writes_seen:
+            self.cache.clear()
+            self._writes_seen = writes
 
     # ------------------------------------------------------------------
     # Querying
@@ -239,6 +285,7 @@ class CBCS:
         """
         if constraints.ndim != self.table.ndim:
             raise ValueError("constraints dimensionality does not match the table")
+        self._sync()
         deadline = Deadline.normalize(deadline)
         obs = self.obs
         if query_id is None and obs.enabled:
@@ -503,12 +550,15 @@ class CBCS:
         untouched (no use counters, no insertion, no
         ``strategy_selections_total`` increments) -- safe to call
         repeatedly, and an ``explain()`` before a ``query()`` counts the
-        pair as exactly one lookup and one selection.  The returned plan's
-        ``candidates_scored`` lists every candidate considered with its
-        score and rejection reason.
+        pair as exactly one lookup and one selection.  The one exception is
+        a write made through the table behind the engine's back: like
+        :meth:`query`, explain drops the cache first, so it never plans
+        with a stale item.  The returned plan's ``candidates_scored`` lists
+        every candidate considered with its score and rejection reason.
         """
         if constraints.ndim != self.table.ndim:
             raise ValueError("constraints dimensionality does not match the table")
+        self._sync()
         candidates = self.cache.candidates(constraints, record=False)
         return self.planner.annotate(
             self.planner.plan(constraints, candidates, record=False)
@@ -526,3 +576,133 @@ class CBCS:
         for constraints in queries:
             self.query(constraints)
         return len(self.cache)
+
+    # ------------------------------------------------------------------
+    # Writes (paper Section 6.2)
+    # ------------------------------------------------------------------
+    def insert_points(self, rows: np.ndarray) -> np.ndarray:
+        """Append rows to the table and maintain every cached item whose
+        constraint region holds one; returns the new row ids.
+
+        A new row either is dominated within the item's skyline (nothing
+        changes) or enters it, evicting the cached points it dominates --
+        exact, since the points those evicted members dominated are, by
+        transitivity, dominated by the new row too.  With durability on,
+        the batch is WAL-logged (and fsynced) first: it is committed the
+        moment the log record is durable.
+        """
+        rows = checked_rows(rows, self.table.ndim)
+        self._sync()
+        if self.durability is not None:
+            self.durability.log_insert(rows, start=self.table.n)
+        new_ids = self.table.append(rows)
+        for row in rows:
+            self._maintain_insert(row)
+        self._writes_seen = self.table.write_count
+        if self.durability is not None:
+            self.durability.maybe_checkpoint(self.table)
+        return new_ids
+
+    def delete_points(self, rowids) -> int:
+        """Delete table rows and maintain every cached item whose constraint
+        region held one; returns how many rows died.
+
+        A deleted row that was not in an item's skyline was dominated and
+        changes nothing.  One that was may have suppressed other points, so
+        the item is refreshed: one range query over its constraint region
+        re-derives its skyline.  With resilience on that read is validated
+        and retried like any fetch; a refresh that still fails, or finds
+        nothing, evicts the item (a miss, never staleness).
+        """
+        rowids = checked_rowids(rowids)
+        # each id once, in the order given: a repeated id is one row, to be
+        # logged, killed and maintained once
+        rowids = rowids[np.sort(np.unique(rowids, return_index=True)[1])]
+        # Reading the coordinates first also validates the row ids, so an
+        # invalid request fails before anything reaches the WAL.
+        coords = [self.table.row(int(r)) for r in rowids]
+        self._sync()
+        if self.durability is not None:
+            self.durability.log_delete(rowids, np.asarray(coords))
+        killed = self.table.delete(rowids)
+        for row in coords:
+            self._maintain_delete(row)
+        self._writes_seen = self.table.write_count
+        if self.durability is not None:
+            self.durability.maybe_checkpoint(self.table)
+        return killed
+
+    def _maintain_insert(self, row: np.ndarray) -> None:
+        row = row.reshape(1, -1)
+        for item in self.cache.containing(row[0]):
+            sky = item.skyline
+            if dominated_mask(row, sky)[0]:
+                continue  # dominated within the item: skyline unchanged
+            keep = ~dominated_mask(sky, row)
+            self.cache.replace_skyline(item, np.vstack([sky[keep], row]))
+
+    def _maintain_delete(self, row: np.ndarray) -> None:
+        for item in self.cache.containing(row):
+            if not np.all(item.skyline == row, axis=1).any():
+                continue  # dominated point: its absence changes nothing
+            c = item.constraints
+            try:
+                fetched = self.executor.fetch(
+                    self.table, BoxSet(c.lo[None], c.hi[None]), self.resilience
+                ).result.points
+            except DEGRADABLE:
+                self.cache.remove(item)
+                continue
+            if len(fetched):
+                skyline = fetched[self.skyline_algorithm(fetched)]
+                self.cache.replace_skyline(item, skyline)
+            else:
+                self.cache.remove(item)
+
+    # ------------------------------------------------------------------
+    # Durability lifecycle
+    # ------------------------------------------------------------------
+    def checkpoint(self) -> None:
+        """Checkpoint the table's log (and the cache's, if it is durable)."""
+        if self.durability is not None:
+            self.durability.checkpoint(self.table)
+        self.cache.checkpoint()
+
+    @classmethod
+    def recover(cls, source, table_wrapper=None, **kwargs) -> "CBCS":
+        """Rebuild a durable engine after a crash.
+
+        ``source`` is the durability directory (or a prepared
+        :class:`~repro.storage.durability.DurabilityManager`, e.g. one
+        carrying the drill's fault injector); remaining ``kwargs`` go to
+        the engine constructor (cache, resilience, ...).
+        ``table_wrapper`` optionally re-wraps the recovered table (e.g. in
+        a :class:`~repro.storage.faults.FaultyDiskTable`) before the
+        engine adopts it.
+
+        Recovery: load the last table checkpoint, replay the WAL tail
+        (torn tail truncated), then *reconcile the cache* -- every cache
+        item whose region contains a replayed row is dropped, because the
+        crash may have swallowed that item's in-memory maintenance.  Over-
+        evicting costs a cache miss; under-evicting would serve stale
+        skylines, so reconciliation always errs on eviction.  The
+        :class:`~repro.storage.durability.RecoveryReport` lands on
+        ``engine.recovery_report``.
+        """
+        manager = (
+            source
+            if isinstance(source, DurabilityManager)
+            else DurabilityManager(source)
+        )
+        table, report = manager.recover()
+        if table_wrapper is not None:
+            table = table_wrapper(table)
+        engine = cls(table, durability=manager, **kwargs)
+        for _op, rows in report.replayed:
+            for row in np.atleast_2d(rows):
+                for item in engine.cache.containing(row):
+                    engine.cache.remove(item)
+        engine.recovery_report = report
+        # Seal the recovered state so the next restart replays nothing.
+        manager.checkpoint(engine.table)
+        return engine

@@ -1,7 +1,7 @@
 """Disk-style index structures built from scratch.
 
 - :class:`~repro.index.rtree.RTree` -- a static R-tree packed by STR bulk
-  loading, the dataset index of the BBS [19] and nearest-neighbour baselines.
+  loading, the dataset index of the BBS [19] baseline.
 
 The per-dimension indexes of the paper's PostgreSQL setup (Section 7) are
 sorted columns private to :mod:`repro.storage.table`.

@@ -1,17 +1,15 @@
 """A static R-tree over points or rectangles, packed by STR bulk loading.
 
-This is the dataset index under the two R-tree baselines the paper compares
-against: BBS [19], the I/O-optimal constrained-skyline algorithm, and the
-nearest-neighbour method.  It is built once with Sort-Tile-Recursive bulk
-loading, the standard way to pack a static R-tree, and never updated.  (The
-cache of Section 6 does not use it: its MBR lookup is the flat bounds table
-in :mod:`repro.core.cache`.)
+This is the dataset index under the R-tree baseline the paper compares
+against: BBS [19], the I/O-optimal constrained-skyline algorithm.  It is
+built once with Sort-Tile-Recursive bulk loading, the standard way to pack a
+static R-tree, and never updated.  (The cache of Section 6 does not use it:
+its MBR lookup is the flat bounds table in :mod:`repro.core.cache`.)
 
 Leaf entries carry a rectangle (``lo``/``hi``; equal for points) and an
 opaque payload (a row id for dataset trees).  Nodes track their level
-(leaves are level 0).  Node accesses during searches and structured
-traversals are counted in :attr:`RTree.nodes_accessed`; BBS charges one page
-read per node it pops.
+(leaves are level 0).  BBS walks the nodes itself, from :attr:`RTree.root`,
+and charges one page read per node it pops.
 """
 
 from __future__ import annotations
@@ -63,12 +61,8 @@ class RNode:
             self.hi = np.max([c.hi for c in self.children], axis=0)
 
 
-def _intersects(lo1, hi1, lo2, hi2) -> bool:
-    return bool(np.all(lo1 <= hi2) and np.all(lo2 <= hi1))
-
-
 class RTree:
-    """A static R-tree built by STR bulk loading (range and NN search)."""
+    """A static R-tree built by STR bulk loading."""
 
     def __init__(self, ndim: int, max_entries: int = 64, min_entries: Optional[int] = None):
         if ndim < 1:
@@ -80,7 +74,6 @@ class RTree:
         self.min_entries = min_entries or max(2, int(round(0.4 * max_entries)))
         if self.min_entries * 2 > max_entries:
             raise ValueError("min_entries must be at most max_entries / 2")
-        self.nodes_accessed = 0
         self._size = 0
         root = RNode(level=0)
         root.entry_lo = np.empty((0, ndim))
@@ -164,7 +157,7 @@ class RTree:
         return tree
 
     # ------------------------------------------------------------------
-    # Queries
+    # Structure
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return self._size
@@ -176,78 +169,6 @@ class RTree:
     @property
     def height(self) -> int:
         return self._root.level + 1
-
-    def reset_stats(self) -> None:
-        """Zero the node-access counter."""
-        self.nodes_accessed = 0
-
-    def search(self, lo: Sequence[float], hi: Sequence[float]) -> list:
-        """Return payloads of entries whose rectangle intersects [lo, hi]."""
-        lo = np.asarray(lo, dtype=float)
-        hi = np.asarray(hi, dtype=float)
-        out: list = []
-        stack = [self._root]
-        while stack:
-            node = stack.pop()
-            self.nodes_accessed += 1
-            if node.lo is None:
-                continue
-            if node.is_leaf:
-                mask = np.all(node.entry_lo <= hi, axis=1) & np.all(
-                    node.entry_hi >= lo, axis=1
-                )
-                for i in np.flatnonzero(mask):
-                    out.append(node.payloads[i])
-            else:
-                for child in node.children:
-                    if _intersects(child.lo, child.hi, lo, hi):
-                        stack.append(child)
-        return out
-
-    def nearest(self, point: Sequence[float], k: int = 1) -> list:
-        """Return the payloads of the ``k`` entries nearest to ``point``.
-
-        Classic best-first nearest-neighbour search: nodes are expanded in
-        ascending minimum Euclidean distance between ``point`` and their
-        MBR, so no node is read whose subtree cannot contain a result.
-        Entry distance uses the entry rectangle's mindist (equals the point
-        distance for point entries).  Ties are broken arbitrarily.
-        """
-        import heapq
-        import itertools
-
-        if k < 1:
-            raise ValueError("k must be positive")
-        point = np.asarray(point, dtype=float)
-        if point.shape != (self.ndim,):
-            raise ValueError(f"point must be {self.ndim}-dimensional")
-
-        def mindist2(lo: np.ndarray, hi: np.ndarray) -> float:
-            clipped = np.clip(point, lo, hi)
-            return float(np.sum((point - clipped) ** 2))
-
-        counter = itertools.count()
-        heap: list = []
-        if self._root.lo is not None:
-            heap.append((0.0, next(counter), self._root, None))
-        results: list = []
-        while heap and len(results) < k:
-            _, _, node, payload = heapq.heappop(heap)
-            self.nodes_accessed += 1 if payload is None and node is not None else 0
-            if node is None:
-                results.append(payload)
-                continue
-            if node.is_leaf:
-                for i in range(node.entry_count()):
-                    d = mindist2(node.entry_lo[i], node.entry_hi[i])
-                    heapq.heappush(
-                        heap, (d, next(counter), None, node.payloads[i])
-                    )
-            else:
-                for child in node.children:
-                    d = mindist2(child.lo, child.hi)
-                    heapq.heappush(heap, (d, next(counter), child, None))
-        return results
 
     def all_payloads(self) -> list:
         """Return every payload in the tree (tree order)."""

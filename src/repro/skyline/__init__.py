@@ -17,17 +17,13 @@ Index/disk-based:
   an R-tree, the I/O-optimal state of the art for constrained skylines
   without caching, with constraint pruning;
 - :class:`~repro.skyline.baseline.BaselineMethod` -- the naive plan of [3]:
-  one range query for ``S_C`` followed by SFS;
-- :func:`~repro.skyline.nn_method.nn_constrained_skyline` -- the NN method
-  [15], the pre-BBS index-based approach (kept to reproduce the related-work
-  claim that BBS strictly dominates it).
+  one range query for ``S_C`` followed by SFS.
 """
 
 from repro.skyline.baseline import BaselineMethod, naive_constrained_skyline
 from repro.skyline.bbs import BBSMethod, BBSResult, BBSScan, bbs_skyline
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.bskytree import bskytree_skyline
-from repro.skyline.nn_method import NNMethod, nn_constrained_skyline
 from repro.skyline.dandc import dandc_skyline
 from repro.skyline.reference import brute_force_skyline, is_skyline
 from repro.skyline.sfs import sfs_skyline
@@ -37,7 +33,6 @@ __all__ = [
     "BBSResult",
     "BBSScan",
     "BaselineMethod",
-    "NNMethod",
     "bbs_skyline",
     "bnl_skyline",
     "bskytree_skyline",
@@ -45,6 +40,5 @@ __all__ = [
     "brute_force_skyline",
     "is_skyline",
     "naive_constrained_skyline",
-    "nn_constrained_skyline",
     "sfs_skyline",
 ]

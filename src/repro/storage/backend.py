@@ -41,8 +41,10 @@ class StorageBackend(Protocol):
     free of (simulated) disk I/O; ``stats`` is the
     table's running total (a query is billed from the charges stamped on its
     own range results, not from a window on it); ``CBCS`` hands its
-    observability down through ``obs`` / ``bind_obs``, and the EXPLAIN
-    record turns forecast seeks and pages into latency with ``cost_model``.
+    observability down through ``obs`` / ``bind_obs``, the EXPLAIN
+    record turns forecast seeks and pages into latency with ``cost_model``,
+    and ``write_count`` (moved by every write that changes the live rows)
+    tells the engine, before each query, whether its cache is still current.
     """
 
     @property
@@ -53,6 +55,9 @@ class StorageBackend(Protocol):
 
     @property
     def cost_model(self) -> DiskCostModel: ...
+
+    @property
+    def write_count(self) -> int: ...
 
     @property
     def obs(self): ...

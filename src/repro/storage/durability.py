@@ -1,7 +1,7 @@
 """Durable table state: WAL-backed writes, checkpoints, crash recovery.
 
-:class:`DurabilityManager` gives :class:`~repro.core.dynamic.DynamicCBCS`
-the PostgreSQL write path for its table updates:
+:class:`DurabilityManager` gives :class:`~repro.core.cbcs.CBCS` (built with
+``durability=``) the PostgreSQL write path for its table updates:
 
 1. **Log.** Every ``insert_points`` / ``delete_points`` batch is appended
    to a :class:`~repro.storage.wal.WriteAheadLog` -- and fsynced -- *before*

@@ -5,10 +5,9 @@ Real estate listings are naturally partitioned (by city/region -- here by a
 query rarely touches every partition.  :class:`ShardedTable` is that layout
 as a **base table**: it satisfies
 :class:`~repro.storage.backend.StorageBackend` and the table write API, so
-``CBCS(ShardedTable(...))`` is the fleet engine and
-``DynamicCBCS(ShardedTable(...))`` the writable one -- how the rows are laid
-out on disks stays below the line the algorithm draws (DESIGN.md section 5,
-item 15).
+``CBCS(ShardedTable(...))`` is the fleet engine, writes included -- how the
+rows are laid out on disks stays below the line the algorithm draws
+(DESIGN.md section 5, item 15).
 
 - rows are split into N shards by **range** (quantile boundaries over the
   key dimension, the city/region analogue), **hash** (CRC32 of the key
@@ -50,6 +49,7 @@ from repro.storage.table import (
     DiskTable,
     Forecast,
     RangeResult,
+    checked_rowids,
     checked_rows,
     concat_results,
 )
@@ -224,6 +224,12 @@ class ShardedTable:
             total.add(shard.table.stats)
         return total
 
+    @property
+    def write_count(self) -> int:
+        """The shard tables' write counters, summed: moves whenever a write
+        changes the live rows of any shard, through the fleet or not."""
+        return sum(s.table.write_count for s in self.shards)
+
     def bind_obs(self, obs) -> "ShardedTable":
         """Attach (or detach, with None) observability to every shard."""
         self.obs = NULL_OBS if obs is None else obs
@@ -321,8 +327,9 @@ class ShardedTable:
 
     def delete(self, rowids: np.ndarray) -> int:
         """Mark rows deleted by global id; returns how many died.  An id
-        outside the table fails the batch before any shard is touched."""
-        rowids = np.atleast_1d(np.asarray(rowids, dtype=np.int64))
+        outside the table, or one that is not a whole number, fails the
+        batch before any shard is touched."""
+        rowids = checked_rowids(rowids)
         with self._lock:
             if len(rowids) and (rowids.min() < 0 or rowids.max() >= self.n):
                 raise IndexError("row id out of range")

@@ -175,6 +175,18 @@ def checked_rows(rows, ndim: int) -> np.ndarray:
     return rows
 
 
+def checked_rowids(rowids) -> np.ndarray:
+    """``rowids`` as a 1-D ``int64`` array, or ``ValueError`` when one is not
+    a whole number: what a base table checks before a delete touches
+    anything (a cast alone would truncate 1.5 to row 1)."""
+    ids = np.atleast_1d(np.asarray(rowids))
+    if ids.dtype.kind not in "iu" and not (
+        ids.dtype.kind == "f" and (np.isfinite(ids) & (np.trunc(ids) == ids)).all()
+    ):
+        raise ValueError(f"row ids must be whole numbers, got {rowids!r}")
+    return ids.astype(np.int64, copy=False)
+
+
 class _SortedColumn:
     """One dimension's index: ``keys``, the column's values ascending,
     beside ``rows``, the heap row holding each (equal keys in ascending row
@@ -320,6 +332,10 @@ class DiskTable:
         self.obs = NULL_OBS if obs is None else obs
         self._alive = np.ones(len(data), dtype=bool)
         self.buffer = BufferPool(buffer_pages) if buffer_pages else None
+        #: bumped by every append or delete that changes the live rows
+        #: (never by :meth:`vacuum`): an engine caching answers over this
+        #: table compares it to tell whether someone else wrote
+        self.write_count = 0
         if columns is not None:
             columns = tuple(columns)
             if len(columns) != data.shape[1]:
@@ -684,8 +700,11 @@ class DiskTable:
     # ------------------------------------------------------------------
     def append(self, rows: np.ndarray) -> np.ndarray:
         """Append rows to the heap and merge them into every index; returns
-        the new row ids.  Writes are charged one page per touched heap page."""
+        the new row ids.  Writes are charged one page per touched heap page;
+        an empty batch changes and charges nothing."""
         rows = checked_rows(rows, self.ndim)
+        if not len(rows):
+            return np.empty(0, dtype=np.int64)
         with self._lock:
             start = self.n
             new_ids = np.arange(start, start + len(rows), dtype=np.int64)
@@ -701,17 +720,20 @@ class DiskTable:
             self.stats.pages_read += n_pages
             self.stats.seeks += 1
             self.stats.simulated_io_ms += self.cost_model.fetch_cost_ms(1, n_pages)
+            self.write_count += 1
         return new_ids
 
     def delete(self, rowids: np.ndarray) -> int:
         """Mark rows deleted (tombstones, PostgreSQL-style: indexes keep the
         entries, queries filter dead rows).  Returns how many rows died."""
-        rowids = np.atleast_1d(np.asarray(rowids, dtype=np.int64))
+        rowids = checked_rowids(rowids)
         with self._lock:
             if len(rowids) and (rowids.min() < 0 or rowids.max() >= self.n):
                 raise IndexError("row id out of range")
             killed = int(self._alive[rowids].sum())
             self._alive[rowids] = False
+            if killed:
+                self.write_count += 1
         return killed
 
     def vacuum(self) -> int:

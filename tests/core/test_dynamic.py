@@ -3,10 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicCBCS
+from repro.core.cbcs import CBCS
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
 from repro.ioutil import decode_array
+from repro.storage.faults import FaultInjector, FaultyDiskTable
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
@@ -16,6 +17,13 @@ from tests.core.conftest import assert_same_point_set, constrained_skyline_oracl
 
 def live_data(table):
     return table.data_view()[table._alive]
+
+
+TABLE_KINDS = pytest.mark.parametrize(
+    "make_table",
+    [DiskTable, lambda data: ShardedTable(data, 4)],
+    ids=["plain", "sharded"],
+)
 
 
 class TestTableUpdates:
@@ -98,6 +106,24 @@ class TestTableUpdates:
         assert table.vacuum() == 1
         assert table.live_count == 198
 
+    @TABLE_KINDS
+    def test_append_of_no_rows_changes_and_charges_nothing(self, make_table):
+        table = make_table(generate("independent", 50, 2, seed=4))
+        before = table.stats
+        ids = table.append(np.empty((0, 2)))
+        assert ids.dtype == np.int64 and ids.tolist() == []
+        assert table.n == 50 and table.write_count == 0
+        assert table.stats == before
+
+    @TABLE_KINDS
+    def test_a_non_integral_row_id_is_rejected(self, make_table):
+        table = make_table(generate("independent", 50, 2, seed=4))
+        for rowids in ([1.5], [2.0, 0.25], [np.nan], [True]):
+            with pytest.raises(ValueError, match="whole numbers"):
+                table.delete(rowids)
+        assert table.live_count == 50
+        assert table.delete([1.0, np.int32(2)]) == 2
+
     def test_append_expands_domain(self):
         table = DiskTable(np.array([[0.5, 0.5]]))
         table.append(np.array([[0.1, 0.9]]))
@@ -113,7 +139,7 @@ class TestRepeatedDeleteIds:
     )
     def test_a_repeated_id_is_one_row(self, make_table):
         data = generate("independent", 60, 2, seed=3)
-        engine = DynamicCBCS(make_table(data))
+        engine = CBCS(make_table(data))
         assert engine.delete_points([5, 5]) == 1
         assert engine.table.live_count == 59
         assert engine.delete_points([7, 9, 7]) == 2
@@ -121,7 +147,7 @@ class TestRepeatedDeleteIds:
 
     def test_the_wal_record_holds_each_id_once(self, tmp_path):
         data = generate("independent", 60, 2, seed=3)
-        engine = DynamicCBCS(DiskTable(data), durability=tmp_path)
+        engine = CBCS(DiskTable(data), durability=tmp_path)
         engine.delete_points([7, 5, 7, 5, 9])
         (record,) = engine.durability.wal.records()
         assert record.payload["rowids"] == [7, 5, 9]
@@ -135,7 +161,7 @@ class TestCacheMaintenance:
     @pytest.fixture()
     def engine(self):
         data = generate("independent", 800, 2, seed=5)
-        return DynamicCBCS(DiskTable(data))
+        return CBCS(DiskTable(data))
 
     def test_insert_dominating_point_updates_cached_item(self, engine):
         c = Constraints([0.2, 0.2], [0.8, 0.8])
@@ -169,22 +195,18 @@ class TestCacheMaintenance:
         assert_same_point_set(after.skyline, constrained_skyline_oracle(data, c))
         assert not any(np.allclose(p, victim) for p in after.skyline)
 
-    def test_delete_policy_evict(self):
+    def test_a_refresh_that_finds_nothing_evicts(self):
+        """Deleting the only row of an item's region leaves the refresh
+        nothing to cache: the item goes (a later miss, never staleness)."""
         data = generate("independent", 400, 2, seed=6)
-        engine = DynamicCBCS(DiskTable(data), on_delete="evict")
-        c = Constraints([0.0, 0.0], [1.0, 1.0])
-        first = engine.query(c)
-        victim = first.skyline[0]
-        rowid = int(
-            np.flatnonzero(np.all(engine.table.data_view() == victim, axis=1))[0]
-        )
+        engine = CBCS(DiskTable(data))
+        rowid = 17
+        point = Constraints(data[rowid], data[rowid])
+        assert engine.query(point).skyline.tolist() == [data[rowid].tolist()]
         assert len(engine.cache) == 1
         engine.delete_points([rowid])
         assert len(engine.cache) == 0
-
-    def test_invalid_policy(self):
-        with pytest.raises(ValueError):
-            DynamicCBCS(DiskTable(np.zeros((1, 2))), on_delete="ignore")
+        assert engine.query(point).skyline_size == 0
 
     def test_batch_maintenance_keeps_item_ids_and_row_order(self):
         """Maintenance walks rows x items in a fixed order, so the ids the
@@ -196,7 +218,7 @@ class TestCacheMaintenance:
              [5, 5], [6, 6], [3, 8], [8, 3], [5, 9]],
             dtype=float,
         )  # fmt: skip
-        engine = DynamicCBCS(DiskTable(data))
+        engine = CBCS(DiskTable(data))
         engine.query(Constraints([0, 0], [10, 10]))
         engine.query(Constraints([3, 3], [10, 10]))
 
@@ -241,23 +263,97 @@ class TestCacheMaintenance:
 class TestInterleavedEquivalence:
     """The load-bearing property: queries stay exact through churn."""
 
-    @pytest.mark.parametrize("policy", ["refresh", "evict"])
-    def test_mixed_updates_and_queries(self, policy):
+    @TABLE_KINDS
+    def test_mixed_updates_and_queries(self, make_table):
         rng = np.random.default_rng(77)
         data = generate("independent", 1000, 3, seed=7)
-        engine = DynamicCBCS(DiskTable(data), on_delete=policy)
+        engine = CBCS(make_table(data))
+        live = dict(enumerate(data))
         gen = WorkloadGenerator(data, seed=8)
         for step, c in enumerate(gen.exploratory_stream(25)):
             action = rng.random()
             if action < 0.3:
-                engine.insert_points(rng.uniform(0, 1, size=(3, 3)))
-            elif action < 0.5 and engine.table.live_count > 10:
-                alive = np.flatnonzero(engine.table._alive)
-                engine.delete_points(rng.choice(alive, size=2, replace=False))
+                rows = rng.uniform(0, 1, size=(3, 3))
+                live.update(zip(engine.insert_points(rows).tolist(), rows))
+            elif action < 0.5 and len(live) > 10:
+                victims = rng.choice(sorted(live), size=2, replace=False)
+                engine.delete_points(victims)
+                for rowid in victims.tolist():
+                    del live[rowid]
             out = engine.query(c)
-            current = live_data(engine.table)
             assert_same_point_set(
                 out.skyline,
-                constrained_skyline_oracle(current, c),
-                context=f"step={step} policy={policy} case={out.case}",
+                constrained_skyline_oracle(np.array(list(live.values())), c),
+                context=f"step={step} case={out.case}",
             )
+
+
+class TestWritesBehindTheEngine:
+    """A write made through ``engine.table`` itself moves the table's
+    ``write_count``; the next query drops the cache instead of serving an
+    answer the write made wrong."""
+
+    C = Constraints([0.1, 0.1, 0.1], [0.9, 0.9, 0.9])
+
+    @TABLE_KINDS
+    def test_an_append_through_the_table_is_not_served_from_the_cache(
+        self, make_table
+    ):
+        data = np.random.default_rng(0).random((500, 3))
+        engine = CBCS(make_table(data))
+        engine.query(self.C)
+        engine.table.append([[0.11, 0.11, 0.11]])
+        after = engine.query(self.C)
+        live = np.vstack([data, [[0.11, 0.11, 0.11]]])
+        assert not after.stale and not after.cache_hit
+        assert_same_point_set(after.skyline, constrained_skyline_oracle(live, self.C))
+        # the engine knows the table again: the repeat is an exact hit
+        assert engine.query(self.C).case == "exact"
+
+    @TABLE_KINDS
+    def test_a_delete_through_the_table_is_not_served_from_the_cache(
+        self, make_table
+    ):
+        data = np.random.default_rng(1).random((500, 3))
+        engine = CBCS(make_table(data))
+        victim = engine.query(self.C).skyline[0]
+        rowid = int(np.flatnonzero((data == victim).all(axis=1))[0])
+        assert engine.table.delete([rowid]) == 1
+        after = engine.query(self.C)
+        live = np.delete(data, rowid, axis=0)
+        assert not after.stale and not after.cache_hit
+        assert_same_point_set(after.skyline, constrained_skyline_oracle(live, self.C))
+
+    def test_explain_plans_a_miss_after_a_write_through_the_table(self):
+        engine = CBCS(DiskTable(np.random.default_rng(2).random((300, 3))))
+        engine.query(self.C)
+        assert engine.explain(self.C).case == "exact"
+        engine.table.append([[0.5, 0.5, 0.5]])
+        assert engine.explain(self.C).case == "miss"
+        assert len(engine.cache) == 0
+
+    @TABLE_KINDS
+    def test_what_changes_no_live_row_keeps_the_cache(self, make_table):
+        """Vacuum, an empty append and a delete of a dead row leave the
+        counter where it was; the engine's own writes record it."""
+        engine = CBCS(make_table(np.random.default_rng(3).random((300, 3))))
+        engine.delete_points([0])
+        engine.insert_points([[0.5, 0.5, 0.5]])
+        engine.query(self.C)
+        before = engine.table.write_count
+        engine.table.vacuum()
+        engine.table.append(np.empty((0, 3)))
+        assert engine.table.delete([0]) == 0
+        assert engine.table.write_count == before
+        assert engine.query(self.C).case == "exact"
+
+    def test_the_counter_reaches_through_a_fault_wrapper(self):
+        table = DiskTable(np.random.default_rng(4).random((200, 3)))
+        engine = CBCS(FaultyDiskTable(table, FaultInjector(profile="none", seed=0)))
+        engine.query(self.C)
+        table.append([[0.11, 0.11, 0.11]])
+        after = engine.query(self.C)
+        assert not after.cache_hit
+        assert_same_point_set(
+            after.skyline, constrained_skyline_oracle(live_data(table), self.C)
+        )

@@ -1,4 +1,4 @@
-"""S4: DynamicCBCS interleaved insert/delete/query under storage faults.
+"""S4: one engine with interleaved insert/delete/query under storage faults.
 
 The chaos soak exercises a static engine; this pins the *dynamic* engine:
 with the ``default`` fault profile injected under the guarded read
@@ -11,7 +11,7 @@ silently wrong.
 import numpy as np
 import pytest
 
-from repro.core.dynamic import DynamicCBCS
+from repro.core.cbcs import CBCS
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
 from repro.skyline.reference import constrained_reference, same_multiset
@@ -45,11 +45,11 @@ def _schedule(rng, data, queries, n_ops):
 def test_interleaved_updates_exact_or_flagged_under_default_faults(seed):
     data = generate("independent", 300, 3, seed=seed)
     injector = FaultInjector(profile="default", seed=seed)
-    faulty = DynamicCBCS(
+    faulty = CBCS(
         FaultyDiskTable(DiskTable(data.copy()), injector),
         resilience=True,
     )
-    reference = DynamicCBCS(DiskTable(data.copy()))
+    reference = CBCS(DiskTable(data.copy()))
 
     rng = np.random.default_rng(seed + 100)
     queries = iter(
@@ -81,8 +81,8 @@ def test_interleaved_updates_exact_or_flagged_under_default_faults(seed):
 def test_interleaved_updates_without_faults_are_bit_exact():
     """Same schedule, no injector: every answer must be exact, none flagged."""
     data = generate("anticorrelated", 250, 3, seed=7)
-    engine = DynamicCBCS(DiskTable(data.copy()))
-    reference = DynamicCBCS(DiskTable(data.copy()))
+    engine = CBCS(DiskTable(data.copy()))
+    reference = CBCS(DiskTable(data.copy()))
     rng = np.random.default_rng(7)
     queries = iter(WorkloadGenerator(data, seed=77).independent_queries(30))
     for kind, payload in _schedule(rng, data, queries, n_ops=30):
@@ -105,10 +105,9 @@ def test_refresh_failure_falls_back_to_eviction():
     """A delete-triggered refresh that degrades must evict, not serve stale."""
     data = generate("independent", 120, 2, seed=5)
     injector = FaultInjector(profile="none", seed=5)
-    engine = DynamicCBCS(
+    engine = CBCS(
         FaultyDiskTable(DiskTable(data.copy()), injector),
         resilience=True,
-        on_delete="refresh",
     )
     queries = iter(WorkloadGenerator(data, seed=55).independent_queries(5))
     constraints = next(queries)
@@ -140,10 +139,9 @@ def test_refresh_is_retried_through_the_guarded_read():
     evicted."""
     data = generate("independent", 120, 2, seed=5)
     injector = FaultInjector(profile="none", seed=5)
-    engine = DynamicCBCS(
+    engine = CBCS(
         FaultyDiskTable(DiskTable(data.copy()), injector),
         resilience=True,
-        on_delete="refresh",
     )
     constraints = Constraints([0.0, 0.0], [0.8, 0.8])
     engine.query(constraints)

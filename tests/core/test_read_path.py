@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.core.cbcs import CBCS
-from repro.core.dynamic import DynamicCBCS
 from repro.data.generator import independent
 from repro.geometry.constraints import Constraints
 from repro.storage.table import DiskTable
@@ -58,10 +57,9 @@ def test_every_planned_box_reaches_the_table_instance(resilience):
 
 @pytest.mark.parametrize("resilience", [None, True])
 def test_every_refresh_reaches_the_table_instance(resilience):
-    engine = DynamicCBCS(
+    engine = CBCS(
         DiskTable(independent(400, 2, seed=4)),
         resilience=resilience,
-        on_delete="refresh",
     )
     for constraints in QUERIES:
         engine.query(constraints)

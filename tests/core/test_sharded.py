@@ -2,14 +2,13 @@
 
 Nothing here is a second engine: ``CBCS(ShardedTable(...))`` must answer
 like ``CBCS(DiskTable(...))`` (byte for byte at one shard), and
-``DynamicCBCS(ShardedTable(...))`` must keep doing so under writes.
+``CBCS(ShardedTable(...))`` must keep doing so under writes.
 """
 
 import numpy as np
 import pytest
 
 from repro.core.cbcs import CBCS
-from repro.core.dynamic import DynamicCBCS
 from repro.core.sharded import ShardedCBCS
 from repro.core.strategies import MaxOverlapSP
 from repro.geometry.constraints import Constraints
@@ -198,7 +197,7 @@ class TestAccountingAndOutcome:
 class TestDynamicSharded:
     def test_insert_routes_and_answers_stay_correct(self):
         data = make_data(n=300)
-        engine = DynamicCBCS(ShardedTable(data, 4))
+        engine = CBCS(ShardedTable(data, 4))
         new_rows = np.array([[0.01, 0.02, 0.03], [0.9, 0.91, 0.92]])
         assert len(engine.insert_points(new_rows)) == 2
         full = np.vstack([data, new_rows])
@@ -212,7 +211,7 @@ class TestDynamicSharded:
         in input order, and ``delete_points`` takes those same ids back."""
         data = make_data(n=400)
         table = ShardedTable(data, 4)
-        engine = DynamicCBCS(table)
+        engine = CBCS(table)
         for rowid in (0, 57, 399):  # initial rows keep their input position
             np.testing.assert_array_equal(table.row(rowid), data[rowid])
         # Near the origin: all three enter the unconstrained skyline.
@@ -250,7 +249,7 @@ class TestDynamicSharded:
         """A non-finite row bound for shard 3 must fail the batch before
         shard 0 takes its row with no id returned for it."""
         table = ShardedTable(make_data(n=200), 4, mode="range", key_dim=0)
-        engine = DynamicCBCS(table)
+        engine = CBCS(table)
         engine.query(EVERYTHING)
         before = fleet_state(table)
         batch = np.array([[0.01, 0.1, 0.5], [0.99, np.nan, 0.5]])
@@ -273,7 +272,7 @@ class TestDynamicSharded:
 
     def test_out_of_range_delete_touches_no_shard(self):
         table = ShardedTable(make_data(n=200), 4)
-        engine = DynamicCBCS(table)
+        engine = CBCS(table)
         before = fleet_state(table)
         for bad in ([0, 200], [-1, 5]):
             with pytest.raises(IndexError):
@@ -288,7 +287,7 @@ class TestDynamicSharded:
         # row lands there the same query must reach the shard that took it.
         data = make_data(n=400)
         table = ShardedTable(data, 4)
-        engine = DynamicCBCS(table)
+        engine = CBCS(table)
         lo = float(table.mbr_hi[3, 0]) + 0.1
         constraints = Constraints([lo, 0.0, 0.0], [2.0, 1.0, 1.0])
         before = engine.query(constraints)
@@ -304,7 +303,7 @@ class TestDynamicSharded:
         """An insert outside every cached region leaves the items alone; one
         inside updates the item in place -- no drop-everything on growth."""
         data = make_data(n=400)
-        engine = DynamicCBCS(ShardedTable(data, 4))
+        engine = CBCS(ShardedTable(data, 4))
         constraints = Constraints([0.2, 0.2, 0.2], [0.8, 0.8, 0.8])
         engine.query(constraints)
         engine.insert_points(np.array([[1.5, 1.5, 1.5]]))  # grows shard 3
@@ -318,7 +317,7 @@ class TestDynamicSharded:
     def test_shard_emptied_by_deletes_is_not_read(self):
         data = make_data(n=40)
         table = ShardedTable(data, 4)
-        engine = DynamicCBCS(table)
+        engine = CBCS(table)
         victims = np.flatnonzero(table._shard_of == 2)
         assert engine.delete_points(victims) == 10
         assert table.counts.tolist() == [10, 10, 0, 10]

@@ -5,7 +5,8 @@ Hypothesis draws the storage -- a plain :class:`DiskTable`, or a
 dimensionality, smooth or duplicate-heavy rows, region computer and cache
 capacity, then drives random interleavings of queries (fresh, refined, and
 cornered on a live row), inserts, deletes, vacuums and cache clears against a
-:class:`DynamicCBCS` over it.
+:class:`CBCS` over it -- the writes both through the engine and through
+``engine.table`` directly, behind the engine's back.
 After every query the answer must pass
 :func:`~repro.skyline.reference.answer_error` -- the soaks' verdict: equal
 to the reference skyline of the live rows, or flagged stale -- over a mirror
@@ -36,7 +37,7 @@ from hypothesis import strategies as st
 
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import SkylineCache
-from repro.core.dynamic import DynamicCBCS
+from repro.core.cbcs import CBCS
 from repro.geometry.box import BoxSet, pairwise_disjoint
 from repro.geometry.constraints import Constraints
 from repro.skyline.reference import answer_error
@@ -80,7 +81,7 @@ class EngineMachine(RuleBasedStateMachine):
             "ampr3": ApproximateMPR(3),
             "exact": ExactMPR(),
         }
-        self.engine = DynamicCBCS(
+        self.engine = CBCS(
             TABLES[table_kind](data),
             cache=SkylineCache(capacity=capacity),
             region_computer=regions[region_kind],
@@ -122,6 +123,7 @@ class EngineMachine(RuleBasedStateMachine):
         error = answer_error(out, np.array(list(self.live.values())), constraints)
         assert error is None, error
         self.last_query = constraints
+        self.last_answer = out.skyline
 
     @rule(bounds=st.lists(st.tuples(coord, coord), min_size=MAX_NDIM, max_size=MAX_NDIM))
     def fresh_query(self, bounds):
@@ -176,6 +178,38 @@ class EngineMachine(RuleBasedStateMachine):
         assert self.engine.delete_points(pick) == 2
         for rowid in pick.tolist():
             del self.live[rowid]
+
+    @rule(n=st.integers(1, 3), seed=st.integers(0, 10_000), corner=st.booleans())
+    def append_through_table(self, n, seed, corner):
+        """A write the engine does not make maintains no cached item, so an
+        answer is right only if the engine notices the write.  A row on the
+        last query's lower corner dominates its whole region: asking that
+        query again tells a stale exact hit at once."""
+        rows = self._rows(np.random.default_rng(seed), n)
+        if corner and self.last_query is not None:
+            rows[0] = self.last_query.lo
+        ids = self.engine.table.append(rows)
+        self.live.update(zip(ids.tolist(), rows))
+        if self.last_query is not None:
+            self._check(self.last_query)
+
+    @precondition(lambda self: len(self.live) > 20)
+    @rule(seed=st.integers(0, 10_000))
+    def delete_through_table(self, seed):
+        """Deletes behind the engine; one victim is a row of the last
+        answer when there is one, and that query is asked again."""
+        ids = sorted(self.live)
+        pick = list(np.random.default_rng(seed).choice(ids, size=2, replace=False))
+        if self.last_query is not None and len(self.last_answer):
+            target = self.last_answer[0]
+            pick[0] = next(i for i in ids if (self.live[i] == target).all())
+            if pick[1] == pick[0]:
+                pick[1] = next(i for i in ids if i != pick[0])
+        assert self.engine.table.delete(pick) == 2
+        for rowid in pick:
+            del self.live[rowid]
+        if self.last_query is not None:
+            self._check(self.last_query)
 
     @rule()
     def vacuum(self):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.cache import SkylineCache
-from repro.core.dynamic import DynamicCBCS
+from repro.core.cbcs import CBCS
 from repro.geometry.constraints import Constraints
 from repro.obs.metrics import MetricsRegistry
 from repro.storage.durability import DurabilityManager
@@ -116,7 +116,7 @@ class TestLogApplyRecover:
         wrap to the last row, get journalled and then poison every
         ``recover()`` of the directory."""
         manager = DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
-        engine = DynamicCBCS(_table(), durability=manager)
+        engine = CBCS(_table(), durability=manager)
         before = manager.wal.last_lsn
         with pytest.raises(IndexError):
             engine.delete_points([rowid])
@@ -124,11 +124,42 @@ class TestLogApplyRecover:
         assert engine.table.live_count == 20
         manager.wal.close()
 
-        recovered = DynamicCBCS.recover(
+        recovered = CBCS.recover(
             DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
         )
         assert recovered.recovery_report.replayed_ops == 0
         assert recovered.table.live_count == 20
+        recovered.close()
+
+    def test_a_non_integral_row_id_never_reaches_the_wal(self, tmp_path):
+        """``1.5`` is no row: a cast would truncate it to row 1, log that
+        and delete it."""
+        manager = DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
+        engine = CBCS(_table(), durability=manager)
+        with pytest.raises(ValueError, match="whole numbers"):
+            engine.delete_points([1.5])
+        assert manager.wal.last_lsn == 0
+        assert engine.table.live_count == 20
+        engine.close()
+
+    def test_an_empty_insert_batch_keeps_the_directory_recoverable(
+        self, tmp_path
+    ):
+        """An empty batch is logged like any other, so replaying it must
+        work: the rows committed after it stay recoverable."""
+        manager = DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
+        engine = CBCS(_table(), durability=manager)
+        assert engine.insert_points(np.empty((0, 3))).tolist() == []
+        rows = np.random.default_rng(2).random((3, 3))
+        assert engine.insert_points(rows).tolist() == [20, 21, 22]
+        manager.wal.close()  # a crash: no final checkpoint
+
+        recovered = CBCS.recover(
+            DurabilityManager(tmp_path, fsync=False, checkpoint_every=None)
+        )
+        assert recovered.recovery_report.replayed_ops == 2
+        assert recovered.table.n == 23
+        np.testing.assert_array_equal(recovered.table.data_view()[20:], rows)
         recovered.close()
 
     def test_delete_replay_is_idempotent(self, tmp_path):
@@ -279,7 +310,7 @@ class TestOneCheckpointedLog:
         cache = SkylineCache(
             log=CheckpointedLog(tmp_path / "cache", "cache", fsync=False)
         )
-        engine = DynamicCBCS(
+        engine = CBCS(
             _table(),
             cache=cache,
             durability=DurabilityManager(tmp_path / "table", fsync=False),
