@@ -197,12 +197,18 @@ class EngineMachine(RuleBasedStateMachine):
     @rule(seed=st.integers(0, 10_000))
     def delete_through_table(self, seed):
         """Deletes behind the engine; one victim is a row of the last
-        answer when there is one, and that query is asked again."""
+        answer when one is still live (a delete since may have taken it),
+        and that query is asked again."""
         ids = sorted(self.live)
         pick = list(np.random.default_rng(seed).choice(ids, size=2, replace=False))
+        answered = []
         if self.last_query is not None and len(self.last_answer):
-            target = self.last_answer[0]
-            pick[0] = next(i for i in ids if (self.live[i] == target).all())
+            answered = [
+                i for i in ids
+                if (self.last_answer == self.live[i]).all(axis=1).any()
+            ]
+        if answered:
+            pick[0] = answered[0]
             if pick[1] == pick[0]:
                 pick[1] = next(i for i in ids if i != pick[0])
         assert self.engine.table.delete(pick) == 2
