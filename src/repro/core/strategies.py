@@ -325,8 +325,9 @@ class CostBased(CacheSearchStrategy):
 
     def _estimated_cost(self, query: Constraints, item: CacheItem) -> float:
         """Predicted ``io_ms`` of the plan the engine would issue: the
-        region shaped and priced by the planner's own pass."""
-        mpr = self.region.compute(item.constraints, item.skyline, query)
+        region shaped and priced by the planner's own pass.  Pricing is not
+        planning: ``record=False`` keeps it out of the region's metrics."""
+        mpr = self.region.compute(item.constraints, item.skyline, query, record=False)
         return shape(mpr.boxes, self.table.forecast).io_ms
 
 

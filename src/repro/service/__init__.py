@@ -2,21 +2,20 @@
 
 :class:`QueryService` accepts Sky(S, C') requests from many clients at
 once and answers them against **one shared engine** -- one skyline cache,
-one storage backend, one set of metrics.  Since PR 9 the service is no
-longer a plain bounded pool: requests pass through a bounded *priority
-ingress queue* with explicit backpressure, *admission control* that sheds
-load by priority class under overload, *in-flight deduplication* and
-*subsumption coalescing* (identical or pure-shrink regions share one
-execution, answered via the paper's case analysis), and optional
-*per-request deadlines* that propagate into the engine's retry/degradation
-machinery.  Every submitted request terminates explicitly: answered, a
-typed :class:`RequestRejected`, or a reported error -- never a silent
-drop, never an unbounded wait.
+one storage backend, one set of metrics.  Requests pass through a bounded
+*priority ingress queue* with explicit backpressure, *admission control*
+that sheds load by priority class as the queue fills, *in-flight
+deduplication* and *subsumption coalescing* (identical or pure-shrink
+regions share one execution, answered via the paper's case analysis), and
+optional *per-request deadlines* that propagate into the engine's
+retry/degradation machinery.  Every submitted request terminates
+explicitly: answered, a typed :class:`RequestRejected`, or a reported
+error -- never a silent drop, never an unbounded wait.
 
 The package splits by stage:
 
 - :mod:`repro.service.queue` -- the bounded priority ingress queue;
-- :mod:`repro.service.admission` -- shedding policy and controller;
+- :mod:`repro.service.admission` -- the depth shedding rule;
 - :mod:`repro.service.coalesce` -- the in-flight table and the exactness
   condition for piggybacking (generalized Theorem 3);
 - :mod:`repro.service.service` -- the :class:`QueryService` orchestrating
@@ -28,26 +27,23 @@ breaker), so concurrent queries are safe and every *answer* is correct.
 Per-query I/O (``QueryOutcome.io``) is the sum of the query's own range-read
 charges, so concurrent workers never bill each other.
 
-Live observability: the service maintains a
-:class:`~repro.obs.window.RollingWindow` of recent outcomes and a
-:class:`~repro.obs.health.HealthMonitor` judging it against an
-:class:`~repro.obs.health.SLOSpec`; :meth:`QueryService.health` also
-carries the ingress stats (queue depth, in-flight count, shed/rejected
-totals) so overload classifies as ``degraded`` with a reason.  When the
-engine's observability is enabled, every request -- including shed and
-coalesced ones -- is assigned a ``query_id`` at ingress, and coalesced
-outcomes name their executing query in ``served_by``.
+Observability: :meth:`QueryService.stats` snapshots queue depth, in-flight
+and executing counts and the typed-outcome counters (sheds per priority
+class included).  When the engine's observability is enabled, every
+request -- including shed and coalesced ones -- is assigned a ``query_id``
+at ingress, and coalesced outcomes name their executing query in
+``served_by``.
 
 Example::
 
-    with QueryService(engine, workers=4) as svc:
+    with QueryService(engine, workers=4, capacity=256) as svc:
         future = svc.submit(c, priority="interactive", deadline_ms=250.0)
         report = svc.run(queries)
-        print(svc.health().summary())
+        print(svc.stats()["shed_by_class"])
     print(report.per_worker)   # {'cbcs-svc_0': 13, 'cbcs-svc_1': 12, ...}
 """
 
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.admission import SHED_FRACTIONS, shed_reason
 from repro.service.coalesce import (
     KIND_DEDUP,
     KIND_SUBSUMED,
@@ -74,8 +70,8 @@ __all__ = [
     "QueryService",
     "ServiceReport",
     "RequestRejected",
-    "AdmissionPolicy",
-    "AdmissionController",
+    "SHED_FRACTIONS",
+    "shed_reason",
     "IngressQueue",
     "QueueStats",
     "InFlightTable",

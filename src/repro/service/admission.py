@@ -1,22 +1,16 @@
-"""Admission control: load shedding by priority class.
+"""Admission control: load shedding by priority class and queue depth.
 
-The admission controller sits between :meth:`QueryService.submit` and the
-ingress queue.  It answers one question per request -- *admit or shed?* --
-from two observable overload signals:
+Admission sits between :meth:`QueryService.submit` and the ingress queue
+and answers one question per request -- *admit or shed?* -- from the queue
+depth alone.  Each priority class owns a fraction of the queue's capacity
+(:data:`SHED_FRACTIONS`); once the depth reaches ``capacity * fraction``
+that class is shed.  ``batch`` traffic sheds at half a queue, ``normal``
+near a full one, and ``interactive`` never here -- only the queue itself
+rejects it, when full: a graceful brownout instead of a cliff.
 
-- **queue depth**: each priority class owns a fraction of the queue's
-  capacity; once depth crosses ``capacity * fraction`` that class is shed.
-  With the default fractions, ``batch`` traffic sheds at half a queue,
-  ``normal`` near a full one, and ``interactive`` only when the queue is
-  genuinely full -- graceful brownout instead of a cliff.
-- **observed p99 latency** (optional): when the service's rolling-window
-  p99 crosses a per-class threshold, that class is shed even if the queue
-  looks short (the queue being short *because* every request is slow is
-  still overload).
-
-Shedding is always explicit: a shed request resolves to a typed
-``shed`` outcome carrying the reason string, never an exception, never a
-silent drop.  Requests that join an in-flight execution (deduplicated or
+Shedding is always explicit: a shed request resolves to a typed ``shed``
+outcome carrying the reason string, never an exception, never a silent
+drop.  Requests that join an in-flight execution (deduplicated or
 subsumption-coalesced) bypass admission entirely -- piggybacking costs no
 queue slot and no storage work, so coalescing is the overload *remedy*,
 not more load.
@@ -24,108 +18,27 @@ not more load.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Dict, Optional
 
-from repro.service.queue import PRIORITIES, priority_rank
+__all__ = ["SHED_FRACTIONS", "shed_reason"]
 
-__all__ = ["AdmissionPolicy", "AdmissionController"]
-
-#: Default per-class queue-depth shed fractions.  1.0 means "only the hard
-#: capacity bound applies" (the queue itself rejects when full).
-_DEFAULT_DEPTH_FRACTIONS = {
+#: Per-class fraction of the queue's capacity at which that class sheds.
+#: 1.0 means only the hard capacity bound applies (the queue rejects).
+SHED_FRACTIONS: Dict[str, float] = {
     "interactive": 1.0,
     "normal": 0.9,
     "batch": 0.5,
 }
 
 
-@dataclass(frozen=True)
-class AdmissionPolicy:
-    """Tunables for admission control; the defaults never shed below a
-    90%-full queue, so a service with headroom behaves exactly like the
-    pre-admission-control one.
-
-    - ``capacity``: the ingress queue's hard bound.
-    - ``depth_shed_fractions``: per-class fraction of ``capacity`` above
-      which that class sheds; classes absent from the map use 1.0.
-    - ``p99_shed_ms``: optional per-class p99 threshold (milliseconds,
-      judged against the service's rolling window); absent classes are
-      never latency-shed.
-    - ``min_window_queries``: latency-shedding needs at least this many
-      recent samples before the p99 is trusted.
-    """
-
-    capacity: int = 4096
-    depth_shed_fractions: Dict[str, float] = field(
-        default_factory=lambda: dict(_DEFAULT_DEPTH_FRACTIONS)
-    )
-    p99_shed_ms: Dict[str, float] = field(default_factory=dict)
-    min_window_queries: int = 20
-
-    def __post_init__(self):
-        if self.capacity < 1:
-            raise ValueError("capacity must be at least 1")
-        for mapping in (self.depth_shed_fractions, self.p99_shed_ms):
-            for name in mapping:
-                priority_rank(name)  # validates the class name
-        for name, frac in self.depth_shed_fractions.items():
-            if not 0.0 < frac <= 1.0:
-                raise ValueError(
-                    f"depth_shed_fractions[{name!r}] must be in (0, 1], got {frac}"
-                )
-
-    @property
-    def latency_aware(self) -> bool:
-        return bool(self.p99_shed_ms)
-
-
-class AdmissionController:
-    """Applies an :class:`AdmissionPolicy` to each submission."""
-
-    def __init__(self, policy: Optional[AdmissionPolicy] = None):
-        self.policy = policy if policy is not None else AdmissionPolicy()
-        #: lifetime shed counts by priority class
-        self.shed_by_class: Dict[str, int] = {name: 0 for name in PRIORITIES}
-
-    def decide(
-        self,
-        priority: str,
-        queue_depth: int,
-        window_snapshot=None,
-    ) -> Optional[str]:
-        """None to admit, or a human-readable shed reason.
-
-        ``window_snapshot`` is a
-        :class:`~repro.obs.window.WindowSnapshot` (or None); it is only
-        consulted when the policy has p99 thresholds, so the common
-        depth-only configuration never pays for percentile computation.
-        """
-        policy = self.policy
-        frac = policy.depth_shed_fractions.get(priority, 1.0)
-        threshold = policy.capacity * frac
-        if frac < 1.0 and queue_depth >= threshold:
-            self.shed_by_class[priority] += 1
-            return (
-                f"queue depth {queue_depth} >= {threshold:.0f} "
-                f"({frac:.0%} of capacity {policy.capacity}) "
-                f"for priority {priority!r}"
-            )
-        p99_limit = policy.p99_shed_ms.get(priority)
-        if (
-            p99_limit is not None
-            and window_snapshot is not None
-            and window_snapshot.queries >= policy.min_window_queries
-            and window_snapshot.p99_ms == window_snapshot.p99_ms  # not NaN
-            and window_snapshot.p99_ms >= p99_limit
-        ):
-            self.shed_by_class[priority] += 1
-            return (
-                f"observed p99 {window_snapshot.p99_ms:.1f}ms >= "
-                f"{p99_limit:.1f}ms for priority {priority!r}"
-            )
-        return None
-
-    @property
-    def shed_total(self) -> int:
-        return sum(self.shed_by_class.values())
+def shed_reason(priority: str, depth: int, capacity: int) -> Optional[str]:
+    """None to admit a ``priority`` request at queue ``depth``, or a
+    human-readable shed reason."""
+    frac = SHED_FRACTIONS[priority]
+    threshold = capacity * frac
+    if frac < 1.0 and depth >= threshold:
+        return (
+            f"queue depth {depth} >= {threshold:.0f} "
+            f"({frac:.0%} of capacity {capacity}) for priority {priority!r}"
+        )
+    return None

@@ -7,9 +7,9 @@ Requests flow through four stages, each with an explicit, typed outcome:
    pure upper-bound shrink of an in-flight region is answered from that
    result via the paper's case analysis (*subsumed*).  Joined requests
    consume no queue slot and no storage work.
-2. **Admission** (:mod:`repro.service.admission`): under overload --
-   queue depth or observed p99 over the per-priority-class thresholds --
-   the request resolves to a typed ``shed`` outcome.
+2. **Admission** (:mod:`repro.service.admission`): once the queue depth
+   reaches its priority class's share of the capacity, the request
+   resolves to a typed ``shed`` outcome.
 3. **Ingress queue** (:mod:`repro.service.queue`): bounded, priority-
    ordered; a full queue resolves the request to ``rejected_queue_full``
    instead of blocking the caller.
@@ -38,18 +38,21 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.cases import CASE_EXACT
 from repro.obs import bind
-from repro.obs.health import HealthMonitor, HealthReport, SLOSpec
-from repro.obs.window import RollingWindow
 from repro.resilience.deadline import Deadline
 from repro.resilience.errors import DeadlineExceeded
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.admission import shed_reason
 from repro.service.coalesce import (
     KIND_DEDUP,
     InFlightTable,
     derive_follower_skyline,
     follower_case,
 )
-from repro.service.queue import DEFAULT_PRIORITY, IngressQueue, priority_rank
+from repro.service.queue import (
+    DEFAULT_PRIORITY,
+    PRIORITIES,
+    IngressQueue,
+    priority_rank,
+)
 from repro.stats import QueryOutcome, StageTimings
 
 __all__ = [
@@ -184,36 +187,23 @@ class QueryService:
     """Serve constrained skyline queries concurrently from one engine.
 
     ``workers`` bounds the number of concurrently *executing* queries
-    (independent of the engine's own fetch parallelism -- a 4-worker
-    service over a 4-worker engine can have 16 range queries in flight).
-    Worker threads and the ingress queue are created lazily and shut down
-    by :meth:`close` / the context manager.
+    (each fetches its plan's boxes on its own worker thread).  Worker
+    threads and the ingress queue are created lazily and shut down by
+    :meth:`close` / the context manager.
 
-    ``policy`` (an :class:`~repro.service.admission.AdmissionPolicy`)
-    sizes the ingress queue and sets the shedding thresholds; the default
-    policy never sheds below a 90%-full 4096-slot queue, so a service with
-    headroom behaves exactly like a plain bounded pool.  ``coalesce=False``
-    disables in-flight deduplication and subsumption coalescing.
+    ``capacity`` bounds the ingress queue; the priority classes shed at
+    their share of it (:data:`~repro.service.admission.SHED_FRACTIONS`),
+    so a service with headroom behaves exactly like a plain bounded pool.
     """
 
-    def __init__(
-        self,
-        engine,
-        workers: int = 4,
-        slo: Optional[SLOSpec] = None,
-        window_s: float = 60.0,
-        policy: Optional[AdmissionPolicy] = None,
-        coalesce: bool = True,
-    ):
-        """``slo`` tunes the health verdict (defaults to
-        :class:`~repro.obs.health.SLOSpec`'s budgets); ``window_s`` sizes
-        the rolling window :meth:`health` judges."""
+    def __init__(self, engine, workers: int = 4, capacity: int = 4096):
         if workers < 1:
             raise ValueError("workers must be at least 1")
+        if capacity < 1:
+            raise ValueError("capacity must be at least 1")
         self.engine = engine
         self.workers = int(workers)
-        self._coalesce_enabled = bool(coalesce)
-        self._admission = AdmissionController(policy)
+        self.capacity = int(capacity)
         self._queue: Optional[IngressQueue] = None
         self._threads: List[threading.Thread] = []
         self._inflight = InFlightTable()
@@ -230,24 +220,15 @@ class QueryService:
             "coalesced_dedup": 0,
             "coalesced_subsumed": 0,
         }
+        self._shed_by_class: Dict[str, int] = dict.fromkeys(PRIORITIES, 0)
         # Engines other than CBCS (Baseline, BBS) have no query_id/deadline
-        # kwargs, no resilience, and no cache; probe once, not per request.
+        # kwargs and no cache; probe once, not per request.
         params = inspect.signature(engine.query).parameters
         self._accepts_query_id = "query_id" in params
         self._accepts_deadline = "deadline" in params
         obs = getattr(engine, "obs", None)
         self._obs = obs if obs is not None and obs.enabled else None
-        resilience = getattr(engine, "resilience", None)
-        cache = self._cache = getattr(engine, "cache", None)
-        self.window = RollingWindow(window_s=window_s)
-        self.monitor = HealthMonitor(
-            self.window,
-            slo=slo,
-            breaker=getattr(resilience, "breaker", None),
-            quarantined=(lambda: cache.quarantined) if cache is not None else None,
-            metrics=self._obs.metrics if self._obs is not None else None,
-            service_stats=self.stats,
-        )
+        self._cache = getattr(engine, "cache", None)
 
     # ------------------------------------------------------------------
     # Serving
@@ -277,17 +258,12 @@ class QueryService:
         )
         with self._lock:
             self._counters["submitted"] += 1
-        if self._coalesce_enabled and self._inflight.try_join(req) is not None:
+        if self._inflight.try_join(req) is not None:
             return req.future
-        snapshot = (
-            self.window.snapshot()
-            if self._admission.policy.latency_aware
-            else None
-        )
-        reason = self._admission.decide(priority, self._queue.depth, snapshot)
+        reason = shed_reason(priority, self._queue.depth, self.capacity)
         if reason is not None:
             return self._reject(req, STATUS_SHED, reason)
-        if self._coalesce_enabled and self._inflight.register(req) is not None:
+        if self._inflight.register(req) is not None:
             return req.future  # raced: a compatible leader appeared; joined it
         if not self._queue.try_put(req, priority):
             for follower, _ in self._inflight.finish(req):
@@ -368,7 +344,6 @@ class QueryService:
                 self._reject(req, STATUS_DEADLINE_EXCEEDED, str(exc))
                 return
             except Exception as exc:  # noqa: BLE001 - typed via the future
-                self.window.record_error()
                 with self._lock:
                     self._counters["errors"] += 1
                 if self._obs is not None:
@@ -396,12 +371,6 @@ class QueryService:
         return self.engine.query(req.constraints, **kwargs)
 
     def _record_answer(self, req: _Request, outcome) -> None:
-        self.window.record(
-            latency_ms=(time.perf_counter() - req.submitted_at) * 1000.0,
-            cache_hit=outcome.cache_hit,
-            degraded=outcome.degraded,
-            stale=outcome.stale,
-        )
         worker = threading.current_thread().name
         with self._lock:
             self._per_worker[worker] = self._per_worker.get(worker, 0) + 1
@@ -418,8 +387,6 @@ class QueryService:
     # Followers (dedup / subsumption coalescing)
     # ------------------------------------------------------------------
     def _resolve_followers(self, req: _Request, outcome) -> None:
-        if not self._coalesce_enabled:
-            return
         followers = self._inflight.finish(req)
         if not followers:
             return
@@ -436,8 +403,6 @@ class QueryService:
     def _abandon_followers(self, req: _Request) -> None:
         """The leader failed or timed out: its followers must not inherit
         that -- each falls back to its own execution."""
-        if not self._coalesce_enabled:
-            return
         for follower, _ in self._inflight.finish(req):
             self._redispatch(follower)
 
@@ -478,7 +443,7 @@ class QueryService:
         """Force-requeue an already-admitted follower for its own
         execution (it may instead join another live leader)."""
         req.entry = None
-        if self._coalesce_enabled and self._inflight.register(req) is not None:
+        if self._inflight.register(req) is not None:
             return
         queue = self._queue
         if queue is not None:
@@ -490,6 +455,8 @@ class QueryService:
     def _reject(self, req: _Request, status: str, reason: str) -> Future:
         with self._lock:
             self._counters[status] += 1
+            if status == STATUS_SHED:
+                self._shed_by_class[req.priority] += 1
         if self._obs is not None:
             self._obs.metrics.inc(
                 "service_requests_total", status=status, priority=req.priority
@@ -522,30 +489,27 @@ class QueryService:
     def stats(self) -> dict:
         """A consistent snapshot of the ingress pipeline: queue depth and
         capacity, executing/in-flight counts, and the typed-outcome
-        counters.  This feeds ``health()``."""
+        counters (``shed`` always equals the sum of ``shed_by_class``)."""
         with self._lock:
             counters = dict(self._counters)
+            shed_by_class = dict(self._shed_by_class)
             executing = self._executing
         queue = self._queue
         return {
             "queue_depth": queue.depth if queue is not None else 0,
-            "queue_capacity": self._admission.policy.capacity,
+            "queue_capacity": self.capacity,
             "queue_high_watermark": (
                 queue.stats.high_watermark if queue is not None else 0
             ),
             "executing": executing,
             "in_flight": len(self._inflight),
-            "shed_by_class": dict(self._admission.shed_by_class),
+            "shed_by_class": shed_by_class,
             "coalesced": counters["coalesced_dedup"]
             + counters["coalesced_subsumed"],
             **counters,
             # None when the engine has no cache (Baseline/BBS)
             "cache": self._cache.stats() if self._cache is not None else None,
         }
-
-    def health(self) -> HealthReport:
-        """Judge the current rolling window against the configured SLO."""
-        return self.monitor.report()
 
     @property
     def per_worker(self) -> Dict[str, int]:
@@ -559,7 +523,7 @@ class QueryService:
     def _ensure_workers(self) -> IngressQueue:
         with self._lock:
             if self._queue is None:
-                self._queue = IngressQueue(self._admission.policy.capacity)
+                self._queue = IngressQueue(self.capacity)
                 self._inflight = InFlightTable()
                 self._threads = [
                     threading.Thread(

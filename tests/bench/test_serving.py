@@ -18,7 +18,7 @@ from repro.bench.regress import (
 from repro.bench.soak import PacedEngine, overload
 from repro.obs.metrics import MetricsRegistry
 from repro.service import QueryService
-from repro.service.admission import AdmissionController
+from repro.service import service as service_module
 from repro.stats import QueryOutcome, StageTimings
 
 TERMINAL = ("answered", "shed", "rejected_queue_full", "deadline_exceeded", "error_count")
@@ -81,9 +81,7 @@ class TestServingReport:
 
     def test_p99_bound_is_vacuous_with_no_answers(self, monkeypatch):
         monkeypatch.setattr(soak, "P99_SLACK_MS", -1e9)
-        monkeypatch.setattr(
-            AdmissionController, "decide", lambda self, *args, **kwargs: "shed all"
-        )
+        monkeypatch.setattr(service_module, "shed_reason", lambda *args: "shed all")
         report = overload(40, seed=0, workers=2)
         assert report.counts["answered"] == 0 and report.counts["shed"] == 40
         assert math.isnan(report.facts["p99_ms"])
@@ -171,6 +169,22 @@ class TestOverloadSoakSmoke:
         facts = smoke.facts
         assert facts["p50_ms"] <= facts["p95_ms"] <= facts["p99_ms"]
         assert facts["p99_ms"] <= facts["p99_limit_ms"]
+
+    def test_reference_checks_do_not_count_as_service_time(self, monkeypatch):
+        """``achieved_rps`` is the service's rate: a slow answer check after
+        the run must not lower it."""
+        honest = soak._check
+
+        def slow_check(*args):
+            time.sleep(0.05)
+            honest(*args)
+
+        monkeypatch.setattr(soak, "_check", slow_check)
+        slowed = overload(40, seed=0, workers=2)
+        assert slowed.passed, slowed.errors
+        # a clock that ran to the end of the checks could not exceed this rate
+        checking_s = 0.05 * slowed.counts["answered"]
+        assert slowed.facts["achieved_rps"] > 40 / checking_s
 
     def test_calibration_derived_the_schedule(self, smoke):
         facts = smoke.facts

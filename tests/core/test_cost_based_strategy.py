@@ -86,3 +86,33 @@ class TestSelection:
             outs = [engine.query(c) for c in gen.independent_queries(20)]
             totals[name] = sum(o.points_read for o in outs)
         assert totals["cost"] <= totals["overlap"] * 1.1
+
+
+class TestPricingIsNotPlanning:
+    """Pricing candidates runs the engine's own region computer; only the
+    region the planner computes for the chosen item is an MPR computation."""
+
+    def test_region_metrics_count_only_the_planned_region(self, setting):
+        from repro.obs import Observability
+
+        data, table, region = setting
+        obs = Observability()
+        engine = CBCS(
+            table, strategy=CostBased(table, region), region_computer=region, obs=obs
+        )
+
+        def computations():
+            return obs.metrics.counter_total("mpr_computations_total")
+
+        gen = WorkloadGenerator(data, seed=54)
+        engine.warm(gen.independent_queries(30))
+        priced = 0
+        for c in gen.independent_queries(20):
+            before = computations()
+            plan = engine.explain(c)
+            assert computations() == before, "explain() must compute no region"
+            out = engine.query(c)
+            planned = out.case not in ("miss", "exact")
+            assert computations() == before + planned, out.case
+            priced += plan.candidates > 1
+        assert priced, "no query priced more than one candidate"

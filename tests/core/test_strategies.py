@@ -281,7 +281,7 @@ class TestVectorisedPick:
         seen = []
 
         class Region:
-            def compute(self, old, skyline, new):
+            def compute(self, old, skyline, new, record=True):
                 seen.append(old)
                 raise LookupError  # stop at the first costed candidate
 

@@ -336,18 +336,6 @@ class TestServiceCoalescing:
         assert svc.stats()["errors"] == 1
         assert svc.stats()["answered"] == 1
 
-    def test_coalescing_disabled_executes_everything(self, data):
-        engine = BlockingEngine(data)
-        c = Constraints([0.1, 0.1], [0.8, 0.8])
-        with QueryService(engine, workers=2, coalesce=False) as svc:
-            f1 = self.hold_leader(svc, engine, c)
-            f2 = svc.submit(c)
-            engine.release.set()
-            f1.result(timeout=10.0)
-            f2.result(timeout=10.0)
-        assert len(engine.calls) == 2
-        assert svc.stats()["coalesced"] == 0
-
     def test_coalesced_outcome_carries_ids_for_correlation(self, data):
         """Satellite 2: the piggybacked outcome keeps its own query_id and
         names the executing query in served_by."""

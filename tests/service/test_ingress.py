@@ -4,8 +4,7 @@ import threading
 
 import pytest
 
-from repro.obs.window import WindowSnapshot
-from repro.service.admission import AdmissionController, AdmissionPolicy
+from repro.service.admission import shed_reason
 from repro.service.queue import (
     DEFAULT_PRIORITY,
     PRIORITIES,
@@ -105,81 +104,19 @@ class TestIngressQueue:
         assert stats["enqueued"] == 3 and stats["dequeued"] == 2
 
 
-class TestAdmissionPolicy:
-    def test_defaults_validate(self):
-        policy = AdmissionPolicy()
-        assert policy.capacity == 4096
-        assert not policy.latency_aware
-
-    def test_rejects_bad_capacity(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(capacity=0)
-
-    def test_rejects_unknown_priority_class(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(depth_shed_fractions={"vip": 0.5})
-        with pytest.raises(ValueError):
-            AdmissionPolicy(p99_shed_ms={"vip": 10.0})
-
-    def test_rejects_out_of_range_fraction(self):
-        with pytest.raises(ValueError):
-            AdmissionPolicy(depth_shed_fractions={"batch": 0.0})
-        with pytest.raises(ValueError):
-            AdmissionPolicy(depth_shed_fractions={"batch": 1.5})
-
-
-def snap(queries, p99_ms):
-    return WindowSnapshot(window_s=60.0, span_s=1.0, queries=queries, p99_ms=p99_ms)
-
-
-class TestAdmissionController:
+class TestDepthShedding:
     def test_sheds_by_class_as_depth_rises(self):
-        ctrl = AdmissionController(AdmissionPolicy(capacity=100))
         # graceful brownout: batch sheds at half a queue, normal near a
         # full one, interactive only at the hard bound
-        assert ctrl.decide("batch", queue_depth=49) is None
-        reason = ctrl.decide("batch", queue_depth=50)
+        assert shed_reason("batch", 49, 100) is None
+        reason = shed_reason("batch", 50, 100)
         assert reason is not None and "batch" in reason
-        assert ctrl.decide("normal", queue_depth=89) is None
-        assert ctrl.decide("normal", queue_depth=90) is not None
+        assert shed_reason("normal", 89, 100) is None
+        assert shed_reason("normal", 90, 100) is not None
         # interactive's fraction is 1.0: admission never sheds it on depth
         # (the queue's own capacity bound is the only limit)
-        assert ctrl.decide("interactive", queue_depth=100) is None
-        assert ctrl.shed_by_class == {"interactive": 0, "normal": 1, "batch": 1}
-        assert ctrl.shed_total == 2
+        assert shed_reason("interactive", 100, 100) is None
 
-    def test_latency_shedding_needs_enough_samples(self):
-        ctrl = AdmissionController(
-            AdmissionPolicy(p99_shed_ms={"batch": 50.0}, min_window_queries=20)
-        )
-        thin = snap(5, 500.0)
-        assert ctrl.decide("batch", queue_depth=0, window_snapshot=thin) is None
-        fat = snap(25, 500.0)
-        reason = ctrl.decide("batch", queue_depth=0, window_snapshot=fat)
-        assert reason is not None and "p99" in reason
-
-    def test_latency_shedding_is_per_class(self):
-        ctrl = AdmissionController(
-            AdmissionPolicy(p99_shed_ms={"batch": 50.0}, min_window_queries=1)
-        )
-        slow = snap(30, 80.0)
-        assert ctrl.decide("batch", queue_depth=0, window_snapshot=slow)
-        # classes without a threshold are never latency-shed
-        assert ctrl.decide("normal", queue_depth=0, window_snapshot=slow) is None
-        assert (
-            ctrl.decide("interactive", queue_depth=0, window_snapshot=slow)
-            is None
-        )
-
-    def test_nan_p99_never_sheds(self):
-        ctrl = AdmissionController(
-            AdmissionPolicy(p99_shed_ms={"batch": 50.0}, min_window_queries=1)
-        )
-        empty = snap(30, float("nan"))
-        assert ctrl.decide("batch", queue_depth=0, window_snapshot=empty) is None
-
-    def test_default_policy_never_sheds_with_headroom(self):
-        ctrl = AdmissionController()
+    def test_default_capacity_never_sheds_with_headroom(self):
         for priority in PRIORITIES:
-            assert ctrl.decide(priority, queue_depth=1000) is None
-        assert ctrl.shed_total == 0
+            assert shed_reason(priority, 1000, 4096) is None

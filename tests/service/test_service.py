@@ -1,16 +1,21 @@
 """Tests for the concurrent :class:`repro.service.QueryService` front."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
 from repro.core.cbcs import CBCS
 from repro.data.generator import independent
 from repro.geometry.constraints import Constraints
-from repro.service import QueryService, ServiceReport
+from repro.service import QueryService, RequestRejected, ServiceReport
 from repro.skyline.sfs import sfs_skyline
 from repro.storage.faults import FaultInjector, FaultProfile, FaultyDiskTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
+
+from tests.service.test_coalesce import BlockingEngine
 
 
 @pytest.fixture(scope="module")
@@ -86,6 +91,7 @@ class TestErrorReporting:
         with QueryService(engine, workers=4) as svc:
             report = svc.run(make_queries(data, n=8))
         assert report.answered == 0
+        assert svc.stats()["errors"] == 8
         assert len(report.errors) == 8
         assert all(isinstance(exc, IOError) for _, exc in report.errors)
         assert [i for i, _ in report.errors] == list(range(8))
@@ -102,56 +108,6 @@ class TestErrorReporting:
 
 
 class TestObservability:
-    def test_health_is_healthy_on_a_fault_free_run(self, data):
-        engine = CBCS(DiskTable(data))
-        with QueryService(engine, workers=4) as svc:
-            svc.run(make_queries(data, n=24))
-            report = svc.health()
-        assert report.status == "healthy"
-        assert report.healthy
-        window = report.as_dict()["window"]
-        assert window["queries"] == 24
-        assert window["qps"] > 0
-        assert window["p95_ms"] == window["p95_ms"]  # not NaN
-        assert window["errors"] == 0
-
-    def test_window_latency_is_what_the_caller_waited(self):
-        """One worker, six requests submitted at once: each answer's latency
-        runs from its own submit, so queue wait counts.  The engine's own
-        timings -- no CPU, a huge simulated I/O -- are not the latency."""
-        import time
-
-        from repro.stats import QueryOutcome, StageTimings
-
-        sleep_ms = 20.0
-
-        class SleepingEngine:
-            def query(self, constraints):
-                time.sleep(sleep_ms / 1000.0)
-                return QueryOutcome(
-                    skyline=np.empty((0, 2)),
-                    method="sleeping",
-                    timings=StageTimings(fetch_io_ms=10_000.0),
-                )
-
-        queries = [Constraints([0.1 * i, 0.0], [1.0, 1.0]) for i in range(6)]
-        with QueryService(SleepingEngine(), workers=1, coalesce=False) as svc:
-            report = svc.run(queries)
-            snap = svc.window.snapshot()
-        assert report.answered == 6
-        # the median request sat behind at least two others
-        assert snap.p50_ms >= 3 * sleep_ms * 0.9
-        assert snap.p99_ms < 10_000.0
-
-    def test_health_turns_unhealthy_on_errors(self, data):
-        injector = FaultInjector(FaultProfile(transient_io=1.0), seed=3)
-        engine = CBCS(FaultyDiskTable(DiskTable(data), injector))
-        with QueryService(engine, workers=4) as svc:
-            svc.run(make_queries(data, n=12))
-            report = svc.health()
-        assert report.status == "unhealthy"
-        assert any("error rate" in r for r in report.reasons)
-
     def test_every_outcome_carries_a_distinct_service_minted_id(self, data):
         from repro.obs import Observability
         from repro.obs.sinks import RingBufferSink
@@ -205,10 +161,93 @@ class TestLifecycle:
         with pytest.raises(ValueError):
             QueryService(CBCS(DiskTable(data)), workers=0)
 
+    def test_rejects_nonpositive_capacity(self, data):
+        with pytest.raises(ValueError):
+            QueryService(CBCS(DiskTable(data)), capacity=0)
+
+
+class TestDepthShedding:
+    """Admission through ``submit``: one worker held on a blocking engine,
+    so every later request waits in a 10-slot queue."""
+
+    def test_classes_shed_in_order_and_stats_close(self, data):
+        engine = BlockingEngine(data)
+
+        def query(i):
+            # distinct lower bounds: no request can coalesce with another
+            return Constraints([0.01 * i, 0.0], [1.0, 1.0])
+
+        with QueryService(engine, workers=1, capacity=10) as svc:
+            held = svc.submit(query(0))
+            assert engine.started.wait(timeout=10.0)
+            admitted = [svc.submit(query(i), priority="batch") for i in range(1, 6)]
+            batch_shed = svc.submit(query(6), priority="batch")  # depth 5 of 10
+            admitted += [svc.submit(query(i), priority="normal") for i in range(7, 11)]
+            normal_shed = svc.submit(query(11), priority="normal")  # depth 9
+            admitted.append(svc.submit(query(12), priority="interactive"))
+            full = svc.submit(query(13), priority="interactive")  # depth 10
+            for future, priority in ((batch_shed, "batch"), (normal_shed, "normal")):
+                rejected = future.result(timeout=10.0)
+                assert isinstance(rejected, RequestRejected)
+                assert (rejected.status, rejected.priority) == ("shed", priority)
+            rejected = full.result(timeout=10.0)
+            assert isinstance(rejected, RequestRejected)
+            assert rejected.status == "rejected_queue_full"
+            engine.release.set()
+            for future in [held] + admitted:
+                assert future.result(timeout=10.0).skyline is not None
+            stats = svc.stats()
+        assert stats["shed_by_class"] == {"interactive": 0, "normal": 1, "batch": 1}
+        assert stats["shed"] == sum(stats["shed_by_class"].values()) == 2
+        assert stats["rejected_queue_full"] == 1
+        assert stats["answered"] == 11 and stats["submitted"] == 14
+        assert len(engine.calls) == 11
+
+    def test_concurrent_clients_lose_no_shed_count(self, data):
+        """Eight client threads shed into one service: every typed ``shed``
+        result is counted once, per class and in total."""
+        engine = BlockingEngine(data)
+        clients, per_client = 8, 150
+        results = [[] for _ in range(clients)]
+        with QueryService(engine, workers=1, capacity=10) as svc:
+            held = svc.submit(Constraints([0.0, 0.0], [1.0, 1.0]))
+            assert engine.started.wait(timeout=10.0)
+
+            def client(k):
+                for i in range(per_client):
+                    lo = 1e-4 * (1 + k * per_client + i)  # never coalesces
+                    c = Constraints([lo, 0.0], [1.0, 1.0])
+                    results[k].append(svc.submit(c, priority="batch"))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=client, args=(k,)) for k in range(clients)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            engine.release.set()
+            outcomes = [f.result(timeout=10.0) for k in results for f in k]
+            held.result(timeout=10.0)
+            stats = svc.stats()
+        statuses = [getattr(o, "status", "answered") for o in outcomes]
+        shed = statuses.count("shed")
+        # batch sheds from half a queue on; racing clients may overshoot
+        # that soft bound, never the queue's hard one
+        assert shed >= clients * per_client - 10
+        assert stats["shed_by_class"]["batch"] == stats["shed"] == shed
+        assert stats["rejected_queue_full"] == statuses.count("rejected_queue_full")
+
 
 class TestShardedEngineService:
     """QueryService over ``CBCS(ShardedTable)``: the service sees an
-    ordinary engine -- one cache for stats and health."""
+    ordinary engine -- one cache for its stats."""
 
     def make_sharded(self, data, n_shards=4):
         from repro.storage.sharding import ShardedTable
@@ -234,12 +273,3 @@ class TestShardedEngineService:
             assert cache == engine.cache.stats()
             assert cache["hits"] > 0 and cache["items"] == len(engine.cache)
             engine.close()
-
-    def test_health_reads_quarantined_from_the_engine_cache(self, data):
-        engine = self.make_sharded(data)
-        with QueryService(engine, workers=2) as svc:
-            svc.run(make_queries(data, n=4))
-            engine.cache.quarantined += 3
-            health = svc.health()
-        assert health.as_dict()["quarantined"] == 3
-        engine.close()
