@@ -39,10 +39,9 @@ from repro.geometry.box import Box
 from repro.geometry.constraints import Constraints
 from repro.geometry.interval import Interval
 from repro.skyline.baseline import BaselineMethod
-from repro.skyline.bbs import BBSMethod, BBSScan, bbs_skyline
+from repro.skyline.bbs import BBSMethod, bbs_skyline
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.bskytree import bskytree_skyline
-from repro.skyline.cardinality import expected_skyline_size
 from repro.skyline.dandc import dandc_skyline
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, StageTimings
@@ -55,7 +54,6 @@ __version__ = "1.0.0"
 __all__ = [
     "ApproximateMPR",
     "BBSMethod",
-    "BBSScan",
     "BaselineMethod",
     "Box",
     "CBCS",
@@ -82,7 +80,6 @@ __all__ = [
     "bskytree_skyline",
     "compute_mpr",
     "dandc_skyline",
-    "expected_skyline_size",
     "default_strategy_suite",
     "sfs_skyline",
 ]

@@ -14,7 +14,6 @@ from repro.bench.harness import (
     make_cbcs,
     run_independent_workload,
     run_interactive_workload,
-    summarize,
 )
 from repro.bench.reporting import format_series, format_table
 
@@ -26,5 +25,4 @@ __all__ = [
     "make_cbcs",
     "run_independent_workload",
     "run_interactive_workload",
-    "summarize",
 ]

@@ -113,10 +113,6 @@ class MethodResult:
         """Average range queries issued per query (Figure 9's y-axis)."""
         return float(np.mean([o.range_queries for o in self.outcomes]))
 
-    def mean_nonempty_queries(self) -> float:
-        """Average range queries that actually read data per query."""
-        return float(np.mean([o.nonempty_queries for o in self.outcomes]))
-
     def io_ms_values(self) -> np.ndarray:
         """Per-query simulated I/O (for distribution/box-plot figures)."""
         return np.array([o.timings.fetch_io_ms for o in self.outcomes])
@@ -291,19 +287,3 @@ def run_independent_workload(
         results[name].method = name
     return results
 
-
-def summarize(results: Dict[str, MethodResult]) -> Dict[str, Dict[str, float]]:
-    """Aggregate a results mapping into plain floats (for extra_info and
-    text reports)."""
-    out: Dict[str, Dict[str, float]] = {}
-    for name, res in results.items():
-        if not len(res):
-            continue
-        out[name] = {
-            "io_ms": res.mean_io_ms(),
-            "wall_ms": res.mean_wall_ms(),
-            "mean_points_read": res.mean_points_read(),
-            "mean_range_queries": res.mean_range_queries(),
-            "queries": float(len(res)),
-        }
-    return out

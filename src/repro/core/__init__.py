@@ -5,8 +5,8 @@ Modules:
 - :mod:`~repro.core.stability` -- when a cached skyline's non-members remain
   non-members under new constraints (Definition 4, Theorem 1, Corollaries
   1-2);
-- :mod:`~repro.core.cases` -- the four incremental single-bound overlap
-  cases and their specialized minimal-read solutions (Theorems 2-5);
+- :mod:`~repro.core.cases` -- the labels of the four incremental
+  single-bound overlap cases (Theorems 2-5) and of the general ones;
 - :mod:`~repro.core.mpr` -- the Missing Points Region: the minimal region
   that must be fetched for arbitrary constraint changes, decomposed into
   disjoint range queries (Definition 5, Algorithm 1, Theorems 6-7);
@@ -45,7 +45,7 @@ from repro.core.cbcs import CBCS
 from repro.core.executor import Executor, FetchOutcome
 from repro.core.planner import PlannedQuery, Planner, QueryPlan
 from repro.core.mpr import MPRResult, compute_mpr
-from repro.core.stability import guaranteed_stable, is_stable_for
+from repro.core.stability import guaranteed_stable
 from repro.core.strategies import (
     CostBased,
     MaxOverlap,
@@ -88,5 +88,4 @@ __all__ = [
     "compute_mpr",
     "default_strategy_suite",
     "guaranteed_stable",
-    "is_stable_for",
 ]

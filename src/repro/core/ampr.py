@@ -24,6 +24,12 @@ from repro.core.mpr import MPRResult, compute_mpr
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
 
+#: The aMPR's bounds on the unstable-case invalidation tiling (see
+#: :func:`repro.core.mpr.compute_mpr`): at most this many pieces before the
+#: staircase is covered conservatively, from at most this many anchors
+MAX_INVALIDATION_PIECES = 128
+INVALIDATION_ANCHORS = 8
+
 
 class ExactMPR:
     """The exact Missing Points Region of Definition 5."""
@@ -58,27 +64,16 @@ class ApproximateMPR:
     grows away from, so proximity to it maximizes pruning power.
 
     The unstable-case invalidation decomposition is bounded by
-    ``max_invalidation_pieces`` in the same spirit: when the exact staircase
+    :data:`MAX_INVALIDATION_PIECES` in the same spirit: when the exact staircase
     of expelled dominance regions would tile into too many pieces, it is
     covered by one conservative corner region instead (superset, no false
     negatives; see :func:`repro.core.mpr.compute_mpr`).
     """
 
-    def __init__(
-        self,
-        k: int = 1,
-        max_invalidation_pieces: int = 128,
-        invalidation_anchors: int = 8,
-    ):
+    def __init__(self, k: int = 1):
         if k < 1:
             raise ValueError("k must be at least 1")
-        if max_invalidation_pieces < 1:
-            raise ValueError("max_invalidation_pieces must be positive")
-        if invalidation_anchors < 1:
-            raise ValueError("invalidation_anchors must be positive")
         self.k = k
-        self.max_invalidation_pieces = max_invalidation_pieces
-        self.invalidation_anchors = invalidation_anchors
         self.obs = NULL_OBS
 
     def bind_obs(self, obs) -> "ApproximateMPR":
@@ -105,8 +100,8 @@ class ApproximateMPR:
             skyline,
             new,
             prune_with=lambda surviving: nearest_to_corner(surviving, corner, k),
-            max_invalidation_pieces=self.max_invalidation_pieces,
-            max_invalidation_anchors=self.invalidation_anchors,
+            max_invalidation_pieces=MAX_INVALIDATION_PIECES,
+            max_invalidation_anchors=INVALIDATION_ANCHORS,
             obs=self.obs if record else NULL_OBS,
         )
 

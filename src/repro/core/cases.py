@@ -18,23 +18,19 @@ case        change                        stable?     fetch
 
 :func:`classify_change` detects the case for any pair of constraints (also
 labelling exact matches, disjoint regions and general multi-bound changes by
-their stability), and the ``solve_case_*`` functions implement Theorems 2-5
-directly.  The CBCS engine reaches the same results through the general MPR
-(these cases are special cases of Definition 5); the direct solutions
-document the theory and serve as cross-checks in the test suite.
+their stability).  There is no solver per case: the engine answers every
+case through the one region algebra, :func:`repro.core.mpr.compute_mpr`
+(Theorems 2-5 are special cases of Definition 5), and
+``tests/core/test_cases.py`` holds its regions to the fetch sets of Fig. 3.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List
 
 import numpy as np
 
-from repro.core.mpr import _corner_union_tiling, _subtract_corners
-from repro.geometry.box import Box, BoxSet
-from repro.geometry.constraints import Constraints, delta_region
-from repro.skyline.sfs import sfs_skyline
+from repro.geometry.constraints import Constraints
 
 CASE_EXACT = "exact"
 CASE_A = "case_a"
@@ -105,115 +101,3 @@ def bound_change_counts(
     )
     return changes.sum(axis=1)
 
-
-@dataclass
-class CaseSolution:
-    """What a case solution fetches and what it merges with.
-
-    - ``fetch_boxes``: disjoint regions to read from disk (the gray regions
-      of Figure 3);
-    - ``reusable``: cached skyline points that enter the final skyline
-      computation;
-    - ``needs_skyline_pass``: False when the reusable points *are* the final
-      answer (case b), True when ``Sky(reusable + fetched, C')`` must be
-      computed.
-    """
-
-    fetch_boxes: List[Box]
-    reusable: np.ndarray
-    needs_skyline_pass: bool = True
-
-    def solve(self, fetched_points: np.ndarray) -> np.ndarray:
-        """Combine cached and fetched points into the final skyline."""
-        if not self.needs_skyline_pass and len(fetched_points) == 0:
-            return self.reusable
-        pool = (
-            np.vstack([self.reusable, fetched_points])
-            if len(self.reusable)
-            else np.asarray(fetched_points, dtype=float)
-        )
-        return pool[sfs_skyline(pool)]
-
-
-def solve_case_a(
-    old: Constraints, new: Constraints, skyline: np.ndarray
-) -> CaseSolution:
-    """Theorem 2: lower constraint decreased.
-
-    Stable; every cached skyline point still satisfies ``new``.  Fetch all of
-    ``Delta C`` -- no cached point can dominate any part of it (cached points
-    are above the old lower bound, Delta C lies below it in the changed
-    dimension).
-    """
-    return CaseSolution(fetch_boxes=delta_region(old, new), reusable=skyline)
-
-
-def solve_case_b(
-    old: Constraints, new: Constraints, skyline: np.ndarray
-) -> CaseSolution:
-    """Theorem 3: upper constraint decreased.
-
-    Stable and shrinking: the new skyline is exactly the cached skyline
-    filtered by the new constraints.  Nothing is fetched and no dominance
-    tests are needed.
-    """
-    surviving = skyline[new.satisfied_mask(skyline)] if len(skyline) else skyline
-    return CaseSolution(fetch_boxes=[], reusable=surviving, needs_skyline_pass=False)
-
-
-def solve_case_c(
-    old: Constraints, new: Constraints, skyline: np.ndarray
-) -> CaseSolution:
-    """Theorem 4: upper constraint increased.
-
-    Stable; fetch ``Delta C`` minus the dominance regions of the cached
-    skyline points (they all still satisfy ``new`` and can prune the
-    expansion, unlike in case a).
-    """
-    skyline = np.asarray(skyline, dtype=float)
-    boxes = BoxSet.of(delta_region(old, new), ndim=new.ndim)
-    boxes = _subtract_corners(boxes, skyline)
-    return CaseSolution(fetch_boxes=boxes.boxes(), reusable=skyline)
-
-
-def solve_case_d(
-    old: Constraints, new: Constraints, skyline: np.ndarray
-) -> CaseSolution:
-    """Theorem 5: lower constraint increased -- the unstable case.
-
-    Cached skyline points below the new lower bound are expelled; the parts
-    of the (shrunken) region they used to dominate are invalidated and must
-    be re-read, except where a *surviving* cached skyline point still
-    dominates.
-    """
-    skyline = np.asarray(skyline, dtype=float)
-    surviving_mask = (
-        new.satisfied_mask(skyline) if len(skyline) else np.zeros(0, dtype=bool)
-    )
-    surviving = skyline[surviving_mask]
-    removed = skyline[~surviving_mask]
-
-    region = BoxSet(new.lo[None], new.hi[None])
-    invalid = _corner_union_tiling(region, removed, None)
-    invalid = _subtract_corners(invalid, surviving)
-    return CaseSolution(fetch_boxes=invalid.boxes(), reusable=surviving)
-
-
-CASE_SOLVERS = {
-    CASE_A: solve_case_a,
-    CASE_B: solve_case_b,
-    CASE_C: solve_case_c,
-    CASE_D: solve_case_d,
-}
-
-
-def solve_single_bound_case(
-    old: Constraints, new: Constraints, skyline: np.ndarray
-) -> Tuple[str, CaseSolution]:
-    """Classify a single-bound change and apply its specialized solution."""
-    case = classify_change(old, new)
-    if case not in CASE_SOLVERS:
-        raise ValueError(
-            f"constraints differ by more than one bound (classified {case!r})"
-        )
-    return case, CASE_SOLVERS[case](old, new, skyline)

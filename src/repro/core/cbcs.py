@@ -619,8 +619,19 @@ class CBCS:
         # logged, killed and maintained once
         rowids = rowids[np.sort(np.unique(rowids, return_index=True)[1])]
         # Reading the coordinates first also validates the row ids, so an
-        # invalid request fails before anything reaches the WAL.
-        coords = [self.table.row(int(r)) for r in rowids]
+        # out-of-range id fails before anything reaches the WAL.  A row
+        # already deleted dies no second time: it is not logged and no item
+        # is maintained for it.
+        live, coords = [], []
+        for r in rowids.tolist():
+            try:
+                coords.append(self.table.row(r))
+            except KeyError:
+                continue
+            live.append(r)
+        if not live:
+            return 0
+        rowids = np.asarray(live, dtype=np.int64)
         self._sync()
         if self.durability is not None:
             self.durability.log_delete(rowids, np.asarray(coords))

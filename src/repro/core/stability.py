@@ -44,26 +44,3 @@ def guaranteed_stable_columns(
         old_lo, old_hi, new
     )
 
-
-def removed_mask(skyline: np.ndarray, new: Constraints) -> np.ndarray:
-    """Return the mask of cached skyline points expelled by ``new``.
-
-    These are the points whose departure can invalidate cached knowledge
-    (Corollary 2's witnesses ``t``)."""
-    skyline = np.asarray(skyline, dtype=float)
-    if len(skyline) == 0:
-        return np.zeros(0, dtype=bool)
-    return ~new.satisfied_mask(skyline)
-
-
-def is_stable_for(old: Constraints, new: Constraints, skyline: np.ndarray) -> bool:
-    """Operational stability of a concrete cached item.
-
-    Stronger than Theorem 1: even when the syntactic guarantee fails, the
-    cached result is de-facto stable if no cached skyline point actually
-    falls outside the new constraints -- then no dominance influence was
-    lost and Corollary 2's instability witness cannot exist.
-    """
-    if guaranteed_stable(old, new):
-        return True
-    return not bool(removed_mask(skyline, new).any())

@@ -31,7 +31,7 @@ makes the workload interesting, and is preserved by construction.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -72,9 +72,3 @@ def danish_real_estate(
 
     return np.column_stack([age, sqrm, valuation, price])
 
-
-def column_statistics(data: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Return per-column (mean, std); used by the workload generator to
-    place constraints within 0-3 standard deviations of the mean."""
-    data = np.asarray(data, dtype=float)
-    return data.mean(axis=0), data.std(axis=0)

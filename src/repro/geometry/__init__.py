@@ -18,11 +18,7 @@ Missing Points Region (MPR) machinery is built on:
 """
 
 from repro.geometry.box import Box, BoxSet
-from repro.geometry.constraints import (
-    Constraints,
-    delta_region,
-    overlap_region,
-)
+from repro.geometry.constraints import Constraints
 from repro.geometry.dominance import (
     dominance_region,
     dominates,
@@ -36,10 +32,8 @@ __all__ = [
     "BoxSet",
     "Constraints",
     "Interval",
-    "delta_region",
     "dominance_region",
     "dominated_mask",
     "dominates",
-    "overlap_region",
     "weakly_dominated_mask",
 ]

@@ -8,7 +8,7 @@ the subset of the dataset inside that region.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -25,7 +25,9 @@ class Constraints:
         hi_arr = np.asarray(hi, dtype=float).copy()
         if lo_arr.shape != hi_arr.shape or lo_arr.ndim != 1:
             raise ValueError("lo and hi must be 1-D arrays of equal length")
-        if np.any(lo_arr > hi_arr):
+        if not np.all(lo_arr <= hi_arr):
+            # written so that a NaN bound fails too: every comparison with
+            # NaN is False
             raise ValueError("every lower constraint must be <= its upper constraint")
         lo_arr.setflags(write=False)
         hi_arr.setflags(write=False)
@@ -35,11 +37,6 @@ class Constraints:
     # ------------------------------------------------------------------
     # Constructors
     # ------------------------------------------------------------------
-    @staticmethod
-    def from_box(box: Box) -> "Constraints":
-        """Return the constraints whose region is the closure of ``box``."""
-        return Constraints(box.lo(), box.hi())
-
     @staticmethod
     def covering(points: np.ndarray) -> "Constraints":
         """Return the tightest constraints containing every row of ``points``."""
@@ -151,16 +148,3 @@ def overlap_volumes(lo: np.ndarray, hi: np.ndarray, other: Constraints) -> np.nd
     np.subtract(top, bottom, out=width, where=solid)
     return prod_columns(width)
 
-
-def overlap_region(old: Constraints, new: Constraints) -> Box:
-    """Return the region satisfying both constraint sets (possibly empty)."""
-    return old.region().intersect(new.region())
-
-
-def delta_region(old: Constraints, new: Constraints) -> List[Box]:
-    """Return disjoint boxes covering ``R_new \\ R_old``.
-
-    For the paper's incremental cases this is the (rectangular) region
-    ``Delta C``; in general it decomposes into up to ``2 * ndim`` slabs.
-    """
-    return new.region().subtract_box(old.region())

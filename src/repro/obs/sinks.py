@@ -7,18 +7,15 @@ resources also implement ``close()``.
 - :class:`RingBufferSink` — keeps the last N spans in memory (tests,
   interactive inspection, post-mortem of a single run);
 - :class:`JsonlSink` — streams one JSON object per line to ``trace.jsonl``,
-  the benchmark harness's trace artifact;
-- :class:`LoggingSink` — renders spans as indented human-readable lines via
-  the stdlib ``logging`` module.
+  the benchmark harness's trace artifact.
 """
 
 from __future__ import annotations
 
 import json
-import logging
 import threading
 from collections import deque
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 
 class RingBufferSink:
@@ -97,31 +94,6 @@ class JsonlSink:
     def __exit__(self, exc_type, exc, tb) -> bool:
         self.close()
         return False
-
-
-class LoggingSink:
-    """Log each span as an indented one-liner (DEBUG level by default)."""
-
-    def __init__(self, logger: Optional[logging.Logger] = None, level: int = logging.DEBUG):
-        self.logger = logger if logger is not None else logging.getLogger("repro.obs")
-        self.level = level
-
-    def emit(self, record: Dict[str, object]) -> None:
-        if not self.logger.isEnabledFor(self.level):
-            return
-        indent = "  " * int(record.get("depth", 0))
-        attrs = record.get("attrs") or {}
-        suffix = (
-            " " + " ".join(f"{k}={v}" for k, v in attrs.items()) if attrs else ""
-        )
-        self.logger.log(
-            self.level,
-            "%s%s %.3fms%s",
-            indent,
-            record["name"],
-            record["duration_ms"],
-            suffix,
-        )
 
 
 def _jsonable(value):

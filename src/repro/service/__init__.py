@@ -19,7 +19,7 @@ The package splits by stage:
 - :mod:`repro.service.coalesce` -- the in-flight table and the exactness
   condition for piggybacking (generalized Theorem 3);
 - :mod:`repro.service.service` -- the :class:`QueryService` orchestrating
-  them, plus :class:`ServiceReport`.
+  them.
 
 Thread-safety contract: the engine's shared state is individually locked
 (cache items and bounds table, table stats, fault injector, retry budget,
@@ -38,9 +38,8 @@ Example::
 
     with QueryService(engine, workers=4, capacity=256) as svc:
         future = svc.submit(c, priority="interactive", deadline_ms=250.0)
-        report = svc.run(queries)
+        outcomes = [f.result() for f in [svc.submit(q) for q in queries]]
         print(svc.stats()["shed_by_class"])
-    print(report.per_worker)   # {'cbcs-svc_0': 13, 'cbcs-svc_1': 12, ...}
 """
 
 from repro.service.admission import SHED_FRACTIONS, shed_reason
@@ -63,12 +62,10 @@ from repro.service.service import (
     STATUS_SHED,
     QueryService,
     RequestRejected,
-    ServiceReport,
 )
 
 __all__ = [
     "QueryService",
-    "ServiceReport",
     "RequestRejected",
     "SHED_FRACTIONS",
     "shed_reason",

@@ -33,8 +33,8 @@ import inspect
 import threading
 import time
 from concurrent.futures import Future
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional
 
 from repro.core.cases import CASE_EXACT
 from repro.obs import bind
@@ -57,7 +57,6 @@ from repro.stats import QueryOutcome, StageTimings
 
 __all__ = [
     "QueryService",
-    "ServiceReport",
     "RequestRejected",
     "STATUS_ANSWERED",
     "STATUS_REJECTED_QUEUE_FULL",
@@ -127,62 +126,6 @@ class _Request:
         self.submitted_at = time.perf_counter()
 
 
-@dataclass
-class ServiceReport:
-    """Outcome of one batch served concurrently.
-
-    ``outcomes`` is ordered like the submitted queries: a
-    :class:`~repro.stats.QueryOutcome` when answered, a
-    :class:`RequestRejected` when typed-rejected, None where that query
-    raised; ``errors`` pairs each failed query's index with the exception;
-    ``per_worker`` counts answered queries by worker-thread name, showing
-    how the batch spread over the pool.
-    """
-
-    outcomes: List[Optional[object]] = field(default_factory=list)
-    errors: List[Tuple[int, Exception]] = field(default_factory=list)
-    per_worker: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def answered(self) -> int:
-        return sum(
-            1
-            for o in self.outcomes
-            if o is not None and getattr(o, "skyline", None) is not None
-        )
-
-    @property
-    def rejections(self) -> List[RequestRejected]:
-        return [o for o in self.outcomes if isinstance(o, RequestRejected)]
-
-    def rejected(self, status: Optional[str] = None) -> int:
-        """Count of typed rejections, optionally filtered by status."""
-        return sum(
-            1 for r in self.rejections if status is None or r.status == status
-        )
-
-    @property
-    def accounted(self) -> bool:
-        """True iff every submission ended somewhere explicit: answered,
-        typed-rejected, or a reported error.  (None outcomes are exactly
-        the errored indices, so this closes by construction -- kept as an
-        executable statement of the no-silent-drops invariant.)"""
-        return len(self.outcomes) == (
-            self.answered + self.rejected() + len(self.errors)
-        )
-
-    def summary(self) -> str:
-        lanes = ", ".join(
-            f"{name}: {count}" for name, count in sorted(self.per_worker.items())
-        )
-        rejected = self.rejected()
-        rej = f", {rejected} rejected" if rejected else ""
-        return (
-            f"{self.answered}/{len(self.outcomes)} answered{rej}, "
-            f"{len(self.errors)} errors; per worker: {lanes or 'none'}"
-        )
-
-
 class QueryService:
     """Serve constrained skyline queries concurrently from one engine.
 
@@ -208,7 +151,6 @@ class QueryService:
         self._threads: List[threading.Thread] = []
         self._inflight = InFlightTable()
         self._lock = threading.Lock()
-        self._per_worker: Dict[str, int] = {}
         self._executing = 0
         self._counters: Dict[str, int] = {
             "submitted": 0,
@@ -276,39 +218,6 @@ class QueryService:
         self._publish_gauges()
         return req.future
 
-    def run(
-        self,
-        queries,
-        priority: str = DEFAULT_PRIORITY,
-        deadline_ms=None,
-    ) -> ServiceReport:
-        """Answer a batch concurrently; returns an ordered report.
-
-        Results come back in submission order regardless of completion
-        order.  A query that raises (e.g. storage faults with resilience
-        off) is reported in ``errors`` instead of aborting the batch;
-        typed rejections appear in ``outcomes`` as
-        :class:`RequestRejected`.
-        """
-        baseline = self.per_worker
-        futures = [
-            self.submit(c, priority=priority, deadline_ms=deadline_ms)
-            for c in queries
-        ]
-        report = ServiceReport()
-        for i, future in enumerate(futures):
-            try:
-                report.outcomes.append(future.result())
-            except Exception as exc:  # noqa: BLE001 - reported, not hidden
-                report.outcomes.append(None)
-                report.errors.append((i, exc))
-        report.per_worker = {
-            name: count - baseline.get(name, 0)
-            for name, count in self.per_worker.items()
-            if count - baseline.get(name, 0)
-        }
-        return report
-
     # ------------------------------------------------------------------
     # Worker side
     # ------------------------------------------------------------------
@@ -371,9 +280,7 @@ class QueryService:
         return self.engine.query(req.constraints, **kwargs)
 
     def _record_answer(self, req: _Request, outcome) -> None:
-        worker = threading.current_thread().name
         with self._lock:
-            self._per_worker[worker] = self._per_worker.get(worker, 0) + 1
             self._counters[STATUS_ANSWERED] += 1
         if self._obs is not None:
             self._obs.metrics.inc(
@@ -510,12 +417,6 @@ class QueryService:
             # None when the engine has no cache (Baseline/BBS)
             "cache": self._cache.stats() if self._cache is not None else None,
         }
-
-    @property
-    def per_worker(self) -> Dict[str, int]:
-        """Lifetime answered-query counts by worker-thread name."""
-        with self._lock:
-            return dict(self._per_worker)
 
     # ------------------------------------------------------------------
     # Lifecycle

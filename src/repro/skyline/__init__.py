@@ -20,8 +20,8 @@ Index/disk-based:
   one range query for ``S_C`` followed by SFS.
 """
 
-from repro.skyline.baseline import BaselineMethod, naive_constrained_skyline
-from repro.skyline.bbs import BBSMethod, BBSResult, BBSScan, bbs_skyline
+from repro.skyline.baseline import BaselineMethod
+from repro.skyline.bbs import BBSMethod, BBSResult, bbs_skyline
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.bskytree import bskytree_skyline
 from repro.skyline.dandc import dandc_skyline
@@ -31,7 +31,6 @@ from repro.skyline.sfs import sfs_skyline
 __all__ = [
     "BBSMethod",
     "BBSResult",
-    "BBSScan",
     "BaselineMethod",
     "bbs_skyline",
     "bnl_skyline",
@@ -39,6 +38,5 @@ __all__ = [
     "dandc_skyline",
     "brute_force_skyline",
     "is_skyline",
-    "naive_constrained_skyline",
     "sfs_skyline",
 ]

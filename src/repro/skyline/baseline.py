@@ -8,10 +8,6 @@ Baseline uses SFS for the skyline stage, as do we.
 
 from __future__ import annotations
 
-from typing import Tuple
-
-import numpy as np
-
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
 from repro.skyline.sfs import sfs_skyline
@@ -19,20 +15,9 @@ from repro.stats import QueryOutcome, Stopwatch
 from repro.storage.table import DiskTable
 
 
-def naive_constrained_skyline(
-    table: DiskTable, constraints: Constraints
-) -> Tuple[np.ndarray, int]:
-    """Fetch ``S_C`` with one range query and run SFS over it.
-
-    Returns ``(skyline_points, rows_fetched)``.
-    """
-    result = table.range_query(constraints.lo, constraints.hi)
-    skyline = result.points[sfs_skyline(result.points)]
-    return skyline, result.rows_fetched
-
-
 class BaselineMethod:
-    """Query-method wrapper around the naive plan for the harness."""
+    """The naive plan: fetch ``S_C`` with one range query and run SFS over
+    it (the harness's Baseline)."""
 
     name = "Baseline"
 

@@ -43,114 +43,74 @@ class BBSResult:
     heap_pushes: int
 
 
-class BBSScan:
-    """A *progressive* constrained-BBS scan.
+def bbs_skyline(tree: RTree, constraints: Optional[Constraints] = None) -> BBSResult:
+    """Run constrained BBS over an R-tree of points to completion.
 
-    BBS's defining property [19] is progressiveness: skyline points are
-    emitted in ascending mindist (coordinate-sum) order as soon as they are
-    confirmed, with only as much R-tree work as needed so far.  Iterate the
-    scan to receive points one at a time; :attr:`nodes_accessed` and
-    :attr:`heap_pushes` are live counters, so the I/O cost of a partial
-    scan (e.g. a top-k preview in a UI) can be measured directly.
+    ``constraints`` of None computes the unconstrained skyline.  Skyline
+    rows come out in the order the heap confirms them: ascending mindist
+    (coordinate sum), BBS's progressive order [19].
     """
+    ndim = tree.ndim
+    if constraints is not None and constraints.ndim != ndim:
+        raise ValueError("constraints dimensionality does not match the tree")
+    c_lo = constraints.lo if constraints is not None else None
+    c_hi = constraints.hi if constraints is not None else None
+    sky = np.empty((0, ndim))
+    tiebreak = itertools.count()
+    heap: list = []
+    nodes_accessed = heap_pushes = 0
 
-    def __init__(self, tree: RTree, constraints: Optional[Constraints] = None):
-        ndim = tree.ndim
-        if constraints is not None and constraints.ndim != ndim:
-            raise ValueError("constraints dimensionality does not match the tree")
-        self._c_lo = constraints.lo if constraints is not None else None
-        self._c_hi = constraints.hi if constraints is not None else None
-        self._ndim = ndim
-        self._sky = np.empty((0, ndim))
-        self._tiebreak = itertools.count()
-        self._heap: list = []
-        self.nodes_accessed = 0
-        self.heap_pushes = 0
+    def clip(lo: np.ndarray) -> np.ndarray:
+        return lo if c_lo is None else np.maximum(lo, c_lo)
 
-        root = tree.root
-        if root.lo is not None and (
-            self._c_lo is None
-            or (np.all(root.lo <= self._c_hi) and np.all(self._c_lo <= root.hi))
-        ):
-            self._push(root, None)
+    def meets(node) -> bool:
+        return c_lo is None or bool(
+            np.all(node.lo <= c_hi) and np.all(c_lo <= node.hi)
+        )
 
-    # -- iterator protocol ------------------------------------------------
-    def __iter__(self) -> "BBSScan":
-        return self
+    def corner_dominated(lo: np.ndarray) -> bool:
+        if not len(sky):
+            return False
+        best = clip(lo)
+        le = np.all(sky <= best, axis=1)
+        lt = np.any(sky < best, axis=1)
+        return bool(np.any(le & lt))
 
-    def __next__(self) -> np.ndarray:
-        while self._heap:
-            *_, entry, point = heapq.heappop(self._heap)
-            if point is not None:
-                if self._corner_dominated(point):
-                    continue
-                self._sky = np.vstack([self._sky, point])
-                return point
-            node = entry
-            self.nodes_accessed += 1
-            if self._corner_dominated(node.lo):
-                continue
-            if node.is_leaf:
-                pts = node.entry_lo
-                if self._c_lo is not None:
-                    keep = np.all(pts >= self._c_lo, axis=1) & np.all(
-                        pts <= self._c_hi, axis=1
-                    )
-                    pts = pts[keep]
-                for p in pts:
-                    if not self._corner_dominated(p):
-                        self._push(None, p)
-            else:
-                for child in node.children:
-                    if self._c_lo is not None and not (
-                        np.all(child.lo <= self._c_hi)
-                        and np.all(self._c_lo <= child.hi)
-                    ):
-                        continue
-                    if not self._corner_dominated(child.lo):
-                        self._push(child, None)
-        raise StopIteration
-
-    # -- internals ---------------------------------------------------------
-    def _push(self, node, point) -> None:
+    def push(node, point) -> None:
+        nonlocal heap_pushes
         lo = point if point is not None else node.lo
         # Coordinate sums tie in floating point (1e-38 + 1 == 1): at equal
         # mindist a node goes before a point and points go in lexicographic
         # order, so whatever dominates a point is still popped before it.
-        key = (self._mindist(lo), point is not None, tuple(lo.tolist()))
-        heapq.heappush(self._heap, (*key, next(self._tiebreak), node, point))
-        self.heap_pushes += 1
+        key = (float(clip(lo).sum()), point is not None, tuple(lo.tolist()))
+        heapq.heappush(heap, (*key, next(tiebreak), node, point))
+        heap_pushes += 1
 
-    def _mindist(self, lo: np.ndarray) -> float:
-        if self._c_lo is None:
-            return float(lo.sum())
-        return float(np.maximum(lo, self._c_lo).sum())
-
-    def _corner_dominated(self, lo: np.ndarray) -> bool:
-        if not len(self._sky):
-            return False
-        best = lo if self._c_lo is None else np.maximum(lo, self._c_lo)
-        le = np.all(self._sky <= best, axis=1)
-        lt = np.any(self._sky < best, axis=1)
-        return bool(np.any(le & lt))
-
-
-def bbs_skyline(tree: RTree, constraints: Optional[Constraints] = None) -> BBSResult:
-    """Run constrained BBS over an R-tree of points to completion.
-
-    ``constraints`` of None computes the unconstrained skyline.  Use
-    :class:`BBSScan` directly to consume skyline points progressively.
-    """
-    scan = BBSScan(tree, constraints)
-    skyline_rows = list(scan)
-    if skyline_rows:
-        result = np.array(skyline_rows)
-    else:
-        result = np.empty((0, tree.ndim))
+    root = tree.root
+    if root.lo is not None and meets(root):
+        push(root, None)
+    while heap:
+        *_, node, point = heapq.heappop(heap)
+        if point is not None:
+            if not corner_dominated(point):
+                sky = np.vstack([sky, point])
+            continue
+        nodes_accessed += 1
+        if corner_dominated(node.lo):
+            continue
+        if node.is_leaf:
+            pts = node.entry_lo
+            if c_lo is not None:
+                pts = pts[np.all(pts >= c_lo, axis=1) & np.all(pts <= c_hi, axis=1)]
+            for p in pts:
+                if not corner_dominated(p):
+                    push(None, p)
+        else:
+            for child in node.children:
+                if meets(child) and not corner_dominated(child.lo):
+                    push(child, None)
     return BBSResult(
-        skyline=result,
-        nodes_accessed=scan.nodes_accessed,
-        heap_pushes=scan.heap_pushes,
+        skyline=sky, nodes_accessed=nodes_accessed, heap_pushes=heap_pushes
     )
 
 

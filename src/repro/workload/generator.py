@@ -25,7 +25,7 @@ Two workload shapes are produced, matching the paper's:
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional, Union
+from typing import List, Union
 
 import numpy as np
 
@@ -143,14 +143,6 @@ class WorkloadGenerator:
     def independent_queries(self, n: int) -> List[Constraints]:
         """Return ``n`` unrelated initial queries (multi-user workload)."""
         return [self.initial_query() for _ in range(n)]
-
-    def iter_refinements(self, start: Optional[Constraints] = None) -> Iterator[Constraints]:
-        """Yield an endless refinement chain (first the initial query)."""
-        query = start or self.initial_query()
-        yield query
-        while True:
-            query = self.refine(query)
-            yield query
 
     def zipf_stream(
         self,

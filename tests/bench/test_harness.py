@@ -12,7 +12,6 @@ from repro.bench.harness import (
     run_interactive_workload,
     run_queries,
     scaled,
-    summarize,
 )
 from repro.bench.reporting import (
     distribution_summary,
@@ -69,7 +68,6 @@ class TestMethodResult:
         assert list(res.io_ms_values()) == [10.0, 30.0]
         assert res.mean_points_read() == pytest.approx(200.0)
         assert res.mean_range_queries() == pytest.approx(2.0)
-        assert res.mean_nonempty_queries() == pytest.approx(1.0)
 
     def test_stability_split(self):
         res = MethodResult("m")
@@ -127,10 +125,6 @@ class TestWorkloadRunners:
         result = run_queries(engine, queries)
         assert len(result) == 3
         assert result.method.startswith("CBCS")
-
-    def test_summarize_skips_empty(self):
-        out = summarize({"empty": MethodResult("empty")})
-        assert out == {}
 
 
 class TestReporting:

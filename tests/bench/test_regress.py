@@ -237,6 +237,7 @@ class TestRegressCli:
         cur = self.write(tmp_path, "b.json", ms=30.0, run_id="new")
         assert main([base, cur, "--rel-io", "5.0"]) == 0
         assert main([base, cur, "--rel-ms", "5.0"]) == 2
+        assert main([base, cur, "--rel-serving", "5.0"]) == 2
 
     def test_exit_two_on_bad_inputs(self, tmp_path, capsys):
         base = self.write(tmp_path, "a.json")

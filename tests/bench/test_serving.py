@@ -10,7 +10,6 @@ import pytest
 
 from repro.bench import soak
 from repro.bench.regress import (
-    Thresholds,
     build_snapshot,
     compare_snapshots,
     summarize_registry,
@@ -196,8 +195,8 @@ class TestOverloadSoakSmoke:
 
 
 class TestServingRegression:
-    """The serving figure's gauges gate the bench compare with their own
-    generous wall-clock thresholds."""
+    """The serving figure's gauges reach the bench snapshot, and the
+    compare gates none of them."""
 
     def registry(self, p99=100.0):
         reg = MetricsRegistry()
@@ -229,21 +228,13 @@ class TestServingRegression:
         assert summary["serving"]["p99_ms"] == pytest.approx(100.0)
         assert summary["serving"]["coalesce_rate"] == pytest.approx(0.4)
 
-    def test_small_wall_clock_noise_passes(self):
-        # +40% p99 is under both the 100% relative and 50ms absolute bars
-        report = compare_snapshots(self.snapshot(100.0), self.snapshot(140.0))
-        assert not report.has_regressions
-        assert any(f.metric == "p99_ms" for f in report.findings)
-
-    def test_doubled_latency_with_absolute_margin_regresses(self):
-        report = compare_snapshots(self.snapshot(100.0), self.snapshot(260.0))
-        assert report.has_regressions
-        bad = [f for f in report.findings if f.status == "regressed"]
-        assert any(f.method == "serving" for f in bad)
-
-    def test_thresholds_are_tunable(self):
-        tight = Thresholds(rel_serving=0.1, abs_serving_ms=1.0)
-        report = compare_snapshots(
-            self.snapshot(100.0), self.snapshot(140.0), thresholds=tight
-        )
-        assert report.has_regressions
+    def test_wall_clock_latency_gates_nothing(self):
+        """A latency measured on another host is no baseline: the snapshot
+        keeps the serving section, and the compare reads no finding from
+        it however far the percentiles move."""
+        base = self.snapshot(100.0)
+        assert base["figures"]["serving"]["serving"]["p99_ms"] == 100.0
+        for p99 in (140.0, 260.0, 1000.0):
+            report = compare_snapshots(base, self.snapshot(p99))
+            assert not report.has_regressions
+            assert not any(f.method == "serving" for f in report.findings)

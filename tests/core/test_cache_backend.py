@@ -327,3 +327,22 @@ class TestChecksumRoundTrip:
         fresh = SkylineCache()
         with pytest.raises(CorruptCacheError):
             fresh.load_into(path)
+
+    def test_a_nan_bound_is_a_corrupt_archive(self, tmp_path):
+        """An archive whose checksum holds but whose constraint bound is
+        NaN never loads: the item could match no query and would sit in the
+        cache answering nothing."""
+        from repro.core.cache import _cache_checksum
+
+        cache = SkylineCache()
+        _fill(cache, n=2)
+        path = tmp_path / "cache.npz"
+        cache.save(path)
+        with np.load(path) as archive:
+            arrays = {k: archive[k] for k in archive.files if k != "checksum"}
+        arrays["lo_0"] = arrays["lo_0"].copy()
+        arrays["lo_0"][0] = np.nan
+        arrays["checksum"] = np.array(_cache_checksum(arrays), dtype=np.uint32)
+        np.savez(path, **arrays)
+        with pytest.raises(CorruptCacheError):
+            SkylineCache.load(path)

@@ -1,4 +1,5 @@
-"""Tests for case classification and the Theorem 2-5 specialized solutions."""
+"""Tests for case classification, and Fig. 3's Theorems 2-5 checked on the
+region the engine computes (``ExactMPR``) and on the engine's answers."""
 
 import numpy as np
 import pytest
@@ -16,15 +17,13 @@ from repro.core.cases import (
     GENERAL_UNSTABLE,
     classify_change,
     classify_dimension_changes,
-    solve_case_a,
-    solve_case_b,
-    solve_case_c,
-    solve_case_d,
-    solve_single_bound_case,
 )
+from repro.core.ampr import ExactMPR
+from repro.core.cbcs import CBCS
 from repro.data.generator import generate
-from repro.geometry.box import pairwise_disjoint, union_mask
+from repro.geometry.box import pairwise_disjoint
 from repro.geometry.constraints import Constraints
+from repro.storage.table import DiskTable
 
 from tests.core.conftest import (
     assert_same_point_set,
@@ -75,18 +74,15 @@ class TestClassify:
         labels = classify_dimension_changes(OLD, new)
         assert sorted(labels) == sorted([CASE_A, CASE_C, CASE_D])
 
-    def test_solve_single_bound_rejects_general(self):
-        with pytest.raises(ValueError):
-            solve_single_bound_case(
-                OLD, Constraints([0.2, 0.2], [0.7, 0.7]), np.empty((0, 2))
-            )
-
 
 class PaperStyleExample:
     """A hand-constructed 2-D instance in the spirit of Figure 3.
 
     Old constraints [0.3, 0.3] x [0.7, 0.7]; the old skyline is
-    {e=(0.32, 0.50), f=(0.40, 0.38), g=(0.55, 0.32)}.
+    {e=(0.32, 0.50), f=(0.40, 0.38), g=(0.55, 0.32)}.  Each case's fetch
+    set (the gray region of Figure 3) is checked on the exact MPR the
+    engine computes, and each answer on an engine primed with the old
+    query.
     """
 
     data = np.array(
@@ -107,6 +103,28 @@ class PaperStyleExample:
     old = OLD
     old_skyline = data[[0, 1, 2]]
 
+    def region(self):
+        result = ExactMPR().compute(self.old, self.old_skyline, self.new)
+        assert pairwise_disjoint(result.boxes)
+        return result
+
+    def fetched_mask(self):
+        """Which rows of ``data`` the region's boxes hold."""
+        return self.region().boxes.union_mask(self.data)
+
+    def answer(self):
+        engine = CBCS(DiskTable(self.data), region_computer=ExactMPR())
+        engine.query(self.old)
+        return engine.query(self.new)
+
+    def assert_answer_is_the_oracle(self, case):
+        outcome = self.answer()
+        assert outcome.case == case
+        assert_same_point_set(
+            outcome.skyline, constrained_skyline_oracle(self.data, self.new)
+        )
+        return outcome
+
 
 class TestCaseA(PaperStyleExample):
     new = Constraints([0.15, 0.3], [0.7, 0.7])
@@ -115,25 +133,15 @@ class TestCaseA(PaperStyleExample):
         assert classify_change(self.old, self.new) == CASE_A
 
     def test_fetch_region_is_delta_c(self):
-        sol = solve_case_a(self.old, self.new, self.old_skyline)
-        assert pairwise_disjoint(sol.fetch_boxes)
-        fetched = self.data[union_mask(sol.fetch_boxes, self.data)]
-        # exactly the points in Delta C: a and b
-        assert_same_point_set(fetched, self.data[[6, 7]])
+        # Theorem 2: exactly the points in Delta C, a and b
+        assert_same_point_set(self.data[self.fetched_mask()], self.data[[6, 7]])
 
     def test_solution_matches_oracle(self):
-        sol = solve_case_a(self.old, self.new, self.old_skyline)
-        fetched = self.data[union_mask(sol.fetch_boxes, self.data)]
-        result = sol.solve(fetched)
-        assert_same_point_set(
-            result, constrained_skyline_oracle(self.data, self.new)
-        )
+        self.assert_answer_is_the_oracle(CASE_A)
 
     def test_new_point_can_dominate_cached(self):
         """b dominates e: the merge pass must expel cached points."""
-        sol = solve_case_a(self.old, self.new, self.old_skyline)
-        fetched = self.data[union_mask(sol.fetch_boxes, self.data)]
-        result = sol.solve(fetched)
+        result = self.answer().skyline
         assert not any(np.array_equal(p, self.data[0]) for p in result)
 
 
@@ -144,18 +152,15 @@ class TestCaseB(PaperStyleExample):
         assert classify_change(self.old, self.new) == CASE_B
 
     def test_no_fetching(self):
-        sol = solve_case_b(self.old, self.new, self.old_skyline)
-        assert sol.fetch_boxes == []
-        assert not sol.needs_skyline_pass
+        # Theorem 3: nothing to fetch, and the engine reads nothing
+        assert len(self.region().boxes) == 0
+        assert self.answer().points_read == 0
 
     def test_filter_only(self):
-        sol = solve_case_b(self.old, self.new, self.old_skyline)
-        result = sol.solve(np.empty((0, 2)))
-        # e (y=0.50) falls outside; f and g remain
-        assert_same_point_set(result, self.data[[1, 2]])
-        assert_same_point_set(
-            result, constrained_skyline_oracle(self.data, self.new)
-        )
+        # e (y=0.50) falls outside; f and g remain, and they are the answer
+        assert_same_point_set(self.region().surviving, self.data[[1, 2]])
+        outcome = self.assert_answer_is_the_oracle(CASE_B)
+        assert_same_point_set(outcome.skyline, self.data[[1, 2]])
 
 
 class TestCaseC(PaperStyleExample):
@@ -165,31 +170,22 @@ class TestCaseC(PaperStyleExample):
         assert classify_change(self.old, self.new) == CASE_C
 
     def test_dominance_prunes_delta_c(self):
-        sol = solve_case_c(self.old, self.new, self.old_skyline)
-        fetched_mask = union_mask(sol.fetch_boxes, self.data)
+        fetched_mask = self.fetched_mask()
         # k is in Delta C and not dominated by the old skyline: fetched.
         assert fetched_mask[8]
         # l is in Delta C but dominated by g: pruned, never read.
         assert not fetched_mask[9]
 
     def test_solution_matches_oracle(self):
-        sol = solve_case_c(self.old, self.new, self.old_skyline)
-        fetched = self.data[union_mask(sol.fetch_boxes, self.data)]
-        result = sol.solve(fetched)
-        assert_same_point_set(
-            result, constrained_skyline_oracle(self.data, self.new)
-        )
+        self.assert_answer_is_the_oracle(CASE_C)
 
     def test_fetches_fewer_than_case_a_logic(self):
         """Theorem 4's pruning reads strictly less than fetching all of
         Delta C whenever cached dominance covers part of it."""
-        from repro.geometry.constraints import delta_region
-
-        sol = solve_case_c(self.old, self.new, self.old_skyline)
-        naive_delta = delta_region(self.old, self.new)
-        pruned = int(union_mask(sol.fetch_boxes, self.data).sum())
-        unpruned = int(union_mask(naive_delta, self.data).sum())
-        assert pruned < unpruned
+        delta_c = self.new.satisfied_mask(self.data) & ~self.old.satisfied_mask(
+            self.data
+        )
+        assert int(self.fetched_mask().sum()) < int(delta_c.sum())
 
 
 class TestCaseD(PaperStyleExample):
@@ -199,13 +195,13 @@ class TestCaseD(PaperStyleExample):
         assert classify_change(self.old, self.new) == CASE_D
 
     def test_surviving_points_kept(self):
-        sol = solve_case_d(self.old, self.new, self.old_skyline)
+        region = self.region()
         # e (x=0.32) is expelled; f, g survive
-        assert_same_point_set(sol.reusable, self.data[[1, 2]])
+        assert_same_point_set(region.surviving, self.data[[1, 2]])
+        assert not region.stable
 
     def test_fetch_covers_invalidated_region_only(self):
-        sol = solve_case_d(self.old, self.new, self.old_skyline)
-        fetched_mask = union_mask(sol.fetch_boxes, self.data)
+        fetched_mask = self.fetched_mask()
         # j was dominated by expelled e and still satisfies new: must fetch.
         assert fetched_mask[5]
         # h is dominated by surviving f: not fetched.
@@ -214,16 +210,12 @@ class TestCaseD(PaperStyleExample):
         assert not fetched_mask[4]
 
     def test_solution_matches_oracle(self):
-        sol = solve_case_d(self.old, self.new, self.old_skyline)
-        fetched = self.data[union_mask(sol.fetch_boxes, self.data)]
-        result = sol.solve(fetched)
-        assert_same_point_set(
-            result, constrained_skyline_oracle(self.data, self.new)
-        )
+        self.assert_answer_is_the_oracle(CASE_D)
 
 
 class TestCasePropertyBased:
-    """Random single-bound changes: every case solution equals the oracle."""
+    """Random single-bound changes: the engine, primed with the old query,
+    labels each refinement with its case and answers it as the oracle."""
 
     @given(
         seed=st.integers(0, 10_000),
@@ -243,16 +235,18 @@ class TestCasePropertyBased:
             new = old.with_bound(dim, upper=max(0.75 - amount, 0.26))
         else:
             new = old.with_bound(dim, upper=0.75 + amount)
-        old_sky = constrained_skyline_oracle(data, old)
-        case, sol = solve_single_bound_case(old, new, old_sky)
-        assert case in (CASE_A, CASE_B, CASE_C, CASE_D)
-        assert pairwise_disjoint(sol.fetch_boxes)
-        fetched = data[union_mask(sol.fetch_boxes, data)]
-        # whatever is fetched must satisfy the new constraints' region
-        # or at least be outside nothing we claimed -- check final result:
-        result = sol.solve(fetched[new.satisfied_mask(fetched)])
+        engine = CBCS(DiskTable(data), region_computer=ExactMPR())
+        old_skyline = engine.query(old).skyline
+        outcome = engine.query(new)
+        if outcome.case == "miss":
+            # the cache finds an item by its skyline's MBR, which a raised
+            # lower bound can leave behind
+            assert not Constraints.covering(old_skyline).overlaps(new)
+        else:
+            assert outcome.case == classify_change(old, new)
+            assert outcome.case in (CASE_A, CASE_B, CASE_C, CASE_D)
         assert_same_point_set(
-            result,
+            outcome.skyline,
             constrained_skyline_oracle(data, new),
-            context=f"case {case}",
+            context=f"case {outcome.case}",
         )

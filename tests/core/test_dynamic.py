@@ -157,6 +157,69 @@ class TestRepeatedDeleteIds:
         engine.close()
 
 
+class TestDeleteOfADeadRow:
+    """A row id already deleted dies no second time: ``delete_points``
+    counts it as 0, as the tables do, and logs and maintains nothing for
+    it, so a batch mixing dead and live ids still deletes the live ones."""
+
+    C = Constraints([0.0, 0.0], [0.8, 0.8])
+
+    @staticmethod
+    def cache_state(engine):
+        return [(item.item_id, item.skyline.tobytes()) for item in engine.cache]
+
+    @staticmethod
+    def skyline_row(engine, data, c):
+        """The id of a row in the cached answer for ``c``: deleting it
+        refreshes that item, so a no-op delete would show in the cache."""
+        point = engine.query(c).skyline[0]
+        return int(np.flatnonzero((data == point).all(axis=1))[0])
+
+    @TABLE_KINDS
+    def test_a_dead_id_counts_zero_and_a_live_one_beside_it_dies(self, make_table):
+        data = generate("independent", 200, 2, seed=5)
+        engine = CBCS(make_table(data))
+        dead = self.skyline_row(engine, data, self.C)
+        assert engine.delete_points([dead]) == 1
+        live = self.skyline_row(engine, data, self.C)
+        before = self.cache_state(engine)
+        assert engine.delete_points([dead]) == 0
+        assert self.cache_state(engine) == before
+        assert engine.delete_points([dead, live]) == 1
+        assert engine.table.live_count == 198
+        with pytest.raises(KeyError):
+            engine.table.row(live)
+        remaining = np.delete(data, [dead, live], axis=0)
+        assert_same_point_set(
+            engine.query(self.C).skyline,
+            constrained_skyline_oracle(remaining, self.C),
+        )
+
+    def test_a_dead_id_writes_no_wal_record_and_recovery_agrees(self, tmp_path):
+        data = generate("independent", 200, 2, seed=5)
+        engine = CBCS(DiskTable(data), durability=tmp_path)
+        dead = self.skyline_row(engine, data, self.C)
+        engine.delete_points([dead])
+        live = self.skyline_row(engine, data, self.C)
+        lsn, before = engine.durability.wal.last_lsn, self.cache_state(engine)
+        assert engine.delete_points([dead]) == 0
+        assert engine.durability.wal.last_lsn == lsn
+        assert self.cache_state(engine) == before
+        assert engine.delete_points([dead, live]) == 1
+        (record,) = [
+            r for r in engine.durability.wal.records() if r.lsn > lsn
+        ]
+        assert record.payload["rowids"] == [live]
+        with pytest.raises(IndexError):
+            engine.delete_points([dead, len(data)])
+        assert engine.durability.wal.last_lsn == lsn + 1
+        expected = live_data(engine.table)
+        engine.close()
+        recovered = CBCS.recover(tmp_path)
+        np.testing.assert_array_equal(live_data(recovered.table), expected)
+        recovered.close()
+
+
 class TestCacheMaintenance:
     @pytest.fixture()
     def engine(self):

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.cache import SkylineCache
-from repro.core.cases import CaseSolution, solve_case_b
 from repro.core.cbcs import CBCS
 from repro.core.mpr import compute_mpr
 from repro.data.generator import generate
@@ -14,38 +13,14 @@ from repro.index.rtree import RTree
 from repro.storage.table import DiskTable
 
 
-class TestCaseSolutionEdges:
-    def test_solve_with_everything_empty(self):
-        sol = CaseSolution(fetch_boxes=[], reusable=np.empty((0, 2)))
-        result = sol.solve(np.empty((0, 2)))
-        assert result.shape == (0, 2)
-
-    def test_solve_with_only_fetched(self):
-        sol = CaseSolution(fetch_boxes=[], reusable=np.empty((0, 2)))
-        fetched = np.array([[0.5, 0.5], [0.2, 0.8]])
-        result = sol.solve(fetched)
-        assert len(result) == 2
-
-    def test_solve_no_pass_with_fetched_points_still_computes(self):
-        """needs_skyline_pass=False only short-circuits when nothing was
-        fetched; a non-empty fetch always triggers the merge pass."""
-        sol = CaseSolution(
-            fetch_boxes=[],
-            reusable=np.array([[0.5, 0.5]]),
-            needs_skyline_pass=False,
-        )
-        result = sol.solve(np.array([[0.1, 0.1]]))
-        assert len(result) == 1
-        np.testing.assert_array_equal(result[0], [0.1, 0.1])
-
+class TestMprEdges:
     def test_case_b_with_empty_cached_skyline(self):
         old = Constraints([0.0, 0.0], [1.0, 1.0])
         new = Constraints([0.0, 0.0], [0.5, 1.0])
-        sol = solve_case_b(old, new, np.empty((0, 2)))
-        assert sol.solve(np.empty((0, 2))).shape == (0, 2)
+        mpr = compute_mpr(old, np.empty((0, 2)), new)
+        assert len(mpr.boxes) == 0
+        assert mpr.surviving.shape == (0, 2)
 
-
-class TestMprEdges:
     def test_identical_constraints_yield_empty_mpr(self):
         c = Constraints([0.1, 0.1], [0.9, 0.9])
         sky = np.array([[0.2, 0.3]])

@@ -173,12 +173,15 @@ class TestExplainRegionMetrics:
         assert self.mpr_metrics(obs.metrics) == (1.0, 1, 0.0)
         engine.close()
 
-    def test_explain_leaves_invalidation_fallbacks_alone(self):
+    def test_explain_leaves_invalidation_fallbacks_alone(self, monkeypatch):
+        from repro.core import ampr
         from repro.obs import Observability
 
+        # a one-piece budget: every invalidation tiling falls back
+        monkeypatch.setattr(ampr, "MAX_INVALIDATION_PIECES", 1)
         obs = Observability()
         data = generate("independent", 2000, 3, seed=42)
-        region = ApproximateMPR(max_invalidation_pieces=1)
+        region = ApproximateMPR()
         engine = CBCS(DiskTable(data), region_computer=region, obs=obs)
         engine.query(Constraints([0.0] * 3, [1.0] * 3))
         raised = Constraints([0.3, 0.0, 0.0], [1.0] * 3)  # case d: expels points

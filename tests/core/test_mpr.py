@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ampr import ApproximateMPR, ExactMPR, nearest_to_corner
+from repro.core.ampr import (
+    INVALIDATION_ANCHORS,
+    MAX_INVALIDATION_PIECES,
+    ApproximateMPR,
+    ExactMPR,
+    nearest_to_corner,
+)
 from repro.core.mpr import compute_mpr
 from repro.data.generator import generate
 from repro.geometry.box import pairwise_disjoint, union_mask
@@ -430,15 +436,24 @@ class TestAgainstReference:
         st.sampled_from([1, 2, 8]),
     )
     def test_approximate(self, drawn, k, pieces, anchors):
+        """The aMPR's pruners, under its own invalidation budgets and under
+        the other budgets ``compute_mpr`` takes (the ablations')."""
         old, sky, new = drawn
-        region = ApproximateMPR(
-            k=k, max_invalidation_pieces=pieces, invalidation_anchors=anchors
-        )
-        surviving = sky[new.satisfied_mask(sky)]
+        nearest = nearest_to_corner(sky[new.satisfied_mask(sky)], new.lo, k)
         want = reference_mpr(
-            old, sky, new, nearest_to_corner(surviving, new.lo, k), pieces, anchors
+            old, sky, new, nearest, MAX_INVALIDATION_PIECES, INVALIDATION_ANCHORS
         )
-        assert_same_region(region.compute(old, sky, new), want)
+        assert_same_region(ApproximateMPR(k=k).compute(old, sky, new), want)
+        got = compute_mpr(
+            old,
+            sky,
+            new,
+            prune_with=lambda surviving: nearest_to_corner(surviving, new.lo, k),
+            max_invalidation_pieces=pieces,
+            max_invalidation_anchors=anchors,
+        )
+        want = reference_mpr(old, sky, new, nearest, pieces, anchors)
+        assert_same_region(got, want)
 
     @settings(max_examples=150, deadline=None)
     @given(region_pairs())

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.stability import guaranteed_stable, is_stable_for, removed_mask
+from repro.core.mpr import compute_mpr
+from repro.core.stability import guaranteed_stable
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
 
@@ -94,31 +95,35 @@ class TestGuaranteedStable:
 
 
 class TestOperationalStability:
+    """``MPRResult.stable`` refines Theorem 1: an item is stable for a
+    query when the guarantee holds or no cached skyline point is
+    expelled."""
+
+    old = Constraints([0.0, 0.0], [1.0, 1.0])
+
     def test_no_expelled_points_means_stable(self):
-        """is_stable_for refines Theorem 1: syntactically unstable but no
-        cached skyline point actually leaves the region."""
-        old = Constraints([0.0, 0.0], [1.0, 1.0])
+        """Syntactically unstable but no cached skyline point actually
+        leaves the region."""
         new = Constraints([0.05, 0.0], [1.0, 1.0])  # lower increased
         skyline = np.array([[0.3, 0.1], [0.1, 0.3]])  # all still inside
-        assert not guaranteed_stable(old, new)
-        assert is_stable_for(old, new, skyline)
+        assert not guaranteed_stable(self.old, new)
+        assert compute_mpr(self.old, skyline, new).stable
 
     def test_expelled_point_means_unstable(self):
-        old = Constraints([0.0, 0.0], [1.0, 1.0])
         new = Constraints([0.2, 0.0], [1.0, 1.0])
         skyline = np.array([[0.1, 0.1]])
-        assert not is_stable_for(old, new, skyline)
+        assert not compute_mpr(self.old, skyline, new).stable
 
-    def test_removed_mask(self):
+    def test_expelled_points_leave_the_survivors(self):
         new = Constraints([0.2, 0.0], [1.0, 1.0])
         skyline = np.array([[0.1, 0.5], [0.5, 0.1], [0.2, 0.2]])
-        np.testing.assert_array_equal(
-            removed_mask(skyline, new), [True, False, False]
-        )
+        result = compute_mpr(self.old, skyline, new)
+        np.testing.assert_array_equal(result.surviving, skyline[[1, 2]])
 
-    def test_removed_mask_empty_skyline(self):
-        new = Constraints([0.0, 0.0], [1.0, 1.0])
-        assert len(removed_mask(np.empty((0, 2)), new)) == 0
+    def test_an_empty_skyline_has_no_survivors(self):
+        result = compute_mpr(self.old, np.empty((0, 2)), self.old)
+        assert result.surviving.shape == (0, 2)
+        assert result.stable
 
 
 class TestCorollary1:

@@ -11,7 +11,6 @@ from repro.data.generator import (
 )
 from repro.data.realestate import (
     COLUMNS,
-    column_statistics,
     danish_real_estate,
 )
 from repro.skyline.sfs import sfs_skyline
@@ -121,9 +120,3 @@ class TestRealEstate:
     def test_negative_n_rejected(self):
         with pytest.raises(ValueError):
             danish_real_estate(-5)
-
-    def test_column_statistics(self):
-        data = danish_real_estate(2000, seed=5)
-        mean, std = column_statistics(data)
-        np.testing.assert_allclose(mean, data.mean(axis=0))
-        np.testing.assert_allclose(std, data.std(axis=0))

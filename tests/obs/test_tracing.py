@@ -1,11 +1,10 @@
 """Tests for the span tracer, sinks, and the Stopwatch integration."""
 
-import logging
 import time
 
 import pytest
 
-from repro.obs.sinks import JsonlSink, LoggingSink, RingBufferSink, read_jsonl
+from repro.obs.sinks import JsonlSink, RingBufferSink, read_jsonl
 from repro.obs.tracing import _NULL_SPAN, NULL_TRACER, NullTracer, Tracer
 from repro.stats import Stopwatch
 
@@ -105,16 +104,6 @@ class TestSinks:
         sink.close()
         [record] = read_jsonl(path)
         assert record["attrs"] == {"rows": 3, "ms": 1.5}
-
-    def test_logging_sink_renders_indented_line(self, caplog):
-        logger = logging.getLogger("repro.obs.test")
-        sink = LoggingSink(logger=logger, level=logging.INFO)
-        with caplog.at_level(logging.INFO, logger="repro.obs.test"):
-            sink.emit(
-                {"name": "inner", "depth": 2, "duration_ms": 1.25, "attrs": {"k": 1}}
-            )
-        [message] = caplog.messages
-        assert message == "    inner 1.250ms k=1"
 
 
 class TestNullTracer:

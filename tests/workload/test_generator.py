@@ -154,13 +154,6 @@ class TestWorkloads:
     def test_independent_queries_count(self, gen):
         assert len(gen.independent_queries(12)) == 12
 
-    def test_iter_refinements(self, gen):
-        it = gen.iter_refinements()
-        chain = [next(it) for _ in range(5)]
-        assert len(chain) == 5
-        for a, b in zip(chain, chain[1:]):
-            assert a.overlaps(b)
-
 
 class TestZipfStream:
     """The serving-bench traffic model: zipf-skewed repeats (dedup bait)
