@@ -99,12 +99,16 @@ class Candidates(list):
     touching one :class:`CacheItem`; the short dimension axis leads, so each
     reduction over it is a few whole-row operations.  :meth:`without` is the
     one way to drop a candidate, keeping items and columns aligned.
+
+    ``exact`` marks the key probe's answer: the one item cached under the
+    query's own constraints, found without the overlap search.
     """
 
-    def __init__(self, items, lo: np.ndarray, hi: np.ndarray):
+    def __init__(self, items, lo: np.ndarray, hi: np.ndarray, exact: bool = False):
         super().__init__(items)
         self.lo = lo
         self.hi = hi
+        self.exact = exact
 
     @classmethod
     def of(cls, items) -> "Candidates":
@@ -268,7 +272,8 @@ class SkylineCache:
         # remove/insert nest under one acquisition.  Shared by every
         # engine/service worker querying through this cache concurrently.
         self._lock = threading.RLock()
-        self._by_constraints: dict[tuple, int] = {}
+        #: the live items by ``Constraints.key()``: the exact-match probe
+        self._by_constraints: dict[tuple, CacheItem] = {}
         self._table = _BoundsTable()
         self._clock = itertools.count(1)
         self._id_counter = itertools.count(1)
@@ -326,9 +331,8 @@ class SkylineCache:
 
         with self._lock:
             self._check_ndim(constraints)
-            existing_id = self._by_constraints.get(constraints.key())
-            if existing_id is not None:
-                item = self._table.get(existing_id)
+            item = self._by_constraints.get(constraints.key())
+            if item is not None:
                 if not np.array_equal(item.skyline, skyline):
                     self._reindex(item, skyline)
                     self.refreshes += 1
@@ -348,7 +352,7 @@ class SkylineCache:
             )
             item.last_used = item.inserted_at
             self._table.append(item)
-            self._by_constraints[constraints.key()] = item.item_id
+            self._by_constraints[constraints.key()] = item
             self._restore_stamps(item, stamps)
             self.insertions += 1
             self.metrics.inc("cache_insertions_total")
@@ -425,23 +429,31 @@ class SkylineCache:
     # Lookup
     # ------------------------------------------------------------------
     def candidates(self, query: Constraints, record: bool = True) -> Candidates:
-        """Return all items whose skyline MBR intersects ``R_C'``.
+        """Return the item cached under ``C'`` itself, or else all items
+        whose skyline MBR intersects ``R_C'``.
 
-        This is the paper's cache search, "fetching all cache items where
-        R_C' intersects MBR != empty" (Section 6), as one broadcast overlap
-        test over the bounds table; the items come back as
-        :class:`Candidates`, with their constraint bounds cut from the same
-        table.  Items come back in ascending
-        ``item_id`` -- insertion order -- on every path, so strategy ties
-        break the same way however the cache contents were built.  Hit/miss
-        counters are updated unless ``record`` is False (used by dry-run
-        paths such as :meth:`repro.core.cbcs.CBCS.explain`).  Raises
-        ``ValueError`` when ``query``'s dimensionality differs from the
-        cached items'.
+        The first step is a key probe: an item cached under identical
+        constraints answers the query with nothing to fetch (C' = C, Section
+        6), so it comes back alone, flagged ``exact``, and no other item is
+        looked at.  Otherwise this is the paper's cache search, "fetching
+        all cache items where R_C' intersects MBR != empty" (Section 6), as
+        one broadcast overlap test over the bounds table; the items come
+        back as :class:`Candidates`, with their constraint bounds cut from
+        the same table.  Items come back in ascending ``item_id`` --
+        insertion order -- on every path, so strategy ties break the same
+        way however the cache contents were built.  Hit/miss counters are
+        updated unless ``record`` is False (used by dry-run paths such as
+        :meth:`repro.core.cbcs.CBCS.explain`).  Raises ``ValueError`` when
+        ``query``'s dimensionality differs from the cached items'.
         """
         with self._lock:
             self._check_ndim(query)
-            items = self._table.overlapping(query.lo, query.hi)
+            item = self._by_constraints.get(query.key())
+            if item is not None:
+                c = item.constraints
+                items = Candidates([item], c.lo[:, None], c.hi[:, None], exact=True)
+            else:
+                items = self._table.overlapping(query.lo, query.hi)
         if record:
             if items:
                 self.hits += 1
@@ -461,8 +473,7 @@ class SkylineCache:
     def exact_match(self, query: Constraints) -> Optional[CacheItem]:
         """Return the item cached under exactly these constraints, if any."""
         with self._lock:
-            item_id = self._by_constraints.get(query.key())
-            return self._table.get(item_id) if item_id is not None else None
+            return self._by_constraints.get(query.key())
 
     # ------------------------------------------------------------------
     # Self-healing (invariant verification and quarantine)

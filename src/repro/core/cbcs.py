@@ -67,7 +67,7 @@ from repro.resilience import DEGRADABLE, DeadlineExceeded, resolve_resilience
 from repro.resilience.deadline import Deadline
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, Stopwatch
-from repro.storage.durability import DurabilityManager
+from repro.storage.durability import DurabilityManager, UnsupportedDurableTable
 from repro.storage.table import DiskTable, checked_rowids, checked_rows
 
 __all__ = [
@@ -165,8 +165,18 @@ class CBCS:
         prepared :class:`~repro.storage.durability.DurabilityManager`)
         where :meth:`insert_points` / :meth:`delete_points` batches are
         journaled before they apply and the table is checkpointed.  The
-        default ``None`` keeps writes in memory only.
+        default ``None`` keeps writes in memory only.  A table the log cannot
+        checkpoint (a :class:`~repro.storage.sharding.ShardedTable`) raises
+        :class:`~repro.storage.durability.UnsupportedDurableTable` before
+        anything is created or bound.
         """
+        if durability is not None and not callable(getattr(table, "save", None)):
+            raise UnsupportedDurableTable(
+                f"CBCS({type(table).__name__}(...), durability=...) is not "
+                "supported: the write-ahead log checkpoints and recovers a "
+                "DiskTable only (a durable ShardedTable is the parked "
+                "'durable fleet' item in ROADMAP.md)"
+            )
         self.table = table
         # explicit None checks: an empty SkylineCache is falsy (len 0)
         self.cache = cache if cache is not None else SkylineCache()
@@ -381,9 +391,13 @@ class CBCS:
         the region computer, the ``bounding`` rung plans against no
         candidates -- which *is* the miss plan.
 
-        With cache verification on, the chosen item is invariant-checked
-        (and healed out of the cache if corrupt) *before* CBCS prunes with
-        it; the strategy then re-picks among the rest.
+        The cache search starts with a key probe: an item cached under these
+        very constraints comes back alone and is the plan's item, with no
+        overlap search, strategy or case classification.  With cache
+        verification on, the chosen item is invariant-checked (and healed
+        out of the cache if corrupt) *before* CBCS prunes with it; the
+        strategy then re-picks among the rest -- after a healed exact
+        match, among the whole overlap search.
 
         ``outcome.io`` is the sum of what this pass's own range results
         were stamped with, so queries running at once on one engine
@@ -409,7 +423,7 @@ class CBCS:
                     and not self.cache.verify_and_heal(item)
                 ):
                     attempt.rejected.append(item)
-                    candidates = candidates.without(item)
+                    candidates = self._without(constraints, candidates, item)
                     item = self.planner.select(constraints, candidates)
                 obs.metrics.inc(
                     "cache_lookups_total",
@@ -512,8 +526,17 @@ class CBCS:
                         degraded=RUNG_STALE,
                         stale=True,
                     )
-                candidates = candidates.without(best)
+                candidates = self._without(constraints, candidates, best)
         return None
+
+    def _without(self, constraints: Constraints, candidates, item):
+        """``candidates`` once verification healed ``item`` out of the cache.
+        When ``item`` was the key probe's exact match, that is the overlap
+        search the probe skipped -- unrecorded: the query's one lookup is
+        already counted."""
+        if candidates.exact:
+            return self.cache.candidates(constraints, record=False)
+        return candidates.without(item)
 
     def _explain(self, outcome: QueryOutcome, attempt: Attempt) -> dict:
         """This query's EXPLAIN record, built after the fact from the final
@@ -545,16 +568,18 @@ class CBCS:
 
         Delegates to the same :class:`~repro.core.planner.Planner` the
         execution path runs, so the plan agrees with execution by
-        construction.  Performs the cache search, strategy selection and
-        region computation but issues no disk fetches and leaves the cache
-        untouched (no use counters, no insertion, no
+        construction.  Performs the cache search (key probe first, so an
+        exact match is planned without the strategy), strategy selection
+        and region computation but issues no disk fetches and leaves the
+        cache untouched (no use counters, no insertion, no
         ``strategy_selections_total`` increments) -- safe to call
         repeatedly, and an ``explain()`` before a ``query()`` counts the
-        pair as exactly one lookup and one selection.  The one exception is
-        a write made through the table behind the engine's back: like
-        :meth:`query`, explain drops the cache first, so it never plans
-        with a stale item.  The returned plan's ``candidates_scored`` lists
-        every candidate considered with its score and rejection reason.
+        pair as exactly one lookup and at most one selection.  The one
+        exception is a write made through the table behind the engine's
+        back: like :meth:`query`, explain drops the cache first, so it never
+        plans with a stale item.  The returned plan's ``candidates_scored``
+        lists every candidate considered with its score and rejection
+        reason.
         """
         if constraints.ndim != self.table.ndim:
             raise ValueError("constraints dimensionality does not match the table")

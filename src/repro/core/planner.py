@@ -170,12 +170,16 @@ class Planner:
     ) -> Optional[object]:
         """Pick the cache item to reuse, or None when nothing qualifies.
 
-        ``record=False`` (the explain-only path) suppresses the strategy's
-        selection span and ``strategy_selections_total`` counter so a
-        dry-run plan leaves the observability counters untouched.
+        The key probe's exact match (``candidates.exact``) is the item
+        itself: the strategy is not consulted.  ``record=False`` (the
+        explain-only path) suppresses the strategy's selection span and
+        ``strategy_selections_total`` counter so a dry-run plan leaves the
+        observability counters untouched.
         """
         if not candidates:
             return None
+        if candidates.exact:
+            return candidates[0]
         return self.strategy.select(constraints, candidates, record=record)
 
     def candidate_row(
@@ -234,7 +238,8 @@ class Planner:
         The only builder of plans: a miss (nothing selectable -- including
         the ladder's cache-bypassing bounding rung, which passes no
         candidates) is the single range query over the whole region with
-        nothing reused; an exact match fetches nothing; every other hit
+        nothing reused; an exact match -- the cache's key probe found it, so
+        there is no case to classify -- fetches nothing; every other hit
         fetches the missing-points region, shaped by forecast cost
         (:func:`repro.core.shaping.shape`) -- cached points inside a
         coalesced box leave the reuse set and arrive via the fetch.
@@ -249,11 +254,6 @@ class Planner:
         if item is None:
             item = self.select(constraints, candidates, record=record)
         mpr = reusable = None
-        case = (
-            CASE_MISS
-            if item is None
-            else classify_change(item.constraints, constraints)
-        )
         if item is None:
             plan = QueryPlan(
                 case=CASE_MISS,
@@ -266,7 +266,7 @@ class Planner:
                 boxes=BoxSet(constraints.lo[None], constraints.hi[None]),
                 region_boxes=1,
             )
-        elif case == CASE_EXACT:
+        elif candidates.exact:
             plan = QueryPlan(
                 case=CASE_EXACT,
                 cache_hit=True,
@@ -278,6 +278,7 @@ class Planner:
                 boxes=BoxSet.empty(constraints.ndim),
             )
         else:
+            case = classify_change(item.constraints, constraints)
             mpr = self.compute_region(
                 item, constraints, region_override=region_override, record=record
             )

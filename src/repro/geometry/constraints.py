@@ -103,8 +103,10 @@ class Constraints:
         return Constraints(lo, hi)
 
     def key(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
-        """Return a hashable representation of the constraints."""
-        return (tuple(self.lo), tuple(self.hi))
+        """Return a hashable representation of the constraints, as Python
+        floats: the cache's exact-match probe hashes one per query, and
+        ``tolist`` builds and hashes them far faster than numpy scalars."""
+        return (tuple(self.lo.tolist()), tuple(self.hi.tolist()))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraints):

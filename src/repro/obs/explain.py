@@ -28,7 +28,9 @@ degraded queries the record reflects the final attempted plan plus the rung
 that actually served (``degraded`` field) and ``attempts`` counts the plans
 built; boxes whose fetch never completed keep ``"actual": null``.  A plan
 from the ladder's cache-bypassing ``bounding`` rung has no candidates and
-``no_candidates_reason: "cache-bypassed"``.
+``no_candidates_reason: "cache-bypassed"``.  An exact hit was found by the
+cache's key probe, not by the overlap search: its record lists that one
+candidate, has no boxes, and its predicted and actual costs are zero.
 
 Wiring: the bench CLI (``--explain``) sets an :class:`ExplainRecorder` on
 ``Observability.explainer``; :meth:`repro.core.cbcs.CBCS.query` then emits

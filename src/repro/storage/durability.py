@@ -41,7 +41,18 @@ from repro.ioutil import decode_array, encode_array
 from repro.storage.table import CorruptTableError, DiskTable
 from repro.storage.wal import CheckpointedLog
 
-__all__ = ["DurabilityManager", "RecoveryReport"]
+__all__ = ["DurabilityManager", "RecoveryReport", "UnsupportedDurableTable"]
+
+
+class UnsupportedDurableTable(TypeError):
+    """``durability=`` over a table the log cannot checkpoint or recover.
+
+    The log snapshots the table with its ``save`` and recovery rebuilds a
+    :class:`~repro.storage.table.DiskTable`, so only a ``DiskTable`` (or a
+    wrapper of one) can be made durable; a durable
+    :class:`~repro.storage.sharding.ShardedTable` is the "durable fleet"
+    item ROADMAP.md parks.
+    """
 
 
 @dataclass

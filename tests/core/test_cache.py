@@ -329,3 +329,31 @@ class TestEvictionVictim:
             pool = before + [new]
             evicted = [it for it in pool if it not in list(cache)]
             assert evicted == ([min(pool, key=key)] if len(pool) > capacity else [])
+
+
+class TestKeyProbe:
+    """The search's first step: an item cached under the query's own
+    constraints comes back alone, flagged ``exact``, and counts one hit."""
+
+    def test_an_exact_match_comes_back_alone(self):
+        cache = SkylineCache()
+        wide = cache.insert(Constraints([0.0, 0.0], [1.0, 1.0]), np.array([[0.3, 0.3]]))
+        c, sky = make_item_args(0.2)
+        item = cache.insert(c, sky)
+        found = cache.candidates(Constraints(c.lo, c.hi))
+        assert found == [item] and found.exact
+        np.testing.assert_array_equal(found.lo[:, 0], c.lo)
+        np.testing.assert_array_equal(found.hi[:, 0], c.hi)
+        assert (cache.hits, cache.misses) == (1, 0)
+        overlap = cache.candidates(Constraints([0.1, 0.1], [0.4, 0.4]))
+        assert overlap == [wide, item] and not overlap.exact
+        assert not overlap.without(wide).exact
+
+    def test_the_probe_follows_removal_and_refresh(self):
+        cache = SkylineCache()
+        c, sky = make_item_args(0.2)
+        item = cache.insert(c, sky)
+        refreshed = cache.replace_skyline(item, sky[:1])
+        assert cache.candidates(c) == [refreshed]
+        cache.quarantine(refreshed)
+        assert cache.candidates(c) == [] and cache.exact_match(c) is None

@@ -10,11 +10,12 @@ comparing the case, the range-query count and the boxes themselves (the
 executed boxes are read off the query's EXPLAIN record).
 """
 
+import numpy as np
 import pytest
 
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cbcs import CBCS
-from repro.core.strategies import RandomStrategy
+from repro.core.strategies import CostBased, RandomStrategy, default_strategy_suite
 from repro.data.generator import generate
 from repro.geometry.constraints import Constraints
 from repro.obs import Observability
@@ -168,3 +169,58 @@ def test_explain_under_random_names_the_next_pick_and_draws_nothing():
         if explain_first:
             assert named == {picks[0]}
     assert picks[0] == picks[1]
+
+
+@pytest.mark.parametrize(
+    "name", [s.name for s in default_strategy_suite()] + [CostBased.name]
+)
+def test_an_exact_repeat_is_the_key_probe_under_every_strategy(name):
+    """C' = C is found by the cache's key probe, whatever the strategy:
+    explain() names the item query() serves, case ``exact``; the EXPLAIN
+    record lists that one candidate, no boxes and zero cost; the strategy
+    is never consulted (no selection counted, ``Random`` draws nothing)."""
+    data = generate("independent", 2000, 2, seed=5)
+    table = DiskTable(data)
+    region = ApproximateMPR(k=1)
+    strategy = (
+        CostBased(table, region)
+        if name == CostBased.name
+        else next(s for s in default_strategy_suite(seed=4) if s.name == name)
+    )
+    obs = Observability()
+    obs.explainer = ExplainRecorder(keep=1)
+    engine = CBCS(table, strategy=strategy, region_computer=region, obs=obs)
+    query = Constraints([0.25, 0.25], [0.65, 0.65])
+    # a superset that ties the exact item on overlap volume, listed first,
+    # and smaller neighbours on every side
+    engine.warm(
+        [Constraints([0.1, 0.1], [0.9, 0.9]), query]
+        + [Constraints([0.1 * i, 0.1 * i], [0.5 + 0.05 * i] * 2) for i in range(4)]
+    )
+    exact = engine.cache.exact_match(query)
+    selections = obs.metrics.counter_value(
+        "strategy_selections_total", strategy=strategy.name
+    )
+    rng = getattr(strategy, "_rng", None)
+    state = None if rng is None else rng.bit_generator.state
+
+    plan = engine.explain(query)
+    outcome = engine.query(query)
+    [record] = obs.explainer.records
+    assert plan.case == outcome.case == record["case"] == "exact"
+    assert plan.item_id == record["plan"]["item_id"] == exact.item_id
+    np.testing.assert_array_equal(outcome.skyline, exact.skyline)
+    assert plan.candidates == 1
+    assert [row["item_id"] for row in record["candidates"]] == [exact.item_id]
+    assert record["candidates"][0]["selected"]
+    assert record["boxes"] == []
+    zero = {"points": 0, "pages": 0, "seeks": 0, "io_ms": 0.0}
+    assert record["predicted"] == record["actual"] == zero
+    assert record["predicted_io_ms"]["plan"] == 0.0
+    assert outcome.range_queries == outcome.points_read == 0
+    assert (
+        obs.metrics.counter_value("strategy_selections_total", strategy=strategy.name)
+        == selections
+    )
+    if rng is not None:
+        assert rng.bit_generator.state == state

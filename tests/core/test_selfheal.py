@@ -162,3 +162,30 @@ class TestCounterConsistencyUnderPressure:
         make_item(cache, 0.1)
         stats = cache.stats()
         assert "refreshes" in stats and "quarantined" in stats
+
+
+class TestRottedExactMatch:
+    def test_a_healed_exact_match_falls_back_to_the_full_search(self):
+        """The key probe's item is verified before it is served; healed
+        away, the query is planned against the overlap search it skipped
+        (one lookup counted) and answered right."""
+        from repro.core.cbcs import CBCS
+        from repro.resilience import Resilience
+        from repro.skyline.reference import constrained_reference
+        from repro.storage.table import DiskTable
+
+        data = np.random.default_rng(0).random((400, 2))
+        engine = CBCS(DiskTable(data), resilience=Resilience())
+        wide = Constraints([0.2, 0.2], [0.8, 0.9])
+        query = Constraints([0.2, 0.2], [0.8, 0.8])
+        engine.query(wide)
+        engine.query(query)
+        engine.cache.exact_match(query).skyline[0, 0] = np.nan
+        hits = engine.cache.hits
+        out = engine.query(query)
+        assert engine.cache.hits == hits + 1
+        assert engine.cache.quarantined == 1
+        assert out.case == "case_b" and out.range_queries == 0
+        expected = constrained_reference(data, query)
+        assert sorted(map(tuple, out.skyline)) == sorted(map(tuple, expected))
+        assert engine.query(query).case == "exact"

@@ -4,9 +4,11 @@ Hypothesis draws the storage -- a plain :class:`DiskTable`, or a
 :class:`ShardedTable` of 1, 2 or 4 range or hash shards -- the
 dimensionality, smooth or duplicate-heavy rows, region computer and cache
 capacity, then drives random interleavings of queries (fresh, refined, and
-cornered on a live row), inserts, deletes, vacuums and cache clears against a
-:class:`CBCS` over it -- the writes both through the engine and through
-``engine.table`` directly, behind the engine's back.
+cornered on a live row, and repeats of earlier ones), inserts, deletes,
+vacuums and cache clears against a :class:`CBCS` over it -- the writes both
+through the engine and through ``engine.table`` directly, behind the
+engine's back.  A repeat whose item is still cached, with every write seen
+by the engine, must be the cache's exact hit and read nothing.
 After every query the answer must pass
 :func:`~repro.skyline.reference.answer_error` -- the soaks' verdict: equal
 to the reference skyline of the live rows, or flagged stale -- over a mirror
@@ -89,6 +91,11 @@ class EngineMachine(RuleBasedStateMachine):
         #: the machine's own record of the live rows: row id -> values
         self.live = dict(enumerate(data))
         self.last_query = None
+        #: every query asked so far, for the repeats
+        self.asked = []
+        #: ``table.write_count`` as of the engine's last look at the table
+        #: (a query syncs it, the engine's own writes keep it)
+        self.writes_seen = self.engine.table.write_count
         plan = self.engine.planner.plan
         self.engine.planner.plan = lambda *args, **kwargs: self._checked(
             plan(*args, **kwargs)
@@ -124,6 +131,21 @@ class EngineMachine(RuleBasedStateMachine):
         assert error is None, error
         self.last_query = constraints
         self.last_answer = out.skyline
+        self.asked.append(constraints)
+        self.writes_seen = self.engine.table.write_count
+        return out
+
+    def _repeat(self, constraints):
+        """C' = C: with its item cached and no write unseen, the query is an
+        exact hit that issues no range query."""
+        cached = (
+            self.engine.cache.exact_match(constraints) is not None
+            and self.engine.table.write_count == self.writes_seen
+        )
+        out = self._check(constraints)
+        if cached:
+            assert out.case == "exact", out.case
+            assert out.io.range_queries == 0
 
     @rule(bounds=st.lists(st.tuples(coord, coord), min_size=MAX_NDIM, max_size=MAX_NDIM))
     def fresh_query(self, bounds):
@@ -160,6 +182,13 @@ class EngineMachine(RuleBasedStateMachine):
             refined = q.with_bound(dim, upper=new_hi)
         self._check(refined)
 
+    @precondition(lambda self: self.asked)
+    @rule(pick=st.integers(0, 10_000))
+    def repeat_an_earlier_query(self, pick):
+        """Whatever was written since -- through the engine, behind it, or
+        refreshed by a delete -- a repeat is right, and exact when cached."""
+        self._repeat(self.asked[pick % len(self.asked)])
+
     @rule(n=st.integers(1, 3), seed=st.integers(0, 10_000))
     def insert_rows(self, n, seed):
         rows = self._rows(np.random.default_rng(seed), n)
@@ -178,6 +207,24 @@ class EngineMachine(RuleBasedStateMachine):
         assert self.engine.delete_points(pick) == 2
         for rowid in pick.tolist():
             del self.live[rowid]
+        self.writes_seen = self.engine.table.write_count
+
+    @precondition(lambda self: self.last_query is not None and len(self.live) > 20)
+    @rule()
+    def delete_a_row_of_the_last_answer(self):
+        """An engine delete of a skyline row refreshes the item cached under
+        the last query (``replace_skyline``); that query asked again is an
+        exact hit on the refreshed item."""
+        answered = [
+            i for i, row in self.live.items()
+            if (self.last_answer == row).all(axis=1).any()
+        ]
+        if not answered:
+            return
+        assert self.engine.delete_points([answered[0]]) == 1
+        del self.live[answered[0]]
+        self.writes_seen = self.engine.table.write_count
+        self._repeat(self.last_query)
 
     @rule(n=st.integers(1, 3), seed=st.integers(0, 10_000), corner=st.booleans())
     def append_through_table(self, n, seed, corner):

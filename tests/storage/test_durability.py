@@ -7,8 +7,9 @@ from repro.core.cache import SkylineCache
 from repro.core.cbcs import CBCS
 from repro.geometry.constraints import Constraints
 from repro.obs.metrics import MetricsRegistry
-from repro.storage.durability import DurabilityManager
+from repro.storage.durability import DurabilityManager, UnsupportedDurableTable
 from repro.storage.faults import FaultInjector, SimulatedCrash
+from repro.storage.sharding import ShardedTable
 from repro.storage.table import CorruptTableError, DiskTable
 from repro.storage.wal import CheckpointedLog
 
@@ -328,3 +329,22 @@ class TestOneCheckpointedLog:
             assert reopened.checkpoint_lsn == reopened.wal.last_lsn > 0
             assert list(reopened.tail()) == []
             reopened.close()
+
+
+class TestUnsupportedDurableTable:
+    def test_a_sharded_table_is_refused_before_the_directory_is_touched(
+        self, tmp_path
+    ):
+        """The log checkpoints and recovers a ``DiskTable`` only: a
+        ``ShardedTable`` with ``durability=`` is refused by a typed error
+        that names the combination, and no ``wal/`` (or anything else) is
+        created in the directory."""
+        directory = tmp_path / "durable"
+        directory.mkdir()
+        table = ShardedTable(np.random.default_rng(0).random((100, 2)), 3)
+        with pytest.raises(UnsupportedDurableTable, match="ShardedTable"):
+            CBCS(table, durability=directory)
+        assert list(directory.iterdir()) == []
+        with pytest.raises(UnsupportedDurableTable, match="durable fleet"):
+            CBCS(table, durability=tmp_path / "absent")
+        assert not (tmp_path / "absent").exists()
