@@ -42,8 +42,8 @@ from repro.core.cases import (
     classify_change,
 )
 from repro.core.cbcs import CBCS
-from repro.core.executor import Executor, FetchOutcome
-from repro.core.planner import PlannedQuery, Planner, QueryPlan
+from repro.core.executor import Executor
+from repro.core.planner import Planner, QueryPlan
 from repro.core.mpr import MPRResult, compute_mpr
 from repro.core.stability import guaranteed_stable
 from repro.core.strategies import (
@@ -70,8 +70,6 @@ __all__ = [
     "CostBased",
     "ExactMPR",
     "Executor",
-    "FetchOutcome",
-    "PlannedQuery",
     "Planner",
     "QueryPlan",
     "GENERAL_STABLE",

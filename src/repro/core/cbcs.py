@@ -25,11 +25,13 @@ The engine is split into three layers (see ``docs/architecture.md``):
   breaker) instead of a bare ``table.range_query``.
 
 ``CBCS`` itself keeps the stateful glue, and states the paper's sequence
-exactly once, in :meth:`CBCS._answer`: search, verify, select, plan (a miss
-is the degenerate plan), fetch the plan's boxes, merge with the reusable
-points, skyline, cache.  The degradation ladder is a table of rungs walked
-by one loop in :meth:`CBCS._serve`, each rung one more pass of that same
-body.  :meth:`CBCS.query` is the per-query preamble and epilogue (id,
+exactly once, as one pass in two steps: :meth:`CBCS._plan` (search,
+verify, select, plan -- a miss is the degenerate plan) and
+:meth:`CBCS._execute` (fetch the plan's boxes, merge with the reusable
+points, skyline, cache).  The :class:`~repro.core.planner.QueryPlan` is
+the one record of the pass.  The degradation ladder is a table of rungs
+walked by one loop in :meth:`CBCS._serve`, each rung one more pass of that
+same body.  :meth:`CBCS.query` is the per-query preamble and epilogue (id,
 root span, outcome record, and -- after the fact -- the EXPLAIN record).
 Every query returns a :class:`~repro.stats.QueryOutcome` with the
 Figure-10 stage breakdown.
@@ -48,8 +50,7 @@ stale answer.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -57,18 +58,23 @@ from repro.core.ampr import ApproximateMPR
 from repro.core.cache import SkylineCache
 from repro.core.cases import CASE_EXACT
 from repro.core.executor import Executor
-from repro.core.planner import CASE_MISS, PlannedQuery, Planner, QueryPlan
+from repro.core.planner import CASE_MISS, Planner, QueryPlan
 from repro.core.strategies import CacheSearchStrategy, MaxOverlapSP
 from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints, overlap_volumes
 from repro.geometry.dominance import dominated_mask
-from repro.obs import NULL_OBS, bind, current_query_id
+from repro.obs import NULL_OBS, bind
 from repro.resilience import DEGRADABLE, DeadlineExceeded, resolve_resilience
 from repro.resilience.deadline import Deadline
 from repro.skyline.sfs import sfs_skyline
 from repro.stats import QueryOutcome, Stopwatch
 from repro.storage.durability import DurabilityManager, UnsupportedDurableTable
-from repro.storage.table import DiskTable, checked_rowids, checked_rows
+from repro.storage.table import (
+    DiskTable,
+    checked_rowids,
+    checked_rows,
+    concat_results,
+)
 
 __all__ = [
     "CBCS",
@@ -101,28 +107,6 @@ class Rung(NamedTuple):
     label: Optional[str]
     region: Optional[object] = None
     use_cache: bool = True
-
-
-@dataclass
-class Attempt:
-    """One pass of the query body, as the EXPLAIN record will describe it.
-
-    Created per rung by :meth:`CBCS._serve` and filled in by
-    :meth:`CBCS._answer` as it goes, so a pass that dies mid-fetch still
-    shows what it planned.  Lives for one ``query()`` call; outcomes never
-    reference it.
-    """
-
-    #: plans built so far for this query (1 unless the ladder was walked)
-    number: int
-    rung: Rung
-    #: cache size the plan was built against (before this query's insert)
-    cache_items: int
-    #: items cache verification healed away before the plan was built
-    rejected: List = field(default_factory=list)
-    planned: Optional[PlannedQuery] = None
-    #: per-box ``RangeResult``s of the completed fetch, in plan order
-    parts: tuple = ()
 
 
 class CBCS:
@@ -302,22 +286,23 @@ class CBCS:
             query_id = obs.correlation.new_id()
         with bind(query_id):
             with obs.tracer.span("cbcs.query", strategy=self.strategy.name) as qspan:
-                outcome, attempt = self._serve(constraints, qspan, deadline)
+                outcome, attempts, plan = self._serve(constraints, qspan, deadline)
             outcome.query_id = query_id
             obs.record_outcome(outcome)
             # the EXPLAIN record is built after the fact, and only when asked
             if obs.explainer is not None:
-                obs.explainer.record(self._explain(outcome, attempt))
+                obs.explainer.record(self._explain(outcome, attempts, plan))
         return outcome
 
     def _serve(self, constraints: Constraints, qspan, deadline):
         """Walk the rung table until one pass of the body succeeds.
 
-        Returns the outcome plus the final :class:`Attempt` (what EXPLAIN
-        describes).  Without resilience only the configured rung runs and
-        storage errors propagate.  With it, each rung is one more pass of
-        :meth:`_answer` under a fresh retry budget; the outcome carries the
-        retries of every rung tried.
+        Returns the outcome, the number of passes started and the last
+        pass's plan (None when planning itself raised) -- what EXPLAIN
+        describes.  Without resilience only the configured rung runs and
+        storage errors propagate.  With it, each rung is one more pass --
+        :meth:`_plan`, then :meth:`_execute` -- under a fresh retry budget;
+        the outcome carries the retries of every rung tried.
 
         A per-request ``deadline`` gates the descent: a fetching rung is
         only attempted while budget remains, and a rung interrupted by
@@ -331,18 +316,22 @@ class CBCS:
         if self.resilience is None:
             if deadline is not None:
                 deadline.check("ingress")
-            attempt = Attempt(1, self._ladder[0], len(self.cache))
-            return self._answer(constraints, qspan, attempt), attempt
+            watch = Stopwatch(tracer=self.obs.tracer)
+            plan = self._plan(constraints, self._ladder[0], qspan, watch)
+            return self._execute(plan, watch), 1, plan
 
         metrics = self.obs.metrics
-        retries = 0
+        retries = attempts = 0
+        plan = None
         for number, rung in enumerate(self._ladder, 1):
             if number > 1 and deadline is not None and deadline.expired:
                 break
-            attempt = Attempt(number, rung, len(self.cache))
+            attempts, plan = number, None
+            watch = Stopwatch(tracer=self.obs.tracer)
             state = self.resilience.new_state(deadline=deadline)
             try:
-                outcome = self._answer(constraints, qspan, attempt, state)
+                plan = self._plan(constraints, rung, qspan, watch)
+                outcome = self._execute(plan, watch, state)
             except DeadlineExceeded:
                 break
             except DEGRADABLE:
@@ -355,7 +344,7 @@ class CBCS:
                 outcome.degraded = rung.label
                 qspan.set(degraded=rung.label)
             outcome.retries = retries
-            return outcome, attempt
+            return outcome, attempts, plan
 
         if deadline is not None and deadline.expired:
             metrics.inc("query_deadline_exceeded_total", method=self.name)
@@ -376,20 +365,16 @@ class CBCS:
                 stale=True,
             )
         outcome.retries = retries
-        return outcome, attempt
+        return outcome, attempts, plan
 
-    def _answer(
-        self, constraints: Constraints, qspan, attempt: Attempt, retry_state=None
-    ) -> QueryOutcome:
-        """The query body -- the paper's Section 6, written once.
+    def _plan(self, constraints: Constraints, rung: Rung, qspan, watch) -> QueryPlan:
+        """The query body's first half -- the ``processing`` stage: search
+        the cache, verify and select one item (or none), plan.
 
-        Search the cache and pick one item (or none); plan; fetch the
-        plan's boxes; merge them with the reusable cached points (none on
-        a miss); take the skyline; cache it.  A miss is just the plan that
-        reuses nothing, an exact match the plan that fetches nothing, and
-        ``attempt.rung`` only varies the planning: the ``ampr`` rung swaps
-        the region computer, the ``bounding`` rung plans against no
-        candidates -- which *is* the miss plan.
+        A miss is just the plan that reuses nothing, an exact match the plan
+        that fetches nothing, and ``rung`` only varies the planning: the
+        ``ampr`` rung swaps the region computer, the ``bounding`` rung plans
+        against no candidates -- which *is* the miss plan.
 
         The cache search starts with a key probe: an item cached under these
         very constraints comes back alone and is the plan's item, with no
@@ -397,21 +382,12 @@ class CBCS:
         verification on, the chosen item is invariant-checked (and healed
         out of the cache if corrupt) *before* CBCS prunes with it; the
         strategy then re-picks among the rest -- after a healed exact
-        match, among the whole overlap search.
-
-        ``outcome.io`` is the sum of what this pass's own range results
-        were stamped with, so queries running at once on one engine
-        (``QueryService`` workers) never bill each other.  Under resilience
-        an attempt that raised returned no result to carry its charge: what
-        it read (a truncated or corrupt payload that validation rejected)
-        stays on the table's counters alone, like the reads of a rung that
-        failed -- no outcome is billed for it.
+        match, among the whole overlap search.  The items healed away and
+        the cache size the plan saw land on the plan, for EXPLAIN.
         """
         obs = self.obs
-        rung = attempt.rung
-        watch = Stopwatch(tracer=obs.tracer)
-
-        candidates, item = (), None
+        cache_items = len(self.cache)
+        candidates, item, rejected = (), None, []
         with watch.stage("processing"):
             if rung.use_cache:
                 with obs.tracer.span("cache.search"):
@@ -422,7 +398,7 @@ class CBCS:
                     and item is not None
                     and not self.cache.verify_and_heal(item)
                 ):
-                    attempt.rejected.append(item)
+                    rejected.append(item)
                     candidates = self._without(constraints, candidates, item)
                     item = self.planner.select(constraints, candidates)
                 obs.metrics.inc(
@@ -431,14 +407,30 @@ class CBCS:
                     outcome="hit" if item is not None else "miss",
                 )
             with obs.tracer.span("case.classify") as cspan:
-                planned = attempt.planned = self.planner.plan(
+                plan = self.planner.plan(
                     constraints, candidates, item=item, region_override=rung.region
                 )
-                plan = planned.plan
                 cspan.set(case=plan.case, item_id=plan.item_id)
-                plan.query_id = current_query_id()
+        plan.rejected, plan.cache_items = rejected, cache_items
         qspan.set(case=plan.case, cache_hit=plan.cache_hit, stable=plan.stable)
+        return plan
 
+    def _execute(self, plan: QueryPlan, watch, retry_state=None) -> QueryOutcome:
+        """The query body's second half: fetch the plan's boxes, merge them
+        with the reusable cached points (none on a miss), take the skyline,
+        cache it.  An exact match fetches nothing: its item's skyline is the
+        answer.  A completed fetch's per-box results land on the plan.
+
+        ``outcome.io`` is the sum of what this pass's own range results
+        were stamped with, so queries running at once on one engine
+        (``QueryService`` workers) never bill each other.  Under resilience
+        a pass that raised returned no result to carry its charge: what it
+        read (a truncated or corrupt payload that validation rejected)
+        stays on the table's counters alone, like the reads of a rung that
+        failed -- no outcome is billed for it.
+        """
+        obs = self.obs
+        item = plan.item
         if plan.case == CASE_EXACT:
             self.cache.touch(item)
             return QueryOutcome(
@@ -451,15 +443,15 @@ class CBCS:
             )
 
         with watch.stage("fetch_wall"):
-            fetch = self.executor.fetch(
+            parts = self.executor.fetch(
                 self.table, plan.boxes, self.resilience, retry_state
             )
-        attempt.parts = fetch.parts
-        fetched = fetch.result
+            fetched = concat_results(parts, self.table.ndim)
+        plan.parts = parts
 
         with watch.stage("skyline"):
             with obs.tracer.span("skyline.merge") as mspan:
-                reusable = planned.reusable
+                reusable = plan.reusable
                 if reusable is not None and len(fetched) == 0:
                     # Nothing new: the surviving cached points are already a
                     # skyline among themselves (Definition 1), and by Theorem 6
@@ -482,7 +474,7 @@ class CBCS:
         if item is not None:
             self.cache.touch(item)
         if self.cache_results:
-            inserted = self.cache.insert(constraints, skyline)
+            inserted = self.cache.insert(plan.constraints, skyline)
             if (
                 self._verify
                 and inserted is not None
@@ -538,27 +530,21 @@ class CBCS:
             return self.cache.candidates(constraints, record=False)
         return candidates.without(item)
 
-    def _explain(self, outcome: QueryOutcome, attempt: Attempt) -> dict:
-        """This query's EXPLAIN record, built after the fact from the final
-        attempt (only called with an ``ExplainRecorder`` installed)."""
+    def _explain(self, outcome: QueryOutcome, attempts: int, plan) -> dict:
+        """This query's EXPLAIN record, built after the fact from the last
+        pass's plan (only called with an ``ExplainRecorder`` installed)."""
         from repro.obs.explain import explain_record, plan_sections
 
         sections = {}
         # planning itself can fail a pass (healing a corrupt item writes to
         # a durable cache's log); such a record is just the outcome head
-        if attempt.planned is not None:
-            sections = plan_sections(
-                self.planner,
-                attempt.cache_items,
-                not attempt.rung.use_cache,
-                attempt.rejected,
-                attempt.planned,
-                attempt.parts,
-            )
+        if plan is not None:
+            bypassed = not self._ladder[attempts - 1].use_cache
+            sections = plan_sections(self.planner, plan, bypassed)
         return explain_record(
             outcome,
             self.name,
-            attempt.number,
+            attempts,
             strategy=self.strategy.name,
             **sections,
         )
@@ -685,7 +671,7 @@ class CBCS:
             try:
                 fetched = self.executor.fetch(
                     self.table, BoxSet(c.lo[None], c.hi[None]), self.resilience
-                ).result.points
+                )[0].points
             except DEGRADABLE:
                 self.cache.remove(item)
                 continue

@@ -1,38 +1,20 @@
 """The execution layer: runs a plan's range queries against the table.
 
-:meth:`Executor.fetch` is the only place per-box results are gathered: it
+:meth:`Executor.fetch` is the only place per-box results are read: it
 takes the planner's disjoint boxes -- the plan's
 :class:`~repro.geometry.box.BoxSet`, closed float bounds from the region
 algebra to the disk, with no :class:`~repro.geometry.box.Box` built on the
 way -- and reads each row, in plan order, on the calling thread -- with
 ``table.range_query(lo, hi)``, or, when the engine runs with resilience,
 with :meth:`repro.resilience.Resilience.read` (the same call, validated,
-retried and behind the circuit breaker).  There is
-no other fetch path (DESIGN.md section 5, item 16): the disk is a cost
-model behind one lock, so threads here could only ever improve a
-simulated number.
+retried and behind the circuit breaker).  It returns the per-box
+:class:`~repro.storage.table.RangeResult` records; the caller merges them
+with :func:`~repro.storage.table.concat_results`.  There is no other fetch
+path (DESIGN.md section 5, item 16): the disk is a cost model behind one
+lock, so threads here could only ever improve a simulated number.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-
-from repro.storage.table import RangeResult, concat_results
-
-
-@dataclass(frozen=True)
-class FetchOutcome:
-    """One fetch stage's merged result plus its per-box parts.
-
-    ``parts`` keeps the per-box :class:`RangeResult` records in plan order
-    (one per box fetched): each carries the I/O that call charged, so the
-    engine bills the query -- and the explain layer joins each planned
-    box's predicted cost -- from them.  The tuple aliases the same arrays
-    the merged ``result`` concatenates -- no copies.
-    """
-
-    result: RangeResult
-    parts: tuple
 
 
 class Executor:
@@ -44,9 +26,11 @@ class Executor:
     and calls ``engine.executor.close()``.
     """
 
-    def fetch(self, table, boxes, resilience=None, state=None) -> FetchOutcome:
+    def fetch(self, table, boxes, resilience=None, state=None) -> tuple:
         """Fetch every row of ``boxes`` (a :class:`~repro.geometry.box.BoxSet`)
-        in plan order and merge the results.
+        in plan order; returns one
+        :class:`~repro.storage.table.RangeResult` per box, each
+        carrying the I/O that call charged.
 
         The first box that raises (a fault-injected error,
         ``RetriesExhausted``, ``CircuitOpenError``) ends the fetch: the
@@ -58,11 +42,9 @@ class Executor:
         """
         rows = zip(boxes.lo, boxes.hi)
         if resilience is None:
-            parts = tuple(table.range_query(lo, hi) for lo, hi in rows)
-        else:
-            state = resilience.new_state() if state is None else state
-            parts = tuple(resilience.read(table, lo, hi, state) for lo, hi in rows)
-        return FetchOutcome(concat_results(parts, table.ndim), parts)
+            return tuple(table.range_query(lo, hi) for lo, hi in rows)
+        state = resilience.new_state() if state is None else state
+        return tuple(resilience.read(table, lo, hi, state) for lo, hi in rows)
 
     def close(self) -> None:
         """Nothing to release (kept for ``perfbench/``, see the class)."""

@@ -8,8 +8,8 @@ disjoint range queries cover the missing-points region (exact MPR or aMPR)
 -- always against that *one* item, as in the paper's Section 6: every region
 computer has the single interface ``compute(old, skyline, new)`` (combining
 several items was built, measured and removed; DESIGN.md section 5 item 11).
-It emits a :class:`QueryPlan` -- the engine's EXPLAIN record -- plus the
-intermediate products the executor needs to actually run it.
+It emits a :class:`QueryPlan` -- the one record of a pass: what the engine
+executes and what EXPLAIN shows.
 
 Both :meth:`repro.core.cbcs.CBCS.explain` and the execution path call the
 same :meth:`Planner.plan`, so explain/execute agreement holds by
@@ -56,38 +56,80 @@ def score_as_json(score):
 
 @dataclass
 class QueryPlan:
-    """A dry-run description of how CBCS would answer a query.
+    """One pass of the query body: how CBCS answers (or would answer) a query.
 
-    Produced by :meth:`Planner.plan` (surfaced as :meth:`CBCS.explain`)
-    without touching the disk or mutating the cache -- the EXPLAIN of this
-    engine.  ``estimated_points`` and ``candidates_scored`` are read only by
+    Built by :meth:`Planner.plan` without touching the disk or mutating the
+    cache -- the same record :meth:`CBCS.explain` returns and the engine
+    executes.  ``items`` are the cache candidates it was planned against,
+    ``item`` the selected one (None on a miss) and ``mpr`` the computed
+    missing-points region (None on a miss or an exact hit, where there is
+    nothing to compute) -- the region *before* shaping: ``boxes`` cover
+    ``mpr.boxes`` and lie in the query region.  ``reusable`` holds the
+    cached skyline points that carry over into the answer: the item's whole
+    skyline on an exact hit, the MPR's survivors outside every planned box
+    on any other hit, None on a miss (nothing is reused).
+
+    ``estimated_points`` and ``candidates_scored`` are read only by
     ``explain()`` and EXPLAIN records, so only :meth:`Planner.annotate`
-    computes them; the execution path never pays for the estimator.
+    computes them; the execution path never pays for the estimator.  The
+    engine fills ``rejected``, ``cache_items`` and ``parts`` as the pass
+    runs, for the EXPLAIN record built after it.
     """
 
+    constraints: Constraints
     case: str
-    cache_hit: bool
-    stable: Optional[bool]
-    candidates: int
-    item_id: Optional[int]
-    reusable_points: int
-    #: boxes issued -- ``len(boxes)``, after shaping
-    range_queries: int
     #: the boxes issued, in order, as closed float bounds (the executor
     #: reads their rows; iterating yields :class:`~repro.geometry.box.Box`)
     boxes: BoxSet
-    #: boxes the region computer emitted, before shaping (the paper's
-    #: "range queries generated", Figure 9)
-    region_boxes: int = 0
+    items: Sequence = ()
+    item: Optional[object] = None
+    mpr: Optional[object] = None
+    reusable: Optional[np.ndarray] = None
     #: the table's forecast of the rows the planned range queries read
     estimated_points: int = 0
-    #: correlation id of the query this plan was produced for; stamped by
-    #: the engine during execution (``explain`` plans keep the default None)
-    query_id: Optional[str] = None
     #: per-candidate scoring table (one dict per cache item considered,
     #: with overlap/case/score and a rejection reason) -- see
     #: :meth:`Planner.candidate_table`
     candidates_scored: List[dict] = field(default_factory=list)
+    #: items cache verification healed away before the plan was built
+    rejected: Sequence = ()
+    #: cache size the plan was built against (before this query's insert)
+    cache_items: int = 0
+    #: per-box ``RangeResult``s of the completed fetch, in plan order
+    parts: tuple = ()
+
+    @property
+    def cache_hit(self) -> bool:
+        return self.item is not None
+
+    @property
+    def stable(self) -> Optional[bool]:
+        if self.mpr is not None:
+            return self.mpr.stable
+        return True if self.item is not None else None
+
+    @property
+    def candidates(self) -> int:
+        return len(self.items) if self.item is not None else 0
+
+    @property
+    def item_id(self) -> Optional[int]:
+        return None if self.item is None else self.item.item_id
+
+    @property
+    def reusable_points(self) -> int:
+        return 0 if self.reusable is None else len(self.reusable)
+
+    @property
+    def range_queries(self) -> int:
+        """Boxes issued -- ``len(boxes)``, after shaping."""
+        return len(self.boxes)
+
+    @property
+    def region_boxes(self) -> int:
+        """Boxes the region computer emitted, before shaping (the paper's
+        "range queries generated", Figure 9)."""
+        return len(self.boxes if self.mpr is None else self.mpr.boxes)
 
     def to_dict(self) -> dict:
         """JSON-serializable rendering of the plan.
@@ -107,8 +149,6 @@ class QueryPlan:
             "estimated_points": self.estimated_points,
             "boxes": [box.to_dict() for box in self.boxes],
         }
-        if self.query_id is not None:
-            record["query_id"] = self.query_id
         if self.candidates_scored:
             record["candidates_scored"] = [
                 dict(row) for row in self.candidates_scored
@@ -124,32 +164,6 @@ class QueryPlan:
             f"{self.range_queries} range queries (~{self.estimated_points} "
             f"points)"
         )
-
-
-@dataclass
-class PlannedQuery:
-    """A :class:`QueryPlan` plus the working state the executor needs.
-
-    ``plan`` is the serializable EXPLAIN record; ``candidates`` are the
-    cache items it was planned against, ``item`` the selected one (None on
-    a miss) and ``mpr`` the computed missing-points region (None on a miss
-    or an exact hit, where there is nothing to fetch) -- the region *before*
-    shaping: ``plan.boxes`` cover ``mpr.boxes`` and lie in the query region.
-    ``reusable`` holds the cached skyline points that carry over into the
-    answer: the MPR's survivors outside every planned box on a hit, None on
-    a miss (nothing is reused).
-    """
-
-    plan: QueryPlan
-    constraints: Constraints
-    candidates: Sequence = ()
-    item: Optional[object] = None
-    mpr: Optional[object] = None
-    reusable: Optional[np.ndarray] = None
-
-    @property
-    def case(self) -> str:
-        return self.plan.case
 
 
 class Planner:
@@ -232,7 +246,7 @@ class Planner:
         item=None,
         region_override=None,
         record: bool = True,
-    ) -> PlannedQuery:
+    ) -> QueryPlan:
         """Plan one query against the given (already verified) candidates.
 
         The only builder of plans: a miss (nothing selectable -- including
@@ -253,57 +267,38 @@ class Planner:
         """
         if item is None:
             item = self.select(constraints, candidates, record=record)
-        mpr = reusable = None
         if item is None:
-            plan = QueryPlan(
-                case=CASE_MISS,
-                cache_hit=False,
-                stable=None,
-                candidates=0,
-                item_id=None,
-                reusable_points=0,
-                range_queries=1,
-                boxes=BoxSet(constraints.lo[None], constraints.hi[None]),
-                region_boxes=1,
+            return QueryPlan(
+                constraints,
+                CASE_MISS,
+                BoxSet(constraints.lo[None], constraints.hi[None]),
+                items=candidates,
             )
-        elif candidates.exact:
-            plan = QueryPlan(
-                case=CASE_EXACT,
-                cache_hit=True,
-                stable=True,
-                candidates=len(candidates),
-                item_id=item.item_id,
-                reusable_points=item.skyline_size,
-                range_queries=0,
-                boxes=BoxSet.empty(constraints.ndim),
+        if candidates.exact:
+            return QueryPlan(
+                constraints,
+                CASE_EXACT,
+                BoxSet.empty(constraints.ndim),
+                items=candidates,
+                item=item,
+                reusable=item.skyline,
             )
-        else:
-            case = classify_change(item.constraints, constraints)
-            mpr = self.compute_region(
-                item, constraints, region_override=region_override, record=record
-            )
-            fetch, hulls, reusable = mpr.boxes, 0, mpr.surviving
-            if len(fetch) > 1:
-                # (one box has nothing to coalesce with, and whether it is
-                # empty the table finds out without a seek)
-                fetch, hulls, _ = shape(fetch, self._forecast)
-            if hulls and len(reusable):
-                reusable = reusable[~fetch.union_mask(reusable)]
-            plan = QueryPlan(
-                case=case,
-                cache_hit=True,
-                stable=mpr.stable,
-                candidates=len(candidates),
-                item_id=item.item_id,
-                reusable_points=len(reusable),
-                range_queries=len(fetch),
-                boxes=fetch,
-                region_boxes=len(mpr.boxes),
-            )
-        return PlannedQuery(
-            plan=plan,
-            constraints=constraints,
-            candidates=candidates,
+        case = classify_change(item.constraints, constraints)
+        mpr = self.compute_region(
+            item, constraints, region_override=region_override, record=record
+        )
+        fetch, hulls, reusable = mpr.boxes, 0, mpr.surviving
+        if len(fetch) > 1:
+            # (one box has nothing to coalesce with, and whether it is
+            # empty the table finds out without a seek)
+            fetch, hulls, _ = shape(fetch, self._forecast)
+        if hulls and len(reusable):
+            reusable = reusable[~fetch.union_mask(reusable)]
+        return QueryPlan(
+            constraints,
+            case,
+            fetch,
+            items=candidates,
             item=item,
             mpr=mpr,
             reusable=reusable,
@@ -313,7 +308,7 @@ class Planner:
         """The table's :class:`~repro.storage.table.Forecast` of ``boxes``."""
         return self._forecast(boxes.lo, boxes.hi)
 
-    def annotate(self, planned: PlannedQuery) -> QueryPlan:
+    def annotate(self, plan: QueryPlan) -> QueryPlan:
         """Fill the plan's explain-only fields; returns the plan.
 
         ``estimated_points`` (the forecast rows of the planned boxes) and
@@ -321,10 +316,9 @@ class Planner:
         I/O-free but not free: only ``explain()`` and EXPLAIN records call
         this, never the execution path.
         """
-        plan = planned.plan
         plan.estimated_points = int(round(self.forecast(plan.boxes).rows.sum()))
         plan.candidates_scored = self.candidate_table(
-            planned.constraints, planned.candidates, chosen=planned.item
+            plan.constraints, plan.items, chosen=plan.item
         )
         return plan
 

@@ -9,8 +9,9 @@ exemplars, the ``--query-log`` JSONL records, EXPLAIN records).  This module giv
   at the ingress (``QueryService.submit`` or ``CBCS.query``);
 - :func:`bind` installs the id in a :mod:`contextvars` context variable for
   the duration of the query, and :func:`current_query_id` reads it from
-  anywhere on the call path -- the tracer stamps it onto every span and
-  ``CBCS`` onto the executed plan.
+  anywhere on the call path -- the tracer stamps it onto every span;
+  ``CBCS`` stamps it onto the outcome, and the EXPLAIN record copies it
+  from there.  A plan carries no id.
 
 Joining an ``--obs`` directory's artifacts is a filter on that key: the
 spans of query ``q`` are the ``trace.jsonl`` lines whose

@@ -19,14 +19,15 @@ records the decision itself:
 One record is emitted per ``query()`` call, stamped with the query's
 correlation id, so ``explain.jsonl`` joins 1:1 with ``queries.jsonl`` and
 the trace.  The record is built *once, after the query body ran*, by pure
-functions of values the body already holds -- the candidates it planned
-against, the items cache verification rejected, the
-:class:`~repro.core.planner.PlannedQuery`, the per-box
-:class:`~repro.storage.table.RangeResult` parts of the fetch, and the
-outcome -- so the engine carries no explain state while it runs.  For
-degraded queries the record reflects the final attempted plan plus the rung
-that actually served (``degraded`` field) and ``attempts`` counts the plans
-built; boxes whose fetch never completed keep ``"actual": null``.  A plan
+functions of the last pass's :class:`~repro.core.planner.QueryPlan` -- the
+candidates it was planned against, the items cache verification rejected,
+the per-box :class:`~repro.storage.table.RangeResult` parts of its fetch --
+and the outcome, so the engine carries no explain state beside the plan.
+For degraded queries the record reflects the last pass the ladder started
+plus the rung that actually served (``degraded`` field) and ``attempts``
+counts the passes started; boxes whose fetch never completed keep
+``"actual": null``.  A pass whose planning raised left no plan: its record
+is the outcome head alone.  A plan
 from the ladder's cache-bypassing ``bounding`` rung has no candidates and
 ``no_candidates_reason: "cache-bypassed"``.  An exact hit was found by the
 cache's key probe, not by the overlap search: its record lists that one
@@ -114,47 +115,46 @@ def explain_record(outcome, method, attempts, strategy=None, **sections) -> dict
     return stamp(record)
 
 
-def plan_sections(planner, cache_items, bypassed, rejected, planned, parts) -> dict:
-    """The decision + predicted-vs-actual sections of one planned query.
+def plan_sections(planner, plan, bypassed) -> dict:
+    """The decision + predicted-vs-actual sections of one executed plan.
 
-    ``planned`` is the final attempt's plan, ``rejected`` the cache items
-    verification removed before it was built, ``parts`` the per-box fetch
-    results in plan order (empty when the fetch never completed, so every
-    box keeps ``"actual": null``).  ``cache_items`` is the cache size the
-    plan was built against; ``bypassed`` marks the bounding rung, which
-    never consulted it.  I/O-free forecast and cost-model math only.
+    ``plan`` is the last pass's :class:`~repro.core.planner.QueryPlan`:
+    ``plan.rejected`` the cache items verification removed before it was
+    built, ``plan.cache_items`` the cache size it saw, ``plan.parts`` the
+    per-box fetch results in plan order (empty when the fetch never
+    completed, so every box keeps ``"actual": null``).  ``bypassed`` marks
+    the bounding rung, which never consulted the cache.  I/O-free forecast
+    and cost-model math only.
     """
     from repro.geometry.box import BoxSet
 
-    plan = planner.annotate(planned)
+    planner.annotate(plan)
     forecast = planner.forecast(plan.boxes)
     model = forecast.model
     # the shaping decision: what was planned, what the region computer's
     # boxes would have cost one by one (a miss or an exact hit has none but
     # the plan's), and the one-box alternative
-    region = plan.boxes if planned.mpr is None else planned.mpr.boxes
-    query = planned.constraints
+    region = plan.boxes if plan.mpr is None else plan.mpr.boxes
+    query = plan.constraints
     shaping = {
         "plan": forecast,
         "region": planner.forecast(region),
         "one_box": planner.forecast(BoxSet(query.lo[None], query.hi[None])),
     }
     candidates = [dict(row) for row in plan.candidates_scored] + [
-        planner.candidate_row(
-            planned.constraints, item, rejection=REJECT_FAILED_VERIFICATION
-        )
-        for item in rejected
+        planner.candidate_row(query, item, rejection=REJECT_FAILED_VERIFICATION)
+        for item in plan.rejected
     ]
     reason = None
     if bypassed:
         reason = REASON_CACHE_BYPASSED
     elif not candidates:
-        reason = REASON_EMPTY_CACHE if cache_items == 0 else REASON_NO_OVERLAP
+        reason = REASON_EMPTY_CACHE if plan.cache_items == 0 else REASON_NO_OVERLAP
     # per-box actuals join in plan order; a fetch that never completed
     # (degraded rung) leaves every box unexecuted
-    executed = len(parts) == len(plan.boxes)
+    executed = len(plan.parts) == len(plan.boxes)
     actuals = (
-        [_actual_cost(part) for part in parts]
+        [_actual_cost(part) for part in plan.parts]
         if executed
         else [None] * len(plan.boxes)
     )
@@ -174,7 +174,7 @@ def plan_sections(planner, cache_items, bypassed, rejected, planned, parts) -> d
         )
     ]
     return {
-        "cache_items": int(cache_items),
+        "cache_items": int(plan.cache_items),
         "no_candidates_reason": reason,
         "candidates": candidates,
         "plan": {key: getattr(plan, key) for key in _PLAN_KEYS},

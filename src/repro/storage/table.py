@@ -123,7 +123,7 @@ class RangeResult:
 def concat_results(parts: Sequence[RangeResult], ndim: int) -> RangeResult:
     """Concatenate range results in the order given, summing their charges.
 
-    The one gatherer: the executor joins a plan's disjoint boxes with it and
+    The one gatherer: the engine joins a plan's disjoint boxes with it and
     a sharded table the shards one box touches.  Points and row ids are
     concatenated independently, so a fault-truncated part (points shorter
     than row ids) keeps its mismatched signature for

@@ -25,7 +25,7 @@ from repro.skyline.bbs import BBSMethod
 from repro.stats import StageTimings
 from repro.storage.faults import TransientStorageError
 from repro.storage.pager import IOStats
-from repro.storage.table import DiskTable
+from repro.storage.table import DiskTable, concat_results
 from repro.workload.generator import WorkloadGenerator
 
 
@@ -164,19 +164,19 @@ class TestExecutorMerging:
 
     def test_fetch_gathers_in_plan_order(self, data):
         table = DiskTable(data)
-        outcome = Executor().fetch(table, QUADRANTS)
-        assert len(outcome.parts) == 4
-        assert [p.range_queries for p in outcome.parts] == [1, 1, 1, 1]
-        assert outcome.result.rowids.tolist() == [
-            r for p in outcome.parts for r in p.rowids.tolist()
-        ]
-        assert len(outcome.result) == len(data)
-        assert outcome.result.io_stats() == table.stats
+        parts = Executor().fetch(table, QUADRANTS)
+        assert len(parts) == 4
+        assert [p.range_queries for p in parts] == [1, 1, 1, 1]
+        merged = concat_results(parts, table.ndim)
+        assert merged.rowids.tolist() == [r for p in parts for r in p.rowids.tolist()]
+        assert len(merged) == len(data)
+        assert merged.io_stats() == table.stats
 
     def test_empty_plan_is_free(self, data):
         table = DiskTable(data)
-        outcome = Executor().fetch(table, BoxSet.empty(3))
-        assert len(outcome.result) == 0
-        assert outcome.parts == ()
-        assert outcome.result.io_stats() == IOStats()
+        parts = Executor().fetch(table, BoxSet.empty(3))
+        assert parts == ()
+        merged = concat_results(parts, table.ndim)
+        assert len(merged) == 0
+        assert merged.io_stats() == IOStats()
         assert table.stats.range_queries == 0

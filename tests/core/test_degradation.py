@@ -203,6 +203,65 @@ class TestDegradationLadder:
         assert record["no_candidates_reason"] == "cache-bypassed"
         assert record["cache_items"] == 1
 
+    @staticmethod
+    def stepping_deadline(budget_ms):
+        """A deadline whose clock moves 1 ms each time it is read."""
+        ticks = iter(range(1_000_000))
+        return Deadline(budget_ms, clock=lambda: next(ticks) / 1000.0)
+
+    def test_a_deadline_expiring_between_rungs_reports_the_pass_that_ran(
+        self, data
+    ):
+        """Rung 1 spends its retries with the deadline still open; the ladder
+        finds it expired before rung 2 and serves stale.  The record
+        describes rung 1's pass -- ``attempts: 1`` and its item -- not the
+        bounding rung the loop never started."""
+        obs = Observability()
+        recorder = obs.explainer = ExplainRecorder(keep=4)
+        injector = FaultInjector("none", seed=0)
+        engine = CBCS(
+            FaultyDiskTable(DiskTable(data), injector),
+            resilience=Resilience(policy=RetryPolicy(max_attempts=2, jitter=0.0)),
+            obs=obs,
+        )
+        engine.query(WIDE)
+        injector.force_outage(10_000)
+        outcome = engine.query(NARROW, deadline=self.stepping_deadline(5.0))
+        assert outcome.degraded == "stale" and outcome.stale
+        assert outcome.retries == 1
+        record = recorder.records[-1]
+        assert record["attempts"] == 1
+        assert record["plan"]["item_id"] == 1
+        assert record["no_candidates_reason"] is None
+        assert record["actual"] is None
+        assert all(box["actual"] is None for box in record["boxes"])
+
+    def test_a_pass_whose_planning_raised_records_the_outcome_head(self, data):
+        """Verification healing writes to a durable cache's log, so planning
+        itself can raise: that pass leaves no plan, and with the deadline
+        gone before rung 2 the record is the outcome head alone."""
+        obs = Observability()
+        recorder = obs.explainer = ExplainRecorder(keep=4)
+        engine = CBCS(DiskTable(data), resilience=True, obs=obs)
+        engine.query(WIDE)
+        heal = engine.cache.verify_and_heal
+        failures = [OSError("cache log write failed")]
+
+        def failing_once(item):
+            if failures:
+                raise failures.pop()
+            return heal(item)
+
+        engine.cache.verify_and_heal = failing_once
+        outcome = engine.query(NARROW, deadline=self.stepping_deadline(1.0))
+        assert not failures
+        assert outcome.degraded == "stale" and outcome.stale
+        record = recorder.records[-1]
+        assert record["query_id"] == outcome.query_id
+        assert record["degraded"] == "stale"
+        assert record["attempts"] == 1
+        assert "plan" not in record and "boxes" not in record
+
     def test_breaker_open_skips_storage_and_degrades(self, data):
         breaker = CircuitBreaker(failure_threshold=1, cooldown_calls=1000)
         engine, injector = make_engine(

@@ -30,9 +30,8 @@ def spy_on(engine):
         return range_query(lo, hi)
 
     def traced_plan(*args, **kwargs):
-        planned = plan(*args, **kwargs)
-        plans.append(planned.plan)
-        return planned
+        plans.append(plan(*args, **kwargs))
+        return plans[-1]
 
     table.range_query = traced_range_query
     planner.plan = traced_plan

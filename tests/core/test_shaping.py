@@ -324,8 +324,8 @@ class TestPlans:
         filtered = coalesced = 0
         for constraints in WorkloadGenerator(data, seed=3).exploratory_stream(60):
             candidates = engine.cache.candidates(constraints, record=False)
-            planned = engine.planner.plan(constraints, candidates, record=False)
-            plan, mpr = planned.plan, planned.mpr
+            plan = engine.planner.plan(constraints, candidates, record=False)
+            mpr = plan.mpr
             engine.query(constraints)
             if mpr is None:
                 continue
@@ -337,8 +337,8 @@ class TestPlans:
             in_region = mpr.boxes.union_mask(data)
             assert fetch.union_mask(data)[in_region].all()
             # cached points inside a planned box arrive via the fetch
-            assert not fetch.union_mask(planned.reusable).any()
-            filtered += len(planned.reusable) < len(mpr.surviving)
+            assert not fetch.union_mask(plan.reusable).any()
+            filtered += len(plan.reusable) < len(mpr.surviving)
             coalesced += not set(plan.boxes) <= set(mpr.boxes)
         assert coalesced > 0 and filtered > 0
 

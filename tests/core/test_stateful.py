@@ -101,12 +101,12 @@ class EngineMachine(RuleBasedStateMachine):
             plan(*args, **kwargs)
         )
 
-    def _checked(self, planned):
+    def _checked(self, plan):
         """MPR <= R <= C' for a plan the engine is about to execute."""
-        boxes, mpr = planned.plan.boxes, planned.mpr
+        boxes, mpr = plan.boxes, plan.mpr
         if mpr is None:
-            return planned
-        region = planned.constraints.region()
+            return plan
+        region = plan.constraints.region()
         # the region itself: disjoint boxes, each holding a double
         assert not mpr.boxes.is_empty().any()
         assert pairwise_disjoint(mpr.boxes)
@@ -115,8 +115,8 @@ class EngineMachine(RuleBasedStateMachine):
         rows = np.array(list(self.live.values()))
         fetch = BoxSet.of(boxes, ndim=self.ndim)
         assert fetch.union_mask(rows)[mpr.boxes.union_mask(rows)].all()
-        assert not fetch.union_mask(planned.reusable).any()
-        return planned
+        assert not fetch.union_mask(plan.reusable).any()
+        return plan
 
     def _rows(self, rng, n, lo=0.0, hi=1.0):
         rows = rng.uniform(lo, hi, size=(n, self.ndim))

@@ -9,6 +9,7 @@ from repro.core.cbcs import CBCS
 from repro.geometry.constraints import Constraints
 from repro.obs import Observability
 from repro.obs.correlate import QueryCorrelation, bind, current_query_id
+from repro.obs.explain import ExplainRecorder
 from repro.obs.sinks import JsonlSink, RingBufferSink
 from repro.storage.table import DiskTable
 
@@ -141,16 +142,25 @@ class TestEngineCorrelation:
         assert outcome.query_id == "svc00000042"
         engine.close()
 
-    def test_executed_plan_is_stamped_but_explain_is_not(self):
+    def test_outcome_explain_record_and_spans_share_one_id(self):
+        """A plan carries no id: the outcome holds it, and the EXPLAIN
+        record and every span of the query repeat it."""
         obs = Observability()
         ring = RingBufferSink()
         obs.tracer.add_sink(ring)
+        recorder = obs.explainer = ExplainRecorder(keep=4)
         rng = np.random.default_rng(5)
         engine = CBCS(DiskTable(rng.random((500, 3)), obs=obs), obs=obs)
         base = Constraints(lo=np.zeros(3), hi=np.full(3, 0.6))
         refine = Constraints(lo=np.zeros(3), hi=np.full(3, 0.5))
         engine.query(base)
-        assert engine.explain(refine).query_id is None
+        assert "query_id" not in engine.explain(refine).to_dict()
+        ring.clear()
+        outcome = engine.query(refine)
+        assert outcome.query_id is not None
+        assert recorder.records[-1]["query_id"] == outcome.query_id
+        assert ring.spans
+        assert {s["attrs"]["query_id"] for s in ring.spans} == {outcome.query_id}
         engine.close()
 
 

@@ -16,7 +16,7 @@ from repro.resilience.errors import CircuitOpenError, RetriesExhausted
 from repro.storage.backend import StorageBackend
 from repro.storage.faults import FaultInjector, FaultProfile, FaultyDiskTable
 from repro.storage.sharding import ShardedTable
-from repro.storage.table import DiskTable
+from repro.storage.table import DiskTable, concat_results
 
 
 @pytest.fixture
@@ -89,13 +89,15 @@ def _instrumented(table):
 
 
 class TestOneGatherer:
-    """``Executor.fetch`` is the only place per-box results are merged: on
-    every read path the merged record carries all four per-box actuals."""
+    """``Executor.fetch`` returns the per-box results and ``concat_results``
+    is the one place they are merged: on every read path the merged record
+    carries all four per-box actuals."""
 
     def test_no_boxes_gather_to_an_empty_result(self, table):
         # built from ``table.ndim``, not from a private table method
         faulty, resilience = _resilient(table)
-        merged = Executor().fetch(faulty, BoxSet.empty(2), resilience).result
+        parts = Executor().fetch(faulty, BoxSet.empty(2), resilience)
+        merged = concat_results(parts, faulty.ndim)
         assert merged.points.shape == (0, 2) and merged.rowids.dtype == np.int64
         assert (merged.rows_fetched, merged.io_ms, merged.seeks) == (0, 0.0, 0)
 
@@ -105,9 +107,9 @@ class TestOneGatherer:
     def test_merged_result_sums_every_counter(self, table, stack):
         before = table.stats.snapshot()
         read_from, resilience = stack(table)
-        outcome = Executor().fetch(read_from, HALVES, resilience)
+        parts = Executor().fetch(read_from, HALVES, resilience)
         delta = table.stats.delta_since(before)
-        merged, parts = outcome.result, outcome.parts
+        merged = concat_results(parts, 2)
         assert len(parts) == len(HALVES) == delta.range_queries
         assert merged.rows_fetched == sum(p.rows_fetched for p in parts)
         assert merged.rows_fetched == delta.points_read > 0
@@ -158,7 +160,9 @@ class TestResilientRangeQuery:
         faulty = FaultyDiskTable(DiskTable(data), injector)
         res = Resilience()
         for _ in range(10):
-            result = Executor().fetch(faulty, BoxSet(BOX[0][None], BOX[1][None]), res).result
+            (result,) = Executor().fetch(
+                faulty, BoxSet(BOX[0][None], BOX[1][None]), res
+            )
             assert np.isfinite(result.points).all()
 
     def test_exhausted_retries_raise(self, data):
@@ -213,8 +217,9 @@ class TestBreakerIntegration:
 
     def test_executor_fetch_is_per_box_protected(self, data):
         faulty, res, injector = self.make_stack(data, threshold=5)
-        result = Executor().fetch(faulty, HALVES, res, res.new_state()).result
-        raw = Executor().fetch(DiskTable(data), HALVES).result
+        parts = Executor().fetch(faulty, HALVES, res, res.new_state())
+        result = concat_results(parts, 2)
+        raw = concat_results(Executor().fetch(DiskTable(data), HALVES), 2)
         assert injector.calls == len(HALVES)  # one guarded operation per box
         assert np.array_equal(
             np.sort(result.rowids), np.sort(raw.rowids)

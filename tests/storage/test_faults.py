@@ -14,7 +14,7 @@ from repro.storage.faults import (
     TransientStorageError,
     get_profile,
 )
-from repro.storage.table import DiskTable
+from repro.storage.table import DiskTable, concat_results
 
 
 def full_box(ndim):
@@ -136,7 +136,7 @@ class TestFaultyDiskTable:
         halves = BoxSet.of(
             [Box.closed([0.0, 0.0], [0.5, 1.0]), Box.closed([0.5, 0.0], [1.0, 1.0])]
         )
-        result = Executor().fetch(wrapped, halves).result
+        result = concat_results(Executor().fetch(wrapped, halves), 2)
         assert len(result.points) != len(result.rowids)
 
     def test_corruption_injects_nan(self):

@@ -13,7 +13,7 @@ from repro.geometry.box import Box, BoxSet
 from repro.geometry.interval import Interval
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.sharding import ShardedTable
-from repro.storage.table import DiskTable
+from repro.storage.table import DiskTable, concat_results
 
 
 @pytest.fixture()
@@ -194,7 +194,7 @@ class TestAccounting:
             ]
         )
         before = t.stats.snapshot()
-        result = Executor().fetch(t, boxes).result
+        result = concat_results(Executor().fetch(t, boxes), 3)
         delta = t.stats.delta_since(before)
         assert delta.range_queries == 2
         # disjoint boxes: no duplicate rowids in the union
@@ -204,8 +204,7 @@ class TestAccounting:
 
     def test_executor_fetch_of_no_boxes_is_empty(self, table):
         t, _ = table
-        result = Executor().fetch(t, BoxSet.empty(3)).result
-        assert len(result) == 0
+        assert Executor().fetch(t, BoxSet.empty(3)) == ()
 
     def test_full_scan(self, table):
         t, data = table
