@@ -272,8 +272,10 @@ class SkylineCache:
         # remove/insert nest under one acquisition.  Shared by every
         # engine/service worker querying through this cache concurrently.
         self._lock = threading.RLock()
-        #: the live items by ``Constraints.key()``: the exact-match probe
-        self._by_constraints: dict[tuple, CacheItem] = {}
+        #: the key probe: each live item's ``Constraints.key()`` -> the
+        #: item alone as the probe's answer, ``Candidates(exact=True)``,
+        #: built once at insertion (an item's constraints never change)
+        self._by_constraints: dict[tuple, Candidates] = {}
         self._table = _BoundsTable()
         self._clock = itertools.count(1)
         self._id_counter = itertools.count(1)
@@ -331,8 +333,9 @@ class SkylineCache:
 
         with self._lock:
             self._check_ndim(constraints)
-            item = self._by_constraints.get(constraints.key())
-            if item is not None:
+            probe = self._by_constraints.get(constraints.key())
+            if probe is not None:
+                item = probe[0]
                 if not np.array_equal(item.skyline, skyline):
                     self._reindex(item, skyline)
                     self.refreshes += 1
@@ -352,7 +355,9 @@ class SkylineCache:
             )
             item.last_used = item.inserted_at
             self._table.append(item)
-            self._by_constraints[constraints.key()] = item
+            self._by_constraints[constraints.key()] = Candidates(
+                [item], constraints.lo[:, None], constraints.hi[:, None], exact=True
+            )
             self._restore_stamps(item, stamps)
             self.insertions += 1
             self.metrics.inc("cache_insertions_total")
@@ -448,11 +453,8 @@ class SkylineCache:
         """
         with self._lock:
             self._check_ndim(query)
-            item = self._by_constraints.get(query.key())
-            if item is not None:
-                c = item.constraints
-                items = Candidates([item], c.lo[:, None], c.hi[:, None], exact=True)
-            else:
+            items = self._by_constraints.get(query.key())
+            if items is None:
                 items = self._table.overlapping(query.lo, query.hi)
         if record:
             if items:
@@ -473,7 +475,8 @@ class SkylineCache:
     def exact_match(self, query: Constraints) -> Optional[CacheItem]:
         """Return the item cached under exactly these constraints, if any."""
         with self._lock:
-            return self._by_constraints.get(query.key())
+            probe = self._by_constraints.get(query.key())
+        return None if probe is None else probe[0]
 
     # ------------------------------------------------------------------
     # Self-healing (invariant verification and quarantine)
@@ -581,7 +584,7 @@ class SkylineCache:
             self.log.close(self)
 
     def __len__(self) -> int:
-        return len(self._table)
+        return len(self._table.ids)
 
     def __iter__(self):
         with self._lock:

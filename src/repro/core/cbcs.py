@@ -170,6 +170,8 @@ class CBCS:
         )
         self.skyline_algorithm = skyline_algorithm
         self.cache_results = cache_results
+        #: the method label of every outcome (``CBCS[<region computer>]``)
+        self.name = f"CBCS[{self.region.name}]"
         self.obs = NULL_OBS if obs is None else obs
         self.resilience = resolve_resilience(resilience)
         self._verify = self.resilience is not None and self.resilience.verify_cache
@@ -213,10 +215,6 @@ class CBCS:
             durability.ensure_checkpoint(table)
         #: ``table.write_count`` when the cache was last known current
         self._writes_seen = table.write_count
-
-    @property
-    def name(self) -> str:
-        return f"CBCS[{self.region.name}]"
 
     def close(self) -> None:
         """Close the table's log, then the cache's, each with a final
@@ -280,18 +278,23 @@ class CBCS:
         if constraints.ndim != self.table.ndim:
             raise ValueError("constraints dimensionality does not match the table")
         self._sync()
-        deadline = Deadline.normalize(deadline)
+        if deadline is not None:
+            deadline = Deadline.normalize(deadline)
         obs = self.obs
         if query_id is None and obs.enabled:
             query_id = obs.correlation.new_id()
         with bind(query_id):
             with obs.tracer.span("cbcs.query", strategy=self.strategy.name) as qspan:
                 outcome, attempts, plan = self._serve(constraints, qspan, deadline)
-            outcome.query_id = query_id
-            obs.record_outcome(outcome)
-            # the EXPLAIN record is built after the fact, and only when asked
-            if obs.explainer is not None:
-                obs.explainer.record(self._explain(outcome, attempts, plan))
+            # the epilogue: none with observability off and no caller's id
+            if query_id is not None:
+                outcome.query_id = query_id
+                if obs.enabled:
+                    obs.record_outcome(outcome)
+                    # the EXPLAIN record is built after the fact, and only
+                    # when asked
+                    if obs.explainer is not None:
+                        obs.explainer.record(self._explain(outcome, attempts, plan))
         return outcome
 
     def _serve(self, constraints: Constraints, qspan, deadline):
@@ -401,18 +404,21 @@ class CBCS:
                     rejected.append(item)
                     candidates = self._without(constraints, candidates, item)
                     item = self.planner.select(constraints, candidates)
-                obs.metrics.inc(
-                    "cache_lookups_total",
-                    strategy=self.strategy.name,
-                    outcome="hit" if item is not None else "miss",
-                )
+                if obs.enabled:
+                    obs.metrics.inc(
+                        "cache_lookups_total",
+                        strategy=self.strategy.name,
+                        outcome="hit" if item is not None else "miss",
+                    )
             with obs.tracer.span("case.classify") as cspan:
                 plan = self.planner.plan(
                     constraints, candidates, item=item, region_override=rung.region
                 )
-                cspan.set(case=plan.case, item_id=plan.item_id)
+                if obs.enabled:
+                    cspan.set(case=plan.case, item_id=plan.item_id)
         plan.rejected, plan.cache_items = rejected, cache_items
-        qspan.set(case=plan.case, cache_hit=plan.cache_hit, stable=plan.stable)
+        if obs.enabled:
+            qspan.set(case=plan.case, cache_hit=plan.cache_hit, stable=plan.stable)
         return plan
 
     def _execute(self, plan: QueryPlan, watch, retry_state=None) -> QueryOutcome:

@@ -32,7 +32,7 @@ table's I/O-free forecast.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
 
 import numpy as np
@@ -89,8 +89,8 @@ class QueryPlan:
     estimated_points: int = 0
     #: per-candidate scoring table (one dict per cache item considered,
     #: with overlap/case/score and a rejection reason) -- see
-    #: :meth:`Planner.candidate_table`
-    candidates_scored: List[dict] = field(default_factory=list)
+    #: :meth:`Planner.candidate_table`; empty until :meth:`Planner.annotate`
+    candidates_scored: Sequence[dict] = ()
     #: items cache verification healed away before the plan was built
     rejected: Sequence = ()
     #: cache size the plan was built against (before this query's insert)

@@ -358,9 +358,14 @@ class BoxSet:
         )
 
     @staticmethod
+    @lru_cache(maxsize=None)
     def empty(ndim: int) -> "BoxSet":
-        """Return the set of no ``ndim``-dimensional box."""
-        return BoxSet(np.empty((0, ndim)), np.empty((0, ndim)))
+        """Return the set of no ``ndim``-dimensional box: one shared instance
+        per ``ndim``, its (empty) bound arrays read-only."""
+        lo, hi = np.empty((0, ndim)), np.empty((0, ndim))
+        lo.setflags(write=False)
+        hi.setflags(write=False)
+        return BoxSet(lo, hi)
 
     @staticmethod
     def difference(

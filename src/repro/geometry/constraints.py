@@ -16,9 +16,13 @@ from repro.geometry.box import Box
 
 
 class Constraints:
-    """Orthogonal range constraints: one ``[lo, hi]`` interval per dimension."""
+    """Orthogonal range constraints: one ``[lo, hi]`` interval per dimension.
 
-    __slots__ = ("lo", "hi")
+    A value: the bounds are read-only arrays, so ``ndim`` is set once and the
+    hashable :meth:`key` is built on first use and kept.
+    """
+
+    __slots__ = ("lo", "hi", "ndim", "_key")
 
     def __init__(self, lo: Sequence[float], hi: Sequence[float]):
         lo_arr = np.asarray(lo, dtype=float).copy()
@@ -33,6 +37,8 @@ class Constraints:
         hi_arr.setflags(write=False)
         self.lo = lo_arr
         self.hi = hi_arr
+        self.ndim = len(lo_arr)
+        self._key = None
 
     # ------------------------------------------------------------------
     # Constructors
@@ -48,10 +54,6 @@ class Constraints:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    @property
-    def ndim(self) -> int:
-        return len(self.lo)
-
     def region(self) -> Box:
         """Return ``R_C``, the closed constraint region, as a :class:`Box`."""
         return Box.closed(self.lo, self.hi)
@@ -105,8 +107,12 @@ class Constraints:
     def key(self) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
         """Return a hashable representation of the constraints, as Python
         floats: the cache's exact-match probe hashes one per query, and
-        ``tolist`` builds and hashes them far faster than numpy scalars."""
-        return (tuple(self.lo.tolist()), tuple(self.hi.tolist()))
+        ``tolist`` builds and hashes them far faster than numpy scalars.
+        Built on the first call and kept (the bounds cannot change)."""
+        key = self._key
+        if key is None:
+            key = self._key = (tuple(self.lo.tolist()), tuple(self.hi.tolist()))
+        return key
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Constraints):

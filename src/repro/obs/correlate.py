@@ -27,8 +27,7 @@ from __future__ import annotations
 
 import contextvars
 import itertools
-from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Optional
 
 __all__ = ["QueryCorrelation", "bind", "current_query_id"]
 
@@ -44,21 +43,30 @@ def current_query_id() -> Optional[str]:
     return _QUERY_ID.get()
 
 
-@contextmanager
-def bind(query_id: Optional[str]) -> Iterator[Optional[str]]:
+class bind:
     """Install ``query_id`` as the ambient id for the ``with`` body.
 
     Binding None is a no-op (the previous binding, if any, stays visible),
-    so callers can pass an optional id through without branching.
+    so callers can pass an optional id through without branching.  A class
+    rather than a generator context manager: every query enters one.
     """
-    if query_id is None:
-        yield None
-        return
-    token = _QUERY_ID.set(query_id)
-    try:
-        yield query_id
-    finally:
-        _QUERY_ID.reset(token)
+
+    __slots__ = ("query_id", "_token")
+
+    def __init__(self, query_id: Optional[str]) -> None:
+        self.query_id = query_id
+        self._token = None
+
+    def __enter__(self) -> Optional[str]:
+        if self.query_id is not None:
+            self._token = _QUERY_ID.set(self.query_id)
+        return self.query_id
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if self._token is not None:
+            _QUERY_ID.reset(self._token)
+            self._token = None
+        return False
 
 
 class QueryCorrelation:

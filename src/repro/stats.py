@@ -12,9 +12,8 @@ each figure from a uniform record.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -133,15 +132,44 @@ class QueryOutcome:
         }
 
 
-#: Valid Stopwatch stage names: exactly the ``*_ms``-suffixed *fields* of
-#: :class:`StageTimings`.  Derived explicitly from ``dataclasses.fields`` so
-#: read-only properties such as ``wall_ms`` (which a plain ``hasattr`` check
-#: would accept) are rejected.
-STAGE_NAMES = frozenset(
-    f.name[: -len("_ms")]
-    for f in fields(StageTimings)
-    if f.name.endswith("_ms")
-)
+#: Valid Stopwatch stage names: the *measured* ``*_ms`` fields of
+#: :class:`StageTimings`.  ``fetch_io`` is not one of them: it is the
+#: simulated disk latency, set from the query's I/O counters, and a stage of
+#: that name would add wall-clock time into it.  Read-only properties such
+#: as ``wall_ms`` are not fields, so they are not stages either.
+STAGE_NAMES = frozenset(("processing", "fetch_wall", "skyline"))
+
+
+class _Stage:
+    """One named stage of one :class:`Stopwatch`: the context manager
+    ``Stopwatch.stage(name)`` returns, made once per name and reused.
+
+    Nested stages of different names are different objects, each with its
+    own ``start``; a stage entered again (after a normal exit or a raise)
+    restarts its clock and adds to the same field.
+    """
+
+    __slots__ = ("timings", "attr", "span", "record", "start")
+
+    def __init__(self, watch: "Stopwatch", name: str) -> None:
+        self.timings = watch.timings
+        self.attr = f"{name}_ms"
+        self.span = f"stage.{name}"
+        tracer = watch.tracer
+        #: the tracer's ``record``, or None when tracing is off
+        self.record = tracer.record if tracer.enabled else None
+        self.start = 0.0
+
+    def __enter__(self) -> None:
+        self.start = time.perf_counter()
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        elapsed_ms = (time.perf_counter() - self.start) * 1000.0
+        timings, attr = self.timings, self.attr
+        setattr(timings, attr, getattr(timings, attr) + elapsed_ms)
+        if self.record is not None:
+            self.record(self.span, elapsed_ms)
+        return False
 
 
 class Stopwatch:
@@ -151,25 +179,23 @@ class Stopwatch:
     stage is also recorded as a ``stage.<name>`` span carrying *the same*
     measured duration (one clock reading feeds both ``StageTimings`` and the
     trace, so the two timing paths cannot drift).  With the default
-    :data:`~repro.obs.tracing.NULL_TRACER` the span recording is a no-op.
+    :data:`~repro.obs.tracing.NULL_TRACER` nothing is recorded.
     """
+
+    __slots__ = ("timings", "tracer", "_stages")
 
     def __init__(self, tracer: Optional[Tracer] = None) -> None:
         self.timings = StageTimings()
         self.tracer = NULL_TRACER if tracer is None else tracer
+        self._stages: dict = {}
 
-    @contextmanager
-    def stage(self, name: str) -> Iterator[None]:
-        """Time a block and add it to ``timings.<name>_ms``."""
-        if name not in STAGE_NAMES:
-            raise ValueError(
-                f"unknown stage {name!r}; expected one of {sorted(STAGE_NAMES)}"
-            )
-        attr = f"{name}_ms"
-        start = time.perf_counter()
-        try:
-            yield
-        finally:
-            elapsed_ms = (time.perf_counter() - start) * 1000.0
-            setattr(self.timings, attr, getattr(self.timings, attr) + elapsed_ms)
-            self.tracer.record(f"stage.{name}", elapsed_ms)
+    def stage(self, name: str) -> _Stage:
+        """Time a ``with`` block and add it to ``timings.<name>_ms``."""
+        stage = self._stages.get(name)
+        if stage is None:
+            if name not in STAGE_NAMES:
+                raise ValueError(
+                    f"unknown stage {name!r}; expected one of {sorted(STAGE_NAMES)}"
+                )
+            stage = self._stages[name] = _Stage(self, name)
+        return stage

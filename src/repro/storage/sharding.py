@@ -35,9 +35,10 @@ the shard soak (:func:`repro.bench.soak.shards`).
 
 from __future__ import annotations
 
+import itertools
 import threading
 import zlib
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from typing import Callable, List, Literal, Optional, Sequence
 
 import numpy as np
@@ -74,10 +75,18 @@ def hash_key(value: float, n_shards: int) -> int:
 class Shard:
     """One partition.  ``table`` may be reassigned (e.g. to a
     :class:`~repro.storage.faults.FaultyDiskTable` around it) to fault one
-    shard; the fleet looks it up on every call."""
+    shard; the fleet looks it up on every call, and ``fleet`` (the
+    :class:`ShardedTable` holding the shard) watches the new table's
+    writes."""
 
     shard_id: int
     table: DiskTable
+    fleet: Optional["ShardedTable"] = field(default=None, repr=False, compare=False)
+
+    def __setattr__(self, name: str, value) -> None:
+        object.__setattr__(self, name, value)
+        if name == "table" and self.fleet is not None:
+            self.fleet._adopt(value)
 
 
 class _FleetColumn:
@@ -142,6 +151,10 @@ class ShardedTable:
         self.obs = NULL_OBS
         self._lock = threading.Lock()
         self._boundaries = np.empty(0)
+        #: moves whenever a write changes the live rows of any shard, through
+        #: the fleet or not (see :meth:`note_write`)
+        self.write_count = 0
+        self._write_clock = itertools.count(1)
 
         keys = data[:, self.key_dim]
         if mode == "explicit":
@@ -172,7 +185,9 @@ class ShardedTable:
         for sid in range(self.n_shards):
             members = np.flatnonzero(assigned == sid)
             rows = data[members]
-            self.shards.append(Shard(sid, factory(rows)))
+            table = factory(rows)
+            table.watch_writes(self)
+            self.shards.append(Shard(sid, table, self))
             self._global_of.append(members)
             if len(members):
                 self.mbr_lo[sid] = rows.min(axis=0)
@@ -224,11 +239,23 @@ class ShardedTable:
             total.add(shard.table.stats)
         return total
 
-    @property
-    def write_count(self) -> int:
-        """The shard tables' write counters, summed: moves whenever a write
-        changes the live rows of any shard, through the fleet or not."""
-        return sum(s.table.write_count for s in self.shards)
+    def note_write(self) -> None:
+        """Move :attr:`write_count`: a shard table's live rows changed.
+
+        Every shard table calls it (:meth:`DiskTable.watch_writes`), so a
+        write straight to one shard counts like one through the fleet, and
+        the engine's check before each query reads one attribute, not every
+        shard's counter.  Each call stores a value no earlier call stored,
+        so writers on two shards cannot leave the counter at a value an
+        engine has already seen."""
+        self.write_count = next(self._write_clock)
+
+    def _adopt(self, table) -> None:
+        """Watch a table swapped into a shard; one the fleet did not watch
+        already (not a wrapper around a shard's table) changes the shard's
+        rows, so it counts as a write."""
+        if table.watch_writes(self):
+            self.note_write()
 
     def bind_obs(self, obs) -> "ShardedTable":
         """Attach (or detach, with None) observability to every shard."""

@@ -336,6 +336,8 @@ class DiskTable:
         #: (never by :meth:`vacuum`): an engine caching answers over this
         #: table compares it to tell whether someone else wrote
         self.write_count = 0
+        #: what :meth:`watch_writes` registered, told of each such write
+        self._write_watchers: list = []
         if columns is not None:
             columns = tuple(columns)
             if len(columns) != data.shape[1]:
@@ -720,7 +722,7 @@ class DiskTable:
             self.stats.pages_read += n_pages
             self.stats.seeks += 1
             self.stats.simulated_io_ms += self.cost_model.fetch_cost_ms(1, n_pages)
-            self.write_count += 1
+            self._wrote()
         return new_ids
 
     def delete(self, rowids: np.ndarray) -> int:
@@ -733,8 +735,25 @@ class DiskTable:
             killed = int(self._alive[rowids].sum())
             self._alive[rowids] = False
             if killed:
-                self.write_count += 1
+                self._wrote()
         return killed
+
+    def _wrote(self) -> None:
+        """Count one write that changed the live rows, here and in every
+        watcher."""
+        self.write_count += 1
+        for watcher in self._write_watchers:
+            watcher.note_write()
+
+    def watch_writes(self, watcher) -> bool:
+        """Call ``watcher.note_write()`` after every write that changes the
+        live rows from now on (a :class:`~repro.storage.sharding.ShardedTable`
+        over this table as one of its shards).  Returns False, registering
+        nothing, when ``watcher`` already watches this table."""
+        if any(w is watcher for w in self._write_watchers):
+            return False
+        self._write_watchers.append(watcher)
+        return True
 
     def vacuum(self) -> int:
         """Remove dead rows' entries from every index (PostgreSQL VACUUM).

@@ -1,5 +1,8 @@
 """Tests for dynamic data support (paper Section 6.2 extension)."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -409,6 +412,87 @@ class TestWritesBehindTheEngine:
         assert engine.table.delete([0]) == 0
         assert engine.table.write_count == before
         assert engine.query(self.C).case == "exact"
+
+    def test_a_delete_straight_to_one_shard_is_not_served_from_the_cache(self):
+        data = np.random.default_rng(5).random((400, 3))
+        table = ShardedTable(data, 4, mode="range", key_dim=0)
+        engine = CBCS(table)
+        victim = engine.query(self.C).skyline[0]
+        # the victim's shard, written behind both the engine and the fleet
+        shard = table[table.route(victim)].table
+        local = int(np.flatnonzero((shard.data_view() == victim).all(axis=1))[0])
+        assert shard.delete([local]) == 1
+        after = engine.query(self.C)
+        assert not after.cache_hit
+        live = data[~(data == victim).all(axis=1)]
+        assert_same_point_set(after.skyline, constrained_skyline_oracle(live, self.C))
+
+    def test_an_append_straight_to_one_shard_drops_the_cache(self):
+        table = ShardedTable(np.random.default_rng(8).random((400, 3)), 4)
+        engine = CBCS(table)
+        engine.query(self.C)
+        table[0].table.append([[0.11, 0.11, 0.11]])
+        assert engine.explain(self.C).case == "miss"
+        assert len(engine.cache) == 0
+
+    def test_concurrent_deletes_on_every_shard_leave_no_stale_answer(self):
+        """Four threads delete rows straight from their own shard's table
+        while a fifth queries through the engine; once they are done, the
+        engine must answer from the live rows.  A counter two shards could
+        both move to the same value would let the engine keep a cache built
+        before one of the deletes."""
+        data = np.random.default_rng(9).random((800, 3))
+        table = ShardedTable(data, 4, mode="range", key_dim=0)
+        engine = CBCS(table)
+        failures, done = [], threading.Event()
+
+        def delete_all(shard):
+            try:
+                for local in range(0, shard.table.n, 2):
+                    shard.table.delete([local])
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+                raise
+
+        def query():
+            try:
+                while not done.is_set():
+                    engine.query(self.C)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=delete_all, args=(s,)) for s in table]
+            reader = threading.Thread(target=query)
+            for thread in writers + [reader]:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+            done.set()
+            reader.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not reader.is_alive() and not any(t.is_alive() for t in writers)
+        assert not failures, failures
+        live = np.vstack([live_data(shard.table) for shard in table])
+        assert_same_point_set(
+            engine.query(self.C).skyline, constrained_skyline_oracle(live, self.C)
+        )
+
+    def test_swapping_a_shards_table_moves_the_counter_unless_it_wraps_it(self):
+        table = ShardedTable(np.random.default_rng(6).random((200, 3)), 2)
+        before = table.write_count
+        inner = table[0].table
+        table[0].table = FaultyDiskTable(inner, FaultInjector(profile="none", seed=0))
+        assert table.write_count == before
+        table[0].table.append([[0.5, 0.5, 0.5]])  # through the wrapper
+        moved = table.write_count
+        assert moved != before
+        table[1].table = DiskTable(np.random.default_rng(7).random((50, 3)))
+        assert table.write_count != moved
 
     def test_the_counter_reaches_through_a_fault_wrapper(self):
         table = DiskTable(np.random.default_rng(4).random((200, 3)))

@@ -46,6 +46,56 @@ class TestStopwatch:
         assert watch.timings.skyline_ms > 0
 
 
+class FakeClock:
+    """``time.perf_counter`` stand-in whose readings the test scripts."""
+
+    def __init__(self, *readings):
+        self.readings = list(readings)
+
+    def __call__(self):
+        return self.readings.pop(0)
+
+
+class TestStageObjects:
+    """``stage(name)`` hands out one reused object per name; each keeps its
+    own start, so nesting and re-entry time what they enclose."""
+
+    def test_fetch_io_is_not_a_stage(self):
+        # fetch_io_ms is the simulated disk time; a measured stage of that
+        # name would add wall-clock time into it
+        watch = Stopwatch()
+        with pytest.raises(ValueError):
+            with watch.stage("fetch_io"):
+                pass
+        assert watch.timings.fetch_io_ms == 0.0
+
+    def test_nested_stages_of_different_names_each_get_their_own_duration(
+        self, monkeypatch
+    ):
+        # processing enters at 1 s, skyline at 2 s and leaves at 5 s,
+        # processing leaves at 10 s
+        monkeypatch.setattr(time, "perf_counter", FakeClock(1.0, 2.0, 5.0, 10.0))
+        watch = Stopwatch()
+        with watch.stage("processing"):
+            with watch.stage("skyline"):
+                pass
+        assert watch.timings.skyline_ms == 3000.0
+        assert watch.timings.processing_ms == 9000.0
+
+    def test_a_stage_entered_again_after_a_raise_still_accumulates(
+        self, monkeypatch
+    ):
+        monkeypatch.setattr(time, "perf_counter", FakeClock(0.0, 0.5, 2.0, 2.25))
+        watch = Stopwatch()
+        with pytest.raises(RuntimeError):
+            with watch.stage("fetch_wall"):
+                raise RuntimeError
+        with watch.stage("fetch_wall"):
+            pass
+        assert watch.timings.fetch_wall_ms == 750.0
+        assert watch.stage("fetch_wall") is watch.stage("fetch_wall")
+
+
 class TestQueryOutcome:
     def test_derived_properties(self):
         io = IOStats(points_read=42, range_queries=5, empty_queries=2)
