@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.data import generate
-from repro.geometry.box import union_mask
 from repro.skyline.sfs import sfs_skyline
 from repro.workload.generator import WorkloadGenerator
 
@@ -26,7 +25,7 @@ def measure(computer, pairs, data):
     for old, skyline, new in pairs:
         result = computer.compute(old, skyline, new)
         boxes.append(len(result.boxes))
-        reads.append(int(union_mask(result.boxes, data).sum()))
+        reads.append(int(result.boxes.union_mask(data).sum()))
     return float(np.mean(boxes)), float(np.mean(reads))
 
 

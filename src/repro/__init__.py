@@ -35,9 +35,7 @@ from repro.core.strategies import (
     RandomStrategy,
     default_strategy_suite,
 )
-from repro.geometry.box import Box
 from repro.geometry.constraints import Constraints
-from repro.geometry.interval import Interval
 from repro.skyline.baseline import BaselineMethod
 from repro.skyline.bbs import BBSMethod, bbs_skyline
 from repro.skyline.bnl import bnl_skyline
@@ -55,7 +53,6 @@ __all__ = [
     "ApproximateMPR",
     "BBSMethod",
     "BaselineMethod",
-    "Box",
     "CBCS",
     "CacheItem",
     "Constraints",
@@ -63,7 +60,6 @@ __all__ = [
     "DiskCostModel",
     "DiskTable",
     "ExactMPR",
-    "Interval",
     "MPRResult",
     "MaxOverlap",
     "MaxOverlapSP",

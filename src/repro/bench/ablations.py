@@ -23,7 +23,6 @@ from repro.core.ampr import ApproximateMPR
 from repro.core.cache import SkylineCache
 from repro.core.mpr import compute_mpr
 from repro.data.generator import generate
-from repro.geometry.box import union_mask
 from repro.skyline.sfs import sfs_skyline
 from repro.workload.generator import WorkloadGenerator
 
@@ -269,7 +268,7 @@ def ablation_invalidation(seed: int = 0) -> FigureReport:
                 max_invalidation_anchors=anchors,
             )
             boxes_counts.append(len(result.boxes))
-            reads.append(int(union_mask(result.boxes, data).sum()))
+            reads.append(int(result.boxes.union_mask(data).sum()))
         series[label] = {
             "mean_boxes": float(np.mean(boxes_counts)),
             "mean_points": float(np.mean(reads)),

@@ -30,6 +30,7 @@ import threading
 import zlib
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Dict, List, Literal, Optional
 
 import numpy as np
@@ -131,15 +132,16 @@ class Candidates(list):
 
 class _BoundsTable:
     """The live items in ascending ``item_id``, and beside them, as columns,
-    what the cache search, the strategies and replacement read of each.
+    what the cache search and the strategies read of each (replacement
+    reads the items' own ``last_used`` / ``use_count``).
 
     Column ``j < len(self)`` belongs to ``items[j]``: ``_bounds[:, :, j]``
     holds its MBR's lower and upper corner and its constraints' ``lo`` and
-    ``hi`` (a ``(4, d, capacity)`` float array), ``_stamps[:, j]`` its
-    ``last_used`` and ``use_count``.  Item ids only grow, so appending keeps
-    the order: a column is found by bisecting ``ids``, and a search answers in
-    ``item_id`` order.  Columns past ``len(self)`` are spare room, so an
-    insert or a delete moves data in place rather than reallocating.
+    ``hi`` (a ``(4, d, capacity)`` float array).  Item ids only grow, so
+    appending keeps the order: a column is found by bisecting ``ids``, and
+    a search answers in ``item_id`` order.  Columns past ``len(self)`` are
+    spare room, so an insert or a delete moves data in place rather than
+    reallocating.
     """
 
     def __init__(self):
@@ -148,7 +150,6 @@ class _BoundsTable:
         self.ids: List[int] = []
         self.items: List[CacheItem] = []
         self._bounds = np.empty((4, 0, 0))
-        self._stamps = np.empty((2, 0), dtype=np.int64)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -167,32 +168,20 @@ class _BoundsTable:
         if self.ndim is None:
             self.ndim = item.constraints.ndim
             self._bounds = np.empty((4, self.ndim, 0))
-        if n == self._stamps.shape[1]:
+        if n == self._bounds.shape[2]:
             room = max(16, n)
             self._bounds = np.concatenate(
                 [self._bounds, np.empty((4, self.ndim, room))], axis=2
-            )
-            self._stamps = np.concatenate(
-                [self._stamps, np.empty((2, room), dtype=np.int64)], axis=1
             )
         self.ids.append(item.item_id)
         self.items.append(item)
         column = self._bounds[:, :, n]
         column[0], column[1] = item.mbr_lo, item.mbr_hi
         column[2], column[3] = item.constraints.lo, item.constraints.hi
-        self._stamps[0, n] = item.last_used
-        self._stamps[1, n] = item.use_count
 
     def set_mbr(self, item: CacheItem) -> None:
         """Copy ``item``'s MBR into its column."""
         self._bounds[:2, :, self._column(item.item_id)] = item.mbr_lo, item.mbr_hi
-
-    def set_stamps(self, item: CacheItem) -> None:
-        """Copy ``item``'s stamps into its column, if it still has one."""
-        j = self._column(item.item_id)
-        if j is not None:
-            self._stamps[0, j] = item.last_used
-            self._stamps[1, j] = item.use_count
 
     def delete(self, item_id: int) -> bool:
         """Shift-delete ``item_id``'s column; False when it has none."""
@@ -203,7 +192,6 @@ class _BoundsTable:
         del self.ids[j]
         del self.items[j]
         self._bounds[:, :, j : n - 1] = self._bounds[:, :, j + 1 : n]
-        self._stamps[:, j : n - 1] = self._stamps[:, j + 1 : n]
         return True
 
     def overlapping(self, lo: np.ndarray, hi: np.ndarray) -> Candidates:
@@ -235,10 +223,10 @@ class _BoundsTable:
     def victim(self, policy: "ReplacementPolicy") -> CacheItem:
         """The item replacement evicts: least ``last_used`` (LRU), or least
         ``use_count`` then ``last_used`` (LCU), the lower ``item_id`` on a
-        tie -- ``lexsort`` is stable and the columns are in id order."""
-        last_used, use_count = self._stamps[:, : len(self.ids)]
-        keys = (last_used,) if policy == "lru" else (last_used, use_count)
-        return self.items[int(np.lexsort(keys)[0])]
+        tie -- ``min`` keeps the first minimum and ``items`` is in id order."""
+        if policy == "lru":
+            return min(self.items, key=attrgetter("last_used"))
+        return min(self.items, key=attrgetter("use_count", "last_used"))
 
 
 class SkylineCache:
@@ -371,16 +359,10 @@ class SkylineCache:
             return
         inserted_at, last_used, use_count = map(int, stamps)
         item.inserted_at = inserted_at
-        self._stamp(item, last_used, use_count)
+        item.last_used, item.use_count = last_used, use_count
         self._clock = itertools.count(
             max(next(self._clock), inserted_at + 1, last_used + 1)
         )
-
-    def _stamp(self, item: CacheItem, last_used: int, use_count: int) -> None:
-        """The one writer of an item's replacement stamps: its fields and,
-        while it is cached, its bounds-table column."""
-        item.last_used, item.use_count = last_used, use_count
-        self._table.set_stamps(item)
 
     def _check_ndim(self, constraints: Constraints) -> None:
         ndim = self._table.ndim
@@ -404,7 +386,8 @@ class SkylineCache:
             self.remove(item)
             refreshed = self.insert(item.constraints, skyline)
             if refreshed is not None:
-                self._stamp(refreshed, item.last_used, item.use_count)
+                refreshed.last_used = item.last_used
+                refreshed.use_count = item.use_count
                 # Re-journal with the carried-over counters so a warm
                 # restart restores the same LRU/LCU ordering.
                 self._journal("put", refreshed)
@@ -413,7 +396,7 @@ class SkylineCache:
     def touch(self, item: CacheItem) -> None:
         """Record a use of ``item`` (feeds the LRU/LCU counters)."""
         with self._lock:
-            self._stamp(item, next(self._clock), item.use_count + 1)
+            item.last_used, item.use_count = next(self._clock), item.use_count + 1
 
     def _reindex(self, item: CacheItem, skyline: np.ndarray) -> None:
         """Swap ``item``'s skyline/MBR in place and overwrite its table row."""

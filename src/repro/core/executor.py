@@ -3,8 +3,7 @@
 :meth:`Executor.fetch` is the only place per-box results are read: it
 takes the planner's disjoint boxes -- the plan's
 :class:`~repro.geometry.box.BoxSet`, closed float bounds from the region
-algebra to the disk, with no :class:`~repro.geometry.box.Box` built on the
-way -- and reads each row, in plan order, on the calling thread -- with
+algebra to the disk -- and reads each row, in plan order, on the calling thread -- with
 ``table.range_query(lo, hi)``, or, when the engine runs with resilience,
 with :meth:`repro.resilience.Resilience.read` (the same call, validated,
 retried and behind the circuit breaker).  It returns the per-box

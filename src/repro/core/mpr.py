@@ -26,12 +26,12 @@ dimensionality (paper Figure 4/9), which is what the approximate MPR
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from repro.core.stability import guaranteed_stable
-from repro.geometry.box import Box, BoxSet
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
 
@@ -47,29 +47,23 @@ class MPRResult:
     """The decomposed missing-points region of one cache-vs-query pair.
 
     - ``boxes``: the disjoint boxes covering the MPR, as the
-      :class:`~repro.geometry.box.BoxSet` the decomposition ran on -- a
-      sequence of :class:`Box` values held as arrays, which the planner
-      shapes into the range queries it issues (:mod:`repro.core.shaping`);
+      :class:`~repro.geometry.box.BoxSet` the decomposition ran on, which
+      the planner shapes into the range queries it issues
+      (:mod:`repro.core.shaping`);
     - ``surviving``: cached skyline points satisfying the new constraints
       (they are merged with the fetched points, Theorem 6);
     - ``stable``: whether the cached skyline was stable for this query
       (operationally -- syntactic stability or no expelled points);
     - ``invalidated``: how many boxes, the last of ``boxes``, came from
-      cache invalidation rather than new territory.
+      cache invalidation rather than new territory.  A diagnostic of the
+      *region*: the planner's shaping pass may coalesce or drop these boxes
+      before anything is issued.
     """
 
     boxes: BoxSet
     surviving: np.ndarray
     stable: bool
     invalidated: int = 0
-
-    @property
-    def invalidated_boxes(self) -> List[Box]:
-        """The subset of ``boxes`` that came from cache invalidation.  A
-        diagnostic of the *region*: the planner's shaping pass may coalesce
-        or drop these boxes before anything is issued, and this list does
-        not follow it."""
-        return self.boxes[len(self.boxes) - self.invalidated :]
 
 
 def compute_mpr(
@@ -172,9 +166,8 @@ def _compute_mpr(
 
     The region is a :class:`~repro.geometry.box.BoxSet` throughout, built
     straight from the constraint bounds -- every step on it is a whole-set
-    array operation -- and leaves as one, in the returned result:
-    :class:`Box` objects are built for the executor, by the planner, after
-    shaping.
+    array operation -- and leaves as one, in the returned result, for the
+    planner to shape and the executor to read row by row.
     """
     if old.ndim != new.ndim:
         raise ValueError("constraint dimensionality mismatch")

@@ -79,7 +79,7 @@ class QueryPlan:
     constraints: Constraints
     case: str
     #: the boxes issued, in order, as closed float bounds (the executor
-    #: reads their rows; iterating yields :class:`~repro.geometry.box.Box`)
+    #: reads their rows)
     boxes: BoxSet
     items: Sequence = ()
     item: Optional[object] = None
@@ -147,7 +147,7 @@ class QueryPlan:
             "range_queries": self.range_queries,
             "region_boxes": self.region_boxes,
             "estimated_points": self.estimated_points,
-            "boxes": [box.to_dict() for box in self.boxes],
+            "boxes": self.boxes.to_dicts(),
         }
         if self.candidates_scored:
             record["candidates_scored"] = [

@@ -3,36 +3,24 @@
 This subpackage provides the low-level spatial algebra that the paper's
 Missing Points Region (MPR) machinery is built on:
 
-- :class:`~repro.geometry.interval.Interval` -- a 1-D interval with
-  independently open/closed endpoints.
-- :class:`~repro.geometry.box.Box` -- an axis-aligned hyper-rectangle made of
-  per-dimension intervals, with intersection, containment, subtraction and
-  disjoint-decomposition operations.
-- :class:`~repro.geometry.box.BoxSet` -- a set of boxes as four ``(n, d)``
-  arrays; corner / box subtraction, merging and membership over the whole
-  set in one broadcast each.
+- :class:`~repro.geometry.box.BoxSet` -- the one region type: a set of
+  axis-aligned boxes as two ``(n, d)`` arrays of closed float bounds, with
+  corner and box subtraction and point membership over the whole set in a
+  fixed number of array operations each.
 - :mod:`~repro.geometry.constraints` -- helpers for the paper's constraint
   pairs ``C = <C_lo, C_hi>`` (closed boxes) and their overlap relationships.
-- :mod:`~repro.geometry.dominance` -- Pareto dominance tests and dominance
-  regions ``DR(s)`` / ``DR(s, C)`` (Definition 2 of the paper).
+- :mod:`~repro.geometry.dominance` -- Pareto dominance tests (Definition 2
+  of the paper); the MPR cuts dominance regions ``DR(s)`` as closed corners
+  of a :class:`~repro.geometry.box.BoxSet`.
 """
 
-from repro.geometry.box import Box, BoxSet
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
-from repro.geometry.dominance import (
-    dominance_region,
-    dominates,
-    dominated_mask,
-    weakly_dominated_mask,
-)
-from repro.geometry.interval import Interval
+from repro.geometry.dominance import dominated_mask, dominates, weakly_dominated_mask
 
 __all__ = [
-    "Box",
     "BoxSet",
     "Constraints",
-    "Interval",
-    "dominance_region",
     "dominated_mask",
     "dominates",
     "weakly_dominated_mask",

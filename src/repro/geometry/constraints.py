@@ -12,8 +12,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.geometry.box import Box
-
 
 class Constraints:
     """Orthogonal range constraints: one ``[lo, hi]`` interval per dimension.
@@ -54,10 +52,6 @@ class Constraints:
     # ------------------------------------------------------------------
     # Queries
     # ------------------------------------------------------------------
-    def region(self) -> Box:
-        """Return ``R_C``, the closed constraint region, as a :class:`Box`."""
-        return Box.closed(self.lo, self.hi)
-
     def satisfied_mask(self, points: np.ndarray) -> np.ndarray:
         """Return a boolean mask of rows of ``points`` satisfying C.
 

@@ -1,4 +1,4 @@
-"""Pareto dominance tests and dominance regions (paper Definition 2).
+"""Pareto dominance tests (paper Definition 2).
 
 Throughout the library (and the paper), smaller is better in every dimension:
 ``s`` dominates ``t`` (written ``s < t`` in the paper) iff ``s[i] <= t[i]``
@@ -11,13 +11,14 @@ is all sort-based SFS needs.
 
 Dominance regions and coordinate duplicates
 -------------------------------------------
-``DR(s)`` as returned by :func:`dominance_region` is the *closed* corner
-region ``{p | p >= s}``, which also contains ``s`` itself and any exact
-coordinate duplicates of ``s`` -- points that ``s`` does *not* dominate.
-Using the closed region for MPR pruning is nevertheless safe: every exact
-duplicate of a cached skyline point shares its constraint membership and its
-dominance status, so duplicates are always cached (and survive or fall)
-together with the point whose region prunes them.  Tests in
+The MPR cuts ``DR(s)`` as the *closed* corner region ``{p | p >= s}``
+(:meth:`repro.geometry.box.BoxSet.split_corner`), which also contains ``s``
+itself and any exact coordinate duplicates of ``s`` -- points that ``s``
+does *not* dominate.  Using the closed region for MPR pruning is
+nevertheless safe: every exact duplicate of a cached skyline point shares
+its constraint membership and its dominance status, so duplicates are
+always cached (and survive or fall) together with the point whose region
+prunes them.  Tests in
 ``tests/core/test_cbcs_equivalence.py`` exercise this with duplicated data.
 """
 
@@ -26,9 +27,6 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 import numpy as np
-
-from repro.geometry.box import Box
-from repro.geometry.constraints import Constraints
 
 #: Largest ``rows x dominators`` table the dominance kernels materialize at
 #: once: :func:`dominated_mask` holds two boolean tables plus two comparison
@@ -131,17 +129,3 @@ def weakly_dominated_mask(
         return _any_per_row(points, points, _le_table_off_diagonal)
     return _any_per_row(points, dominators, _le_table)
 
-
-def dominance_region(
-    s: Sequence[float], constraints: Optional[Constraints] = None
-) -> Box:
-    """Return ``DR(s)`` or, when constraints are given, ``DR(s, C)``.
-
-    ``DR(s)`` is the closed corner region ``{p | p >= s}``; ``DR(s, C)`` is
-    its intersection with the constraint region (paper Definition 2 and the
-    constrained variant of Section 3).
-    """
-    region = Box.corner_at_least(s)
-    if constraints is not None:
-        region = region.intersect(constraints.region())
-    return region

@@ -160,7 +160,7 @@ def plan_sections(planner, plan, bypassed) -> dict:
     )
     boxes = [
         {
-            "box": box.to_dict(),
+            "box": box,
             "predicted": {
                 "points": int(round(rows)),
                 "pages": int(pages),
@@ -170,7 +170,11 @@ def plan_sections(planner, plan, bypassed) -> dict:
             "actual": actual,
         }
         for box, actual, rows, pages, seeks in zip(
-            plan.boxes, actuals, forecast.rows, forecast.pages, forecast.seeks
+            plan.boxes.to_dicts(),
+            actuals,
+            forecast.rows,
+            forecast.pages,
+            forecast.seeks,
         )
     ]
     return {

@@ -24,9 +24,12 @@ rows are laid out on disks stays below the line the algorithm draws
 
 The shard bounds live in one place: ``mbr_lo`` / ``mbr_hi`` (``(n_shards,
 d)``) and ``counts`` (live rows).  Writers replace each array by reference
-assignment under the fleet lock; readers take no lock.  An append extends
+assignment under the metadata lock; readers take no lock.  An append extends
 the MBR; a delete keeps it as a superset (a too-large MBR can only cost a
-read, never a row).
+read, never a row).  A write made straight to one shard's table is
+reconciled by :meth:`ShardedTable.note_write`, which every shard write
+calls: rows past the directory get the next global ids, and the MBR and
+counts follow the shard.
 
 With ``n_shards=1`` the single shard holds the whole dataset and every
 answer, row order and I/O counter equals the plain table's -- the anchor of
@@ -149,7 +152,11 @@ class ShardedTable:
         self.key_dim = int(key_dim)
         self.ndim = int(data.shape[1])
         self.obs = NULL_OBS
+        #: serializes writes through the fleet, held across the shard writes
         self._lock = threading.Lock()
+        #: guards the directory, MBRs and counts; never held while a shard
+        #: table is called, so a shard write's note_write can always take it
+        self._meta = threading.Lock()
         self._boundaries = np.empty(0)
         #: moves whenever a write changes the live rows of any shard, through
         #: the fleet or not (see :meth:`note_write`)
@@ -194,6 +201,9 @@ class ShardedTable:
                 self.mbr_hi[sid] = rows.max(axis=0)
                 self.counts[sid] = len(members)
         self._columns = [_FleetColumn(self, dim) for dim in range(self.ndim)]
+        #: each shard table's ``write_count`` as :meth:`note_write` last saw
+        #: it: a shard whose count and row total have not moved is skipped
+        self._seen = [shard.table.write_count for shard in self.shards]
 
     # ------------------------------------------------------------------
     # Metadata / aggregates
@@ -240,15 +250,53 @@ class ShardedTable:
         return total
 
     def note_write(self) -> None:
-        """Move :attr:`write_count`: a shard table's live rows changed.
+        """A shard table's live rows changed: reconcile the fleet's metadata
+        with the shard tables and move :attr:`write_count`.
 
         Every shard table calls it (:meth:`DiskTable.watch_writes`), so a
         write straight to one shard counts like one through the fleet, and
         the engine's check before each query reads one attribute, not every
         shard's counter.  Each call stores a value no earlier call stored,
         so writers on two shards cannot leave the counter at a value an
-        engine has already seen."""
+        engine has already seen.
+
+        A shard's rows past the directory (appended straight to its table)
+        get the next global ids, in local order, and widen its MBR; every
+        shard's count is set to its table's ``live_count``.  A write through
+        the fleet publishes all of that before it writes the shard, so on
+        that path there is nothing left to reconcile.  Runs inside the
+        shard's write, so it takes only the metadata lock (the fleet lock is
+        held around :meth:`append`'s shard writes).  A write straight to a
+        shard must not race a fleet write to the same shard: the directory
+        names local rows by position."""
+        with self._meta:
+            self._reconcile()
         self.write_count = next(self._write_clock)
+
+    def _reconcile(self) -> None:
+        """The body of :meth:`note_write`, under the metadata lock."""
+        for sid, shard in enumerate(self.shards):
+            table = shard.table
+            writes, known, n = table.write_count, len(self._global_of[sid]), table.n
+            if writes == self._seen[sid] and n == known:
+                continue
+            self._seen[sid] = writes
+            if n > known:
+                fresh = np.arange(self.n, self.n + n - known, dtype=np.int64)
+                self._global_of[sid] = np.concatenate([self._global_of[sid], fresh])
+                self._shard_of = np.concatenate(
+                    [self._shard_of, np.full(len(fresh), sid, dtype=np.int64)]
+                )
+                rows = table.data_view()[known:n]
+                lo, hi = self.mbr_lo.copy(), self.mbr_hi.copy()
+                lo[sid] = np.minimum(lo[sid], rows.min(axis=0))
+                hi[sid] = np.maximum(hi[sid], rows.max(axis=0))
+                self.mbr_lo, self.mbr_hi = lo, hi
+            live = table.live_count
+            if self.counts[sid] != live:
+                counts = self.counts.copy()
+                counts[sid] = live
+                self.counts = counts
 
     def _adopt(self, table) -> None:
         """Watch a table swapped into a shard; one the fleet did not watch
@@ -334,22 +382,26 @@ class ShardedTable:
         rows = checked_rows(rows, self.ndim)
         assigned = self._assign(rows[:, self.key_dim])
         with self._lock:
-            new_ids = np.arange(self.n, self.n + len(rows), dtype=np.int64)
-            lo, hi, counts = self.mbr_lo.copy(), self.mbr_hi.copy(), self.counts.copy()
+            with self._meta:
+                new_ids = np.arange(self.n, self.n + len(rows), dtype=np.int64)
+                self._shard_of = np.concatenate([self._shard_of, assigned])
             for sid in np.unique(assigned).tolist():
                 members = np.flatnonzero(assigned == sid)
                 block = rows[members]
-                # directory first: a concurrent reader must be able to name
-                # every row the shard can already return
-                self._global_of[sid] = np.concatenate(
-                    [self._global_of[sid], new_ids[members]]
-                )
+                # metadata first: a concurrent reader must be able to name
+                # every row the shard can already return, and note_write
+                # finds the write already accounted for
+                with self._meta:
+                    self._global_of[sid] = np.concatenate(
+                        [self._global_of[sid], new_ids[members]]
+                    )
+                    lo, hi = self.mbr_lo.copy(), self.mbr_hi.copy()
+                    counts = self.counts.copy()
+                    lo[sid] = np.minimum(lo[sid], block.min(axis=0))
+                    hi[sid] = np.maximum(hi[sid], block.max(axis=0))
+                    counts[sid] += len(members)
+                    self.mbr_lo, self.mbr_hi, self.counts = lo, hi, counts
                 self.shards[sid].table.append(block)
-                lo[sid] = np.minimum(lo[sid], block.min(axis=0))
-                hi[sid] = np.maximum(hi[sid], block.max(axis=0))
-                counts[sid] += len(members)
-            self._shard_of = np.concatenate([self._shard_of, assigned])
-            self.mbr_lo, self.mbr_hi, self.counts = lo, hi, counts
         return new_ids
 
     def delete(self, rowids: np.ndarray) -> int:
@@ -361,14 +413,10 @@ class ShardedTable:
             if len(rowids) and (rowids.min() < 0 or rowids.max() >= self.n):
                 raise IndexError("row id out of range")
             sids = self._shard_of[rowids]
-            counts = self.counts.copy()
             killed = 0
             for sid in np.unique(sids).tolist():
-                table = self.shards[sid].table
                 local = self._global_of[sid].searchsorted(rowids[sids == sid])
-                killed += table.delete(local)
-                counts[sid] = table.live_count
-            self.counts = counts
+                killed += self.shards[sid].table.delete(local)  # note_write counts it
         return killed
 
     def row(self, rowid: int) -> np.ndarray:

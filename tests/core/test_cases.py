@@ -21,7 +21,6 @@ from repro.core.cases import (
 from repro.core.ampr import ExactMPR
 from repro.core.cbcs import CBCS
 from repro.data.generator import generate
-from repro.geometry.box import pairwise_disjoint
 from repro.geometry.constraints import Constraints
 from repro.storage.table import DiskTable
 
@@ -29,6 +28,7 @@ from tests.core.conftest import (
     assert_same_point_set,
     constrained_skyline_oracle,
 )
+from tests.geometry.regions import pairwise_disjoint
 
 
 OLD = Constraints([0.3, 0.3], [0.7, 0.7])

@@ -477,6 +477,8 @@ class TestWritesBehindTheEngine:
             sys.setswitchinterval(interval)
         assert not reader.is_alive() and not any(t.is_alive() for t in writers)
         assert not failures, failures
+        # no shard's count lost to another's concurrent update
+        assert table.counts.tolist() == [shard.table.live_count for shard in table]
         live = np.vstack([live_data(shard.table) for shard in table])
         assert_same_point_set(
             engine.query(self.C).skyline, constrained_skyline_oracle(live, self.C)

@@ -153,7 +153,7 @@ def test_refresh_is_retried_through_the_guarded_read():
     engine.delete_points([rowid])
     assert injector.calls == calls + 2  # the failed read and its retry
     (refreshed,) = engine.cache  # replaced in place, not evicted
-    assert refreshed.constraints.region() == item.constraints.region()
+    assert refreshed.constraints == item.constraints
     live = engine.table.data_view()[engine.table._alive]
     assert same_multiset(refreshed.skyline, constrained_reference(live, constraints))
 

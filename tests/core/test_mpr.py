@@ -14,7 +14,6 @@ from repro.core.ampr import (
 )
 from repro.core.mpr import compute_mpr
 from repro.data.generator import generate
-from repro.geometry.box import pairwise_disjoint, union_mask
 from repro.geometry.constraints import Constraints
 from repro.skyline.sfs import sfs_skyline
 
@@ -23,12 +22,15 @@ from tests.core.conftest import (
     constrained_skyline_oracle,
     random_constraints,
 )
+from tests.geometry import regions
+from tests.geometry.regions import pairwise_disjoint
+from tests.geometry.test_box import boxset
 
 
 def merge_and_solve(mpr, data):
     """Apply Theorem 6: Sky((surviving) + (MPR points), C') -- the caller
     has already restricted the MPR mask to the data."""
-    fetched = data[union_mask(mpr.boxes, data)]
+    fetched = data[regions.mask(mpr.boxes, data)]
     pool = np.vstack([mpr.surviving, fetched]) if len(mpr.surviving) else fetched
     if len(pool) == 0:
         return pool
@@ -96,7 +98,7 @@ class TestCompleteness:
         mpr = compute_mpr(old, old_sky, new)
         assert mpr.stable
         assert len(mpr.boxes) == 1
-        assert mpr.boxes[0] == new.region()
+        assert regions.rows_of(mpr.boxes) == [regions.closed(new.lo, new.hi)]
 
     def test_empty_cached_skyline(self):
         old = Constraints([0.0, 0.0], [0.1, 0.1])
@@ -151,9 +153,8 @@ class TestStructure:
         old, new = constraint_pair(rng, 3)
         old_sky = constrained_skyline_oracle(data, old)
         mpr = compute_mpr(old, old_sky, new)
-        region = new.region()
-        for box in mpr.boxes:
-            assert region.contains_box(box)
+        assert not mpr.boxes.is_empty().any()
+        assert (mpr.boxes.lo >= new.lo).all() and (mpr.boxes.hi <= new.hi).all()
 
     @pytest.mark.parametrize("seed", range(8))
     def test_minimality_witness(self, seed):
@@ -165,13 +166,10 @@ class TestStructure:
         old, new = constraint_pair(rng, 3)
         old_sky = constrained_skyline_oracle(data, old)
         mpr = compute_mpr(old, old_sky, new)
-        from repro.geometry.box import Box
-
         for u in mpr.surviving:
-            corner = Box.corner_at_least(u)
-            for box in mpr.boxes:
-                inter = box.intersect(corner)
-                assert inter.is_empty() or inter.volume() == 0.0
+            corner = regions.corner(u)
+            for box in regions.rows_of(mpr.boxes):
+                assert not regions.meets(box, corner)
 
     def test_stable_case_has_no_invalidated_boxes(self):
         old = Constraints([0.3, 0.3], [0.7, 0.7])
@@ -179,7 +177,7 @@ class TestStructure:
         sky = np.array([[0.4, 0.4]])
         mpr = compute_mpr(old, sky, new)
         assert mpr.stable
-        assert mpr.invalidated_boxes == []
+        assert mpr.invalidated == 0
 
     def test_unstable_case_reports_invalidated_boxes(self):
         old = Constraints([0.0, 0.0], [1.0, 1.0])
@@ -187,7 +185,7 @@ class TestStructure:
         sky = np.array([[0.1, 0.1]])  # expelled dominator
         mpr = compute_mpr(old, sky, new)
         assert not mpr.stable
-        assert len(mpr.invalidated_boxes) > 0
+        assert 0 < mpr.invalidated <= len(mpr.boxes)
 
     def test_shrinking_stable_query_has_empty_mpr(self):
         """Case b shape: pure shrink of a stable item needs no fetching."""
@@ -195,7 +193,7 @@ class TestStructure:
         new = Constraints([0.0, 0.0], [0.6, 0.6])
         sky = np.array([[0.2, 0.3], [0.3, 0.2]])
         mpr = compute_mpr(old, sky, new)
-        assert mpr.boxes == []
+        assert len(mpr.boxes) == 0
 
 
 class TestApproximateMPR:
@@ -210,8 +208,8 @@ class TestApproximateMPR:
         old_sky = constrained_skyline_oracle(data, old)
         exact = ExactMPR().compute(old, old_sky, new)
         approx = ApproximateMPR(k=k).compute(old, old_sky, new)
-        in_exact = union_mask(exact.boxes, data)
-        in_approx = union_mask(approx.boxes, data)
+        in_exact = regions.mask(exact.boxes, data)
+        in_approx = regions.mask(approx.boxes, data)
         assert not np.any(in_exact & ~in_approx)
 
     @pytest.mark.parametrize("k", [1, 2, 5])
@@ -245,7 +243,7 @@ class TestApproximateMPR:
         covered = {}
         for k in [1, 3, 10]:
             mpr = ApproximateMPR(k=k).compute(old, old_sky, new)
-            covered[k] = int(union_mask(mpr.boxes, data).sum())
+            covered[k] = int(regions.mask(mpr.boxes, data).sum())
         assert covered[10] <= covered[3] <= covered[1]
 
     def test_k_validation(self):
@@ -371,7 +369,8 @@ def region_pairs(draw):
 
 def reference_mpr(old, skyline, new, pruners=None, pieces=None, anchors=None):
     """The region as it was computed before any early-out: new territory
-    by :meth:`Box.subtract_box`, every corner subtraction run, the pruners
+    by the reference's box subtraction (``tests/geometry/regions.py``),
+    every corner subtraction run, the pruners
     always sorted, the reuse set tested against every fetched box."""
     from repro.core.mpr import MPRResult, _coarsen_dominators, _invalidated_regions
     from repro.core.stability import guaranteed_stable
@@ -381,7 +380,10 @@ def reference_mpr(old, skyline, new, pruners=None, pieces=None, anchors=None):
     surviving, removed = skyline[satisfied], skyline[~satisfied]
     if not old.overlaps(new):
         return MPRResult(BoxSet(new.lo[None], new.hi[None]), surviving, True)
-    territory = BoxSet.of(new.region().subtract_box(old.region()), ndim=new.ndim)
+    slabs = regions.subtract_box(
+        regions.closed(new.lo, new.hi), regions.closed(old.lo, old.hi)
+    )
+    territory = boxset(slabs, new.ndim)
     stable = len(removed) == 0 or guaranteed_stable(old, new)
     invalid = BoxSet.empty(new.ndim)
     if not stable:

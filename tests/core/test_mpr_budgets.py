@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from repro.core.ampr import ApproximateMPR
 from repro.core.mpr import _coarsen_dominators, compute_mpr
 from repro.data.generator import generate
-from repro.geometry.box import pairwise_disjoint, union_mask
 from repro.geometry.constraints import Constraints
 from repro.skyline.sfs import sfs_skyline
 
@@ -22,10 +21,11 @@ from tests.core.conftest import (
     constrained_skyline_oracle,
     random_constraints,
 )
+from tests.geometry.regions import mask, pairwise_disjoint
 
 
 def solve(mpr, data):
-    fetched = data[union_mask(mpr.boxes, data)]
+    fetched = data[mask(mpr.boxes, data)]
     pool = np.vstack([mpr.surviving, fetched]) if len(mpr.surviving) else fetched
     if len(pool) == 0:
         return pool

@@ -18,13 +18,14 @@ from hypothesis import strategies as st
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cbcs import CBCS
 from repro.core.shaping import shape
-from repro.geometry.box import Box, BoxSet, pairwise_disjoint
 from repro.geometry.constraints import Constraints
-from repro.geometry.interval import Interval
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
 from repro.workload.generator import WorkloadGenerator
+from tests.geometry.regions import closed, contains, holds_a_double, mask
+from tests.geometry.regions import pairwise_disjoint, rows_of
+from tests.geometry.test_box import boxset
 
 HALVES = [0.0, 0.5, 1.0, 1.5, 2.0]
 
@@ -38,36 +39,55 @@ def table_of(rows, page_size=1, plan="bitmap"):
 
 
 def forecast_of(table, boxes):
-    rows = BoxSet.of(boxes, ndim=table.ndim)
+    rows = boxset(boxes, table.ndim)
     return table.forecast(rows.lo, rows.hi)
 
 
 def issued(boxes, table):
-    return shape(BoxSet.of(boxes, ndim=table.ndim), table.forecast).boxes.boxes()
+    return rows_of(shape(boxset(boxes, table.ndim), table.forecast).boxes)
 
 
-def closed(boxes):
-    """``boxes`` as a plan issues them: every open face moved to the adjacent
-    double inside."""
-    return BoxSet.of(boxes).boxes()
+def key(box):
+    """A box as a hashable value."""
+    return tuple(box[0]), tuple(box[1])
+
+
+def within(inner, outer):
+    return all(a >= b for a, b in zip(inner[0], outer[0])) and all(
+        a <= b for a, b in zip(inner[1], outer[1])
+    )
+
+
+def iv(lo, hi, lo_open=False, hi_open=False):
+    """One dimension's closed bounds: an open face at a finite value is the
+    adjacent double inside it."""
+    if lo_open and math.isfinite(lo):
+        lo = math.nextafter(lo, math.inf)
+    if hi_open and math.isfinite(hi):
+        hi = math.nextafter(hi, -math.inf)
+    return lo, hi
+
+
+def box(*intervals):
+    """The box of one :func:`iv` per dimension, as ``(lo, hi)``."""
+    return [lo for lo, _ in intervals], [hi for _, hi in intervals]
 
 
 def slab(lo, hi, lo_open=False, hi_open=False):
     """``lo..hi`` on x, ``[0, 1]`` on y."""
-    return Box([Interval(lo, hi, lo_open, hi_open), Interval.closed(0.0, 1.0)])
+    return box(iv(lo, hi, lo_open, hi_open), iv(0.0, 1.0))
 
 
 def assert_shaped(boxes, table, out):
     """The invariants of one shaping pass, the rule included."""
-    out = closed(out)
     rows = table.data_view()
-    live = [b for b in boxes if BoxSet.of([b]).mask(rows).any()]
+    live = [b for b in boxes if mask([b], rows).any()]
     assert pairwise_disjoint(out)
     # every row inside an input box is inside exactly one output box
     if boxes:
-        inside = BoxSet.of(boxes).union_mask(rows)
+        inside = mask(boxes, rows)
         hits = (
-            BoxSet.of(out, ndim=table.ndim).mask(rows).sum(axis=0)
+            boxset(out, table.ndim).mask(rows).sum(axis=0)
             if out
             else np.zeros(len(rows), dtype=int)
         )
@@ -75,19 +95,19 @@ def assert_shaped(boxes, table, out):
     costs = forecast_of(table, boxes)
     # keyed by the boxes as a plan issues them, so a box issued as it came
     # is found and a hull's members are judged by the doubles they hold
-    price = dict(zip(closed(boxes), zip(costs.rows, costs.pages, costs.seeks)))
-    for box in out:
+    price = dict(zip(map(key, boxes), zip(costs.rows, costs.pages, costs.seeks)))
+    for box_ in out:
         # inside the inputs' hull
-        for dim, iv in enumerate(box):
-            assert iv.lo >= min(b.intervals[dim].lo for b in live)
-            assert iv.hi <= max(b.intervals[dim].hi for b in live)
-        if box in price:
+        for dim in range(table.ndim):
+            assert box_[0][dim] >= min(b[0][dim] for b in live)
+            assert box_[1][dim] <= max(b[1][dim] for b in live)
+        if key(box_) in price:
             continue
         # a hull: fewer seeks than its members, and no more rows -- or no
         # more pages than its largest member and at most twice their rows
-        members = [b for b in price if price[b][0] > 0 and box.contains_box(b)]
+        members = [b for b in price if price[b][0] > 0 and within(b, box_)]
         assert len(members) > 1
-        hull = forecast_of(table, [box])
+        hull = forecast_of(table, [box_])
         rows_apart = sum(price[b][0] for b in members)
         assert hull.seeks[0] < sum(price[b][2] for b in members)
         assert hull.rows[0] <= rows_apart * (1 + 1e-9) or (
@@ -113,7 +133,7 @@ class TestFacesThatTouch:
     def test_both_open_leaves_the_plane_unread(self):
         pair = [slab(0.0, 1.0, hi_open=True), slab(1.0, 2.0, lo_open=True)]
         table = table_of(self.rows)
-        assert issued(pair, table) == closed(pair)  # x = 1.0 in neither, rows there
+        assert issued(pair, table) == pair  # x = 1.0 in neither, rows there
         assert_shaped(pair, table, pair)
 
     def test_both_faces_closed_reads_the_shared_face_once(self):
@@ -126,66 +146,66 @@ class TestFacesThatTouch:
     def test_hull_face_is_closed_iff_a_member_attaining_it_is(self):
         """Two members share the hull's lower bound on y, one of them open
         there: the face stays closed, and the row on it is read."""
-        low = Box([Interval.closed(0.0, 1.0), Interval(0.0, 1.0, lo_open=True)])
-        high = Box([Interval(1.0, 2.0, lo_open=True), Interval.closed(0.0, 1.0)])
+        low = box(iv(0.0, 1.0), iv(0.0, 1.0, lo_open=True))
+        high = box(iv(1.0, 2.0, lo_open=True), iv(0.0, 1.0))
         table = table_of(lattice(HALVES, HALVES[:3]), page_size=128)
         (hull,) = out = issued([low, high], table)
-        assert hull == Box.closed([0.0, 0.0], [2.0, 1.0])
-        assert hull.contains_point([1.5, 0.0])
+        assert hull == closed([0.0, 0.0], [2.0, 1.0])
+        assert contains(hull, [1.5, 0.0])
         assert_shaped([low, high], table, out)
 
     def test_point_and_open_neighbour_coalesce_in_either_order(self):
-        point = Box([Interval.closed(1.0, 1.0)])
-        rest = Box([Interval(1.0, 2.0, lo_open=True)])
+        point = box(iv(1.0, 1.0))
+        rest = box(iv(1.0, 2.0, lo_open=True))
         table = table_of(lattice(HALVES))
         for order in ([point, rest], [rest, point]):
-            assert issued(order, table) == [Box.closed([1.0], [2.0])]
+            assert issued(order, table) == [closed([1.0], [2.0])]
 
 
 class TestGuillotine:
     def test_l_shape_result_does_not_depend_on_list_order(self):
-        corner = Box([Interval(0.0, 1.0, hi_open=True)] * 2)
-        right = Box([Interval.closed(1.0, 2.0), Interval(0.0, 1.0, hi_open=True)])
-        above = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(1.0, 2.0)])
+        corner = box(*[iv(0.0, 1.0, hi_open=True)] * 2)
+        right = box(iv(1.0, 2.0), iv(0.0, 1.0, hi_open=True))
+        above = box(iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0))
         table = table_of(lattice(HALVES, HALVES))
         results = {
-            frozenset(issued(order, table))
+            frozenset(map(key, issued(order, table)))
             for order in itertools.permutations([corner, right, above])
         }
         # the first separating plane is x = 1: the column left of it tiles
-        column = Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(0.0, 2.0)])
-        assert results == {frozenset(closed([column, right]))}
+        column = box(iv(0.0, 1.0, hi_open=True), iv(0.0, 2.0))
+        assert results == {frozenset(map(key, [column, right]))}
 
     def test_planes_that_only_touch_do_not_separate(self):
         """``x = 1`` is in boxes on both sides of it (disjoint by ``y``): a
         cut there would let the two hulls share the plane and read its rows
         twice.  The far box keeps the five from coalescing at once."""
         quad = [
-            Box([Interval.closed(0.0, 1.0), Interval(0.0, 1.0, hi_open=True)]),
-            Box([Interval(0.0, 1.0, hi_open=True), Interval.closed(1.0, 2.0)]),
-            Box([Interval.closed(1.0, 2.0), Interval.closed(1.0, 2.0)]),
-            Box([Interval(1.0, 2.0, lo_open=True), Interval(0.0, 1.0, hi_open=True)]),
+            box(iv(0.0, 1.0), iv(0.0, 1.0, hi_open=True)),
+            box(iv(0.0, 1.0, hi_open=True), iv(1.0, 2.0)),
+            box(iv(1.0, 2.0), iv(1.0, 2.0)),
+            box(iv(1.0, 2.0, lo_open=True), iv(0.0, 1.0, hi_open=True)),
         ]
-        far = Box.closed([10.0, 0.0], [11.0, 2.0])
+        far = closed([10.0, 0.0], [11.0, 2.0])
         table = table_of(lattice(np.arange(0.0, 11.5, 0.5), HALVES), page_size=128)
         assert pairwise_disjoint(quad + [far])
         out = issued(quad + [far], table)
-        assert out == [Box.closed([0.0, 0.0], [2.0, 2.0]), far]
+        assert out == [closed([0.0, 0.0], [2.0, 2.0]), far]
         assert_shaped(quad + [far], table, out)
 
     def test_pinwheel_comes_back_unchanged(self):
         """Four arms around a hub that holds rows: no plane separates them,
         and their hull would read the hub."""
         arms = [
-            Box([Interval(0.0, 2.0, hi_open=True), Interval(0.0, 1.0, hi_open=True)]),
-            Box([Interval.closed(2.0, 3.0), Interval(0.0, 2.0, hi_open=True)]),
-            Box([Interval(1.0, 3.0, lo_open=True), Interval.closed(2.0, 3.0)]),
-            Box([Interval.closed(0.0, 1.0), Interval.closed(1.0, 3.0)]),
+            box(iv(0.0, 2.0, hi_open=True), iv(0.0, 1.0, hi_open=True)),
+            box(iv(2.0, 3.0), iv(0.0, 2.0, hi_open=True)),
+            box(iv(1.0, 3.0, lo_open=True), iv(2.0, 3.0)),
+            box(iv(0.0, 1.0), iv(1.0, 3.0)),
         ]
         axis = np.arange(0.0, 3.5, 0.5)
         table = table_of(lattice(axis, axis))
         assert pairwise_disjoint(arms)
-        assert issued(arms, table) == closed(arms)
+        assert issued(arms, table) == arms
         assert_shaped(arms, table, arms)
 
     def test_deep_chain_needs_no_recursion(self):
@@ -193,9 +213,9 @@ class TestGuillotine:
         level of the decomposition splits one box off and coalesces
         nothing."""
         n = 3 * sys.getrecursionlimit()
-        chain = [Box([Interval(float(i), i + 1.0, True, True)]) for i in range(n)]
+        chain = [box(iv(float(i), i + 1.0, True, True)) for i in range(n)]
         table = table_of(lattice(np.arange(0.0, n + 0.5, 0.5)))
-        assert issued(chain, table) == closed(chain)
+        assert issued(chain, table) == chain
 
     @given(st.data())
     @settings(max_examples=120, deadline=None)
@@ -206,7 +226,7 @@ class TestGuillotine:
         exactly once, stays in its hull, and every hull obeys the rule."""
         ndim = data.draw(st.integers(1, 3))
         axis = [0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0]
-        pieces = [Box.closed([0.0] * ndim, [3.0] * ndim)]
+        pieces = [closed([0.0] * ndim, [3.0] * ndim)]
         for _ in range(data.draw(st.integers(0, 5))):
             at = data.draw(st.integers(0, len(pieces) - 1))
             dim = data.draw(st.integers(0, ndim - 1))
@@ -214,12 +234,14 @@ class TestGuillotine:
             below_open, above_open = data.draw(
                 st.sampled_from([(True, False), (False, True), (True, True)])
             )
-            piece = pieces.pop(at)
+            lo, hi = pieces.pop(at)
+            down = iv(-math.inf, cut, True, below_open)
+            up = iv(cut, math.inf, above_open, True)
             halves = (
-                piece.replace(dim, Interval(-math.inf, cut, True, below_open)),
-                piece.replace(dim, Interval(cut, math.inf, above_open, True)),
+                (lo, hi[:dim] + [min(hi[dim], down[1])] + hi[dim + 1 :]),
+                (lo[:dim] + [max(lo[dim], up[0])] + lo[dim + 1 :], hi),
             )
-            pieces.extend(half for half in halves if not half.is_empty())
+            pieces.extend(half for half in halves if holds_a_double(half))
         keep = data.draw(st.lists(st.booleans(), min_size=len(pieces), max_size=len(pieces)))
         pieces = [piece for piece, kept in zip(pieces, keep) if kept]
         rows = lattice(*[data.draw(st.sampled_from([axis, axis[::2], axis[1::2]]))] * ndim)
@@ -238,7 +260,7 @@ class TestForecast:
     def boxes(self, n=12, seed=0):
         rng = np.random.default_rng(seed)
         lo = rng.random((n, 3)) * 0.6
-        return [Box.closed(a, a + 0.1 + 0.3 * rng.random(3)) for a in lo]
+        return [closed(a, a + 0.1 + 0.3 * rng.random(3)) for a in lo]
 
     @pytest.mark.parametrize("plan", ["bitmap", "best_index", "seqscan"])
     def test_rows_follow_what_the_plan_charges(self, plan):
@@ -247,7 +269,8 @@ class TestForecast:
         cost = forecast_of(table, boxes)
         for box, rows, pages, seeks in zip(boxes, cost.rows, cost.pages, cost.seeks):
             counts = [
-                table.estimate_count(dim, iv.lo, iv.hi) for dim, iv in enumerate(box)
+                table.estimate_count(dim, lo, hi)
+                for dim, (lo, hi) in enumerate(zip(*box))
             ]
             want = {
                 "bitmap": table.n * np.prod([c / table.n for c in counts]),
@@ -263,40 +286,40 @@ class TestForecast:
         boxes = self.boxes()
         cost = forecast_of(table, boxes)
         for box, rows, pages, seeks in zip(boxes, cost.rows, cost.pages, cost.seeks):
-            part = table.range_query(box.lo(), box.hi())
+            part = table.range_query(*box)
             assert (rows, pages, seeks) == (part.rows_fetched, part.pages_read, part.seeks)
 
     def test_open_faces_are_honoured(self):
         table = table_of(lattice(HALVES, HALVES))
-        closed, opened = forecast_of(
+        shut, opened = forecast_of(
             table,
-            [Box.closed([0.0, 0.0], [1.0, 1.0]), Box([Interval(0.0, 1.0, True, True)] * 2)],
+            [closed([0.0, 0.0], [1.0, 1.0]), box(*[iv(0.0, 1.0, True, True)] * 2)],
         ).rows
-        assert (closed, opened) == (9.0, 1.0)
+        assert (shut, opened) == (9.0, 1.0)
 
     def test_hull_is_priced_from_the_ranks(self):
         table = DiskTable(self.data)
         boxes = self.boxes()
         cost = forecast_of(table, boxes)
         members = np.array([1, 4, 7])
-        lo = np.min([boxes[i].lo() for i in members], axis=0)
-        hi = np.max([boxes[i].hi() for i in members], axis=0)
-        direct = forecast_of(table, [Box.closed(lo, hi)])
+        lo = np.min([boxes[i][0] for i in members], axis=0)
+        hi = np.max([boxes[i][1] for i in members], axis=0)
+        direct = forecast_of(table, [closed(lo, hi)])
         assert cost.hull(members) == (direct.rows[0], direct.pages[0], direct.seeks[0])
 
     def test_a_box_is_priced_by_the_shards_it_touches(self):
         rows = lattice(np.arange(0.0, 8.0), np.arange(0.0, 4.0))
         fleet = ShardedTable(rows, 4, key_dim=0)  # two x values per shard
         one, two, none = [
-            Box.closed([0.0, 0.0], [1.0, 3.0]),
-            Box.closed([1.0, 0.0], [2.0, 3.0]),
-            Box.closed([0.0, 5.0], [7.0, 6.0]),  # empty marginal everywhere
+            closed([0.0, 0.0], [1.0, 3.0]),
+            closed([1.0, 0.0], [2.0, 3.0]),
+            closed([0.0, 5.0], [7.0, 6.0]),  # empty marginal everywhere
         ]
         cost = forecast_of(fleet, [one, two, none])
         assert cost.seeks.tolist() == [1, 2, 0]
         assert cost.rows.tolist() == [8.0, 8.0, 0.0]
         for box, seeks in zip([one, two, none], cost.seeks):
-            assert fleet.range_query(box.lo(), box.hi()).seeks == seeks
+            assert fleet.range_query(*box).seeks == seeks
         # the fleet's sum is not the plain table's product ...
         assert forecast_of(DiskTable(rows), [two]).seeks.tolist() == [1]
         # ... except at one shard, where it is the plain table's forecast
@@ -310,7 +333,7 @@ class TestForecast:
     def test_forecast_charges_no_io(self):
         table = DiskTable(self.data)
         before = table.stats.snapshot()
-        shape(BoxSet.of(self.boxes()), table.forecast)
+        shape(boxset(self.boxes(), 3), table.forecast)
         assert table.stats == before
 
 
@@ -332,14 +355,16 @@ class TestPlans:
             assert plan.region_boxes == len(mpr.boxes)
             assert plan.range_queries == len(plan.boxes) <= plan.region_boxes
             assert pairwise_disjoint(plan.boxes)
-            assert all(constraints.region().contains_box(box) for box in plan.boxes)
-            fetch = BoxSet.of(plan.boxes, ndim=3)
+            assert (plan.boxes.lo >= constraints.lo).all()
+            assert (plan.boxes.hi <= constraints.hi).all()
+            fetch = plan.boxes
             in_region = mpr.boxes.union_mask(data)
             assert fetch.union_mask(data)[in_region].all()
             # cached points inside a planned box arrive via the fetch
             assert not fetch.union_mask(plan.reusable).any()
             filtered += len(plan.reusable) < len(mpr.surviving)
-            coalesced += not set(plan.boxes) <= set(mpr.boxes)
+            issued_keys = set(map(key, rows_of(plan.boxes)))
+            coalesced += not issued_keys <= set(map(key, rows_of(mpr.boxes)))
         assert coalesced > 0 and filtered > 0
 
     def test_explain_record_shows_the_decision(self):

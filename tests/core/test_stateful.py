@@ -40,11 +40,11 @@ from hypothesis import strategies as st
 from repro.core.ampr import ApproximateMPR, ExactMPR
 from repro.core.cache import SkylineCache
 from repro.core.cbcs import CBCS
-from repro.geometry.box import BoxSet, pairwise_disjoint
 from repro.geometry.constraints import Constraints
 from repro.skyline.reference import answer_error
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable
+from tests.geometry.regions import pairwise_disjoint
 
 GRID = 6
 MAX_NDIM = 3
@@ -106,16 +106,17 @@ class EngineMachine(RuleBasedStateMachine):
         boxes, mpr = plan.boxes, plan.mpr
         if mpr is None:
             return plan
-        region = plan.constraints.region()
+        query = plan.constraints
         # the region itself: disjoint boxes, each holding a double
         assert not mpr.boxes.is_empty().any()
         assert pairwise_disjoint(mpr.boxes)
         assert pairwise_disjoint(boxes)
-        assert all(region.contains_box(box) for box in boxes)
+        # the issued boxes: inside R_C', covering the region's live rows
+        assert not boxes.is_empty().any()
+        assert (boxes.lo >= query.lo).all() and (boxes.hi <= query.hi).all()
         rows = np.array(list(self.live.values()))
-        fetch = BoxSet.of(boxes, ndim=self.ndim)
-        assert fetch.union_mask(rows)[mpr.boxes.union_mask(rows)].all()
-        assert not fetch.union_mask(plan.reusable).any()
+        assert boxes.union_mask(rows)[mpr.boxes.union_mask(rows)].all()
+        assert not boxes.union_mask(plan.reusable).any()
         return plan
 
     def _rows(self, rng, n, lo=0.0, hi=1.0):

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from repro.geometry.box import BoxSet, pairwise_disjoint
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
+from tests.geometry.regions import pairwise_disjoint
 
 
 def constraints(ndim, lo=-10.0, hi=10.0):
@@ -61,7 +62,7 @@ class TestMembership:
         c = Constraints([0.0, 0.0], [1.0, 1.0])
         pts = np.array([[0.5, 0.5], [1.0, 1.0], [0.0, -0.1], [2.0, 0.5]])
         np.testing.assert_array_equal(
-            c.satisfied_mask(pts), c.region().mask(pts)
+            c.satisfied_mask(pts), BoxSet(c.lo[None], c.hi[None]).union_mask(pts)
         )
 
     def test_satisfies_single_point(self):

@@ -7,13 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.geometry import dominance
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
-from repro.geometry.dominance import (
-    dominance_region,
-    dominated_mask,
-    dominates,
-    weakly_dominated_mask,
-)
+from repro.geometry.dominance import dominated_mask, dominates, weakly_dominated_mask
 
 
 coords = st.lists(st.floats(min_value=-50, max_value=50), min_size=3, max_size=3)
@@ -192,30 +188,46 @@ class TestWeaklyDominatedMask:
             weakly_dominated_mask(np.ones((5, 2)), np.zeros((3, 3)))
 
 
+def dominance_region(s, constraints=None) -> BoxSet:
+    """``DR(s)``, or ``DR(s, C)``, as the MPR cuts it: the inside of a
+    corner cut at ``s`` of the whole space (of ``R_C``)."""
+    if constraints is None:
+        whole = BoxSet(np.full((1, len(s)), -np.inf), np.full((1, len(s)), np.inf))
+    else:
+        whole = BoxSet(constraints.lo[None], constraints.hi[None])
+    return whole.split_corner(s)[0]
+
+
+def contains_point(region: BoxSet, point) -> bool:
+    return bool(region.union_mask(np.array([point], dtype=float))[0])
+
+
 class TestDominanceRegion:
     def test_unconstrained_region_contains_dominated(self):
         region = dominance_region([1.0, 1.0])
-        assert region.contains_point([2.0, 2.0])
-        assert region.contains_point([1.0, 1.0])  # closed corner
-        assert not region.contains_point([0.5, 2.0])
+        assert contains_point(region, [2.0, 2.0])
+        assert contains_point(region, [1.0, 1.0])  # closed corner
+        assert not contains_point(region, [0.5, 2.0])
 
     def test_constrained_region_clipped(self):
         c = Constraints([0.0, 0.0], [3.0, 3.0])
         region = dominance_region([1.0, 1.0], c)
-        assert region.contains_point([2.0, 2.0])
-        assert not region.contains_point([4.0, 4.0])
+        assert contains_point(region, [2.0, 2.0])
+        assert not contains_point(region, [4.0, 4.0])
+        np.testing.assert_array_equal(region.lo, [[1.0, 1.0]])
+        np.testing.assert_array_equal(region.hi, [[3.0, 3.0]])
 
     @given(coords, arrays(np.float64, (16, 3), elements=st.floats(-60, 60)))
     def test_region_membership_equals_weak_dominance(self, s, pts):
         """DR(s) is exactly {p : p >= s} (weak dominance closed corner)."""
         region = dominance_region(s)
         expected = np.all(pts >= np.asarray(s), axis=1)
-        np.testing.assert_array_equal(region.mask(pts), expected)
+        np.testing.assert_array_equal(region.union_mask(pts), expected)
 
     @given(coords, arrays(np.float64, (16, 3), elements=st.floats(-60, 60)))
     def test_strictly_dominated_points_are_in_region(self, s, pts):
         region = dominance_region(s)
-        mask = region.mask(pts)
+        mask = region.union_mask(pts)
         for inside, row in zip(mask, pts):
             if dominates(s, row):
                 assert inside

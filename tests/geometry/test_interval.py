@@ -1,20 +1,40 @@
-"""Unit and property tests for :mod:`repro.geometry.interval`."""
+"""One dimension of a box: the closed-face rule, on one-dimensional
+:class:`~repro.geometry.box.BoxSet` rows.
+
+Every face is closed.  A cut leaves one side closed at the plane and the
+other at the adjacent double (an *open* face at a finite ``v`` is the closed
+face one double inside it; a face at +-inf stays there), so the questions an
+interval type used to answer -- membership, emptiness, intersection,
+containment, the split at a point -- are asked of ``mask`` / ``is_empty``,
+``difference`` and ``split_corner`` here.
+"""
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.interval import Interval
-
+from repro.geometry.box import BoxSet
+from repro.geometry.constraints import Constraints
 
 finite = st.floats(min_value=-100, max_value=100, allow_nan=False)
 
 
+def row(lo, hi, lo_open=False, hi_open=False) -> BoxSet:
+    """The one-dimensional row from ``lo`` to ``hi``, an open face moved to
+    the adjacent double inside it."""
+    if lo_open and math.isfinite(lo):
+        lo = math.nextafter(lo, math.inf)
+    if hi_open and math.isfinite(hi):
+        hi = math.nextafter(hi, -math.inf)
+    return BoxSet(np.array([[lo]]), np.array([[hi]]))
+
+
 def intervals(min_lo=-100, max_hi=100):
     return st.builds(
-        Interval,
+        row,
         st.floats(min_value=min_lo, max_value=max_hi),
         st.floats(min_value=min_lo, max_value=max_hi),
         st.booleans(),
@@ -22,131 +42,156 @@ def intervals(min_lo=-100, max_hi=100):
     )
 
 
+def holds(rows: BoxSet, x: float) -> bool:
+    return bool(rows.union_mask(np.array([[x]]))[0])
+
+
+def bounds(rows: BoxSet):
+    return list(zip(rows.lo[:, 0].tolist(), rows.hi[:, 0].tolist()))
+
+
+def minus(a: BoxSet, b: BoxSet) -> BoxSet:
+    """``a`` without the doubles of ``b`` (one row each)."""
+    return BoxSet.difference(a.lo[0], a.hi[0], b.lo[0], b.hi[0])
+
+
+def empty(rows: BoxSet) -> bool:
+    return bool(rows.is_empty()[0])
+
+
 class TestBasics:
     def test_closed_contains_endpoints(self):
-        iv = Interval.closed(1.0, 2.0)
-        assert iv.contains(1.0)
-        assert iv.contains(2.0)
-        assert iv.contains(1.5)
-        assert not iv.contains(0.999)
-        assert not iv.contains(2.001)
+        iv = row(1.0, 2.0)
+        assert holds(iv, 1.0)
+        assert holds(iv, 2.0)
+        assert holds(iv, 1.5)
+        assert not holds(iv, 0.999)
+        assert not holds(iv, 2.001)
 
     def test_open_excludes_endpoints(self):
-        iv = Interval(1.0, 2.0, lo_open=True, hi_open=True)
-        assert not iv.contains(1.0)
-        assert not iv.contains(2.0)
-        assert iv.contains(1.5)
+        iv = row(1.0, 2.0, lo_open=True, hi_open=True)
+        assert bounds(iv) == [(math.nextafter(1.0, 2.0), math.nextafter(2.0, 1.0))]
+        assert not holds(iv, 1.0)
+        assert not holds(iv, 2.0)
+        assert holds(iv, 1.5)
 
     def test_half_open(self):
-        iv = Interval(1.0, 2.0, lo_open=False, hi_open=True)
-        assert iv.contains(1.0)
-        assert not iv.contains(2.0)
+        iv = row(1.0, 2.0, lo_open=False, hi_open=True)
+        assert holds(iv, 1.0)
+        assert not holds(iv, 2.0)
 
     def test_universe_contains_everything(self):
-        iv = Interval.universe()
-        assert iv.contains(0.0)
-        assert iv.contains(1e300)
-        assert iv.contains(-1e300)
+        iv = row(-math.inf, math.inf, lo_open=True, hi_open=True)
+        assert bounds(iv) == [(-math.inf, math.inf)]  # a face at +-inf stays
+        assert holds(iv, 0.0)
+        assert holds(iv, 1e300)
+        assert holds(iv, -1e300)
 
     def test_empty_when_reversed(self):
-        assert Interval.closed(2.0, 1.0).is_empty()
+        assert empty(row(2.0, 1.0))
 
     def test_degenerate_closed_point_not_empty(self):
-        iv = Interval.closed(1.0, 1.0)
-        assert not iv.is_empty()
-        assert iv.contains(1.0)
+        iv = row(1.0, 1.0)
+        assert not empty(iv)
+        assert holds(iv, 1.0)
 
     def test_degenerate_open_point_is_empty(self):
-        assert Interval(1.0, 1.0, lo_open=True).is_empty()
-        assert Interval(1.0, 1.0, hi_open=True).is_empty()
+        assert empty(row(1.0, 1.0, lo_open=True))
+        assert empty(row(1.0, 1.0, hi_open=True))
+        # only the infinite point: no double
+        assert empty(row(math.inf, math.inf))
+        assert empty(row(-math.inf, -math.inf))
 
     def test_length(self):
-        assert Interval.closed(1.0, 3.0).length() == 2.0
-        assert Interval.closed(3.0, 1.0).length() == 0.0
+        """A constraint interval's length is its width; a reversed one is
+        refused as a constraint, and is merely an empty row."""
+        assert Constraints([1.0], [3.0]).volume() == 2.0
+        assert Constraints([1.0], [3.0]).widths().tolist() == [2.0]
+        with pytest.raises(ValueError):
+            Constraints([3.0], [1.0])
+        assert empty(row(3.0, 1.0))
 
     def test_str(self):
-        assert str(Interval(0.0, 1.0, lo_open=True)) == "(0, 1]"
-        assert str(Interval.closed(0.0, 1.0)) == "[0, 1]"
+        """How a row renders: closed faces, the moved face as its double."""
+        assert row(0.0, 1.0, lo_open=True).to_dicts() == [
+            {
+                "intervals": [
+                    {"lo": 5e-324, "hi": 1.0, "lo_open": False, "hi_open": False}
+                ]
+            }
+        ]
+        assert row(-math.inf, 1.0).to_dicts()[0]["intervals"][0]["lo"] is None
 
 
 class TestIntersect:
     def test_disjoint(self):
-        a = Interval.closed(0.0, 1.0)
-        b = Interval.closed(2.0, 3.0)
-        assert a.intersect(b).is_empty()
-        assert not a.overlaps(b)
+        a, b = row(0.0, 1.0), row(2.0, 3.0)
+        assert bounds(minus(a, b)) == bounds(a)
 
     def test_touching_closed_endpoints_overlap(self):
-        a = Interval.closed(0.0, 1.0)
-        b = Interval.closed(1.0, 2.0)
-        inter = a.intersect(b)
-        assert not inter.is_empty()
-        assert inter.contains(1.0)
+        a, b = row(0.0, 1.0), row(1.0, 2.0)
+        assert bounds(minus(a, b)) == [(0.0, math.nextafter(1.0, 0.0))]
+        assert holds(a, 1.0) and not holds(minus(a, b), 1.0)
 
     def test_touching_open_endpoint_disjoint(self):
-        a = Interval(0.0, 1.0, hi_open=True)
-        b = Interval.closed(1.0, 2.0)
-        assert a.intersect(b).is_empty()
+        a, b = row(0.0, 1.0, hi_open=True), row(1.0, 2.0)
+        assert bounds(minus(a, b)) == bounds(a)
 
     def test_open_flag_wins_on_equal_bound(self):
-        a = Interval(0.0, 1.0, lo_open=True)
-        b = Interval.closed(0.0, 1.0)
-        inter = a.intersect(b)
-        assert inter.lo_open
-        assert not inter.contains(0.0)
+        a, b = row(0.0, 1.0, lo_open=True), row(0.0, 1.0)
+        assert bounds(minus(b, a)) == [(0.0, 0.0)]  # 0 is b's alone
+        assert len(minus(a, b)) == 0
 
     @given(intervals(), intervals(), finite)
     def test_intersection_membership(self, a, b, x):
-        assert a.intersect(b).contains(x) == (a.contains(x) and b.contains(x))
+        in_both = holds(a, x) and not holds(minus(a, b), x)
+        assert in_both == (holds(a, x) and holds(b, x))
 
 
 class TestContainsInterval:
     def test_subset(self):
-        assert Interval.closed(0.0, 10.0).contains_interval(Interval.closed(1.0, 2.0))
+        assert len(minus(row(1.0, 2.0), row(0.0, 10.0))) == 0
 
     def test_equal_is_subset(self):
-        iv = Interval.closed(0.0, 1.0)
-        assert iv.contains_interval(iv)
+        iv = row(0.0, 1.0)
+        assert len(minus(iv, iv)) == 0
 
     def test_open_cannot_contain_closed_at_same_bound(self):
-        a = Interval(0.0, 1.0, lo_open=True)
-        b = Interval.closed(0.0, 1.0)
-        assert not a.contains_interval(b)
-        assert b.contains_interval(a)
+        a, b = row(0.0, 1.0, lo_open=True), row(0.0, 1.0)
+        assert len(minus(b, a)) == 1
+        assert len(minus(a, b)) == 0
 
     def test_empty_is_subset_of_anything(self):
-        empty = Interval.closed(2.0, 1.0)
-        assert Interval.closed(5.0, 6.0).contains_interval(empty)
+        assert len(minus(row(2.0, 1.0), row(5.0, 6.0))) == 0
 
     @given(intervals(), intervals())
     def test_containment_consistent_with_intersection(self, a, b):
-        if a.contains_interval(b) and not b.is_empty():
-            inter = a.intersect(b)
-            # b subset of a  =>  a & b == b as a point set
-            for x in (b.lo, b.hi, (b.lo + b.hi) / 2):
-                assert inter.contains(x) == b.contains(x)
+        if len(minus(b, a)) == 0 and not empty(b):
+            # b subset of a  =>  every double of b is in a
+            lo, hi = bounds(b)[0]
+            for x in (lo, hi, lo / 2 + hi / 2):
+                if holds(b, x):
+                    assert holds(a, x)
 
 
 class TestBelowAbove:
     def test_below_strict(self):
-        iv = Interval.closed(0.0, 10.0)
-        below = iv.below(5.0)
-        assert below.contains(4.999)
-        assert not below.contains(5.0)
+        _, below = row(0.0, 10.0).split_corner([5.0])
+        assert bounds(below) == [(0.0, math.nextafter(5.0, 0.0))]
+        assert holds(below, 4.999)
+        assert not holds(below, 5.0)
 
     def test_above_closed_by_default(self):
-        iv = Interval.closed(0.0, 10.0)
-        above = iv.above(5.0)
-        assert above.contains(5.0)
-        assert above.contains(10.0)
-        assert not above.contains(4.999)
+        above, _ = row(0.0, 10.0).split_corner([5.0])
+        assert holds(above, 5.0)
+        assert holds(above, 10.0)
+        assert not holds(above, 4.999)
 
     @given(intervals(), finite, finite)
     def test_below_above_partition(self, iv, x, probe):
-        """below(x, strict) and above(x) partition the interval exactly."""
-        below = iv.below(x, strict=True)
-        above = iv.above(x, strict=False)
-        in_below = below.contains(probe)
-        in_above = above.contains(probe)
+        """The two sides of a split at ``x`` partition the row exactly."""
+        above, below = iv.split_corner([x])
+        in_below = holds(below, probe)
+        in_above = holds(above, probe)
         assert not (in_below and in_above)
-        assert (in_below or in_above) == iv.contains(probe)
+        assert (in_below or in_above) == holds(iv, probe)

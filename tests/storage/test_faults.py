@@ -5,7 +5,7 @@ import pytest
 
 from repro.core.executor import Executor
 from repro.data.generator import independent
-from repro.geometry.box import Box, BoxSet
+from repro.geometry.box import BoxSet
 from repro.storage.faults import (
     PROFILES,
     FaultInjector,
@@ -133,8 +133,8 @@ class TestFaultyDiskTable:
 
     def test_truncation_survives_executor_merge(self):
         wrapped = self.faulty(FaultProfile(truncate=1.0))
-        halves = BoxSet.of(
-            [Box.closed([0.0, 0.0], [0.5, 1.0]), Box.closed([0.5, 0.0], [1.0, 1.0])]
+        halves = BoxSet(
+            np.array([[0.0, 0.0], [0.5, 0.0]]), np.array([[0.5, 1.0], [1.0, 1.0]])
         )
         result = concat_results(Executor().fetch(wrapped, halves), 2)
         assert len(result.points) != len(result.rowids)

@@ -1,12 +1,22 @@
 """Tests for :mod:`repro.storage.sharding`."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
-from repro.geometry.box import Box, BoxSet
-from repro.geometry.interval import Interval
+from repro.core.cbcs import CBCS
+from repro.geometry.constraints import Constraints
+from repro.skyline.reference import constrained_reference
 from repro.storage.sharding import ShardedTable, hash_key
 from repro.storage.table import DiskTable
+from tests.core.conftest import assert_same_point_set
+
+
+def live_rows(table):
+    """The live rows of one shard's table (no I/O charge)."""
+    return table.data_view()[table._alive]
 
 
 def make_data(n=400, ndim=3, seed=0):
@@ -175,8 +185,7 @@ class TestRangeQuery:
     def test_results_come_in_shard_order_with_global_row_ids(self):
         data = make_data()
         table = ShardedTable(data, 4, mode="hash", key_dim=1)
-        box = Box.closed([0.1, 0.1, 0.1], [0.9, 0.6, 0.9])
-        result = table.range_query(box.lo(), box.hi())
+        result = table.range_query([0.1, 0.1, 0.1], [0.9, 0.6, 0.9])
         np.testing.assert_array_equal(data[result.rowids], result.points)
         shard_of = table._shard_of[result.rowids]
         assert (np.diff(shard_of) >= 0).all() and len(set(shard_of)) == 4
@@ -197,16 +206,17 @@ class TestRangeQuery:
             a, b = np.round(rng.uniform(0, 1, size=(2, 3)) * 6) / 6
             lo, hi = np.minimum(a, b), np.maximum(a, b)
             hi[rng.random(3) < 0.2] = np.inf
-            box = Box(
-                Interval(l, h, lo_open=bool(lo_o), hi_open=bool(hi_o))
-                for l, h, lo_o, hi_o in zip(
-                    lo, hi, rng.random(3) < 0.3, rng.random(3) < 0.3
-                )
+            lo_open = rng.random(3) < 0.3
+            hi_open = (rng.random(3) < 0.3) & np.isfinite(hi)
+            # an open face is asked for as the closed face one double inward
+            result = table.range_query(
+                np.where(lo_open, np.nextafter(lo, np.inf), lo),
+                np.where(hi_open, np.nextafter(hi, -np.inf), hi),
             )
-            closed = BoxSet.of([box])  # an open face: one double inward
-            result = table.range_query(closed.lo[0], closed.hi[0])
+            inside = np.where(lo_open, data > lo, data >= lo)
+            inside &= np.where(hi_open, data < hi, data <= hi)
             assert sorted(result.rowids.tolist()) == np.flatnonzero(
-                box.mask(data)
+                inside.all(axis=1)
             ).tolist()
 
     def test_shard_table_is_looked_up_per_call(self):
@@ -219,14 +229,14 @@ class TestRangeQuery:
         )
 
         table = ShardedTable(make_data(), 2)
-        box = Box.closed([0, 0, 0], [1, 1, 1])
-        assert len(table.range_query(box.lo(), box.hi())) == 400
+        box = ([0, 0, 0], [1, 1, 1])
+        assert len(table.range_query(*box)) == 400
         injector = FaultInjector("none", seed=0)
         table[1].table = FaultyDiskTable(table[1].table, injector)
         injector.force_outage(1)
         with pytest.raises(TransientStorageError):
-            table.range_query(box.lo(), box.hi())
-        assert len(table.range_query(box.lo(), box.hi())) == 400
+            table.range_query(*box)
+        assert len(table.range_query(*box)) == 400
         # the wrapper delegates ``stats``, so the fleet sum still reconciles
         assert table.stats.points_read == 400 * 2 + table.counts[0]
 
@@ -343,6 +353,120 @@ class TestWrites:
             with pytest.raises(ValueError, match="only be placed at construction"):
                 write(data[0])
         assert [s.table.n for s in table] == [3, 3] and table.n == 6
+
+
+class TestWritesStraightToAShard:
+    """A write made to one shard's table, not through the fleet: the fleet's
+    directory, MBRs and live counts follow it (``ShardedTable.note_write``),
+    so the next read names the new row and reaches the shard it lies in."""
+
+    C = Constraints([0.1, 0.1, 0.1], [0.9, 0.9, 0.9])
+
+    def assert_fleet_matches_shards(self, table):
+        assert table.counts.tolist() == [s.table.live_count for s in table]
+        assert table.n == sum(s.table.n for s in table)
+        for sid, shard in enumerate(table):
+            rows = live_rows(shard.table)
+            assert (rows >= table.mbr_lo[sid]).all()
+            assert (rows <= table.mbr_hi[sid]).all()
+
+    def test_an_appended_row_is_named_and_read(self):
+        data = np.random.default_rng(8).random((400, 3))
+        table = ShardedTable(data, 4)
+        engine = CBCS(table)
+        engine.query(self.C)
+        table[0].table.append([[0.11, 0.11, 0.11]])
+        live = np.vstack([data, [[0.11, 0.11, 0.11]]])
+        assert_same_point_set(
+            engine.query(self.C).skyline, constrained_reference(live, self.C)
+        )
+        np.testing.assert_array_equal(table.row(400), [0.11, 0.11, 0.11])
+        self.assert_fleet_matches_shards(table)
+        # the fleet's own next append continues the id sequence
+        assert table.append([[0.5, 0.5, 0.5]]).tolist() == [401]
+        np.testing.assert_array_equal(table.row(401), [0.5, 0.5, 0.5])
+        self.assert_fleet_matches_shards(table)
+
+    def test_a_row_outside_the_shards_mbr_is_read(self):
+        """The only box asked for misses the shard's MBR before the write."""
+        data = np.random.default_rng(8).random((400, 3))
+        table = ShardedTable(data, 4)
+        beyond = Constraints([-1.0, 0.0, 0.0], [-0.1, 1.0, 1.0])
+        engine = CBCS(table)
+        assert len(engine.query(beyond).skyline) == 0
+        table[0].table.append([[-0.5, 0.5, 0.5]])
+        np.testing.assert_array_equal(
+            engine.query(beyond).skyline, [[-0.5, 0.5, 0.5]]
+        )
+        np.testing.assert_array_equal(table.row(400), [-0.5, 0.5, 0.5])
+        self.assert_fleet_matches_shards(table)
+
+    def test_a_row_on_a_shard_that_was_empty_is_read(self):
+        data = np.random.default_rng(8).random((12, 3))
+        table = ShardedTable(
+            data, 3, mode="explicit", assignments=np.array([0, 1] * 6)
+        )
+        assert table.counts.tolist() == [6, 6, 0]
+        engine = CBCS(table)
+        engine.query(self.C)
+        table[2].table.append([[0.2, 0.2, 0.2]])
+        live = np.vstack([data, [[0.2, 0.2, 0.2]]])
+        assert_same_point_set(
+            engine.query(self.C).skyline, constrained_reference(live, self.C)
+        )
+        np.testing.assert_array_equal(table.row(12), [0.2, 0.2, 0.2])
+        self.assert_fleet_matches_shards(table)
+
+    def test_a_delete_is_counted(self):
+        data = np.random.default_rng(5).random((400, 3))
+        table = ShardedTable(data, 4)
+        engine = CBCS(table)
+        engine.query(self.C)
+        shard = table[1].table
+        assert shard.delete(np.arange(shard.n)) == shard.n
+        assert table.counts[1] == 0
+        self.assert_fleet_matches_shards(table)
+        live = np.vstack([live_rows(s.table) for s in table])
+        assert_same_point_set(
+            engine.query(self.C).skyline, constrained_reference(live, self.C)
+        )
+
+    def test_concurrent_appends_on_every_shard_name_every_row_once(self):
+        """Four threads append straight to their own shard's table: every
+        new local row gets exactly one global id, and the counts and MBRs
+        lose no shard's update."""
+        table = ShardedTable(np.random.default_rng(9).random((400, 3)), 4)
+        failures = []
+
+        def append_all(sid):
+            try:
+                rng = np.random.default_rng(sid)
+                for _ in range(50):
+                    table[sid].table.append(rng.random((1, 3)) + sid)
+            except BaseException as exc:  # noqa: BLE001 - reported below
+                failures.append(exc)
+                raise
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            writers = [threading.Thread(target=append_all, args=(s,)) for s in range(4)]
+            for thread in writers:
+                thread.start()
+            for thread in writers:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in writers) and not failures, failures
+        assert table.n == 600
+        assert sorted(np.concatenate(table._global_of).tolist()) == list(range(600))
+        for rowid in range(400, 600):
+            sid = int(table._shard_of[rowid])
+            local = int(table._global_of[sid].searchsorted(rowid))
+            np.testing.assert_array_equal(
+                table.row(rowid), table[sid].table.data_view()[local]
+            )
+        self.assert_fleet_matches_shards(table)
 
 
 class TestConcurrentReadersAndWriter:

@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.executor import Executor
-from repro.geometry.box import Box, BoxSet
-from repro.geometry.interval import Interval
+from repro.geometry.box import BoxSet
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import DiskTable, concat_results
+from tests.geometry.regions import closed, mask
 
 
 @pytest.fixture()
@@ -67,9 +67,9 @@ class TestConstruction:
 class TestRangeQueries:
     def test_matches_numpy_filter(self, table):
         t, data = table
-        box = Box.closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
-        result = t.range_query(box.lo(), box.hi())
-        expected = np.flatnonzero(box.mask(data))
+        box = closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
+        result = t.range_query(*box)
+        expected = np.flatnonzero(mask([box], data))
         assert sorted(result.rowids) == sorted(expected)
         np.testing.assert_allclose(
             result.points[np.argsort(result.rowids)], data[np.sort(result.rowids)]
@@ -78,24 +78,24 @@ class TestRangeQueries:
     def test_bitmap_plan_matches(self, table):
         _, data = table
         t = DiskTable(data, plan="bitmap", cost_model=DiskCostModel(page_size=32))
-        box = Box.closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
-        result = t.range_query(box.lo(), box.hi())
-        expected = np.flatnonzero(box.mask(data))
+        box = closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
+        result = t.range_query(*box)
+        expected = np.flatnonzero(mask([box], data))
         assert sorted(result.rowids) == sorted(expected)
 
     def test_bitmap_reads_exactly_matching_rows(self, table):
         _, data = table
         t = DiskTable(data, plan="bitmap", cost_model=DiskCostModel(page_size=32))
-        box = Box.closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
-        result = t.range_query(box.lo(), box.hi())
+        box = closed([0.2, 0.3, 0.1], [0.6, 0.8, 0.9])
+        result = t.range_query(*box)
         assert result.rows_fetched == len(result)
 
     def test_best_index_may_overfetch_but_never_underfetches(self, table):
         t, data = table
-        box = Box.closed([0.45, 0.0, 0.0], [0.55, 1.0, 1.0])
-        result = t.range_query(box.lo(), box.hi())
+        box = closed([0.45, 0.0, 0.0], [0.55, 1.0, 1.0])
+        result = t.range_query(*box)
         assert result.rows_fetched >= len(result)
-        assert len(result) == int(box.mask(data).sum())
+        assert len(result) == int(mask([box], data).sum())
 
     def test_open_faces_respected(self):
         """An open face is the closed bound one double inside it."""
@@ -119,8 +119,8 @@ class TestRangeQueries:
 
     def test_unsatisfiable_box_is_empty_query(self, table):
         t, _ = table
-        box = Box([Interval.closed(0.5, 0.4)] + [Interval.closed(0, 1)] * 2)
-        result = t.range_query(box.lo(), box.hi())
+        box = closed([0.5, 0, 0], [0.4, 1, 1])
+        result = t.range_query(*box)
         assert len(result) == 0
         assert t.stats.empty_queries >= 1
 
@@ -139,13 +139,13 @@ class TestRangeQueries:
     def test_plans_agree(self, data, bounds):
         lo = [min(bounds[0], bounds[1]), min(bounds[2], bounds[3])]
         hi = [max(bounds[0], bounds[1]), max(bounds[2], bounds[3])]
-        box = Box.closed(lo, hi)
-        best = DiskTable(data, plan="best_index").range_query(box.lo(), box.hi())
-        bitmap = DiskTable(data, plan="bitmap").range_query(box.lo(), box.hi())
-        seqscan = DiskTable(data, plan="seqscan").range_query(box.lo(), box.hi())
+        box = closed(lo, hi)
+        best = DiskTable(data, plan="best_index").range_query(*box)
+        bitmap = DiskTable(data, plan="bitmap").range_query(*box)
+        seqscan = DiskTable(data, plan="seqscan").range_query(*box)
         assert sorted(best.rowids) == sorted(bitmap.rowids)
         assert sorted(best.rowids) == sorted(seqscan.rowids)
-        expected = np.flatnonzero(box.mask(data))
+        expected = np.flatnonzero(mask([box], data))
         assert sorted(best.rowids) == sorted(expected)
 
     def test_seqscan_reads_everything(self):
@@ -162,9 +162,9 @@ class TestRangeQueries:
         data = rng.uniform(0, 1, size=(20_000, 3))
         indexed = DiskTable(data)
         scanning = DiskTable(data, plan="seqscan")
-        box = Box.closed([0.3, 0.3, 0.3], [0.6, 0.6, 0.6])
-        indexed.range_query(box.lo(), box.hi())
-        scanning.range_query(box.lo(), box.hi())
+        box = closed([0.3, 0.3, 0.3], [0.6, 0.6, 0.6])
+        indexed.range_query(*box)
+        scanning.range_query(*box)
         assert indexed.stats.simulated_io_ms < scanning.stats.simulated_io_ms
 
 
@@ -181,17 +181,9 @@ class TestAccounting:
 
     def test_executor_fetch_accumulates(self, table):
         t, data = table
-        boxes = BoxSet.of(
-            [
-                Box.closed([0.0, 0.0, 0.0], [0.3, 1.0, 1.0]),
-                Box(
-                    [
-                        Interval(0.3, 0.6, lo_open=True),
-                        Interval.closed(0.0, 1.0),
-                        Interval.closed(0.0, 1.0),
-                    ]
-                ),
-            ]
+        boxes = BoxSet(  # the second box's lower face open at x = 0.3
+            np.array([[0.0, 0.0, 0.0], [np.nextafter(0.3, 1.0), 0.0, 0.0]]),
+            np.array([[0.3, 1.0, 1.0], [0.6, 1.0, 1.0]]),
         )
         before = t.stats.snapshot()
         result = concat_results(Executor().fetch(t, boxes), 3)
@@ -226,9 +218,9 @@ class TestAccounting:
         physical = DiskTable(
             data, cost_model=DiskCostModel(page_size=16, clustered=False)
         )
-        box = Box.closed([0.4, 0.0], [0.6, 1.0])
-        clustered.range_query(box.lo(), box.hi())
-        physical.range_query(box.lo(), box.hi())
+        box = closed([0.4, 0.0], [0.6, 1.0])
+        clustered.range_query(*box)
+        physical.range_query(*box)
         assert physical.stats.seeks > clustered.stats.seeks
         assert physical.stats.simulated_io_ms > clustered.stats.simulated_io_ms
 
