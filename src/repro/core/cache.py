@@ -105,8 +105,10 @@ class Candidates(list):
     query's own constraints, found without the overlap search.
     """
 
+    __slots__ = ("lo", "hi", "exact")
+
     def __init__(self, items, lo: np.ndarray, hi: np.ndarray, exact: bool = False):
-        super().__init__(items)
+        list.__init__(self, items)
         self.lo = lo
         self.hi = hi
         self.exact = exact

@@ -7,7 +7,11 @@ for every dimension and ``s[i] < t[i]`` for at least one.
 Two vectorized kernels share one chunk loop: :func:`dominated_mask` tests
 that definition for inputs in any order, and :func:`weakly_dominated_mask`
 tests only the ``<=`` half, which decides dominance among distinct rows and
-is all sort-based SFS needs.
+is all sort-based SFS needs.  Both build a ``(dominators, points)`` table:
+a chunk of dominators down, every point across, so each broadcast
+comparison streams the points -- the long axis when a few new skyline rows
+filter many undecided rows, SFS's commonest call -- and the table is
+reduced down its columns, one answer per point.
 
 Dominance regions and coordinate duplicates
 -------------------------------------------
@@ -28,11 +32,12 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-#: Largest ``rows x dominators`` table the dominance kernels materialize at
+#: Largest ``dominators x points`` table the dominance kernels materialize at
 #: once: :func:`dominated_mask` holds two boolean tables plus two comparison
 #: temporaries of this many bytes (1 MiB in all), :func:`weakly_dominated_mask`
-#: one table and one temporary.  Larger inputs are processed in row chunks;
-#: measured flat from 64 Ki cells up, so the smaller footprint is free.
+#: one table and one temporary.  Larger inputs are processed in chunks of
+#: dominators; measured flat from 64 Ki cells up, so the smaller footprint is
+#: free.
 _MAX_CELLS = 1 << 18
 
 
@@ -43,57 +48,58 @@ def dominates(s: Sequence[float], t: Sequence[float]) -> bool:
     return bool(np.all(s_arr <= t_arr) and np.any(s_arr < t_arr))
 
 
-def _any_per_row(points, dominators, table) -> np.ndarray:
-    """The chunk loop both kernels share: ``out[i]`` is whether row ``i`` of
-    the ``(n, m)`` table has a True cell.  ``table(chunk, columns, start)``
-    builds the rows of a chunk of ``points`` that begins at row ``start``;
-    ``columns`` holds the dominators as a contiguous ``(d, m)`` array, so
-    each comparison streams a row.  A chunk's table holds at most
-    ``max(_MAX_CELLS, m)`` cells."""
+def _any_per_point(points, dominators, table) -> np.ndarray:
+    """The chunk loop both kernels share: ``out[i]`` is whether column ``i``
+    of the ``(m, n)`` table has a True cell.  ``table(chunk, columns,
+    start)`` builds the rows of a chunk of ``dominators`` that begins at row
+    ``start``; ``columns`` holds the points as a contiguous ``(d, n)``
+    array, so each comparison streams the long axis, ``n``, and a chunk's
+    table holds at most ``max(_MAX_CELLS, n)`` cells."""
     points = np.asarray(points, dtype=float)
     dominators = np.asarray(dominators, dtype=float)
     n, m = len(points), len(dominators)
-    out = np.zeros(n, dtype=bool)
     if n == 0 or m == 0:
-        return out
+        return np.zeros(n, dtype=bool)
     if points.shape[1:] != dominators.shape[1:]:
         raise ValueError(
             f"points {points.shape} and dominators {dominators.shape} differ in width"
         )
-    columns = np.ascontiguousarray(dominators.T)
-    rows = max(1, _MAX_CELLS // m)
-    for start in range(0, n, rows):
-        chunk = table(points[start : start + rows], columns, start)
-        out[start : start + rows] = chunk.any(axis=1)
+    columns = np.ascontiguousarray(points.T)
+    rows = max(1, _MAX_CELLS // n)
+    out = table(dominators[:rows], columns, 0).any(axis=0)
+    for start in range(rows, m, rows):
+        out |= table(dominators[start : start + rows], columns, start).any(axis=0)
     return out
 
 
-def _le_table(block, columns, start=0) -> np.ndarray:
-    """``(rows, m)``: dominator ``j`` is ``<=`` row ``i`` in every dimension."""
-    le = columns[0] <= block[:, :1]
-    for i in range(1, block.shape[1]):
-        le &= columns[i] <= block[:, i : i + 1]
+def _le_table(chunk, columns, start=0) -> np.ndarray:
+    """``(rows, n)``: cell ``(j, i)`` is whether dominator ``j`` of the chunk
+    is ``<=`` point ``i`` in every dimension."""
+    le = columns[0] >= chunk[:, :1]
+    for i in range(1, chunk.shape[1]):
+        le &= columns[i] >= chunk[:, i : i + 1]
     return le
 
 
-def _dominance_table(block, columns, start=0) -> np.ndarray:
-    """``(rows, m)``: dominator ``j`` dominates row ``i``."""
-    value = block[:, :1]
-    le = columns[0] <= value
-    lt = columns[0] < value
-    for i in range(1, block.shape[1]):
-        value = block[:, i : i + 1]
-        le &= columns[i] <= value
-        lt |= columns[i] < value
+def _dominance_table(chunk, columns, start=0) -> np.ndarray:
+    """``(rows, n)``: cell ``(j, i)`` is whether dominator ``j`` of the chunk
+    dominates point ``i``."""
+    value = chunk[:, :1]
+    le = columns[0] >= value
+    lt = columns[0] > value
+    for i in range(1, chunk.shape[1]):
+        value = chunk[:, i : i + 1]
+        le &= columns[i] >= value
+        lt |= columns[i] > value
     le &= lt
     return le
 
 
-def _le_table_off_diagonal(block, columns, start) -> np.ndarray:
-    """:func:`_le_table` of a chunk of the dominators against all of them,
+def _le_table_off_diagonal(chunk, columns, start) -> np.ndarray:
+    """:func:`_le_table` of a chunk of the points against all of them,
     without the cells that compare a row with itself."""
-    le = _le_table(block, columns)
-    le.reshape(-1)[start :: le.shape[1] + 1] = False  # cells (i, start + i)
+    le = _le_table(chunk, columns)
+    le.reshape(-1)[start :: le.shape[1] + 1] = False  # cells (j, start + j)
     return le
 
 
@@ -103,13 +109,13 @@ def dominated_mask(points: np.ndarray, dominators: np.ndarray) -> np.ndarray:
     ``points`` is ``(n, d)`` and ``dominators`` is ``(m, d)``; the result has
     length ``n``.  This is the kernel for inputs in no particular order: the
     D&C / BSkyTree merges, cache verification and skyline maintenance call
-    it.  It builds the ``(n, m)`` "``<=`` in every dimension" and "``<`` in
+    it.  It builds the ``(m, n)`` "``<=`` in every dimension" and "``<`` in
     some dimension" tables one dimension at a time -- ``2 d`` broadcast
     comparisons, no reduction over the short length-``d`` axis and no Python
-    loop over dominators -- a chunk of rows at a time, so each boolean
-    temporary holds at most ``max(_MAX_CELLS, m)`` cells.
+    loop over dominators -- a chunk of dominators at a time, so each boolean
+    temporary holds at most ``max(_MAX_CELLS, n)`` cells.
     """
-    return _any_per_row(points, dominators, _dominance_table)
+    return _any_per_point(points, dominators, _dominance_table)
 
 
 def weakly_dominated_mask(
@@ -123,9 +129,9 @@ def weakly_dominated_mask(
     when no two rows are equal, a row that is ``<=`` another in every
     dimension dominates it, so only the "``<=``" table is needed -- ``d``
     broadcast comparisons per cell and one boolean table, half the work of
-    :func:`dominated_mask`, in the same row chunks.
+    :func:`dominated_mask`, in the same dominator chunks.
     """
     if dominators is None:
-        return _any_per_row(points, points, _le_table_off_diagonal)
-    return _any_per_row(points, dominators, _le_table)
+        return _any_per_point(points, points, _le_table_off_diagonal)
+    return _any_per_point(points, dominators, _le_table)
 

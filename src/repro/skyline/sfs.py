@@ -1,10 +1,10 @@
-"""Sort-Filter Skyline (Chomicki et al. [8]), block form.
+"""Sort-Filter Skyline (Chomicki et al. [8]), in rounds that eliminate early.
 
 The algorithm the paper runs "in both the Baseline method and our own CBCS
 method" (Section 7).  The input is first sorted by a monotone scoring
-function; in that order no point can dominate an earlier one, so a single
-pass against a window of confirmed skyline points suffices and the window is
-never revised.
+function; in that order no point can dominate an earlier one, so a point
+that no earlier skyline point dominates is a skyline point, and a confirmed
+one is never revised.
 
 We use the coordinate sum as the monotone score (any strictly monotone
 function works; the original paper proposes entropy).  Floating-point
@@ -18,12 +18,14 @@ each run of them is then tested once, by its first row.
 Among distinct rows in that order, a row that is ``<=`` a later row in
 every dimension dominates it, so the pass needs only the "``<=``" half of
 the dominance test: :func:`~repro.geometry.dominance.weakly_dominated_mask`.
-It consumes the sorted rows a block at a time: one kernel call tests the
-whole block against the window, a second resolves dominance among the
-block's own survivors, and what is left joins the window.  That is the same
-O(n * |skyline|) comparison count as point-at-a-time SFS, each pair compared
-once in the one direction the order allows, paid in a few ``(block,
-window)`` broadcasts instead of ``n`` numpy round-trips.
+It runs in rounds over the rows still *undecided*.  Each round takes the
+first few of them (the head), tests the head against itself -- its
+survivors are skyline rows -- and then, in one kernel call, drops every
+undecided row one of those new skyline rows is ``<=`` to.  A dominated row
+so leaves at its first dominator's round, as in LESS (Godfrey et al., VLDB
+2005), instead of being tested against every confirmed skyline row; each
+pair is still compared at most once, in the one direction the order allows,
+paid in a few broadcasts per round instead of ``n`` numpy round-trips.
 """
 
 from __future__ import annotations
@@ -32,10 +34,10 @@ import numpy as np
 
 from repro.geometry.dominance import weakly_dominated_mask
 
-#: Block schedule: the first block is small because the window is empty and
-#: the block-against-itself test is quadratic; blocks then double, since a
-#: grown window rejects most of a block before that test, up to a cap that
-#: bounds the test for a block the window does not thin (an antichain).
+#: Head schedule: the first head is small because nothing has thinned the
+#: rows yet and the head-against-itself test is quadratic; heads then
+#: double, since earlier rounds eliminate most of what follows, up to a cap
+#: that bounds the test for rows no round thins (an antichain).
 _FIRST_BLOCK = 64
 _MAX_BLOCK = 1024
 
@@ -74,22 +76,22 @@ def sfs_skyline(points: np.ndarray) -> np.ndarray:
     else:
         ordered, runs = points[order], None
 
+    # The undecided rows, ascending in the sorted order, and their positions
+    # there.  Each has been tested against every skyline row found so far;
+    # a later row cannot dominate it, and an eliminated row's dominators
+    # include a skyline row that would have eliminated it too.  So a head
+    # row that no other head row is <= to is a skyline row.
     in_skyline = np.zeros(len(ordered), dtype=bool)  # by position in ``ordered``
-    start, size = 0, _FIRST_BLOCK
-    while start < len(ordered):
-        block = ordered[start : start + size]
-        if not start:  # the window is empty: only the block against itself
-            alive = np.flatnonzero(~weakly_dominated_mask(block))
-        else:
-            window = ordered[:start][in_skyline[:start]]
-            alive = np.flatnonzero(~weakly_dominated_mask(block, window))
-            if len(alive) > 1:
-                # A survivor's in-block dominator survived too (anything that
-                # dominates the dominator dominates the survivor), so testing
-                # the survivors against each other is exact.
-                alive = alive[~weakly_dominated_mask(block[alive])]
-        in_skyline[start + alive] = True
-        start += size
+    rows, position = ordered, np.arange(len(ordered))
+    size = _FIRST_BLOCK
+    while len(rows):
+        head = rows[:size]
+        alive = np.flatnonzero(~weakly_dominated_mask(head))
+        in_skyline[position[alive]] = True
+        rows, position = rows[size:], position[size:]
+        if len(rows):  # the new skyline rows eliminate what they dominate
+            keep = ~weakly_dominated_mask(rows, head[alive])
+            rows, position = rows[keep], position[keep]
         size = min(2 * size, _MAX_BLOCK)
     if runs is not None:
         in_skyline = in_skyline[runs]  # every row of a run shares its flag

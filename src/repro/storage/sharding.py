@@ -76,20 +76,27 @@ def hash_key(value: float, n_shards: int) -> int:
 
 @dataclass
 class Shard:
-    """One partition.  ``table`` may be reassigned (e.g. to a
-    :class:`~repro.storage.faults.FaultyDiskTable` around it) to fault one
-    shard; the fleet looks it up on every call, and ``fleet`` (the
-    :class:`ShardedTable` holding the shard) watches the new table's
-    writes."""
+    """One partition.  ``table`` may be reassigned to a wrapper around the
+    shard's own table (e.g. a :class:`~repro.storage.faults.FaultyDiskTable`)
+    to fault one shard; the fleet looks it up on every call.  Any other
+    table raises ``ValueError``: the fleet's directory, MBRs and counts
+    describe the rows of the table the shard was built with."""
 
     shard_id: int
     table: DiskTable
     fleet: Optional["ShardedTable"] = field(default=None, repr=False, compare=False)
 
     def __setattr__(self, name: str, value) -> None:
+        if (
+            name == "table"
+            and self.fleet is not None
+            and getattr(value, "base", None) is not self.table.base
+        ):
+            raise ValueError(
+                f"shard {self.shard_id} takes only its own table or a wrapper "
+                "around it"
+            )
         object.__setattr__(self, name, value)
-        if name == "table" and self.fleet is not None:
-            self.fleet._adopt(value)
 
 
 class _FleetColumn:
@@ -297,13 +304,6 @@ class ShardedTable:
                 counts = self.counts.copy()
                 counts[sid] = live
                 self.counts = counts
-
-    def _adopt(self, table) -> None:
-        """Watch a table swapped into a shard; one the fleet did not watch
-        already (not a wrapper around a shard's table) changes the shard's
-        rows, so it counts as a write."""
-        if table.watch_writes(self):
-            self.note_write()
 
     def bind_obs(self, obs) -> "ShardedTable":
         """Attach (or detach, with None) observability to every shard."""

@@ -371,6 +371,14 @@ class DiskTable:
         return int(self._alive.sum())
 
     @property
+    def base(self) -> "DiskTable":
+        """The table that holds the rows: this one.  A wrapper that delegates
+        attribute lookups (a fault injector) answers with the wrapped
+        table's, so ``a.base is b.base`` tells whether two handles read and
+        write the same rows."""
+        return self
+
+    @property
     def ndim(self) -> int:
         return self._data.shape[1]
 

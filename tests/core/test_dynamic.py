@@ -484,7 +484,7 @@ class TestWritesBehindTheEngine:
             engine.query(self.C).skyline, constrained_skyline_oracle(live, self.C)
         )
 
-    def test_swapping_a_shards_table_moves_the_counter_unless_it_wraps_it(self):
+    def test_a_shard_takes_only_its_table_or_a_wrapper(self):
         table = ShardedTable(np.random.default_rng(6).random((200, 3)), 2)
         before = table.write_count
         inner = table[0].table
@@ -493,8 +493,9 @@ class TestWritesBehindTheEngine:
         table[0].table.append([[0.5, 0.5, 0.5]])  # through the wrapper
         moved = table.write_count
         assert moved != before
-        table[1].table = DiskTable(np.random.default_rng(7).random((50, 3)))
-        assert table.write_count != moved
+        with pytest.raises(ValueError):
+            table[1].table = DiskTable(np.random.default_rng(7).random((50, 3)))
+        assert table.write_count == moved
 
     def test_the_counter_reaches_through_a_fault_wrapper(self):
         table = DiskTable(np.random.default_rng(4).random((200, 3)))

@@ -95,24 +95,32 @@ class TestDominatedMaskKernel:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edge(self, offset):
-        """``n`` one short of, at and one past a whole number of row chunks."""
-        m = 1024
-        rows = dominance._MAX_CELLS // m
+        """``m`` one short of, at and one past a whole number of dominator
+        chunks; the last dominator alone dominates some points, so the last
+        chunk counts."""
+        n = 1024
+        rows = dominance._MAX_CELLS // n
         rng = np.random.default_rng(offset + 1)
-        pts = rng.random((2 * rows + offset, 3))
-        doms = rng.random((m, 3)) + 0.5
+        pts = rng.random((n, 3))
+        doms = rng.random((2 * rows + offset, 3)) + 0.5
+        doms[-1] = [0.0, 0.0, 0.9]
         expected = per_dominator_loop(pts, doms)
         assert 0 < expected.sum() < len(pts)
+        assert (expected != per_dominator_loop(pts, doms[:-1])).any()
         np.testing.assert_array_equal(dominated_mask(pts, doms), expected)
 
     def test_more_dominators_than_cells(self, monkeypatch):
-        """A dominator set wider than the cell budget still gets one row."""
+        """Either side longer than the cell budget: a chunk still holds one
+        dominator against every point."""
         monkeypatch.setattr(dominance, "_MAX_CELLS", 16)
         rng = np.random.default_rng(3)
-        pts, doms = rng.random((9, 2)), rng.random((40, 2))
-        np.testing.assert_array_equal(
-            dominated_mask(pts, doms), per_dominator_loop(pts, doms)
-        )
+        for pts, doms in [
+            (rng.random((9, 2)), rng.random((40, 2))),
+            (rng.random((40, 2)), rng.random((9, 2))),
+        ]:
+            np.testing.assert_array_equal(
+                dominated_mask(pts, doms), per_dominator_loop(pts, doms)
+            )
 
     def test_self_comparison_keeps_duplicates(self):
         pts = np.array([[1.0, 1.0], [1.0, 1.0], [2.0, 2.0], [0.5, 3.0]])
@@ -160,14 +168,22 @@ class TestWeaklyDominatedMask:
 
     @pytest.mark.parametrize("offset", [-1, 0, 1])
     def test_chunk_edge(self, offset):
-        """``n`` one short of, at and one past a whole number of row chunks."""
-        m = 1024
-        rows = dominance._MAX_CELLS // m
+        """``m`` one short of, at and one past a whole number of dominator
+        chunks; the last dominator alone is ``<=`` some points, so the last
+        chunk counts."""
+        n = 1024
+        rows = dominance._MAX_CELLS // n
         rng = np.random.default_rng(offset + 1)
-        pts = rng.integers(0, 8, size=(2 * rows + offset, 3)).astype(float)
-        doms = rng.integers(0, 8, size=(m, 3)).astype(float) + 2.0
-        expected = np.array([np.all(doms <= row, axis=1).any() for row in pts])
+        pts = rng.integers(0, 8, size=(n, 3)).astype(float)
+        doms = rng.integers(0, 8, size=(2 * rows + offset, 3)).astype(float) + 2.0
+        doms[-1] = [0.0, 0.0, 7.0]
+
+        def reference(dominators):
+            return np.array([np.all(dominators <= row, axis=1).any() for row in pts])
+
+        expected = reference(doms)
         assert 0 < expected.sum() < len(pts)
+        assert (expected != reference(doms[:-1])).any()
         np.testing.assert_array_equal(weakly_dominated_mask(pts, doms), expected)
 
     def test_self_comparison_across_chunks(self, monkeypatch):

@@ -2,6 +2,7 @@
 
 import ast
 import inspect
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.data.generator import generate
+from repro.geometry import dominance
 from repro.skyline import reference, sfs
 from repro.skyline.bnl import bnl_skyline
 from repro.skyline.bskytree import bskytree_skyline
@@ -153,7 +155,8 @@ class TestSfsSpecifics:
 
 
 def block_edges(count=6):
-    """The input sizes at which the first ``count`` blocks end."""
+    """The input sizes at which the first ``count`` round heads end when no
+    round eliminates a row (an antichain)."""
     edges, end, size = [], 0, sfs._FIRST_BLOCK
     for _ in range(count):
         end += size
@@ -163,7 +166,8 @@ def block_edges(count=6):
 
 
 class TestSfsAcrossBlocks:
-    """Block SFS against the Definition-1 oracle on inputs that span blocks."""
+    """SFS against the Definition-1 oracle on inputs that span several
+    rounds' heads."""
 
     LONG = 2 * sfs._MAX_BLOCK + 500  # longer than the largest block
 
@@ -219,6 +223,27 @@ class TestSfsAcrossBlocks:
         assert n - 1 not in sfs_skyline(pts)
         self.check(pts)
 
+    def test_only_dominator_is_confirmed_in_round_three(self):
+        """A victim whose only dominator is a skyline row that first appears
+        in the head of round 3, while the victim waits for round 5: the new
+        skyline rows of every round, not only the first, must filter."""
+        edges = block_edges()
+        n = edges[3] + 100  # the antichain reaches round 5; the victim sorts last
+        ramp = np.arange(n, dtype=float)
+        # an antichain in the first two coordinates, with increasing sums, so
+        # the sorted order is the row order and no round eliminates a row
+        rows = np.column_stack([ramp, 2.0 * n - 0.5 * ramp, np.zeros(n)])
+        p = edges[1] + 20  # in round 3's head: positions edges[1]..edges[2]-1
+        victim = rows[p] + [0.0, 0.0, 10.0 * n]
+        pts = np.vstack([rows, victim])
+        assert np.argsort(pts.sum(axis=1))[-1] == n
+        dominators = [
+            j for j in range(n) if (pts[j] <= victim).all() and (pts[j] < victim).any()
+        ]
+        assert dominators == [p]
+        assert n not in sfs_skyline(pts)
+        self.check(pts)
+
 
 #: Coordinates whose sums tie often: signed zeros, and offsets that 1e16
 #: absorbs (the spacing of doubles there is 2).
@@ -266,6 +291,46 @@ class TestSfsSortPaths:
     def test_signed_zero_rows_are_equal(self):
         pts = np.array([[0.0, 1.0], [-0.0, 1.0], [1.0, 1.0], [-0.0, 1.0]])
         assert list(sfs_skyline(pts)) == [0, 1, 3]
+
+
+@st.composite
+def round_inputs(draw):
+    """Inputs long enough for several rounds (``n`` up to ``3 *
+    _MAX_BLOCK``), drawn as a kind and a seed: anticorrelated rows (a large
+    skyline), a duplicate-heavy grid, anticorrelated rows with coordinates
+    set to ``0.0`` or ``-0.0``, and anticorrelated rows with coordinates set
+    to one infinity (never both: NaN sums)."""
+    kind = draw(
+        st.sampled_from(["anticorrelated", "grid", "signed_zeros", "infinities"])
+    )
+    longest = 3 * sfs._MAX_BLOCK
+    # half the draws from the top third: five rounds or more
+    n = draw(st.integers(1, longest) | st.integers(sfs._MAX_BLOCK, longest))
+    ndim = draw(st.integers(1, 5))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "grid":
+        return rng.choice([0.0, 0.25, 0.5, 1.0], size=(n, ndim))
+    pts = generate("anticorrelated", n, ndim, seed=int(rng.integers(2**31)))
+    if kind == "signed_zeros":
+        hit = rng.random((n, ndim)) < 0.3
+        pts[hit] = rng.choice([-0.0, 0.0], size=int(hit.sum()))
+    elif kind == "infinities":
+        pts[rng.random((n, ndim)) < 0.1] = rng.choice([np.inf, -np.inf])
+    return pts
+
+
+class TestSfsRounds:
+    """The rounds against the Definition-1 oracle, with the kernel's cell
+    budget as shipped and cut to 64, so dominator chunks end inside every
+    round's head and filter call."""
+
+    @pytest.mark.parametrize("cells", [dominance._MAX_CELLS, 64])
+    @given(pts=round_inputs())
+    @settings(max_examples=30, deadline=None)
+    def test_matches_oracle(self, cells, pts):
+        with mock.patch.object(dominance, "_MAX_CELLS", cells):
+            got = sfs_skyline(pts)
+        np.testing.assert_array_equal(got, brute_force_skyline(pts))
 
 
 class TestSfsRejectsUnsortableInput:

@@ -469,6 +469,45 @@ class TestWritesStraightToAShard:
         self.assert_fleet_matches_shards(table)
 
 
+class TestSwappingAShardsTable:
+    """``table[i].table = ...`` takes the shard's own table or a wrapper
+    around it; anything else would leave the fleet's directory, MBRs and
+    counts describing rows the shard no longer holds."""
+
+    def test_an_unrelated_table_is_refused(self):
+        table = ShardedTable(np.random.default_rng(0).random((400, 3)), 4)
+        own = table[0].table
+        stranger = DiskTable([[5.0, 5.0, 5.0], [5.5, 5.5, 5.5]])
+        with pytest.raises(ValueError):
+            table[0].table = stranger
+        assert table[0].table is own
+        assert stranger.watch_writes(table)  # no watcher was registered
+        assert table.n == 400 and table.counts.sum() == 400
+        assert len(table.range_query([4.0] * 3, [6.0] * 3)) == 0
+
+    def test_a_wrapper_around_another_shards_table_is_refused(self):
+        from repro.storage.faults import FaultInjector, FaultyDiskTable
+
+        table = ShardedTable(make_data(), 2)
+        own = table[0].table
+        other = FaultyDiskTable(table[1].table, FaultInjector("none", seed=0))
+        with pytest.raises(ValueError):
+            table[0].table = other
+        assert table[0].table is own
+
+    def test_a_wrapper_and_the_table_itself_are_taken(self):
+        from repro.storage.faults import FaultInjector, FaultyDiskTable
+
+        table = ShardedTable(make_data(), 2)
+        own = table[0].table
+        wrapper = FaultyDiskTable(own, FaultInjector("none", seed=0))
+        table[0].table = wrapper
+        table[0].table = FaultyDiskTable(wrapper, FaultInjector("none", seed=1))
+        table[0].table = own
+        assert table[0].table is own
+        assert len(table.range_query([0.0] * 3, [1.0] * 3)) == 400
+
+
 class TestConcurrentReadersAndWriter:
     def test_readers_can_name_every_row_a_shard_returns(self):
         """Readers take no lock: while a writer appends, every row a shard
