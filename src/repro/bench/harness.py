@@ -77,7 +77,7 @@ def activate_faults(profile: Optional[str], seed: int = 0):
     :class:`~repro.storage.table.DiskTable` wrapped in a
     :class:`~repro.storage.faults.FaultyDiskTable` (its own seeded
     injector, so figures stay independent) and runs with the default
-    resilience layer, exercising retries and the degradation ladder under
+    resilience layer, exercising retries and the cache fallback under
     the benchmark workloads.  Baseline and BBS have no resilience layer and
     keep pristine tables.
     """

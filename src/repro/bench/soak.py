@@ -14,7 +14,8 @@ crash      ``--crash-drill``    a wrong recovered answer, a crash point     5
                                 that never fired, a cold or lossy warm
                                 restart
 overload   ``--overload N``     a wrong answer, accounting not closed, the  6
-                                p99 bound, no coalescing
+                                p99 bound, no coalescing, no shedding in a
+                                run four queues long
 shards     ``--shard-sweep N``  a wrong answer, an escaped exception; clean 7
                                 (no ``--faults``): any difference from the
                                 unsharded engine, one-shard ``IOStats``
@@ -22,7 +23,10 @@ shards     ``--shard-sweep N``  a wrong answer, an escaped exception; clean 7
 
 Every answer goes through one verdict,
 :func:`~repro.skyline.reference.answer_error`: flagged ``stale``, or equal to
-the reference skyline of the rows that are live.  Run them through ``python
+the reference skyline of the rows that are live.  Every report also carries
+two facts: ``rungs``, how many checked answers each fallback served
+(``stale`` / ``unavailable``), and ``breaker_transitions``, the circuit
+breaker's ``from->to`` state changes.  Run them through ``python
 -m repro.bench`` or directly::
 
     from repro.bench import soak
@@ -57,7 +61,8 @@ from repro.storage.table import DiskTable
 from repro.storage.wal import CheckpointedLog
 from repro.workload.generator import WorkloadGenerator
 
-#: chaos: the share of queries that must be answered above the stale rung
+#: chaos: the share of queries that must be answered by their own pass, not
+#: from the cache
 MIN_EXACT_FRACTION = 0.99
 
 #: crash: (name, crash point or None for the clean-shutdown control, hits
@@ -72,8 +77,10 @@ CRASH_SCENARIOS = (
     ("cache-snapshot", "cache.snapshot", 0, None),
 )
 
-#: overload: arrivals per second as a multiple of the calibrated saturation
-RATE_MULTIPLIER = 2.0
+#: overload: arrivals per second as a multiple of the calibrated per-query
+#: saturation -- about twice the saturation of the stream as served, since
+#: about half of it coalesces and never reaches a worker
+RATE_MULTIPLIER = 4.0
 QUEUE_CAPACITY = 64
 #: serial queries before the schedule: the first half warms the cache, the
 #: second half measures the steady-state service time
@@ -145,9 +152,26 @@ def _query(report: SoakReport, label: str, engine, constraints):
         return None
 
 
+def _tally(tally: Dict[str, int], key: Optional[str]) -> None:
+    if key is not None:
+        tally[key] = tally.get(key, 0) + 1
+
+
+def _transitions(*engines) -> Dict[str, int]:
+    """The engines' breaker transitions by ``from->to`` (an engine without
+    resilience has no breaker)."""
+    tally: Dict[str, int] = {}
+    for engine in engines:
+        if engine.resilience is not None:
+            for change in engine.resilience.breaker.transitions:
+                _tally(tally, f"{change.from_state}->{change.to_state}")
+    return tally
+
+
 def _check(report: SoakReport, label: str, outcome, rows, constraints) -> None:
-    """The verdict on one answer; stale answers are counted."""
+    """The verdict on one answer; stale answers and fallbacks are counted."""
     report.counts["stale_serves"] += outcome.stale
+    _tally(report.facts["rungs"], outcome.degraded)
     error = answer_error(outcome, rows, constraints)
     if error is not None:
         report.errors.append(f"{label}: {error}")
@@ -176,22 +200,19 @@ def chaos(n: int = 200, profile: str = "default", seed: int = 0, obs=None) -> So
         ("queries", "stale_serves", "retries", "drill_queries"), 0
     )
     report.counts["queries"] = len(queries)
-    rungs: Dict[str, int] = {}
+    report.facts["rungs"] = {}
     for i, constraints in enumerate(queries):
         outcome = _query(report, f"query {i}", engine, constraints)
         if outcome is None:
             continue
         report.counts["retries"] += outcome.retries
-        if outcome.degraded is not None:
-            rungs[outcome.degraded] = rungs.get(outcome.degraded, 0) + 1
         _check(report, f"query {i}", outcome, data, constraints)
-    report.facts["rungs"] = rungs
     report.facts["faults_injected"] = injector.fault_counts()
     exact = 1.0 - report.counts["stale_serves"] / max(len(queries), 1)
     if exact < MIN_EXACT_FRACTION:
         report.errors.append(
-            f"stale floor: {exact:.1%} of queries answered above the stale "
-            f"rung, below {MIN_EXACT_FRACTION:.0%}"
+            f"stale floor: {exact:.1%} of queries answered by their own pass, "
+            f"below {MIN_EXACT_FRACTION:.0%}"
         )
 
     states = [breaker.state]
@@ -216,6 +237,7 @@ def chaos(n: int = 200, profile: str = "default", seed: int = 0, obs=None) -> So
         if transition.to_state not in states:
             states.append(transition.to_state)
     report.facts["breaker_states_seen"] = states
+    report.facts["breaker_transitions"] = _transitions(engine)
     if not {"open", "half_open", "closed"} <= set(states):
         report.errors.append(
             f"breaker cycle: saw {sorted(set(states))}, "
@@ -246,17 +268,23 @@ def crash(profile: str = "default", seed: int = 0, out_dir=None) -> SoakReport:
         root = Path(root)
         root.mkdir(parents=True, exist_ok=True)
         data = independent(400, 3, seed=seed)
+        rows = []
         for scenario in CRASH_SCENARIOS:
             row = _crash_scenario(root, data, profile, seed, *scenario)
             row["passed"] = not row["errors"]
+            rows.append(row)
             report.facts[row["name"]] = row
             report.errors += [f"{row['name']}: {err}" for err in row["errors"]]
-        rows = list(report.facts.values())
         report.counts = {
             "scenarios": len(rows),
             "queries_checked": sum(r["queries_checked"] for r in rows),
             "stale_serves": sum(r["stale_serves"] for r in rows),
         }
+        for key in ("rungs", "breaker_transitions"):
+            report.facts[key] = total = {}
+            for row in rows:
+                for name, count in row[key].items():
+                    total[name] = total.get(name, 0) + count
         if keep:
             atomic_write_json(
                 root / "recovery_report.json",
@@ -321,7 +349,7 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
         "checkpoint_lsn": 0, "tail_status": "clean",
         "cache_tail_status": "clean", "cache_restored_from": None,
         "cache_restored_items": 0, "queries_checked": 0, "stale_serves": 0,
-        "mismatches": 0, "errors": [],
+        "mismatches": 0, "rungs": {}, "breaker_transitions": {}, "errors": [],
     }
     errors = row["errors"]
     steps, updates = _make_schedule(np.random.default_rng(seed), data)
@@ -387,10 +415,12 @@ def _crash_scenario(root: Path, data, profile, seed, name, point, after, torn) -
             outcome = recovered.query(constraints)
             row["queries_checked"] += 1
             row["stale_serves"] += outcome.stale
+            _tally(row["rungs"], outcome.degraded)
             error = answer_error(outcome, live, constraints)
             if error is not None:
                 row["mismatches"] += 1
                 errors.append(f"check query {i}: recovered {error}")
+        row["breaker_transitions"] = _transitions(engine, recovered)
         recovered.close()
     except Exception as exc:  # a drill must report, never explode
         errors.append(f"{type(exc).__name__}: {exc}")
@@ -440,16 +470,22 @@ def overload(
     request draws a priority; interactive ones carry a deadline, so backlog
     yields typed ``deadline_exceeded`` next to shedding.
 
-    The p99 bound is what the worst admitted request waits behind a full
-    queue: shedding, not luck, must keep latency bounded.
+    The stream draws from ``n // 2`` base regions (at least 8).  In-flight
+    coalescing caps the queue near the number of distinct regions in
+    flight, and the backlog builds over the run, so a run of at least four
+    queues (``n >= 4 * QUEUE_CAPACITY``: twice as many regions as slots)
+    must shed or bounce something, or it never overloaded.  The p99 bound
+    is what the worst admitted request waits behind a full queue:
+    shedding, not luck, must keep latency bounded.
     """
     if n < 1:
         raise ValueError("n must be positive")
     data = independent(scaled(2_000, 10_000, 30_000), 4, seed=seed)
     table = _faulty(DiskTable(data), profile, seed, obs)
     engine = PacedEngine(CBCS(table, obs=obs, resilience=True))
+    universe = max(8, n // 2)
     stream = WorkloadGenerator(data, seed=seed).zipf_stream(
-        CALIBRATION_QUERIES + n, universe=max(8, min(25, n // 4))
+        CALIBRATION_QUERIES + n, universe=universe
     )
     warmup, queries = stream[:CALIBRATION_QUERIES], stream[CALIBRATION_QUERIES:]
     half = CALIBRATION_QUERIES // 2
@@ -474,6 +510,7 @@ def overload(
 
     report = SoakReport("overload", seed, table.injector.profile.name)
     report.counts["stale_serves"] = 0
+    report.facts["rungs"] = {}
     futures = []
     done_at: List[Optional[float]] = [None] * n
     answered: List[Tuple[int, float]] = []
@@ -536,8 +573,10 @@ def overload(
         [float(v) for v in np.percentile(latencies, [50, 95, 99, 100])]
         if latencies else [float("nan")] * 4
     )
-    report.facts = {
+    report.facts.update({
+        "breaker_transitions": _transitions(engine),
         "workers": workers,
+        "universe": universe,
         "mean_service_ms": service_s * 1000.0,
         "saturation_rps": saturation_rps,
         "target_rps": target_rps,
@@ -547,7 +586,7 @@ def overload(
         "shed_rate": (c["shed"] + c["rejected_queue_full"]) / max(c["submitted"], 1),
         "coalesce_rate": coalesced / max(c["submitted"], 1),
         "by_priority": by_priority,
-    }
+    })
     terminal = (c["answered"] + c["shed"] + c["rejected_queue_full"]
                 + c["deadline_exceeded"] + c["error_count"])
     if c["submitted"] != terminal:
@@ -566,6 +605,11 @@ def overload(
         )
     if coalesced < MIN_COALESCED:
         report.errors.append(f"coalescing: {coalesced} requests coalesced")
+    if n >= 4 * QUEUE_CAPACITY and c["shed"] + c["rejected_queue_full"] == 0:
+        report.errors.append(
+            f"overloaded: nothing shed or rejected at {report.facts['target_rps']:.0f} "
+            f"rps into a {QUEUE_CAPACITY}-slot queue"
+        )
     return report
 
 
@@ -591,6 +635,8 @@ def shards(n: int = 40, profile: str = "none", seed: int = 0, obs=None) -> SoakR
     report.counts = dict.fromkeys(
         ("cells", "queries_checked", "stale_serves", "retries"), 0
     )
+    report.facts["rungs"] = {}
+    engines = []
     points_by_shards: Dict[int, int] = {}
     for s in (seed, seed + 1):
         data = independent(scaled(2_000, 8_000, 30_000), 4, seed=s)
@@ -614,11 +660,13 @@ def shards(n: int = 40, profile: str = "none", seed: int = 0, obs=None) -> SoakR
                 )
                 label = f"seed={s} strategy={name} shards={count}"
                 _shard_cell(report, engine, queries, data, plain, label)
+                engines.append(engine)
                 points_by_shards[count] = (
                     points_by_shards.get(count, 0) + table.stats.points_read
                 )
                 engine.close()
     report.facts["points_read_by_shards"] = points_by_shards
+    report.facts["breaker_transitions"] = _transitions(*engines)
     return report
 
 

@@ -29,10 +29,11 @@ exactly once, as one pass in two steps: :meth:`CBCS._plan` (search,
 verify, select, plan -- a miss is the degenerate plan) and
 :meth:`CBCS._execute` (fetch the plan's boxes, merge with the reusable
 points, skyline, cache).  The :class:`~repro.core.planner.QueryPlan` is
-the one record of the pass.  The degradation ladder is a table of rungs
-walked by one loop in :meth:`CBCS._serve`, each rung one more pass of that
-same body.  :meth:`CBCS.query` is the per-query preamble and epilogue (id,
-root span, outcome record, and -- after the fact -- the EXPLAIN record).
+the one record of the pass.  :meth:`CBCS._serve` runs that pass once;
+with resilience on, a pass that fails falls straight to the cache (a
+flagged ``stale`` answer, else ``unavailable``).  :meth:`CBCS.query` is the
+per-query preamble and epilogue (id, root span, outcome record, and --
+after the fact -- the EXPLAIN record).
 Every query returns a :class:`~repro.stats.QueryOutcome` with the
 Figure-10 stage breakdown.
 
@@ -50,7 +51,7 @@ stale answer.
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -80,33 +81,15 @@ __all__ = [
     "CBCS",
     "CASE_MISS",
     "QueryPlan",
-    "RUNG_AMPR",
-    "RUNG_BOUNDING",
     "RUNG_STALE",
     "RUNG_UNAVAILABLE",
 ]
 
-#: Degradation-ladder rung labels stamped into ``QueryOutcome.degraded``.
-#: ``ampr`` and ``bounding`` answers are still exact; ``stale`` serves a
-#: possibly-outdated cached skyline; ``unavailable`` is the empty last
-#: resort when storage is down and nothing cached overlaps.
-RUNG_AMPR = "ampr"
-RUNG_BOUNDING = "bounding"
+#: The labels a failed pass's answer carries in ``QueryOutcome.degraded``:
+#: ``stale`` serves a possibly-outdated cached skyline; ``unavailable`` is
+#: the empty last resort when storage is down and nothing cached overlaps.
 RUNG_STALE = "stale"
 RUNG_UNAVAILABLE = "unavailable"
-
-
-class Rung(NamedTuple):
-    """One fetching rung of the degradation ladder.
-
-    ``label`` is stamped on the outcome (None: the configured, undegraded
-    plan); ``region`` overrides the region computer; ``use_cache=False``
-    plans against no candidates at all.
-    """
-
-    label: Optional[str]
-    region: Optional[object] = None
-    use_cache: bool = True
 
 
 class CBCS:
@@ -138,9 +121,8 @@ class CBCS:
         defaults or a :class:`repro.resilience.Resilience` to tune the
         retry policy / circuit breaker.  With it on, every storage range
         query is a :meth:`repro.resilience.Resilience.read` (validated,
-        retried per box against a shared per-query budget, guarded by the
-        circuit breaker); exhausted retries fall down the degradation
-        ladder (aMPR re-plan -> bounding fetch -> stale cache serve)
+        retried per box, guarded by the circuit breaker); a pass whose
+        retries are exhausted is served from the cache, flagged stale,
         instead of raising, and cache items are invariant-verified
         before CBCS prunes with them.  The default ``None`` keeps the
         historic fail-fast behaviour with zero overhead.
@@ -174,23 +156,7 @@ class CBCS:
         self.name = f"CBCS[{self.region.name}]"
         self.obs = NULL_OBS if obs is None else obs
         self.resilience = resolve_resilience(resilience)
-        self._verify = self.resilience is not None and self.resilience.verify_cache
-        self._fallback_region = (
-            ApproximateMPR(k=1)
-            if self.resilience is not None
-            and not isinstance(self.region, ApproximateMPR)
-            else None
-        )
-        #: The degradation ladder's fetching rungs, walked in order by
-        #: :meth:`_serve` -- every answer from them is still exact.
-        #: ``ampr`` re-plans with a 1-NN aMPR (fewer, larger range queries
-        #: mean fewer fault opportunities; absent when the engine already
-        #: runs an aMPR); ``bounding`` is a single range query over the
-        #: whole constraint region plus a from-scratch skyline.
-        self._ladder = [Rung(None)]
-        if self._fallback_region is not None:
-            self._ladder.append(Rung(RUNG_AMPR, region=self._fallback_region))
-        self._ladder.append(Rung(RUNG_BOUNDING, use_cache=False))
+        self._verify = self.resilience is not None
         if obs is not None:
             self.cache.bind_metrics(obs.metrics)
             self.strategy.bind_obs(obs)
@@ -200,8 +166,6 @@ class CBCS:
                 self.table.bind_obs(obs)
             if self.resilience is not None:
                 self.resilience.bind_metrics(obs.metrics)
-            if self._fallback_region is not None:
-                self._fallback_region.bind_obs(obs)
         self.planner = Planner(self.strategy, self.region, self.table.forecast)
         self.executor = Executor()
         if durability is not None and not isinstance(durability, DurabilityManager):
@@ -249,12 +213,12 @@ class CBCS:
         """Answer one constrained skyline query, reusing the cache.
 
         With resilience enabled, storage faults are retried and -- once
-        retries are exhausted or the circuit breaker opens -- the query
-        degrades down the ladder instead of raising: aMPR re-plan, then a
-        single bounding range query, then serving the best-overlap cached
-        skyline flagged ``stale``.  Degraded outcomes are always labeled
-        (``QueryOutcome.degraded``); this method never lets a storage error
-        escape when resilience is on.
+        retries are exhausted or the circuit breaker opens -- the query is
+        served from the cache instead of raising: the best-overlap cached
+        skyline flagged ``stale``, or an empty ``unavailable`` answer.
+        Degraded outcomes are always labeled (``QueryOutcome.degraded``);
+        this method never lets a storage error escape when resilience is
+        on.
 
         ``query_id`` correlates everything this query produces -- trace
         spans, plan, outcome record, metric exemplar, EXPLAIN record --
@@ -267,8 +231,8 @@ class CBCS:
         :class:`~repro.resilience.deadline.Deadline`) bounds this query
         end to end.  Wall-clock time, simulated I/O, and simulated retry
         backoff all charge the same budget.  When it expires mid-flight the
-        query stops descending the ladder and serves the best cached answer
-        it has, flagged ``stale=True``; with nothing cached it raises the
+        query stops fetching and serves the best cached answer it has,
+        flagged ``stale=True``; with nothing cached it raises the
         typed :class:`~repro.resilience.DeadlineExceeded` -- never a silent
         hang, never a partial unflagged result.  A query that completes
         just past its deadline still returns its answer.  Without
@@ -285,7 +249,7 @@ class CBCS:
             query_id = obs.correlation.new_id()
         with bind(query_id):
             with obs.tracer.span("cbcs.query", strategy=self.strategy.name) as qspan:
-                outcome, attempts, plan = self._serve(constraints, qspan, deadline)
+                outcome, plan = self._serve(constraints, qspan, deadline)
             # the epilogue: none with observability off and no caller's id
             if query_id is not None:
                 outcome.query_id = query_id
@@ -294,60 +258,44 @@ class CBCS:
                     # the EXPLAIN record is built after the fact, and only
                     # when asked
                     if obs.explainer is not None:
-                        obs.explainer.record(self._explain(outcome, attempts, plan))
+                        obs.explainer.record(self._explain(outcome, plan))
         return outcome
 
     def _serve(self, constraints: Constraints, qspan, deadline):
-        """Walk the rung table until one pass of the body succeeds.
+        """Run the query body once -- :meth:`_plan`, then :meth:`_execute`.
 
-        Returns the outcome, the number of passes started and the last
-        pass's plan (None when planning itself raised) -- what EXPLAIN
-        describes.  Without resilience only the configured rung runs and
-        storage errors propagate.  With it, each rung is one more pass --
-        :meth:`_plan`, then :meth:`_execute` -- under a fresh retry budget;
-        the outcome carries the retries of every rung tried.
-
-        A per-request ``deadline`` gates the descent: a fetching rung is
-        only attempted while budget remains, and a rung interrupted by
-        :class:`DeadlineExceeded` ends the walk (cheaper rungs still cost
-        fetches the budget cannot pay for).  After the last rung:
-        ``stale`` serves the best-overlap cached skyline, flagged; with the
-        deadline spent and nothing cached the typed exception propagates
-        -- the serving layer's cue to emit ``deadline_exceeded``;
-        otherwise ``unavailable`` is the empty, flagged last resort.
+        Returns the outcome and the pass's plan (None when planning itself
+        raised) -- what EXPLAIN describes.  Without resilience storage
+        errors propagate.  With it the pass runs under one retry state,
+        and a pass that fails -- exhausted retries, an open breaker, or a
+        per-request ``deadline`` spent mid-pass -- falls straight to the
+        cache: ``stale`` serves the best-overlap cached skyline, flagged;
+        with the deadline spent and nothing cached the typed
+        :class:`DeadlineExceeded` propagates -- the serving layer's cue to
+        emit ``deadline_exceeded``; otherwise ``unavailable`` is the empty,
+        flagged last resort.
         """
         if self.resilience is None:
             if deadline is not None:
                 deadline.check("ingress")
             watch = Stopwatch(tracer=self.obs.tracer)
-            plan = self._plan(constraints, self._ladder[0], qspan, watch)
-            return self._execute(plan, watch), 1, plan
+            plan = self._plan(constraints, qspan, watch)
+            return self._execute(plan, watch), plan
 
         metrics = self.obs.metrics
-        retries = attempts = 0
         plan = None
-        for number, rung in enumerate(self._ladder, 1):
-            if number > 1 and deadline is not None and deadline.expired:
-                break
-            attempts, plan = number, None
-            watch = Stopwatch(tracer=self.obs.tracer)
-            state = self.resilience.new_state(deadline=deadline)
-            try:
-                plan = self._plan(constraints, rung, qspan, watch)
-                outcome = self._execute(plan, watch, state)
-            except DeadlineExceeded:
-                break
-            except DEGRADABLE:
-                if number == 1:
-                    metrics.inc("degradation_entered_total", method=self.name)
-                continue
-            finally:
-                retries += state.retries
-            if rung.label is not None:
-                outcome.degraded = rung.label
-                qspan.set(degraded=rung.label)
-            outcome.retries = retries
-            return outcome, attempts, plan
+        watch = Stopwatch(tracer=self.obs.tracer)
+        state = self.resilience.new_state(deadline=deadline)
+        try:
+            plan = self._plan(constraints, qspan, watch)
+            outcome = self._execute(plan, watch, state)
+        except DeadlineExceeded:
+            pass
+        except DEGRADABLE:
+            metrics.inc("degradation_entered_total", method=self.name)
+        else:
+            outcome.retries = state.retries
+            return outcome, plan
 
         if deadline is not None and deadline.expired:
             metrics.inc("query_deadline_exceeded_total", method=self.name)
@@ -356,7 +304,7 @@ class CBCS:
             if deadline is not None:
                 # Out of time and nothing cached: surface the typed outcome
                 # rather than inventing an empty "unavailable" answer.
-                deadline.check("degradation ladder")
+                deadline.check("cache fallback")
             qspan.set(degraded=RUNG_UNAVAILABLE)
             outcome = QueryOutcome(
                 skyline=np.empty((0, constraints.ndim)),
@@ -367,17 +315,15 @@ class CBCS:
                 degraded=RUNG_UNAVAILABLE,
                 stale=True,
             )
-        outcome.retries = retries
-        return outcome, attempts, plan
+        outcome.retries = state.retries
+        return outcome, plan
 
-    def _plan(self, constraints: Constraints, rung: Rung, qspan, watch) -> QueryPlan:
+    def _plan(self, constraints: Constraints, qspan, watch) -> QueryPlan:
         """The query body's first half -- the ``processing`` stage: search
         the cache, verify and select one item (or none), plan.
 
         A miss is just the plan that reuses nothing, an exact match the plan
-        that fetches nothing, and ``rung`` only varies the planning: the
-        ``ampr`` rung swaps the region computer, the ``bounding`` rung plans
-        against no candidates -- which *is* the miss plan.
+        that fetches nothing.
 
         The cache search starts with a key probe: an item cached under these
         very constraints comes back alone and is the plan's item, with no
@@ -390,30 +336,27 @@ class CBCS:
         """
         obs = self.obs
         cache_items = len(self.cache)
-        candidates, item, rejected = (), None, []
+        rejected = []
         with watch.stage("processing"):
-            if rung.use_cache:
-                with obs.tracer.span("cache.search"):
-                    candidates = self.cache.candidates(constraints)
+            with obs.tracer.span("cache.search"):
+                candidates = self.cache.candidates(constraints)
+            item = self.planner.select(constraints, candidates)
+            while (
+                self._verify
+                and item is not None
+                and not self.cache.verify_and_heal(item)
+            ):
+                rejected.append(item)
+                candidates = self._without(constraints, candidates, item)
                 item = self.planner.select(constraints, candidates)
-                while (
-                    self._verify
-                    and item is not None
-                    and not self.cache.verify_and_heal(item)
-                ):
-                    rejected.append(item)
-                    candidates = self._without(constraints, candidates, item)
-                    item = self.planner.select(constraints, candidates)
-                if obs.enabled:
-                    obs.metrics.inc(
-                        "cache_lookups_total",
-                        strategy=self.strategy.name,
-                        outcome="hit" if item is not None else "miss",
-                    )
-            with obs.tracer.span("case.classify") as cspan:
-                plan = self.planner.plan(
-                    constraints, candidates, item=item, region_override=rung.region
+            if obs.enabled:
+                obs.metrics.inc(
+                    "cache_lookups_total",
+                    strategy=self.strategy.name,
+                    outcome="hit" if item is not None else "miss",
                 )
+            with obs.tracer.span("case.classify") as cspan:
+                plan = self.planner.plan(constraints, candidates, item=item)
                 if obs.enabled:
                     cspan.set(case=plan.case, item_id=plan.item_id)
         plan.rejected, plan.cache_items = rejected, cache_items
@@ -432,8 +375,7 @@ class CBCS:
         (``QueryService`` workers) never bill each other.  Under resilience
         a pass that raised returned no result to carry its charge: what it
         read (a truncated or corrupt payload that validation rejected)
-        stays on the table's counters alone, like the reads of a rung that
-        failed -- no outcome is billed for it.
+        stays on the table's counters alone -- no outcome is billed for it.
         """
         obs = self.obs
         item = plan.item
@@ -503,7 +445,7 @@ class CBCS:
         )
 
     def _serve_stale(self, constraints: Constraints, qspan) -> Optional[QueryOutcome]:
-        """The stale-serve rung: best-overlap cached skyline filtered to the
+        """The stale serve: best-overlap cached skyline filtered to the
         query region, flagged ``stale=True`` (may miss points whose
         dominators fell outside the cached region); None when nothing
         cached overlaps (or every candidate fails verification)."""
@@ -536,8 +478,8 @@ class CBCS:
             return self.cache.candidates(constraints, record=False)
         return candidates.without(item)
 
-    def _explain(self, outcome: QueryOutcome, attempts: int, plan) -> dict:
-        """This query's EXPLAIN record, built after the fact from the last
+    def _explain(self, outcome: QueryOutcome, plan) -> dict:
+        """This query's EXPLAIN record, built after the fact from the
         pass's plan (only called with an ``ExplainRecorder`` installed)."""
         from repro.obs.explain import explain_record, plan_sections
 
@@ -545,14 +487,9 @@ class CBCS:
         # planning itself can fail a pass (healing a corrupt item writes to
         # a durable cache's log); such a record is just the outcome head
         if plan is not None:
-            bypassed = not self._ladder[attempts - 1].use_cache
-            sections = plan_sections(self.planner, plan, bypassed)
+            sections = plan_sections(self.planner, plan)
         return explain_record(
-            outcome,
-            self.name,
-            attempts,
-            strategy=self.strategy.name,
-            **sections,
+            outcome, self.name, strategy=self.strategy.name, **sections
         )
 
     def explain(self, constraints: Constraints) -> QueryPlan:

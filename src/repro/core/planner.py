@@ -15,14 +15,13 @@ Both :meth:`repro.core.cbcs.CBCS.explain` and the execution path call the
 same :meth:`Planner.plan`, so explain/execute agreement holds by
 construction: there is exactly one piece of code that decides what a query
 will do -- a miss is just the degenerate plan (the whole region, nothing
-reused), and the degradation ladder's bounding rung is the same plan built
-against no candidates.
+reused).
 
 The region's boxes are not the plan's: between the two runs the one shaping
 pass (:func:`repro.core.shaping.shape`), which prices boxes and their
 bounding boxes with the table's forecast, drops the ones forecast empty and
-coalesces where that saves seeks -- on every rung and for every region
-computer that emits more than one box, so there is nothing to switch.
+coalesces where that saves seeks -- for every region computer that emits
+more than one box, so there is nothing to switch.
 
 The planner performs zero I/O.  Its only inputs are the query constraints,
 the candidate cache items (the caller does the cache search, because the
@@ -244,15 +243,12 @@ class Planner:
         constraints: Constraints,
         candidates,
         item=None,
-        region_override=None,
         record: bool = True,
     ) -> QueryPlan:
         """Plan one query against the given (already verified) candidates.
 
-        The only builder of plans: a miss (nothing selectable -- including
-        the ladder's cache-bypassing bounding rung, which passes no
-        candidates) is the single range query over the whole region with
-        nothing reused; an exact match -- the cache's key probe found it, so
+        The only builder of plans: a miss (nothing selectable) is the
+        single range query over the whole region with nothing reused; an exact match -- the cache's key probe found it, so
         there is no case to classify -- fetches nothing; every other hit
         fetches the missing-points region, shaped by forecast cost
         (:func:`repro.core.shaping.shape`) -- cached points inside a
@@ -260,10 +256,9 @@ class Planner:
 
         ``item`` lets the caller pass a pre-selected (and cache-verified)
         item so selection is not repeated; with the default None the
-        strategy picks from ``candidates``.  ``region_override`` substitutes
-        the degradation ladder's aMPR re-plan for the configured region
-        computer.  ``record=False`` keeps a dry-run plan out of the
-        selection counters and the region computer's MPR metrics.
+        strategy picks from ``candidates``.  ``record=False`` keeps a
+        dry-run plan out of the selection counters and the region
+        computer's MPR metrics.
         """
         if item is None:
             item = self.select(constraints, candidates, record=record)
@@ -284,9 +279,7 @@ class Planner:
                 reusable=item.skyline,
             )
         case = classify_change(item.constraints, constraints)
-        mpr = self.compute_region(
-            item, constraints, region_override=region_override, record=record
-        )
+        mpr = self.compute_region(item, constraints, record=record)
         fetch, hulls, reusable = mpr.boxes, 0, mpr.surviving
         if len(fetch) > 1:
             # (one box has nothing to coalesce with, and whether it is
@@ -322,10 +315,9 @@ class Planner:
         )
         return plan
 
-    def compute_region(self, item, constraints, region_override=None, record=True):
+    def compute_region(self, item, constraints, record=True):
         """Compute the missing-points region of the query against ``item``;
         ``record=False`` keeps a dry run out of the MPR span and metrics."""
-        region = self.region if region_override is None else region_override
-        return region.compute(
+        return self.region.compute(
             item.constraints, item.skyline, constraints, record=record
         )

@@ -19,19 +19,17 @@ records the decision itself:
 One record is emitted per ``query()`` call, stamped with the query's
 correlation id, so ``explain.jsonl`` joins 1:1 with ``queries.jsonl`` and
 the trace.  The record is built *once, after the query body ran*, by pure
-functions of the last pass's :class:`~repro.core.planner.QueryPlan` -- the
+functions of the query's one :class:`~repro.core.planner.QueryPlan` -- the
 candidates it was planned against, the items cache verification rejected,
 the per-box :class:`~repro.storage.table.RangeResult` parts of its fetch --
 and the outcome, so the engine carries no explain state beside the plan.
-For degraded queries the record reflects the last pass the ladder started
-plus the rung that actually served (``degraded`` field) and ``attempts``
-counts the passes started; boxes whose fetch never completed keep
-``"actual": null``.  A pass whose planning raised left no plan: its record
-is the outcome head alone.  A plan
-from the ladder's cache-bypassing ``bounding`` rung has no candidates and
-``no_candidates_reason: "cache-bypassed"``.  An exact hit was found by the
-cache's key probe, not by the overlap search: its record lists that one
-candidate, has no boxes, and its predicted and actual costs are zero.
+A degraded query's record describes the configured pass that failed plus
+what served it instead (``degraded``: ``stale`` or ``unavailable``); boxes
+whose fetch never completed keep ``"actual": null``.  A pass whose planning
+raised left no plan: its record is the outcome head alone.  An exact hit
+was found by the cache's key probe, not by the overlap search: its record
+lists that one candidate, has no boxes, and its predicted and actual costs
+are zero.
 
 Wiring: the bench CLI (``--explain``) sets an :class:`ExplainRecorder` on
 ``Observability.explainer``; :meth:`repro.core.cbcs.CBCS.query` then emits
@@ -62,7 +60,6 @@ REJECT_FAILED_VERIFICATION = "failed-verification"
 #: ``no_candidates_reason`` values for records without a candidate table.
 REASON_EMPTY_CACHE = "empty-cache"
 REASON_NO_OVERLAP = "no-overlapping-candidates"
-REASON_CACHE_BYPASSED = "cache-bypassed"
 
 _COST_KEYS = ("points", "pages", "seeks", "io_ms")
 
@@ -97,7 +94,7 @@ def _actual_cost(part) -> dict:
     }
 
 
-def explain_record(outcome, method, attempts, strategy=None, **sections) -> dict:
+def explain_record(outcome, method, strategy=None, **sections) -> dict:
     """One query's EXPLAIN record: the outcome head followed by the
     ``sections`` of :func:`plan_sections` (none when planning itself
     failed)."""
@@ -109,21 +106,19 @@ def explain_record(outcome, method, attempts, strategy=None, **sections) -> dict
         cache_hit=bool(outcome.cache_hit),
         stable=outcome.stable,
         degraded=outcome.degraded,
-        attempts=attempts,
         **sections,
     )
     return stamp(record)
 
 
-def plan_sections(planner, plan, bypassed) -> dict:
+def plan_sections(planner, plan) -> dict:
     """The decision + predicted-vs-actual sections of one executed plan.
 
-    ``plan`` is the last pass's :class:`~repro.core.planner.QueryPlan`:
+    ``plan`` is the query's :class:`~repro.core.planner.QueryPlan`:
     ``plan.rejected`` the cache items verification removed before it was
     built, ``plan.cache_items`` the cache size it saw, ``plan.parts`` the
     per-box fetch results in plan order (empty when the fetch never
-    completed, so every box keeps ``"actual": null``).  ``bypassed`` marks
-    the bounding rung, which never consulted the cache.  I/O-free forecast
+    completed, so every box keeps ``"actual": null``).  I/O-free forecast
     and cost-model math only.
     """
     from repro.geometry.box import BoxSet
@@ -146,12 +141,10 @@ def plan_sections(planner, plan, bypassed) -> dict:
         for item in plan.rejected
     ]
     reason = None
-    if bypassed:
-        reason = REASON_CACHE_BYPASSED
-    elif not candidates:
+    if not candidates:
         reason = REASON_EMPTY_CACHE if plan.cache_items == 0 else REASON_NO_OVERLAP
     # per-box actuals join in plan order; a fetch that never completed
-    # (degraded rung) leaves every box unexecuted
+    # (a degraded query) leaves every box unexecuted
     executed = len(plan.parts) == len(plan.boxes)
     actuals = (
         [_actual_cost(part) for part in plan.parts]
@@ -305,7 +298,6 @@ def render_record(record: dict) -> str:
         f"case={record.get('case')} cache_hit={record.get('cache_hit')} "
         f"stable={record.get('stable')} degraded={record.get('degraded')}",
         f"cache_items={record.get('cache_items')} "
-        f"attempts={record.get('attempts')} "
         f"plan: item={plan.get('item_id')} "
         f"reuse={plan.get('reusable_points')} "
         f"range_queries={plan.get('range_queries')} "

@@ -8,16 +8,17 @@ defences, wired into :class:`repro.core.cbcs.CBCS` via the ``resilience``
 parameter:
 
 - :class:`~repro.resilience.retry.RetryPolicy` -- capped exponential
-  backoff with deterministic jitter and a per-query deadline budget;
+  backoff with deterministic jitter, bounded by attempts (time is bounded
+  by the per-request :class:`~repro.resilience.deadline.Deadline`);
 - :class:`~repro.resilience.breaker.CircuitBreaker` -- guards the disk
   path; state transitions are mirrored into the metrics registry;
 - result validation (:func:`~repro.resilience.validate.validate_range_result`)
   -- turns silent short reads and NaN corruption into retryable errors;
   :meth:`Resilience.read` is the one guarded read that combines these
   three around a table's ``range_query``;
-- the CBCS degradation ladder -- on exhausted retries a query falls from
-  its exact plan to an aMPR re-plan, then a single bounding range query,
-  then serving the best-overlap cached skyline flagged ``stale=True``;
+- the CBCS cache fallback -- a query runs its configured plan once; on
+  exhausted retries or an open breaker it serves the best-overlap cached
+  skyline flagged ``stale=True`` (or an empty ``unavailable`` answer);
   never an unhandled exception, never an unflagged wrong answer.
 
 The cache side of self-healing lives in
@@ -70,14 +71,13 @@ __all__ = [
 class Resilience:
     """Bundle of fault-tolerance collaborators for one CBCS engine.
 
-    ``verify_cache`` enables self-healing verification: cache items are
+    An engine with resilience also self-heals its cache: items are
     invariant-checked before CBCS prunes with them and after any insert on
     a path that saw faults, with violators quarantined.
     """
 
     policy: RetryPolicy = field(default_factory=RetryPolicy)
     breaker: CircuitBreaker = field(default_factory=CircuitBreaker)
-    verify_cache: bool = True
     #: registry :meth:`read` reports retries to (set by :meth:`bind_metrics`)
     metrics: Optional[MetricsRegistry] = field(default=None, init=False, repr=False)
 
@@ -88,13 +88,13 @@ class Resilience:
         return self
 
     def new_state(self, deadline=None) -> RetryState:
-        """A fresh per-query retry budget, optionally bound to a
+        """A fresh per-query retry count, optionally bound to a
         per-request :class:`~repro.resilience.deadline.Deadline`."""
         return RetryState(self.policy, deadline=deadline)
 
     def read(self, table, lo, hi, state: RetryState):
         """One guarded ``table.range_query(lo, hi)``: validated, retried
-        against ``state``'s per-query budget, behind the circuit breaker.
+        under ``state``'s policy, behind the circuit breaker.
 
         The breaker admits the read before any storage (or fault-injector)
         activity and records one success or failure for the whole retried

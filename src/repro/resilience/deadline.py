@@ -11,10 +11,10 @@ queueing, retries, and storage fetches included.  It tracks two costs:
 Both count against the same budget, mirroring how the bench charges
 simulated disk time on top of real CPU time.  When the budget runs out the
 next check raises :class:`~repro.resilience.errors.DeadlineExceeded`, which
-is deliberately neither retryable nor degradable: the degradation ladder
-catches it explicitly and jumps straight to the cheapest remaining rung
-(stale-serve) instead of descending through more expensive fallbacks that
-cannot finish in time either.
+is deliberately neither retryable nor degradable: the engine catches it
+explicitly and serves the best cached answer (stale-serve) instead of
+retrying fetches that cannot finish in time either.  It is the only time
+budget a query has: the retry policy bounds attempts, not milliseconds.
 
 A deadline never cancels completed work: an answer that finishes just past
 its budget is still returned.  The guarantee is *no silent hang*, not
@@ -43,8 +43,11 @@ class Deadline:
     __slots__ = ("budget_ms", "_t0", "_charged_ms", "_lock", "_clock")
 
     def __init__(self, budget_ms: float, clock=time.perf_counter):
-        if budget_ms <= 0:
-            raise ValueError("deadline budget_ms must be positive")
+        if isinstance(budget_ms, bool):
+            raise TypeError("deadline budget_ms must be a number of ms, not a bool")
+        # (a NaN budget fails this test; past it, it would never expire)
+        if not budget_ms > 0:
+            raise ValueError(f"deadline budget_ms must be positive, got {budget_ms}")
         self.budget_ms = float(budget_ms)
         self._clock = clock
         self._t0 = clock()
@@ -56,13 +59,14 @@ class Deadline:
         cls, value: Union["Deadline", float, int, None]
     ) -> Optional["Deadline"]:
         """None -> None, a number -> a fresh deadline armed now, a
-        :class:`Deadline` -> itself (already running)."""
+        :class:`Deadline` -> itself (already running).  A bool is not a
+        number of milliseconds."""
         if value is None:
             return None
         if isinstance(value, Deadline):
             return value
-        if isinstance(value, (int, float)):
-            return cls(float(value))
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return cls(value)
         raise TypeError(
             f"deadline must be None, a number of ms, or a Deadline, "
             f"got {type(value)!r}"

@@ -9,8 +9,9 @@ The class hierarchy encodes the retry contract:
   validation (truncated payload, non-finite values); it subclasses the
   transient error because a re-read of healthy storage returns clean data.
 - :class:`RetriesExhausted` and :class:`CircuitOpenError` are the two ways
-  an operation gives up; both trigger the CBCS degradation ladder and are
-  never allowed to escape :meth:`repro.core.cbcs.CBCS.query`.
+  an operation gives up; both end the CBCS query pass, which is then served
+  from the cache, and neither is allowed to escape
+  :meth:`repro.core.cbcs.CBCS.query`.
 """
 
 from __future__ import annotations
@@ -23,8 +24,9 @@ class CorruptResultError(TransientStorageError):
 
 
 class RetriesExhausted(RuntimeError):
-    """An operation kept failing past the retry policy's attempt/deadline
-    budget; the last underlying error is chained as ``__cause__``."""
+    """An operation kept failing for all of the retry policy's
+    ``max_attempts``; the last underlying error is chained as
+    ``__cause__``."""
 
 
 class CircuitOpenError(RuntimeError):
@@ -35,18 +37,17 @@ class CircuitOpenError(RuntimeError):
 class DeadlineExceeded(RuntimeError):
     """A per-request deadline budget ran out before the query finished.
 
-    Deliberately *not* retryable and *not* degradable: retrying or
-    descending further down the ladder cannot finish inside the deadline
-    either.  The ladder catches it explicitly and jumps straight to the
-    stale-serve rung; if even that has nothing cached, the exception
-    surfaces to the serving layer, which turns it into a typed
-    ``deadline_exceeded`` outcome -- never a silent hang, never a partial
-    unflagged result.
+    Deliberately *not* retryable and *not* degradable: retrying cannot
+    finish inside the deadline either.  The engine catches it explicitly
+    and serves the best cached answer, flagged stale; if nothing is
+    cached, the exception surfaces to the serving layer, which turns it
+    into a typed ``deadline_exceeded`` outcome -- never a silent hang,
+    never a partial unflagged result.
     """
 
 
 #: Exceptions the retry loop treats as retryable.
 RETRYABLE = (TransientStorageError, OSError)
 
-#: Exceptions that push a query onto the degradation ladder.
+#: Exceptions that end a query pass and send the query to the cache.
 DEGRADABLE = (RetriesExhausted, CircuitOpenError, TransientStorageError, OSError)

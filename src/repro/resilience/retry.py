@@ -1,10 +1,11 @@
-"""Retry with capped exponential backoff, deterministic jitter, and a
-per-query deadline budget.
+"""Retry with capped exponential backoff and deterministic jitter.
 
 Backoff delays are *simulated*, not slept: each retry charges its delay to
-the query's :class:`RetryState` budget (mirroring how the storage layer
-charges simulated I/O milliseconds instead of spinning real disks), so
-tests and chaos soaks run at CPU speed and remain bit-deterministic.
+the request's :class:`~repro.resilience.deadline.Deadline`, when it has one
+(mirroring how the storage layer charges simulated I/O milliseconds instead
+of spinning real disks), so tests and chaos soaks run at CPU speed and
+remain bit-deterministic.  The per-request deadline is the one time budget;
+the policy itself bounds only the number of attempts per operation.
 
 Jitter is deterministic too: instead of a PRNG, the delay for attempt ``a``
 of operation token ``t`` is spread by an integer hash of ``(t, a)``.  Two
@@ -14,6 +15,7 @@ the chaos soak's fault replay exact.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from repro.obs.metrics import NULL_METRICS
@@ -30,12 +32,11 @@ def _mix(token: int, attempt: int) -> int:
 
 @dataclass(frozen=True)
 class RetryPolicy:
-    """Capped exponential backoff with a per-query deadline budget.
+    """Capped exponential backoff.
 
-    ``deadline_ms`` bounds the *total* simulated backoff a single query may
-    accumulate across all its operations; once spent, further failures stop
-    retrying and surface as :class:`RetriesExhausted` (the degradation
-    ladder's cue).
+    An operation is tried at most ``max_attempts`` times; after that its
+    failure surfaces as :class:`RetriesExhausted` (the cue to serve the
+    query from the cache).
     """
 
     max_attempts: int = 4
@@ -43,13 +44,15 @@ class RetryPolicy:
     multiplier: float = 2.0
     max_delay_ms: float = 50.0
     jitter: float = 0.5  # spread as a fraction of the raw delay
-    deadline_ms: float = 500.0
 
     def __post_init__(self):
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_delay_ms < 0 or self.max_delay_ms < 0 or self.deadline_ms < 0:
-            raise ValueError("delays and deadline must be non-negative")
+        for name in ("base_delay_ms", "multiplier", "max_delay_ms"):
+            value = getattr(self, name)
+            # (NaN fails both tests: min() and ** would carry it into delays)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative")
         if not 0.0 <= self.jitter <= 1.0:
             raise ValueError("jitter must be in [0, 1]")
 
@@ -66,56 +69,43 @@ class RetryPolicy:
 
 
 class RetryState:
-    """Per-query accumulator: retries taken and backoff budget spent.
+    """Per-query accumulator: the retries taken.
 
     ``deadline`` (a :class:`~repro.resilience.deadline.Deadline`, optional)
-    is the request's end-to-end budget; every simulated backoff delay spent
-    here is also charged against it, and the retry loop stops retrying the
-    moment it expires.  One query, one thread, one budget: no lock.
+    is the request's end-to-end budget; every simulated backoff delay is
+    charged against it, and the retry loop stops retrying the moment it
+    expires.  One query, one thread: no lock.
     """
 
     def __init__(self, policy: RetryPolicy, deadline=None):
         self.policy = policy
         self.deadline = deadline
         self.retries = 0
-        self.spent_ms = 0.0
         self._token = 0
-
-    @property
-    def remaining_ms(self) -> float:
-        return max(0.0, self.policy.deadline_ms - self.spent_ms)
 
     def next_token(self) -> int:
         """A fresh per-operation jitter token within this query."""
         self._token += 1
         return self._token
 
-    def try_spend(self, delay_ms: float) -> bool:
-        """Charge one backoff delay to the budget.
-
-        Returns False (leaving the budget untouched) when the charge would
-        exceed the deadline -- the caller's cue to stop retrying.
-        """
-        if self.spent_ms + delay_ms > self.policy.deadline_ms:
-            return False
-        self.spent_ms += delay_ms
+    def spend(self, delay_ms: float) -> None:
+        """Count one retry and charge its backoff delay to the deadline."""
         self.retries += 1
         if self.deadline is not None:
             self.deadline.charge(delay_ms)
-        return True
 
 
 def call_with_retry(fn, state: RetryState, metrics=None, op: str = "fetch"):
     """Run ``fn`` with the state's retry policy; return its result.
 
     Retries on :data:`~repro.resilience.errors.RETRYABLE` errors, charging
-    each deterministic backoff delay to the query budget.  Raises
-    :class:`RetriesExhausted` (chaining the last error) once attempts or
-    budget run out; non-retryable exceptions propagate unchanged.
+    each deterministic backoff delay to the request's deadline.  Raises
+    :class:`RetriesExhausted` (chaining the last error) once the attempts
+    run out; non-retryable exceptions propagate unchanged.
 
     When the state carries a per-request deadline that expires mid-retry,
     the loop raises :class:`DeadlineExceeded` instead of burning further
-    attempts -- the ladder's cue to stop descending and serve the best
+    attempts -- the engine's cue to stop fetching and serve the best
     answer it already has.
     """
     metrics = NULL_METRICS if metrics is None else metrics
@@ -138,11 +128,7 @@ def call_with_retry(fn, state: RetryState, metrics=None, op: str = "fetch"):
                     f"{op} failed after {attempt} attempts"
                 ) from exc
             delay = policy.backoff_ms(attempt, token)
-            if not state.try_spend(delay):
-                raise RetriesExhausted(
-                    f"{op} abandoned: deadline budget exhausted "
-                    f"({state.spent_ms:.1f}ms of {policy.deadline_ms:.1f}ms spent)"
-                ) from exc
+            state.spend(delay)
             metrics.inc("storage_retries_total", op=op)
             metrics.observe("retry_backoff_ms", delay, op=op)
             attempt += 1

@@ -22,8 +22,8 @@ The package splits by stage:
   them.
 
 Thread-safety contract: the engine's shared state is individually locked
-(cache items and bounds table, table stats, fault injector, retry budget,
-breaker), so concurrent queries are safe and every *answer* is correct.
+(cache items and bounds table, table stats, fault injector, breaker;
+each query has its own retry state), so concurrent queries are safe and every *answer* is correct.
 Per-query I/O (``QueryOutcome.io``) is the sum of the query's own range-read
 charges, so concurrent workers never bill each other.
 

@@ -25,8 +25,8 @@ shrunken-``hi`` geometry and nothing else; everything riskier executes on
 its own.
 
 Followers also never inherit a parent's failure or degradation: if the
-leader errors, exceeds its deadline, or answers from a non-exact rung
-(``stale``/``unavailable``/ladder), every follower falls back to its own
+leader errors, exceeds its deadline, or answers from the cache fallback
+(``stale``/``unavailable``), every follower falls back to its own
 execution via a forced re-enqueue.  Coalescing may only ever substitute a
 bit-identical answer.
 """

@@ -191,13 +191,12 @@ class QueryService:
         spent queued counts against it.
         """
         priority_rank(priority)  # validate before any side effects
+        deadline = Deadline.normalize(deadline_ms)
         self._ensure_workers()
         query_id = (
             self._obs.correlation.new_id() if self._obs is not None else None
         )
-        req = _Request(
-            constraints, priority, Deadline.normalize(deadline_ms), query_id
-        )
+        req = _Request(constraints, priority, deadline, query_id)
         with self._lock:
             self._counters["submitted"] += 1
         if self._inflight.try_join(req) is not None:

@@ -68,8 +68,8 @@ def answer_error(outcome, rows: np.ndarray, constraints) -> str | None:
     """None if ``outcome`` answers ``constraints`` over the live ``rows``
     correctly, else what is wrong with it.
 
-    Correct means flagged ``stale`` (the degraded rungs that may miss points
-    say so) or equal, as a multiset, to :func:`constrained_reference`.
+    Correct means flagged ``stale`` (the cache fallbacks that may miss
+    points say so) or equal, as a multiset, to :func:`constrained_reference`.
     """
     if outcome.stale:
         return None

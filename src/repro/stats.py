@@ -71,11 +71,11 @@ class QueryOutcome:
     stable: Optional[bool] = None  # CBCS stability of the used cache item
     cache_hit: bool = False
     nodes_accessed: int = 0  # BBS R-tree node reads
-    #: degradation-ladder rung that produced this answer (None = normal
-    #: path; "ampr" and "bounding" are still exact, "stale"/"unavailable"
-    #: are best-effort -- see docs/robustness.md)
+    #: what served this answer when the query pass failed (None = the
+    #: pass itself; "stale"/"unavailable" are best-effort answers from the
+    #: cache -- see docs/robustness.md)
     degraded: Optional[str] = None
-    #: True iff the skyline may not reflect current data (stale-serve rung);
+    #: True iff the skyline may not reflect current data (a stale serve);
     #: a stale answer is always also flagged ``degraded``
     stale: bool = False
     #: storage retries consumed while answering (0 on a clean path)

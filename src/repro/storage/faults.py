@@ -45,7 +45,7 @@ class SimulatedCrash(BaseException):
     Raised by durable-write sites (WAL append/fsync, checkpoint commit,
     cache snapshot commit) when the fault injector has armed that point.
     Deliberately *not* an :class:`Exception`: nothing in the engine --
-    retry loops, the degradation ladder, the chaos soak's catch-all --
+    retry loops, the cache fallback, the chaos soak's catch-all --
     may swallow a crash; only the crash-recovery drill's harness catches
     it, models the process death, and drives ``recover()``.
     """

@@ -26,6 +26,16 @@ class TestChaosSoak:
         assert {"open", "half_open", "closed"} <= set(soak.facts["breaker_states_seen"])
         assert soak.counts["drill_queries"] > 0
 
+    def test_fallbacks_and_breaker_transitions_are_reported(self, soak):
+        # a failed pass falls straight to the cache: every degraded answer
+        # is a flagged one
+        rungs = soak.facts["rungs"]
+        assert set(rungs) <= {"stale", "unavailable"}
+        assert sum(rungs.values()) == soak.counts["stale_serves"]
+        transitions = soak.facts["breaker_transitions"]
+        for change in ("closed->open", "open->half_open", "half_open->closed"):
+            assert transitions.get(change, 0) >= 1, transitions
+
     def test_faults_were_actually_injected(self, soak):
         assert sum(soak.facts["faults_injected"].values()) > 0
 

@@ -87,6 +87,34 @@ class TestServingReport:
         assert not _named(report, "p99 bound")
         assert not _named(report, "accounting closed")
 
+    def test_an_overload_that_sheds_nothing_fails(self, monkeypatch):
+        # 40 requests are ten 4-slot queues: the run must shed or bounce
+        # something, so hiding every rejection fails it
+        monkeypatch.setattr(soak, "QUEUE_CAPACITY", 4)
+        honest = QueryService.stats
+
+        def stats(self):
+            counts = honest(self)
+            counts["answered"] += counts["shed"] + counts["rejected_queue_full"]
+            counts["shed"] = counts["rejected_queue_full"] = 0
+            return counts
+
+        monkeypatch.setattr(QueryService, "stats", stats)
+        report = overload(40, seed=0, workers=2)
+        assert _named(report, "overloaded")
+        assert not _named(report, "accounting closed")
+
+    def test_the_shed_gate_needs_a_run_four_queues_long(self, smoke):
+        # 40 requests from 20 regions cannot fill a 64-slot queue, so the
+        # gate does not apply
+        assert smoke.facts["universe"] == 20
+        assert smoke.counts["submitted"] < 4 * soak.QUEUE_CAPACITY
+        assert not _named(smoke, "overloaded")
+
+    def test_fallbacks_and_breaker_transitions_are_reported(self, smoke):
+        assert set(smoke.facts["rungs"]) <= {"stale", "unavailable"}
+        assert isinstance(smoke.facts["breaker_transitions"], dict)
+
     def test_missing_coalescing_fails(self, monkeypatch):
         monkeypatch.setattr(soak, "MIN_COALESCED", 10**6)
         report = overload(40, seed=0, workers=2)

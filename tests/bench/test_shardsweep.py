@@ -22,6 +22,10 @@ class TestCleanSweep:
         assert clean_report.counts["cells"] == CELLS
         assert clean_report.counts["queries_checked"] == CELLS * 8
 
+    def test_a_clean_sweep_has_no_fallbacks_and_no_breaker(self, clean_report):
+        assert clean_report.facts["rungs"] == {}
+        assert clean_report.facts["breaker_transitions"] == {}
+
     def test_table_io_is_fully_attributed(self, clean_report):
         # The end-of-cell strict check ran without complaint, and the sweep
         # recorded per-shard-count totals for the trajectory.  Plans are

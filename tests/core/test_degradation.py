@@ -1,5 +1,5 @@
-"""Tests for resilient CBCS: retries, the degradation ladder, and the
-never-raise / never-silently-wrong contract under storage faults."""
+"""Tests for resilient CBCS: retries, the cache fallback of a failed pass,
+and the never-raise / never-silently-wrong contract under storage faults."""
 
 import pytest
 
@@ -52,7 +52,7 @@ class TestRetriesOnTransientFaults:
         for i in range(12):
             c = Constraints([0.04 * i, 0.1], [0.04 * i + 0.5, 0.9])
             outcome = engine.query(c)
-            if outcome.degraded in (None, "ampr", "bounding"):
+            if outcome.degraded is None:
                 assert same_multiset(outcome.skyline, reference(data, c))
             else:
                 assert outcome.stale
@@ -65,18 +65,17 @@ class TestRetriesOnTransientFaults:
             engine.query(Constraints([0.1, 0.1], [0.8, 0.8]))
 
 
-#: One failed fetch + one retry exhausts a rung; each 10 ms backoff is
+#: One failed fetch + one retry exhausts the pass; the 10 ms backoff is
 #: charged to the request deadline (no jitter, so the walk is exact).
-TWO_TRIES = RetryPolicy(
-    max_attempts=2, base_delay_ms=10.0, jitter=0.0, deadline_ms=10_000.0
-)
+TWO_TRIES = RetryPolicy(max_attempts=2, base_delay_ms=10.0, jitter=0.0)
 
 WIDE = Constraints([0.0, 0.0], [0.9, 0.9])
 NARROW = Constraints([0.05, 0.05], [0.6, 0.6])
 
 
 class TestDegradationLadder:
-    """One walk over the rung table, fed every way a query can end."""
+    """One walk -- the configured pass, then the cache -- fed every way a
+    query can end."""
 
     def walk(
         self,
@@ -86,12 +85,11 @@ class TestDegradationLadder:
         warm=True,
         outage=10_000,
         budget_ms=None,
-        attempts=2,
-        retries=2,
+        retries=1,
     ):
-        """Run NARROW with storage failing ``outage`` times and check the
-        ending ``rung``: flags, the answer, retries accumulated over every
-        rung tried, and exactly one explain record telling the same story."""
+        """Run NARROW with storage failing ``outage`` times and check what
+        served it (``rung``): flags, the answer, the pass's retries, and
+        exactly one explain record describing the configured pass."""
         obs = Observability(metrics=MetricsRegistry(), tracer=Tracer())
         recorder = obs.explainer = ExplainRecorder(keep=4)
         injector = FaultInjector("none", seed=0)
@@ -138,8 +136,11 @@ class TestDegradationLadder:
         record = recorder.records[-1]
         assert record["query_id"] == outcome.query_id
         assert record["degraded"] == rung
-        assert record["attempts"] == attempts
-        executed = rung in (None, "ampr", "bounding")
+        assert "attempts" not in record
+        # the record describes the configured pass, whichever way it ended
+        assert record["plan"]["item_id"] == (1 if warm else None)
+        assert record["no_candidates_reason"] == (None if warm else "empty-cache")
+        executed = rung is None
         assert (record["actual"] is not None) == executed
         assert all((b["actual"] is not None) == executed for b in record["boxes"])
 
@@ -149,59 +150,30 @@ class TestDegradationLadder:
     def test_outage_with_cache_serves_stale_subset(self, data):
         self.walk(data, "stale")
 
-    def test_ampr_rung_used_for_exact_mpr_engine(self, data):
-        # Both tries of the exact plan fail; the aMPR re-plan answers
-        # (still exactly) on the fallback rung.
-        self.walk(data, "ampr", region=ExactMPR(), outage=2, retries=1)
+    def test_exact_mpr_engine_serves_stale_once_its_pass_fails(self, data):
+        # Both tries of the exact plan fail; no aMPR re-plan follows: the
+        # query goes straight to the cache.
+        self.walk(data, "stale", region=ExactMPR(), outage=2)
 
-    def test_bounding_rung_still_exact(self, data):
-        # aMPR engine has no fallback region: retries exhausted -> bounding.
-        self.walk(data, "bounding", outage=2, retries=1)
+    def test_ampr_engine_serves_stale_once_its_pass_fails(self, data):
+        # Both tries of the aMPR plan fail; no cache-bypassing bounding
+        # fetch follows: the query goes straight to the cache.
+        self.walk(data, "stale", outage=2)
 
     @pytest.mark.parametrize(
         "rung, kwargs",
         [
             # the configured plan just works
-            (None, dict(outage=0, attempts=1, retries=0)),
-            # the full ladder, one exhausted retry budget per failed rung
-            ("bounding", dict(region=ExactMPR(), outage=4, attempts=3)),
-            # the second backoff spends the deadline *inside* the aMPR
-            # rung: no bounding attempt, straight to the stale terminal
-            ("stale", dict(region=ExactMPR(), budget_ms=15.0)),
+            (None, dict(outage=0, retries=0)),
+            # the first backoff spends the deadline *inside* the pass:
+            # the retry fails and the query is served stale
+            ("stale", dict(region=ExactMPR(), budget_ms=5.0)),
             # ... and with a cold cache, to the typed outcome
-            (DeadlineExceeded, dict(region=ExactMPR(), budget_ms=15.0, warm=False)),
+            (DeadlineExceeded, dict(region=ExactMPR(), budget_ms=5.0, warm=False)),
         ],
     )
     def test_every_other_way_down_the_ladder(self, data, rung, kwargs):
         self.walk(data, rung, **kwargs)
-
-    def test_bounding_record_does_not_carry_the_failed_attempts_candidates(
-        self, data
-    ):
-        """Regression: the bounding rung used to reuse the failed attempt's
-        explain state -- ``attempts: 1`` after two plans, ``plan.item_id:
-        null`` next to a candidate table with one row ``selected``."""
-        obs = Observability()
-        recorder = obs.explainer = ExplainRecorder(keep=8)
-        injector = FaultInjector("none", seed=0)
-        engine = CBCS(
-            FaultyDiskTable(DiskTable(data), injector), resilience=True, obs=obs
-        )
-        plans = []
-        plan = engine.planner.plan
-        engine.planner.plan = lambda *a, **k: plans.append(1) or plan(*a, **k)
-        engine.query(WIDE)  # one warm query: the normal plan has a candidate
-        del plans[:]
-        injector.force_outage(4)  # the default policy's whole retry budget
-        outcome = engine.query(NARROW)
-        assert outcome.degraded == "bounding"
-        record = recorder.records[-1]
-        assert record["attempts"] == len(plans) == 2
-        assert record["plan"]["item_id"] is None
-        assert not any(row["selected"] for row in record["candidates"])
-        assert record["candidates"] == []
-        assert record["no_candidates_reason"] == "cache-bypassed"
-        assert record["cache_items"] == 1
 
     @staticmethod
     def stepping_deadline(budget_ms):
@@ -212,10 +184,10 @@ class TestDegradationLadder:
     def test_a_deadline_expiring_between_rungs_reports_the_pass_that_ran(
         self, data
     ):
-        """Rung 1 spends its retries with the deadline still open; the ladder
-        finds it expired before rung 2 and serves stale.  The record
-        describes rung 1's pass -- ``attempts: 1`` and its item -- not the
-        bounding rung the loop never started."""
+        """The pass spends its retries with the deadline still open; the
+        deadline has expired by the time the pass gives up, and the query
+        is served stale.  The record describes the pass -- its item, no
+        actuals."""
         obs = Observability()
         recorder = obs.explainer = ExplainRecorder(keep=4)
         injector = FaultInjector("none", seed=0)
@@ -229,8 +201,10 @@ class TestDegradationLadder:
         outcome = engine.query(NARROW, deadline=self.stepping_deadline(5.0))
         assert outcome.degraded == "stale" and outcome.stale
         assert outcome.retries == 1
+        assert obs.metrics.counter_value(
+            "query_deadline_exceeded_total", method=engine.name
+        ) == 1
         record = recorder.records[-1]
-        assert record["attempts"] == 1
         assert record["plan"]["item_id"] == 1
         assert record["no_candidates_reason"] is None
         assert record["actual"] is None
@@ -238,8 +212,8 @@ class TestDegradationLadder:
 
     def test_a_pass_whose_planning_raised_records_the_outcome_head(self, data):
         """Verification healing writes to a durable cache's log, so planning
-        itself can raise: that pass leaves no plan, and with the deadline
-        gone before rung 2 the record is the outcome head alone."""
+        itself can raise: that pass leaves no plan, the query is served
+        stale, and the record is the outcome head alone."""
         obs = Observability()
         recorder = obs.explainer = ExplainRecorder(keep=4)
         engine = CBCS(DiskTable(data), resilience=True, obs=obs)
@@ -259,7 +233,6 @@ class TestDegradationLadder:
         record = recorder.records[-1]
         assert record["query_id"] == outcome.query_id
         assert record["degraded"] == "stale"
-        assert record["attempts"] == 1
         assert "plan" not in record and "boxes" not in record
 
     def test_breaker_open_skips_storage_and_degrades(self, data):
@@ -274,6 +247,26 @@ class TestDegradationLadder:
         outcome = engine.query(Constraints([0.2, 0.2], [0.7, 0.7]))
         assert outcome.degraded is not None
         assert injector.calls == calls_before  # rejected before storage
+
+    def test_a_query_is_one_breaker_call(self, data):
+        """A query whose pass fails records one breaker failure, and one
+        query while the breaker is open is exactly one rejected call --
+        there is no second pass to charge the breaker again."""
+        breaker = CircuitBreaker(failure_threshold=3, cooldown_calls=1000)
+        engine, injector = make_engine(
+            data, "none", resilience=Resilience(breaker=breaker)
+        )
+        injector.force_outage(10_000)
+        for i in range(3):
+            assert breaker.state == "closed"
+            before = breaker.calls
+            engine.query(Constraints([0.1 + 0.01 * i, 0.1], [0.8, 0.8]))
+            assert breaker.calls == before + 1
+        assert breaker.state == "open"
+        before = breaker.calls
+        outcome = engine.query(Constraints([0.2, 0.2], [0.7, 0.7]))
+        assert outcome.degraded == "unavailable"
+        assert breaker.calls == before + 1
 
 
 class TestOutcomeAccounting:

@@ -231,7 +231,6 @@ class TestObservabilityParity:
         _, exact, fetching = obs.explainer.records
         assert exact == {
             "actual": {"io_ms": 0.0, "pages": 0, "points": 0, "seeks": 0},
-            "attempts": 1,
             "boxes": [],
             "cache_hit": True,
             "cache_items": 1,
@@ -271,7 +270,6 @@ class TestObservabilityParity:
         predicted = {"io_ms": 5.5, "pages": 1, "points": 0, "seeks": 1}
         assert fetching == {
             "actual": one_box,
-            "attempts": 1,
             "boxes": [
                 {
                     "actual": one_box,

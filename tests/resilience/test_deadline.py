@@ -1,5 +1,5 @@
 """Tests for per-request deadline budgets and their propagation through
-retry backoff, the storage backend, and the degradation ladder."""
+retry backoff, the storage backend, and the engine's cache fallback."""
 
 import numpy as np
 import pytest
@@ -54,6 +54,35 @@ class TestDeadline:
             Deadline(0)
         with pytest.raises(ValueError):
             Deadline(-5.0)
+
+    def test_nan_budget_rejected(self):
+        # a NaN budget never expired: no charge made it >= NaN
+        with pytest.raises(ValueError):
+            Deadline(float("nan"))
+        with pytest.raises(ValueError):
+            Deadline.normalize(float("nan"))
+
+    def test_bool_is_not_a_budget(self):
+        # True used to arm a 1 ms budget
+        for value in (True, False):
+            with pytest.raises(TypeError):
+                Deadline(value)
+            with pytest.raises(TypeError):
+                Deadline.normalize(value)
+
+    def test_service_rejects_a_nan_deadline(self):
+        from repro.service import QueryService
+
+        engine = CBCS(DiskTable(independent(50, 2, seed=0)), resilience=True)
+        service = QueryService(engine, workers=1)
+        try:
+            with pytest.raises(ValueError):
+                service.submit(
+                    Constraints([0.1, 0.1], [0.8, 0.8]), deadline_ms=float("nan")
+                )
+            assert service.stats()["submitted"] == 0
+        finally:
+            service.close()
 
     def test_normalize(self):
         assert Deadline.normalize(None) is None
@@ -147,7 +176,7 @@ class TestDeadlineMidRetry:
 
 
 class TestDeadlineThroughEngine:
-    """Deadline x degradation-ladder semantics: an expired budget yields a
+    """Deadline x cache-fallback semantics: an expired budget yields a
     stale-*flagged* best-so-far answer when the cache has one, or a typed
     DeadlineExceeded -- never a partial answer without a flag, never a
     silent hang."""
@@ -195,7 +224,7 @@ class TestDeadlineThroughEngine:
         engine = self.make_engine(data)
         engine.query(Constraints([0.1, 0.1], [0.8, 0.8]))  # warm overlap
         # A wider region needs a storage fetch the expired budget forbids;
-        # the ladder falls through to the overlapping cached item instead.
+        # the query falls back to the overlapping cached item instead.
         wider = Constraints([0.05, 0.05], [0.9, 0.9])
         dead = Deadline(1e-6, clock=FakeClock())
         dead.charge(1.0)
@@ -209,7 +238,7 @@ class TestDeadlineThroughEngine:
             assert any(np.allclose(point, row) for row in region)
 
     def test_mid_query_expiry_under_faults_never_partial_unflagged(self, data):
-        """Seeded-fault variant: a tight budget expires mid-retry/mid-ladder.
+        """Seeded-fault variant: a tight budget expires mid-retry.
         Whatever comes back is either exact, stale-flagged, or a typed
         DeadlineExceeded -- never an unflagged partial answer."""
         engine = self.make_engine(
@@ -222,7 +251,7 @@ class TestDeadlineThroughEngine:
             c = Constraints([0.04 * i, 0.05], [0.04 * i + 0.5, 0.9])
             try:
                 # The budget covers a clean first fetch but not much
-                # retrying: some queries finish, some expire mid-ladder.
+                # retrying: some queries finish, some expire mid-pass.
                 outcome = engine.query(c, deadline=30.0)
             except DeadlineExceeded:
                 outcomes["typed"] += 1
@@ -230,7 +259,7 @@ class TestDeadlineThroughEngine:
             if outcome.stale:
                 outcomes["stale"] += 1
             else:
-                assert outcome.degraded in (None, "ampr", "bounding")
+                assert outcome.degraded is None
                 assert same_multiset(outcome.skyline, reference(data, c))
                 outcomes["exact"] += 1
         # The schedule is seeded, so the mix is reproducible: both the

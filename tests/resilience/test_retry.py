@@ -40,6 +40,24 @@ class TestRetryPolicy:
         with pytest.raises(ValueError):
             RetryPolicy(base_delay_ms=-1.0)
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("multiplier", -2.0),
+            ("multiplier", float("nan")),
+            ("multiplier", float("inf")),
+            ("base_delay_ms", float("nan")),
+            ("base_delay_ms", float("inf")),
+            ("max_delay_ms", float("nan")),
+            ("max_delay_ms", float("inf")),
+        ],
+    )
+    def test_values_that_make_no_backoff_are_rejected(self, field, value):
+        # a negative multiplier made negative delays; a NaN base delay
+        # slipped through min(max_delay_ms, nan) as the cap
+        with pytest.raises(ValueError, match=field):
+            RetryPolicy(**{field: value})
+
 
 class TestCallWithRetry:
     def flaky(self, fail_times):
@@ -59,7 +77,6 @@ class TestCallWithRetry:
         assert call_with_retry(fn, state) == "ok"
         assert calls["n"] == 3
         assert state.retries == 2
-        assert state.spent_ms > 0
 
     def test_exhausts_attempts(self):
         fn, _ = self.flaky(10)
@@ -68,26 +85,13 @@ class TestCallWithRetry:
             call_with_retry(fn, state)
         assert isinstance(exc_info.value.__cause__, TransientStorageError)
 
-    def test_deadline_budget_stops_retrying(self):
-        fn, _ = self.flaky(10)
-        state = RetryState(
-            RetryPolicy(max_attempts=100, base_delay_ms=10.0, deadline_ms=25.0)
-        )
-        with pytest.raises(RetriesExhausted, match="deadline"):
-            call_with_retry(fn, state)
-        assert state.spent_ms <= 25.0
-
-    def test_budget_shared_across_operations(self):
-        state = RetryState(
-            RetryPolicy(
-                max_attempts=10, base_delay_ms=10.0, jitter=0.0, deadline_ms=45.0
-            )
-        )
-        fn1, _ = self.flaky(2)
-        call_with_retry(fn1, state)  # spends 10 + 20 = 30ms
-        fn2, _ = self.flaky(2)
-        with pytest.raises(RetriesExhausted, match="deadline"):
-            call_with_retry(fn2, state)  # 10ms fits, the next 20ms does not
+    def test_only_attempts_bound_the_retries(self):
+        # 24 backoffs sum to ~1 s of simulated delay: without a request
+        # deadline nothing but max_attempts stops the loop
+        fn, calls = self.flaky(24)
+        state = RetryState(RetryPolicy(max_attempts=25, jitter=0.0))
+        assert call_with_retry(fn, state) == "ok"
+        assert calls["n"] == 25 and state.retries == 24
 
     def test_non_retryable_propagates(self):
         def fn():
