@@ -1,8 +1,8 @@
 """Ablation benchmarks for design choices the paper leaves open.
 
 - cache replacement (Section 6.2): capped caches must stay usable;
-- the unstable-case invalidation approximation: coarser covers mean fewer
-  range queries but more points to read.
+- the unstable-case invalidation cover: the aMPR's one corner means fewer
+  range queries but more points to read than the exact staircase.
 """
 
 from repro.bench.ablations import (
@@ -79,18 +79,13 @@ def test_invalidation(figure_runner):
     report = figure_runner(ablation_invalidation)
     s = report.series
 
-    # Coarser covers: fewer range queries ...
+    # The one corner: no more range queries than the exact staircase ...
     assert (
-        s["1 anchor (collapse)"]["mean_boxes"]
-        <= s["8 anchors"]["mean_boxes"]
+        s["one corner (aMPR)"]["mean_boxes"]
         <= s["exact staircase"]["mean_boxes"] + 1e-9
     )
     # ... at the price of more points to read.
     assert (
         s["exact staircase"]["mean_points"]
-        <= s["8 anchors"]["mean_points"] + 1e-9
-    )
-    assert (
-        s["8 anchors"]["mean_points"]
-        <= s["1 anchor (collapse)"]["mean_points"] + 1e-9
+        <= s["one corner (aMPR)"]["mean_points"] + 1e-9
     )

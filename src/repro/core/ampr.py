@@ -18,17 +18,13 @@ against random-access range queries (evaluated in the paper's Figures 9 and
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 from repro.core.mpr import MPRResult, compute_mpr
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
-
-#: The aMPR's bounds on the unstable-case invalidation tiling (see
-#: :func:`repro.core.mpr.compute_mpr`): at most this many pieces before the
-#: staircase is covered conservatively, from at most this many anchors
-MAX_INVALIDATION_PIECES = 128
-INVALIDATION_ANCHORS = 8
 
 
 class ExactMPR:
@@ -63,17 +59,18 @@ class ApproximateMPR:
     constraint region -- the corner every dominance region within the region
     grows away from, so proximity to it maximizes pruning power.
 
-    The unstable-case invalidation decomposition is bounded by
-    :data:`MAX_INVALIDATION_PIECES` in the same spirit: when the exact staircase
-    of expelled dominance regions would tile into too many pieces, it is
-    covered by one conservative corner region instead (superset, no false
-    negatives; see :func:`repro.core.mpr.compute_mpr`).
+    The unstable case's invalidated overlap is covered in the same spirit:
+    by the one corner region of the expelled points' componentwise minimum
+    instead of the exact staircase of their dominance regions (superset, no
+    false negatives; ``corner_cover`` of :func:`repro.core.mpr.compute_mpr`).
     """
 
     def __init__(self, k: int = 1):
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise TypeError(f"k must be an integer, got {k!r}")
         if k < 1:
             raise ValueError("k must be at least 1")
-        self.k = k
+        self.k = int(k)
         self.obs = NULL_OBS
 
     def bind_obs(self, obs) -> "ApproximateMPR":
@@ -100,8 +97,7 @@ class ApproximateMPR:
             skyline,
             new,
             prune_with=lambda surviving: nearest_to_corner(surviving, corner, k),
-            max_invalidation_pieces=MAX_INVALIDATION_PIECES,
-            max_invalidation_anchors=INVALIDATION_ANCHORS,
+            corner_cover=True,
             obs=self.obs if record else NULL_OBS,
         )
 

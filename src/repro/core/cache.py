@@ -26,6 +26,7 @@ restart).  A snapshot that fails validation cold-starts the cache.
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
 import zlib
 from bisect import bisect_left
@@ -252,8 +253,16 @@ class SkylineCache:
         (warm restart), and every later mutation is journaled to it.  The
         default None keeps the cache in process memory only.
         """
-        if capacity is not None and capacity < 1:
-            raise ValueError("capacity must be positive (or None for unbounded)")
+        if capacity is not None:
+            if isinstance(capacity, bool) or not isinstance(
+                capacity, numbers.Integral
+            ):
+                raise TypeError(
+                    f"capacity must be an integer or None, got {capacity!r}"
+                )
+            if capacity < 1:
+                raise ValueError("capacity must be positive (or None for unbounded)")
+            capacity = int(capacity)
         if policy not in ("lru", "lcu"):
             raise ValueError(f"unknown replacement policy {policy!r}")
         self.capacity = capacity

@@ -26,12 +26,12 @@ dimensionality (paper Figure 4/9), which is what the approximate MPR
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from typing import Callable, Union
 
 import numpy as np
 
 from repro.core.stability import guaranteed_stable
-from repro.geometry.box import BoxSet
+from repro.geometry.box import BoxSet, _holds_double
 from repro.geometry.constraints import Constraints
 from repro.obs import NULL_OBS
 
@@ -71,8 +71,7 @@ def compute_mpr(
     skyline: np.ndarray,
     new: Constraints,
     prune_with: Pruners = None,
-    max_invalidation_pieces: Optional[int] = None,
-    max_invalidation_anchors: Optional[int] = None,
+    corner_cover: bool = False,
     obs=None,
 ) -> MPRResult:
     """Compute the (possibly approximate) MPR of a cached item for ``new``.
@@ -96,30 +95,26 @@ def compute_mpr(
     ``C'`` inside ``C`` -- the result is returned before any pruner is
     chosen or any corner subtracted.
 
-    ``max_invalidation_pieces`` bounds the piece count of the unstable-case
-    invalidation decomposition.  The exact union of expelled dominance
-    regions is a staircase whose tiling can explode combinatorially when
-    many skyline points are expelled at once (the effect behind the paper's
-    "cache invalidation yields a prohibitive amount of range queries for
-    MPR", Section 7.2).  When the budget is exceeded, the union is covered
-    conservatively by a single corner region anchored at the componentwise
-    minimum of the expelled points -- a superset, so completeness is
-    untouched; only extra points are read.  ``None`` keeps the exact
-    decomposition (the faithful Algorithm 1 behaviour).
-
-    ``max_invalidation_anchors`` coarsens the expelled-point set *before*
-    tiling: the points are chunked into at most that many groups and each
-    group replaced by its componentwise minimum, whose corner region covers
-    the whole group -- again a conservative superset, but with a bounded and
-    typically tiny tiling: the aMPR's "fewer, larger, disjoint range
-    queries" trade-off applied to the unstable case.
+    ``corner_cover`` chooses how the unstable case's invalidated region --
+    the overlap ``R_C ∩ R_C'`` intersected with the union of the expelled
+    cached skyline points' dominance regions -- is covered.  False tiles it
+    exactly, as Algorithm 1 does: a staircase of disjoint boxes, one corner
+    cut per expelled point, whose piece count grows steeply when many
+    points are expelled at once (the paper's "cache invalidation yields a
+    prohibitive amount of range queries for MPR", Section 7.2).  True
+    covers it with the single box ``overlap ∩ DR(m)``, ``m`` the
+    componentwise minimum of the expelled points: it contains every
+    expelled point's corner region, so it is a conservative superset --
+    completeness is untouched, only extra points are read -- built in a
+    few scalar steps and independent of the skyline's row order.  That is
+    the aMPR's "fewer, but larger" range queries applied to the unstable
+    case.
 
     When the returned boxes cover some surviving cached skyline points
-    (possible only under the conservative approximations above, and only
-    in invalidation boxes: new territory lies outside ``R_C``), those
-    points are dropped from ``surviving``: they will be re-fetched from disk
-    along with any exact duplicates, keeping the merged pool an exact
-    multiset.
+    (possible only under the conservative cover above, and only in
+    invalidation boxes: new territory lies outside ``R_C``), those points
+    are dropped from ``surviving``: they will be re-fetched from disk along
+    with any exact duplicates, keeping the merged pool an exact multiset.
 
     ``obs`` optionally attaches an :class:`~repro.obs.Observability`: the
     whole decomposition runs inside an ``mpr.compute`` span (with a nested
@@ -134,8 +129,7 @@ def compute_mpr(
             skyline,
             new,
             prune_with,
-            max_invalidation_pieces,
-            max_invalidation_anchors,
+            corner_cover,
             obs,
         )
         if obs.enabled:
@@ -158,8 +152,7 @@ def _compute_mpr(
     skyline: np.ndarray,
     new: Constraints,
     prune_with: Pruners,
-    max_invalidation_pieces: Optional[int],
-    max_invalidation_anchors: Optional[int],
+    corner_cover: bool,
     obs,
 ) -> MPRResult:
     """The Algorithm-1 body behind :func:`compute_mpr` (see its docstring).
@@ -205,18 +198,8 @@ def _compute_mpr(
         sspan.set(stable=stable, expelled=expelled)
     invalid = BoxSet.empty(new.ndim)
     if not stable:
-        overlap = BoxSet(
-            np.maximum(new.lo, old.lo)[None], np.minimum(new.hi, old.hi)[None]
-        )
-        anchors = skyline.compress(~satisfied, axis=0)
-        if (
-            max_invalidation_anchors is not None
-            and len(anchors) > max_invalidation_anchors
-        ):
-            anchors = _coarsen_dominators(anchors, max_invalidation_anchors)
-        invalid = _invalidated_regions(
-            overlap, anchors, max_invalidation_pieces, obs=obs
-        )
+        cover = _corner if corner_cover else _staircase
+        invalid = cover(old, new, skyline.compress(~satisfied, axis=0))
     if not len(pieces) and not len(invalid):
         # Nothing to fetch (every case b, and a stable C' inside C): no
         # pruner can shrink an empty region.
@@ -247,71 +230,37 @@ def _compute_mpr(
     )
 
 
-def _invalidated_regions(
-    overlap: BoxSet, removed: np.ndarray, budget: Optional[int], obs=NULL_OBS
-) -> BoxSet:
-    """Disjoint boxes covering ``overlap`` intersected with the union of the
-    expelled points' dominance regions (conservatively, under a budget).
-
-    Fallback ladder when the exact staircase tiling exceeds the budget:
-
-    1. *coarsen*: chunk the expelled points (in lexicographic order) into a
-       bounded number of groups and replace each group by its componentwise
-       minimum -- a virtual dominator whose corner region covers the whole
-       group, so the union can only grow (conservative) while the tiling
-       stays small;
-    2. *collapse*: a single corner region at the componentwise minimum of
-       every expelled point.
-    """
-    if len(removed) == 0:
-        return BoxSet.empty(overlap.ndim)
-    anchors = removed
-    for attempt in range(3):
-        result = _corner_union_tiling(overlap, anchors, budget)
-        if result is not None:
-            return result
-        if attempt == 0:
-            obs.metrics.inc("mpr_invalidation_fallbacks_total", step="coarsen")
-            anchors = _coarsen_dominators(removed, groups=24)
-        else:
-            obs.metrics.inc("mpr_invalidation_fallbacks_total", step="collapse")
-            anchors = removed.min(axis=0).reshape(1, -1)
-    # The single-anchor tiling is one intersection; it cannot exceed any
-    # positive budget, but guard anyway.
-    return overlap.split_corner(removed.min(axis=0))[0]
-
-
-def _corner_union_tiling(
-    overlap: BoxSet, anchors: np.ndarray, budget: Optional[int]
-) -> Optional[BoxSet]:
-    """Tile ``overlap`` intersected with the union of the anchors' corner
-    regions into disjoint boxes; None if the piece count exceeds ``budget``."""
-    invalid = [BoxSet.empty(overlap.ndim)]
-    n_invalid, left = 0, len(overlap)
-    for hit, remaining in overlap.split_corners(anchors):
-        # the budget holds the pieces as they stood before this split
-        if budget is not None and left + n_invalid > budget:
-            return None
+def _staircase(old: Constraints, new: Constraints, expelled: np.ndarray) -> BoxSet:
+    """Disjoint boxes tiling the overlap intersected with the union of the
+    ``expelled`` points' corner regions exactly: one corner cut per point,
+    stopping once nothing of the overlap is left to cut."""
+    overlap = BoxSet(
+        np.maximum(new.lo, old.lo)[None], np.minimum(new.hi, old.hi)[None]
+    )
+    invalid = [BoxSet.empty(new.ndim)]
+    for hit, remaining in overlap.split_corners(expelled):
         invalid.append(hit)
-        n_invalid, left = n_invalid + len(hit), len(remaining)
-        if not left:
+        if not len(remaining):
             break
     return BoxSet.concat(invalid)
 
 
-def _coarsen_dominators(points: np.ndarray, groups: int) -> np.ndarray:
-    """Cover a point set by at most ``groups`` componentwise-minimum anchors.
+def _corner(old: Constraints, new: Constraints, expelled: np.ndarray) -> BoxSet:
+    """The one box ``overlap ∩ DR(m)``, ``m`` the componentwise minimum of
+    the ``expelled`` points, or no box when it holds no double (every
+    expelled point lies above ``C'`` in some dimension).
 
-    Points are chunked in lexicographic order (neighbouring skyline points
-    sit close along the staircase, so per-chunk minima stay tight), into
-    chunks whose sizes differ by at most one, the larger first."""
-    if len(points) <= groups:
-        return points
-    size, extra = divmod(len(points), groups)
-    chunk = np.arange(groups)
-    starts = chunk * size + np.minimum(chunk, extra)
-    ordered = points[np.lexsort(points.T[::-1])]
-    return np.minimum.reduceat(ordered, starts, axis=0)
+    Its bounds are the ones :meth:`~repro.geometry.box.BoxSet.split_corner`
+    of the overlap by ``m`` takes -- ``lo = max(max(new.lo, old.lo), m)``,
+    ``hi = min(new.hi, old.hi)``, the second operand on a tie, as
+    ``np.maximum`` / ``np.minimum`` take it -- so the sign of a zero face is
+    theirs; for one box, Python floats cost less than the array calls."""
+    lo = [a if a > b else b for a, b in zip(new.lo.tolist(), old.lo.tolist())]
+    lo = [a if a > b else b for a, b in zip(lo, expelled.min(axis=0).tolist())]
+    hi = [a if a < b else b for a, b in zip(new.hi.tolist(), old.hi.tolist())]
+    if not _holds_double(lo, hi):
+        return BoxSet.empty(new.ndim)
+    return BoxSet(np.array([lo]), np.array([hi]))
 
 
 def _subtract_corners(boxes: BoxSet, points: np.ndarray) -> BoxSet:

@@ -39,6 +39,7 @@ the shard soak (:func:`repro.bench.soak.shards`).
 from __future__ import annotations
 
 import itertools
+import numbers
 import threading
 import zlib
 from dataclasses import dataclass, field, replace
@@ -146,6 +147,8 @@ class ShardedTable:
         data = np.ascontiguousarray(np.asarray(data, dtype=float))
         if data.ndim != 2:
             raise ValueError("data must be an (n, d) array")
+        if isinstance(n_shards, bool) or not isinstance(n_shards, numbers.Integral):
+            raise TypeError(f"n_shards must be an integer, got {n_shards!r}")
         if n_shards < 1:
             raise ValueError("n_shards must be at least 1")
         if not 0 <= key_dim < data.shape[1]:
@@ -324,8 +327,24 @@ class ShardedTable:
     def forecast(self, lo: np.ndarray, hi: np.ndarray) -> Forecast:
         """Price the closed boxes ``[lo[i], hi[i]]`` shard by shard (no
         I/O): a box costs the seeks of the shards it will actually touch,
-        and a shard with an empty marginal is not one of them."""
-        return Forecast([s.table for s in self.shards], lo, hi)
+        and a shard with an empty marginal is not one of them.
+
+        Only the shards whose MBR meets the bounding box of all the boxes
+        are priced: any other one has an empty marginal for every box and
+        every :meth:`~repro.storage.table.Forecast.hull`, so it adds
+        nothing under ``bitmap`` and ``best_index`` (and under ``seqscan``
+        no box reads it).  The pruning is by the bounding box, not per box,
+        because a hull of boxes in two shards can span a third.  With no
+        box, or no shard met, the first shard alone is priced:
+        :class:`~repro.storage.table.Forecast` takes its plan and cost model
+        from its first table."""
+        met = []
+        if len(lo):
+            meets = (self.mbr_lo <= hi.max(axis=0)) & (self.mbr_hi >= lo.min(axis=0))
+            met = [
+                s.table for s, m in zip(self.shards, meets.all(axis=1).tolist()) if m
+            ]
+        return Forecast(met or [self.shards[0].table], lo, hi)
 
     # ------------------------------------------------------------------
     # Reads

@@ -119,6 +119,15 @@ class TestReplacement:
         with pytest.raises(ValueError):
             SkylineCache(policy="fifo")
 
+    @pytest.mark.parametrize("capacity", [1.5, 2.0, True, "3"])
+    def test_capacity_must_be_an_integer(self, capacity):
+        with pytest.raises(TypeError, match="capacity"):
+            SkylineCache(capacity=capacity)
+
+    def test_capacity_takes_a_numpy_integer(self):
+        cache = SkylineCache(capacity=np.int64(2))
+        assert cache.capacity == 2 and type(cache.capacity) is int
+
     def test_lru_evicts_least_recently_used(self):
         cache = SkylineCache(capacity=2, policy="lru")
         a = cache.insert(*make_item_args(0.1))

@@ -154,7 +154,6 @@ class TestExplainRegionMetrics:
         return (
             m.counter_total("mpr_computations_total"),
             0 if rects is None else rects.count,
-            m.counter_total("mpr_invalidation_fallbacks_total"),
         )
 
     @pytest.mark.parametrize("region", [ExactMPR, ApproximateMPR])
@@ -168,26 +167,21 @@ class TestExplainRegionMetrics:
         refined = Constraints([0.2] * 3, [0.8, 0.8, 0.85])
         engine.explain(refined)
         engine.explain(refined)
-        assert self.mpr_metrics(obs.metrics) == (0.0, 0, 0.0)
+        assert self.mpr_metrics(obs.metrics) == (0.0, 0)
         engine.query(refined)
-        assert self.mpr_metrics(obs.metrics) == (1.0, 1, 0.0)
+        assert self.mpr_metrics(obs.metrics) == (1.0, 1)
         engine.close()
 
-    def test_explain_leaves_invalidation_fallbacks_alone(self, monkeypatch):
-        from repro.core import ampr
+    def test_explain_leaves_unstable_region_metrics_alone(self):
         from repro.obs import Observability
 
-        # a one-piece budget: every invalidation tiling falls back
-        monkeypatch.setattr(ampr, "MAX_INVALIDATION_PIECES", 1)
         obs = Observability()
         data = generate("independent", 2000, 3, seed=42)
-        region = ApproximateMPR()
-        engine = CBCS(DiskTable(data), region_computer=region, obs=obs)
+        engine = CBCS(DiskTable(data), region_computer=ApproximateMPR(), obs=obs)
         engine.query(Constraints([0.0] * 3, [1.0] * 3))
         raised = Constraints([0.3, 0.0, 0.0], [1.0] * 3)  # case d: expels points
-        engine.explain(raised)
-        assert self.mpr_metrics(obs.metrics) == (0.0, 0, 0.0)
+        assert engine.explain(raised).mpr.invalidated > 0
+        assert self.mpr_metrics(obs.metrics) == (0.0, 0)
         engine.query(raised)
-        computations, observed, fallbacks = self.mpr_metrics(obs.metrics)
-        assert (computations, observed) == (1.0, 1) and fallbacks >= 1.0
+        assert self.mpr_metrics(obs.metrics) == (1.0, 1)
         engine.close()

@@ -1,20 +1,21 @@
 """Property tests for the Missing Points Region (Definition 5, Thms. 6-7)."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.ampr import (
-    INVALIDATION_ANCHORS,
-    MAX_INVALIDATION_PIECES,
-    ApproximateMPR,
-    ExactMPR,
-    nearest_to_corner,
-)
+from repro.core.ampr import ApproximateMPR, ExactMPR, nearest_to_corner
+from repro.core.cbcs import CBCS
 from repro.core.mpr import compute_mpr
 from repro.data.generator import generate
+from repro.geometry.box import BoxSet
 from repro.geometry.constraints import Constraints
+from repro.storage.table import DiskTable
+from repro.workload.generator import WorkloadGenerator
 from repro.skyline.sfs import sfs_skyline
 
 from tests.core.conftest import (
@@ -250,6 +251,14 @@ class TestApproximateMPR:
         with pytest.raises(ValueError):
             ApproximateMPR(k=0)
 
+    @pytest.mark.parametrize("k", [1.5, 2.0, True])
+    def test_k_must_be_an_integer(self, k):
+        with pytest.raises(TypeError, match="k must be an integer"):
+            ApproximateMPR(k=k)
+
+    def test_k_takes_a_numpy_integer(self):
+        assert ApproximateMPR(k=np.int64(2)).name == "aMPR(2NN)"
+
     def test_name(self):
         assert ApproximateMPR(k=3).name == "aMPR(3NN)"
         assert ExactMPR().name == "MPR"
@@ -367,12 +376,14 @@ def region_pairs(draw):
     return old, np.array(rows, dtype=float).reshape(-1, ndim), new
 
 
-def reference_mpr(old, skyline, new, pruners=None, pieces=None, anchors=None):
+def reference_mpr(old, skyline, new, pruners=None, corner=False):
     """The region as it was computed before any early-out: new territory
     by the reference's box subtraction (``tests/geometry/regions.py``),
-    every corner subtraction run, the pruners
-    always sorted, the reuse set tested against every fetched box."""
-    from repro.core.mpr import MPRResult, _coarsen_dominators, _invalidated_regions
+    the invalidated overlap by :class:`BoxSet` corner cuts -- every
+    expelled point's, or the one at their componentwise minimum (``corner``)
+    -- every corner subtraction run, the pruners always sorted, the reuse
+    set tested against every fetched box."""
+    from repro.core.mpr import MPRResult
     from repro.core.stability import guaranteed_stable
     from repro.geometry.box import BoxSet
 
@@ -390,9 +401,10 @@ def reference_mpr(old, skyline, new, pruners=None, pieces=None, anchors=None):
         overlap = BoxSet(
             np.maximum(new.lo, old.lo)[None], np.minimum(new.hi, old.hi)[None]
         )
-        if anchors is not None and len(removed) > anchors:
-            removed = _coarsen_dominators(removed, anchors)
-        invalid = _invalidated_regions(overlap, removed, pieces)
+        anchors = removed.min(axis=0, keepdims=True) if corner else removed
+        invalid = BoxSet.concat(
+            [invalid] + [hit for hit, _ in overlap.split_corners(anchors)]
+        )
     pruners = surviving if pruners is None else pruners
     if len(pruners):
         pruners = pruners[np.argsort(pruners.sum(axis=1), kind="stable")]
@@ -431,45 +443,176 @@ class TestAgainstReference:
         assert_same_region(ExactMPR().compute(old, sky, new), want)
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        region_pairs(),
-        st.sampled_from([1, 3]),
-        st.sampled_from([1, 2, 128]),
-        st.sampled_from([1, 2, 8]),
-    )
-    def test_approximate(self, drawn, k, pieces, anchors):
-        """The aMPR's pruners, under its own invalidation budgets and under
-        the other budgets ``compute_mpr`` takes (the ablations')."""
+    @given(region_pairs(), st.sampled_from([1, 3]))
+    def test_approximate(self, drawn, k):
+        """The aMPR's pruners and its one-corner invalidation cover."""
         old, sky, new = drawn
         nearest = nearest_to_corner(sky[new.satisfied_mask(sky)], new.lo, k)
-        want = reference_mpr(
-            old, sky, new, nearest, MAX_INVALIDATION_PIECES, INVALIDATION_ANCHORS
-        )
+        want = reference_mpr(old, sky, new, nearest, corner=True)
         assert_same_region(ApproximateMPR(k=k).compute(old, sky, new), want)
         got = compute_mpr(
             old,
             sky,
             new,
             prune_with=lambda surviving: nearest_to_corner(surviving, new.lo, k),
-            max_invalidation_pieces=pieces,
-            max_invalidation_anchors=anchors,
+            corner_cover=True,
         )
-        want = reference_mpr(old, sky, new, nearest, pieces, anchors)
         assert_same_region(got, want)
 
     @settings(max_examples=150, deadline=None)
-    @given(region_pairs())
-    def test_explicit_pruners(self, drawn):
-        """An array ``prune_with``, as the ablations pass it."""
+    @given(region_pairs(), st.booleans())
+    def test_explicit_pruners(self, drawn, corner):
+        """An array ``prune_with``, as the ablations pass it, under either
+        invalidation cover."""
         old, sky, new = drawn
         pruners = sky[new.satisfied_mask(sky)][:1]
-        want = reference_mpr(old, sky, new, pruners, 512, 8)
-        got = compute_mpr(
-            old,
-            sky,
-            new,
-            prune_with=pruners,
-            max_invalidation_pieces=512,
-            max_invalidation_anchors=8,
-        )
+        want = reference_mpr(old, sky, new, pruners, corner)
+        got = compute_mpr(old, sky, new, prune_with=pruners, corner_cover=corner)
         assert_same_region(got, want)
+
+
+# ----------------------------------------------------------------------
+# The aMPR's invalidation cover, as a set of points
+# ----------------------------------------------------------------------
+#: a coarse grid: cached rows repeat often, and sit on constraint faces
+GRID = [-1.0, 0.0, 0.5, 1.0]
+#: probe coordinates: the grid, the doubles beside it and points between
+PROBES = sorted(
+    set(GRID)
+    | {math.nextafter(v, s) for v in GRID for s in (-math.inf, math.inf)}
+    | {-0.5, 0.25, 0.75, 1.5}
+)
+
+
+@st.composite
+def unstable_pairs(draw):
+    """``(old, skyline, new, probes)`` in 2, 3 or 5 dimensions: faces on
+    the grid or at +-inf, duplicate-heavy rows inside ``R_old``, and probe
+    points around them."""
+    ndim = draw(st.sampled_from([2, 3, 5]))
+    faces_lo, faces_hi = [-np.inf] + GRID, GRID + [np.inf]
+
+    def bounds():
+        lo = [draw(st.sampled_from(faces_lo)) for _ in range(ndim)]
+        hi = [draw(st.sampled_from([v for v in faces_hi if v >= a])) for a in lo]
+        return Constraints(lo, hi)
+
+    old, new = bounds(), bounds()
+    cells = [[v for v in GRID if a <= v <= b] for a, b in zip(old.lo, old.hi)]
+    rows = draw(
+        st.lists(
+            st.tuples(*[st.sampled_from(cell) for cell in cells]),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    rows += draw(st.lists(st.sampled_from(rows), max_size=4))
+    probes = draw(
+        st.lists(st.tuples(*[st.sampled_from(PROBES)] * ndim), max_size=40)
+    )
+    return old, np.array(rows, dtype=float), new, np.array(probes).reshape(-1, ndim)
+
+
+def at_or_above(points, corners):
+    """``(n,)``: the point lies in the closed corner region of some row of
+    ``corners``."""
+    if not len(corners):
+        return np.zeros(len(points), dtype=bool)
+    return (points[:, None, :] >= corners[None, :, :]).all(axis=2).any(axis=1)
+
+
+class TestCornerCover:
+    """The aMPR covers the invalidated overlap with ``overlap ∩ DR(m)``,
+    ``m`` the componentwise minimum of the expelled points."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(unstable_pairs(), st.sampled_from([1, 3]))
+    def test_invalidation_boxes_are_the_corner_minus_the_pruners(self, drawn, k):
+        old, sky, new, probes = drawn
+        got = ApproximateMPR(k=k).compute(old, sky, new)
+        first = len(got.boxes) - got.invalidated
+        invalid = BoxSet(got.boxes.lo[first:], got.boxes.hi[first:])
+        assert pairwise_disjoint(invalid)
+        if got.stable:
+            assert got.invalidated == 0
+            return
+        satisfied = new.satisfied_mask(sky)
+        expelled = sky[~satisfied]
+        pruners = nearest_to_corner(sky[satisfied], new.lo, k)
+        m = expelled.min(axis=0)
+        low = np.maximum(new.lo, old.lo)
+        # the corner's own lowest point and the inner steps of the exact
+        # staircase (pairwise minima, lifted into the overlap) lie in the
+        # corner but under no single expelled point
+        steps = np.minimum(expelled[:, None], expelled[None, :]).reshape(-1, len(m))
+        probes = np.vstack(
+            [probes, sky, m, m - np.eye(len(m)) * 0.01, np.maximum(steps, low)]
+        )
+        in_overlap = ((probes >= low) & (probes <= np.minimum(new.hi, old.hi))).all(
+            axis=1
+        )
+        in_invalid = regions.mask(invalid, probes)
+        pruned = at_or_above(probes, pruners)
+        corner = in_overlap & (probes >= m).all(axis=1)
+        np.testing.assert_array_equal(in_invalid, corner & ~pruned)
+        for point in expelled:
+            covered = in_overlap & (probes >= point).all(axis=1)
+            assert (in_invalid | pruned)[covered].all()
+
+    def test_corner_empty_when_every_expelled_point_lies_above(self):
+        """Both expelled points lie above ``C'`` in dimension 1, so the
+        componentwise minimum does too: no invalidation box."""
+        old = Constraints([0.0, 0.0], [1.0, 1.0])
+        new = Constraints([0.5, 0.0], [1.0, 0.5])
+        sky = np.array([[0.2, 0.9], [0.3, 0.8], [0.6, 0.4]])
+        got = ApproximateMPR().compute(old, sky, new)
+        assert not got.stable and got.invalidated == 0
+        assert ExactMPR().compute(old, sky, new).invalidated == 0
+
+    def test_one_box_under_a_staircase(self):
+        """Three expelled points: the exact staircase tiles their corners,
+        the aMPR issues the one corner at their minimum."""
+        old = Constraints([0.0, 0.0], [1.0, 1.0])
+        new = Constraints([0.5, 0.0], [1.0, 1.0])
+        sky = np.array([[0.1, 0.9], [0.2, 0.5], [0.3, 0.3]])
+        exact = compute_mpr(old, sky, new)
+        approx = compute_mpr(old, sky, new, corner_cover=True)
+        assert exact.invalidated == 3 and approx.invalidated == 1
+        assert regions.rows_of(approx.boxes) == [([0.5, 0.3], [1.0, 1.0])]
+
+    def test_corner_stays_inside_the_overlap(self):
+        """A row below ``R_C`` (which a well-formed item never holds) still
+        gets a corner inside the overlap, so it cannot meet the new
+        territory's boxes and fetch a point twice."""
+        old = Constraints([0.5, 0.0], [1.0, 1.0])
+        new = Constraints([0.0, 0.2], [1.0, 1.0])
+        sky = np.array([[0.1, 0.1]])
+        got = compute_mpr(old, sky, new, corner_cover=True)
+        assert got.invalidated == 1
+        assert (got.boxes.lo[-1] >= np.maximum(new.lo, old.lo)).all()
+        assert pairwise_disjoint(got.boxes)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_plan_ignores_the_cached_row_order(self, k):
+        """Permuting an item's skyline rows leaves the aMPR's plan boxes as
+        they were (corner distances distinct, so the pruners are too)."""
+        data = np.random.default_rng(5).random((3_000, 3))
+        engine = CBCS(DiskTable(data), region_computer=ApproximateMPR(k))
+        rng = np.random.default_rng(6)
+        compared = 0
+        for constraints in WorkloadGenerator(data, seed=7).exploratory_stream(80):
+            candidates = engine.cache.candidates(constraints, record=False)
+            item = engine.planner.select(constraints, candidates, record=False)
+            if item is not None and not candidates.exact:
+                order = rng.permutation(len(item.skyline))
+                permuted = replace(item, skyline=item.skyline[order])
+                plan, again = (
+                    engine.planner.plan(constraints, candidates, it, record=False)
+                    for it in (item, permuted)
+                )
+                assert plan.boxes.lo.tobytes() == again.boxes.lo.tobytes()
+                assert plan.boxes.hi.tobytes() == again.boxes.hi.tobytes()
+                expelled = (~constraints.satisfied_mask(item.skyline)).sum()
+                compared += plan.mpr.invalidated > 0 and expelled > 1
+            engine.query(constraints)
+        assert compared > 0

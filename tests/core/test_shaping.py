@@ -21,7 +21,7 @@ from repro.core.shaping import shape
 from repro.geometry.constraints import Constraints
 from repro.storage.costmodel import DiskCostModel
 from repro.storage.sharding import ShardedTable
-from repro.storage.table import DiskTable
+from repro.storage.table import DiskTable, Forecast
 from repro.workload.generator import WorkloadGenerator
 from tests.geometry.regions import closed, contains, holds_a_double, mask
 from tests.geometry.regions import pairwise_disjoint, rows_of
@@ -329,6 +329,52 @@ class TestForecast:
                 getattr(forecast_of(single, self.boxes()), field),
                 getattr(forecast_of(plain, self.boxes()), field),
             )
+
+    @pytest.mark.parametrize("plan", ["bitmap", "best_index"])
+    def test_a_fleet_prices_only_the_shards_its_region_meets(self, plan):
+        """Pricing only the shards whose MBR meets the boxes' bounding box
+        changes no price: every other shard has an empty marginal."""
+        fleet = ShardedTable(
+            self.data, 8, key_dim=0, table_factory=lambda r: DiskTable(r, plan=plan)
+        )
+        every = [shard.table for shard in fleet.shards]
+        rng = np.random.default_rng(3)
+        regions = [
+            # boxes in shards 1 and 3 only: their hull spans shard 2
+            [closed([0.13, 0.0, 0.0], [0.2, 1.0, 1.0]),
+             closed([0.4, 0.2, 0.0], [0.45, 0.6, 1.0])],
+            [closed([-np.inf, 0.5, 0.5], [0.05, np.inf, np.inf])],
+            [closed([2.0, 0.0, 0.0], [3.0, 1.0, 1.0])],  # meets no shard
+        ]
+        for _ in range(30):
+            lo = rng.random((int(rng.integers(1, 13)), 3)) * 1.2 - 0.1
+            regions.append([closed(a, a + 0.3 * rng.random(3)) for a in lo])
+        pruned_some = False
+        for boxes in regions:
+            rows = boxset(boxes, 3)
+            pruned = fleet.forecast(rows.lo, rows.hi)
+            whole = Forecast(every, rows.lo, rows.hi)
+            pruned_some |= pruned._ranks.shape[0] < len(every)
+            for field in ("rows", "pages", "seeks"):
+                a, b = getattr(pruned, field), getattr(whole, field)
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+            members = [np.arange(len(boxes))]
+            members += [rng.choice(len(boxes), size=2) for _ in range(3)]
+            for chosen in members:
+                assert pruned.hull(chosen) == whole.hull(chosen)
+        assert pruned_some
+        spanned = boxset(regions[0], 3)
+        assert fleet.forecast(spanned.lo, spanned.hi)._ranks.shape[0] == 3
+
+    def test_a_fleet_under_seqscan_prices_the_shards_it_can_read(self):
+        fleet = ShardedTable(
+            self.data, 4, key_dim=0,
+            table_factory=lambda r: DiskTable(r, plan="seqscan"),
+        )
+        box_ = closed([0.0, 0.0, 0.0], [0.1, 1.0, 1.0])  # shard 0 only
+        cost = forecast_of(fleet, [box_])
+        assert cost.rows.tolist() == [fleet.shards[0].table.n]
+        assert cost.rows[0] == fleet.range_query(*box_).rows_fetched
 
     def test_forecast_charges_no_io(self):
         table = DiskTable(self.data)

@@ -72,6 +72,14 @@ class TestConstruction:
         with pytest.raises(ValueError):
             ShardedTable(make_data(ndim=3), 2, key_dim=3)
 
+    @pytest.mark.parametrize("n_shards", [2.5, 2.0, True])
+    def test_shard_count_must_be_an_integer(self, n_shards):
+        with pytest.raises(TypeError, match="n_shards"):
+            ShardedTable(make_data(), n_shards)
+
+    def test_shard_count_takes_a_numpy_integer(self):
+        assert ShardedTable(make_data(), np.int64(3)).n_shards == 3
+
     def test_single_shard_holds_everything(self):
         data = make_data()
         table = ShardedTable(data, 1)
