@@ -6,8 +6,7 @@ Usage::
     python -m repro.bench fig5a fig9b     # selected figures
     python -m repro.bench --json out.json fig5a   # also dump raw series
     python -m repro.bench --svg charts/ fig5a     # also render SVG charts
-    python -m repro.bench --obs out/ fig5a        # metrics.json + metrics.prom + trace.jsonl
-    python -m repro.bench --obs-report fig5a      # print the obs summary
+    python -m repro.bench --obs out/ fig5a        # metrics.json + trace.jsonl
     python -m repro.bench --query-log q.jsonl fig5a     # per-query structured log
     python -m repro.bench --save-bench BENCH_ci.json fig5a   # performance snapshot
     python -m repro.bench --obs out/ --explain fig5a    # explain.jsonl provenance
@@ -76,10 +75,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--svg", metavar="DIR", help="render SVG charts into DIR")
     parser.add_argument(
         "--obs", metavar="DIR",
-        help="write metrics.json, metrics.prom and trace.jsonl into DIR",
-    )
-    parser.add_argument(
-        "--obs-report", action="store_true", help="print the observability summary"
+        help="write metrics.json and trace.jsonl into DIR",
     )
     parser.add_argument(
         "--query-log", metavar="PATH",
@@ -122,8 +118,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--overload", metavar="N", type=int,
-        help="run an N-request open-loop overload soak at 2x the calibrated "
-             "saturation rate (zipf-skewed multi-user stream through the "
+        help="run an N-request open-loop overload soak at 4x the calibrated "
+             "per-query saturation rate, about 2x as served since about half "
+             "the stream coalesces (zipf-skewed multi-user stream through the "
              "QueryService ingress: admission control, coalescing, "
              "deadlines); exits 6 if accounting leaks, an admitted answer "
              "differs from the reference, or p99 is unbounded.  Without "
@@ -178,8 +175,9 @@ def main(argv=None) -> int:
         print("--workers sizes the --overload soak's QueryService; "
               "it needs --overload N")
         return 2
-    if opts.workers is not None and opts.workers < 1:
-        print("--workers needs a positive worker count")
+    if opts.workers is not None and opts.workers < 2:
+        parser.print_usage()
+        print("--workers needs at least 2 workers")
         return 2
     if opts.explain and opts.obs is None:
         print("--explain needs --obs DIR (explain.jsonl lives there)")
@@ -199,7 +197,6 @@ def main(argv=None) -> int:
     obs = None
     if (
         opts.obs is not None
-        or opts.obs_report
         or opts.query_log is not None
         or opts.save_bench is not None
         or opts.explain
@@ -247,7 +244,7 @@ def main(argv=None) -> int:
             if obs is not None:
                 # Fresh registry per figure: its distillate feeds the
                 # BENCH_*.json snapshot, then merges into the cumulative
-                # registry behind metrics.json / --obs-report.
+                # registry behind metrics.json.
                 from repro.obs import MetricsRegistry
 
                 obs.metrics = MetricsRegistry()
@@ -304,7 +301,7 @@ def main(argv=None) -> int:
             else:
                 kwargs.update(n=getattr(opts, flag), obs=obs)
             if scenario == "overload":
-                kwargs["workers"] = max(opts.workers or 2, 2)
+                kwargs["workers"] = opts.workers or 2
             report = getattr(soak, scenario)(**kwargs)
             print(report.render_text())
             print()
@@ -339,14 +336,10 @@ def main(argv=None) -> int:
         if opts.obs is not None:
             from pathlib import Path
 
-            from repro.obs.export import save_openmetrics
-
             out_dir = Path(opts.obs)
             metrics_path = out_dir / "metrics.json"
             obs.metrics.save_json(metrics_path)
-            save_openmetrics(obs.metrics, out_dir / "metrics.prom")
             print(f"[metrics written to {metrics_path}]")
-            print(f"[openmetrics written to {out_dir / 'metrics.prom'}]")
             print(f"[trace written to {out_dir / 'trace.jsonl'}]")
             if opts.explain:
                 print(
@@ -365,11 +358,6 @@ def main(argv=None) -> int:
             print()
             print(render_calibration(ledger.summary()))
             print()
-        if opts.obs_report:
-            from repro.obs.report import render_report
-
-            print("\n# observability report\n")
-            print(render_report(obs.metrics))
     # Distinct exit codes: 2 usage error, 3 a figure run failed
     # mid-workload, 4-7 a soak failed (SOAKS); the highest wins.
     if figure_failures:

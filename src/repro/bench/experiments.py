@@ -642,13 +642,16 @@ def warmstart_restart(seed: int = 0, ndim: int = 4) -> FigureReport:
 def serving_overload(seed: int = 0) -> FigureReport:
     """Open-loop overload serving: latency, shed rate, coalesce rate.
 
-    Runs the :func:`repro.bench.soak.overload` soak at twice the calibrated
-    saturation rate over a zipf-skewed multi-user stream and reports the
-    answered-latency percentiles alongside the ingress outcomes.  The
-    headline claim: under 2x nominal overload the service stays correct
-    (accounting closes, admitted answers bit-exact) and *bounded* --
-    in-flight coalescing absorbs the popularity head and admission control
-    sheds what remains, so p99 tracks queue capacity, not load duration.
+    Runs the :func:`repro.bench.soak.overload` soak at
+    :data:`~repro.bench.soak.RATE_MULTIPLIER` (4) times the calibrated
+    per-query saturation rate -- about twice the saturation of the stream as
+    served, since about half of it coalesces -- over a zipf-skewed
+    multi-user stream and reports the answered-latency percentiles alongside
+    the ingress outcomes.  The headline claim: under that overload the
+    service stays correct (accounting closes, admitted answers bit-exact)
+    and *bounded* -- in-flight coalescing absorbs the popularity head and
+    admission control sheds what remains, so p99 tracks queue capacity, not
+    load duration.
     The numbers are exported as ``serving_*`` gauges so the bench snapshot
     carries a serving section (see ``repro.bench.regress``).
     """

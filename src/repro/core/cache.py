@@ -781,6 +781,4 @@ class SkylineCache:
             replayed += 1
         if replayed:
             sources.append("wal")
-        if len(self._table):
-            log.metrics.inc("cache_restored_items_total", len(self._table))
         return "+".join(sources) or "cold"

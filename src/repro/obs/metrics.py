@@ -15,7 +15,6 @@ construction can guard on :attr:`MetricsRegistry.enabled`.
 
 from __future__ import annotations
 
-import json
 import threading
 from typing import Dict, Iterator, List, Optional, Tuple
 
@@ -25,14 +24,6 @@ LabelKey = Tuple[Tuple[str, str], ...]
 def _label_key(labels: Dict[str, object]) -> LabelKey:
     """Canonical, hashable form of a label set."""
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
-
-
-def render_key(name: str, labels: LabelKey) -> str:
-    """Render ``name{k=v,...}`` in the Prometheus-like text style."""
-    if not labels:
-        return name
-    inner = ",".join(f"{k}={v}" for k, v in labels)
-    return f"{name}{{{inner}}}"
 
 
 class HistogramData:
@@ -211,12 +202,6 @@ class MetricsRegistry:
 
     def histogram(self, name: str, **labels) -> Optional[HistogramData]:
         return self._histograms.get((name, _label_key(labels)))
-
-    def histograms(self, name: str) -> Iterator[Tuple[Dict[str, str], HistogramData]]:
-        """Iterate ``(labels_dict, data)`` for every series of ``name``."""
-        for (n, labels), hist in sorted(self._histograms.items(), key=lambda kv: kv[0]):
-            if n == name:
-                yield dict(labels), hist
 
     # ------------------------------------------------------------------
     # Export

@@ -2,10 +2,10 @@
 
 Every JSON/JSONL artifact an ``--obs`` run writes -- ``metrics.json``,
 ``explain.jsonl`` records, ``calibration.json`` -- carries a top-level ``"schema": N`` field so readers
-(:mod:`repro.obs.report`, external tooling) can detect records written by a
-newer or older build.  Readers must *warn, not raise* on unknown versions:
-an artifact from a different build is still mostly renderable, and a report
-over a partial directory is more useful than a crash.
+(``python -m repro.obs.explain``, CI's artifact assertions) can detect
+records written by a newer or older build.  Readers must *warn, not raise*
+on unknown versions: an artifact from a different build is still mostly
+renderable.
 
 (The benchmark snapshots under ``BENCH_*.json`` predate this module and
 keep their own ``schema``/``schema_version`` pair -- see
@@ -18,7 +18,7 @@ imports) can stamp its output.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 #: Version stamped into every obs artifact this build writes.
 OBS_SCHEMA_VERSION = 1
@@ -33,29 +33,20 @@ def stamp(record: dict) -> dict:
     return {"schema": OBS_SCHEMA_VERSION, **record}
 
 
-def check_version(record: object, artifact: str) -> Optional[str]:
-    """Return a warning string when ``record`` carries an unknown version.
-
-    ``None`` means the artifact is either current or pre-versioning (no
-    ``schema`` key at all -- artifacts written before this field existed
-    stay readable without complaint).
-    """
-    if not isinstance(record, dict):
-        return None
-    version = record.get("schema")
-    if version is None or version == OBS_SCHEMA_VERSION:
-        return None
-    return (
-        f"{artifact}: unknown schema version {version!r} "
-        f"(this build reads version {OBS_SCHEMA_VERSION}); "
-        f"rendering best-effort"
-    )
-
-
 def check_versions(records, artifact: str) -> List[str]:
-    """Version-check a JSONL record stream; at most one warning per file."""
+    """Version-check a JSONL record stream; at most one warning per file.
+
+    A record without a ``schema`` key is pre-versioning and reads without
+    complaint; only a version other than :data:`OBS_SCHEMA_VERSION` warns.
+    """
     for record in records:
-        warning = check_version(record, artifact)
-        if warning is not None:
-            return [warning]
+        if not isinstance(record, dict):
+            continue
+        version = record.get("schema")
+        if version is not None and version != OBS_SCHEMA_VERSION:
+            return [
+                f"{artifact}: unknown schema version {version!r} "
+                f"(this build reads version {OBS_SCHEMA_VERSION}); "
+                f"rendering best-effort"
+            ]
     return []

@@ -5,8 +5,8 @@ attribute-carrying, and nested (each span knows its parent and depth).  The
 engine opens spans for the stages the paper's evaluation attributes cost to:
 cache search, strategy selection, case dispatch, MPR splitting, every range
 query, and the skyline merge.  Finished spans are pushed to pluggable sinks
-(:mod:`repro.obs.sinks`): an in-memory ring buffer, a ``trace.jsonl`` file,
-or a human-readable ``logging`` stream.
+(:mod:`repro.obs.sinks`): an in-memory ring buffer or a ``trace.jsonl``
+file.
 
 Two entry points exist on purpose:
 

@@ -117,7 +117,6 @@ def call_with_retry(fn, state: RetryState, metrics=None, op: str = "fetch"):
             return fn()
         except RETRYABLE as exc:
             if state.deadline is not None and state.deadline.expired:
-                metrics.inc("deadline_exceeded_total", op=op)
                 raise DeadlineExceeded(
                     f"{op} abandoned mid-retry: per-request deadline of "
                     f"{state.deadline.budget_ms:.1f}ms exceeded after "

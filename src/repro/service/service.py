@@ -214,7 +214,6 @@ class QueryService:
                 STATUS_REJECTED_QUEUE_FULL,
                 f"ingress queue full ({self._queue.capacity} slots)",
             )
-        self._publish_gauges()
         return req.future
 
     # ------------------------------------------------------------------
@@ -268,7 +267,6 @@ class QueryService:
         finally:
             with self._lock:
                 self._executing -= 1
-            self._publish_gauges()
 
     def _execute(self, req: _Request):
         kwargs = {}
@@ -380,17 +378,6 @@ class QueryService:
             )
         )
         return req.future
-
-    def _publish_gauges(self) -> None:
-        if self._obs is None:
-            return
-        queue = self._queue
-        with self._lock:
-            executing = self._executing
-        self._obs.metrics.set_gauge(
-            "service_queue_depth", float(queue.depth if queue is not None else 0)
-        )
-        self._obs.metrics.set_gauge("service_executing", float(executing))
 
     def stats(self) -> dict:
         """A consistent snapshot of the ingress pipeline: queue depth and

@@ -189,6 +189,4 @@ class DurabilityManager(CheckpointedLog):
             live_rows=table.live_count,
             replayed=replayed,
         )
-        if replayed:
-            self.metrics.inc("table_recovered_ops_total", len(replayed))
         return table, report

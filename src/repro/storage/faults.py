@@ -260,7 +260,6 @@ class FaultInjector:
             del self._crashes[point]
             order = CrashOrder(point=point, torn_fraction=armed[1])
             self.crash_trace.append(order)
-        self.metrics.inc("crashes_injected_total", point=point)
         return order
 
     def crash_check(self, point: str) -> None:

@@ -285,7 +285,6 @@ class WriteAheadLog:
         self._active_seq += 1
         self._active_path = _segment_path(self.directory, self._active_seq)
         self._active_path.touch()
-        self.metrics.inc("wal_rotations_total")
         return self._active_path
 
     def prune(self, upto_lsn: int) -> int:
@@ -303,8 +302,6 @@ class WriteAheadLog:
                 continue
             path.unlink()
             removed += 1
-        if removed:
-            self.metrics.inc("wal_segments_pruned_total", removed)
         return removed
 
     # ------------------------------------------------------------------

@@ -27,14 +27,15 @@ class TestCli:
     def test_json_without_path(self, capsys):
         assert main(["--json"]) == 2
 
-    def test_obs_writes_artifacts_and_report(self, capsys, tmp_path):
+    def test_obs_writes_artifacts(self, capsys, tmp_path):
         import json
 
         obs_dir = tmp_path / "obs"
-        assert main(["--obs", str(obs_dir), "--obs-report", "fig11a"]) == 0
-        out = capsys.readouterr().out
-        assert "observability report" in out
-        assert "Cache lookups per strategy" in out
+        assert main(["--obs", str(obs_dir), "fig11a"]) == 0
+        # metrics.json is the one metrics artifact: no OpenMetrics copy
+        assert sorted(p.name for p in obs_dir.iterdir()) == [
+            "metrics.json", "trace.jsonl",
+        ]
 
         metrics = json.loads((obs_dir / "metrics.json").read_text())
         assert {"counters", "gauges", "histograms"} <= set(metrics)
@@ -45,9 +46,8 @@ class TestCli:
         spans = [json.loads(line) for line in trace_lines]
         assert any(s["name"] == "cbcs.query" for s in spans)
 
-    def test_obs_report_alone_prints_summary(self, capsys):
-        assert main(["--obs-report", "fig11a"]) == 0
-        assert "observability report" in capsys.readouterr().out
+    def test_obs_report_flag_is_gone(self, capsys):
+        assert main(["--obs-report", "fig11a"]) == 2
 
     def test_obs_without_path(self, capsys):
         assert main(["--obs"]) == 2
@@ -59,13 +59,6 @@ class TestCli:
         assert main(["--list"]) == 0
         out = capsys.readouterr().out
         assert "fig5a" in out and "fig11a" in out
-
-    def test_obs_writes_openmetrics(self, capsys, tmp_path):
-        obs_dir = tmp_path / "obs"
-        assert main(["--obs", str(obs_dir), "fig11a"]) == 0
-        prom = (obs_dir / "metrics.prom").read_text()
-        assert "# TYPE repro_queries counter" in prom
-        assert prom.endswith("# EOF\n")
 
     def test_query_log_streams_outcomes(self, capsys, tmp_path):
         import json
@@ -138,6 +131,25 @@ class TestShardSweepCli:
         # --workers sizes the overload soak's service and nothing else
         assert main(sweep + ["--workers", "2"]) == 2
         assert "--overload" in capsys.readouterr().out
+
+    def test_overload_needs_two_workers(self, capsys, monkeypatch):
+        from repro.bench import soak
+
+        calls = []
+
+        def recorded_overload(**kwargs):
+            calls.append(kwargs["workers"])
+            return soak.SoakReport("overload", 0, "none")
+
+        monkeypatch.setattr(soak, "overload", recorded_overload)
+        for workers in ("1", "0", "-3"):
+            assert main(["--overload", "5", "--workers", workers]) == 2
+            out = capsys.readouterr().out
+            assert "usage:" in out and "at least 2" in out
+        assert calls == []
+        assert main(["--overload", "5", "--workers", "3"]) == 0
+        assert main(["--overload", "5"]) == 0
+        assert calls == [3, 2]
 
     def test_shard_sweep_json_dump(self, capsys, tmp_path):
         target = tmp_path / "out.json"

@@ -5,7 +5,7 @@ gone; what it reported now comes from the :class:`CalibrationLedger` fed by
 the EXPLAIN records of the queries a run actually executed.  These tests
 keep the invariants it guarded: explain() predicts execution exactly on a
 mixed workload, the points error is finite, and the numbers reach the
-registry, the obs report and the ``BENCH_*.json`` snapshot.
+``BENCH_*.json`` snapshot.
 """
 
 import json

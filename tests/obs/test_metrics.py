@@ -9,7 +9,6 @@ from repro.obs.metrics import (
     HistogramData,
     MetricsRegistry,
     NullMetrics,
-    render_key,
 )
 
 
@@ -240,13 +239,6 @@ class TestExemplars:
     def test_null_metrics_accepts_exemplar_kwarg(self):
         NULL_METRICS.observe("h", 1.0, exemplar="q1")
         assert NULL_METRICS.as_dict()["histograms"] == []
-
-    def test_render_key(self):
-        reg = MetricsRegistry()
-        reg.inc("x_total", b="2", a="1")
-        [(name, labels)] = list(reg._counters)
-        assert render_key(name, labels) == "x_total{a=1,b=2}"
-        assert render_key("bare_total", ()) == "bare_total"
 
 
 class TestNullMetrics:

@@ -1,11 +1,15 @@
-"""Tests for sink lifecycle guarantees (flush/close determinism)."""
+"""Tests for sink lifecycle guarantees (flush/close determinism) and the
+per-query structured log (``queries.jsonl``)."""
 
 import json
 import threading
 
+import numpy as np
 import pytest
 
+from repro.obs import Observability
 from repro.obs.sinks import JsonlSink, read_jsonl
+from repro.stats import QueryOutcome
 
 
 class TestJsonlSinkLifecycle:
@@ -125,3 +129,30 @@ class TestJsonlSinkConcurrency:
         sink.emit({"name": "after"})  # serialization failed outside the lock
         sink.close()
         assert read_jsonl(path) == [{"name": "after"}]
+
+
+class TestQueryLogSink:
+    def test_outcomes_stream_to_jsonl(self, tmp_path):
+        obs = Observability()
+        path = tmp_path / "queries.jsonl"
+        obs.add_outcome_sink(JsonlSink(path))
+        outcome = QueryOutcome(
+            skyline=np.zeros((4, 2)), method="Baseline", cache_hit=False
+        )
+        obs.record_outcome(outcome)
+        obs.record_outcome(outcome)
+        obs.close()
+        records = read_jsonl(path)
+        assert len(records) == 2
+        assert records[0]["method"] == "Baseline"
+        assert records[0]["skyline_size"] == 4
+        assert set(records[0]["io"]) >= {"points_read", "range_queries"}
+        assert set(records[0]["timings"]) == {
+            "processing_ms", "fetch_io_ms", "fetch_wall_ms", "skyline_ms",
+        }
+
+    def test_record_is_strict_json(self):
+        outcome = QueryOutcome(
+            skyline=np.zeros((1, 2)), method="M", case="exact", stable=True
+        )
+        json.dumps(outcome.as_record(), allow_nan=False)

@@ -38,8 +38,9 @@ ENTRIES = script_entries()
 
 def test_scripts_section_present():
     names = [name for name, _, _ in ENTRIES]
-    assert "repro-obs-report" in names
     assert "repro-obs-explain" in names
+    # the metrics report was retired: metrics.json is read directly
+    assert "repro-obs-report" not in names
     # the snapshot trajectory renderer was retired; regress is the one
     # compare (`python -m repro.bench.regress`)
     assert "repro-bench-history" not in names
