@@ -53,6 +53,12 @@ class CorruptCacheError(ValueError):
     """
 
 
+#: the arrays of a :meth:`SkylineCache.save` archive
+_ARCHIVE_KEYS = frozenset(
+    {"capacity", "policy", "lo", "hi", "meta", "sky", "offsets", "checksum"}
+)
+
+
 def _cache_checksum(arrays: Dict[str, np.ndarray]) -> int:
     """CRC32 over every payload array, in sorted-key order."""
     crc = 0
@@ -405,9 +411,12 @@ class SkylineCache:
             return refreshed
 
     def touch(self, item: CacheItem) -> None:
-        """Record a use of ``item`` (feeds the LRU/LCU counters)."""
+        """Record a use of ``item`` (feeds the LRU/LCU counters).  A durable
+        cache logs no record for it; its log's next close checkpoints."""
         with self._lock:
             item.last_used, item.use_count = next(self._clock), item.use_count + 1
+            if self.log is not None:
+                self.log.unlogged = True
 
     def _reindex(self, item: CacheItem, skyline: np.ndarray) -> None:
         """Swap ``item``'s skyline/MBR in place and overwrite its table row."""
@@ -572,8 +581,8 @@ class SkylineCache:
             self.log.checkpoint(self)
 
     def close(self) -> None:
-        """A durable cache's final checkpoint, then its WAL closes (no log:
-        no-op)."""
+        """A durable cache's final checkpoint, when anything changed since
+        the last one, then its WAL closes (no log: no-op)."""
         if self.log is not None:
             self.log.close(self)
 
@@ -588,75 +597,91 @@ class SkylineCache:
     # Persistence
     # ------------------------------------------------------------------
     def _snapshot_arrays(self) -> Dict[str, np.ndarray]:
-        """The archive payload for :meth:`save` (caller holds no lock)."""
+        """The archive payload for :meth:`save`: item ``i``'s constraint
+        bounds are row ``i`` of ``lo`` / ``hi``, its ``(inserted_at,
+        last_used, use_count)`` row ``i`` of ``meta``, and its skyline rows
+        ``offsets[i]:offsets[i + 1]`` of ``sky``."""
         with self._lock:
-            arrays = {
-                "n_items": np.array(len(self._table)),
+            items = self._table.items
+            n, d = len(items), self._table.ndim or 0
+            lo, hi = np.empty((n, d)), np.empty((n, d))
+            meta = np.empty((n, 3), dtype=np.int64)
+            offsets = np.zeros(n + 1, dtype=np.int64)
+            for i, item in enumerate(items):
+                lo[i], hi[i] = item.constraints.lo, item.constraints.hi
+                meta[i] = item.inserted_at, item.last_used, item.use_count
+                offsets[i + 1] = offsets[i] + len(item.skyline)
+            return {
                 "capacity": np.array(
                     self.capacity if self.capacity is not None else -1
                 ),
                 "policy": np.array(self.policy),
+                "lo": lo,
+                "hi": hi,
+                "meta": meta,
+                "sky": (
+                    np.concatenate([item.skyline for item in items])
+                    if items
+                    else np.empty((0, d))
+                ),
+                "offsets": offsets,
             }
-            for i, item in enumerate(self._table.items):
-                arrays[f"lo_{i}"] = np.asarray(item.constraints.lo)
-                arrays[f"hi_{i}"] = np.asarray(item.constraints.hi)
-                arrays[f"sky_{i}"] = item.skyline
-                arrays[f"meta_{i}"] = np.array(
-                    [item.inserted_at, item.last_used, item.use_count]
-                )
-        return arrays
 
-    def save(self, path, crashpoint=None) -> None:
+    def save(self, path, crashpoint=None, fsync: bool = False) -> None:
         """Save every cached item (constraints, skyline, use counters) to
         ``.npz`` so a service can restart with a warm semantic cache.
 
+        The items are packed into a few arrays (see :meth:`_snapshot_arrays`).
         The archive carries a CRC32 checksum over the payload (validated by
-        :meth:`load`) and is written atomically (temp file + rename), so a
+        :meth:`load`) and is written atomically (temp file + rename), and
+        with ``fsync`` durably (:func:`~repro.ioutil.atomic_savez`), so a
         crash mid-save leaves the previous snapshot intact and a
         bit-flipped snapshot is rejected instead of silently loaded.
         """
         arrays = self._snapshot_arrays()
         arrays["checksum"] = np.array(_cache_checksum(arrays), dtype=np.uint32)
-        atomic_savez(path, crashpoint=crashpoint, point="cache.snapshot", **arrays)
+        atomic_savez(
+            path, fsync=fsync, crashpoint=crashpoint, point="cache.snapshot", **arrays
+        )
 
     @staticmethod
-    def _validated_archive_items(archive, path):
-        """Yield ``(constraints, skyline, meta)`` after integrity checks."""
-        for key in ("n_items", "capacity", "policy"):
-            if key not in archive.files:
-                raise CorruptCacheError(
-                    f"cache archive {path} is missing required key {key!r}"
-                )
-        if "checksum" in archive.files:
-            payload = {
-                key: np.asarray(archive[key])
-                for key in archive.files
-                if key != "checksum"
-            }
-            stored = int(archive["checksum"])
-            actual = _cache_checksum(payload)
-            if stored != actual:
-                raise CorruptCacheError(
-                    f"cache archive {path}: checksum mismatch "
-                    f"(stored {stored:#010x}, computed {actual:#010x})"
-                )
-        for i in range(int(archive["n_items"])):
-            for key in (f"lo_{i}", f"hi_{i}", f"sky_{i}", f"meta_{i}"):
-                if key not in archive.files:
-                    raise CorruptCacheError(
-                        f"cache archive {path} is missing item key {key!r}"
-                    )
-            sky = np.asarray(archive[f"sky_{i}"])
-            if sky.ndim != 2 or not np.isfinite(sky).all():
-                raise CorruptCacheError(
-                    f"cache archive {path}: item {i} has a malformed or "
-                    "non-finite skyline"
-                )
-            yield (
-                Constraints(archive[f"lo_{i}"], archive[f"hi_{i}"]),
-                sky,
-                archive[f"meta_{i}"],
+    def _unpack(arrays: Dict[str, np.ndarray], path):
+        """``(capacity, policy, [(constraints, skyline, meta), ...])`` from a
+        :meth:`save` payload, after its checksum and shape checks."""
+        missing = _ARCHIVE_KEYS - set(arrays)
+        if missing:
+            raise CorruptCacheError(
+                f"cache archive {path} is missing required keys: {sorted(missing)}"
             )
+        stored = int(arrays.pop("checksum"))
+        actual = _cache_checksum(arrays)
+        if stored != actual:
+            raise CorruptCacheError(
+                f"cache archive {path}: checksum mismatch "
+                f"(stored {stored:#010x}, computed {actual:#010x})"
+            )
+        lo, hi, meta = arrays["lo"], arrays["hi"], arrays["meta"]
+        sky, offsets = arrays["sky"], arrays["offsets"]
+        n = len(offsets) - 1
+        if not (
+            offsets.ndim == sky.ndim - 1 == 1
+            and lo.shape == hi.shape == (n, sky.shape[1])
+            and meta.shape == (n, 3)
+            and all(a.dtype.kind == "f" for a in (lo, hi, sky))
+            and meta.dtype.kind == offsets.dtype.kind == "i"
+            and offsets[0] == 0
+            and offsets[-1] == len(sky)
+            and (np.diff(offsets) > 0).all()
+        ):
+            raise CorruptCacheError(f"cache archive {path}: malformed item arrays")
+        if not np.isfinite(sky).all():
+            raise CorruptCacheError(f"cache archive {path}: non-finite skyline")
+        entries = [
+            (Constraints(lo[i], hi[i]), sky[offsets[i] : offsets[i + 1]], meta[i])
+            for i in range(n)
+        ]
+        capacity = int(arrays["capacity"])
+        return (None if capacity < 0 else capacity), str(arrays["policy"]), entries
 
     @classmethod
     def _read_archive(cls, path):
@@ -664,19 +689,17 @@ class SkylineCache:
         from a saved archive, or raise :class:`CorruptCacheError`."""
         try:
             with np.load(path, allow_pickle=False) as archive:
-                entries = list(cls._validated_archive_items(archive, path))
-                capacity = int(archive["capacity"])
-                policy = str(archive["policy"])
+                arrays = {key: archive[key] for key in archive.files}
+            return cls._unpack(arrays, path)
+        except CorruptCacheError:
+            raise
         except Exception as exc:
             # A flipped byte in the zip container can surface almost any
-            # stdlib exception type (BadZipFile, zlib.error, EOFError,
-            # NotImplementedError, ...); any parse failure IS corruption.
-            if isinstance(exc, CorruptCacheError):
-                raise
+            # stdlib exception type (BadZipFile, EOFError, ValueError from a
+            # rotted bound, ...); any parse failure IS corruption.
             raise CorruptCacheError(
                 f"cache archive {path} is unreadable: {exc}"
             ) from exc
-        return (None if capacity < 0 else capacity), policy, entries
 
     def load_into(self, path) -> int:
         """Merge a saved archive's items into this cache; returns #loaded.
@@ -698,14 +721,14 @@ class SkylineCache:
         """Load a cache saved with :meth:`save`.
 
         Raises :class:`CorruptCacheError` when the archive is unreadable,
-        missing keys, carries malformed skylines, or fails its stored
-        checksum.  Archives written before checksums existed (no
-        ``checksum`` key) are accepted after the structural checks.
+        missing keys (an archive of the old one-member-per-item layout
+        among them), carries malformed skylines, or fails its stored
+        checksum.
         """
         capacity, policy, entries = cls._read_archive(path)
         try:
             cache = cls(capacity=capacity, policy=policy)
-        except ValueError as exc:  # a pre-checksum archive with a rotted header
+        except ValueError as exc:
             raise CorruptCacheError(f"cache archive {path}: {exc}") from exc
         cache._restore_entries(entries)
         return cache

@@ -182,9 +182,10 @@ class CBCS:
 
     def close(self) -> None:
         """Close the table's log, then the cache's, each with a final
-        checkpoint (:meth:`~repro.storage.wal.CheckpointedLog.close`) so the
-        next start replays nothing and finds the cache warm; without logs
-        there is nothing to flush.
+        checkpoint when its snapshot lacks anything
+        (:meth:`~repro.storage.wal.CheckpointedLog.close`), so the next start
+        replays nothing and finds the cache warm; without logs there is
+        nothing to flush.
         """
         if self.durability is not None:
             self.durability.close(self.table)
@@ -668,6 +669,7 @@ class CBCS:
                 for item in engine.cache.containing(row):
                     engine.cache.remove(item)
         engine.recovery_report = report
-        # Seal the recovered state so the next restart replays nothing.
-        manager.checkpoint(engine.table)
+        # Seal the recovered state so the next restart replays nothing (a
+        # replay of nothing leaves the snapshot as it was).
+        manager.seal(engine.table)
         return engine

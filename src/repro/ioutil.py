@@ -29,6 +29,7 @@ __all__ = [
     "atomic_savez",
     "encode_array",
     "decode_array",
+    "fsync_directory",
 ]
 
 CrashHook = Optional[Callable[[str], None]]
@@ -39,17 +40,21 @@ def _tmp_path(path: Path) -> Path:
     return path.with_name(f".{path.name}.tmp.{os.getpid()}")
 
 
+def fsync_directory(directory) -> None:
+    """Make the entries of ``directory`` (a rename, a new file) durable."""
+    fd = os.open(directory, os.O_RDONLY)
+    try:
+        os.fsync(fd)
+    finally:
+        os.close(fd)
+
+
 def _commit(tmp: Path, path: Path, fsync: bool, crashpoint: CrashHook, point: str) -> None:
     if crashpoint is not None:
         crashpoint(point)  # may raise SimulatedCrash: temp written, not renamed
     os.replace(tmp, path)
     if fsync:
-        # Persist the rename itself (the directory entry).
-        fd = os.open(os.path.dirname(os.path.abspath(path)) or ".", os.O_RDONLY)
-        try:
-            os.fsync(fd)
-        finally:
-            os.close(fd)
+        fsync_directory(os.path.dirname(os.path.abspath(path)) or ".")
 
 
 def atomic_write_bytes(
@@ -79,14 +84,16 @@ def atomic_write_text(path, text: str, fsync: bool = False) -> None:
     atomic_write_bytes(path, text.encode("utf-8"), fsync=fsync)
 
 
-def atomic_write_json(path, payload, indent: int = 2, default=None) -> None:
+def atomic_write_json(
+    path, payload, indent: int = 2, default=None, fsync: bool = False
+) -> None:
     """Serialize ``payload`` and write it to ``path`` atomically.
 
     Serialization happens before any filesystem mutation, so a payload that
     fails to encode leaves the previous artifact untouched.
     """
     text = json.dumps(payload, indent=indent, default=default)
-    atomic_write_text(path, text)
+    atomic_write_text(path, text, fsync=fsync)
 
 
 def encode_array(array) -> dict:
@@ -126,10 +133,14 @@ def atomic_savez(
     point: str = "atomic-write",
     **arrays,
 ) -> None:
-    """``np.savez_compressed`` into ``path`` atomically.
+    """``np.savez`` into ``path`` atomically.
 
-    The archive is written through an open temp-file handle (so numpy never
-    appends its own ``.npz`` suffix), then renamed over ``path``.
+    The members are stored, not deflated: the snapshots hold random doubles,
+    which barely compress, and zlib was most of a checkpoint's time.  The
+    archive is written through an open temp-file handle (so numpy never
+    appends its own ``.npz`` suffix), then renamed over ``path``.  With
+    ``fsync`` the bytes are on disk before the rename and the directory
+    entry after it, so a power loss leaves the old archive or the new one.
     """
     import numpy as np
 
@@ -137,7 +148,7 @@ def atomic_savez(
     tmp = _tmp_path(path)
     try:
         with open(tmp, "wb") as handle:
-            np.savez_compressed(handle, **arrays)
+            np.savez(handle, **arrays)
             if fsync:
                 handle.flush()
                 os.fsync(handle.fileno())

@@ -135,10 +135,6 @@ class Observability:
         for fname, value in outcome.io.as_dict().items():
             if value:
                 m.inc(f"{fname}_total", value, method=method)
-        if outcome.nodes_accessed:
-            m.inc(
-                "rtree_nodes_accessed_total", outcome.nodes_accessed, method=method
-            )
         if outcome.degraded is not None:
             m.inc("degraded_queries_total", method=method, rung=outcome.degraded)
         if outcome.stale:

@@ -154,13 +154,6 @@ class MetricsRegistry:
                 self._histograms[key] = hist
             hist.observe(value, exemplar=exemplar)
 
-    def reset(self) -> None:
-        """Drop every recorded series (e.g. between benchmark figures)."""
-        with self._lock:
-            self._counters.clear()
-            self._gauges.clear()
-            self._histograms.clear()
-
     def merge(self, other: "MetricsRegistry") -> None:
         """Fold another registry into this one.
 

@@ -164,7 +164,5 @@ class BBSMethod:
         outcome.io.pages_read = result.nodes_accessed
         outcome.io.seeks = result.nodes_accessed
         outcome.io.simulated_io_ms = io_ms
-        if obs.enabled:
-            obs.metrics.inc("bbs_heap_pushes_total", result.heap_pushes)
         obs.record_outcome(outcome)
         return outcome

@@ -7,9 +7,11 @@
    to a :class:`~repro.storage.wal.WriteAheadLog` -- and fsynced -- *before*
    it touches the :class:`~repro.storage.table.DiskTable`.  The update is
    committed the moment its WAL record is durable.
-2. **Checkpoint.** Periodically (and at shutdown) the whole table is
-   snapshotted atomically (checksummed ``.npz``, temp file + rename), the
-   checkpoint LSN recorded, and the covered WAL segments pruned.
+2. **Checkpoint.** Every ``checkpoint_every`` batches, and at shutdown
+   when a batch was logged since the last one, the whole table is
+   snapshotted atomically (checksummed ``.npz``, temp file + rename,
+   fsynced with the log), the checkpoint LSN recorded, and only then the
+   covered WAL segments pruned.
 3. **Recover.** :meth:`recover` loads the last checkpoint, replays the WAL
    tail past its LSN (torn tails truncated, mid-file corruption loud), and
    returns a table provably equal to "checkpoint + committed updates" --

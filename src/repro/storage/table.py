@@ -571,7 +571,7 @@ class DiskTable:
     # ------------------------------------------------------------------
     # Persistence
     # ------------------------------------------------------------------
-    def save(self, path, crashpoint=None) -> None:
+    def save(self, path, crashpoint=None, fsync: bool = False) -> None:
         """Save the table (rows, tombstones, schema, cost model) to ``.npz``.
 
         Indexes are not stored (:meth:`load` re-sorts each column), so
@@ -581,12 +581,14 @@ class DiskTable:
         stored and verified by :meth:`load`.
 
         The archive is committed atomically (temp file + rename), so a
-        crash mid-save leaves the previous checkpoint intact;
+        crash mid-save leaves the previous checkpoint intact, and with
+        ``fsync`` durably (:func:`~repro.ioutil.atomic_savez`);
         ``crashpoint`` threads the fault injector's seeded crash hook into
         the commit (point ``"table.checkpoint"``) for the recovery drill.
         """
         atomic_savez(
             path,
+            fsync=fsync,
             crashpoint=crashpoint,
             point="table.checkpoint",
             data=self._data,

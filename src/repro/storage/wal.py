@@ -47,7 +47,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, List, Optional, Tuple
 
-from repro.ioutil import atomic_write_json
+from repro.ioutil import atomic_write_json, fsync_directory
 from repro.storage.faults import SimulatedCrash
 
 __all__ = ["CheckpointedLog", "CorruptWALError", "WalRecord", "WriteAheadLog"]
@@ -156,6 +156,9 @@ class WriteAheadLog:
         #: tail state observed while opening (surfaced in recovery reports)
         self.opened_tail_status = "clean"
         self._handle = None
+        #: the active segment was created and its directory entry not yet
+        #: fsynced (the first durable append does it)
+        self._new_segment = False
         self._open_existing()
 
     # ------------------------------------------------------------------
@@ -172,6 +175,7 @@ class WriteAheadLog:
             self._active_seq = 1
             self._active_path = _segment_path(self.directory, 1)
             self._active_path.touch()
+            self._new_segment = True
             return
         for path in segments[:-1]:
             records, _, tail = _scan_segment(path)
@@ -234,6 +238,10 @@ class WriteAheadLog:
             self.injector.crash_check("wal.fsync")
         if self.fsync:
             os.fsync(handle.fileno())
+            if self._new_segment:
+                # A power loss must not take the file holding the record.
+                fsync_directory(self.directory)
+                self._new_segment = False
             self.metrics.inc("wal_fsyncs_total")
         self.last_lsn = lsn
         self.metrics.inc("wal_records_total")
@@ -285,6 +293,7 @@ class WriteAheadLog:
         self._active_seq += 1
         self._active_path = _segment_path(self.directory, self._active_seq)
         self._active_path.touch()
+        self._new_segment = True
         return self._active_path
 
     def prune(self, upto_lsn: int) -> int:
@@ -335,10 +344,14 @@ class CheckpointedLog:
 
     The owner appends one record per mutation and rebuilds itself from
     :attr:`snapshot_path` plus :meth:`tail`; whatever is checkpointed only
-    needs ``save(path, crashpoint=None)``.  ``checkpoint_every=N``
-    checkpoints after every N appended records when the owner calls
-    :meth:`maybe_checkpoint` (None leaves it to explicit :meth:`checkpoint`
-    calls); ``fsync=False`` trades commit durability for speed in tests.
+    needs ``save(path, crashpoint=None, fsync=False)``, with ``fsync``
+    meaning "the bytes are on disk before the rename and the directory
+    entry after it".  An owner whose state changes without a record (a
+    durable cache's recency stamps) sets :attr:`unlogged`, so :meth:`close`
+    still checkpoints it.  ``checkpoint_every=N`` checkpoints after every N
+    appended records when the owner calls :meth:`maybe_checkpoint` (None
+    leaves it to explicit :meth:`checkpoint` calls); ``fsync=False`` trades
+    durability for speed in tests: the records' and the checkpoint's alike.
     The optional ``injector`` threads seeded crash points into every commit
     site (``wal.append``, ``wal.fsync`` and the snapshot's own ``save``).
     """
@@ -374,6 +387,9 @@ class CheckpointedLog:
         # or fresh appends would reuse LSNs that replay then skips.
         self.wal.last_lsn = max(self.wal.last_lsn, self.checkpoint_lsn)
         self._since_checkpoint = 0
+        #: the owner's state changed since the last checkpoint without a
+        #: record (cleared by :meth:`checkpoint`)
+        self.unlogged = False
 
     def _read_checkpoint_lsn(self) -> int:
         try:
@@ -395,18 +411,24 @@ class CheckpointedLog:
     def checkpoint(self, state) -> None:
         """Snapshot ``state`` atomically, then prune the covered WAL.
 
-        Commit order: snapshot replace -> meta replace -> rotate + prune.  A
-        crash between two steps leaves the meta behind the snapshot, so a
-        few records replay onto a snapshot that already holds them; each
-        owner's replay is idempotent for exactly that case.
+        Commit order: snapshot replace -> meta replace -> rotate + prune.
+        With ``fsync`` each replace is durable before the next step starts
+        (the bytes fsynced before the rename, the directory after it), so
+        no WAL segment is deleted while a power loss could still take the
+        snapshot or the meta that covers it.  A crash between two steps
+        leaves the meta behind the snapshot, so a few records replay onto a
+        snapshot that already holds them; each owner's replay is idempotent
+        for exactly that case.
         """
         crashpoint = (
             self.injector.crash_check if self.injector is not None else None
         )
+        fsync = self.wal.fsync
         lsn = self.wal.last_lsn
-        state.save(self.snapshot_path, crashpoint=crashpoint)
-        atomic_write_json(self.meta_path, {"checkpoint_lsn": lsn})
+        state.save(self.snapshot_path, crashpoint=crashpoint, fsync=fsync)
+        atomic_write_json(self.meta_path, {"checkpoint_lsn": lsn}, fsync=fsync)
         self.checkpoint_lsn = lsn
+        self.unlogged = False
         self.wal.rotate()
         self.wal.prune(lsn)
         self._since_checkpoint = 0
@@ -427,10 +449,21 @@ class CheckpointedLog:
             return True
         return False
 
-    def close(self, state=None) -> None:
-        """Checkpoint ``state`` one last time (when given), then close."""
-        if state is not None:
+    def seal(self, state) -> None:
+        """Checkpoint ``state`` unless the snapshot already holds all of it:
+        one exists, no record was logged past it and nothing is
+        :attr:`unlogged`."""
+        if (
+            self.unlogged
+            or self.wal.last_lsn != self.checkpoint_lsn
+            or not self.snapshot_path.exists()
+        ):
             self.checkpoint(state)
+
+    def close(self, state=None) -> None:
+        """:meth:`seal` ``state`` (when given), then close the WAL."""
+        if state is not None:
+            self.seal(state)
         self.wal.close()
 
     def __repr__(self) -> str:

@@ -122,13 +122,33 @@ class TestDiskWarmRestart:
     def test_restored_item_metadata_survives(self, tmp_path):
         cache = _durable(tmp_path)
         item = cache.insert(_box(0.0, 0.5), _skyline(1))
-        cache.candidates(_box(0.1, 0.4))  # bump use_count/last_used
+        cache.touch(item)  # bump use_count/last_used
         use_count = item.use_count
+        assert use_count == 1
         cache.close()
         warm = _durable(tmp_path)
         (restored,) = list(warm)
         assert restored.use_count == use_count
         warm.close()
+
+    def test_a_touch_alone_survives_close_and_reopen(self, tmp_path):
+        """A touch logs no record, so it is the one change a clean-looking
+        log still has to checkpoint on close: the recency stamps it moved
+        come back after a reopen."""
+        cache = _durable(tmp_path)
+        first = _fill(cache, n=3)[0]
+        cache.close()
+        reopened = _durable(tmp_path)
+        item = reopened.exact_match(first.constraints)
+        reopened.touch(item)
+        reopened.touch(item)
+        stamps = (item.last_used, item.use_count)
+        assert stamps != (first.last_used, first.use_count)
+        reopened.close()
+        again = _durable(tmp_path)
+        restored = again.exact_match(first.constraints)
+        assert (restored.last_used, restored.use_count) == stamps
+        again.close()
 
     def test_crash_reopen_of_full_cache_keeps_capacity_items(self, tmp_path):
         """The WAL ends with put x4 + the del of the evicted one: replaying
@@ -239,18 +259,26 @@ class TestPlanDeterminism:
         reopened.close()
 
 
+def _flip_a_skyline_byte(path, item):
+    """Flip the first byte of ``item``'s skyline inside the snapshot at
+    ``path``: the members are stored, not deflated, so the bytes are there
+    as they are in memory, and the flip lands where the checksum looks."""
+    blob = bytearray(path.read_bytes())
+    offset = blob.find(item.skyline.tobytes())
+    assert offset >= 0
+    blob[offset] ^= 0xFF
+    path.write_bytes(bytes(blob))
+
+
 class TestCorruptSnapshot:
-    def _corrupt_snapshot(self, tmp_path):
-        path = tmp_path / "cache.npz"
-        blob = bytearray(path.read_bytes())
-        blob[len(blob) // 2] ^= 0xFF
-        path.write_bytes(bytes(blob))
+    def _corrupt_snapshot(self, tmp_path, cache):
+        _flip_a_skyline_byte(tmp_path / "cache.npz", next(iter(cache)))
 
     def test_cold_policy_starts_empty_and_counts(self, tmp_path):
         cache = _durable(tmp_path)
         _fill(cache)
         cache.close()
-        self._corrupt_snapshot(tmp_path)
+        self._corrupt_snapshot(tmp_path, cache)
 
         metrics = MetricsRegistry()
         warm = _durable(tmp_path, metrics=metrics)
@@ -271,7 +299,7 @@ class TestCorruptSnapshot:
         cache = _durable(tmp_path)
         _fill(cache)
         cache.close()
-        self._corrupt_snapshot(tmp_path)
+        self._corrupt_snapshot(tmp_path, cache)
         cold = _durable(tmp_path)
         assert cold.restored_from == "cold"
         cold.insert(_box(0.2, 0.7), _skyline(5))
@@ -283,38 +311,6 @@ class TestCorruptSnapshot:
 
 
 class TestChecksumRoundTrip:
-    def test_bit_flips_never_load_wrong_data(self, tmp_path):
-        """S2: save -> flip one byte -> load either raises the typed
-        :class:`CorruptCacheError` (never a raw zipfile/numpy/KeyError) or
-        -- when the flip lands in an ignorable zip header field like a
-        timestamp -- still round-trips the exact original payload.  What
-        must never happen is silently loading *different* data."""
-        cache = SkylineCache()
-        _fill(cache)
-        path = tmp_path / "cache.npz"
-        cache.save(path)
-        blob = path.read_bytes()
-        expected = _state(cache)
-
-        # Sanity: the pristine payload round-trips.
-        assert _state(SkylineCache.load(path)) == expected
-
-        detected = 0
-        for offset in range(0, len(blob), max(1, len(blob) // 97)):
-            flipped = bytearray(blob)
-            flipped[offset] ^= 0xFF
-            path.write_bytes(bytes(flipped))
-            try:
-                restored = SkylineCache.load(path)
-            except CorruptCacheError:
-                detected += 1
-            else:
-                assert _state(restored) == expected, (
-                    f"flip at byte {offset} silently loaded wrong data"
-                )
-        # The overwhelming majority of flips hit checksummed payload.
-        assert detected > 50
-
     def test_truncated_file_raises_corrupt_cache_error(self, tmp_path):
         cache = SkylineCache()
         _fill(cache, n=2)
@@ -340,9 +336,121 @@ class TestChecksumRoundTrip:
         cache.save(path)
         with np.load(path) as archive:
             arrays = {k: archive[k] for k in archive.files if k != "checksum"}
-        arrays["lo_0"] = arrays["lo_0"].copy()
-        arrays["lo_0"][0] = np.nan
+        arrays["lo"] = arrays["lo"].copy()
+        arrays["lo"][0, 0] = np.nan  # item 0's first lower bound
         arrays["checksum"] = np.array(_cache_checksum(arrays), dtype=np.uint32)
         np.savez(path, **arrays)
         with pytest.raises(CorruptCacheError):
             SkylineCache.load(path)
+
+
+def _full_state(cache):
+    """Everything a snapshot carries, in item order."""
+    return (
+        cache.capacity,
+        cache.policy,
+        [
+            (
+                item.constraints.lo.tobytes(),
+                item.constraints.hi.tobytes(),
+                item.skyline.tobytes(),
+                item.inserted_at,
+                item.last_used,
+                item.use_count,
+            )
+            for item in cache
+        ],
+    )
+
+
+class TestDamagedArchiveSweep:
+    """Mirror of the table's sweep (``tests/storage/test_corrupt_load.py``)
+    for the packed cache snapshot: a damaged ``cache.npz`` either raises
+    the typed :class:`CorruptCacheError` or -- when the damage lands in a
+    zip field nothing reads -- loads the same items, stamps included.  A
+    durable cache over it cold-starts, counted, or restores the same
+    items."""
+
+    @pytest.fixture
+    def damaged(self, tmp_path):
+        cache = SkylineCache(capacity=4)
+        items = _fill(cache, n=3)
+        cache.touch(items[0])
+        path = tmp_path / "cache.npz"
+        cache.save(path)
+        return path, path.read_bytes(), _full_state(cache)
+
+    @staticmethod
+    def loads_identical_or_raises(path, expected) -> bool:
+        """True when the load raised :class:`CorruptCacheError`."""
+        try:
+            loaded = SkylineCache.load(path)
+        except CorruptCacheError:
+            return True
+        assert _full_state(loaded) == expected
+        return False
+
+    def test_every_single_byte_flip(self, damaged):
+        path, blob, expected = damaged
+        detected = 0
+        for offset in range(len(blob)):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0xFF
+            path.write_bytes(bytes(flipped))
+            detected += self.loads_identical_or_raises(path, expected)
+        # The majority of flips hit CRC-protected members or zip structure.
+        assert detected > len(blob) // 2
+
+    def test_every_truncation(self, damaged):
+        path, blob, expected = damaged
+        for length in range(len(blob)):
+            path.write_bytes(blob[:length])
+            assert self.loads_identical_or_raises(path, expected), length
+
+    def test_a_durable_cache_cold_starts_or_restores_the_same_items(
+        self, tmp_path, damaged
+    ):
+        _, blob, expected = damaged
+        directory = tmp_path / "durable"
+        _durable(directory).close()  # the log's meta and WAL
+        snapshot = directory / "cache.npz"
+        cold = 0
+        for offset in range(0, len(blob), 7):
+            flipped = bytearray(blob)
+            flipped[offset] ^= 0xFF
+            snapshot.write_bytes(bytes(flipped))
+            metrics = MetricsRegistry()
+            cache = _durable(directory, capacity=4, metrics=metrics)
+            if cache.restored_from == "cold":
+                cold += 1
+                assert len(cache) == 0
+                assert metrics.counter_value("cache_restore_corrupt_total") == 1
+            else:
+                assert cache.restored_from == "snapshot"
+                assert _full_state(cache) == expected
+                assert metrics.counter_value("cache_restore_corrupt_total") == 0
+            cache.close()
+        assert cold > len(blob) // 14
+
+    def test_an_archive_of_one_member_per_item_cold_starts(self, tmp_path):
+        """The layout before the packed one (``lo_i`` / ``hi_i`` / ``sky_i``
+        / ``meta_i`` per item) is not read: it takes the corrupt-snapshot
+        path."""
+        sky = _skyline(0)
+        np.savez(
+            tmp_path / "cache.npz",
+            n_items=np.array(1),
+            capacity=np.array(-1),
+            policy=np.array("lru"),
+            lo_0=np.zeros(3),
+            hi_0=np.ones(3),
+            sky_0=sky,
+            meta_0=np.array([1, 1, 0]),
+        )
+        with pytest.raises(CorruptCacheError, match="missing required keys"):
+            SkylineCache.load(tmp_path / "cache.npz")
+        metrics = MetricsRegistry()
+        cache = _durable(tmp_path, metrics=metrics)
+        assert cache.restored_from == "cold" and len(cache) == 0
+        assert metrics.counter_value("cache_restore_corrupt_total") == 1
+        cache.close()

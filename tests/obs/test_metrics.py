@@ -117,15 +117,6 @@ class TestExport:
         assert hist["name"] == "stage_ms"
         assert hist["count"] == 1
 
-    def test_reset_clears_everything(self):
-        reg = MetricsRegistry()
-        reg.inc("a_total")
-        reg.set_gauge("g", 1)
-        reg.observe("h", 1)
-        reg.reset()
-        snap = reg.as_dict()
-        assert snap == {"counters": [], "gauges": [], "histograms": []}
-
     def test_merge_combines_registries(self):
         a, b = MetricsRegistry(), MetricsRegistry()
         a.inc("queries_total", 3, method="X")

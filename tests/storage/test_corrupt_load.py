@@ -129,11 +129,12 @@ class TestCorruptionDetected:
 
 
 class TestDamagedArchiveSweep:
-    """Mirror of the cache's sweep (``TestChecksumRoundTrip``): a damaged
-    ``table.npz`` either raises the typed :class:`CorruptTableError` (never a
-    raw zipfile/zlib/numpy error) or -- when the damage lands in an ignorable
-    zip header field -- still loads the exact rows and tombstones.  What must
-    never happen is silently loading a *different* table."""
+    """Mirror of the cache's sweep (``TestDamagedArchiveSweep`` in
+    ``tests/core/test_cache_backend.py``): a damaged ``table.npz`` either
+    raises the typed :class:`CorruptTableError` (never a raw
+    zipfile/zlib/numpy error) or -- when the damage lands in an ignorable
+    zip header field -- still loads the exact rows and tombstones.  What
+    must never happen is silently loading a *different* table."""
 
     @pytest.fixture
     def damaged(self, tmp_path):

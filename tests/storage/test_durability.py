@@ -331,6 +331,58 @@ class TestOneCheckpointedLog:
             reopened.close()
 
 
+def _file_stamp(path):
+    """What a rewrite changes: the inode (a replace is a new file), the
+    mtime and the bytes."""
+    stat = path.stat()
+    return stat.st_ino, stat.st_mtime_ns, path.read_bytes()
+
+
+class TestCleanClose:
+    def _engine(self, tmp_path):
+        cache = SkylineCache(
+            log=CheckpointedLog(tmp_path / "cache", "cache", fsync=False)
+        )
+        return CBCS(
+            _table(),
+            cache=cache,
+            durability=DurabilityManager(tmp_path / "table", fsync=False),
+        )
+
+    def _files(self, tmp_path):
+        return [
+            tmp_path / "table" / "table.npz",
+            tmp_path / "table" / "meta.json",
+            tmp_path / "cache" / "cache.npz",
+            tmp_path / "cache" / "meta.json",
+        ]
+
+    def test_a_close_with_nothing_logged_rewrites_nothing(self, tmp_path):
+        """Both logs checkpointed and nothing logged since: ``close`` leaves
+        every snapshot and ``meta.json`` as it was."""
+        engine = self._engine(tmp_path)
+        engine.query(Constraints([0.0] * 3, [0.8] * 3))
+        engine.insert_points(np.full((2, 3), 0.05))
+        engine.checkpoint()
+        before = [_file_stamp(path) for path in self._files(tmp_path)]
+        engine.close()
+        assert [_file_stamp(path) for path in self._files(tmp_path)] == before
+
+    def test_a_recovery_that_replays_nothing_rewrites_nothing(self, tmp_path):
+        engine = self._engine(tmp_path)
+        engine.insert_points(np.full((2, 3), 0.05))
+        engine.close()
+        table_files = self._files(tmp_path)[:2]
+        before = [_file_stamp(path) for path in table_files]
+        recovered = CBCS.recover(
+            DurabilityManager(tmp_path / "table", fsync=False)
+        )
+        assert recovered.recovery_report.replayed_ops == 0
+        recovered.close()
+        assert [_file_stamp(path) for path in table_files] == before
+        assert recovered.table.n == engine.table.n
+
+
 class TestUnsupportedDurableTable:
     def test_a_sharded_table_is_refused_before_the_directory_is_touched(
         self, tmp_path

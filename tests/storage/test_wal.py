@@ -1,11 +1,17 @@
 """Write-ahead log: framing, replay, rotation, torn tails, corruption, and
 the checkpointed log built on it."""
 
+import os
 import struct
 
+import numpy as np
 import pytest
 
+from repro.core.cache import SkylineCache
+from repro.geometry.constraints import Constraints
 from repro.obs.metrics import MetricsRegistry
+from repro.storage.durability import DurabilityManager
+from repro.storage.table import DiskTable
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.wal import CheckpointedLog, CorruptWALError, WriteAheadLog, _frame
 
@@ -226,12 +232,13 @@ class TestLsnHorizon:
 
 
 class _Blob:
-    """The least a checkpoint needs: ``save(path, crashpoint=None)``."""
+    """The least a checkpoint needs: ``save(path, crashpoint=None,
+    fsync=False)``."""
 
     def __init__(self):
         self.saves = 0
 
-    def save(self, path, crashpoint=None):
+    def save(self, path, crashpoint=None, fsync=False):
         self.saves += 1
         path.write_bytes(b"snapshot %d" % self.saves)
 
@@ -250,4 +257,94 @@ class TestCheckpointedLog:
         assert blob.saves == 2
         assert (tmp_path / "blob.npz").read_bytes() == b"snapshot 2"
         assert metrics.counter_value("blob_checkpoints_total") == 2
+        log.close()
+
+
+@pytest.fixture
+def file_ops(monkeypatch):
+    """Every ``os.fsync`` (as the inode it made durable), ``os.replace``
+    (as its target's name) and ``os.unlink`` (as the name removed), in
+    call order."""
+    events = []
+    fsync, replace, unlink = os.fsync, os.replace, os.unlink
+
+    def traced_fsync(fd):
+        events.append(("fsync", os.fstat(fd).st_ino))
+        fsync(fd)
+
+    def traced_replace(src, dst, **kwargs):
+        replace(src, dst, **kwargs)
+        events.append(("replace", os.path.basename(dst)))
+
+    def traced_unlink(path, **kwargs):
+        events.append(("unlink", os.path.basename(path)))
+        unlink(path, **kwargs)
+
+    monkeypatch.setattr(os, "fsync", traced_fsync)
+    monkeypatch.setattr(os, "replace", traced_replace)
+    monkeypatch.setattr(os, "unlink", traced_unlink)
+    return events
+
+
+def _table_log(directory):
+    table = DiskTable(np.random.default_rng(0).random((50, 3)))
+    log = DurabilityManager(directory, checkpoint_every=None)
+    log.checkpoint(table)
+    rows = np.full((2, 3), 0.5)
+    log.log_insert(rows, start=table.n)
+    table.append(rows)
+    return log, table
+
+
+def _cache_log(directory):
+    log = CheckpointedLog(directory, "cache", checkpoint_every=None)
+    cache = SkylineCache(log=log)
+    cache.insert(Constraints([0.0] * 3, [1.0] * 3), np.full((1, 3), 0.5))
+    return log, cache
+
+
+class TestCheckpointCommitOrder:
+    """Power loss: with ``fsync`` a checkpoint deletes no WAL segment
+    before the snapshot and the meta that replace it are on disk."""
+
+    @pytest.mark.parametrize("owner", [_table_log, _cache_log])
+    def test_snapshot_meta_and_directory_are_durable_before_the_prune(
+        self, tmp_path, file_ops, owner
+    ):
+        log, state = owner(tmp_path)
+        covered = log.wal._active_path.name  # holds the record just logged
+        file_ops.clear()
+        log.checkpoint(state)
+
+        snapshot = ("fsync", log.snapshot_path.stat().st_ino)
+        meta = ("fsync", log.meta_path.stat().st_ino)
+        directory = ("fsync", tmp_path.stat().st_ino)
+        pruned = file_ops.index(("unlink", covered))
+        done = file_ops[:pruned]
+        snapshot_renamed = done.index(("replace", log.snapshot_path.name))
+        meta_renamed = done.index(("replace", "meta.json"))
+        assert done.index(snapshot) < snapshot_renamed < meta_renamed
+        assert directory in done[snapshot_renamed:meta_renamed]
+        assert snapshot_renamed < done.index(meta) < meta_renamed
+        assert directory in done[meta_renamed:]
+
+    def test_the_first_record_of_a_segment_makes_its_entry_durable(
+        self, tmp_path, file_ops
+    ):
+        log = CheckpointedLog(tmp_path, "blob", checkpoint_every=None)
+        log.checkpoint(_Blob())
+        file_ops.clear()
+        log.append({"op": "a"})
+        log.append({"op": "b"})
+        segment = ("fsync", log.wal._active_path.stat().st_ino)
+        directory = ("fsync", (tmp_path / "wal").stat().st_ino)
+        assert file_ops == [segment, directory, segment]
+        log.close()
+
+    def test_without_fsync_nothing_is_fsynced(self, tmp_path, file_ops):
+        log = CheckpointedLog(tmp_path, "blob", fsync=False, checkpoint_every=None)
+        log.checkpoint(_Blob())
+        log.append({"op": "a"})
+        log.checkpoint(_Blob())
+        assert not [event for event in file_ops if event[0] == "fsync"]
         log.close()
