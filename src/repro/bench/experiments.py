@@ -680,7 +680,7 @@ def serving_overload(seed: int = 0) -> FigureReport:
         metrics.set_gauge(f"serving_{key}", counts[key])
     return FigureReport(
         figure="serving",
-        title="Overload-safe serving (open loop, 2x saturation)",
+        title="Overload-safe serving (open loop, 4x calibrated per-query rate)",
         text=report.render_text(),
         series={
             "latency_ms": {

@@ -134,15 +134,22 @@ class CBCS:
         default ``None`` keeps writes in memory only.  A table the log cannot
         checkpoint (a :class:`~repro.storage.sharding.ShardedTable`) raises
         :class:`~repro.storage.durability.UnsupportedDurableTable` before
-        anything is created or bound.
+        anything is created or bound.  A directory whose log holds writes
+        past its checkpoint (a crashed engine's) raises
+        :class:`~repro.storage.durability.UnrecoveredLogError`, also before
+        anything is bound: open it with :meth:`recover`.
         """
-        if durability is not None and not callable(getattr(table, "save", None)):
-            raise UnsupportedDurableTable(
-                f"CBCS({type(table).__name__}(...), durability=...) is not "
-                "supported: the write-ahead log checkpoints and recovers a "
-                "DiskTable only (a durable ShardedTable is the parked "
-                "'durable fleet' item in ROADMAP.md)"
-            )
+        if durability is not None:
+            if not callable(getattr(table, "save", None)):
+                raise UnsupportedDurableTable(
+                    f"CBCS({type(table).__name__}(...), durability=...) is not "
+                    "supported: the write-ahead log checkpoints and recovers a "
+                    "DiskTable only (a durable ShardedTable is the parked "
+                    "'durable fleet' item in ROADMAP.md)"
+                )
+            if not isinstance(durability, DurabilityManager):
+                durability = DurabilityManager(durability)
+            durability.check_recovered()
         self.table = table
         # explicit None checks: an empty SkylineCache is falsy (len 0)
         self.cache = cache if cache is not None else SkylineCache()
@@ -168,8 +175,6 @@ class CBCS:
                 self.resilience.bind_metrics(obs.metrics)
         self.planner = Planner(self.strategy, self.region, self.table.forecast)
         self.executor = Executor()
-        if durability is not None and not isinstance(durability, DurabilityManager):
-            durability = DurabilityManager(durability)
         self.durability: Optional[DurabilityManager] = durability
         #: set by :meth:`recover` on recovered engines
         self.recovery_report = None

@@ -43,7 +43,12 @@ from repro.ioutil import decode_array, encode_array
 from repro.storage.table import CorruptTableError, DiskTable
 from repro.storage.wal import CheckpointedLog
 
-__all__ = ["DurabilityManager", "RecoveryReport", "UnsupportedDurableTable"]
+__all__ = [
+    "DurabilityManager",
+    "RecoveryReport",
+    "UnrecoveredLogError",
+    "UnsupportedDurableTable",
+]
 
 
 class UnsupportedDurableTable(TypeError):
@@ -54,6 +59,16 @@ class UnsupportedDurableTable(TypeError):
     wrapper of one) can be made durable; a durable
     :class:`~repro.storage.sharding.ShardedTable` is the "durable fleet"
     item ROADMAP.md parks.
+    """
+
+
+class UnrecoveredLogError(RuntimeError):
+    """``durability=`` over a directory whose WAL holds records its
+    checkpoint does not cover (a crashed engine's directory).
+
+    Opening it with a table would checkpoint that table over the snapshot
+    and prune the tail, losing committed writes; ``CBCS.recover(dir)``
+    rebuilds the table from the checkpoint plus the tail instead.
     """
 
 
@@ -99,6 +114,20 @@ class DurabilityManager(CheckpointedLog):
 
     def __init__(self, directory, **kwargs):
         super().__init__(directory, "table", **kwargs)
+        #: the last LSN :meth:`recover` replayed into the table it returned
+        self.replayed_lsn = 0
+
+    def check_recovered(self) -> None:
+        """Raise :class:`UnrecoveredLogError` when the WAL holds records
+        past the checkpoint that :meth:`recover` has not replayed: a table
+        adopted now would lack them."""
+        if self.wal.last_lsn > max(self.checkpoint_lsn, self.replayed_lsn):
+            raise UnrecoveredLogError(
+                f"{self.directory} holds WAL records up to lsn="
+                f"{self.wal.last_lsn} past its checkpoint (lsn="
+                f"{self.checkpoint_lsn}); open it with CBCS.recover(dir), "
+                "not CBCS(table, durability=dir)"
+            )
 
     # ------------------------------------------------------------------
     # Logging (call BEFORE applying the update to the table)
@@ -191,4 +220,5 @@ class DurabilityManager(CheckpointedLog):
             live_rows=table.live_count,
             replayed=replayed,
         )
+        self.replayed_lsn = self.wal.last_lsn
         return table, report

@@ -23,11 +23,12 @@ rows are laid out on disks stays below the line the algorithm draws
   :meth:`DiskTable.append` returns.
 
 The shard bounds live in one place: ``mbr_lo`` / ``mbr_hi`` (``(n_shards,
-d)``) and ``counts`` (live rows).  Writers replace each array by reference
-assignment under the metadata lock; readers take no lock.  An append extends
-the MBR; a delete keeps it as a superset (a too-large MBR can only cost a
-read, never a row).  A write made straight to one shard's table is
-reconciled by :meth:`ShardedTable.note_write`, which every shard write
+d)``) and ``counts`` (live rows).  A shard's MBR starts as its table's
+domain, the sorted ends of its indexes.  Writers replace each array by
+reference assignment under the metadata lock; readers take no lock.  An
+append extends the MBR; a delete keeps it as a superset (a too-large MBR can
+only cost a read, never a row).  A write made straight to one shard's table
+is reconciled by :meth:`ShardedTable.note_write`, which every shard write
 calls: rows past the directory get the next global ids, and the MBR and
 counts follow the shard.
 
@@ -207,8 +208,8 @@ class ShardedTable:
             self.shards.append(Shard(sid, table, self))
             self._global_of.append(members)
             if len(members):
-                self.mbr_lo[sid] = rows.min(axis=0)
-                self.mbr_hi[sid] = rows.max(axis=0)
+                self.mbr_lo[sid] = table.domain_lo
+                self.mbr_hi[sid] = table.domain_hi
                 self.counts[sid] = len(members)
         self._columns = [_FleetColumn(self, dim) for dim in range(self.ndim)]
         #: each shard table's ``write_count`` as :meth:`note_write` last saw

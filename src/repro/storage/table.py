@@ -187,18 +187,41 @@ def checked_rowids(rowids) -> np.ndarray:
     return ids.astype(np.int64, copy=False)
 
 
+def _ties_by_row(keys: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """``rows`` (an argsort of a column, ``keys`` the column in that order)
+    with each run of equal keys re-sorted by row id: one integer sort of
+    ``run * n + row``, which orders by run, then row, and leaves every run
+    in place."""
+    n = len(keys)
+    fresh = np.empty(n, dtype=bool)  # True where a run of equal keys starts
+    fresh[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    base = (np.cumsum(fresh, dtype=np.int64) - 1) * n
+    paired = base + rows
+    paired.sort()
+    paired -= base
+    return paired
+
+
 class _SortedColumn:
     """One dimension's index: ``keys``, the column's values ascending,
     beside ``rows``, the heap row holding each (equal keys in ascending row
     id).  :meth:`range_rows` and :meth:`DiskTable.estimate_count` bisect the
     same ``keys``, so a count and a scan cannot disagree.  Writers replace
     each array by one reference assignment under the table lock; a reader
-    that takes only ``keys`` needs no lock."""
+    that takes only ``keys`` needs no lock.
+
+    The build is one unstable (SIMD quicksort) argsort, then an exact tie
+    repair: ``keys`` / ``rows`` equal a stable argsort's byte for byte."""
 
     def __init__(self, column: np.ndarray):
-        order = np.argsort(column, kind="stable")
-        self.keys = column[order]
-        self.rows = order.astype(np.int64, copy=False)
+        rows = np.argsort(column).astype(np.int64, copy=False)
+        keys = column[rows]
+        if (keys[1:] == keys[:-1]).any():
+            rows = _ties_by_row(keys, rows)
+            keys = column[rows]  # a run of equal keys may mix -0.0 and +0.0
+        self.keys = keys
+        self.rows = rows
 
     def __len__(self) -> int:
         return len(self.keys)
@@ -211,13 +234,22 @@ class _SortedColumn:
 
     def insert(self, column: np.ndarray, rowids: np.ndarray) -> None:
         """Merge the keys of new rows (``rowids`` ascending, above every id
-        present).  The batch is sorted first: ``np.insert`` keeps values
-        bound for one gap in the order given."""
+        present): each lands after the equal keys already there, so one
+        position vector places the sorted batch in both arrays."""
         order = np.argsort(column, kind="stable")
         column = column[order]
-        at = self.keys.searchsorted(column, "right")
-        self.keys = np.insert(self.keys, at, column)
-        self.rows = np.insert(self.rows, at, rowids[order])
+        n, m = len(self.keys), len(column)
+        at = self.keys.searchsorted(column, "right") + np.arange(m)
+        old = np.ones(n + m, dtype=bool)
+        old[at] = False
+        keys = np.empty(n + m, dtype=self.keys.dtype)
+        keys[at] = column
+        keys[old] = self.keys
+        rows = np.empty(n + m, dtype=np.int64)
+        rows[at] = rowids[order]
+        rows[old] = self.rows
+        self.keys = keys
+        self.rows = rows
 
     def keep(self, alive: np.ndarray) -> int:
         """Drop the entries of rows not ``alive``; returns how many."""
@@ -350,9 +382,9 @@ class DiskTable:
         self._indexes: List[_SortedColumn] = [
             _SortedColumn(data[:, i]) for i in range(d)
         ]
-        if n:
-            self.domain_lo = data.min(axis=0)
-            self.domain_hi = data.max(axis=0)
+        if n:  # the sorted ends: a zero face is the zero its index sorts there
+            self.domain_lo = np.array([index.keys[0] for index in self._indexes])
+            self.domain_hi = np.array([index.keys[-1] for index in self._indexes])
         else:
             self.domain_lo = np.zeros(d)
             self.domain_hi = np.zeros(d)

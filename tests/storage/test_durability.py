@@ -6,8 +6,13 @@ import pytest
 from repro.core.cache import SkylineCache
 from repro.core.cbcs import CBCS
 from repro.geometry.constraints import Constraints
-from repro.obs.metrics import MetricsRegistry
-from repro.storage.durability import DurabilityManager, UnsupportedDurableTable
+from repro.obs import NULL_OBS, Observability, Tracer
+from repro.obs.metrics import NULL_METRICS, MetricsRegistry
+from repro.storage.durability import (
+    DurabilityManager,
+    UnrecoveredLogError,
+    UnsupportedDurableTable,
+)
 from repro.storage.faults import FaultInjector, SimulatedCrash
 from repro.storage.sharding import ShardedTable
 from repro.storage.table import CorruptTableError, DiskTable
@@ -381,6 +386,34 @@ class TestCleanClose:
         recovered.close()
         assert [_file_stamp(path) for path in table_files] == before
         assert recovered.table.n == engine.table.n
+
+
+class TestUnrecoveredLog:
+    def test_a_crashed_directory_is_refused_until_recovered(self, tmp_path):
+        """Two rows inserted, then a crash (no checkpoint since): a plain
+        ``CBCS(table, durability=dir)`` refuses the directory with a typed
+        error naming ``CBCS.recover`` before it binds anything and rewrites
+        nothing, so the recovery still finds both rows; once recovered, the
+        directory opens again."""
+        engine = CBCS(_table(), durability=DurabilityManager(tmp_path, fsync=False))
+        engine.insert_points(np.full((2, 3), 0.05))
+        engine.durability.wal.close()  # the crash: nothing checkpointed
+        files = [tmp_path / "table.npz", tmp_path / "meta.json"]
+        before = [_file_stamp(path) for path in files]
+        table, cache = _table(), SkylineCache()
+        with pytest.raises(UnrecoveredLogError, match=r"CBCS\.recover"):
+            CBCS(
+                table,
+                cache=cache,
+                obs=Observability(metrics=MetricsRegistry(), tracer=Tracer()),
+                durability=DurabilityManager(tmp_path, fsync=False),
+            )
+        assert table.obs is NULL_OBS and cache.metrics is NULL_METRICS
+        assert [_file_stamp(path) for path in files] == before
+        recovered = CBCS.recover(DurabilityManager(tmp_path, fsync=False))
+        assert recovered.table.n == 22
+        recovered.close()
+        CBCS(recovered.table, durability=DurabilityManager(tmp_path)).close()
 
 
 class TestUnsupportedDurableTable:

@@ -11,11 +11,12 @@ seed, SHA-256 digests cover
 - ``cache`` (``dynamic_mixed`` only): the cache's items, id and skyline in
   iteration order, after every write.
 
-One more digest covers the quick-scale ``fig11a`` EXPLAIN stream with each
-record's ``query_id`` dropped (the id is minted per process).  The expected
-values live in ``golden.json`` beside this file.  A change that means to
-move one of them rewrites the file with ``PYTHONPATH=src python -m
-tests.test_golden`` and says which digest moved and why.
+Two more digests cover the quick-scale ``fig11a`` and ``fig5a`` EXPLAIN
+streams with each record's ``query_id`` dropped (the id is minted per
+process).  The expected values live in ``golden.json`` beside this file.  A
+change that means to move one of them rewrites the file with
+``PYTHONPATH=src python -m tests.test_golden`` and says which digest moved
+and why.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ from perfbench import workloads
 GOLDEN = Path(__file__).with_name("golden.json")
 SEEDS = (0, 1)
 CASES = [f"{name}/{seed}" for name in workloads.WORKLOADS for seed in SEEDS]
+EXPLAINED = ("fig11a", "fig5a")
 
 
 def _array(h, array) -> None:
@@ -75,13 +77,13 @@ def workload_digests(name: str, seed: int, tmp: Path) -> dict:
     return out
 
 
-def explain_digest(tmp: Path) -> str:
-    """SHA-256 of the fig11a EXPLAIN stream, query ids dropped (run it with
+def explain_digest(figure: str, tmp: Path) -> str:
+    """SHA-256 of one figure's EXPLAIN stream, query ids dropped (run it with
     ``REPRO_BENCH_SCALE`` unset or ``quick``)."""
     from repro.bench.__main__ import main
 
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["--obs", str(tmp), "--explain", "fig11a"]) == 0
+        assert main(["--obs", str(tmp), "--explain", figure]) == 0
     h = hashlib.sha256()
     for line in (tmp / "explain.jsonl").read_text().splitlines():
         record = json.loads(line)
@@ -103,7 +105,12 @@ def test_workload_digests(case, golden, tmp_path):
 
 def test_fig11a_explain_stream(golden, tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
-    assert explain_digest(tmp_path) == golden["fig11a/explain"]
+    assert explain_digest("fig11a", tmp_path) == golden["fig11a/explain"]
+
+
+def test_fig5a_explain_stream(golden, tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_BENCH_SCALE", "quick")
+    assert explain_digest("fig5a", tmp_path) == golden["fig5a/explain"]
 
 
 if __name__ == "__main__":
@@ -114,7 +121,8 @@ if __name__ == "__main__":
             name, seed = case.split("/")
             (Path(tmp) / case).mkdir(parents=True)
             digests[case] = workload_digests(name, int(seed), Path(tmp) / case)
-        (Path(tmp) / "explain").mkdir()
-        digests["fig11a/explain"] = explain_digest(Path(tmp) / "explain")
+        for figure in EXPLAINED:
+            (Path(tmp) / figure).mkdir()
+            digests[f"{figure}/explain"] = explain_digest(figure, Path(tmp) / figure)
     GOLDEN.write_text(json.dumps(digests, indent=2, sort_keys=True) + "\n")
     print(f"[digests written to {GOLDEN}]")
